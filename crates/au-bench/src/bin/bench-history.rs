@@ -194,6 +194,25 @@ fn main() {
         );
     }
 
+    {
+        // The abstract interpreter that `compile_program_opt`, the
+        // AU011-AU015 lints and the tightened StaticFilter all run first:
+        // one sample analyzes all nine parsed corpus programs.
+        use au_lang::{absint, corpus, parse};
+        let programs: Vec<_> = corpus::all()
+            .iter()
+            .map(|p| parse(p.src).expect("corpus parses"))
+            .collect();
+        benches.insert(
+            "absint_corpus".to_owned(),
+            median_ns(samples, 1, || {
+                for program in &programs {
+                    black_box(absint::analyze(black_box(program)));
+                }
+            }),
+        );
+    }
+
     benches.insert(
         "par_map_1k".to_owned(),
         median_ns(samples, 8, || {

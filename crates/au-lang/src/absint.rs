@@ -21,6 +21,29 @@
 //! dead-store detection, and small syntactic passes find loop-invariant
 //! assignments and protocol string names.
 //!
+//! # Cost
+//!
+//! The analysis runs before every optimized compile, so its hot paths
+//! avoid allocation. An environment is one vector of bindings sorted by
+//! `(scope, name)` — each scope is a sorted run — whose names borrow from
+//! the AST, so declaring, cloning and merging never allocate a `String`
+//! and equality and iteration order are those of a stack of sorted maps.
+//! Array and string values share their payloads through `Rc`, and joins
+//! of two environments binding the same names update values in place.
+//! Executed statements are marked in a table indexed by sorted span
+//! rather than hashed.
+//!
+//! A `while` loop is solved in two phases: a silent fixpoint on its head,
+//! then one pass over the stable head that records facts. When the loop
+//! runs silently itself (nested in another loop's fixpoint, or in a
+//! callee reached from one), that second pass would repeat the last
+//! fixpoint iteration exactly, so its condition result, environment and
+//! body flow are reused instead — unless that iteration changed a
+//! function summary (tracked by a generation counter bumped on every
+//! summary update), in which case the body is walked again. Reporting
+//! passes always walk. `FUEL` counts abstract evaluations actually
+//! performed, so a reused iteration consumes none.
+//!
 //! # Soundness contract
 //!
 //! Every fact exposed through [`Analysis`] is an *over-approximation
@@ -36,9 +59,11 @@
 //! and all semantic fact sets are emptied rather than left partial.
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry as BEntry;
 use std::collections::hash_map::Entry as HEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 
 /// Precise loop iterations before widening kicks in.
 const WIDEN_AFTER: u32 = 3;
@@ -383,9 +408,9 @@ pub enum AbsVal {
     /// A boolean.
     Bool(AbsBool),
     /// A string, exactly known when `Some`.
-    Str(Option<String>),
+    Str(Option<Rc<str>>),
     /// An array: element join and length interval.
-    Array(Box<AbsVal>, Interval),
+    Array(Rc<AbsVal>, Interval),
     /// The unit value.
     Unit,
     /// Any value at all.
@@ -413,7 +438,7 @@ impl AbsVal {
                 } else {
                     ea.join_depth(eb, d + 1)
                 };
-                Array(Box::new(elem), la.join(*lb))
+                Array(Rc::new(elem), la.join(*lb))
             }
             _ => Top,
         }
@@ -434,7 +459,7 @@ impl AbsVal {
                 } else {
                     ea.widen_depth(eb, d + 1)
                 };
-                Array(Box::new(elem), la.widen(*lb))
+                Array(Rc::new(elem), la.widen(*lb))
             }
             _ => self.join(other),
         }
@@ -515,108 +540,207 @@ fn abs_cmp(op: BinOp, a: Interval, b: Interval) -> AbsBool {
 // Environment and flow
 // ---------------------------------------------------------------------
 
-/// A lexical environment: a stack of scopes mapping names to values.
+/// One variable binding of an [`Env`].
 #[derive(Debug, Clone, PartialEq)]
-struct Env {
-    scopes: Vec<BTreeMap<String, AbsVal>>,
+struct Binding<'a> {
+    /// Index of the scope that declares it (0 = outermost).
+    scope: usize,
+    /// The variable name, borrowed from the AST.
+    name: &'a str,
+    val: AbsVal,
 }
 
-impl Env {
+/// A lexical environment: a stack of scopes mapping names to values.
+///
+/// All scopes share one vector, outermost first, and each scope's run of
+/// bindings is sorted by name. The bindings are therefore sorted by
+/// `(scope, name)`, so equality, iteration order and merges behave exactly
+/// like a stack of sorted maps — without allocating per scope or per name.
+#[derive(Debug, Clone, PartialEq)]
+struct Env<'a> {
+    vars: Vec<Binding<'a>>,
+    /// Number of open scopes (always ≥ 1); every binding's scope is below it.
+    depth: usize,
+}
+
+impl<'a> Env<'a> {
     fn new() -> Self {
         Env {
-            scopes: vec![BTreeMap::new()],
+            vars: Vec::new(),
+            depth: 1,
         }
     }
 
     fn depth(&self) -> usize {
-        self.scopes.len()
+        self.depth
     }
 
     fn push(&mut self) {
-        self.scopes.push(BTreeMap::new());
+        self.depth += 1;
     }
 
+    /// Closes scopes down to `depth` (never below one scope).
     fn truncate_to(&mut self, depth: usize) {
-        self.scopes.truncate(depth.max(1));
-    }
-
-    fn declare(&mut self, name: &str, v: AbsVal) {
-        self.scopes
-            .last_mut()
-            .expect("env has a scope")
-            .insert(name.to_owned(), v);
-    }
-
-    fn get(&self, name: &str) -> Option<&AbsVal> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn assign(&mut self, name: &str, v: AbsVal) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = v;
-                return true;
-            }
+        let depth = depth.max(1);
+        if depth < self.depth {
+            self.depth = depth;
+            let keep = self.vars.partition_point(|b| b.scope < depth);
+            self.vars.truncate(keep);
         }
-        false
+    }
+
+    fn declare(&mut self, name: &'a str, val: AbsVal) {
+        let top = self.depth - 1;
+        let start = self.vars.partition_point(|b| b.scope < top);
+        match self.vars[start..].binary_search_by(|b| b.name.cmp(name)) {
+            Ok(i) => self.vars[start + i].val = val,
+            Err(i) => self.vars.insert(
+                start + i,
+                Binding {
+                    scope: top,
+                    name,
+                    val,
+                },
+            ),
+        }
+    }
+
+    /// The innermost binding of `name`: scanning from the end visits the
+    /// innermost scope first, and a scope binds each name at most once.
+    fn get(&self, name: &str) -> Option<&AbsVal> {
+        self.vars
+            .iter()
+            .rev()
+            .find(|b| b.name == name)
+            .map(|b| &b.val)
+    }
+
+    fn assign(&mut self, name: &str, val: AbsVal) -> bool {
+        match self.vars.iter_mut().rev().find(|b| b.name == name) {
+            Some(b) => {
+                b.val = val;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Forgets everything: all bindings become ⊤ (checkpoint restore may
     /// rewrite any variable that existed at snapshot time).
     fn clobber(&mut self) {
-        for scope in &mut self.scopes {
-            for v in scope.values_mut() {
-                *v = AbsVal::Top;
-            }
+        for b in &mut self.vars {
+            b.val = AbsVal::Top;
         }
     }
 
-    fn merge_with(&self, other: &Env, f: impl Fn(&AbsVal, &AbsVal) -> AbsVal) -> Env {
-        let n = self.scopes.len().min(other.scopes.len());
-        let mut scopes = Vec::with_capacity(n);
-        for (sa, sb) in self.scopes[..n].iter().zip(&other.scopes[..n]) {
-            let mut out = BTreeMap::new();
-            for (k, va) in sa {
-                match sb.get(k) {
-                    Some(vb) => out.insert(k.clone(), f(va, vb)),
-                    None => out.insert(k.clone(), AbsVal::Top),
-                };
-            }
-            for k in sb.keys() {
-                if !sa.contains_key(k) {
-                    out.insert(k.clone(), AbsVal::Top);
+    /// Merges two environments scope by scope: a name bound on both sides
+    /// gets `f` of its values, a name bound on one side only becomes ⊤,
+    /// and scopes beyond the shorter stack are dropped.
+    fn merge_with(&self, other: &Env<'a>, f: impl Fn(&AbsVal, &AbsVal) -> AbsVal) -> Env<'a> {
+        let depth = self.depth.min(other.depth);
+        let a = &self.vars[..self.vars.partition_point(|b| b.scope < depth)];
+        let b = &other.vars[..other.vars.partition_point(|b| b.scope < depth)];
+        let top = |x: &Binding<'a>| Binding {
+            scope: x.scope,
+            name: x.name,
+            val: AbsVal::Top,
+        };
+        let mut vars = Vec::with_capacity(a.len().max(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (&a[i], &b[j]);
+            let order = x.scope.cmp(&y.scope).then_with(|| {
+                if same_name(x.name, y.name) {
+                    Ordering::Equal
+                } else {
+                    x.name.cmp(y.name)
+                }
+            });
+            match order {
+                Ordering::Less => {
+                    vars.push(top(x));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    vars.push(top(y));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    vars.push(Binding {
+                        scope: x.scope,
+                        name: x.name,
+                        val: f(&x.val, &y.val),
+                    });
+                    i += 1;
+                    j += 1;
                 }
             }
-            scopes.push(out);
         }
-        Env { scopes }
+        vars.extend(a[i..].iter().chain(&b[j..]).map(top));
+        Env { vars, depth }
     }
 
-    fn join(&self, other: &Env) -> Env {
-        self.merge_with(other, |a, b| a.join(b))
+    /// Replaces `self` with `self.merge_with(other, f)`, returning whether
+    /// that changed it. When both sides bind the same names in the same
+    /// scopes — the usual case — this updates the values in place.
+    fn merge_from(&mut self, other: &Env<'a>, f: impl Fn(&AbsVal, &AbsVal) -> AbsVal) -> bool {
+        let same_layout = self.depth == other.depth
+            && self.vars.len() == other.vars.len()
+            && self
+                .vars
+                .iter()
+                .zip(&other.vars)
+                .all(|(x, y)| x.scope == y.scope && same_name(x.name, y.name));
+        if !same_layout {
+            let merged = self.merge_with(other, f);
+            let changed = merged != *self;
+            *self = merged;
+            return changed;
+        }
+        let mut changed = false;
+        for (x, y) in self.vars.iter_mut().zip(&other.vars) {
+            let v = f(&x.val, &y.val);
+            if v != x.val {
+                x.val = v;
+                changed = true;
+            }
+        }
+        changed
     }
 
-    fn widen(&self, other: &Env) -> Env {
-        self.merge_with(other, |a, b| a.widen(b))
+    /// Joins `other` into `self`; returns whether `self` changed.
+    fn join_from(&mut self, other: &Env<'a>) -> bool {
+        self.merge_from(other, AbsVal::join)
+    }
+
+    /// Widens `self` by `other`; returns whether `self` changed.
+    fn widen_from(&mut self, other: &Env<'a>) -> bool {
+        self.merge_from(other, AbsVal::widen)
     }
 }
 
+/// Name equality with a fast path for two borrows of the same AST string
+/// (bindings that flow from one declaration share it).
+fn same_name(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
 /// The result of walking a statement or block: where control may go next.
-struct Flow {
+struct Flow<'a> {
     /// Environment on normal fall-through, if reachable.
-    fall: Option<Env>,
+    fall: Option<Env<'a>>,
     /// Environments flowing to the innermost enclosing loop's exit.
-    brk: Vec<Env>,
+    brk: Vec<Env<'a>>,
     /// Environments flowing to the innermost enclosing loop's back edge.
-    cont: Vec<Env>,
+    cont: Vec<Env<'a>>,
     /// Join of all returned values (`Bottom` when no return is reachable).
     ret: AbsVal,
     /// Whether execution is pure, error-free, and terminating throughout.
     total: bool,
 }
 
-impl Flow {
-    fn fall(env: Env) -> Flow {
+impl<'a> Flow<'a> {
+    fn fall(env: Env<'a>) -> Flow<'a> {
         Flow {
             fall: Some(env),
             brk: Vec::new(),
@@ -627,7 +751,7 @@ impl Flow {
     }
 
     /// Certain runtime error: nothing flows onward.
-    fn halt() -> Flow {
+    fn halt() -> Flow<'a> {
         Flow {
             fall: None,
             brk: Vec::new(),
@@ -654,11 +778,27 @@ impl Out {
     }
 }
 
-fn join_env_opt(a: Option<Env>, b: Env) -> Option<Env> {
+fn join_env_opt<'a>(a: Option<Env<'a>>, b: Env<'a>) -> Option<Env<'a>> {
     Some(match a {
-        Some(a) => a.join(&b),
+        Some(mut a) => {
+            a.join_from(&b);
+            a
+        }
         None => b,
     })
+}
+
+/// The last phase-1 iteration of a silent `while`, kept so phase 2 can
+/// reuse it instead of walking the body again (see
+/// [`Analyzer::walk_while`]).
+struct LastIter<'a> {
+    /// The condition's result on the stable head.
+    cond: Out,
+    /// The head after evaluating the condition.
+    probe: Env<'a>,
+    /// The entered body's flow with `fall`/`cont` already spent on the
+    /// back edge, or `None` when the body was not entered.
+    body: Option<Flow<'a>>,
 }
 
 // ---------------------------------------------------------------------
@@ -749,20 +889,27 @@ struct Analyzer<'a> {
     fns: HashMap<&'a str, &'a Function>,
     /// Functions on a cycle in the call graph: always analyzed with ⊤
     /// parameters so the in-progress-call cut stays sound.
-    recursive: HashSet<String>,
+    recursive: HashSet<&'a str>,
     /// Functions that may (transitively) checkpoint or restore — a call
     /// clobbers every caller-visible binding.
-    may_ckpt: HashSet<String>,
-    summaries: HashMap<String, FnSummary>,
-    stack: Vec<String>,
+    may_ckpt: HashSet<&'a str>,
+    summaries: HashMap<&'a str, FnSummary>,
+    /// Bumped on every `summaries` insert, so a loop iteration can tell
+    /// whether it changed any summary.
+    summary_gen: u64,
+    stack: Vec<&'a str>,
     reporting: bool,
     fuel: u64,
     complete: bool,
-    visited: HashSet<(usize, usize)>,
-    totals: HashMap<(usize, usize), bool>,
-    folds: HashMap<(usize, usize), Option<Folded>>,
+    /// Every statement span in the program, sorted and deduplicated.
+    stmt_spans: Vec<(usize, usize)>,
+    /// `visited[i]`: some walk reached a statement spanning `stmt_spans[i]`.
+    visited: Vec<bool>,
+    /// Per expression span: (total on every visit, the one folded value
+    /// seen on every visit if any).
+    facts: HashMap<(usize, usize), (bool, Option<Folded>)>,
     divs: BTreeMap<(usize, usize), Interval>,
-    assigns: BTreeMap<String, AbsVal>,
+    assigns: BTreeMap<&'a str, AbsVal>,
 }
 
 fn is_user_fn(fns: &HashMap<&str, &Function>, name: &str) -> bool {
@@ -792,28 +939,39 @@ impl<'a> Analyzer<'a> {
             .map(|f| (f.name.as_str(), f))
             .collect();
         let (recursive, may_ckpt) = call_graph_facts(&fns);
+        let mut stmt_spans = Vec::new();
+        for func in &program.functions {
+            for_each_stmt(&func.body, &mut |s| {
+                if !s.span.is_dummy() {
+                    stmt_spans.push((s.span.start, s.span.end));
+                }
+            });
+        }
+        stmt_spans.sort_unstable();
+        stmt_spans.dedup();
         Analyzer {
             fns,
             recursive,
             may_ckpt,
             summaries: HashMap::new(),
+            summary_gen: 0,
             stack: Vec::new(),
             reporting: true,
             fuel: FUEL,
             complete: true,
-            visited: HashSet::new(),
-            totals: HashMap::new(),
-            folds: HashMap::new(),
+            visited: vec![false; stmt_spans.len()],
+            stmt_spans,
+            facts: HashMap::new(),
             divs: BTreeMap::new(),
             assigns: BTreeMap::new(),
         }
     }
 
-    fn record_assign(&mut self, name: &str, v: &AbsVal) {
+    fn record_assign(&mut self, name: &'a str, v: &AbsVal) {
         if !self.reporting {
             return;
         }
-        match self.assigns.entry(name.to_owned()) {
+        match self.assigns.entry(name) {
             BEntry::Occupied(mut o) => {
                 let joined = o.get().join(v);
                 o.insert(joined);
@@ -828,7 +986,7 @@ impl<'a> Analyzer<'a> {
     // Expression evaluation
     // -----------------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr, env: &mut Env) -> Out {
+    fn eval(&mut self, e: &'a Expr, env: &mut Env<'a>) -> Out {
         if self.fuel == 0 {
             self.complete = false;
             return Out::top();
@@ -836,31 +994,28 @@ impl<'a> Analyzer<'a> {
         self.fuel -= 1;
         let out = self.eval_inner(e, env);
         if self.reporting && !e.span.is_dummy() && !is_literal(e) {
-            let key = (e.span.start, e.span.end);
-            self.totals
-                .entry(key)
-                .and_modify(|t| *t &= out.total)
-                .or_insert(out.total);
             let cand = if out.total {
                 folded_const(&out.val)
             } else {
                 None
             };
-            match self.folds.entry(key) {
+            match self.facts.entry((e.span.start, e.span.end)) {
                 HEntry::Occupied(mut o) => {
-                    if *o.get() != cand {
-                        o.insert(None);
+                    let (total, fold) = o.get_mut();
+                    *total &= out.total;
+                    if *fold != cand {
+                        *fold = None;
                     }
                 }
                 HEntry::Vacant(slot) => {
-                    slot.insert(cand);
+                    slot.insert((out.total, cand));
                 }
             }
         }
         out
     }
 
-    fn eval_inner(&mut self, e: &Expr, env: &mut Env) -> Out {
+    fn eval_inner(&mut self, e: &'a Expr, env: &mut Env<'a>) -> Out {
         match &e.kind {
             ExprKind::Num(n) => Out {
                 val: AbsVal::Num(Interval::point(*n)),
@@ -871,7 +1026,7 @@ impl<'a> Analyzer<'a> {
                 total: true,
             },
             ExprKind::Str(s) => Out {
-                val: AbsVal::Str(Some(s.clone())),
+                val: AbsVal::Str(Some(Rc::from(s.as_str()))),
                 total: true,
             },
             ExprKind::Var(name) => match env.get(name) {
@@ -894,7 +1049,7 @@ impl<'a> Analyzer<'a> {
                     total &= o.total;
                 }
                 Out {
-                    val: AbsVal::Array(Box::new(elem), Interval::point(items.len() as f64)),
+                    val: AbsVal::Array(Rc::new(elem), Interval::point(items.len() as f64)),
                     total,
                 }
             }
@@ -948,7 +1103,14 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn eval_binary(&mut self, e: &Expr, op: BinOp, lhs: &Expr, rhs: &Expr, env: &mut Env) -> Out {
+    fn eval_binary(
+        &mut self,
+        e: &'a Expr,
+        op: BinOp,
+        lhs: &'a Expr,
+        rhs: &'a Expr,
+        env: &mut Env<'a>,
+    ) -> Out {
         if matches!(op, BinOp::And | BinOp::Or) {
             let l = self.eval(lhs, env);
             let Some((lb, lcertain)) = as_bool_domain(&l.val) else {
@@ -1062,7 +1224,7 @@ impl<'a> Analyzer<'a> {
     // Calls
     // -----------------------------------------------------------------
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], env: &mut Env) -> Out {
+    fn eval_call(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
         if is_user_fn(&self.fns, name) {
             let out = self.call_user(name, args, env);
             if self.may_ckpt.contains(name) {
@@ -1073,7 +1235,7 @@ impl<'a> Analyzer<'a> {
         self.call_builtin(name, args, env)
     }
 
-    fn call_user(&mut self, name: &str, args: &[Expr], env: &mut Env) -> Out {
+    fn call_user(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
         let func = self.fns[name];
         if func.params.len() != args.len() {
             // Arity error is raised before the callee runs; arguments are
@@ -1093,7 +1255,7 @@ impl<'a> Analyzer<'a> {
             // the in-progress-call cut below cannot under-approximate.
             arg_vals.fill(AbsVal::Top);
         }
-        if self.stack.iter().any(|s| s == name) {
+        if self.stack.contains(&name) {
             return Out::top();
         }
         if self.stack.len() > self.fns.len() + 1 {
@@ -1132,7 +1294,7 @@ impl<'a> Analyzer<'a> {
             self.record_assign(p, v);
             fenv.declare(p, v.clone());
         }
-        self.stack.push(name.to_owned());
+        self.stack.push(name);
         let flow = self.walk_block(&func.body, fenv);
         self.stack.pop();
         let mut ret = flow.ret;
@@ -1142,7 +1304,7 @@ impl<'a> Analyzer<'a> {
         let total = flow.total && flow.brk.is_empty() && flow.cont.is_empty();
         let reported = self.reporting || self.summaries.get(name).is_some_and(|s| s.reported);
         self.summaries.insert(
-            name.to_owned(),
+            name,
             FnSummary {
                 params,
                 ret: ret.clone(),
@@ -1151,10 +1313,11 @@ impl<'a> Analyzer<'a> {
                 reported,
             },
         );
+        self.summary_gen += 1;
         Out { val: ret, total }
     }
 
-    fn call_builtin(&mut self, name: &str, args: &[Expr], env: &mut Env) -> Out {
+    fn call_builtin(&mut self, name: &str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
         // Fixed-arity builtins check arity *before* evaluating arguments,
         // so a mismatch must not record argument effects or facts.
         let arity: Option<usize> = match name {
@@ -1243,7 +1406,7 @@ impl<'a> Analyzer<'a> {
             },
             "au_nn" | "au_write_back_n" => Out {
                 val: AbsVal::Array(
-                    Box::new(AbsVal::Num(Interval::top_nan())),
+                    Rc::new(AbsVal::Num(Interval::top_nan())),
                     Interval::make(0.0, f64::INFINITY, false),
                 ),
                 total: false,
@@ -1265,12 +1428,12 @@ impl<'a> Analyzer<'a> {
             }
             "append" => match (&outs[0].val, &outs[1].val) {
                 (AbsVal::Array(elem, len), item) => Out {
-                    val: AbsVal::Array(Box::new(elem.join(item)), len.add(Interval::point(1.0))),
+                    val: AbsVal::Array(Rc::new(elem.join(item)), len.add(Interval::point(1.0))),
                     total: outs[0].total && outs[1].total,
                 },
                 _ => Out {
                     val: AbsVal::Array(
-                        Box::new(AbsVal::Top),
+                        Rc::new(AbsVal::Top),
                         Interval::make(1.0, f64::INFINITY, false),
                     ),
                     total: false,
@@ -1326,31 +1489,22 @@ impl<'a> Analyzer<'a> {
     /// understands literals, variables, `!`, short-circuit chains, and
     /// comparisons whose operands are variables or (negated) number
     /// literals.
-    fn refine(&self, env: &Env, cond: &Expr, want: bool) -> Option<Env> {
+    fn refine(&self, mut env: Env<'a>, cond: &'a Expr, want: bool) -> Option<Env<'a>> {
         match &cond.kind {
-            ExprKind::Bool(b) => {
-                if *b == want {
-                    Some(env.clone())
-                } else {
-                    None
-                }
-            }
-            ExprKind::Var(name) => match env.get(name) {
-                Some(AbsVal::Bool(b)) => {
-                    if (want && !b.may_true) || (!want && !b.may_false) {
-                        return None;
+            ExprKind::Bool(b) => (*b == want).then_some(env),
+            ExprKind::Var(name) => {
+                match env.get(name) {
+                    Some(AbsVal::Bool(b)) => {
+                        if (want && !b.may_true) || (!want && !b.may_false) {
+                            return None;
+                        }
                     }
-                    let mut out = env.clone();
-                    out.assign(name, AbsVal::Bool(AbsBool::of(want)));
-                    Some(out)
+                    Some(AbsVal::Top | AbsVal::Bottom) => {}
+                    _ => return Some(env),
                 }
-                Some(AbsVal::Top | AbsVal::Bottom) => {
-                    let mut out = env.clone();
-                    out.assign(name, AbsVal::Bool(AbsBool::of(want)));
-                    Some(out)
-                }
-                _ => Some(env.clone()),
-            },
+                env.assign(name, AbsVal::Bool(AbsBool::of(want)));
+                Some(env)
+            }
             ExprKind::Unary {
                 op: UnOp::Not,
                 expr,
@@ -1361,7 +1515,7 @@ impl<'a> Analyzer<'a> {
                 rhs,
             } if want => {
                 let e = self.refine(env, lhs, true)?;
-                self.refine(&e, rhs, true)
+                self.refine(e, rhs, true)
             }
             ExprKind::Binary {
                 op: BinOp::Or,
@@ -1369,7 +1523,7 @@ impl<'a> Analyzer<'a> {
                 rhs,
             } if !want => {
                 let e = self.refine(env, lhs, false)?;
-                self.refine(&e, rhs, false)
+                self.refine(e, rhs, false)
             }
             ExprKind::Binary { op, lhs, rhs }
                 if matches!(
@@ -1379,15 +1533,22 @@ impl<'a> Analyzer<'a> {
             {
                 self.refine_cmp(env, *op, lhs, rhs, want)
             }
-            _ => Some(env.clone()),
+            _ => Some(env),
         }
     }
 
-    fn refine_cmp(&self, env: &Env, op: BinOp, lhs: &Expr, rhs: &Expr, want: bool) -> Option<Env> {
+    fn refine_cmp(
+        &self,
+        mut env: Env<'a>,
+        op: BinOp,
+        lhs: &'a Expr,
+        rhs: &'a Expr,
+        want: bool,
+    ) -> Option<Env<'a>> {
         // Resolve each operand to a variable or a numeric constant.
-        fn side(e: &Expr) -> Option<Result<String, f64>> {
+        fn side(e: &Expr) -> Option<Result<&str, f64>> {
             match &e.kind {
-                ExprKind::Var(n) => Some(Ok(n.clone())),
+                ExprKind::Var(n) => Some(Ok(n)),
                 ExprKind::Num(n) => Some(Err(*n)),
                 ExprKind::Unary {
                     op: UnOp::Neg,
@@ -1400,9 +1561,18 @@ impl<'a> Analyzer<'a> {
             }
         }
         let (Some(ls), Some(rs)) = (side(lhs), side(rhs)) else {
-            return Some(env.clone());
+            return Some(env);
         };
-        let iv_of = |s: &Result<String, f64>| -> Option<Interval> {
+        // Whether a side is a number literal or a variable that may hold
+        // a number.
+        let numeric = |env: &Env, s: &Result<&str, f64>| match s {
+            Ok(name) => matches!(
+                env.get(name),
+                Some(AbsVal::Num(_) | AbsVal::Top | AbsVal::Bottom)
+            ),
+            Err(_) => true,
+        };
+        let iv_of = |s: &Result<&str, f64>| -> Option<Interval> {
             match s {
                 Ok(name) => match env.get(name) {
                     Some(AbsVal::Num(i)) => Some(*i),
@@ -1416,7 +1586,7 @@ impl<'a> Analyzer<'a> {
             }
         };
         let (Some(a), Some(b)) = (iv_of(&ls), iv_of(&rs)) else {
-            return Some(env.clone());
+            return Some(env);
         };
         // Negating a comparison is only interval-exact when neither side
         // can be NaN: `!(a < b)` includes the NaN cases `a >= b` misses.
@@ -1424,7 +1594,7 @@ impl<'a> Analyzer<'a> {
             op
         } else {
             if a.nan || b.nan {
-                return Some(env.clone());
+                return Some(env);
             }
             match op {
                 BinOp::Lt => BinOp::Ge,
@@ -1432,7 +1602,7 @@ impl<'a> Analyzer<'a> {
                 BinOp::Gt => BinOp::Le,
                 BinOp::Ge => BinOp::Lt,
                 // Eq-false gives no interval information.
-                _ => return Some(env.clone()),
+                _ => return Some(env),
             }
         };
         // A true ordered comparison implies both sides are non-NaN.
@@ -1476,22 +1646,8 @@ impl<'a> Analyzer<'a> {
             BinOp::Eq => {
                 // Only refine when both sides are numeric; `==` on mixed
                 // types is plain `false`, never an error.
-                let lhs_numeric = match &ls {
-                    Ok(name) => matches!(
-                        env.get(name),
-                        Some(AbsVal::Num(_) | AbsVal::Top | AbsVal::Bottom)
-                    ),
-                    Err(_) => true,
-                };
-                let rhs_numeric = match &rs {
-                    Ok(name) => matches!(
-                        env.get(name),
-                        Some(AbsVal::Num(_) | AbsVal::Top | AbsVal::Bottom)
-                    ),
-                    Err(_) => true,
-                };
-                if !lhs_numeric || !rhs_numeric {
-                    return Some(env.clone());
+                if !numeric(&env, &ls) || !numeric(&env, &rs) {
+                    return Some(env);
                 }
                 if a.lo > b.hi || b.lo > a.hi {
                     return None;
@@ -1499,33 +1655,24 @@ impl<'a> Analyzer<'a> {
                 let i = Interval::make(a.lo.max(b.lo), a.hi.min(b.hi), false);
                 (i, i)
             }
-            _ => return Some(env.clone()),
+            _ => return Some(env),
         };
-        let mut out = env.clone();
-        if let Ok(name) = &ls {
-            if matches!(
-                env.get(name),
-                Some(AbsVal::Num(_) | AbsVal::Top | AbsVal::Bottom)
-            ) {
-                out.assign(name, AbsVal::Num(na));
-            }
+        // Both sides are judged on the unrefined environment.
+        let (l_num, r_num) = (numeric(&env, &ls), numeric(&env, &rs));
+        if let (Ok(name), true) = (ls, l_num) {
+            env.assign(name, AbsVal::Num(na));
         }
-        if let Ok(name) = &rs {
-            if matches!(
-                env.get(name),
-                Some(AbsVal::Num(_) | AbsVal::Top | AbsVal::Bottom)
-            ) {
-                out.assign(name, AbsVal::Num(nb));
-            }
+        if let (Ok(name), true) = (rs, r_num) {
+            env.assign(name, AbsVal::Num(nb));
         }
-        Some(out)
+        Some(env)
     }
 
     // -----------------------------------------------------------------
     // Statement walking
     // -----------------------------------------------------------------
 
-    fn walk_block(&mut self, stmts: &[Stmt], mut env: Env) -> Flow {
+    fn walk_block(&mut self, stmts: &'a [Stmt], mut env: Env<'a>) -> Flow<'a> {
         let entry_depth = env.depth();
         env.push();
         let mut result = Flow {
@@ -1556,12 +1703,17 @@ impl<'a> Analyzer<'a> {
         result
     }
 
-    fn walk_stmt(&mut self, stmt: &Stmt, mut env: Env) -> Flow {
+    fn walk_stmt(&mut self, stmt: &'a Stmt, mut env: Env<'a>) -> Flow<'a> {
         if !stmt.span.is_dummy() {
             // Recorded even in silent loop iterations: a statement visited
             // under any head state is certainly visited under the (larger)
             // final head, so this can only shrink the unreachable set.
-            self.visited.insert((stmt.span.start, stmt.span.end));
+            if let Ok(i) = self
+                .stmt_spans
+                .binary_search(&(stmt.span.start, stmt.span.end))
+            {
+                self.visited[i] = true;
+            }
         }
         if self.fuel == 0 {
             self.complete = false;
@@ -1589,9 +1741,10 @@ impl<'a> Analyzer<'a> {
             StmtKind::AssignIndex { name, index, value } => {
                 self.eval(index, &mut env);
                 let o = self.eval(value, &mut env);
-                match env.get(name).cloned() {
+                match env.get(name) {
                     Some(AbsVal::Array(elem, len)) => {
-                        env.assign(name, AbsVal::Array(Box::new(elem.join(&o.val)), len));
+                        let updated = AbsVal::Array(Rc::new(elem.join(&o.val)), *len);
+                        env.assign(name, updated);
                     }
                     Some(AbsVal::Top | AbsVal::Bottom) => {}
                     Some(_) => return Flow::halt(),
@@ -1614,32 +1767,28 @@ impl<'a> Analyzer<'a> {
                 };
                 let mut merged = Flow::halt();
                 merged.total = c.total && certain;
+                // Each feasible branch refines its own copy of `env`.
+                let (then_env, else_env) = match (ab.may_true, ab.may_false) {
+                    (true, true) => (Some(env.clone()), Some(env)),
+                    (true, false) => (Some(env), None),
+                    (false, true) => (None, Some(env)),
+                    (false, false) => (None, None),
+                };
                 let mut any = false;
-                if ab.may_true {
-                    if let Some(e) = self.refine(&env, cond, true) {
-                        let f = self.walk_block(then_body, e);
-                        merged.total &= f.total;
-                        merged.ret = merged.ret.join(&f.ret);
-                        merged.brk.extend(f.brk);
-                        merged.cont.extend(f.cont);
-                        if let Some(e) = f.fall {
-                            merged.fall = join_env_opt(merged.fall.take(), e);
-                        }
-                        any = true;
+                for (env, want, body) in [(then_env, true, then_body), (else_env, false, else_body)]
+                {
+                    let Some(e) = env.and_then(|env| self.refine(env, cond, want)) else {
+                        continue;
+                    };
+                    let f = self.walk_block(body, e);
+                    merged.total &= f.total;
+                    merged.ret = merged.ret.join(&f.ret);
+                    merged.brk.extend(f.brk);
+                    merged.cont.extend(f.cont);
+                    if let Some(e) = f.fall {
+                        merged.fall = join_env_opt(merged.fall.take(), e);
                     }
-                }
-                if ab.may_false {
-                    if let Some(e) = self.refine(&env, cond, false) {
-                        let f = self.walk_block(else_body, e);
-                        merged.total &= f.total;
-                        merged.ret = merged.ret.join(&f.ret);
-                        merged.brk.extend(f.brk);
-                        merged.cont.extend(f.cont);
-                        if let Some(e) = f.fall {
-                            merged.fall = join_env_opt(merged.fall.take(), e);
-                        }
-                        any = true;
-                    }
+                    any = true;
                 }
                 if !any {
                     return Flow::halt();
@@ -1686,7 +1835,16 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn walk_while(&mut self, cond: &Expr, body: &[Stmt], env: Env) -> Flow {
+    /// Solves a `while` loop: a silent fixpoint on the head (phase 1),
+    /// then one pass over the stable head that records facts (phase 2).
+    ///
+    /// When the loop itself runs silently, phase 2 would repeat phase 1's
+    /// last iteration exactly — same head, same condition, same body — so
+    /// it reuses that iteration's results instead of walking the body
+    /// again. That is exact only if the iteration changed no function
+    /// summary: a call evaluated early in it may have used a summary that
+    /// a later call then replaced, and a replay would see the new one.
+    fn walk_while(&mut self, cond: &'a Expr, body: &'a [Stmt], env: Env<'a>) -> Flow<'a> {
         let entry_depth = env.depth();
         // Phase 1: silent fixpoint on the loop-head environment. Facts are
         // not recorded here — intermediate states under-approximate the
@@ -1695,21 +1853,31 @@ impl<'a> Analyzer<'a> {
         self.reporting = false;
         let mut head = env;
         let mut iters: u32 = 0;
+        let mut last: Option<LastIter<'a>> = None;
         loop {
             if self.fuel == 0 {
                 self.complete = false;
                 head.clobber();
                 break;
             }
+            let gen = self.summary_gen;
             let mut probe = head.clone();
             let c = self.eval(cond, &mut probe);
-            let may_true = as_bool_domain(&c.val)
-                .map(|(ab, _)| ab.may_true)
-                .unwrap_or(false);
-            if !may_true {
-                break;
-            }
-            let Some(enter) = self.refine(&probe, cond, true) else {
+            let may_true = as_bool_domain(&c.val).is_some_and(|(ab, _)| ab.may_true);
+            let enter = if may_true {
+                self.refine(probe.clone(), cond, true)
+            } else {
+                None
+            };
+            let Some(enter) = enter else {
+                // The condition itself may call functions.
+                if !saved_reporting && self.summary_gen == gen {
+                    last = Some(LastIter {
+                        cond: c,
+                        probe,
+                        body: None,
+                    });
+                }
                 break;
             };
             let f = self.walk_block(body, enter);
@@ -1718,19 +1886,32 @@ impl<'a> Analyzer<'a> {
                 e.truncate_to(entry_depth);
                 back = join_env_opt(back, e);
             }
+            let reusable = !saved_reporting && self.summary_gen == gen;
+            let this = LastIter {
+                cond: c,
+                probe,
+                body: Some(Flow {
+                    fall: None,
+                    brk: f.brk,
+                    cont: Vec::new(),
+                    ret: f.ret,
+                    total: f.total,
+                }),
+            };
             let Some(back) = back else {
                 // The body never reaches the back edge; the head is stable.
+                last = reusable.then_some(this);
                 break;
             };
-            let candidate = if iters >= WIDEN_AFTER {
-                head.widen(&back)
+            let changed = if iters >= WIDEN_AFTER {
+                head.widen_from(&back)
             } else {
-                head.join(&back)
+                head.join_from(&back)
             };
-            if candidate == head {
+            if !changed {
+                last = reusable.then_some(this);
                 break;
             }
-            head = candidate;
             iters += 1;
             if iters > MAX_LOOP_ITERS {
                 // All-⊤ is trivially a fixpoint.
@@ -1739,11 +1920,17 @@ impl<'a> Analyzer<'a> {
             }
         }
         self.reporting = saved_reporting;
-        // Phase 2: one reporting pass over the stable head. The head
+        // Phase 2: one pass over the stable head. The head
         // over-approximates every silent iteration, so everything visited
-        // silently is visited (and recorded) again here.
-        let mut probe = head;
-        let c = self.eval(cond, &mut probe);
+        // silently is visited (and, when reporting, recorded) again here.
+        let (c, probe, reused) = match last {
+            Some(it) => (it.cond, it.probe, Some(it.body)),
+            None => {
+                let mut probe = head;
+                let c = self.eval(cond, &mut probe);
+                (c, probe, None)
+            }
+        };
         let Some((ab, certain)) = as_bool_domain(&c.val) else {
             return Flow::halt();
         };
@@ -1756,9 +1943,14 @@ impl<'a> Analyzer<'a> {
         };
         let mut entered = false;
         if ab.may_true {
-            if let Some(enter) = self.refine(&probe, cond, true) {
+            let walked = match reused {
+                Some(walked) => walked,
+                None => self
+                    .refine(probe.clone(), cond, true)
+                    .map(|enter| self.walk_block(body, enter)),
+            };
+            if let Some(f) = walked {
                 entered = true;
-                let f = self.walk_block(body, enter);
                 flow.total &= f.total;
                 flow.ret = flow.ret.join(&f.ret);
                 for mut e in f.brk {
@@ -1770,7 +1962,7 @@ impl<'a> Analyzer<'a> {
             }
         }
         if ab.may_false {
-            if let Some(mut exit) = self.refine(&probe, cond, false) {
+            if let Some(mut exit) = self.refine(probe, cond, false) {
                 exit.truncate_to(entry_depth);
                 flow.fall = join_env_opt(flow.fall.take(), exit);
             }
@@ -1788,47 +1980,49 @@ impl<'a> Analyzer<'a> {
 // Syntactic passes
 // ---------------------------------------------------------------------
 
-fn for_each_expr<'e>(stmts: &'e [Stmt], f: &mut impl FnMut(&'e Expr)) {
-    fn expr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
-        f(e);
-        match &e.kind {
-            ExprKind::Array(items) => items.iter().for_each(|i| expr(i, f)),
-            ExprKind::Index(a, b) => {
-                expr(a, f);
-                expr(b, f);
-            }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| expr(a, f)),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            ExprKind::Unary { expr: inner, .. } => expr(inner, f),
-            _ => {}
+/// Calls `f` on `e` and every sub-expression of it, parents first.
+fn for_each_subexpr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
+    f(e);
+    match &e.kind {
+        ExprKind::Array(items) => items.iter().for_each(|i| for_each_subexpr(i, f)),
+        ExprKind::Index(a, b) => {
+            for_each_subexpr(a, f);
+            for_each_subexpr(b, f);
         }
+        ExprKind::Call { args, .. } => args.iter().for_each(|a| for_each_subexpr(a, f)),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            for_each_subexpr(lhs, f);
+            for_each_subexpr(rhs, f);
+        }
+        ExprKind::Unary { expr, .. } => for_each_subexpr(expr, f),
+        _ => {}
     }
+}
+
+fn for_each_expr<'e>(stmts: &'e [Stmt], f: &mut impl FnMut(&'e Expr)) {
     for stmt in stmts {
         match &stmt.kind {
-            StmtKind::Let { init, .. } => expr(init, f),
-            StmtKind::Assign { value, .. } => expr(value, f),
+            StmtKind::Let { init, .. } => for_each_subexpr(init, f),
+            StmtKind::Assign { value, .. } => for_each_subexpr(value, f),
             StmtKind::AssignIndex { index, value, .. } => {
-                expr(index, f);
-                expr(value, f);
+                for_each_subexpr(index, f);
+                for_each_subexpr(value, f);
             }
             StmtKind::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                expr(cond, f);
+                for_each_subexpr(cond, f);
                 for_each_expr(then_body, f);
                 for_each_expr(else_body, f);
             }
             StmtKind::While { cond, body } => {
-                expr(cond, f);
+                for_each_subexpr(cond, f);
                 for_each_expr(body, f);
             }
-            StmtKind::Return(Some(e)) => expr(e, f),
-            StmtKind::Expr(e) => expr(e, f),
+            StmtKind::Return(Some(e)) => for_each_subexpr(e, f),
+            StmtKind::Expr(e) => for_each_subexpr(e, f),
             _ => {}
         }
     }
@@ -1854,40 +2048,42 @@ fn for_each_stmt<'s>(stmts: &'s [Stmt], f: &mut impl FnMut(&'s Stmt)) {
 
 /// Computes the recursive-function set and the may-checkpoint closure from
 /// the syntactic call graph.
-fn call_graph_facts(fns: &HashMap<&str, &Function>) -> (HashSet<String>, HashSet<String>) {
-    let mut calls: HashMap<String, HashSet<String>> = HashMap::new();
-    let mut direct_ckpt: HashSet<String> = HashSet::new();
-    for (name, func) in fns {
+fn call_graph_facts<'a>(
+    fns: &HashMap<&'a str, &'a Function>,
+) -> (HashSet<&'a str>, HashSet<&'a str>) {
+    let mut calls: HashMap<&'a str, HashSet<&'a str>> = HashMap::new();
+    let mut direct_ckpt: HashSet<&'a str> = HashSet::new();
+    for (&name, &func) in fns {
         let mut out = HashSet::new();
         let mut ckpt = false;
         for_each_expr(&func.body, &mut |e| {
             if let ExprKind::Call { name: callee, .. } = &e.kind {
                 if is_user_fn(fns, callee) {
-                    out.insert(callee.clone());
+                    out.insert(callee.as_str());
                 } else if callee == "au_checkpoint" || callee == "au_restore" {
                     ckpt = true;
                 }
             }
         });
         if ckpt {
-            direct_ckpt.insert((*name).to_owned());
+            direct_ckpt.insert(name);
         }
-        calls.insert((*name).to_owned(), out);
+        calls.insert(name, out);
     }
     // Transitive closure by iteration (programs are small).
     let mut reach = calls.clone();
     loop {
         let mut changed = false;
-        for name in calls.keys() {
+        for &name in calls.keys() {
             let cur = reach[name].clone();
             let mut next = cur.clone();
             for callee in &cur {
                 if let Some(r) = reach.get(callee) {
-                    next.extend(r.iter().cloned());
+                    next.extend(r.iter().copied());
                 }
             }
             if next.len() != cur.len() {
-                reach.insert(name.clone(), next);
+                reach.insert(name, next);
                 changed = true;
             }
         }
@@ -1895,17 +2091,17 @@ fn call_graph_facts(fns: &HashMap<&str, &Function>) -> (HashSet<String>, HashSet
             break;
         }
     }
-    let recursive: HashSet<String> = reach
+    let recursive: HashSet<&'a str> = reach
         .iter()
         .filter(|(name, r)| r.contains(*name))
-        .map(|(name, _)| name.clone())
+        .map(|(name, _)| *name)
         .collect();
-    let may_ckpt: HashSet<String> = reach
+    let may_ckpt: HashSet<&'a str> = reach
         .iter()
         .filter(|(name, r)| {
             direct_ckpt.contains(*name) || r.iter().any(|g| direct_ckpt.contains(g))
         })
-        .map(|(name, _)| name.clone())
+        .map(|(name, _)| *name)
         .collect();
     (recursive, may_ckpt)
 }
@@ -1947,7 +2143,7 @@ fn protocol_names(program: &Program) -> HashSet<String> {
 /// Collects loop-invariant top-level assignments in every `while` body:
 /// `let`/`=` statements whose right-hand side contains no call, at least
 /// one variable, and no variable assigned anywhere in the loop body.
-fn loop_invariants(program: &Program, may_ckpt: &HashSet<String>) -> Vec<LoopInvariant> {
+fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvariant> {
     let fns: HashMap<&str, &Function> = program
         .functions
         .iter()
@@ -1966,7 +2162,7 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<String>) -> Vec<LoopInv
                 if let ExprKind::Call { name, .. } = &e.kind {
                     if name == "au_checkpoint"
                         || name == "au_restore"
-                        || (is_user_fn(&fns, name) && may_ckpt.contains(name))
+                        || (is_user_fn(&fns, name) && may_ckpt.contains(name.as_str()))
                     {
                         has_ckpt = true;
                     }
@@ -2005,25 +2201,7 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<String>) -> Vec<LoopInv
                     ExprKind::Call { .. } => blocked = true,
                     _ => {}
                 };
-                // Reuse the statement-walker on a one-expression slice.
-                fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-                    f(e);
-                    match &e.kind {
-                        ExprKind::Array(items) => items.iter().for_each(|i| walk_expr(i, f)),
-                        ExprKind::Index(a, b) => {
-                            walk_expr(a, f);
-                            walk_expr(b, f);
-                        }
-                        ExprKind::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, f)),
-                        ExprKind::Binary { lhs, rhs, .. } => {
-                            walk_expr(lhs, f);
-                            walk_expr(rhs, f);
-                        }
-                        ExprKind::Unary { expr, .. } => walk_expr(expr, f),
-                        _ => {}
-                    }
-                }
-                walk_expr(value, &mut check);
+                for_each_subexpr(value, &mut check);
                 if !blocked && vars >= 1 {
                     out.push(LoopInvariant {
                         name: name.clone(),
@@ -2043,21 +2221,21 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<String>) -> Vec<LoopInv
 /// A backward liveness fact: either an explicit live set, or "everything
 /// live except `names`" (after a whole-frame effect like `au_restore`).
 #[derive(Debug, Clone, PartialEq)]
-struct Live {
+struct Live<'a> {
     all: bool,
     /// Live names when `!all`; *excluded* (killed) names when `all`.
-    names: BTreeSet<String>,
+    names: BTreeSet<&'a str>,
 }
 
-impl Live {
-    fn none() -> Live {
+impl<'a> Live<'a> {
+    fn none() -> Self {
         Live {
             all: false,
             names: BTreeSet::new(),
         }
     }
 
-    fn everything() -> Live {
+    fn everything() -> Self {
         Live {
             all: true,
             names: BTreeSet::new(),
@@ -2072,17 +2250,17 @@ impl Live {
         }
     }
 
-    fn read(&mut self, name: &str) {
+    fn read(&mut self, name: &'a str) {
         if self.all {
             self.names.remove(name);
         } else {
-            self.names.insert(name.to_owned());
+            self.names.insert(name);
         }
     }
 
-    fn kill(&mut self, name: &str) {
+    fn kill(&mut self, name: &'a str) {
         if self.all {
-            self.names.insert(name.to_owned());
+            self.names.insert(name);
         } else {
             self.names.remove(name);
         }
@@ -2092,7 +2270,7 @@ impl Live {
         *self = Live::everything();
     }
 
-    fn join(&self, other: &Live) -> Live {
+    fn join(&self, other: &Self) -> Self {
         match (self.all, other.all) {
             (false, false) => Live {
                 all: false,
@@ -2111,14 +2289,14 @@ impl Live {
     }
 }
 
-struct LiveCtx<'a> {
-    fns: &'a HashMap<&'a str, &'a Function>,
-    may_ckpt: &'a HashSet<String>,
-    brk: Live,
-    cont: Live,
+struct LiveCtx<'c, 'a> {
+    fns: &'c HashMap<&'a str, &'a Function>,
+    may_ckpt: &'c HashSet<&'a str>,
+    brk: Live<'a>,
+    cont: Live<'a>,
 }
 
-fn expr_reads(e: &Expr, l: &mut Live, ctx: &LiveCtx) {
+fn expr_reads<'a>(e: &'a Expr, l: &mut Live<'a>, ctx: &LiveCtx<'_, 'a>) {
     match &e.kind {
         ExprKind::Var(name) => l.read(name),
         ExprKind::Array(items) => items.iter().for_each(|i| expr_reads(i, l, ctx)),
@@ -2131,7 +2309,7 @@ fn expr_reads(e: &Expr, l: &mut Live, ctx: &LiveCtx) {
             // every frame: treat as a read of everything.
             if name == "au_checkpoint"
                 || name == "au_restore"
-                || (is_user_fn(ctx.fns, name) && ctx.may_ckpt.contains(name))
+                || (is_user_fn(ctx.fns, name) && ctx.may_ckpt.contains(name.as_str()))
             {
                 l.set_all();
             }
@@ -2148,13 +2326,13 @@ fn expr_reads(e: &Expr, l: &mut Live, ctx: &LiveCtx) {
 
 /// Backward liveness over a block. Returns the live set at block entry;
 /// dead stores are appended to `out` when `recording`.
-fn live_block(
-    stmts: &[Stmt],
-    after: Live,
-    ctx: &LiveCtx,
+fn live_block<'a>(
+    stmts: &'a [Stmt],
+    after: Live<'a>,
+    ctx: &LiveCtx<'_, 'a>,
     recording: bool,
     out: &mut Vec<DeadStore>,
-) -> Live {
+) -> Live<'a> {
     let mut l = after;
     for stmt in stmts.iter().rev() {
         match &stmt.kind {
@@ -2257,7 +2435,7 @@ fn live_block(
     l
 }
 
-fn dead_stores(program: &Program, may_ckpt: &HashSet<String>) -> Vec<DeadStore> {
+fn dead_stores<'a>(program: &'a Program, may_ckpt: &HashSet<&'a str>) -> Vec<DeadStore> {
     let fns: HashMap<&str, &Function> = program
         .functions
         .iter()
@@ -2291,7 +2469,7 @@ pub fn analyze(program: &Program) -> Analysis {
     let mut a = Analyzer::new(program);
     if let Some(main) = program.function("main") {
         if main.params.is_empty() {
-            a.stack.push("main".to_owned());
+            a.stack.push("main");
             a.walk_block(&main.body, Env::new());
             a.stack.pop();
         } else {
@@ -2321,37 +2499,31 @@ pub fn analyze(program: &Program) -> Analysis {
         return analysis;
     }
 
-    for (name, val) in &a.assigns {
+    for (&name, val) in &a.assigns {
         if indexed.contains(name) || proto.contains(name) {
             continue;
         }
         if let AbsVal::Num(i) = val {
             if let Some(c) = i.as_const() {
-                analysis.constants.insert(name.clone(), c);
+                analysis.constants.insert(name.to_owned(), c);
             }
         }
     }
-    analysis.folds = a
-        .folds
-        .into_iter()
-        .filter_map(|(k, v)| v.map(|f| (k, f)))
-        .collect();
-    analysis.totals = a
-        .totals
-        .into_iter()
-        .filter_map(|(k, t)| t.then_some(k))
-        .collect();
-    let mut unreachable: Vec<Span> = Vec::new();
-    for func in &program.functions {
-        for_each_stmt(&func.body, &mut |s| {
-            if !s.span.is_dummy() && !a.visited.contains(&(s.span.start, s.span.end)) {
-                unreachable.push(s.span);
-            }
-        });
+    for (key, (total, fold)) in a.facts {
+        if total {
+            analysis.totals.insert(key);
+        }
+        if let Some(f) = fold {
+            analysis.folds.insert(key, f);
+        }
     }
-    unreachable.sort_by_key(|s| (s.start, s.end));
-    unreachable.dedup();
-    analysis.unreachable = unreachable;
+    analysis.unreachable = a
+        .stmt_spans
+        .iter()
+        .zip(&a.visited)
+        .filter(|(_, &visited)| !visited)
+        .map(|(&(start, end), _)| Span::new(start, end))
+        .collect();
     analysis.div_zero = a
         .divs
         .into_iter()
@@ -2618,6 +2790,257 @@ mod tests {
         assert!(an.complete);
         let r2 = src.find("return 2;").unwrap();
         assert!(an.unreachable.iter().any(|s| s.start == r2));
+    }
+
+    /// Every fact of an analysis in one comparable value.
+    type Facts = (
+        Vec<(String, u64)>,
+        Vec<(usize, usize)>,
+        Vec<((usize, usize), Folded)>,
+        Vec<(usize, usize)>,
+        Vec<(usize, usize, u64, u64)>,
+    );
+
+    fn facts(an: &Analysis) -> Facts {
+        let mut folds: Vec<_> = an.folds.iter().map(|(k, f)| (*k, *f)).collect();
+        folds.sort_by_key(|(k, _)| *k);
+        let mut totals: Vec<_> = an.totals.iter().copied().collect();
+        totals.sort_unstable();
+        (
+            an.constants
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_bits()))
+                .collect(),
+            an.unreachable.iter().map(|s| (s.start, s.end)).collect(),
+            folds,
+            totals,
+            an.div_zero
+                .iter()
+                .map(|d| (d.span.start, d.span.end, d.lo.to_bits(), d.hi.to_bits()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn silent_replay_after_a_summary_change_sees_the_new_summary() {
+        // The inner loop runs silently while the outer loop solves its
+        // head. On its last silent iteration `j` reaches a new interval,
+        // so `pos(j)` re-walks `pos` and widens its summary, after
+        // `pos(2)` in the same iteration used the old one. Phase 2 must
+        // not reuse that iteration: evaluated again, `pos(2)` returns the
+        // widened summary, `r > 2` is undecided, and the outer loop may
+        // run again. Reusing it would leave `r` at 3 and fold the outer
+        // loop to a single iteration (`i < 4` true, `i + 1` = 1).
+        let src = "fn pos(v) { if (v < 0) { return 0; } return v + 1; }\n\
+                   fn main() {\n\
+                     let r = 0; let hit = 0; let i = 0;\n\
+                     while (i < 4) {\n\
+                       r = 4;\n\
+                       let j = 0;\n\
+                       while (j < 3) {\n\
+                         r = pos(2); let s1 = pos(j); j = j + 1;\n\
+                         if (r > 1) { break; }\n\
+                       }\n\
+                       i = i + 1;\n\
+                       if (r > 2) { break; }\n\
+                     }\n\
+                     if (r > 2) { hit = 1; }\n\
+                     return hit + r;\n\
+                   }";
+        let an = run(src);
+        assert!(an.complete);
+        assert_eq!(fold_at(src, &an, "i < 4"), None);
+        assert_eq!(fold_at(src, &an, "i + 1"), None);
+        let mut folds: Vec<_> = an.folds.iter().collect();
+        folds.sort_by_key(|(k, _)| **k);
+        let v_lt_0 = src.find("v < 0").unwrap();
+        assert_eq!(
+            folds,
+            vec![(&(v_lt_0, v_lt_0 + 5), &Folded::Bool(false))],
+            "only `pos`'s guard is decided"
+        );
+        let ret0 = src.find("return 0;").unwrap();
+        assert_eq!(an.unreachable, vec![Span::new(ret0, ret0 + 9)]);
+        assert_eq!(facts(&an), facts(&run(src)));
+    }
+
+    #[test]
+    fn nested_silent_loops_match_the_reporting_pass() {
+        // A three-deep nest whose inner loops run only silently until the
+        // outermost loop reports; the inner fixpoints feed the outer head.
+        let src = "fn main() {\n\
+                     let a = 0; let t = 0;\n\
+                     while (a < 4) {\n\
+                       let b = 0;\n\
+                       while (b < 3) {\n\
+                         let c = 0;\n\
+                         while (c < 2) { t = t + c; c = c + 1; }\n\
+                         if (c == 2) { t = t + 1; }\n\
+                         b = b + 1;\n\
+                       }\n\
+                       a = a + 1;\n\
+                     }\n\
+                     return t;\n\
+                   }";
+        let an = run(src);
+        assert!(an.complete);
+        assert!(an.unreachable.is_empty());
+        assert!(!an.constants.contains_key("t"));
+        // `c == 2` after the innermost loop is not decided: `c < 2` may
+        // exit at any c ≥ 2 once c is widened.
+        assert_eq!(fold_at(src, &an, "c == 2"), None);
+        assert_eq!(fold_at(src, &an, "b < 3"), None);
+    }
+
+    #[test]
+    fn loop_in_a_function_first_reached_while_reporting_records_facts() {
+        // `count` is first called from straight-line `main` code, so its
+        // loop runs with reporting on and phase 2 must walk the body to
+        // record the facts inside it; the later silent calls from the loop
+        // in `main` reuse that reported summary.
+        let src = "fn count(n) {\n\
+                     let k = 0; let z = 7;\n\
+                     while (k < n) { let w = z * 2; k = k + 1; }\n\
+                     return k;\n\
+                   }\n\
+                   fn main() {\n\
+                     let a = count(3);\n\
+                     let i = 0;\n\
+                     while (i < 2) { a = a + count(3); i = i + 1; }\n\
+                     return a;\n\
+                   }";
+        let an = run(src);
+        assert!(an.complete);
+        assert_eq!(fold_at(src, &an, "z * 2"), Some(Folded::Num(14.0)));
+        assert!(an.totals.contains(&{
+            let s = src.find("k + 1").unwrap();
+            (s, s + 5)
+        }));
+        assert!(an.unreachable.is_empty());
+        assert_eq!(an.constants.get("z"), Some(&7.0));
+        assert!(!an.constants.contains_key("k"));
+    }
+
+    #[test]
+    fn loop_in_a_function_first_reached_silently_still_reports() {
+        // The first call to `count` happens inside `main`'s loop, i.e.
+        // silently; the reporting pass over that loop must still re-walk
+        // `count` (its summary is unreported) and record its facts.
+        let src = "fn count(n) {\n\
+                     let k = 0; let z = 7;\n\
+                     while (k < n) { let w = z * 2; k = k + 1; }\n\
+                     return k;\n\
+                   }\n\
+                   fn main() {\n\
+                     let a = 0; let i = 0;\n\
+                     while (i < 2) { a = a + count(3); i = i + 1; }\n\
+                     return a;\n\
+                   }";
+        let an = run(src);
+        assert!(an.complete);
+        assert_eq!(fold_at(src, &an, "z * 2"), Some(Folded::Num(14.0)));
+        assert_eq!(an.constants.get("z"), Some(&7.0));
+        assert!(an.unreachable.is_empty());
+    }
+
+    fn joined<'a>(a: &Env<'a>, b: &Env<'a>) -> Env<'a> {
+        let mut out = a.clone();
+        out.join_from(b);
+        out
+    }
+
+    #[test]
+    fn env_join_and_widen_make_one_sided_keys_top() {
+        let mut a = Env::new();
+        a.declare("x", AbsVal::Num(Interval::point(1.0)));
+        a.declare("only_a", AbsVal::Num(Interval::point(5.0)));
+        let mut b = Env::new();
+        b.declare("x", AbsVal::Num(Interval::point(3.0)));
+        b.declare("only_b", AbsVal::Bool(AbsBool::of(true)));
+        let mut widened = a.clone();
+        assert!(widened.widen_from(&b));
+        for merged in [joined(&a, &b), joined(&b, &a), widened.clone()] {
+            assert_eq!(merged.get("only_a"), Some(&AbsVal::Top));
+            assert_eq!(merged.get("only_b"), Some(&AbsVal::Top));
+            assert_eq!(merged.depth(), 1);
+        }
+        assert_eq!(
+            joined(&a, &b).get("x"),
+            Some(&AbsVal::Num(Interval::make(1.0, 3.0, false)))
+        );
+        assert_eq!(
+            widened.get("x"),
+            Some(&AbsVal::Num(Interval::make(1.0, f64::INFINITY, false)))
+        );
+        // Join is order-independent on these keys, and the merged result
+        // is a fixpoint of joining either side in again.
+        let mut j = joined(&a, &b);
+        assert_eq!(j, joined(&b, &a));
+        assert!(!j.join_from(&a));
+        assert!(!j.join_from(&b));
+    }
+
+    #[test]
+    fn env_in_place_join_matches_the_general_merge() {
+        // The same names in the same scopes but distinct string storage
+        // (as for two declarations of one name) take the in-place path and
+        // must agree with the allocating merge.
+        let (x1, x2) = (String::from("x"), String::from("x"));
+        let mut a = Env::new();
+        a.declare(&x1, AbsVal::Num(Interval::point(0.0)));
+        let mut b = Env::new();
+        b.declare(&x2, AbsVal::Num(Interval::point(2.0)));
+        let general = a.merge_with(&b, AbsVal::join);
+        let mut in_place = a.clone();
+        assert!(in_place.join_from(&b));
+        assert_eq!(in_place, general);
+        assert_eq!(
+            in_place.get("x"),
+            Some(&AbsVal::Num(Interval::make(0.0, 2.0, false)))
+        );
+        // An unchanged merge reports no change.
+        let mut same = a.clone();
+        assert!(!same.join_from(&a));
+        assert_eq!(same, a);
+    }
+
+    #[test]
+    fn env_shadowing_and_scope_mismatch() {
+        let mut outer = Env::new();
+        outer.declare("x", AbsVal::Num(Interval::point(1.0)));
+        let mut inner = outer.clone();
+        inner.push();
+        inner.declare("x", AbsVal::Bool(AbsBool::of(false)));
+        // The innermost binding wins for reads and writes.
+        assert_eq!(inner.get("x"), Some(&AbsVal::Bool(AbsBool::of(false))));
+        assert!(inner.assign("x", AbsVal::Bool(AbsBool::of(true))));
+        assert_eq!(inner.get("x"), Some(&AbsVal::Bool(AbsBool::of(true))));
+        // Re-declaring in the same scope overwrites, not duplicates.
+        inner.declare("x", AbsVal::Unit);
+        assert_eq!(inner.get("x"), Some(&AbsVal::Unit));
+        // A scope-count mismatch truncates to the shorter environment:
+        // the shadowing scope is dropped and the outer `x` survives.
+        let j = joined(&inner, &outer);
+        assert_eq!(j.depth(), 1);
+        assert_eq!(j.get("x"), Some(&AbsVal::Num(Interval::point(1.0))));
+        assert_eq!(j, joined(&outer, &inner));
+        let mut shrunk = inner.clone();
+        assert!(shrunk.join_from(&outer), "dropping a scope is a change");
+        assert_eq!(shrunk, outer);
+        inner.truncate_to(1);
+        assert_eq!(inner, outer);
+        // Truncation never drops the last scope.
+        inner.truncate_to(0);
+        assert_eq!(inner.depth(), 1);
+        // Clobbering forgets values but keeps every binding and scope.
+        let mut c = outer.clone();
+        c.push();
+        c.declare("y", AbsVal::Num(Interval::point(2.0)));
+        c.clobber();
+        assert_eq!(c.depth(), 2);
+        assert_eq!(c.get("x"), Some(&AbsVal::Top));
+        assert_eq!(c.get("y"), Some(&AbsVal::Top));
+        assert_eq!(c.get("z"), None);
     }
 
     #[test]

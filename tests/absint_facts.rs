@@ -1,0 +1,154 @@
+//! Golden facts for the abstract interpreter: a canonical dump of every
+//! [`Analysis`] field over every AuLang program in the repository (the
+//! nine corpus programs, the lint corpus including `clean/`, and the
+//! bundled examples) must match `tests/golden/absint_facts.txt` byte for
+//! byte.
+//!
+//! The optimizer, the AU011–AU015 lints and the tightened `StaticFilter`
+//! all consume these facts, so any change to the analysis — including a
+//! pure speed-up — has to leave this file untouched. After an intended
+//! change in what the analysis proves, regenerate it with
+//!
+//! ```text
+//! AU_BLESS=1 cargo test --test absint_facts
+//! ```
+
+use autonomizer::lang::absint::{analyze, Analysis, Folded};
+use autonomizer::lang::{corpus, parse};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+const GOLDEN: &str = "tests/golden/absint_facts.txt";
+
+/// Every program the golden covers, as (label, source), in a stable order.
+fn programs() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = corpus::all()
+        .iter()
+        .map(|p| (format!("corpus/{}", p.name), p.src.to_owned()))
+        .collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for dir in [
+        "tests/lint_corpus",
+        "tests/lint_corpus/clean",
+        "examples/aulang",
+    ] {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .expect("au dir exists")
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("au"))
+            .collect();
+        files.sort();
+        for path in files {
+            let label = format!("{dir}/{}", path.file_name().unwrap().to_string_lossy());
+            out.push((label, std::fs::read_to_string(&path).unwrap()));
+        }
+    }
+    out
+}
+
+/// Renders an `f64` exactly: the shortest round-trip form plus its bits,
+/// so `-0.0`/`+0.0` and every NaN payload stay distinguishable.
+fn num(x: f64) -> String {
+    format!("{x:?}#{:016x}", x.to_bits())
+}
+
+/// One canonical, order-independent text form of an [`Analysis`].
+fn dump(label: &str, an: &Analysis) -> String {
+    let mut s = String::new();
+    writeln!(s, "== {label}").unwrap();
+    writeln!(s, "complete {}", an.complete).unwrap();
+    writeln!(s, "constants {}", an.constants.len()).unwrap();
+    for (name, c) in &an.constants {
+        writeln!(s, "  {name} = {}", num(*c)).unwrap();
+    }
+    writeln!(s, "dead_stores {}", an.dead_stores.len()).unwrap();
+    for d in &an.dead_stores {
+        writeln!(
+            s,
+            "  {} {}..{} value {}..{}",
+            d.name, d.span.start, d.span.end, d.value_span.start, d.value_span.end
+        )
+        .unwrap();
+    }
+    writeln!(s, "unreachable {}", an.unreachable.len()).unwrap();
+    for sp in &an.unreachable {
+        writeln!(s, "  {}..{}", sp.start, sp.end).unwrap();
+    }
+    writeln!(s, "div_zero {}", an.div_zero.len()).unwrap();
+    for d in &an.div_zero {
+        writeln!(
+            s,
+            "  {}..{} [{}, {}]",
+            d.span.start,
+            d.span.end,
+            num(d.lo),
+            num(d.hi)
+        )
+        .unwrap();
+    }
+    writeln!(s, "loop_invariant {}", an.loop_invariant.len()).unwrap();
+    for li in &an.loop_invariant {
+        writeln!(s, "  {} {}..{}", li.name, li.span.start, li.span.end).unwrap();
+    }
+    let mut folds: Vec<_> = an.folds.iter().collect();
+    folds.sort_by_key(|(k, _)| **k);
+    writeln!(s, "folds {}", folds.len()).unwrap();
+    for ((start, end), f) in folds {
+        let v = match f {
+            Folded::Num(x) => format!("num {}", num(*x)),
+            Folded::Bool(b) => format!("bool {b}"),
+        };
+        writeln!(s, "  {start}..{end} {v}").unwrap();
+    }
+    let mut totals: Vec<_> = an.totals.iter().copied().collect();
+    totals.sort_unstable();
+    writeln!(s, "totals {}", totals.len()).unwrap();
+    for (start, end) in totals {
+        writeln!(s, "  {start}..{end}").unwrap();
+    }
+    s
+}
+
+fn full_dump() -> (String, usize) {
+    let progs = programs();
+    let mut out = String::new();
+    for (label, src) in &progs {
+        let program = parse(src).unwrap_or_else(|e| panic!("[{label}] must parse: {e}"));
+        out.push_str(&dump(label, &analyze(&program)));
+    }
+    (out, progs.len())
+}
+
+#[test]
+fn absint_facts_match_golden() {
+    let (actual, n) = full_dump();
+    assert_eq!(n, 30, "nine corpus programs + 20 lint fixtures + 1 example");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    if std::env::var_os("AU_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{GOLDEN} missing ({e}); regenerate with AU_BLESS=1"));
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "absint facts diverge from {GOLDEN} at line {}:\n  golden: {:?}\n  actual: {:?}",
+            first + 1,
+            expected.lines().nth(first),
+            actual.lines().nth(first)
+        );
+    }
+}
+
+/// The dump must be a function of the program alone: two analyses of the
+/// same source render identically (hash-map iteration order must not leak).
+#[test]
+fn absint_dump_is_deterministic() {
+    assert_eq!(full_dump().0, full_dump().0);
+}
