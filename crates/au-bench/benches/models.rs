@@ -101,10 +101,10 @@ fn bench_dqn_ablations(c: &mut Criterion) {
             // Warm the buffer past the batch size.
             for i in 0..64 {
                 agent.observe(Transition {
-                    state: vec![i as f32 / 64.0; 8],
+                    state: &[i as f32 / 64.0; 8],
                     action: i % 4,
                     reward: 0.1,
-                    next_state: vec![(i + 1) as f32 / 64.0; 8],
+                    next_state: &[(i + 1) as f32 / 64.0; 8],
                     terminal: false,
                 });
             }
@@ -112,10 +112,10 @@ fn bench_dqn_ablations(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 black_box(agent.observe(Transition {
-                    state: vec![(i % 100) as f32 / 100.0; 8],
+                    state: &[(i % 100) as f32 / 100.0; 8],
                     action: (i % 4) as usize,
                     reward: 0.1,
-                    next_state: vec![((i + 1) % 100) as f32 / 100.0; 8],
+                    next_state: &[((i + 1) % 100) as f32 / 100.0; 8],
                     terminal: i.is_multiple_of(50),
                 }))
             });

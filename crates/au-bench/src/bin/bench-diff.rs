@@ -1,10 +1,11 @@
 //! The perf-regression gate over `BENCH_history.jsonl`.
 //!
 //! Compares the newest history run (the head) against a baseline — by
-//! default the previous run, or the newest run whose commit matches
-//! `--baseline` — and exits non-zero when any bench got slower past the
-//! threshold. Exit codes: `0` no regression, `1` regression found, `2`
-//! usage or I/O error.
+//! default the newest earlier run measured on a machine with the head's
+//! fingerprint, or the newest run whose commit matches `--baseline` — and
+//! exits non-zero when any bench got slower past the threshold. Exit
+//! codes: `0` no regression (or no comparable baseline), `1` regression
+//! found, `2` usage or I/O error.
 //!
 //! ```text
 //! bench-diff [--history BENCH_history.jsonl] [--threshold 1.30] [--baseline <commit>]
@@ -12,9 +13,11 @@
 //!
 //! The threshold is a ratio: `1.30` fails a bench that is more than 30%
 //! slower than baseline (and more than 200 ns slower in absolute terms —
-//! sub-microsecond medians jitter too much to gate on ratio alone). A
-//! fingerprint mismatch between the two runs is reported as a warning,
-//! not a verdict: cross-machine comparisons are advisory.
+//! sub-microsecond medians jitter too much to gate on ratio alone). The
+//! default never compares across machines: with no earlier run on the
+//! head's fingerprint there is no verdict. An explicit `--baseline` from
+//! another machine is compared anyway, with a warning that the ratios are
+//! advisory.
 
 use au_bench::history::{diff, load, Regression};
 use std::path::PathBuf;
@@ -59,20 +62,24 @@ fn main() {
     let Some(head) = runs.last() else {
         die(&format!("{}: no runs recorded", history.display()));
     };
+    let mut earlier = runs[..runs.len() - 1].iter().rev();
     let base = match &baseline {
-        Some(commit) => runs[..runs.len() - 1]
-            .iter()
-            .rev()
+        Some(commit) => earlier
             .find(|r| r.commit.starts_with(commit.as_str()))
             .unwrap_or_else(|| {
                 die(&format!("no earlier run with commit prefix {commit:?}"));
             }),
-        None => match runs.len() {
-            0 | 1 => {
-                eprintln!("only one run in history; nothing to compare — passing");
+        None => match earlier.find(|r| r.fingerprint == head.fingerprint) {
+            Some(run) => run,
+            None => {
+                let fp = &head.fingerprint;
+                eprintln!(
+                    "no earlier run on the head's machine ({} cpus, {}); \
+                     nothing comparable — no verdict",
+                    fp.cpus, fp.cpu_model
+                );
                 return;
             }
-            n => &runs[n - 2],
         },
     };
 

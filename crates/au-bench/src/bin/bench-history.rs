@@ -213,6 +213,40 @@ fn main() {
         );
     }
 
+    {
+        // One DqnAgent::observe on the `models` Criterion bench's
+        // 8-feature chain: a replay push, plus a learning step every
+        // second call (the warm-up sample fills the buffer past a batch).
+        use au_nn::rl::{DqnAgent, DqnConfig, Transition};
+        au_nn::set_init_seed(3);
+        let mut agent = DqnAgent::new(
+            8,
+            4,
+            DqnConfig {
+                hidden: vec![32, 16],
+                batch_size: 32,
+                target_sync_every: 100,
+                seed: 1,
+                learn_every: 2,
+                ..DqnConfig::default()
+            },
+        );
+        let mut i = 0u32;
+        benches.insert(
+            "dqn_observe".to_owned(),
+            median_ns(samples, 64, || {
+                i += 1;
+                black_box(agent.observe(Transition {
+                    state: &[(i % 100) as f32 / 100.0; 8],
+                    action: (i % 4) as usize,
+                    reward: 0.1,
+                    next_state: &[((i + 1) % 100) as f32 / 100.0; 8],
+                    terminal: i.is_multiple_of(50),
+                }));
+            }),
+        );
+    }
+
     benches.insert(
         "par_map_1k".to_owned(),
         median_ns(samples, 8, || {

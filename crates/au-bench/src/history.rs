@@ -12,9 +12,9 @@
 //! `benches` maps bench name → median wall time in nanoseconds. Medians
 //! (not means) so one preempted sample cannot fake a regression. The
 //! machine fingerprint travels with every run because history lines from
-//! different machines are not comparable; [`diff`] refuses nothing but
-//! callers (the CI leg, `bench-diff`) surface fingerprint mismatches as a
-//! warning instead of a verdict.
+//! different machines are not comparable; [`diff`] refuses nothing, but
+//! `bench-diff` picks its default baseline on the head's fingerprint and
+//! flags an explicitly requested cross-machine baseline as advisory.
 
 use serde::Value;
 use std::collections::BTreeMap;

@@ -93,6 +93,52 @@ fn diff_passes_on_identical_runs_and_fails_on_injected_regression() {
     std::fs::remove_dir_all(history.parent().unwrap()).ok();
 }
 
+/// A run on a synthetic machine with `cpus` cores.
+fn run_on(cpus: u64, commit: &str, benches: &[(&str, f64)]) -> HistoryRun {
+    let mut run = run_with(benches);
+    run.commit = commit.to_owned();
+    run.fingerprint = Fingerprint {
+        os: "linux".to_owned(),
+        arch: "x86_64".to_owned(),
+        cpus,
+        cpu_model: "Synthetic CPU".to_owned(),
+    };
+    run
+}
+
+#[test]
+fn diff_compares_only_runs_from_the_heads_machine() {
+    let history = temp_history("fingerprint");
+    // A 1-core row, then 2-core rows that are 3x slower on gemm_64 — the
+    // machines differ, the code does not.
+    au_bench::history::append(&history, &run_on(1, "aaa1111", &[("gemm_64", 100_000.0)])).unwrap();
+    au_bench::history::append(&history, &run_on(2, "bbb2222", &[("gemm_64", 300_000.0)])).unwrap();
+
+    // Only a cross-machine row precedes the head: no verdict, exit 0.
+    let lone = bench_diff(&history, &["--threshold", "1.30"]);
+    let stderr = String::from_utf8_lossy(&lone.stderr);
+    assert!(lone.status.success(), "no comparable baseline: {stderr}");
+    assert!(stderr.contains("no verdict"), "says why: {stderr}");
+    assert!(!stderr.contains("regressed"), "compared nothing: {stderr}");
+
+    // A second 2-core row is compared with the first, not with the
+    // 1-core row just before it in recency order.
+    au_bench::history::append(&history, &run_on(2, "ccc3333", &[("gemm_64", 310_000.0)])).unwrap();
+    let same = bench_diff(&history, &["--threshold", "1.30"]);
+    let stderr = String::from_utf8_lossy(&same.stderr);
+    assert!(same.status.success(), "like with like passes: {stderr}");
+    assert!(stderr.contains("against base bbb2222"), "{stderr}");
+    assert!(!stderr.contains("different machines"), "{stderr}");
+
+    // Asking for the 1-core row explicitly still compares, with a warning.
+    let cross = bench_diff(&history, &["--threshold", "1.30", "--baseline", "aaa"]);
+    let stderr = String::from_utf8_lossy(&cross.stderr);
+    assert_eq!(cross.status.code(), Some(1), "explicit baseline: {stderr}");
+    assert!(stderr.contains("different machines"), "warns: {stderr}");
+
+    std::fs::remove_dir_all(history.parent().unwrap()).ok();
+}
+
 #[test]
 fn diff_handles_empty_and_single_run_histories() {
     let history = temp_history("edge");
@@ -124,7 +170,14 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
     assert_eq!(runs.len(), 2, "two appended runs");
     assert!(skipped.is_empty(), "{skipped:?}");
     for run in &runs {
-        for expected in ["gemm_64", "gemm_128", "au_extract", "predict", "par_map_1k"] {
+        for expected in [
+            "gemm_64",
+            "gemm_128",
+            "au_extract",
+            "predict",
+            "par_map_1k",
+            "dqn_observe",
+        ] {
             let ns = run.benches.get(expected).copied().unwrap_or_default();
             assert!(ns > 0.0, "{expected} missing or non-positive: {ns}");
         }

@@ -408,10 +408,10 @@ pub(crate) fn rl_step(
     if train {
         if let Some((prev_state, prev_action)) = pending.take() {
             agent.observe(Transition {
-                state: prev_state,
+                state: &prev_state,
                 action: prev_action,
                 reward: reward as f32,
-                next_state: state32.clone(),
+                next_state: &state32,
                 terminal,
             });
         }

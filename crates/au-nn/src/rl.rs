@@ -12,73 +12,25 @@ use crate::optim::Adam;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
-/// One step of experience: `(s, a, r, s', terminal)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transition {
+mod replay;
+
+pub use replay::ReplayBuffer;
+
+/// One step of experience `(s, a, r, s', terminal)`, borrowed from the
+/// caller or from a [`ReplayBuffer`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transition<'a> {
     /// State (feature vector) before the action.
-    pub state: Vec<f32>,
+    pub state: &'a [f32],
     /// Index of the action taken.
     pub action: usize,
     /// Reward received.
     pub reward: f32,
     /// State after the action.
-    pub next_state: Vec<f32>,
+    pub next_state: &'a [f32],
     /// Whether the episode ended at `next_state`.
     pub terminal: bool,
-}
-
-/// Fixed-capacity FIFO experience store with uniform sampling.
-#[derive(Debug)]
-pub struct ReplayBuffer {
-    capacity: usize,
-    items: VecDeque<Transition>,
-}
-
-impl ReplayBuffer {
-    /// Creates a buffer holding at most `capacity` transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "replay capacity must be positive");
-        ReplayBuffer {
-            capacity,
-            items: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Appends a transition, evicting the oldest when full.
-    pub fn push(&mut self, t: Transition) {
-        if self.items.len() == self.capacity {
-            self.items.pop_front();
-        }
-        self.items.push_back(t);
-    }
-
-    /// Number of stored transitions.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Samples `n` transitions uniformly with replacement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut StdRng) -> Vec<&'a Transition> {
-        assert!(!self.items.is_empty(), "cannot sample from an empty buffer");
-        (0..n)
-            .map(|_| &self.items[rng.gen_range(0..self.items.len())])
-            .collect()
-    }
 }
 
 /// Hyperparameters for [`DqnAgent`].
@@ -173,7 +125,7 @@ impl DqnAgent {
             online,
             target,
             opt: Adam::new(config.learning_rate),
-            buffer: ReplayBuffer::new(config.replay_capacity),
+            buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
             epsilon: config.epsilon_start,
             learn_steps: 0,
             observed: 0,
@@ -208,7 +160,7 @@ impl DqnAgent {
             online: network,
             target,
             opt: Adam::new(config.learning_rate),
-            buffer: ReplayBuffer::new(config.replay_capacity),
+            buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
             epsilon: config.epsilon_start,
             learn_steps: 0,
             observed: 0,
@@ -290,13 +242,12 @@ impl DqnAgent {
 
     /// Records a transition and performs one learning step when enough
     /// experience is available. Returns the TD loss if a step ran.
-    pub fn observe(&mut self, t: Transition) -> Option<f32> {
-        assert_eq!(t.state.len(), self.state_dim, "state size mismatch");
-        assert_eq!(
-            t.next_state.len(),
-            self.state_dim,
-            "next state size mismatch"
-        );
+    ///
+    /// # Panics
+    ///
+    /// Panics if the action is out of range or a state's length is not
+    /// [`DqnAgent::state_dim`].
+    pub fn observe(&mut self, t: Transition<'_>) -> Option<f32> {
         assert!(
             t.action < self.n_actions,
             "action {} out of range",
@@ -315,21 +266,17 @@ impl DqnAgent {
 
     fn learn(&mut self) -> f32 {
         let batch_size = self.config.batch_size;
-        let sampled: Vec<Transition> = self
-            .buffer
-            .sample(batch_size, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
+        let sampled = self.buffer.sample(batch_size, &mut self.rng);
 
-        // Build state and next-state batches.
+        // Gather the sampled rows straight from the replay ring into the
+        // state and next-state batches.
         let mut states = Tensor::zeros(&[batch_size, self.state_dim]);
         let mut next_states = Tensor::zeros(&[batch_size, self.state_dim]);
         for (i, t) in sampled.iter().enumerate() {
             states.data_mut()[i * self.state_dim..(i + 1) * self.state_dim]
-                .copy_from_slice(&t.state);
+                .copy_from_slice(t.state);
             next_states.data_mut()[i * self.state_dim..(i + 1) * self.state_dim]
-                .copy_from_slice(&t.next_state);
+                .copy_from_slice(t.next_state);
         }
 
         // Bootstrap targets from the target network (or online, if disabled).
@@ -395,41 +342,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_buffer_evicts_oldest() {
-        let mut buf = ReplayBuffer::new(2);
-        for i in 0..3 {
-            buf.push(Transition {
-                state: vec![i as f32],
-                action: 0,
-                reward: 0.0,
-                next_state: vec![0.0],
-                terminal: false,
-            });
-        }
-        assert_eq!(buf.len(), 2);
-        let mut rng = StdRng::seed_from_u64(0);
-        let s = buf.sample(10, &mut rng);
-        assert!(s.iter().all(|t| t.state[0] >= 1.0), "oldest evicted");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn sampling_empty_buffer_panics() {
-        let buf = ReplayBuffer::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = buf.sample(1, &mut rng);
-    }
-
-    #[test]
     fn epsilon_decays_toward_floor() {
         crate::init::set_init_seed(2);
         let mut agent = DqnAgent::new(1, 2, two_state_config());
         for _ in 0..500 {
             agent.observe(Transition {
-                state: vec![0.0],
+                state: &[0.0],
                 action: 0,
                 reward: 0.0,
-                next_state: vec![0.0],
+                next_state: &[0.0],
                 terminal: true,
             });
         }
@@ -445,10 +366,10 @@ mod tests {
             let a = agent.select_action(&[1.0]);
             let r = if a == 1 { 1.0 } else { -1.0 };
             agent.observe(Transition {
-                state: vec![1.0],
+                state: &[1.0],
                 action: a,
                 reward: r,
-                next_state: vec![1.0],
+                next_state: &[1.0],
                 terminal: true,
             });
         }
@@ -471,28 +392,28 @@ mod tests {
             let a0 = agent.select_action(&s0);
             if a0 == 0 {
                 agent.observe(Transition {
-                    state: s0.to_vec(),
+                    state: &s0,
                     action: 0,
                     reward: 0.0,
-                    next_state: s0.to_vec(),
+                    next_state: &s0,
                     terminal: true,
                 });
                 continue;
             }
             agent.observe(Transition {
-                state: s0.to_vec(),
+                state: &s0,
                 action: 1,
                 reward: 0.0,
-                next_state: s1.to_vec(),
+                next_state: &s1,
                 terminal: false,
             });
             let a1 = agent.select_action(&s1);
             let r = if a1 == 1 { 1.0 } else { 0.0 };
             agent.observe(Transition {
-                state: s1.to_vec(),
+                state: &s1,
                 action: a1,
                 reward: r,
-                next_state: s1.to_vec(),
+                next_state: &s1,
                 terminal: true,
             });
         }
@@ -509,10 +430,23 @@ mod tests {
     fn observe_rejects_bad_action() {
         let mut agent = DqnAgent::new(1, 2, two_state_config());
         agent.observe(Transition {
-            state: vec![0.0],
+            state: &[0.0],
             action: 7,
             reward: 0.0,
-            next_state: vec![0.0],
+            next_state: &[0.0],
+            terminal: true,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "next state size mismatch")]
+    fn observe_rejects_wrong_state_size() {
+        let mut agent = DqnAgent::new(2, 2, two_state_config());
+        agent.observe(Transition {
+            state: &[0.0, 1.0],
+            action: 0,
+            reward: 0.0,
+            next_state: &[0.0],
             terminal: true,
         });
     }
@@ -529,10 +463,10 @@ mod tests {
         assert!(agent.target.is_none());
         for _ in 0..10 {
             agent.observe(Transition {
-                state: vec![0.5],
+                state: &[0.5],
                 action: 0,
                 reward: 1.0,
-                next_state: vec![0.5],
+                next_state: &[0.5],
                 terminal: false,
             });
         }
