@@ -92,7 +92,7 @@ fn measure<F: FnMut()>(mut f: F, samples: usize) -> f64 {
 }
 
 /// Renders the `"aulang_exec"` object (without trailing newline), indented
-/// for inclusion as a top-level key of `BENCH_kernels.json`.
+/// as the value of a top-level key of `BENCH_kernels.json`.
 fn render_section(samples: usize) -> String {
     use std::fmt::Write as _;
     let mut rows = String::new();
@@ -158,44 +158,16 @@ fn render_section(samples: usize) -> String {
     let opt_geomean =
         (opt_speedups.iter().map(|s| s.ln()).sum::<f64>() / opt_speedups.len() as f64).exp();
     format!(
-        "\"aulang_exec\": {{\n{rows}    \"vm_speedup_geomean\": {geomean:.2},\n    \"vm_opt_speedup_geomean\": {opt_geomean:.2},\n    \"note\": \"Median seconds per full run of the nine paper programs; interp is the traced tree-walking interpreter (the status quo), vm the untraced bytecode tier, vm_traced the selectively traced tier, vm_opt the abstract-interpretation-optimized untraced tier (opt_speedup is vm/vm_opt). Single-core container.\"\n  }}"
+        "{{\n{rows}    \"vm_speedup_geomean\": {geomean:.2},\n    \"vm_opt_speedup_geomean\": {opt_geomean:.2},\n    \"note\": \"Median seconds per full run of the nine paper programs; interp is the traced tree-walking interpreter (the status quo), vm the untraced bytecode tier, vm_traced the selectively traced tier, vm_opt the abstract-interpretation-optimized untraced tier (opt_speedup is vm/vm_opt). Single-core container.\"\n  }}"
     )
 }
 
-/// Splices the section into `path`: replaces an existing `"aulang_exec"`
-/// object (found by brace matching) or inserts one before the final `}`.
+/// Splices the section into `path` as its `"aulang_exec"` key, leaving
+/// every other key as it was.
 fn write_json(path: &str) {
     let section = render_section(5);
     let text = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_owned());
-    let merged = if let Some(start) = text.find("\"aulang_exec\":") {
-        let bytes = text.as_bytes();
-        let open = start + text[start..].find('{').expect("section opens");
-        let mut depth = 0usize;
-        let mut end = open;
-        for (i, &b) in bytes.iter().enumerate().skip(open) {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        format!("{}{}{}", &text[..start], section, &text[end..])
-    } else {
-        let close = text.rfind('}').expect("top-level object");
-        let before = text[..close].trim_end();
-        let sep = if before.ends_with(['{', ',']) {
-            ""
-        } else {
-            ","
-        };
-        format!("{before}{sep}\n  {section}\n{}", &text[close..])
-    };
+    let merged = au_bench::splice_json_key(&text, "aulang_exec", &section);
     std::fs::write(path, merged).expect("write bench json");
     println!("spliced aulang_exec into {path}");
 }

@@ -1,18 +1,23 @@
 //! Compute-kernel benches: the blocked/batched kernels against faithful
-//! copies of the pre-overhaul scalar kernels, plus a worker-count sweep.
+//! copies of the pre-overhaul scalar kernels, plus a worker-count sweep of
+//! batched serving.
 //!
 //! The `naive_*` routines here are byte-for-byte ports of the loops that
 //! `Tensor::matmul` and `Conv2d::forward` shipped with before the kernel
 //! overhaul — they are the baseline the speedup claims in
 //! `BENCH_kernels.json` are measured against. Run with
-//! `AU_BENCH_JSON=BENCH_kernels.json cargo bench --bench kernels` to
-//! regenerate that file.
+//! `AU_BENCH_JSON=$PWD/BENCH_kernels.json cargo bench --bench kernels`
+//! from the repo root to rewrite this bench's keys in that file (cargo
+//! runs bench binaries with the package directory as cwd, so pass an
+//! absolute path); other benches' keys, such as `aulang_exec`, are kept.
 //!
-//! Thread-sweep caveat: this container exposes a single core, so the
-//! 1/2/4/8-worker rows bound the cost of oversubscribing the core (the
-//! kernels are bit-identical either way); the headline speedups come from
-//! cache blocking and im2col, not threads.
+//! The kernels themselves are serial. The thread sweep times
+//! `predict_batch_f32`, whose row blocks fan out across the au-par pool —
+//! the one place the runtime spends parallelism. Worker counts above the
+//! host's core count only oversubscribe it; the served bits are identical
+//! at every count.
 
+use au_core::{Engine, EngineHandle, Mode, ModelConfig};
 use au_nn::{Network, Tensor};
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -155,49 +160,32 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reference 64→256→256→4 serving model, trained one epoch and frozen
+/// in deployment mode as model `"M"`.
+fn serving_handle() -> EngineHandle {
+    au_nn::set_init_seed(11);
+    let mut e = Engine::new(Mode::Train);
+    e.au_config("M", ModelConfig::dnn(&[256, 256])).unwrap();
+    let xs: Vec<Vec<f64>> = (0..8)
+        .map(|i| (0..64).map(|j| ((i + j) % 16) as f64 / 16.0).collect())
+        .collect();
+    let ys: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 8.0; 4]).collect();
+    e.train_supervised("M", &xs, &ys, 1).unwrap();
+    e.set_mode(Mode::Test);
+    e.into_handle()
+}
+
+/// Rows in the batched-serving thread sweep.
+const SWEEP_ROWS: usize = 512;
+
 fn bench_thread_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("threads");
-    let size = 256usize;
-    let ta = Tensor::from_vec(&[size, size], pseudo(size * size, 6));
-    let tb = Tensor::from_vec(&[size, size], pseudo(size * size, 7));
+    let h = serving_handle();
+    let rows = pseudo(SWEEP_ROWS * 64, 8);
     for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("matmul_256/{threads}"), |bch| {
+        group.bench_function(format!("predict_batch_f32_{SWEEP_ROWS}/{threads}"), |bch| {
             au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(&ta).matmul(black_box(&tb)));
-            au_par::set_thread_override(None);
-        });
-    }
-    au_nn::set_init_seed(11);
-    let net = Network::builder(128).dense(256).dense(64).build();
-    let batch = Tensor::from_vec(&[512, 128], pseudo(512 * 128, 8));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("dense_infer_512x128/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| net.infer(black_box(&batch)));
-            au_par::set_thread_override(None);
-        });
-    }
-    group.finish();
-}
-
-/// The small-region workload for the pool-vs-scoped comparison: ~1k cheap
-/// elements, the regime where per-call thread spawning dominated.
-fn small_region_work(i: usize) -> f64 {
-    let x = i as f64 * 0.001;
-    x.sin().mul_add(x, x.sqrt())
-}
-
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_vs_scoped_1k");
-    for threads in [2usize, 4] {
-        group.bench_function(format!("scoped/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(au_par::par_map(1024, 64, small_region_work)));
-            au_par::set_thread_override(None);
-        });
-        group.bench_function(format!("pooled/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(au_par::pool_map(1024, 64, small_region_work)));
+            bch.iter(|| h.predict_batch_f32("M", black_box(&rows)).unwrap());
             au_par::set_thread_override(None);
         });
     }
@@ -208,12 +196,11 @@ criterion_group!(
     benches,
     bench_matmul_sweep,
     bench_conv_forward,
-    bench_thread_sweep,
-    bench_pool_vs_scoped
+    bench_thread_sweep
 );
 
 // ---------------------------------------------------------------------
-// BENCH_kernels.json generation (AU_BENCH_JSON=<path>)
+// BENCH_kernels.json keys (AU_BENCH_JSON=<path>)
 // ---------------------------------------------------------------------
 
 /// Median seconds/iteration over `samples` timed samples, with the
@@ -260,14 +247,12 @@ fn write_json(path: &str) {
         );
         let ta = Tensor::from_vec(&[size, size], a.clone());
         let tb = Tensor::from_vec(&[size, size], b.clone());
-        au_par::set_thread_override(Some(1));
         let blocked = measure(
             || {
                 black_box(ta.matmul(&tb));
             },
             samples,
         );
-        au_par::set_thread_override(None);
         if !matmul.is_empty() {
             matmul.push_str(",\n");
         }
@@ -295,24 +280,21 @@ fn write_json(path: &str) {
     );
     let net = conv_net();
     let batch_t = Tensor::from_vec(&[batch, in_c * in_h * in_w], input.clone());
-    au_par::set_thread_override(Some(1));
     let conv_im2col = measure(
         || {
             black_box(net.infer(&batch_t));
         },
         samples,
     );
-    au_par::set_thread_override(None);
 
-    let size = 256usize;
-    let ta = Tensor::from_vec(&[size, size], pseudo(size * size, 6));
-    let tb = Tensor::from_vec(&[size, size], pseudo(size * size, 7));
+    let h = serving_handle();
+    let rows = pseudo(SWEEP_ROWS * 64, 8);
     let mut sweep = String::new();
     for threads in [1usize, 2, 4, 8] {
         au_par::set_thread_override(Some(threads));
         let t = measure(
             || {
-                black_box(ta.matmul(&tb));
+                black_box(h.predict_batch_f32("M", &rows).unwrap());
             },
             samples,
         );
@@ -323,101 +305,64 @@ fn write_json(path: &str) {
         write!(sweep, "\"{threads}\": {:.0}", t * 1e9).expect("format");
     }
 
-    // Persistent pool vs per-call scoped spawning, same workload and the
-    // same thread count — the small-region regime the pool exists for.
-    let mut pool_vs_scoped = String::new();
-    for threads in [2usize, 4] {
-        au_par::set_thread_override(Some(threads));
-        let scoped = measure(
-            || {
-                black_box(au_par::par_map(1024, 64, small_region_work));
-            },
-            samples,
-        );
-        let pooled = measure(
-            || {
-                black_box(au_par::pool_map(1024, 64, small_region_work));
-            },
-            samples,
-        );
-        au_par::set_thread_override(None);
-        if !pool_vs_scoped.is_empty() {
-            pool_vs_scoped.push_str(",\n");
-        }
-        write!(
-            pool_vs_scoped,
-            "    \"{threads}\": {{ \"scoped_ns\": {:.0}, \"pooled_ns\": {:.0}, \"speedup\": {:.2} }}",
-            scoped * 1e9,
-            pooled * 1e9,
-            scoped / pooled,
-        )
-        .expect("format");
-    }
-
-    // Scalar serving on the reference 64→256→256→4 model: the f64
-    // boundary path vs the native-f32 allocation-free path.
-    let (serve_f64, serve_f32) = {
-        use au_core::{Engine, Mode, ModelConfig};
-        au_nn::set_init_seed(11);
-        let mut e = Engine::new(Mode::Train);
-        e.au_config("M", ModelConfig::dnn(&[256, 256])).unwrap();
-        let xs: Vec<Vec<f64>> = (0..8)
-            .map(|i| (0..64).map(|j| ((i + j) % 16) as f64 / 16.0).collect())
-            .collect();
-        let ys: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 8.0; 4]).collect();
-        e.train_supervised("M", &xs, &ys, 1).unwrap();
-        e.set_mode(Mode::Test);
-        let h = e.handle();
-        let x: Vec<f64> = (0..64).map(|j| (j % 64) as f64 / 64.0).collect();
-        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let f64_ns = measure(
-            || {
-                black_box(h.predict("M", &x).unwrap());
-            },
-            samples,
-        );
-        let mut out = Vec::with_capacity(4);
-        let f32_ns = measure(
-            || {
-                out.clear();
-                h.predict_f32_into("M", &x32, &mut out).unwrap();
-                black_box(&out);
-            },
-            samples,
-        );
-        (f64_ns, f32_ns)
-    };
+    // Scalar serving on the same model: the f64 boundary path vs the
+    // native-f32 allocation-free path.
+    let x: Vec<f64> = (0..64).map(|j| (j % 64) as f64 / 64.0).collect();
+    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+    let serve_f64 = measure(
+        || {
+            black_box(h.predict("M", &x).unwrap());
+        },
+        samples,
+    );
+    let mut out = Vec::with_capacity(4);
+    let serve_f32 = measure(
+        || {
+            out.clear();
+            h.predict_f32_into("M", &x32, &mut out).unwrap();
+            black_box(&out);
+        },
+        samples,
+    );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = format!(
-        "{{\n\
-         \x20 \"bench\": \"kernels\",\n\
-         \x20 \"available_parallelism\": {cores},\n\
-         \x20 \"matmul\": {{\n{matmul}\n  }},\n\
-         \x20 \"conv2d_forward\": {{\n\
-         \x20   \"shape\": \"batch{batch} {in_c}x{in_h}x{in_w} -> {out_c}c k{k} s{stride}\",\n\
-         \x20   \"naive_ns\": {:.0},\n\
-         \x20   \"im2col_ns\": {:.0},\n\
-         \x20   \"speedup\": {:.2}\n\
-         \x20 }},\n\
-         \x20 \"thread_sweep_matmul_256_ns\": {{ {sweep} }},\n\
-         \x20 \"pool_vs_scoped_1k\": {{\n{pool_vs_scoped}\n  }},\n\
-         \x20 \"serving_dnn_64_256_256_4\": {{\n\
-         \x20   \"predict_f64_ns\": {:.0},\n\
-         \x20   \"predict_f32_ns\": {:.0},\n\
-         \x20   \"speedup\": {:.2}\n\
-         \x20 }},\n\
-         \x20 \"note\": \"naive_* are the pre-overhaul kernels; speedups are single-thread (AU_PAR_THREADS=1). The thread sweep is measured on whatever cores the host exposes - on a single-core container extra workers only oversubscribe the core, so the sweep bounds the fan-out overhead rather than showing a speedup. pool_vs_scoped_1k compares per-call scoped spawning against the persistent worker pool on a ~1k-element region at the same thread count; serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving.\"\n\
-         }}\n",
-        conv_naive * 1e9,
-        conv_im2col * 1e9,
-        conv_naive / conv_im2col,
-        serve_f64 * 1e9,
-        serve_f32 * 1e9,
-        serve_f64 / serve_f32,
-    );
+    let keys = [
+        ("bench", "\"kernels\"".to_owned()),
+        ("available_parallelism", cores.to_string()),
+        ("matmul", format!("{{\n{matmul}\n  }}")),
+        (
+            "conv2d_forward",
+            format!(
+                "{{\n    \"shape\": \"batch{batch} {in_c}x{in_h}x{in_w} -> {out_c}c k{k} s{stride}\",\n    \"naive_ns\": {:.0},\n    \"im2col_ns\": {:.0},\n    \"speedup\": {:.2}\n  }}",
+                conv_naive * 1e9,
+                conv_im2col * 1e9,
+                conv_naive / conv_im2col,
+            ),
+        ),
+        (
+            "thread_sweep_predict_batch_f32_512_ns",
+            format!("{{ {sweep} }}"),
+        ),
+        (
+            "serving_dnn_64_256_256_4",
+            format!(
+                "{{\n    \"predict_f64_ns\": {:.0},\n    \"predict_f32_ns\": {:.0},\n    \"speedup\": {:.2}\n  }}",
+                serve_f64 * 1e9,
+                serve_f32 * 1e9,
+                serve_f64 / serve_f32,
+            ),
+        ),
+        (
+            "note",
+            "\"naive_* are the pre-overhaul kernels; the kernels are serial, so matmul and conv2d_forward are single-thread figures. thread_sweep_predict_batch_f32_512_ns times predict_batch_f32 on 512 rows of the 64-256-256-4 serving net with 1/2/4/8 au-par pool workers, the batch-level fan-out that is the runtime's one parallel region; counts above available_parallelism only oversubscribe the host. serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving on the same net.\"".to_owned(),
+        ),
+    ];
+    let mut doc = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_owned());
+    for (key, value) in &keys {
+        doc = au_bench::splice_json_key(&doc, key, value);
+    }
     std::fs::write(path, doc).expect("write bench json");
-    println!("wrote {path}");
+    println!("wrote the kernels keys of {path}");
 }
 
 fn main() {

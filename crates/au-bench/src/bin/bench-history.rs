@@ -248,16 +248,6 @@ fn main() {
     }
 
     benches.insert(
-        "par_map_1k".to_owned(),
-        median_ns(samples, 8, || {
-            black_box(au_par::par_map(1024, 64, |i| {
-                let x = i as f64 * 0.001;
-                x.sin().mul_add(x, x.sqrt())
-            }));
-        }),
-    );
-
-    benches.insert(
         "pool_map_1k".to_owned(),
         median_ns(samples, 8, || {
             black_box(au_par::pool_map(1024, 64, |i| {

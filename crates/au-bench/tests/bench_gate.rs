@@ -175,7 +175,7 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
             "gemm_128",
             "au_extract",
             "predict",
-            "par_map_1k",
+            "pool_map_1k",
             "dqn_observe",
         ] {
             let ns = run.benches.get(expected).copied().unwrap_or_default();

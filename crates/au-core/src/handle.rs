@@ -23,8 +23,8 @@
 use crate::error::AuError;
 use crate::lockwait::pi_lock;
 use crate::model::{
-    net_mut, rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm,
-    Backend, ModelConfig, ModelInstance, ModelStats,
+    rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm, Backend,
+    ModelConfig, ModelInstance, ModelStats,
 };
 use crate::monitoring::BaselineMeta;
 #[cfg(feature = "monitor")]
@@ -34,7 +34,7 @@ use crate::registry::lock;
 use crate::registry::{read, write, ModelEntry, ModelRegistry};
 use crate::store::DbStore;
 use au_nn::rl::DqnAgent;
-use au_nn::{Adam, Network, Tensor};
+use au_nn::{net_mut, Adam, Network, Tensor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -878,8 +878,7 @@ impl EngineHandle {
         let (net_json, output_split, n_actions) = {
             let g = read(&entry);
             let json = match g.instance.backend.as_ref() {
-                Some(Backend::Supervised { net, .. }) => net.to_json(),
-                Some(Backend::Reinforcement { agent, .. }) => agent.network().to_json(),
+                Some(backend) => backend.network().to_json(),
                 None => return Err(AuError::ModelNotTrained(name.to_owned())),
             };
             (
@@ -1019,6 +1018,28 @@ impl EngineHandle {
         Ok(last_epoch_loss)
     }
 
+    /// Runs `f` on the network `model` serves, whichever backend holds
+    /// it, under the model's read lock — the one way every predict entry
+    /// point reaches θ.
+    fn with_network<R>(
+        &self,
+        model: &str,
+        f: impl FnOnce(&Arc<Network>) -> R,
+    ) -> Result<R, AuError> {
+        let entry = self
+            .shared
+            .registry
+            .get(model)
+            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
+        let g = read(&entry);
+        let backend = g
+            .instance
+            .backend
+            .as_ref()
+            .ok_or_else(|| AuError::ModelNotTrained(model.to_owned()))?;
+        Ok(f(backend.network()))
+    }
+
     /// Direct prediction bypassing π — used by experiment harnesses to
     /// score models on held-out inputs. Runs entirely under the model's
     /// read lock.
@@ -1030,26 +1051,12 @@ impl EngineHandle {
         let _s = t_span!("predict", model = model);
         let _t = t_time!("au_core.predict");
         t_count!("au_core.predictions_served");
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Ok(run_model_ref(net, x)),
-            Some(Backend::Reinforcement { agent, .. }) => Ok(agent
-                .q_values_ref(&to_f32(x))
-                .into_iter()
-                .map(f64::from)
-                .collect()),
-            None => Err(AuError::ModelNotTrained(model.to_owned())),
-        }
+        self.with_network(model, |net| run_model_ref(net, x))
     }
 
-    /// Batched [`EngineHandle::predict`]: one registry lookup, one read
-    /// lock, and one `[batch, features]` forward pass for the whole slice,
-    /// amortizing per-call overhead across the batch.
+    /// Batched [`EngineHandle::predict`]: the `f64` boundary adapter over
+    /// [`EngineHandle::predict_batch_f32`]'s pooled core — one narrowing
+    /// pass over the batch in, one exact widening pass out.
     ///
     /// # Errors
     ///
@@ -1057,78 +1064,22 @@ impl EngineHandle {
     /// [`AuError::InputSizeChanged`] if any row's width differs from the
     /// built network's input width.
     pub fn predict_batch(&self, model: &str, xs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, AuError> {
-        let _s = t_span!("predict_batch", model = model, rows = xs.len());
-        let _t = t_time!("au_core.predict_batch");
         if xs.is_empty() {
             return Ok(Vec::new());
         }
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        // Supervised models share an `Arc<Network>`: clone the handle and
-        // release the read lock, so the batch runs on the persistent pool
-        // (jobs are `'static`) without holding the model entry.
-        let pooled = match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Some(Arc::clone(net)),
-            Some(Backend::Reinforcement { .. }) => None,
-            None => return Err(AuError::ModelNotTrained(model.to_owned())),
-        };
-        if let Some(net) = pooled {
-            drop(g);
-            let width = net.in_features();
+        let out = self.predict_rows(model, |width| {
             check_batch_widths(model, xs, width)?;
-            // One f64→f32 conversion pass over the whole batch; pool jobs
-            // slice it read-only. Per-range tensor contents are exactly
-            // what the old borrowed path built, and every kernel preserves
-            // per-element accumulation order, so the result is bit-identical
-            // to one full-batch forward pass for every thread count. Inside
-            // a worker the kernels themselves stay serial (nested-region
-            // suppression); with a single range this runs inline and the
-            // kernels may parallelize instead.
-            let mut flat = Vec::with_capacity(xs.len() * width);
-            for x in xs {
-                flat.extend(x.iter().map(|&v| v as f32));
-            }
-            let flat = Arc::new(flat);
-            let chunks = au_par::pool_map_ranges(xs.len(), PREDICT_MIN_ROWS, move |r| {
-                let rows = r.len();
-                let batch = Tensor::from_vec(
-                    &[rows, width],
-                    flat[r.start * width..r.end * width].to_vec(),
-                );
-                let out = net.infer(&batch);
-                (0..rows)
-                    .map(|i| out.row_slice(i).iter().map(|&v| f64::from(v)).collect())
-                    .collect::<Vec<Vec<f64>>>()
-            });
-            t_count!("au_core.predictions_served", xs.len() as u64);
-            return Ok(chunks.into_iter().flatten().collect());
-        }
-        // RL agents expose only a borrowed view of their network, so the
-        // batch fans out on the borrowing scoped path under the read lock.
-        let net = match g.instance.backend.as_ref() {
-            Some(Backend::Reinforcement { agent, .. }) => agent.network(),
-            _ => unreachable!("checked above"),
-        };
-        let width = net.in_features();
-        check_batch_widths(model, xs, width)?;
-        let chunks = au_par::par_map_ranges(xs.len(), PREDICT_MIN_ROWS, |r| {
-            let rows = &xs[r];
-            let mut flat = Vec::with_capacity(rows.len() * width);
-            for x in rows {
-                flat.extend(x.iter().map(|&v| v as f32));
-            }
-            let batch = Tensor::from_vec(&[rows.len(), width], flat);
-            let out = net.infer(&batch);
-            (0..rows.len())
-                .map(|i| out.row_slice(i).iter().map(|&v| f64::from(v)).collect())
-                .collect::<Vec<Vec<f64>>>()
-        });
-        t_count!("au_core.predictions_served", xs.len() as u64);
-        Ok(chunks.into_iter().flatten().collect())
+            Ok((xs.iter().flatten().map(|&v| v as f32).collect(), xs.len()))
+        })?;
+        let out_width = out.len() / xs.len();
+        Ok((0..xs.len())
+            .map(|i| {
+                out[i * out_width..(i + 1) * out_width]
+                    .iter()
+                    .map(|&v| f64::from(v))
+                    .collect()
+            })
+            .collect())
     }
 
     /// Native-`f32` [`EngineHandle::predict`]: no `f64` boundary
@@ -1164,43 +1115,22 @@ impl EngineHandle {
         let _s = t_span!("predict_f32", model = model);
         let _t = t_time!("au_core.predict_f32");
         t_count!("au_core.predictions_served");
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => {
-                if net.in_features() != x.len() {
-                    return Err(AuError::InputSizeChanged {
-                        model: model.to_owned(),
-                        built: net.in_features(),
-                        got: x.len(),
-                    });
-                }
-                run_model_f32_into(net, x, out);
-                Ok(())
+        self.with_network(model, |net| {
+            if net.in_features() != x.len() {
+                return Err(AuError::InputSizeChanged {
+                    model: model.to_owned(),
+                    built: net.in_features(),
+                    got: x.len(),
+                });
             }
-            Some(Backend::Reinforcement { agent, .. }) => {
-                if agent.state_dim() != x.len() {
-                    return Err(AuError::InputSizeChanged {
-                        model: model.to_owned(),
-                        built: agent.state_dim(),
-                        got: x.len(),
-                    });
-                }
-                out.extend(agent.q_values_ref(x));
-                Ok(())
-            }
-            None => Err(AuError::ModelNotTrained(model.to_owned())),
-        }
+            run_model_f32_into(net, x, out);
+            Ok(())
+        })?
     }
 
     /// Native-`f32` [`EngineHandle::predict_batch`] over a flat row-major
     /// matrix: `xs.len()` must be a multiple of the model's input width,
     /// and the result is the flat row-major `[rows × out_width]` output.
-    /// Supervised batches fan out across the persistent worker pool.
     ///
     /// # Errors
     ///
@@ -1208,51 +1138,47 @@ impl EngineHandle {
     /// [`AuError::InputSizeChanged`] if `xs.len()` is not a multiple of the
     /// built network's input width.
     pub fn predict_batch_f32(&self, model: &str, xs: &[f32]) -> Result<Vec<f32>, AuError> {
-        let _t = t_time!("au_core.predict_batch");
         if xs.is_empty() {
             return Ok(Vec::new());
         }
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        let pooled = match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Some(Arc::clone(net)),
-            Some(Backend::Reinforcement { .. }) => None,
-            None => return Err(AuError::ModelNotTrained(model.to_owned())),
-        };
-        let infer_chunk = |net: &Network, chunk: &[f32], width: usize| {
-            let rows = chunk.len() / width;
-            let batch = Tensor::from_vec(&[rows, width], chunk.to_vec());
-            net.infer(&batch).into_vec()
-        };
-        if let Some(net) = pooled {
-            drop(g);
-            let width = net.in_features();
+        self.predict_rows(model, |width| {
             let rows = check_flat_width(model, xs, width)?;
-            t_count!("au_core.predictions_served", rows as u64);
-            if rows <= PREDICT_MIN_ROWS {
-                // A batch this small is always a single range: skip the
-                // shared-`Arc` copy and feed the caller's rows directly.
-                return Ok(infer_chunk(&net, xs, width));
-            }
-            let flat: Arc<Vec<f32>> = Arc::new(xs.to_vec());
-            let chunks = au_par::pool_map_ranges(rows, PREDICT_MIN_ROWS, move |r| {
-                infer_chunk(&net, &flat[r.start * width..r.end * width], width)
-            });
-            return Ok(chunks.concat());
-        }
-        let net = match g.instance.backend.as_ref() {
-            Some(Backend::Reinforcement { agent, .. }) => agent.network(),
-            _ => unreachable!("checked above"),
-        };
+            Ok((xs.to_vec(), rows))
+        })
+    }
+
+    /// The pooled row-block core under both batch entry points. `layout`
+    /// checks the caller's batch against the served network's input width
+    /// and returns it as one flat row-major `f32` matrix with its row
+    /// count. The network `Arc` is cloned out of the read lock, so the
+    /// batch runs on the persistent pool (jobs are `'static`) without
+    /// holding the model entry. Blocks of rows fan out across pool
+    /// workers; every kernel keeps each row's accumulation order, so the
+    /// flat outputs are bit-identical to one full-batch forward pass at
+    /// every thread count.
+    fn predict_rows(
+        &self,
+        model: &str,
+        layout: impl FnOnce(usize) -> Result<(Vec<f32>, usize), AuError>,
+    ) -> Result<Vec<f32>, AuError> {
+        let _s = t_span!("predict_batch", model = model);
+        let _t = t_time!("au_core.predict_batch");
+        let net = self.with_network(model, Arc::clone)?;
         let width = net.in_features();
-        let rows = check_flat_width(model, xs, width)?;
+        let (flat, rows) = layout(width)?;
         t_count!("au_core.predictions_served", rows as u64);
-        let chunks = au_par::par_map_ranges(rows, PREDICT_MIN_ROWS, |r| {
-            infer_chunk(net, &xs[r.start * width..r.end * width], width)
+        if rows <= PREDICT_MIN_ROWS {
+            // A batch this small is always a single range: feed it to the
+            // network directly instead of sharing it with pool jobs.
+            return Ok(net
+                .infer(&Tensor::from_vec(&[rows, width], flat))
+                .into_vec());
+        }
+        let flat = Arc::new(flat);
+        let chunks = au_par::pool_map_ranges(rows, PREDICT_MIN_ROWS, move |r| {
+            let block = flat[r.start * width..r.end * width].to_vec();
+            net.infer(&Tensor::from_vec(&[r.len(), width], block))
+                .into_vec()
         });
         Ok(chunks.concat())
     }
@@ -1260,7 +1186,7 @@ impl EngineHandle {
     /// Size/training statistics for a built model (Table 2's model size).
     pub fn model_stats(&self, name: &str) -> Option<ModelStats> {
         let entry = self.shared.registry.get(name)?;
-        let mut g = write(&entry);
+        let g = read(&entry);
         g.instance.stats()
     }
 

@@ -2,7 +2,7 @@
 
 use crate::error::AuError;
 use au_nn::rl::{DqnAgent, DqnConfig, Transition};
-use au_nn::{Activation, Adam, InferScratch, Loss, Network, Tensor};
+use au_nn::{net_mut, Activation, Adam, InferScratch, Loss, Network, Tensor};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -156,10 +156,11 @@ pub struct ModelStats {
 
 /// A live model instance: either a supervised regressor or a DQN agent.
 ///
-/// The supervised network sits behind an `Arc` so the serving paths
-/// (`predict_batch`'s pool jobs, snapshot readers) can clone a handle out
-/// of the registry lock in O(1); training goes through [`net_mut`], which
-/// rebuilds the network copy-on-write only when a snapshot is still alive.
+/// Both kinds hold their network behind an `Arc` so the serving paths
+/// (`predict_batch`'s pool jobs, snapshot readers) can clone it out of the
+/// registry lock in O(1) through [`Backend::network`]; training goes
+/// through [`net_mut`], which rebuilds the network copy-on-write only when
+/// a snapshot is still alive.
 #[derive(Debug)]
 pub(crate) enum Backend {
     Supervised {
@@ -174,6 +175,16 @@ pub(crate) enum Backend {
         pending: Option<(Vec<f32>, usize)>,
         train_steps: u64,
     },
+}
+
+impl Backend {
+    /// The network this backend serves, whichever kind holds it.
+    pub(crate) fn network(&self) -> &Arc<Network> {
+        match self {
+            Backend::Supervised { net, .. } => net,
+            Backend::Reinforcement { agent, .. } => agent.network(),
+        }
+    }
 }
 
 /// A configured model: configuration plus a lazily built backend
@@ -291,29 +302,16 @@ impl ModelInstance {
     }
 
     /// Current statistics, if the backend has been built.
-    pub fn stats(&mut self) -> Option<ModelStats> {
-        match self.backend.as_mut()? {
-            Backend::Supervised {
-                net, train_steps, ..
-            } => {
-                let n = net_mut(net).param_count();
-                Some(ModelStats {
-                    param_count: n,
-                    model_bytes: n * 4,
-                    train_steps: *train_steps,
-                })
-            }
-            Backend::Reinforcement {
-                agent, train_steps, ..
-            } => {
-                let n = agent.network_mut().param_count();
-                Some(ModelStats {
-                    param_count: n,
-                    model_bytes: n * 4,
-                    train_steps: *train_steps,
-                })
-            }
-        }
+    pub fn stats(&self) -> Option<ModelStats> {
+        let backend = self.backend.as_ref()?;
+        let (Backend::Supervised { train_steps, .. } | Backend::Reinforcement { train_steps, .. }) =
+            backend;
+        let n = backend.network().param_count();
+        Some(ModelStats {
+            param_count: n,
+            model_bytes: n * 4,
+            train_steps: *train_steps,
+        })
     }
 
     /// Drops cached weight views (transposes) on every network the backend
@@ -327,19 +325,6 @@ impl ModelInstance {
             None => {}
         }
     }
-}
-
-/// Unique access to a shared supervised network, copy-on-write.
-///
-/// Training mutates the network in place when no inference snapshot holds
-/// a second `Arc`; if serving overlaps training, the network is rebuilt
-/// once (via `deep_clone`) and the snapshot keeps the old weights — the
-/// same isolation the paper gets from its separate TR/TS processes.
-pub(crate) fn net_mut(net: &mut Arc<Network>) -> &mut Network {
-    if Arc::get_mut(net).is_none() {
-        *net = Arc::new(net.deep_clone());
-    }
-    Arc::get_mut(net).expect("unique after copy-on-write rebuild")
 }
 
 /// Runs one supervised gradient step: trains `net` to map `input` to
@@ -442,7 +427,7 @@ mod tests {
     #[test]
     fn dnn_config_builds_expected_shape() {
         let cfg = ModelConfig::dnn(&[256, 64]);
-        let mut net = cfg.build_network(10, 3);
+        let net = cfg.build_network(10, 3);
         assert_eq!(net.in_features(), 10);
         assert_eq!(net.out_features(), 3);
         assert!(net.param_count() > 10 * 256);
@@ -501,6 +486,19 @@ mod tests {
         let stats = inst.stats().unwrap();
         assert_eq!(stats.param_count, 2 * 4 + 4 + 4 + 1);
         assert_eq!(stats.model_bytes, stats.param_count * 4);
+    }
+
+    #[test]
+    fn stats_keep_the_network_a_snapshot_serves() {
+        let mut inst = ModelInstance::new(ModelConfig::dnn(&[4]));
+        inst.ensure_supervised("m", 2, 1).unwrap();
+        let served = |inst: &ModelInstance| Arc::clone(inst.backend.as_ref().unwrap().network());
+        let snapshot = served(&inst);
+        assert!(inst.stats().is_some());
+        assert!(
+            Arc::ptr_eq(&served(&inst), &snapshot),
+            "stats() rebuilt the network behind a live serving snapshot"
+        );
     }
 
     #[test]

@@ -247,17 +247,12 @@ impl Layer for Conv2d {
         let col_len = self.fan_in() * self.out_h() * self.out_w();
         let out_len = self.out_len();
         out.resize_zeroed(&[batch, out_len]);
-        // Batch rows are independent; fan them out across au-par workers
-        // with one reusable im2col buffer per worker. Row partitioning
-        // keeps per-element accumulation order fixed, so the output is
-        // bit-identical for every thread count.
-        au_par::par_row_chunks_mut(out.data_mut(), out_len, 1, |first_row, chunk| {
-            let mut col = vec![0.0f32; col_len];
-            for (i, out_row) in chunk.chunks_exact_mut(out_len).enumerate() {
-                self.im2col_row(input.row_slice(first_row + i), &mut col);
-                self.forward_row(&col, out_row);
-            }
-        });
+        // One im2col buffer, reused for every batch row.
+        let mut col = vec![0.0f32; col_len];
+        for (b, out_row) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
+            self.im2col_row(input.row_slice(b), &mut col);
+            self.forward_row(&col, out_row);
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -337,6 +332,10 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
     }
 
     fn out_features(&self) -> Option<usize> {

@@ -98,14 +98,17 @@ impl Layer for Dense {
         let batch = input.batch();
         let n = self.out_features;
         out.resize_zeroed(&[batch, n]);
-        crate::kernels::gemm_acc_par(
-            out.data_mut(),
-            input.data(),
-            self.weight.value.data(),
-            batch,
-            self.in_features,
-            n,
-        );
+        {
+            let _t = t_time!("au_nn.gemm");
+            crate::kernels::gemm_acc(
+                out.data_mut(),
+                input.data(),
+                self.weight.value.data(),
+                batch,
+                self.in_features,
+                n,
+            );
+        }
         let bias = self.bias.value.data();
         for i in 0..batch {
             let row = &mut out.data_mut()[i * n..(i + 1) * n];
@@ -152,6 +155,10 @@ impl Layer for Dense {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
     }
 
     fn out_features(&self) -> Option<usize> {

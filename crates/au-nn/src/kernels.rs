@@ -33,9 +33,6 @@ const KC: usize = 128;
 /// half of a typical L1D).
 const NR: usize = 32;
 
-/// Minimum multiply-accumulate count before a GEMM is worth threading.
-const PAR_MIN_WORK: usize = 128 * 1024;
-
 /// `out[m,n] += a[m,k] · b[k,n]`, all row-major.
 ///
 /// The caller pre-initializes `out` (zeros for a plain product, a broadcast
@@ -123,25 +120,6 @@ pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
                 }
             }
         }
-    }
-}
-
-/// [`gemm_acc`] with the output rows fanned out across au-par workers when
-/// the product is large enough to amortize thread spawn.
-///
-/// Row partitioning never touches per-element accumulation order, so the
-/// result is bit-identical for every thread count (including 1).
-pub(crate) fn gemm_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let _t = t_time!("au_nn.gemm");
-    if m >= 2 && m * k * n >= PAR_MIN_WORK && !au_par::in_worker() && au_par::max_threads() > 1 {
-        t_count!("au_nn.gemm_parallel");
-        let min_rows = (PAR_MIN_WORK / (k * n).max(1)).max(1);
-        au_par::par_row_chunks_mut(out, n, min_rows, |first, chunk| {
-            let rows = chunk.len() / n;
-            gemm_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
-        });
-    } else {
-        gemm_acc(out, a, b, m, k, n);
     }
 }
 
@@ -271,23 +249,6 @@ mod tests {
         let mut want = vec![0.0f32; k * n];
         gemm_naive(&mut want, &at, &g, k, m, n);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn parallel_rows_are_bit_identical_to_serial() {
-        let _g = crate::test_support::par_lock();
-        let (m, k, n) = (64, 64, 64);
-        let a = pseudo(m * k, 5);
-        let b = pseudo(k * n, 6);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_acc(&mut serial, &a, &b, m, k, n);
-        for threads in [1usize, 2, 4] {
-            au_par::set_thread_override(Some(threads));
-            let mut par = vec![0.0f32; m * n];
-            gemm_acc_par(&mut par, &a, &b, m, k, n);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        au_par::set_thread_override(None);
     }
 
     proptest! {

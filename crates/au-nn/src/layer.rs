@@ -93,6 +93,11 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         Vec::new()
     }
 
+    /// Read access to [`Layer::params_mut`]'s parameters, in the same order.
+    fn params(&self) -> Vec<&Param> {
+        Vec::new()
+    }
+
     /// Output feature count given the input feature count, used by
     /// [`crate::NetworkBuilder`] for shape inference. `None` means the layer
     /// preserves the element count (e.g. activations).

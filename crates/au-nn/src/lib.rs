@@ -65,7 +65,7 @@ pub use gradcheck::{check_gradients, GradCheckReport};
 pub use init::set_init_seed;
 pub use layer::{Layer, LayerSpec, Param};
 pub use loss::Loss;
-pub use network::{InferScratch, Network, NetworkBuilder, NnError};
+pub use network::{net_mut, InferScratch, Network, NetworkBuilder, NnError};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Tensor;
 

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Errors from model persistence.
 #[derive(Debug)]
@@ -94,10 +95,11 @@ impl Network {
 
     /// Total scalar parameter count — the paper's "model size" metric
     /// (Table 2) counts these.
-    pub fn param_count(&mut self) -> usize {
+    pub fn param_count(&self) -> usize {
         self.layers
-            .iter_mut()
-            .map(|l| l.params_mut().iter().map(|p| p.len()).sum::<usize>())
+            .iter()
+            .flat_map(|l| l.params())
+            .map(Param::len)
             .sum()
     }
 
@@ -220,9 +222,8 @@ impl Network {
         };
         // Chunks 1.. go to the persistent pool, each owning a weight-sharing
         // replica and its chunk tensors; chunk 0 runs on the calling thread
-        // through `self` (same merge structure as the scoped version this
-        // replaced — chunk tensors, replica construction, and merge order
-        // are unchanged, so results are too).
+        // through `self`. The kernels under every chunk are serial, so
+        // nothing fans out again beneath this region.
         let mut fork: au_par::Fork<(Network, f32)> = au_par::Fork::new();
         for r in &ranges[1..] {
             let mut replica = self.deep_clone();
@@ -278,9 +279,9 @@ impl Network {
     /// Clones the architecture and current weights into an independent
     /// network (training caches start empty; dropout replicas reseed).
     ///
-    /// Used for minibatch worker replicas and by the engine's
-    /// copy-on-write model snapshots (training while an `Arc`'d network is
-    /// still serving).
+    /// Used for minibatch worker replicas and by [`net_mut`]'s
+    /// copy-on-write rebuild (training while an `Arc`'d network is still
+    /// serving).
     pub fn deep_clone(&self) -> Network {
         Network {
             in_features: self.in_features,
@@ -388,11 +389,10 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the architectures differ.
-    pub fn copy_weights_from(&mut self, other: &mut Network) {
+    pub fn copy_weights_from(&mut self, other: &Network) {
         assert_eq!(self.depth(), other.depth(), "architecture mismatch");
-        for (a, b) in self.layers.iter_mut().zip(other.layers.iter_mut()) {
-            let mut bp = b.params_mut();
-            for (pa, pb) in a.params_mut().into_iter().zip(bp.iter_mut()) {
+        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
+            for (pa, pb) in a.params_mut().into_iter().zip(b.params()) {
                 assert_eq!(
                     pa.value.shape(),
                     pb.value.shape(),
@@ -408,6 +408,21 @@ impl Network {
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
+}
+
+/// Unique access to a shared network, copy-on-write.
+///
+/// Serving paths hold the network as an `Arc` so they can clone it out of
+/// a lock in O(1). Training mutates it in place when no such snapshot
+/// holds a second `Arc`; if serving overlaps training, the network is
+/// rebuilt once (via [`Network::deep_clone`]) and the snapshot keeps the
+/// old weights — the same isolation the paper gets from its separate
+/// TR/TS processes.
+pub fn net_mut(net: &mut Arc<Network>) -> &mut Network {
+    if Arc::get_mut(net).is_none() {
+        *net = Arc::new(net.deep_clone());
+    }
+    Arc::get_mut(net).expect("unique after copy-on-write rebuild")
 }
 
 /// Forward/backward over one minibatch chunk, leaving gradients accumulated
@@ -580,7 +595,7 @@ mod tests {
 
     #[test]
     fn builder_threads_shapes() {
-        let mut net = Network::builder(4)
+        let net = Network::builder(4)
             .dense(8)
             .activation(Activation::Relu)
             .dense(2)
@@ -715,7 +730,7 @@ mod tests {
         let mut b = Network::builder(2).dense(3).dense(1).build();
         let x = Tensor::row(&[0.5, 0.5]);
         assert_ne!(a.forward(&x), b.forward(&x));
-        a.copy_weights_from(&mut b);
+        a.copy_weights_from(&b);
         assert_eq!(a.forward(&x), b.forward(&x));
     }
 

@@ -7,11 +7,12 @@
 //! the paper's baselines — ε-greedy exploration, an experience replay buffer,
 //! and a periodically synchronized target network.
 
-use crate::network::Network;
+use crate::network::{net_mut, Network};
 use crate::optim::Adam;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 mod replay;
 
@@ -86,7 +87,9 @@ impl Default for DqnConfig {
 /// A deep-Q-network agent over flat feature vectors.
 #[derive(Debug)]
 pub struct DqnAgent {
-    online: Network,
+    /// Shared like a supervised model's network, so serving can take an
+    /// `Arc` snapshot; learning goes through [`net_mut`].
+    online: Arc<Network>,
     target: Option<Network>,
     opt: Adam,
     buffer: ReplayBuffer,
@@ -113,16 +116,14 @@ impl DqnAgent {
         let target = if config.target_sync_every > 0 {
             let mut t = crate::network::dnn(state_dim, &config.hidden, n_actions);
             // target starts as a copy of online
-            let mut online_clone =
-                Network::from_json(&online.to_json()).expect("fresh model round-trips");
-            t.copy_weights_from(&mut online_clone);
+            t.copy_weights_from(&online);
             Some(t)
         } else {
             None
         };
         let rng = StdRng::seed_from_u64(config.seed);
         DqnAgent {
-            online,
+            online: Arc::new(online),
             target,
             opt: Adam::new(config.learning_rate),
             buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
@@ -150,14 +151,10 @@ impl DqnAgent {
     ) -> Self {
         assert_eq!(network.in_features(), state_dim, "network input mismatch");
         assert_eq!(network.out_features(), n_actions, "network output mismatch");
-        let target = if config.target_sync_every > 0 {
-            Some(Network::from_json(&network.to_json()).expect("fresh model round-trips"))
-        } else {
-            None
-        };
+        let target = (config.target_sync_every > 0).then(|| network.deep_clone());
         let rng = StdRng::seed_from_u64(config.seed);
         DqnAgent {
-            online: network,
+            online: Arc::new(network),
             target,
             opt: Adam::new(config.learning_rate),
             buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
@@ -186,9 +183,10 @@ impl DqnAgent {
         self.state_dim
     }
 
-    /// The online Q-network (e.g. for persistence via `to_json`).
+    /// The online Q-network (e.g. for persistence via `to_json`), rebuilt
+    /// copy-on-write if a [`DqnAgent::network`] snapshot still holds it.
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.online
+        net_mut(&mut self.online)
     }
 
     /// Drops cached weight views on the online and target networks — see
@@ -196,15 +194,16 @@ impl DqnAgent {
     /// parameter mutation (e.g. [`DqnAgent::network_mut`] weight surgery,
     /// checkpoint restores in a host runtime).
     pub fn invalidate_cached_weights(&mut self) {
-        self.online.invalidate_cached_weights();
+        net_mut(&mut self.online).invalidate_cached_weights();
         if let Some(t) = self.target.as_mut() {
             t.invalidate_cached_weights();
         }
     }
 
-    /// Read access to the online Q-network — enough for persistence
-    /// (`to_json`) and concurrent inference ([`Network::infer`]).
-    pub fn network(&self) -> &Network {
+    /// The shared online Q-network — enough for persistence (`to_json`)
+    /// and concurrent inference ([`Network::infer`]); clone the `Arc` to
+    /// serve from it without borrowing the agent.
+    pub fn network(&self) -> &Arc<Network> {
         &self.online
     }
 
@@ -280,11 +279,12 @@ impl DqnAgent {
         }
 
         // Bootstrap targets from the target network (or online, if disabled).
+        let online = net_mut(&mut self.online);
         let next_q = match &mut self.target {
             Some(target) => target.forward(&next_states),
-            None => self.online.forward(&next_states),
+            None => online.forward(&next_states),
         };
-        let q = self.online.forward(&states);
+        let q = online.forward(&states);
         let mut grad = Tensor::zeros(q.shape());
         let mut loss = 0.0f32;
         for (i, t) in sampled.iter().enumerate() {
@@ -306,8 +306,7 @@ impl DqnAgent {
             };
             grad.data_mut()[i * self.n_actions + t.action] = d.clamp(-1.0, 1.0) / batch_size as f32;
         }
-        self.online
-            .train_with_output_grad(&states, &grad, &mut self.opt);
+        online.train_with_output_grad(&states, &grad, &mut self.opt);
 
         self.learn_steps += 1;
         self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);
@@ -317,7 +316,7 @@ impl DqnAgent {
                     .learn_steps
                     .is_multiple_of(self.config.target_sync_every)
             {
-                target.copy_weights_from(&mut self.online);
+                target.copy_weights_from(&self.online);
             }
         }
         loss / batch_size as f32

@@ -165,11 +165,9 @@ impl Tensor {
 
     /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`.
     ///
-    /// Runs through the cache-blocked kernel in [`crate::kernels`], with
-    /// output rows fanned out across au-par workers for large products.
-    /// Each output element accumulates its products in ascending inner-index
-    /// order, so results are bit-identical to the scalar triple loop and
-    /// invariant to thread count.
+    /// Runs through the cache-blocked kernel in [`crate::kernels`]. Each
+    /// output element accumulates its products in ascending inner-index
+    /// order, so results are bit-identical to the scalar triple loop.
     ///
     /// # Panics
     ///
@@ -181,7 +179,8 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimensions must agree: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        crate::kernels::gemm_acc_par(&mut out, &self.data, &other.data, m, k, n);
+        let _t = t_time!("au_nn.gemm");
+        crate::kernels::gemm_acc(&mut out, &self.data, &other.data, m, k, n);
         Tensor::from_vec(&[m, n], out)
     }
 

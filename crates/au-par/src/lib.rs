@@ -1,22 +1,15 @@
-//! Zero-dependency parallel runtime: a persistent worker pool plus scoped
-//! fork/join helpers.
+//! Zero-dependency parallel runtime: one persistent worker pool.
 //!
 //! The workspace builds offline from `vendor/`, so this crate provides the
-//! small slice of rayon the Autonomizer runtime actually needs — a
-//! parallel-for and an order-preserving map over chunked index ranges —
+//! small slice of rayon the Autonomizer runtime actually needs — an
+//! order-preserving map over chunked index ranges and a fork/join region —
 //! using nothing but `std` threads.
 //!
-//! Two execution backends share one range-splitting policy:
-//!
-//! - the **persistent pool** ([`pool_map_ranges`], [`pool_map`], [`Fork`])
-//!   keeps parked workers alive across regions, so small regions pay a
-//!   queue push + condvar wake instead of a thread spawn. Jobs must own
-//!   their data (`'static`); the hot engine paths share inputs via `Arc`.
-//! - the **scoped helpers** ([`par_map_ranges`], [`par_map`],
-//!   [`par_ranges`], [`par_row_chunks_mut`]) spawn per region via
-//!   `std::thread::scope` and accept borrowing closures — still the right
-//!   tool for big borrowed slices (e.g. the blocked GEMM's row partition,
-//!   which is gated on a work threshold that amortizes the spawns).
+//! Work leaves the calling thread only through the **persistent pool**
+//! ([`pool_map_ranges`], [`pool_map`], [`Fork`]): parked workers live
+//! across regions, so a region pays a queue push + condvar wake instead of
+//! a thread spawn. Jobs must own their data (`'static`); callers share big
+//! read-only inputs via `Arc`.
 //!
 //! Design rules, in priority order:
 //!
@@ -27,30 +20,28 @@
 //!    chunk boundaries) must document their tolerance.
 //! 2. **Zero overhead when serial.** With one thread (or one range, or when
 //!    already inside an au-par worker) everything runs inline on the calling
-//!    thread — no spawn, no allocation beyond the range list.
+//!    thread — no queue push, no allocation beyond the range list.
 //! 3. **No nesting.** A worker thread that calls back into au-par runs the
 //!    nested region inline. Parallelism is spent at the outermost level
-//!    (e.g. an engine-level batch split) and inner kernels degrade to their
-//!    serial form instead of oversubscribing.
+//!    (e.g. an engine-level batch split) and inner kernels stay serial
+//!    instead of oversubscribing.
 //!
 //! Thread count resolution: programmatic [`set_thread_override`] >
 //! `AU_PAR_THREADS` environment variable (read per call, so benchmark
 //! sweeps can vary it) > [`std::thread::available_parallelism`].
 //!
 //! With the `telemetry` feature on, every parallel region captures the
-//! caller's `au_telemetry` trace context before spawning and installs it in
-//! each worker, so spans opened inside a fork/join region parent under the
-//! span that forked them — a fanned-out request exports as one causal tree
-//! instead of per-thread orphans. The feature is off by default, keeping
-//! the crate zero-dependency for standalone use.
+//! caller's `au_telemetry` trace context before fanning out and installs
+//! it in each worker, so spans opened inside a fork/join region parent
+//! under the span that forked them — a fanned-out request exports as one
+//! causal tree instead of per-thread orphans. The feature is off by
+//! default, keeping the crate zero-dependency for standalone use.
 //!
-//! **Unsafe audit (none needed).** Work distribution hands each scoped
-//! worker an owned `Vec` slot rather than a raw pointer into shared output
-//! (the rayon trick this crate replaces); recombination moves results back
-//! in range order after `std::thread::scope` joins. There is nothing to
-//! write a SAFETY comment about, and the crate pins that property with
-//! `forbid(unsafe_code)` so a future "optimization" cannot quietly
-//! reintroduce shared-mutation raciness.
+//! **Unsafe audit (none needed).** Jobs own their inputs and send their
+//! results back over a channel; the join recombines them in submission
+//! order. There is nothing to write a SAFETY comment about, and the crate
+//! pins that property with `forbid(unsafe_code)` so a future
+//! "optimization" cannot quietly reintroduce shared-mutation raciness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +49,6 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 mod pool;
 
@@ -273,7 +263,7 @@ pub fn max_threads() -> usize {
             _ => warn_invalid_threads(&v),
         }
     }
-    thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(MAX_THREADS)
@@ -303,10 +293,9 @@ fn warn_invalid_threads(value: &str) {
     let _ = value;
 }
 
-/// True while the calling thread is an au-par worker. Nested parallel
-/// regions run inline; exposed so callers can skip parallel setup work
-/// (e.g. building per-thread replicas) when it would be wasted.
-pub fn in_worker() -> bool {
+/// True while the calling thread is an au-par worker; nested parallel
+/// regions run inline.
+fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -334,161 +323,6 @@ pub fn split_ranges(len: usize, min_chunk: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, len);
     ranges
-}
-
-/// Runs `f` once per range of `split_ranges(len, min_chunk)`, in parallel
-/// when more than one range results. `f` must only touch state it can
-/// safely share; use [`par_map`] or [`par_row_chunks_mut`] when each range
-/// produces a value or owns a slice.
-pub fn par_ranges<F>(len: usize, min_chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let ranges = split_ranges(len, min_chunk);
-    if ranges.len() <= 1 {
-        note_inline_region();
-        for r in ranges {
-            f(r);
-        }
-        return;
-    }
-    let ctx = capture_context();
-    let stats = RegionStats::new(ranges.len());
-    let join_from = Cell::new(None);
-    thread::scope(|scope| {
-        let mut iter = ranges.into_iter();
-        let first = iter.next().expect("at least two ranges");
-        for r in iter {
-            let f = &f;
-            let stats = &stats;
-            scope.spawn(move || in_worker_with(ctx, || stats.measure(|| f(r))));
-        }
-        // The calling thread takes the first range instead of idling.
-        in_worker_with(ctx, || stats.measure(|| f(first)));
-        // Everything past this point is the implicit scope join.
-        join_from.set(stats.join_point());
-    });
-    stats.finish(join_from.get());
-}
-
-/// Order-preserving parallel map: returns `[f(0), f(1), …, f(len-1)]`.
-///
-/// Indices are processed in contiguous chunks of at least `min_chunk`; the
-/// output order is identical to a serial map regardless of thread count.
-pub fn par_map<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let parts = par_map_ranges(len, min_chunk, |r| r.map(&f).collect::<Vec<T>>());
-    let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
-/// Runs `f` once per chunk range and returns the per-range results in
-/// range order. The building block under [`par_map`] and
-/// [`par_map_reduce`]; useful directly when a whole-chunk result is
-/// cheaper than per-index values (e.g. partial gradient sums).
-pub fn par_map_ranges<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let ranges = split_ranges(len, min_chunk);
-    if ranges.len() <= 1 {
-        note_inline_region();
-        return ranges.into_iter().map(f).collect();
-    }
-    let ctx = capture_context();
-    let stats = RegionStats::new(ranges.len());
-    thread::scope(|scope| {
-        let mut iter = ranges.into_iter();
-        let first = iter.next().expect("at least two ranges");
-        let handles: Vec<_> = iter
-            .map(|r| {
-                let f = &f;
-                let stats = &stats;
-                scope.spawn(move || in_worker_with(ctx, || stats.measure(|| f(r))))
-            })
-            .collect();
-        let head = in_worker_with(ctx, || stats.measure(|| f(first)));
-        let join_from = stats.join_point();
-        let mut results = Vec::with_capacity(handles.len() + 1);
-        results.push(head);
-        for h in handles {
-            results.push(h.join().expect("au-par worker panicked"));
-        }
-        stats.finish(join_from);
-        results
-    })
-}
-
-/// Parallel map-reduce: maps each index chunk with `map` and folds the
-/// per-chunk results left-to-right in range order with `reduce`, starting
-/// from `identity`. The fold order is fixed, so the result is deterministic
-/// for a given thread count; it matches the serial result exactly whenever
-/// `reduce` is associative over the chunk boundaries actually used.
-pub fn par_map_reduce<T, M, R>(len: usize, min_chunk: usize, identity: T, map: M, reduce: R) -> T
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    par_map_ranges(len, min_chunk, map)
-        .into_iter()
-        .fold(identity, reduce)
-}
-
-/// Parallel-for over the rows of a dense row-major buffer: splits
-/// `data` (of `data.len() / row_len` rows) into contiguous row ranges and
-/// hands each worker `(first_row, rows_slice)` for its disjoint slice.
-///
-/// # Panics
-///
-/// Panics if `row_len == 0` or `data.len()` is not a multiple of `row_len`.
-pub fn par_row_chunks_mut<T, F>(data: &mut [T], row_len: usize, min_rows: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(row_len > 0, "row_len must be positive");
-    assert_eq!(
-        data.len() % row_len,
-        0,
-        "data is not a whole number of rows"
-    );
-    let rows = data.len() / row_len;
-    let ranges = split_ranges(rows, min_rows);
-    if ranges.len() <= 1 {
-        note_inline_region();
-        for r in ranges {
-            f(r.start, &mut data[r.start * row_len..r.end * row_len]);
-        }
-        return;
-    }
-    let ctx = capture_context();
-    let stats = RegionStats::new(ranges.len());
-    let join_from = Cell::new(None);
-    thread::scope(|scope| {
-        let mut rest = data;
-        let mut consumed = 0usize;
-        for r in ranges {
-            let (chunk, tail) = rest.split_at_mut((r.end - r.start) * row_len);
-            rest = tail;
-            debug_assert_eq!(consumed, r.start * row_len);
-            consumed += chunk.len();
-            let f = &f;
-            let stats = &stats;
-            let first_row = r.start;
-            scope.spawn(move || in_worker_with(ctx, || stats.measure(|| f(first_row, chunk))));
-        }
-        // The forking thread idles for the whole region here.
-        join_from.set(stats.join_point());
-    });
-    stats.finish(join_from.get());
 }
 
 #[cfg(test)]
@@ -535,94 +369,6 @@ mod tests {
         set_thread_override(None);
     }
 
-    #[test]
-    fn par_map_is_order_preserving() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        for threads in [1usize, 2, 7] {
-            set_thread_override(Some(threads));
-            let got = par_map(100, 1, |i| i * i);
-            let want: Vec<usize> = (0..100).map(|i| i * i).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn map_reduce_matches_serial_sum() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        for threads in [1usize, 3, 8] {
-            set_thread_override(Some(threads));
-            let total = par_map_reduce(1000, 16, 0u64, |r| r.map(|i| i as u64).sum(), |a, b| a + b);
-            assert_eq!(total, 1000 * 999 / 2, "threads={threads}");
-        }
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn row_chunks_cover_all_rows_disjointly() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        set_thread_override(Some(4));
-        let mut data = vec![0u32; 7 * 3];
-        par_row_chunks_mut(&mut data, 3, 1, |first_row, chunk| {
-            for (i, row) in chunk.chunks_exact_mut(3).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first_row + i) as u32 + 1;
-                }
-            }
-        });
-        let want: Vec<u32> = (0..7).flat_map(|r| [r + 1; 3]).collect();
-        assert_eq!(data, want);
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn nested_regions_run_inline() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        set_thread_override(Some(4));
-        let outer = par_map(4, 1, |i| {
-            assert!(in_worker());
-            // A nested region must not spawn: it sees a single range.
-            assert_eq!(split_ranges(100, 1).len(), 1);
-            par_map(10, 1, move |j| i * 10 + j)
-        });
-        let flat: Vec<usize> = outer.into_iter().flatten().collect();
-        let want: Vec<usize> = (0..40).collect();
-        assert_eq!(flat, want);
-        set_thread_override(None);
-    }
-
-    /// Spans opened inside workers must parent under the caller's span —
-    /// the propagation contract au-core's batch/extraction fan-outs rely on.
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn worker_spans_parent_under_the_forking_span() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        set_thread_override(Some(4));
-        let rec = au_telemetry::global();
-        au_telemetry::enable();
-        let (root_trace, root_span) = {
-            let root = rec.span("fork_root").expect("enabled");
-            let ids = (root.trace_id().0, root.span_id().0);
-            let _results = par_map(8, 1, |i| {
-                let _s = rec.span("fork_worker");
-                i
-            });
-            ids
-        };
-        au_telemetry::disable();
-        let workers: Vec<_> = rec
-            .spans()
-            .into_iter()
-            .filter(|s| s.name == "fork_worker")
-            .collect();
-        assert_eq!(workers.len(), 8);
-        for w in &workers {
-            assert_eq!(w.trace_id, root_trace, "worker joined the trace");
-            assert_eq!(w.parent_id, root_span, "worker parents under root");
-        }
-        set_thread_override(None);
-    }
-
     /// A nested region runs inline on its worker (the suppression path),
     /// so spans it opens must stay on the worker's thread, inside the
     /// caller's trace, parented under the worker's own span — not under a
@@ -638,10 +384,10 @@ mod tests {
         let (root_trace, root_span) = {
             let root = rec.span("nested_root").expect("enabled");
             let ids = (root.trace_id().0, root.span_id().0);
-            let _ = par_map(4, 1, |i| {
+            let _ = pool_map(4, 1, move |i| {
                 let outer = rec.span("nested_outer").expect("enabled");
                 let _ = (outer.trace_id(), i);
-                let inner: Vec<usize> = par_map(3, 1, |j| {
+                let inner: Vec<usize> = pool_map(3, 1, move |j| {
                     let _s = rec.span("nested_inner");
                     j
                 });
@@ -698,8 +444,9 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_no_op() {
-        assert!(par_map(0, 1, |i| i).is_empty());
+        assert!(pool_map(0, 1, |i| i).is_empty());
         assert!(split_ranges(0, 4).is_empty());
-        par_ranges(0, 1, |_| panic!("must not run"));
+        let none: Vec<()> = pool_map_ranges(0, 1, |_| panic!("must not run"));
+        assert!(none.is_empty());
     }
 }

@@ -1,10 +1,9 @@
 //! Persistent worker pool: parked threads that outlive any one region.
 //!
-//! The scoped helpers in the crate root spawn threads per region, which is
-//! fine for big kernels but makes small regions (per-row inference, short
-//! extraction loops) unprofitable. This module keeps a process-wide pool of
-//! parked workers so a region's only cost is pushing closures onto a queue
-//! and waking sleepers.
+//! Spawning threads per region makes small regions (per-row inference,
+//! short extraction loops) unprofitable. This module keeps a process-wide
+//! pool of parked workers so a region's only cost is pushing closures onto
+//! a queue and waking sleepers.
 //!
 //! Shape of the thing:
 //!
@@ -15,22 +14,20 @@
 //!   override keep working). It never shrinks except through
 //!   [`shutdown_pool`].
 //! - **`'static` jobs.** Pool workers outlive any caller's stack frame, so
-//!   jobs must own their data (`FnOnce() + Send + 'static`). Callers with
-//!   borrowed closures keep using the scoped helpers in the crate root;
-//!   the hot engine paths share their inputs via `Arc` and use
-//!   [`pool_map_ranges`] / [`Fork`].
+//!   jobs must own their data (`FnOnce() + Send + 'static`); callers share
+//!   their inputs via `Arc` and use [`pool_map_ranges`] / [`Fork`].
 //! - **Order-preserving joins, panic propagation.** [`Fork::join`] returns
 //!   results in submission order and re-raises the first panic (by
 //!   submission order) *after* every job has settled — a panicking region
 //!   never wedges or poisons the pool.
-//! - **Nested-region suppression.** A `Fork` used from inside a pool (or
-//!   scoped) worker runs its jobs inline on the submitting thread, so
-//!   nesting degrades to serial execution instead of deadlocking a
-//!   fixed-size pool.
+//! - **Nested-region suppression.** A `Fork` used from inside a pool
+//!   worker runs its jobs inline on the submitting thread, so nesting
+//!   degrades to serial execution instead of deadlocking a fixed-size
+//!   pool.
 //! - **Trace-context inheritance.** Jobs capture the forking thread's
 //!   telemetry context when the `Fork` is created and install it on the
-//!   worker, exactly like the scoped helpers — spans opened inside pooled
-//!   workers parent under the span that forked them.
+//!   worker, so spans opened inside pooled workers parent under the span
+//!   that forked them.
 //!
 //! All of this is safe Rust (`forbid(unsafe_code)` is inherited from the
 //! crate root): the queue is a `Mutex<VecDeque>` + `Condvar`, results come
@@ -260,10 +257,8 @@ impl<R: Send + 'static> Fork<R> {
         }
     }
 
-    /// The trace context captured when this region was opened. Callers
-    /// that run a chunk on their own thread wrap it in
-    /// `in_worker_with`-style execution via [`pool_map_ranges`]; exposed
-    /// for symmetry and tests.
+    /// The trace context captured when this region was opened, for the
+    /// chunk [`pool_map_ranges`] runs on the forking thread itself.
     pub(crate) fn context(&self) -> ForkContext {
         self.ctx
     }
@@ -335,14 +330,14 @@ impl<R: Send + 'static> Fork<R> {
     }
 }
 
-/// [`crate::par_map_ranges`] on the persistent pool: runs `f` once per
-/// range of `split_ranges(len, min_chunk)` and returns the per-range
-/// results in range order. The calling thread takes the first range
-/// instead of idling; the rest go to parked pool workers.
+/// Runs `f` once per range of [`split_ranges(len, min_chunk)`](crate::split_ranges)
+/// and returns the per-range results in range order. The calling thread
+/// takes the first range instead of idling; the rest go to parked pool
+/// workers.
 ///
 /// Requires an owning closure (`Send + Sync + 'static`) — share big
 /// read-only inputs via `Arc` and move clones in. Results are identical
-/// to the scoped helper (and to a serial map) at every thread count.
+/// to a serial map at every thread count.
 pub fn pool_map_ranges<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -374,9 +369,8 @@ where
     out
 }
 
-/// [`crate::par_map`] on the persistent pool: order-preserving parallel
-/// map returning `[f(0), …, f(len-1)]`. Same `'static` requirement as
-/// [`pool_map_ranges`].
+/// Order-preserving parallel map returning `[f(0), …, f(len-1)]`. Same
+/// `'static` requirement as [`pool_map_ranges`].
 pub fn pool_map<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -568,6 +562,7 @@ mod tests {
             assert!(crate::in_worker());
             // Nested region: must complete inline even though every pool
             // worker is already busy with the outer region.
+            assert_eq!(crate::split_ranges(100, 1).len(), 1);
             let inner = pool_map(10, 1, move |j| i * 10 + j);
             inner.into_iter().sum::<usize>()
         });
@@ -595,7 +590,8 @@ mod tests {
     }
 
     /// Spans opened inside pooled workers must parent under the forking
-    /// span — same contract as the scoped helpers.
+    /// span — the propagation contract au-core's batch and extraction
+    /// fan-outs rely on.
     #[cfg(feature = "telemetry")]
     #[test]
     fn pooled_worker_spans_parent_under_the_forking_span() {

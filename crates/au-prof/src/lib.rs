@@ -37,8 +37,8 @@
 //! # Incrementality and ordering
 //!
 //! Spans are recorded when their guard drops, so a child always lands in
-//! the recorder buffer before its parent (scoped fork/join workers join
-//! before the forking span closes — see docs/observability.md). The
+//! the recorder buffer before its parent (fork/join workers join before
+//! the forking span closes — see docs/observability.md). The
 //! profiler exploits that: spans accumulate per-trace until the trace root
 //! (`parent_id == 0`) arrives, at which point the whole tree is folded in
 //! one pass and the per-trace buffer is freed. Unclosed traces are bounded

@@ -204,8 +204,7 @@ pub fn extract_rl_pruned(
     params: RlParams,
 ) -> (BTreeMap<VarId, RlExtraction>, PrepruneStats) {
     let _t = t_time!("au_trace.extract_rl_pruned");
-    // Pooled like `extract_rl_detailed`; the inner ε₁ `par_map` runs inline
-    // inside pool workers (nested-region suppression).
+    // Pooled per target like `extract_rl_detailed`.
     let targets: Vec<VarId> = db.targets().iter().copied().collect();
     let db = db.snapshot();
     let filter = filter.clone();
@@ -249,14 +248,10 @@ pub fn extract_rl_pruned(
             if deleted.contains(&w) {
                 continue;
             }
-            let tail = &order[i + 1..];
-            let prune = au_par::par_map(tail.len(), 8, |j| {
-                let x = tail[j];
-                !deleted.contains(&x)
+            for &x in &order[i + 1..] {
+                if !deleted.contains(&x)
                     && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
-            });
-            for (&x, doomed) in tail.iter().zip(prune) {
-                if doomed {
+                {
                     deleted.insert(x);
                 }
             }

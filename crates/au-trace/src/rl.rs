@@ -72,8 +72,7 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
     // fan the per-target loop out across the persistent au-par pool. The
     // closure owns an O(1) copy-on-write snapshot of the database (pool
     // jobs are `'static`), and results recombine in target order — the
-    // result is identical for every thread count. The inner ε₁ `par_map`
-    // below runs inline inside pool workers (nested-region suppression).
+    // result is identical for every thread count.
     let targets: Vec<VarId> = db.targets().iter().copied().collect();
     let db = db.snapshot();
     let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
@@ -107,26 +106,16 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
         }
 
         // Redundancy pruning (ε₁): keep the first of each similar pair.
-        // For a fixed basis `w`, the distance tests against every later
-        // candidate are independent (deleting `x` never changes whether
-        // some other `x'` is within ε₁ of `w`), so each basis row of the
-        // pairwise-distance triangle is computed in parallel and the
-        // deletions applied afterwards — the surviving set is exactly the
-        // sequential algorithm's.
         let order: Vec<VarId> = candidates.keys().copied().collect();
         let mut deleted: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
         for (i, &w) in order.iter().enumerate() {
             if deleted.contains(&w) {
                 continue;
             }
-            let tail = &order[i + 1..];
-            let prune = au_par::par_map(tail.len(), 8, |j| {
-                let x = tail[j];
-                !deleted.contains(&x)
+            for &x in &order[i + 1..] {
+                if !deleted.contains(&x)
                     && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
-            });
-            for (&x, doomed) in tail.iter().zip(prune) {
-                if doomed {
+                {
                     deleted.insert(x);
                 }
             }

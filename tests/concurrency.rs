@@ -34,7 +34,9 @@ fn handle_and_engine_are_send_sync() {
     assert_clone::<EngineHandle>();
 }
 
-/// Trains y = 2x and returns the engine frozen in deployment mode.
+/// Trains y = 2x as the supervised model `serve`, plus a one-feature
+/// Q-learning model `serve_q` through `au_nn_rl`, and returns the engine
+/// frozen in deployment mode.
 fn deployed_engine() -> Engine {
     au_nn::set_init_seed(97);
     let mut e = Engine::new(Mode::Train);
@@ -43,9 +45,24 @@ fn deployed_engine() -> Engine {
     let xs: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64 / 64.0]).collect();
     let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![2.0 * x[0]]).collect();
     e.train_supervised("serve", &xs, &ys, 60).expect("train");
+    let dqn = au_nn::rl::DqnConfig {
+        hidden: vec![32],
+        batch_size: 8,
+        ..au_nn::rl::DqnConfig::default()
+    };
+    e.au_config("serve_q", ModelConfig::q_dnn(&[32]).with_dqn(dqn))
+        .expect("config");
+    for (i, x) in xs.iter().enumerate() {
+        e.au_extract("state", x);
+        e.au_nn_rl("serve_q", "state", x[0], i % 16 == 15, "action", 3)
+            .expect("rl step");
+    }
     e.set_mode(Mode::Test);
     e
 }
+
+/// The supervised and the Q-learning model `deployed_engine` serves.
+const SERVED_MODELS: [&str; 2] = ["serve", "serve_q"];
 
 /// 8 threads × 1k predictions on clones of one handle must agree exactly
 /// with a single-threaded pass over the same inputs.
@@ -149,7 +166,7 @@ fn threaded_batch_serving_matches_scalar_path() {
 
 /// `predict_batch` fans rows out across au-par workers; every kernel
 /// preserves per-element accumulation order, so the served values must be
-/// bit-identical for every worker count.
+/// bit-identical for every worker count, for both model kinds.
 #[test]
 fn predict_batch_is_invariant_to_thread_count() {
     let _g = par_guard();
@@ -157,12 +174,17 @@ fn predict_batch_is_invariant_to_thread_count() {
     let handle = engine.handle();
     let inputs: Vec<Vec<f64>> = (0..96).map(|i| vec![(i % 64) as f64 / 64.0]).collect();
 
-    au_par::set_thread_override(Some(1));
-    let reference = handle.predict_batch("serve", &inputs).expect("batch");
-    for threads in [2usize, 4, 8] {
-        au_par::set_thread_override(Some(threads));
-        let got = handle.predict_batch("serve", &inputs).expect("batch");
-        assert_eq!(got, reference, "threads={threads} changed served bits");
+    for model in SERVED_MODELS {
+        au_par::set_thread_override(Some(1));
+        let reference = handle.predict_batch(model, &inputs).expect("batch");
+        for threads in [2usize, 4, 8] {
+            au_par::set_thread_override(Some(threads));
+            let got = handle.predict_batch(model, &inputs).expect("batch");
+            assert_eq!(
+                got, reference,
+                "{model}: threads={threads} changed served bits"
+            );
+        }
     }
     au_par::set_thread_override(None);
 }
@@ -258,7 +280,8 @@ fn pool_shutdown_joins_workers_and_restarts_lazily() {
 }
 
 /// The f32 batch path fans out over the same persistent pool; like its f64
-/// twin it must serve bit-identical values at every worker count.
+/// twin it must serve bit-identical values at every worker count, for
+/// both model kinds.
 #[test]
 fn predict_batch_f32_is_invariant_to_thread_count() {
     let _g = par_guard();
@@ -266,12 +289,17 @@ fn predict_batch_f32_is_invariant_to_thread_count() {
     let handle = engine.handle();
     let flat: Vec<f32> = (0..96).map(|i| (i % 64) as f32 / 64.0).collect();
 
-    au_par::set_thread_override(Some(1));
-    let reference = handle.predict_batch_f32("serve", &flat).expect("batch");
-    for threads in [2usize, 4, 8] {
-        au_par::set_thread_override(Some(threads));
-        let got = handle.predict_batch_f32("serve", &flat).expect("batch");
-        assert_eq!(got, reference, "threads={threads} changed served f32 bits");
+    for model in SERVED_MODELS {
+        au_par::set_thread_override(Some(1));
+        let reference = handle.predict_batch_f32(model, &flat).expect("batch");
+        for threads in [2usize, 4, 8] {
+            au_par::set_thread_override(Some(threads));
+            let got = handle.predict_batch_f32(model, &flat).expect("batch");
+            assert_eq!(
+                got, reference,
+                "{model}: threads={threads} changed served f32 bits"
+            );
+        }
     }
     au_par::set_thread_override(None);
 }

@@ -6,16 +6,18 @@
 //! states next to `+0.0` ones) through a replay buffer small enough for
 //! FIFO eviction to wrap many times. Part (b) plays Flappybird through
 //! `EngineHandle::au_nn_rl` with `checkpoint_with`/`restore_with`
-//! episodes, the Fig. 2 game loop. A change to the replay store, the
-//! sampling order or the learning step that is meant to be a pure
-//! refactor has to leave this file untouched. After an intended change in
-//! what training computes, regenerate it with
+//! episodes, the Fig. 2 game loop, and part (c) serves the trained model
+//! on states recorded along the way (`predict` and `predict_batch_f32`).
+//! A change to the replay store, the sampling order, the learning step
+//! or the serving path that is meant to be a pure refactor has to leave
+//! this file untouched. After an intended change in what training
+//! computes, regenerate it with
 //!
 //! ```text
 //! AU_BLESS=1 cargo test --test dqn_golden
 //! ```
 //!
-//! Both parts live in one `#[test]` because weight initialization draws
+//! All parts live in one `#[test]` because weight initialization draws
 //! from a process-global seed: a second test running concurrently in this
 //! binary could interleave its draws with ours.
 
@@ -175,6 +177,7 @@ fn engine_part(s: &mut String) {
     let mut key = vec![0.0; n_actions];
     let mut actions = Vec::new();
     let mut episodes = Vec::new();
+    let mut recorded = Vec::new();
     for _ in 0..6 {
         game.reset();
         let ckpt = h.checkpoint_with(&game);
@@ -184,6 +187,9 @@ fn engine_part(s: &mut String) {
                 h.au_extract(name, &[value]);
             }
             let ser = h.au_serialize(&names);
+            if actions.len() % 12 == 0 {
+                recorded.push(game.features());
+            }
             let closing = terminal || steps >= 60;
             let action = h
                 .au_nn_rl("flappy", &ser, reward, closing, "output", n_actions)
@@ -218,6 +224,26 @@ fn engine_part(s: &mut String) {
     let net = Network::load(dir.join("flappy.json")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     dump_weights(s, "online", &weight_bits(&net));
+    serve_part(s, &h, &recorded);
+}
+
+/// Part (c): the trained `flappy` model served on states recorded during
+/// part (b), through the per-row f64 entry point and the f32 batch one.
+fn serve_part(s: &mut String, h: &EngineHandle, states: &[Vec<f64>]) {
+    writeln!(s, "== serve").unwrap();
+    writeln!(s, "predict {}", states.len()).unwrap();
+    for state in states {
+        let q = h.predict("flappy", state).unwrap();
+        let line: Vec<String> = q.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+        writeln!(s, "  {}", line.join(" ")).unwrap();
+    }
+    let flat: Vec<f32> = states.iter().flatten().map(|&v| v as f32).collect();
+    let batch = h.predict_batch_f32("flappy", &flat).unwrap();
+    writeln!(s, "predict_batch_f32 {}", batch.len()).unwrap();
+    for chunk in batch.chunks(4) {
+        let line: Vec<String> = chunk.iter().map(|&v| num(v)).collect();
+        writeln!(s, "  {}", line.join(" ")).unwrap();
+    }
 }
 
 #[test]

@@ -6,11 +6,14 @@
 //! `f64`). Feeding both paths the same narrowed rows must therefore give
 //! *bit-identical* results, on real feature vectors from all nine
 //! benchmarks: Canny, Rothwell, Phylip, Sphinx (SL) and Flappybird,
-//! Mario, Arkanoid, Torcs, Breakout (RL).
+//! Mario, Arkanoid, Torcs, Breakout (RL). Each program's rows are served
+//! by a supervised model and by a Q-learning model, so both backends are
+//! held to the same parity.
 
 use autonomizer::core::{EngineHandle, Mode, ModelConfig};
 use autonomizer::games::Game;
 use autonomizer::image::scene::SceneGenerator;
+use autonomizer::nn::rl::DqnConfig;
 use autonomizer::speech::{self, Recognizer, Vocabulary};
 use autonomizer::vision::{canny, rothwell};
 
@@ -88,6 +91,55 @@ fn benchmark_rows() -> Vec<(&'static str, Vec<Vec<f64>>)> {
     out
 }
 
+/// Scalar and batch parity for one deployed model: widened `predict_f32`
+/// ≡ `predict` ≡ `predict_f32_into`, and every batch row ≡ its per-row
+/// result, on both the f32 and the f64 batch entry points.
+fn assert_serving_parity(h: &EngineHandle, model: &str, rows: &[Vec<f64>]) {
+    let rows32: Vec<Vec<f32>> = rows
+        .iter()
+        .map(|r| r.iter().map(|&v| v as f32).collect())
+        .collect();
+
+    // Scalar parity: widened f32 outputs == f64 outputs, bit for bit.
+    let mut scratch_out = Vec::new();
+    for (row, row32) in rows.iter().zip(&rows32) {
+        let via_f64 = h.predict(model, row).unwrap();
+        let via_f32 = h.predict_f32(model, row32).unwrap();
+        assert_eq!(via_f64.len(), via_f32.len(), "{model}: width mismatch");
+        for (a, b) in via_f64.iter().zip(&via_f32) {
+            assert_eq!(
+                a.to_bits(),
+                f64::from(*b).to_bits(),
+                "{model}: f32 path diverged from f64 path"
+            );
+        }
+        // The allocation-free form appends the same bits.
+        scratch_out.clear();
+        h.predict_f32_into(model, row32, &mut scratch_out).unwrap();
+        assert_eq!(scratch_out, via_f32, "{model}: _into diverged");
+    }
+
+    // Batch parity: the flat f32 batch equals per-row f32 serving, and
+    // the f64 batch equals per-row f64 serving.
+    let flat: Vec<f32> = rows32.iter().flatten().copied().collect();
+    let batch32 = h.predict_batch_f32(model, &flat).unwrap();
+    let batch64 = h.predict_batch(model, rows).unwrap();
+    let out_width = batch32.len() / rows.len();
+    for (i, row32) in rows32.iter().enumerate() {
+        let per_row = h.predict_f32(model, row32).unwrap();
+        assert_eq!(
+            &batch32[i * out_width..(i + 1) * out_width],
+            per_row.as_slice(),
+            "{model}: batched f32 row {i} diverged"
+        );
+        assert_eq!(
+            batch64[i],
+            h.predict(model, &rows[i]).unwrap(),
+            "{model}: batched f64 row {i} diverged"
+        );
+    }
+}
+
 #[test]
 fn f32_serving_is_bit_identical_to_f64_on_all_nine_benchmarks() {
     for (bi, (name, rows)) in benchmark_rows().into_iter().enumerate() {
@@ -106,50 +158,27 @@ fn f32_serving_is_bit_identical_to_f64_on_all_nine_benchmarks() {
             .map(|r| vec![r.iter().sum::<f64>() / r.len() as f64, r[0]])
             .collect();
         h.train_supervised(name, &rows, &ys, 3).unwrap();
+
+        // A Q-learning model fed the same rows through `au_nn_rl`, so the
+        // RL backend's serving path is held to the same parity.
+        let q = format!("{name}_q");
+        let dqn = DqnConfig {
+            hidden: vec![16, 8],
+            batch_size: 4,
+            seed: 31 + bi as u64,
+            ..DqnConfig::default()
+        };
+        h.au_config(&q, ModelConfig::q_dnn(&[16, 8]).with_dqn(dqn))
+            .unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            h.au_extract("state", row);
+            let terminal = i + 1 == rows.len();
+            h.au_nn_rl(&q, "state", row[0], terminal, "action", 3)
+                .unwrap();
+        }
         h.set_mode(Mode::Test);
 
-        let rows32: Vec<Vec<f32>> = rows
-            .iter()
-            .map(|r| r.iter().map(|&v| v as f32).collect())
-            .collect();
-
-        // Scalar parity: widened f32 outputs == f64 outputs, bit for bit.
-        let mut scratch_out = Vec::new();
-        for (row, row32) in rows.iter().zip(&rows32) {
-            let via_f64 = h.predict(name, row).unwrap();
-            let via_f32 = h.predict_f32(name, row32).unwrap();
-            assert_eq!(via_f64.len(), via_f32.len(), "{name}: width mismatch");
-            for (a, b) in via_f64.iter().zip(&via_f32) {
-                assert_eq!(
-                    a.to_bits(),
-                    f64::from(*b).to_bits(),
-                    "{name}: f32 path diverged from f64 path"
-                );
-            }
-            // The allocation-free form appends the same bits.
-            scratch_out.clear();
-            h.predict_f32_into(name, row32, &mut scratch_out).unwrap();
-            assert_eq!(scratch_out, via_f32, "{name}: _into diverged");
-        }
-
-        // Batch parity: the flat f32 batch equals per-row f32 serving, and
-        // the f64 batch equals per-row f64 serving.
-        let flat: Vec<f32> = rows32.iter().flatten().copied().collect();
-        let batch32 = h.predict_batch_f32(name, &flat).unwrap();
-        let batch64 = h.predict_batch(name, &rows).unwrap();
-        let out_width = batch32.len() / rows.len();
-        for (i, row32) in rows32.iter().enumerate() {
-            let per_row = h.predict_f32(name, row32).unwrap();
-            assert_eq!(
-                &batch32[i * out_width..(i + 1) * out_width],
-                per_row.as_slice(),
-                "{name}: batched f32 row {i} diverged"
-            );
-            assert_eq!(
-                batch64[i],
-                h.predict(name, &rows[i]).unwrap(),
-                "{name}: batched f64 row {i} diverged"
-            );
-        }
+        assert_serving_parity(&h, name, &rows);
+        assert_serving_parity(&h, &q, &rows);
     }
 }
