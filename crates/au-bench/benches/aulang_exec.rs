@@ -5,11 +5,9 @@
 //! The interpreter leg runs with tracing on — that is the status quo the
 //! bytecode tier replaces (the paper's always-on Valgrind-style
 //! instrumentation). The `vm` leg compiles tracing out entirely (the
-//! serving tier), the `vm_traced` leg compiles in only the trace
-//! opcodes the static dependence graph cannot prune (the TR tier), and
-//! the `vm_opt` leg runs the abstract-interpretation optimizer (constant
-//! folding, branch pruning, dead-store elimination, superinstruction
-//! fusion) on top of the untraced tier.
+//! serving tier), and the `vm_traced` leg compiles in only the trace
+//! opcodes the static dependence graph cannot prune (the TR tier). Both
+//! VM legs run the compiler's only output, superinstructions fused.
 //!
 //! Run with `AU_BENCH_JSON=$PWD/BENCH_kernels.json cargo bench --bench
 //! aulang_exec` from the repo root to splice an `"aulang_exec"` section
@@ -55,16 +53,12 @@ fn bench_corpus(c: &mut Criterion) {
         let program = parse(p.src).expect("corpus parses");
         let vm_off = au_lang::compile_program(&program, TraceMode::Off);
         let vm_sel = au_lang::compile_program(&program, TraceMode::Selective);
-        let vm_opt = au_lang::compile_program_opt(&program, TraceMode::Off);
         group.bench_function(format!("{}/interp", p.name), |b| {
             b.iter(|| run_interp(&p, &program))
         });
         group.bench_function(format!("{}/vm", p.name), |b| b.iter(|| run_vm(&p, &vm_off)));
         group.bench_function(format!("{}/vm_traced", p.name), |b| {
             b.iter(|| run_vm(&p, &vm_sel))
-        });
-        group.bench_function(format!("{}/vm_opt", p.name), |b| {
-            b.iter(|| run_vm(&p, &vm_opt))
         });
     }
     group.finish();
@@ -97,12 +91,10 @@ fn render_section(samples: usize) -> String {
     use std::fmt::Write as _;
     let mut rows = String::new();
     let mut speedups = Vec::new();
-    let mut opt_speedups = Vec::new();
     for p in corpus::all() {
         let program = parse(p.src).expect("corpus parses");
         let vm_off = au_lang::compile_program(&program, TraceMode::Off);
         let vm_sel = au_lang::compile_program(&program, TraceMode::Selective);
-        let vm_optc = au_lang::compile_program_opt(&program, TraceMode::Off);
         let interp_s = measure(
             || {
                 black_box(run_interp(&p, &program));
@@ -121,44 +113,32 @@ fn render_section(samples: usize) -> String {
             },
             samples,
         );
-        let opt_s = measure(
-            || {
-                black_box(run_vm(&p, &vm_optc));
-            },
-            samples,
-        );
         speedups.push(interp_s / vm_s);
-        opt_speedups.push(vm_s / opt_s);
         writeln!(
             rows,
-            "    \"{}\": {{ \"interp_ns\": {:.0}, \"vm_ns\": {:.0}, \"vm_traced_ns\": {:.0}, \"vm_opt_ns\": {:.0}, \"vm_speedup\": {:.2}, \"traced_speedup\": {:.2}, \"opt_speedup\": {:.2} }},",
+            "    \"{}\": {{ \"interp_ns\": {:.0}, \"vm_ns\": {:.0}, \"vm_traced_ns\": {:.0}, \"vm_speedup\": {:.2}, \"traced_speedup\": {:.2} }},",
             p.name,
             interp_s * 1e9,
             vm_s * 1e9,
             traced_s * 1e9,
-            opt_s * 1e9,
             interp_s / vm_s,
             interp_s / traced_s,
-            vm_s / opt_s,
         )
         .expect("format");
         eprintln!(
-            "{:>10}: interp {:.1} ms, vm {:.1} ms ({:.2}x), vm_traced {:.1} ms ({:.2}x), vm_opt {:.1} ms ({:.2}x over vm)",
+            "{:>10}: interp {:.1} ms, vm {:.1} ms ({:.2}x), vm_traced {:.1} ms ({:.2}x)",
             p.name,
             interp_s * 1e3,
             vm_s * 1e3,
             interp_s / vm_s,
             traced_s * 1e3,
             interp_s / traced_s,
-            opt_s * 1e3,
-            vm_s / opt_s,
         );
     }
     let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    let opt_geomean =
-        (opt_speedups.iter().map(|s| s.ln()).sum::<f64>() / opt_speedups.len() as f64).exp();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
-        "{{\n{rows}    \"vm_speedup_geomean\": {geomean:.2},\n    \"vm_opt_speedup_geomean\": {opt_geomean:.2},\n    \"note\": \"Median seconds per full run of the nine paper programs; interp is the traced tree-walking interpreter (the status quo), vm the untraced bytecode tier, vm_traced the selectively traced tier, vm_opt the abstract-interpretation-optimized untraced tier (opt_speedup is vm/vm_opt). Single-core container.\"\n  }}"
+        "{{\n{rows}    \"vm_speedup_geomean\": {geomean:.2},\n    \"available_parallelism\": {cores},\n    \"note\": \"Median seconds per full run of the nine paper programs; interp is the traced tree-walking interpreter (the status quo), vm the untraced bytecode tier, vm_traced the selectively traced tier. Both VM tiers run fused superinstructions.\"\n  }}"
     )
 }
 

@@ -144,18 +144,14 @@ fn main() {
 
     {
         // AuLang execution tiers on the canny corpus program: traced
-        // interpreter (status quo), untraced bytecode VM, selectively
-        // traced bytecode VM, and the abstract-interpretation-optimized
-        // untraced VM. Whole-program medians, like the aulang_exec
+        // interpreter (status quo), untraced bytecode VM, and selectively
+        // traced bytecode VM. Whole-program medians, like the aulang_exec
         // Criterion bench but sized for the history gate.
-        use au_lang::{
-            compile_program, compile_program_opt, corpus, parse, Interpreter, TraceMode, Vm,
-        };
+        use au_lang::{compile_program, corpus, parse, Interpreter, TraceMode, Vm};
         let p = corpus::all()[0];
         let program = parse(p.src).expect("corpus parses");
         let vm_off = compile_program(&program, TraceMode::Off);
         let vm_sel = compile_program(&program, TraceMode::Selective);
-        let vm_opt = compile_program_opt(&program, TraceMode::Off);
         benches.insert(
             "aulang_interp".to_owned(),
             median_ns(samples, 1, || {
@@ -183,21 +179,11 @@ fn main() {
                 let _ = black_box(vm.run());
             }),
         );
-        benches.insert(
-            "aulang_vm_opt".to_owned(),
-            median_ns(samples, 1, || {
-                au_nn::set_init_seed(p.nn_seed);
-                let mut vm = Vm::from_compiled(vm_opt.clone());
-                vm.set_seed(7);
-                let _ = black_box(vm.run());
-            }),
-        );
     }
 
     {
-        // The abstract interpreter that `compile_program_opt`, the
-        // AU011-AU015 lints and the tightened StaticFilter all run first:
-        // one sample analyzes all nine parsed corpus programs.
+        // The abstract interpreter behind the AU011-AU015 lints: one
+        // sample analyzes all nine parsed corpus programs.
         use au_lang::{absint, corpus, parse};
         let programs: Vec<_> = corpus::all()
             .iter()

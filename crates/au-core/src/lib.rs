@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 #[macro_use]
+#[path = "../../au-telemetry/shim.rs"]
 mod telem;
 
 mod engine;

@@ -1,14 +1,11 @@
 //! Interprocedural abstract interpretation over the AuLang AST.
 //!
-//! This module powers three consumers from one analysis:
-//!
-//! 1. the bytecode **optimizer** in `compile.rs` (constant folding, branch
-//!    pruning, dead-store elimination, trace-opcode elision),
-//! 2. the **AU011–AU015 lint family** in `au-lint` (dead extracted
-//!    variables, constant features, unreachable checkpoints, possible
-//!    division by zero, loop-invariant instrumentation), and
-//! 3. the tightened **`StaticFilter`** in `au-trace` (constant-valued
-//!    extraction candidates carry no signal and are pruned).
+//! This module powers the **AU011–AU015 lint family** in `au-lint` (dead
+//! extracted variables, constant features, unreachable checkpoints,
+//! possible division by zero, loop-invariant instrumentation). No
+//! execution or extraction path runs it: the compiler, the VM and the
+//! static pre-pruning filter never consult its facts.
+//! `tests/absint_facts.rs` pins every fact it exports.
 //!
 //! The engine is a flow- and branch-sensitive abstract interpreter with
 //! three cooperating value domains — intervals with an explicit may-be-NaN
@@ -23,8 +20,8 @@
 //!
 //! # Cost
 //!
-//! The analysis runs before every optimized compile, so its hot paths
-//! avoid allocation. An environment is one vector of bindings sorted by
+//! The analysis runs on every lint pass, so its hot paths avoid
+//! allocation. An environment is one vector of bindings sorted by
 //! `(scope, name)` — each scope is a sorted run — whose names borrow from
 //! the AST, so declaring, cloning and merging never allocate a `String`
 //! and equality and iteration order are those of a stack of sorted maps.
@@ -50,13 +47,13 @@
 //! claim*: a span in `folds` evaluates to exactly that value on **every**
 //! concrete execution that reaches it, a span in `totals` is pure and
 //! cannot error, a span in `unreachable` is never executed, and a name in
-//! `constants` only ever holds that one number. The optimizer and the
-//! differential test suite lean on these claims, so the transfer functions
-//! here deliberately mirror `interp.rs` (the semantic oracle) — including
-//! NaN propagation, `-0.0`/`+0.0` distinction, short-circuit evaluation
-//! order, and the arity-check-before-argument-evaluation order of the
-//! builtins. When the analysis runs out of fuel it sets `complete = false`
-//! and all semantic fact sets are emptied rather than left partial.
+//! `constants` only ever holds that one number. The lints lean on these
+//! claims, so the transfer functions here deliberately mirror `interp.rs`
+//! (the semantic oracle) — including NaN propagation, `-0.0`/`+0.0`
+//! distinction, short-circuit evaluation order, and the
+//! arity-check-before-argument-evaluation order of the builtins. When the
+//! analysis runs out of fuel it sets `complete = false` and all semantic
+//! fact sets are emptied rather than left partial.
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
 use std::cmp::Ordering;

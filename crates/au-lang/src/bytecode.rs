@@ -112,7 +112,7 @@ pub(crate) enum Op {
     StoreIndexUndef { name: u32, trace: TraceKind },
     /// Pop rhs then lhs, push the non-short-circuit binary result.
     Bin(BinOp),
-    /// Fused `Load(a); Load(b); Bin(op)` emitted by the optimizer's
+    /// Fused `Load(a); Load(b); Bin(op)` emitted by the compiler's
     /// peephole pass. Pushes one result (and, when traced, one dep set
     /// holding both slot names) — identical observable behavior to the
     /// unfused sequence.
@@ -241,27 +241,6 @@ pub(crate) struct FuncInfo {
     pub slot_names: Vec<u32>,
 }
 
-/// What the abstract-interpretation optimizer did to a program.
-///
-/// All counters are zero for programs compiled without optimization
-/// ([`crate::compile::compile_program`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptStats {
-    /// Expressions replaced by their statically-computed constant value.
-    pub folded: usize,
-    /// `if`/`while` branches pruned because the condition is provably
-    /// constant.
-    pub pruned_branches: usize,
-    /// Dead stores whose right-hand side was elided (untraced mode only).
-    pub dead_stores: usize,
-    /// Instruction sequences fused into superinstructions by the
-    /// bytecode peephole pass.
-    pub fused: usize,
-    /// Selective-mode trace opcodes elided because the variable is
-    /// provably constant (constant features are dead weight in θ).
-    pub trace_elided: usize,
-}
-
 /// A lowered AuLang program, ready for the VM.
 ///
 /// Produced by [`crate::compile::compile_program`]; executed by
@@ -286,8 +265,6 @@ pub struct CompiledProgram {
     /// Per-name relevance under the static filter (all `true` outside
     /// Selective mode). Indexed by name id.
     pub(crate) relevant: Vec<bool>,
-    /// What the optimizer did (all zeros when compiled unoptimized).
-    pub(crate) opt_stats: OptStats,
 }
 
 impl CompiledProgram {
@@ -307,13 +284,6 @@ impl CompiledProgram {
     /// computed names in `input` / `mark_input` / `mark_target`.
     pub fn effective_trace_mode(&self) -> TraceMode {
         self.effective
-    }
-
-    /// What the abstract-interpretation optimizer did to this program.
-    /// All zeros when compiled via
-    /// [`crate::compile::compile_program`].
-    pub fn opt_stats(&self) -> OptStats {
-        self.opt_stats
     }
 
     /// How many trace opcodes (`TraceAssign` / `NoteUses` /

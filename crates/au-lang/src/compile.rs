@@ -15,58 +15,41 @@
 //! defeat the static analysis (computed `input` / `mark_input` /
 //! `mark_target` names) fall back to [`TraceMode::Full`] so dynamic
 //! extraction never silently loses facts.
+//!
+//! Every compile, in every trace mode, ends with a peephole pass that
+//! fuses `Load`/`Const`/`Bin` windows into superinstructions. A fused op
+//! behaves exactly like the sequence it replaces, trace deps included.
 
-use crate::absint::{self, Analysis, Folded};
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind};
-use crate::bytecode::{CompiledProgram, FuncInfo, MathFn, Op, OptStats, TraceKind, TraceMode};
+use crate::bytecode::{CompiledProgram, FuncInfo, MathFn, Op, TraceKind, TraceMode};
 use crate::static_analysis;
 use crate::value::Value;
 use au_trace::StaticFilter;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Compiles `program` under the requested trace mode.
 ///
 /// Compilation is infallible: statically detectable runtime errors
 /// (undefined variables, unknown functions, arity mismatches) compile to
 /// `Fail` opcodes that reproduce the interpreter's error message at the
-/// same execution point, preserving lazy error semantics.
+/// same execution point, preserving lazy error semantics. In every trace
+/// mode the result has its `Load`/`Const`/`Bin` windows fused into
+/// superinstructions.
 pub fn compile_program(program: &Program, requested: TraceMode) -> CompiledProgram {
     let _t = t_time!("au_lang.vm.compile");
-    compile_impl(program, requested, None)
-}
-
-/// Compiles `program` with the abstract-interpretation optimizer enabled.
-///
-/// Runs [`absint::analyze`] over the program and uses the proven facts
-/// for constant folding, branch pruning on provably-constant conditions,
-/// dead-store elision (untraced mode only), Selective-mode trace-opcode
-/// elision for provably-constant variables, and a bytecode peephole pass
-/// that fuses `Load`/`Const`/`Bin` sequences into superinstructions. The
-/// optimized program is observably identical to the unoptimized one:
-/// same result, output, step count, π effects, and (in `Full` mode) the
-/// same recorded dependence facts.
-pub fn compile_program_opt(program: &Program, requested: TraceMode) -> CompiledProgram {
-    let _t = t_time!("au_lang.vm.compile_opt");
-    let analysis = absint::analyze(program);
-    let (optimized, stats) = optimize_ast(program, &analysis, requested);
-    let opt = OptInfo {
-        constants: analysis.constants.keys().cloned().collect(),
-    };
-    let mut compiled = compile_impl(&optimized, requested, Some(&opt));
-    compiled.opt_stats.folded = stats.folded;
-    compiled.opt_stats.pruned_branches = stats.pruned_branches;
-    compiled.opt_stats.dead_stores = stats.dead_stores;
-    compiled.opt_stats.fused = fuse_superinstructions(&mut compiled);
+    let mut compiled = compile_impl(program, requested);
+    fuse_superinstructions(&mut compiled);
     compiled
 }
 
-/// Optimizer inputs threaded through [`compile_impl`].
-struct OptInfo {
-    /// Variables `absint` proved constant (Selective trace elision).
-    constants: HashSet<String>,
+/// The same as [`compile_program`]. Kept only because the `bench-e2e`
+/// benchmark binary calls it; delete it with the next change to that
+/// benchmark.
+pub fn compile_program_opt(program: &Program, requested: TraceMode) -> CompiledProgram {
+    compile_program(program, requested)
 }
 
-fn compile_impl(program: &Program, requested: TraceMode, opt: Option<&OptInfo>) -> CompiledProgram {
+fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
     let effective = match requested {
         TraceMode::Selective if selective_defeated(program) => TraceMode::Full,
         mode => mode,
@@ -84,8 +67,6 @@ fn compile_impl(program: &Program, requested: TraceMode, opt: Option<&OptInfo>) 
                 targets,
                 summaries: static_analysis::return_summaries(program),
                 memo: HashMap::new(),
-                constants: opt.map(|o| o.constants.clone()).unwrap_or_default(),
-                elided: 0,
             })
         }
         _ => None,
@@ -93,7 +74,6 @@ fn compile_impl(program: &Program, requested: TraceMode, opt: Option<&OptInfo>) 
     let mut c = Compiler {
         program,
         mode: effective,
-        optimize: opt.is_some(),
         selective,
         ops: Vec::new(),
         consts: Vec::new(),
@@ -143,7 +123,6 @@ fn compile_impl(program: &Program, requested: TraceMode, opt: Option<&OptInfo>) 
             })
             .collect()
     };
-    let trace_elided = c.selective.as_ref().map_or(0, |s| s.elided);
     CompiledProgram {
         ops: c.ops,
         consts: c.consts,
@@ -155,203 +134,6 @@ fn compile_impl(program: &Program, requested: TraceMode, opt: Option<&OptInfo>) 
         requested,
         effective,
         relevant,
-        opt_stats: OptStats {
-            trace_elided,
-            ..OptStats::default()
-        },
-    }
-}
-
-// ---------------------------------------------------------------------
-// The abstract-interpretation optimizer
-// ---------------------------------------------------------------------
-
-/// Rewrites `program` using facts proven by [`absint::analyze`].
-///
-/// Three transformations, each preserving observable behavior (result,
-/// output, per-statement `Step` count, π effects, and — in traced modes —
-/// the recorded dependence facts):
-///
-/// - **Constant folding**: an expression whose span `absint` proved pure,
-///   error-free, and single-valued is replaced by its literal value. In
-///   traced modes only variable-free subtrees fold (folding a `Var` away
-///   would shrink a recorded dep set); subtrees containing user-function
-///   calls never fold (each callee statement bumps the step counter).
-/// - **Branch condition pruning**: `if`/`while` conditions that fold to a
-///   boolean literal are rewritten; [`Compiler::compile_stmt`] then emits
-///   only the taken branch. Statement-level `Step`s are preserved, and a
-///   literal condition contributes no deps, so no trace event changes.
-/// - **Dead-store elision** (untraced mode only): the right-hand side of
-///   a store `absint`'s liveness pass proved dead is replaced by `0`,
-///   provided the RHS is total (pure + error-free) and user-call-free.
-///   Traced modes keep dead stores intact — their `TraceAssign` values
-///   are observable in the analysis database.
-fn optimize_ast(program: &Program, analysis: &Analysis, mode: TraceMode) -> (Program, OptStats) {
-    let off = mode == TraceMode::Off;
-    let dead: HashSet<(usize, usize)> = if off {
-        analysis
-            .dead_stores
-            .iter()
-            .filter(|d| {
-                analysis
-                    .totals
-                    .contains(&(d.value_span.start, d.value_span.end))
-            })
-            .map(|d| (d.span.start, d.span.end))
-            .collect()
-    } else {
-        HashSet::new()
-    };
-    let mut opt = AstOpt {
-        program,
-        analysis,
-        off,
-        dead,
-        stats: OptStats::default(),
-    };
-    let mut rewritten = program.clone();
-    for f in &mut rewritten.functions {
-        opt.block(&mut f.body);
-    }
-    (rewritten, opt.stats)
-}
-
-/// AST-rewriting state for [`optimize_ast`].
-struct AstOpt<'a> {
-    program: &'a Program,
-    analysis: &'a Analysis,
-    /// Compiling untraced (`TraceMode::Off`)?
-    off: bool,
-    /// Statement spans of elidable dead stores (empty in traced modes).
-    dead: HashSet<(usize, usize)>,
-    stats: OptStats,
-}
-
-impl AstOpt<'_> {
-    /// Mirrors the compiler's call dispatch: user functions shadow
-    /// builtins, `au_*` names never resolve to user functions.
-    fn is_user_call(&self, name: &str) -> bool {
-        !name.starts_with("au_") && self.program.function(name).is_some()
-    }
-
-    /// Does the subtree call a user-defined function? (Each statement of
-    /// a callee bumps the step counter, so such subtrees never fold.)
-    fn has_user_call(&self, e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) | ExprKind::Var(_) => false,
-            ExprKind::Array(items) => items.iter().any(|i| self.has_user_call(i)),
-            ExprKind::Index(a, b) => self.has_user_call(a) || self.has_user_call(b),
-            ExprKind::Unary { expr, .. } => self.has_user_call(expr),
-            ExprKind::Binary { lhs, rhs, .. } => self.has_user_call(lhs) || self.has_user_call(rhs),
-            ExprKind::Call { name, args } => {
-                self.is_user_call(name) || args.iter().any(|a| self.has_user_call(a))
-            }
-        }
-    }
-
-    /// Does the subtree read any variable? (In traced modes a `Load`
-    /// pushes the variable onto the dep stack; folding it away would
-    /// shrink recorded dep sets.)
-    fn has_var(e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Var(_) => true,
-            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) => false,
-            ExprKind::Array(items) => items.iter().any(Self::has_var),
-            ExprKind::Index(a, b) => Self::has_var(a) || Self::has_var(b),
-            ExprKind::Unary { expr, .. } => Self::has_var(expr),
-            ExprKind::Binary { lhs, rhs, .. } => Self::has_var(lhs) || Self::has_var(rhs),
-            ExprKind::Call { args, .. } => args.iter().any(Self::has_var),
-        }
-    }
-
-    /// The literal this expression may legally be replaced with, if any.
-    fn foldable(&self, e: &Expr) -> Option<Folded> {
-        let f = *self.analysis.folds.get(&(e.span.start, e.span.end))?;
-        if self.has_user_call(e) {
-            return None;
-        }
-        if !self.off && Self::has_var(e) {
-            return None;
-        }
-        Some(f)
-    }
-
-    fn expr(&mut self, e: &mut Expr) {
-        if let Some(f) = self.foldable(e) {
-            e.kind = match f {
-                Folded::Num(n) => ExprKind::Num(n),
-                Folded::Bool(b) => ExprKind::Bool(b),
-            };
-            self.stats.folded += 1;
-            return;
-        }
-        match &mut e.kind {
-            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) | ExprKind::Var(_) => {}
-            ExprKind::Array(items) => {
-                for item in items {
-                    self.expr(item);
-                }
-            }
-            ExprKind::Index(a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Unary { expr, .. } => self.expr(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            ExprKind::Call { args, .. } => {
-                for arg in args {
-                    self.expr(arg);
-                }
-            }
-        }
-    }
-
-    fn block(&mut self, stmts: &mut [Stmt]) {
-        for s in stmts {
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, s: &mut Stmt) {
-        let span = (s.span.start, s.span.end);
-        match &mut s.kind {
-            StmtKind::Let { init: value, .. } | StmtKind::Assign { value, .. } => {
-                if self.off && self.dead.contains(&span) && !self.has_user_call(value) {
-                    value.kind = ExprKind::Num(0.0);
-                    self.stats.dead_stores += 1;
-                } else {
-                    self.expr(value);
-                }
-            }
-            StmtKind::AssignIndex { index, value, .. } => {
-                self.expr(index);
-                self.expr(value);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.expr(cond);
-                if matches!(cond.kind, ExprKind::Bool(_)) {
-                    self.stats.pruned_branches += 1;
-                }
-                self.block(then_body);
-                self.block(else_body);
-            }
-            StmtKind::While { cond, body } => {
-                self.expr(cond);
-                if matches!(cond.kind, ExprKind::Bool(_)) {
-                    self.stats.pruned_branches += 1;
-                }
-                self.block(body);
-            }
-            StmtKind::Return(Some(e)) | StmtKind::Expr(e) => self.expr(e),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        }
     }
 }
 
@@ -362,9 +144,8 @@ impl AstOpt<'_> {
 /// (static targets: `Jump` / `BranchFalse` / `ShortCircuit` destinations
 /// and function entries — `Call` return addresses are computed at
 /// runtime in the rewritten index space, so they need no barrier). All
-/// jump fields and function entries are remapped afterwards. Returns the
-/// number of windows fused.
-fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
+/// jump fields and function entries are remapped afterwards.
+fn fuse_superinstructions(prog: &mut CompiledProgram) {
     let n = prog.ops.len();
     let mut is_target = vec![false; n + 1];
     for op in &prog.ops {
@@ -380,7 +161,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
     }
     let mut out: Vec<Op> = Vec::with_capacity(n);
     let mut map = vec![0u32; n + 1];
-    let mut fused = 0usize;
     let mut i = 0usize;
     while i < n {
         let at = out.len() as u32;
@@ -392,7 +172,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
                 map[i + 1] = at;
                 map[i + 2] = at;
                 out.push(Op::LoadLoadBin { a, b, op });
-                fused += 1;
                 i += 3;
                 continue;
             }
@@ -403,7 +182,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
                 map[i + 1] = at;
                 map[i + 2] = at;
                 out.push(Op::LoadConstBin { slot, cidx, op });
-                fused += 1;
                 i += 3;
                 continue;
             }
@@ -413,7 +191,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
                 map[i] = at;
                 map[i + 1] = at;
                 out.push(Op::ConstBin { cidx, op });
-                fused += 1;
                 i += 2;
                 continue;
             }
@@ -435,7 +212,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) -> usize {
         f.entry = map[f.entry as usize];
     }
     prog.ops = out;
-    fused
 }
 
 /// True when the program uses a computed (non-literal) name in `input`,
@@ -493,42 +269,25 @@ struct SelectiveCtx {
     targets: Vec<String>,
     summaries: BTreeMap<String, BTreeSet<String>>,
     memo: HashMap<String, bool>,
-    /// Variables `absint` proved constant (optimized compiles only):
-    /// constant features are dead weight in θ, so their trace sites are
-    /// elided even when the dependence graph cannot rule them out.
-    constants: HashSet<String>,
-    /// Count of constant variables whose instrumentation was elided.
-    elided: usize,
 }
 
 impl SelectiveCtx {
     /// A name is relevant unless the filter proves it unrelated to *every*
-    /// prediction target (unknown names are conservatively relevant), or
-    /// the optimizer proved it constant.
+    /// prediction target (unknown names are conservatively relevant).
     fn is_relevant(&mut self, name: &str) -> bool {
         if let Some(&v) = self.memo.get(name) {
             return v;
         }
-        let related = self
+        let v = self
             .targets
             .iter()
             .any(|t| !self.filter.proves_unrelated(name, t));
-        let v = related && !self.constants.contains(name);
-        if related && !v {
-            self.elided += 1;
-        }
         self.memo.insert(name.to_owned(), v);
         v
     }
 
     fn any_relevant(&mut self, names: &BTreeSet<String>) -> bool {
-        let mut any = false;
-        for n in names {
-            if self.is_relevant(n) {
-                any = true;
-            }
-        }
-        any
+        names.iter().any(|n| self.is_relevant(n))
     }
 }
 
@@ -579,10 +338,6 @@ impl FnCtx {
 struct Compiler<'p> {
     program: &'p Program,
     mode: TraceMode,
-    /// Optimized compile: branch-prune statements whose condition is a
-    /// boolean literal (the AST optimizer has already proven/folded
-    /// constant conditions down to literals).
-    optimize: bool,
     selective: Option<SelectiveCtx>,
     ops: Vec<Op>,
     consts: Vec<Value>,
@@ -829,16 +584,6 @@ impl<'p> Compiler<'p> {
                 then_body,
                 else_body,
             } => {
-                // Optimized compile: a literal condition contributes no
-                // deps and cannot fail the boolean check, so only the
-                // taken branch is emitted (the statement `Step` above is
-                // preserved, matching the interpreter's step count).
-                if self.optimize {
-                    if let ExprKind::Bool(b) = cond.kind {
-                        self.compile_block(if b { then_body } else { else_body }, ctx);
-                        return;
-                    }
-                }
                 self.compile_expr(cond, ctx);
                 self.emit_cond_note(cond);
                 let msg = self.msg_id("if condition must be boolean");
@@ -850,28 +595,6 @@ impl<'p> Compiler<'p> {
                 self.patch(j);
             }
             StmtKind::While { cond, body } => {
-                if self.optimize {
-                    if let ExprKind::Bool(b) = cond.kind {
-                        if !b {
-                            return; // never entered: the Step alone
-                        }
-                        // `while (true)`: no condition re-evaluation.
-                        // `continue` jumps to the body start; `break`
-                        // still patches past the loop.
-                        let start = self.here();
-                        ctx.loops.push(LoopCtx {
-                            start,
-                            breaks: Vec::new(),
-                        });
-                        self.compile_block(body, ctx);
-                        self.emit(Op::Jump(start));
-                        let done = ctx.loops.pop().expect("loop ctx");
-                        for b in done.breaks {
-                            self.patch(b);
-                        }
-                        return;
-                    }
-                }
                 let start = self.here();
                 self.compile_expr(cond, ctx);
                 self.emit_cond_note(cond);
@@ -1227,4 +950,30 @@ fn is_write_back_call(rhs: &Expr) -> bool {
         ExprKind::Call { name, .. }
             if name == "au_write_back" || name == "au_write_back_n" || name == "au_nn_rl"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{corpus, parse};
+
+    #[test]
+    fn fusion_fires_on_every_corpus_program_in_every_mode() {
+        for p in corpus::all() {
+            let program = parse(p.src).expect("corpus parses");
+            for mode in [TraceMode::Off, TraceMode::Full, TraceMode::Selective] {
+                let fused = compile_program(&program, mode)
+                    .ops
+                    .iter()
+                    .filter(|op| {
+                        matches!(
+                            op,
+                            Op::LoadLoadBin { .. } | Op::LoadConstBin { .. } | Op::ConstBin { .. }
+                        )
+                    })
+                    .count();
+                assert!(fused > 0, "[{} {mode:?}] nothing fused", p.name);
+            }
+        }
+    }
 }

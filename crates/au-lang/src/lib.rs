@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 #[macro_use]
+#[path = "../../au-telemetry/shim.rs"]
 mod telem;
 
 pub mod absint;
@@ -61,7 +62,7 @@ mod value;
 mod vm;
 
 pub use ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
-pub use bytecode::{CompiledProgram, OptStats, TraceMode};
+pub use bytecode::{CompiledProgram, TraceMode};
 pub use compile::{compile_program, compile_program_opt};
 pub use interp::{Interpreter, RunStats};
 pub use lexer::{Lexer, Token, TokenKind};

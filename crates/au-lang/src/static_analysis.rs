@@ -46,23 +46,6 @@ pub fn analyze(program: &Program) -> AnalysisDb {
     db
 }
 
-/// The ingredients of the *tightened* pre-pruning filter: the static
-/// dependence over-approximation plus the set of variables
-/// [`crate::absint`] proves constant on every execution. Feed both to
-/// `au_trace::StaticFilter::with_constants` — the filter then discards
-/// candidates that are either provably unrelated to every target *or*
-/// provably constant (zero-variance features that Algorithm 2's ε₂ pass
-/// would reject dynamically anyway), while staying selection-identical
-/// to the untightened full-database oracle.
-pub fn analyze_tightened(program: &Program) -> (AnalysisDb, BTreeSet<String>) {
-    let db = analyze(program);
-    let constants = crate::absint::analyze(program)
-        .constants
-        .into_keys()
-        .collect();
-    (db, constants)
-}
-
 /// Per-function *return-dependence summaries*: for every function, the set
 /// of variable names the dynamic tracer could report as the dependences of
 /// a call's result. The summary must cover nested calls — `fn f(p) {
@@ -467,27 +450,6 @@ mod tests {
         let db = analyze(&program);
         assert!(db.inputs().contains(&db.id("sensor").unwrap()));
         assert!(db.targets().contains(&db.id("decision").unwrap()));
-    }
-
-    #[test]
-    fn tightened_analysis_pairs_the_graph_with_proven_constants() {
-        let src = r#"
-            fn main() {
-                let x = input("x", 1);
-                let k = 5;
-                au_extract("F", [x, k]);
-                au_extract("Y", x * 2);
-                let t = 0;
-                t = au_write_back("Y");
-                return t;
-            }
-        "#;
-        let program = parse(src).unwrap();
-        let (db, constants) = analyze_tightened(&program);
-        assert!(db.id("x").is_some(), "graph side is the plain analysis");
-        assert!(constants.contains("k"), "k is provably 5");
-        assert!(!constants.contains("x"), "inputs are never constant");
-        assert!(!constants.contains("t"), "write-back targets vary");
     }
 
     #[test]

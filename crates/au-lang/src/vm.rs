@@ -65,8 +65,8 @@ fn take_str(v: Value) -> String {
 }
 
 /// The non-short-circuit binary operation, shared between `Op::Bin` and
-/// the fused superinstructions — one implementation so optimized and
-/// unoptimized programs agree bit-for-bit (including error messages and
+/// the fused superinstructions — one implementation so a fused op and the
+/// sequence it replaces agree bit-for-bit (including error messages and
 /// the left-before-right type-check order).
 fn bin_value(bin: BinOp, l: Value, r: Value) -> Result<Value, LangError> {
     Ok(match bin {
@@ -231,20 +231,6 @@ impl Vm {
     /// Returns lex/parse errors.
     pub fn compile(src: &str, mode: TraceMode) -> Result<Self, LangError> {
         Ok(Vm::with_program(&parse(src)?, mode))
-    }
-
-    /// Parses `src` and compiles it under `mode` with the
-    /// abstract-interpretation optimizer
-    /// ([`compile_program_opt`](crate::compile_program_opt)) enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns lex/parse errors.
-    pub fn compile_opt(src: &str, mode: TraceMode) -> Result<Self, LangError> {
-        Ok(Vm::from_compiled(crate::compile::compile_program_opt(
-            &parse(src)?,
-            mode,
-        )))
     }
 
     /// Compiles an already parsed program under `mode`.

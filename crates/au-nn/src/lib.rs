@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 #[macro_use]
+#[path = "../../au-telemetry/shim.rs"]
 mod telem;
 
 mod activation;

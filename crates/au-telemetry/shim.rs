@@ -5,6 +5,19 @@
 //! off every macro expands to nothing (argument expressions stay
 //! type-checked inside `if false` but are never evaluated), keeping the
 //! recorder entirely out of the hot path.
+//!
+//! This file is not part of the `au-telemetry` crate. Each instrumented
+//! crate (`au-core`, `au-nn`, `au-trace`, `au-lang`) includes it as its
+//! own module:
+//!
+//! ```ignore
+//! #[macro_use]
+//! #[path = "../../au-telemetry/shim.rs"]
+//! mod telem;
+//! ```
+//!
+//! so `cfg(feature = "telemetry")` below is that crate's feature, and a
+//! build with the feature off never links `au-telemetry`.
 
 // Not every crate uses every shim; keep the set uniform.
 #![allow(unused_macros)]

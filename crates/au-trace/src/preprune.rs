@@ -69,12 +69,6 @@ pub struct StaticFilter {
 struct FilterCore {
     index: BTreeMap<String, VarId>,
     deps: BTreeMap<VarId, BTreeSet<VarId>>,
-    /// Variables an abstract interpretation proved single-valued on every
-    /// execution (e.g. `au_lang::absint::analyze`'s `constants`). A
-    /// constant candidate carries zero information for θ — its recorded
-    /// trace has zero variance, so Algorithm 2's ε₂ pass always discards
-    /// it — and is dropped before the dynamic walk.
-    constants: BTreeSet<String>,
 }
 
 impl StaticFilter {
@@ -82,19 +76,6 @@ impl StaticFilter {
     /// once, so each candidate test is two map lookups and a set
     /// intersection.
     pub fn new(static_db: &AnalysisDb) -> Self {
-        Self::with_constants(static_db, std::iter::empty::<String>())
-    }
-
-    /// Like [`StaticFilter::new`], additionally treating every name in
-    /// `constants` as provably unrelated to all targets (the
-    /// absint-tightened filter). Callers supply names a sound analysis
-    /// proved constant-valued on every execution; the repo's differential
-    /// suite asserts selection identity against the full-db oracle across
-    /// the nine corpus programs.
-    pub fn with_constants(
-        static_db: &AnalysisDb,
-        constants: impl IntoIterator<Item = impl Into<String>>,
-    ) -> Self {
         let mut index = BTreeMap::new();
         let mut deps = BTreeMap::new();
         for v in static_db.all_vars() {
@@ -102,29 +83,14 @@ impl StaticFilter {
             deps.insert(v, static_db.dependents(v));
         }
         StaticFilter {
-            core: std::sync::Arc::new(FilterCore {
-                index,
-                deps,
-                constants: constants.into_iter().map(Into::into).collect(),
-            }),
+            core: std::sync::Arc::new(FilterCore { index, deps }),
         }
     }
 
-    /// True when `name` was supplied to
-    /// [`with_constants`](StaticFilter::with_constants): the candidate is
-    /// provably single-valued on every execution.
-    pub fn proves_constant(&self, name: &str) -> bool {
-        self.core.constants.contains(name)
-    }
-
-    /// True when the static graph *proves* `w` and `v` share no dependent,
-    /// or `w` is a proven constant (zero-information candidate). Unknown
-    /// names prove nothing (rule 2): the candidate is kept.
+    /// True when the static graph *proves* `w` and `v` share no dependent.
+    /// Unknown names prove nothing (rule 2): the candidate is kept.
     pub fn proves_unrelated(&self, w: &str, v: &str) -> bool {
         let core = &*self.core;
-        if core.constants.contains(w) {
-            return true;
-        }
         match (core.index.get(w), core.index.get(v)) {
             (Some(wi), Some(vi)) => {
                 wi != vi
@@ -409,54 +375,5 @@ mod tests {
     #[test]
     fn stats_reduction_is_safe_on_empty() {
         assert_eq!(PrepruneStats::default().reduction(), 0.0);
-    }
-
-    #[test]
-    fn constant_candidates_are_dropped_by_the_tightened_filter() {
-        let db = canny_db();
-        let plain = StaticFilter::new(&db);
-        let tight = StaticFilter::with_constants(&db, ["sImg"]);
-        // The plain filter keeps sImg (it shares `result` with lo)...
-        assert!(!plain.proves_unrelated("sImg", "lo"));
-        assert!(!plain.proves_constant("sImg"));
-        // ...the tightened one drops it as a zero-information candidate.
-        assert!(tight.proves_constant("sImg"));
-        assert!(tight.proves_unrelated("sImg", "lo"));
-        // Constancy applies to the candidate side only: targets are
-        // model-written and never constant, so `v` is not consulted.
-        assert!(!tight.proves_unrelated("lo", "hist"));
-        // Unrelated non-constants behave exactly as before.
-        assert!(tight.proves_unrelated("noise", "lo"));
-        assert!(!tight.proves_unrelated("image", "lo"));
-    }
-
-    #[test]
-    fn rl_with_tightened_filter_keeps_selected_sets() {
-        // `lives` is constant (value 3.0 every frame): ε₂ discards it in
-        // the unpruned pipeline, the tightened filter discards it up
-        // front — the selected sets must agree.
-        let mut db = AnalysisDb::new();
-        for i in 0..20 {
-            let t = i as f64;
-            db.record_assign("playerX", &["playerX", "speed"], Some(t * 2.0), "update");
-            db.record_assign("lives", &["lives"], Some(3.0), "update");
-            db.record_assign("speed", &["right"], Some((t * 0.5).sin()), "update");
-            db.record_assign("score", &["playerX", "speed", "lives"], Some(t), "update");
-        }
-        db.mark_target("right");
-        let params = RlParams::default();
-        let tight = StaticFilter::with_constants(&db, ["lives"]);
-        let (pruned, stats) = extract_rl_pruned(&db, &tight, params);
-        let full = extract_rl_detailed(&db, params);
-        let right = db.id("right").unwrap();
-        assert_eq!(pruned[&right].selected, full[&right].selected);
-        assert!(
-            pruned[&right]
-                .candidates
-                .iter()
-                .all(|&w| db.name(w) != "lives"),
-            "constant candidate must not reach the ε passes"
-        );
-        assert!(stats.pruned >= 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The AuLang command-line runner.
 //!
 //! ```text
-//! aulang run <file.au> [--engine interp|vm|vm-traced] [--opt] [--preflight] [--input name=value]... [--seed N] [--no-trace]
+//! aulang run <file.au> [--engine interp|vm|vm-traced] [--preflight] [--input name=value]... [--seed N] [--no-trace]
 //! aulang check <file.au> [--deny warnings] [--format json]
 //! aulang dot <file.au>          # dynamic dependence graph (Graphviz)
 //! aulang static <file.au>       # static dependence graph (Graphviz)
@@ -122,7 +122,7 @@ enum CliError {
 }
 
 fn usage() -> String {
-    "usage: aulang <run|check|dot|static|fmt|features> <file.au> [--engine interp|vm|vm-traced] [--opt] [--preflight] [--deny warnings] [--format json] [--input name=value]... [--seed N] [--no-trace] [-q|--quiet] [-v|--verbose]"
+    "usage: aulang <run|check|dot|static|fmt|features> <file.au> [--engine interp|vm|vm-traced] [--preflight] [--deny warnings] [--format json] [--input name=value]... [--seed N] [--no-trace] [-q|--quiet] [-v|--verbose]"
         .to_owned()
 }
 
@@ -251,15 +251,8 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                 // (always fully traced) interpreter.
                 .unwrap_or(if command == "run" { "vm" } else { "interp" });
             let no_trace = args.iter().any(|a| a == "--no-trace");
-            let optimize = args.iter().any(|a| a == "--opt");
             let mut exec = match engine {
                 "interp" => {
-                    if optimize {
-                        return Err(CliError::Usage(
-                            "--opt applies to the bytecode VM (use --engine vm or vm-traced)"
-                                .to_owned(),
-                        ));
-                    }
                     let mut interp = Interpreter::compile(&source).map_err(bad_source)?;
                     interp.set_tracing(!no_trace);
                     Exec::Interp(Box::new(interp))
@@ -278,11 +271,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     } else {
                         TraceMode::Off
                     };
-                    let vm = if optimize {
-                        Vm::compile_opt(&source, mode).map_err(bad_source)?
-                    } else {
-                        Vm::compile(&source, mode).map_err(bad_source)?
-                    };
+                    let vm = Vm::compile(&source, mode).map_err(bad_source)?;
                     diag(
                         DEBUG,
                         verbosity,
@@ -294,17 +283,6 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                             vm.effective_trace_mode()
                         ),
                     );
-                    if optimize {
-                        let s = vm.compiled().opt_stats();
-                        diag(
-                            DEBUG,
-                            verbosity,
-                            &format!(
-                                "optimizer: {} folded, {} branches pruned, {} dead stores, {} fused, {} trace ops elided",
-                                s.folded, s.pruned_branches, s.dead_stores, s.fused, s.trace_elided
-                            ),
-                        );
-                    }
                     Exec::Vm(Box::new(vm))
                 }
                 other => {

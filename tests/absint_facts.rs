@@ -4,10 +4,11 @@
 //! bundled examples) must match `tests/golden/absint_facts.txt` byte for
 //! byte.
 //!
-//! The optimizer, the AU011–AU015 lints and the tightened `StaticFilter`
-//! all consume these facts, so any change to the analysis — including a
-//! pure speed-up — has to leave this file untouched. After an intended
-//! change in what the analysis proves, regenerate it with
+//! The AU011–AU015 lints consume these facts, and this golden is the only
+//! reader of the `folds` and `totals` no lint uses, so any change to the
+//! analysis — including a pure speed-up — has to leave this file
+//! untouched. After an intended change in what the analysis proves,
+//! regenerate it with
 //!
 //! ```text
 //! AU_BLESS=1 cargo test --test absint_facts

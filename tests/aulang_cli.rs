@@ -1,8 +1,7 @@
 //! End-to-end pinning of the `aulang` binary's exit-code contract:
 //! `0` success, `1` the program was understood but failed (denied lint
 //! findings, runtime errors), `2` the invocation or source could not be
-//! processed (usage, unreadable file, parse error). Also pins that
-//! `run --opt` is observably identical to a plain `run`.
+//! processed (usage, unreadable file, parse error).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -76,33 +75,4 @@ fn runtime_errors_exit_one() {
     );
     assert_eq!(code(&aulang(&["run", bad.to_str().unwrap()])), 1);
     let _ = std::fs::remove_file(&bad);
-}
-
-#[test]
-fn run_opt_matches_plain_run() {
-    let example = format!(
-        "{}/examples/aulang/threshold.au",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let plain = aulang(&["run", &example, "--seed", "7"]);
-    let opt = aulang(&["run", &example, "--seed", "7", "--opt"]);
-    assert_eq!(code(&plain), 0);
-    assert_eq!(code(&opt), 0);
-    assert_eq!(
-        String::from_utf8_lossy(&plain.stdout),
-        String::from_utf8_lossy(&opt.stdout),
-        "--opt must not change observable output"
-    );
-}
-
-#[test]
-fn opt_on_the_interpreter_is_a_usage_error() {
-    let example = format!(
-        "{}/examples/aulang/threshold.au",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    assert_eq!(
-        code(&aulang(&["run", &example, "--engine", "interp", "--opt"])),
-        2
-    );
 }

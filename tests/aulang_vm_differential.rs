@@ -1,6 +1,7 @@
 //! Differential testing: the bytecode VM against the tree-walking
 //! interpreter (the reference oracle) across the nine paper programs and
-//! the lint corpus.
+//! the lint corpus. The VM runs the compiler's only output, fused
+//! superinstructions included, in every trace mode.
 //!
 //! For every program and engine pair we assert identical results (value or
 //! error message), identical `print` output, identical step/depth
@@ -10,9 +11,7 @@
 //! database may be smaller, but pruned feature extraction (Algorithms 1–2
 //! behind the static filter) must select exactly the same features.
 
-use autonomizer::lang::{
-    absint, compile_program_opt, corpus, parse, static_analysis, Interpreter, TraceMode, Value, Vm,
-};
+use autonomizer::lang::{corpus, parse, static_analysis, Interpreter, TraceMode, Value, Vm};
 use autonomizer::trace::{extract_rl_pruned, extract_sl_pruned, RlParams, StaticFilter};
 use std::collections::BTreeMap;
 
@@ -70,32 +69,6 @@ fn run_interp(p: &corpus::CorpusProgram, tracing: bool) -> RunOutcome {
 fn run_vm(p: &corpus::CorpusProgram, mode: TraceMode) -> (RunOutcome, Vm) {
     autonomizer::nn::set_init_seed(p.nn_seed);
     let mut vm = Vm::compile(p.src, mode).expect("corpus parses");
-    vm.set_seed(7);
-    if let Some(limit) = p.step_limit {
-        vm.set_step_limit(limit);
-    }
-    let result = vm.run().map_err(|e| e.to_string());
-    let stats = vm.stats();
-    let train_steps = model_names(p.src)
-        .into_iter()
-        .filter_map(|m| vm.engine_mut().model_stats(&m).map(|s| (m, s.train_steps)))
-        .collect();
-    let outcome = RunOutcome {
-        result,
-        output: vm.output().to_vec(),
-        steps: stats.steps,
-        max_depth: stats.max_depth,
-        assignments: stats.assignments,
-        dot: vm.analysis().to_dot(),
-        train_steps,
-    };
-    (outcome, vm)
-}
-
-fn run_vm_opt(p: &corpus::CorpusProgram, mode: TraceMode) -> (RunOutcome, Vm) {
-    autonomizer::nn::set_init_seed(p.nn_seed);
-    let prog = compile_program_opt(&parse(p.src).expect("corpus parses"), mode);
-    let mut vm = Vm::from_compiled(prog);
     vm.set_seed(7);
     if let Some(limit) = p.step_limit {
         vm.set_step_limit(limit);
@@ -238,140 +211,6 @@ fn corpus_selective_trace_preserves_extraction_selections() {
     }
 }
 
-/// Optimized bytecode against the interpreter in every trace mode: the
-/// optimizer (constant folding, branch pruning, dead-store elision,
-/// superinstruction fusion) must be observably invisible — identical
-/// result, output, step counts, π/θ effects, and under Full tracing a
-/// bit-identical analysis database (`to_dot` equality).
-#[test]
-fn corpus_optimized_vm_matches_interp_all_modes() {
-    let mut total_folded = 0usize;
-    let mut total_fused = 0usize;
-    for p in &corpus::all() {
-        for mode in [TraceMode::Off, TraceMode::Full, TraceMode::Selective] {
-            let interp = run_interp(p, mode != TraceMode::Off);
-            let (opt_out, opt_vm) = run_vm_opt(p, mode);
-            assert_same_observables(p.name, &interp, &opt_out);
-            if mode == TraceMode::Full {
-                assert_eq!(
-                    interp.assignments, opt_out.assignments,
-                    "[{}] optimized Full assignment-count mismatch",
-                    p.name
-                );
-                assert_eq!(
-                    interp.dot, opt_out.dot,
-                    "[{}] optimized Full analysis db mismatch",
-                    p.name
-                );
-            }
-            let unopt = Vm::compile(p.src, mode).unwrap();
-            assert!(
-                opt_vm.compiled().op_count() <= unopt.compiled().op_count(),
-                "[{} {mode:?}] optimizer grew the program: {} > {}",
-                p.name,
-                opt_vm.compiled().op_count(),
-                unopt.compiled().op_count()
-            );
-            let stats = opt_vm.compiled().opt_stats();
-            total_folded += stats.folded;
-            total_fused += stats.fused;
-        }
-    }
-    assert!(total_fused > 0, "peephole fusion never fired on the corpus");
-    assert!(
-        total_folded > 0,
-        "constant folding never fired on the corpus"
-    );
-}
-
-/// Selective tracing with the absint-tightened `StaticFilter`
-/// (constant-valued candidates dropped at compile time *and* at
-/// extraction time): pruned extraction over the optimized selective
-/// database must select exactly what the full-database oracle selects
-/// through the same tightened filter.
-#[test]
-fn corpus_optimized_selective_selections_match_tightened_oracle() {
-    for p in &corpus::all() {
-        let program = parse(p.src).unwrap();
-        let analysis = absint::analyze(&program);
-        assert!(analysis.complete, "[{}] absint must complete", p.name);
-
-        let (_, vm) = run_vm_opt(p, TraceMode::Selective);
-        assert_eq!(
-            vm.effective_trace_mode(),
-            TraceMode::Selective,
-            "[{}] corpus programs must be statically analyzable",
-            p.name
-        );
-
-        // The full-database oracle: a traced interpreter run.
-        autonomizer::nn::set_init_seed(p.nn_seed);
-        let mut oracle = Interpreter::compile(p.src).unwrap();
-        oracle.set_seed(7);
-        if let Some(limit) = p.step_limit {
-            oracle.set_step_limit(limit);
-        }
-        let _ = oracle.run();
-
-        let (static_db, constants) = static_analysis::analyze_tightened(&program);
-        assert_eq!(
-            constants,
-            analysis.constants.keys().cloned().collect(),
-            "[{}] analyze_tightened must expose absint's constant set",
-            p.name
-        );
-        let tight = StaticFilter::with_constants(&static_db, constants);
-
-        let (full_sl, _) = extract_sl_pruned(oracle.analysis(), &tight);
-        let (sel_sl, _) = extract_sl_pruned(vm.analysis(), &tight);
-        let by_name =
-            |db: &autonomizer::trace::AnalysisDb,
-             map: &BTreeMap<_, Vec<autonomizer::trace::RankedFeature>>| {
-                map.iter()
-                    .map(|(&t, feats)| {
-                        (
-                            db.name(t).to_owned(),
-                            feats
-                                .iter()
-                                .map(|f| (db.name(f.var).to_owned(), f.distance))
-                                .collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect::<BTreeMap<_, _>>()
-            };
-        assert_eq!(
-            by_name(oracle.analysis(), &full_sl),
-            by_name(vm.analysis(), &sel_sl),
-            "[{}] tightened Algorithm 1 selections diverged",
-            p.name
-        );
-
-        let (full_rl, _) = extract_rl_pruned(oracle.analysis(), &tight, RlParams::default());
-        let (sel_rl, _) = extract_rl_pruned(vm.analysis(), &tight, RlParams::default());
-        let rl_by_name =
-            |db: &autonomizer::trace::AnalysisDb,
-             map: &BTreeMap<_, autonomizer::trace::RlExtraction>| {
-                map.iter()
-                    .map(|(&t, ex)| {
-                        (
-                            db.name(t).to_owned(),
-                            ex.selected
-                                .iter()
-                                .map(|&v| db.name(v).to_owned())
-                                .collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect::<BTreeMap<_, _>>()
-            };
-        assert_eq!(
-            rl_by_name(oracle.analysis(), &full_rl),
-            rl_by_name(vm.analysis(), &sel_rl),
-            "[{}] tightened Algorithm 2 selections diverged",
-            p.name
-        );
-    }
-}
-
 /// The lint corpus holds deliberately broken programs; whatever each does
 /// at runtime (error or not), both engines must do the same thing.
 #[test]
@@ -389,35 +228,29 @@ fn lint_corpus_programs_behave_identically() {
             interp.set_step_limit(50_000);
             let a = interp.run().map_err(|e| e.to_string());
 
-            for optimize in [false, true] {
-                autonomizer::nn::set_init_seed(11);
-                let mut vm = if optimize {
-                    Vm::compile_opt(&src, mode).expect("lint corpus parses")
-                } else {
-                    Vm::compile(&src, mode).expect("lint corpus parses")
-                };
-                vm.set_seed(3);
-                vm.set_step_limit(50_000);
-                let b = vm.run().map_err(|e| e.to_string());
+            autonomizer::nn::set_init_seed(11);
+            let mut vm = Vm::compile(&src, mode).expect("lint corpus parses");
+            vm.set_seed(3);
+            vm.set_step_limit(50_000);
+            let b = vm.run().map_err(|e| e.to_string());
 
-                assert_eq!(a, b, "[{name} {mode:?} opt={optimize}] result mismatch");
+            assert_eq!(a, b, "[{name} {mode:?}] result mismatch");
+            assert_eq!(
+                interp.output(),
+                vm.output(),
+                "[{name} {mode:?}] output mismatch"
+            );
+            assert_eq!(
+                interp.stats().steps,
+                vm.stats().steps,
+                "[{name} {mode:?}] step mismatch"
+            );
+            if mode == TraceMode::Full {
                 assert_eq!(
-                    interp.output(),
-                    vm.output(),
-                    "[{name} {mode:?} opt={optimize}] output mismatch"
+                    interp.analysis().to_dot(),
+                    vm.analysis().to_dot(),
+                    "[{name} {mode:?}] analysis db mismatch"
                 );
-                assert_eq!(
-                    interp.stats().steps,
-                    vm.stats().steps,
-                    "[{name} {mode:?} opt={optimize}] step mismatch"
-                );
-                if mode == TraceMode::Full {
-                    assert_eq!(
-                        interp.analysis().to_dot(),
-                        vm.analysis().to_dot(),
-                        "[{name} {mode:?} opt={optimize}] analysis db mismatch"
-                    );
-                }
             }
         }
         checked += 1;
