@@ -2,9 +2,10 @@
 //!
 //! A deliberately small, fast smoke suite — not the criterion benches —
 //! covering the runtime's hot layers: the gemm kernel, feature
-//! extraction, end-to-end serving, and the au-par fork/join. Each bench
-//! is timed as the median over many samples so one preempted sample
-//! cannot fake a regression, and the run lands as one JSON line in
+//! extraction, end-to-end serving, and the au-par fork/join (back to
+//! back, and after its workers have parked). Each bench is timed as the
+//! median over many samples so one preempted sample cannot fake a
+//! regression, and the run lands as one JSON line in
 //! `BENCH_history.jsonl` (see `au_bench::history`).
 //!
 //! ```text
@@ -20,7 +21,7 @@ use au_nn::Tensor;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Times `f` as median-of-samples nanoseconds per call: each sample runs
 /// `per_sample` calls and the per-call time of the middle sample wins.
@@ -36,6 +37,23 @@ fn median_ns(samples: usize, per_sample: usize, mut f: impl FnMut()) -> f64 {
                 f();
             }
             start.elapsed().as_secs_f64() * 1e9 / per_sample as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Times one call of `f` per sample, each after an untimed `idle` sleep,
+/// as median nanoseconds: what a call costs when the threads it wakes
+/// have been parked.
+fn median_after_idle_ns(samples: usize, idle: Duration, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            std::thread::sleep(idle);
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e9
         })
         .collect();
     times.sort_by(f64::total_cmp);
@@ -242,6 +260,21 @@ fn main() {
             }));
         }),
     );
+
+    // A two-range region after the pool's workers have parked, as
+    // between the set-ups of a real program; the back-to-back regions of
+    // `pool_map_1k` never let them park. The thread budget is pinned for
+    // the leg, as bench-e2e pins it, so the samples time the region and
+    // not `available_parallelism`, which `max_threads` otherwise re-reads
+    // on every call (tens of µs on Linux).
+    au_par::set_thread_override(Some(au_par::max_threads()));
+    benches.insert(
+        "pool_region_parked".to_owned(),
+        median_after_idle_ns(samples, Duration::from_millis(2), || {
+            black_box(au_par::pool_map(2, 1, |i| i));
+        }),
+    );
+    au_par::set_thread_override(None);
 
     let run = HistoryRun::now(benches);
     for (name, ns) in &run.benches {

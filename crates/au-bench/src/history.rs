@@ -165,7 +165,8 @@ impl HistoryRun {
 }
 
 /// The short commit hash: `GITHUB_SHA` / `GIT_COMMIT` when CI exports
-/// them, else `git rev-parse --short HEAD`, else `"unknown"`.
+/// them, else `git rev-parse --short HEAD` with `-dirty` appended when
+/// tracked files have uncommitted changes, else `"unknown"`.
 #[must_use]
 pub fn current_commit() -> String {
     for var in ["GITHUB_SHA", "GIT_COMMIT"] {
@@ -176,15 +177,33 @@ pub fn current_commit() -> String {
             }
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(hash) if !hash.trim().is_empty() => {
+            let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+            commit_stamp(&hash, &status.unwrap_or_default())
+        }
+        _ => "unknown".to_owned(),
+    }
+}
+
+/// `hash`, marked `-dirty` (as `git describe --dirty` marks it) when
+/// `status`, the output of `git status --porcelain --untracked-files=no`,
+/// lists any change: the run measured code that is not that commit.
+fn commit_stamp(hash: &str, status: &str) -> String {
+    let hash = hash.trim();
+    if status.trim().is_empty() {
+        hash.to_owned()
+    } else {
+        format!("{hash}-dirty")
+    }
 }
 
 /// Appends one run to the JSONL history file, creating it if absent.
@@ -337,6 +356,16 @@ mod tests {
             },
             benches: benches.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
         }
+    }
+
+    #[test]
+    fn uncommitted_changes_mark_the_commit_dirty() {
+        assert_eq!(commit_stamp("42ed6b2\n", ""), "42ed6b2");
+        assert_eq!(commit_stamp("42ed6b2\n", "\n"), "42ed6b2");
+        assert_eq!(
+            commit_stamp("42ed6b2\n", " M crates/au-par/src/pool.rs\n"),
+            "42ed6b2-dirty"
+        );
     }
 
     #[test]

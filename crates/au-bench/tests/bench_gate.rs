@@ -176,6 +176,7 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
             "au_extract",
             "predict",
             "pool_map_1k",
+            "pool_region_parked",
             "dqn_observe",
         ] {
             let ns = run.benches.get(expected).copied().unwrap_or_default();

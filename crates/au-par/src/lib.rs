@@ -7,9 +7,12 @@
 //!
 //! Work leaves the calling thread only through the **persistent pool**
 //! ([`pool_map_ranges`], [`pool_map`], [`Fork`]): parked workers live
-//! across regions, so a region pays a queue push + condvar wake instead of
-//! a thread spawn. Jobs must own their data (`'static`); callers share big
-//! read-only inputs via `Arc`.
+//! across regions, so a region pays a queue push and a condvar notify
+//! instead of a thread spawn. It never waits for a parked worker to wake:
+//! the join takes back the region's jobs no worker has started, runs them
+//! on the calling thread, and blocks only for jobs already running. Jobs
+//! must own their data (`'static`); callers share big read-only inputs via
+//! `Arc`.
 //!
 //! Design rules, in priority order:
 //!
@@ -38,10 +41,11 @@
 //! default, keeping the crate zero-dependency for standalone use.
 //!
 //! **Unsafe audit (none needed).** Jobs own their inputs and send their
-//! results back over a channel; the join recombines them in submission
-//! order. There is nothing to write a SAFETY comment about, and the crate
-//! pins that property with `forbid(unsafe_code)` so a future
-//! "optimization" cannot quietly reintroduce shared-mutation raciness.
+//! results back over a channel, wherever they run; the join recombines
+//! them in submission order. There is nothing to write a SAFETY comment
+//! about, and the crate pins that property with `forbid(unsafe_code)` so
+//! a future "optimization" cannot quietly reintroduce shared-mutation
+//! raciness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -225,19 +229,23 @@ impl RegionStats {
     fn finish(&self, _join_from: Option<std::time::Instant>) {}
 }
 
-/// Runs `f` on a worker thread with the forked context installed (and the
-/// in-worker marker set), restoring both on the way out.
+/// Runs one chunk of a region with the forked context installed (and the
+/// in-worker marker set), restoring both on the way out — on a panic too,
+/// so a thread whose chunk panicked does not stay flagged as a worker and
+/// run every later region it opens inline.
 fn in_worker_with<R>(ctx: ForkContext, f: impl FnOnce() -> R) -> R {
+    struct RestoreFlag(bool);
+    impl Drop for RestoreFlag {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
     #[cfg(feature = "telemetry")]
     let _ctx = au_telemetry::set_context(ctx);
     #[cfg(not(feature = "telemetry"))]
     let NoContext = ctx;
-    IN_WORKER.with(|w| {
-        w.set(true);
-        let out = f();
-        w.set(false);
-        out
-    })
+    let _flag = RestoreFlag(IN_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// Sets (or with `None` clears) a process-wide thread-count override that

@@ -3,19 +3,27 @@
 //! Spawning threads per region makes small regions (per-row inference,
 //! short extraction loops) unprofitable. This module keeps a process-wide
 //! pool of parked workers so a region's only cost is pushing closures onto
-//! a queue and waking sleepers.
+//! a queue and notifying a sleeper.
 //!
 //! Shape of the thing:
 //!
 //! - **Lazy init, lazy growth.** No thread exists until the first job is
 //!   submitted. The pool grows one worker at a time, only when a job
-//!   arrives and nobody is idle, up to [`max_threads`](crate::max_threads)
-//!   (re-resolved per submission, so `AU_PAR_THREADS` / the programmatic
-//!   override keep working). It never shrinks except through
-//!   [`shutdown_pool`].
+//!   arrives and nobody is idle (a worker still starting up counts as
+//!   idle), up to [`max_threads`](crate::max_threads) (re-resolved per
+//!   submission, so `AU_PAR_THREADS` / the programmatic override keep
+//!   working). It never shrinks except through [`shutdown_pool`].
 //! - **`'static` jobs.** Pool workers outlive any caller's stack frame, so
 //!   jobs must own their data (`FnOnce() + Send + 'static`); callers share
 //!   their inputs via `Arc` and use [`pool_map_ranges`] / [`Fork`].
+//! - **The join takes back unstarted jobs.** Every queued job carries its
+//!   region's id. [`Fork::join`] first moves its region's jobs that no
+//!   worker has popped out of the queue and runs them on the joining
+//!   thread, then blocks only for the jobs a worker started — the rule
+//!   rayon's `join` follows. Waking a worker parked for tens of
+//!   milliseconds costs about 100 µs, so a region whose jobs are shorter
+//!   than that finishes on the caller instead of waiting for the wake.
+//!   Workers still pop in FIFO order.
 //! - **Order-preserving joins, panic propagation.** [`Fork::join`] returns
 //!   results in submission order and re-raises the first panic (by
 //!   submission order) *after* every job has settled — a panicking region
@@ -25,9 +33,9 @@
 //!   degrades to serial execution instead of deadlocking a fixed-size
 //!   pool.
 //! - **Trace-context inheritance.** Jobs capture the forking thread's
-//!   telemetry context when the `Fork` is created and install it on the
-//!   worker, so spans opened inside pooled workers parent under the span
-//!   that forked them.
+//!   telemetry context when the `Fork` is created and install it around
+//!   the job, on a worker or on the joining thread, so spans opened inside
+//!   pooled jobs parent under the span that forked them.
 //!
 //! All of this is safe Rust (`forbid(unsafe_code)` is inherited from the
 //! crate root): the queue is a `Mutex<VecDeque>` + `Condvar`, results come
@@ -38,6 +46,7 @@ use crate::{capture_context, in_worker, in_worker_with, max_threads, ForkContext
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -45,11 +54,22 @@ use std::thread;
 /// A unit of pool work: owns everything it touches.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued job and the id of the [`Fork`] that submitted it, so that
+/// region's join can take back the jobs no worker has started.
+struct Queued {
+    region: u64,
+    job: Job,
+}
+
+/// Source of [`Fork`] region ids, unique per process.
+static NEXT_REGION: AtomicU64 = AtomicU64::new(0);
+
 struct PoolQueue {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<Queued>,
     /// Live worker threads (spawned minus exited).
     workers: usize,
-    /// Workers currently parked on the condvar.
+    /// Workers parked on the condvar, plus spawned ones that have not
+    /// yet looked at the queue.
     idle: usize,
     /// True while [`shutdown_pool`] is draining; new submissions run
     /// inline and workers exit once the queue is empty.
@@ -116,10 +136,11 @@ fn warn_if_oversubscribed(workers: usize) {
     let _ = workers;
 }
 
-/// Pushes one job, growing the pool if every worker is busy and the cap
-/// allows, then wakes a sleeper. During shutdown the job runs inline on
-/// the submitting thread instead (progress is guaranteed either way).
-fn submit_job(job: Job) {
+/// Pushes one job of `region`, growing the pool if every worker is busy
+/// and the cap allows, then wakes a sleeper. During shutdown the job runs
+/// inline on the submitting thread instead (progress is guaranteed either
+/// way).
+fn submit_job(region: u64, job: Job) {
     let shared = pool();
     let mut q = lock(shared);
     if q.shutdown {
@@ -137,9 +158,13 @@ fn submit_job(job: Job) {
     } else {
         job
     };
-    q.jobs.push_back(job);
+    q.jobs.push_back(Queued { region, job });
     if q.idle == 0 && q.workers < max_threads() {
         q.workers += 1;
+        // The new worker looks at the queue before it parks, so it counts
+        // as idle from now on: jobs submitted while it starts up, which
+        // their joins may take back first, do not spawn another.
+        q.idle += 1;
         let workers = q.workers;
         let sh = Arc::clone(shared);
         let handle = thread::Builder::new()
@@ -157,42 +182,49 @@ fn submit_job(job: Job) {
 /// Park-until-work loop. Exits (decrementing the live count) only when
 /// shutdown is flagged *and* the queue has been drained.
 fn worker_loop(shared: &PoolShared) {
+    let mut q = lock(shared);
+    // `submit_job` counted this worker idle from its spawn.
+    q.idle -= 1;
     loop {
-        let job = {
-            let mut q = lock(shared);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break Some(job);
-                }
-                if q.shutdown {
-                    break None;
-                }
-                q.idle += 1;
-                pmetrics::park();
-                q = shared
-                    .cv
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q.idle -= 1;
-                pmetrics::wake();
-            }
-        };
-        match job {
-            Some(job) => {
-                pmetrics::job_run();
-                // Jobs built by Fork already catch panics; this is the
-                // belt-and-suspenders layer keeping the worker alive for
-                // raw submissions.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-            }
-            None => {
-                let mut q = lock(shared);
-                q.workers -= 1;
-                pmetrics::pool_size(q.workers);
-                return;
-            }
+        if let Some(queued) = q.jobs.pop_front() {
+            drop(q);
+            pmetrics::job_run();
+            // Jobs built by Fork already catch panics; this is the
+            // belt-and-suspenders layer keeping the worker alive for
+            // raw submissions.
+            let _ = catch_unwind(AssertUnwindSafe(queued.job));
+            q = lock(shared);
+        } else if q.shutdown {
+            q.workers -= 1;
+            pmetrics::pool_size(q.workers);
+            return;
+        } else {
+            q.idle += 1;
+            pmetrics::park();
+            q = shared
+                .cv
+                .wait(q)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            q.idle -= 1;
+            pmetrics::wake();
         }
     }
+}
+
+/// Moves every queued job of `region` out of the queue under one lock
+/// acquisition. The other regions' jobs keep their FIFO order.
+fn take_back(region: u64) -> Vec<Job> {
+    let mut q = lock(pool());
+    let mut mine = Vec::new();
+    for _ in 0..q.jobs.len() {
+        let queued = q.jobs.pop_front().expect("counted above");
+        if queued.region == region {
+            mine.push(queued.job);
+        } else {
+            q.jobs.push_back(queued);
+        }
+    }
+    mine
 }
 
 /// Drains the queue, parks out every worker, and joins them. The pool
@@ -225,19 +257,23 @@ pub fn pool_worker_count() -> usize {
 
 /// An in-flight fan-out region on the persistent pool.
 ///
-/// [`submit`](Fork::submit) hands owned closures to pool workers;
-/// [`join`](Fork::join) blocks until all of them settle and returns their
-/// results **in submission order**, re-raising the first panic (by
-/// submission order) if any job panicked. Submissions made from inside an
-/// au-par worker run inline on the submitting thread, so nested regions
-/// degrade to serial execution instead of deadlocking the pool.
+/// [`submit`](Fork::submit) queues owned closures for pool workers;
+/// [`join`](Fork::join) runs the ones no worker has started on the
+/// joining thread, waits for the rest, and returns their results **in
+/// submission order**, re-raising the first panic (by submission order)
+/// if any job panicked. A job may therefore run on the thread that calls
+/// `join`. Submissions made from inside an au-par worker run inline on
+/// the submitting thread, so nested regions degrade to serial execution
+/// instead of deadlocking the pool.
 ///
 /// The forking thread's telemetry trace context is captured at
-/// [`Fork::new`] and installed around every job, so spans opened inside
-/// pooled workers parent under the span that forked them.
+/// [`Fork::new`] and installed around every job, wherever it runs, so
+/// spans opened inside pooled jobs parent under the span that forked them.
 pub struct Fork<R> {
     tx: Sender<(usize, thread::Result<R>)>,
     rx: Receiver<(usize, thread::Result<R>)>,
+    /// Tags this region's queued jobs for [`take_back`].
+    region: u64,
     submitted: usize,
     inline: Vec<(usize, thread::Result<R>)>,
     ctx: ForkContext,
@@ -251,6 +287,7 @@ impl<R: Send + 'static> Fork<R> {
         Fork {
             tx,
             rx,
+            region: NEXT_REGION.fetch_add(1, Ordering::Relaxed),
             submitted: 0,
             inline: Vec::new(),
             ctx: capture_context(),
@@ -275,16 +312,19 @@ impl<R: Send + 'static> Fork<R> {
         }
         let tx = self.tx.clone();
         let ctx = self.ctx;
-        submit_job(Box::new(move || {
-            let res = catch_unwind(AssertUnwindSafe(|| in_worker_with(ctx, f)));
-            // The region may have unwound past its join; a dead receiver
-            // is fine, the result is simply dropped.
-            let _ = tx.send((idx, res));
-        }));
+        submit_job(
+            self.region,
+            Box::new(move || {
+                let res = catch_unwind(AssertUnwindSafe(|| in_worker_with(ctx, f)));
+                // The region may have unwound past its join; a dead
+                // receiver is fine, the result is simply dropped.
+                let _ = tx.send((idx, res));
+            }),
+        );
     }
 
-    /// Waits for every submitted job and returns the results in
-    /// submission order.
+    /// Runs the jobs no worker has started on this thread, waits for the
+    /// rest, and returns the results in submission order.
     ///
     /// # Panics
     ///
@@ -292,6 +332,28 @@ impl<R: Send + 'static> Fork<R> {
     /// have settled, so a panicking region never leaves stray work running
     /// and the pool stays usable.
     pub fn join(self) -> Vec<R> {
+        self.run_unstarted();
+        values_or_first_panic(self.wait_all())
+    }
+
+    /// Takes back this region's jobs that no worker has started and runs
+    /// them on this thread. Each job catches its own panic and sends its
+    /// outcome over the region's channel, as on a worker.
+    fn run_unstarted(&self) {
+        if self.submitted == self.inline.len() {
+            return;
+        }
+        let mine = take_back(self.region);
+        pmetrics::reclaimed(mine.len());
+        for job in mine {
+            pmetrics::job_run();
+            job();
+        }
+    }
+
+    /// Blocks until every job has sent its outcome and yields the outcomes
+    /// in submission order; panics are not re-raised.
+    fn wait_all(self) -> impl Iterator<Item = thread::Result<R>> {
         let Fork {
             tx,
             rx,
@@ -311,33 +373,33 @@ impl<R: Send + 'static> Fork<R> {
                 .expect("au-par pool worker dropped a result without sending");
             slots[idx] = Some(res);
         }
-        let mut out = Vec::with_capacity(submitted);
-        let mut first_panic = None;
-        for slot in slots {
-            match slot.expect("every submitted job settles") {
-                Ok(v) => out.push(v),
-                Err(p) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
-        out
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every submitted job settles"))
     }
+}
+
+/// The values of settled jobs in order, or a re-raise of the first panic.
+fn values_or_first_panic<R>(settled: impl Iterator<Item = thread::Result<R>>) -> Vec<R> {
+    settled
+        .collect::<thread::Result<Vec<R>>>()
+        .unwrap_or_else(|p| resume_unwind(p))
 }
 
 /// Runs `f` once per range of [`split_ranges(len, min_chunk)`](crate::split_ranges)
 /// and returns the per-range results in range order. The calling thread
-/// takes the first range instead of idling; the rest go to parked pool
-/// workers.
+/// takes the first range instead of idling, then at the join every range
+/// no pool worker has started yet.
 ///
 /// Requires an owning closure (`Send + Sync + 'static`) — share big
 /// read-only inputs via `Arc` and move clones in. Results are identical
 /// to a serial map at every thread count.
+///
+/// # Panics
+///
+/// Re-raises the first panic in range order only after every range has
+/// settled, also when the panic came from the first range, which runs on
+/// the calling thread.
 pub fn pool_map_ranges<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -359,14 +421,16 @@ where
         fork.submit(move || stats.measure(|| f(r)));
     }
     let ctx = fork.context();
-    let head = in_worker_with(ctx, || stats.measure(|| f(first)));
+    // A panic in the first range waits for the rest of the region.
+    let head = catch_unwind(AssertUnwindSafe(|| {
+        in_worker_with(ctx, || stats.measure(|| f(first)))
+    }));
+    fork.run_unstarted();
+    // The join-wait clock starts after the take-back: it times blocking.
     let join_from = stats.join_point();
-    let tail = fork.join();
+    let tail = fork.wait_all();
     stats.finish(join_from);
-    let mut out = Vec::with_capacity(tail.len() + 1);
-    out.push(head);
-    out.extend(tail);
-    out
+    values_or_first_panic(std::iter::once(head).chain(tail))
 }
 
 /// Order-preserving parallel map returning `[f(0), …, f(len-1)]`. Same
@@ -387,8 +451,9 @@ where
     out
 }
 
-/// Pool-specific observability: park/wake totals, jobs executed, queue
-/// wait, and the live pool size, alongside the crate's region series.
+/// Pool-specific observability: park/wake totals, jobs executed (and how
+/// many of them the join took back), queue wait, and the live pool size,
+/// alongside the crate's region series.
 #[cfg(feature = "telemetry")]
 mod pmetrics {
     use std::sync::OnceLock;
@@ -420,6 +485,15 @@ mod pmetrics {
             .add(1);
     }
 
+    pub(crate) fn reclaimed(jobs: usize) {
+        if !au_telemetry::enabled() {
+            return;
+        }
+        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
+        C.get_or_init(|| au_telemetry::counter("au_par.pool_reclaimed_total"))
+            .add(jobs as u64);
+    }
+
     pub(crate) fn queue_wait(ns: u64) {
         static H: OnceLock<au_telemetry::Histogram> = OnceLock::new();
         H.get_or_init(|| au_telemetry::histogram("au_par.pool_queue_wait"))
@@ -443,6 +517,7 @@ mod pmetrics {
     pub(crate) fn park() {}
     pub(crate) fn wake() {}
     pub(crate) fn job_run() {}
+    pub(crate) fn reclaimed(_jobs: usize) {}
     pub(crate) fn pool_size(_workers: usize) {}
 }
 
@@ -620,6 +695,165 @@ mod tests {
             assert_eq!(w.trace_id, root_trace, "worker joined the trace");
             assert_eq!(w.parent_id, root_span, "worker parents under root");
         }
+        set_thread_override(None);
+    }
+
+    /// The text of a panic payload raised by `panic!` with or without
+    /// format arguments.
+    fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// Runs `body` at a 1-thread budget while the pool's only worker is
+    /// blocked in another region's job, which a timer releases after 2 s.
+    /// Leaves the override set to 1; callers reset it.
+    fn with_only_worker_busy(body: impl FnOnce()) {
+        set_thread_override(Some(1));
+        shutdown_pool();
+        let (started_tx, started) = channel();
+        let (release, gate) = channel::<()>();
+        let mut busy: Fork<()> = Fork::new();
+        busy.submit(move || {
+            started_tx.send(()).unwrap();
+            let _ = gate.recv();
+        });
+        started.recv().unwrap();
+        assert_eq!(pool_worker_count(), 1, "one worker, and it is busy");
+        let timer = thread::spawn(move || {
+            thread::sleep(std::time::Duration::from_secs(2));
+            let _ = release.send(());
+        });
+        body();
+        busy.join();
+        timer.join().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn join_runs_unstarted_jobs_instead_of_waiting_for_a_worker() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        with_only_worker_busy(|| {
+            let start = std::time::Instant::now();
+            let mut fork: Fork<thread::ThreadId> = Fork::new();
+            fork.submit(|| thread::current().id());
+            let ran_on = fork.join();
+            let waited = start.elapsed();
+            assert!(
+                waited < std::time::Duration::from_millis(500),
+                "join waited {waited:?} for the busy worker"
+            );
+            assert_eq!(ran_on, [thread::current().id()], "the join ran the job");
+        });
+        set_thread_override(None);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn taken_back_panic_is_raised_in_submission_order_and_caller_still_fans_out() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        with_only_worker_busy(|| {
+            let mut fork: Fork<usize> = Fork::new();
+            fork.submit(|| 1);
+            fork.submit(|| panic!("taken-back-1"));
+            fork.submit(|| panic!("taken-back-2"));
+            let start = std::time::Instant::now();
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| fork.join()))
+                .expect_err("join re-raises");
+            assert!(
+                start.elapsed() < std::time::Duration::from_millis(500),
+                "the join ran the jobs itself"
+            );
+            assert_eq!(panic_text(&*payload), "taken-back-1");
+            assert!(!crate::in_worker(), "the joining thread is no worker");
+            set_thread_override(Some(2));
+            assert_eq!(crate::split_ranges(100, 1).len(), 2, "caller fans out");
+        });
+        set_thread_override(None);
+    }
+
+    /// A taken-back job runs under the context captured at `Fork::new`,
+    /// not under whatever span is open on the joining thread.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn taken_back_job_spans_parent_under_the_forking_span() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        let rec = au_telemetry::global();
+        with_only_worker_busy(|| {
+            au_telemetry::enable();
+            let before = rec.span_count();
+            let (root_trace, root_span) = {
+                let root = rec.span("reclaim_root").expect("enabled");
+                let ids = (root.trace_id().0, root.span_id().0);
+                let mut fork: Fork<thread::ThreadId> = Fork::new();
+                fork.submit(move || {
+                    let _s = rec.span("reclaimed_job");
+                    thread::current().id()
+                });
+                let ran_on = {
+                    let _other = rec.span("reclaim_join");
+                    fork.join()
+                };
+                assert_eq!(ran_on, [thread::current().id()], "the join ran the job");
+                ids
+            };
+            au_telemetry::disable();
+            let jobs: Vec<_> = rec
+                .spans_since(before)
+                .into_iter()
+                .filter(|s| s.name == "reclaimed_job")
+                .collect();
+            assert_eq!(jobs.len(), 1);
+            assert_eq!(jobs[0].trace_id, root_trace, "job span joins the trace");
+            assert_eq!(jobs[0].parent_id, root_span, "job span parents under root");
+        });
+        set_thread_override(None);
+    }
+
+    /// A panic in the head range must not leave the forking thread
+    /// flagged as a worker: its later regions still fan out.
+    #[test]
+    fn head_range_panic_leaves_the_caller_able_to_fan_out() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(2));
+        let err = std::panic::catch_unwind(|| {
+            pool_map_ranges(2, 1, |r| {
+                if r.start == 0 {
+                    panic!("head range exploded");
+                }
+                r.start
+            })
+        });
+        assert!(err.is_err(), "the head's panic propagates");
+        assert_eq!(crate::split_ranges(100, 1).len(), 2, "caller fans out");
+        set_thread_override(None);
+    }
+
+    /// A head-range panic reaches the caller only after the region's
+    /// other ranges have finished.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn head_range_panic_waits_for_the_rest_of_the_region() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(2));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::clone(&done);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool_map_ranges(2, 1, move |r| {
+                if r.start == 0 {
+                    panic!("head range exploded");
+                }
+                thread::sleep(std::time::Duration::from_millis(200));
+                flag.store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = err.expect_err("the head's panic propagates");
+        assert_eq!(panic_text(&*payload), "head range exploded");
+        assert!(done.load(Ordering::SeqCst), "range 1 finished first");
         set_thread_override(None);
     }
 }

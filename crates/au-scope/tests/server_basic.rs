@@ -124,32 +124,16 @@ fn dashboard_unknown_path_and_bad_method() {
     assert!(out.starts_with("HTTP/1.1 405"), "{out}");
 }
 
-#[test]
-fn events_streams_spans_and_alerts() {
-    let rec = leaked_recorder();
-    let server = server_over(rec);
-
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write!(stream, "GET /events HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-
-    // Activity after the stream connects must show up as SSE frames.
-    {
-        let _s = rec.span("demo_span");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    rec.alert(au_telemetry::Level::Warn, "demo", "drift above threshold");
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut data = Vec::new();
+/// Reads from `stream` into `data` until `done` holds for what has
+/// arrived, the peer hangs up, or `deadline` passes.
+fn read_until(
+    stream: &mut TcpStream,
+    data: &mut Vec<u8>,
+    deadline: std::time::Instant,
+    done: impl Fn(&str) -> bool,
+) {
     let mut buf = [0u8; 4096];
-    while std::time::Instant::now() < deadline {
-        let text = String::from_utf8_lossy(&data);
-        if text.contains("event: span") && text.contains("event: alert") {
-            break;
-        }
+    while std::time::Instant::now() < deadline && !done(&String::from_utf8_lossy(data)) {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => data.extend_from_slice(&buf[..n]),
@@ -161,6 +145,39 @@ fn events_streams_spans_and_alerts() {
             Err(e) => panic!("sse read failed: {e}"),
         }
     }
+}
+
+#[test]
+fn events_streams_spans_and_alerts() {
+    let rec = leaked_recorder();
+    let server = server_over(rec);
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write!(stream, "GET /events HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut data = Vec::new();
+
+    // The stream starts where the recorder stood when the server sent
+    // `hello`; anything emitted before that is counted there, not streamed.
+    read_until(&mut stream, &mut data, deadline, |text| {
+        text.contains("event: hello")
+    });
+
+    // Activity after the stream connects must show up as SSE frames.
+    {
+        let _s = rec.span("demo_span");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    rec.alert(au_telemetry::Level::Warn, "demo", "drift above threshold");
+
+    // A frame can arrive split across reads (`event:` line first), so
+    // wait for both payloads, not just their event lines.
+    read_until(&mut stream, &mut data, deadline, |text| {
+        text.contains("\"name\":\"demo_span\"") && text.contains("drift above threshold")
+    });
     let text = String::from_utf8_lossy(&data);
     assert!(text.contains("text/event-stream"), "{text}");
     assert!(text.contains("event: hello"), "{text}");
