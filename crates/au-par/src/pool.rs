@@ -9,21 +9,22 @@
 //!
 //! - **Lazy init, lazy growth.** No thread exists until the first job is
 //!   submitted. The pool grows one worker at a time, only when a job
-//!   arrives and nobody is idle (a worker still starting up counts as
-//!   idle), up to [`max_threads`](crate::max_threads) (re-resolved per
-//!   submission, so `AU_PAR_THREADS` / the programmatic override keep
-//!   working). It never shrinks except through [`shutdown_pool`].
+//!   arrives and nobody is idle, up to [`max_threads`](crate::max_threads)
+//!   (re-resolved per submission, so `AU_PAR_THREADS` / the programmatic
+//!   override keep working). It never shrinks except through
+//!   [`shutdown_pool`].
 //! - **`'static` jobs.** Pool workers outlive any caller's stack frame, so
 //!   jobs must own their data (`FnOnce() + Send + 'static`); callers share
 //!   their inputs via `Arc` and use [`pool_map_ranges`] / [`Fork`].
 //! - **The join takes back unstarted jobs.** Every queued job carries its
-//!   region's id. [`Fork::join`] first moves its region's jobs that no
-//!   worker has popped out of the queue and runs them on the joining
-//!   thread, then blocks only for the jobs a worker started — the rule
-//!   rayon's `join` follows. Waking a worker parked for tens of
+//!   region's id. [`Fork::join`] removes its region's oldest job that no
+//!   worker has popped, runs it on the joining thread, and repeats until
+//!   none is left; then it blocks only for the jobs a worker started —
+//!   the rule rayon's `join` follows. Waking a worker parked for tens of
 //!   milliseconds costs about 100 µs, so a region whose jobs are shorter
 //!   than that finishes on the caller instead of waiting for the wake.
-//!   Workers still pop in FIFO order.
+//!   Workers still pop in FIFO order, and one that wakes while the caller
+//!   runs a taken-back job takes the region's next one.
 //! - **Order-preserving joins, panic propagation.** [`Fork::join`] returns
 //!   results in submission order and re-raises the first panic (by
 //!   submission order) *after* every job has settled — a panicking region
@@ -68,8 +69,7 @@ struct PoolQueue {
     jobs: VecDeque<Queued>,
     /// Live worker threads (spawned minus exited).
     workers: usize,
-    /// Workers parked on the condvar, plus spawned ones that have not
-    /// yet looked at the queue.
+    /// Workers currently parked on the condvar.
     idle: usize,
     /// True while [`shutdown_pool`] is draining; new submissions run
     /// inline and workers exit once the queue is empty.
@@ -161,10 +161,6 @@ fn submit_job(region: u64, job: Job) {
     q.jobs.push_back(Queued { region, job });
     if q.idle == 0 && q.workers < max_threads() {
         q.workers += 1;
-        // The new worker looks at the queue before it parks, so it counts
-        // as idle from now on: jobs submitted while it starts up, which
-        // their joins may take back first, do not spawn another.
-        q.idle += 1;
         let workers = q.workers;
         let sh = Arc::clone(shared);
         let handle = thread::Builder::new()
@@ -182,49 +178,51 @@ fn submit_job(region: u64, job: Job) {
 /// Park-until-work loop. Exits (decrementing the live count) only when
 /// shutdown is flagged *and* the queue has been drained.
 fn worker_loop(shared: &PoolShared) {
-    let mut q = lock(shared);
-    // `submit_job` counted this worker idle from its spawn.
-    q.idle -= 1;
     loop {
-        if let Some(queued) = q.jobs.pop_front() {
-            drop(q);
-            pmetrics::job_run();
-            // Jobs built by Fork already catch panics; this is the
-            // belt-and-suspenders layer keeping the worker alive for
-            // raw submissions.
-            let _ = catch_unwind(AssertUnwindSafe(queued.job));
-            q = lock(shared);
-        } else if q.shutdown {
-            q.workers -= 1;
-            pmetrics::pool_size(q.workers);
-            return;
-        } else {
-            q.idle += 1;
-            pmetrics::park();
-            q = shared
-                .cv
-                .wait(q)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.idle -= 1;
-            pmetrics::wake();
+        let job = {
+            let mut q = lock(shared);
+            loop {
+                if let Some(queued) = q.jobs.pop_front() {
+                    break Some(queued.job);
+                }
+                if q.shutdown {
+                    break None;
+                }
+                q.idle += 1;
+                pmetrics::park();
+                q = shared
+                    .cv
+                    .wait(q)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                q.idle -= 1;
+                pmetrics::wake();
+            }
+        };
+        match job {
+            Some(job) => {
+                pmetrics::job_run();
+                // Jobs built by Fork already catch panics; this is the
+                // belt-and-suspenders layer keeping the worker alive for
+                // raw submissions.
+                let _ = catch_unwind(AssertUnwindSafe(job));
+            }
+            None => {
+                let mut q = lock(shared);
+                q.workers -= 1;
+                pmetrics::pool_size(q.workers);
+                return;
+            }
         }
     }
 }
 
-/// Moves every queued job of `region` out of the queue under one lock
-/// acquisition. The other regions' jobs keep their FIFO order.
-fn take_back(region: u64) -> Vec<Job> {
+/// Removes the oldest queued job of `region`, if any, leaving the other
+/// jobs in FIFO order. One job per lock acquisition, so a worker that
+/// frees up while the caller runs this job can still pop the next one.
+fn take_back_one(region: u64) -> Option<Job> {
     let mut q = lock(pool());
-    let mut mine = Vec::new();
-    for _ in 0..q.jobs.len() {
-        let queued = q.jobs.pop_front().expect("counted above");
-        if queued.region == region {
-            mine.push(queued.job);
-        } else {
-            q.jobs.push_back(queued);
-        }
-    }
-    mine
+    let at = q.jobs.iter().position(|queued| queued.region == region)?;
+    q.jobs.remove(at).map(|queued| queued.job)
 }
 
 /// Drains the queue, parks out every worker, and joins them. The pool
@@ -272,7 +270,7 @@ pub fn pool_worker_count() -> usize {
 pub struct Fork<R> {
     tx: Sender<(usize, thread::Result<R>)>,
     rx: Receiver<(usize, thread::Result<R>)>,
-    /// Tags this region's queued jobs for [`take_back`].
+    /// Tags this region's queued jobs for [`take_back_one`].
     region: u64,
     submitted: usize,
     inline: Vec<(usize, thread::Result<R>)>,
@@ -336,16 +334,15 @@ impl<R: Send + 'static> Fork<R> {
         values_or_first_panic(self.wait_all())
     }
 
-    /// Takes back this region's jobs that no worker has started and runs
-    /// them on this thread. Each job catches its own panic and sends its
-    /// outcome over the region's channel, as on a worker.
+    /// Takes back this region's jobs that no worker has started, one at a
+    /// time, and runs them on this thread. Each job catches its own panic
+    /// and sends its outcome over the region's channel, as on a worker.
     fn run_unstarted(&self) {
         if self.submitted == self.inline.len() {
             return;
         }
-        let mine = take_back(self.region);
-        pmetrics::reclaimed(mine.len());
-        for job in mine {
+        while let Some(job) = take_back_one(self.region) {
+            pmetrics::reclaimed();
             pmetrics::job_run();
             job();
         }
@@ -485,13 +482,13 @@ mod pmetrics {
             .add(1);
     }
 
-    pub(crate) fn reclaimed(jobs: usize) {
+    pub(crate) fn reclaimed() {
         if !au_telemetry::enabled() {
             return;
         }
         static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
         C.get_or_init(|| au_telemetry::counter("au_par.pool_reclaimed_total"))
-            .add(jobs as u64);
+            .add(1);
     }
 
     pub(crate) fn queue_wait(ns: u64) {
@@ -517,7 +514,7 @@ mod pmetrics {
     pub(crate) fn park() {}
     pub(crate) fn wake() {}
     pub(crate) fn job_run() {}
-    pub(crate) fn reclaimed(_jobs: usize) {}
+    pub(crate) fn reclaimed() {}
     pub(crate) fn pool_size(_workers: usize) {}
 }
 
@@ -854,6 +851,76 @@ mod tests {
         let payload = err.expect_err("the head's panic propagates");
         assert_eq!(panic_text(&*payload), "head range exploded");
         assert!(done.load(Ordering::SeqCst), "range 1 finished first");
+        set_thread_override(None);
+    }
+
+    /// A burst of submissions on a cold pool spawns one worker per job
+    /// while no worker is idle, up to the cap.
+    #[test]
+    fn a_burst_on_a_cold_pool_spawns_a_worker_per_job() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        shutdown_pool();
+        let mut gates = Vec::new();
+        let mut fork: Fork<()> = Fork::new();
+        for _ in 0..3 {
+            let (open, gate) = channel::<()>();
+            gates.push(open);
+            fork.submit(move || {
+                let _ = gate.recv();
+            });
+        }
+        assert_eq!(pool_worker_count(), 3, "one worker per submitted job");
+        drop(gates);
+        fork.join();
+        set_thread_override(None);
+    }
+
+    /// The join takes back one job at a time: a worker that frees up while
+    /// the caller runs the first taken-back job runs the next one.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_worker_freed_during_a_taken_back_job_runs_the_next_one() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        shutdown_pool();
+        // Occupy all four workers, each until its own gate opens.
+        let (started_tx, started) = channel();
+        let mut gates = Vec::new();
+        let mut busy: Fork<()> = Fork::new();
+        for _ in 0..4 {
+            let (open, gate) = channel::<()>();
+            gates.push(open);
+            let started_tx = started_tx.clone();
+            busy.submit(move || {
+                started_tx.send(()).unwrap();
+                let _ = gate.recv();
+            });
+        }
+        for _ in 0..4 {
+            started.recv().unwrap();
+        }
+        assert_eq!(pool_worker_count(), 4, "four workers, all busy");
+        let free_one = gates.pop().expect("four gates");
+        let (second_started_tx, second_started) = channel();
+        let mut fork: Fork<thread::ThreadId> = Fork::new();
+        fork.submit(move || {
+            free_one.send(()).unwrap();
+            // The freed worker pops the second job unless the join took
+            // it back together with this one.
+            let _ = second_started.recv_timeout(std::time::Duration::from_secs(5));
+            thread::current().id()
+        });
+        fork.submit(move || {
+            let _ = second_started_tx.send(());
+            thread::current().id()
+        });
+        let ran_on = fork.join();
+        let me = thread::current().id();
+        assert_eq!(ran_on[0], me, "the join took back the first job");
+        assert_ne!(ran_on[1], me, "the freed worker ran the second job");
+        drop(gates);
+        busy.join();
         set_thread_override(None);
     }
 }
