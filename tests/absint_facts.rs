@@ -14,38 +14,13 @@
 //! AU_BLESS=1 cargo test --test absint_facts
 //! ```
 
+mod common;
+
 use autonomizer::lang::absint::{analyze, Analysis, Folded};
-use autonomizer::lang::{corpus, parse};
+use autonomizer::lang::parse;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 const GOLDEN: &str = "tests/golden/absint_facts.txt";
-
-/// Every program the golden covers, as (label, source), in a stable order.
-fn programs() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = corpus::all()
-        .iter()
-        .map(|p| (format!("corpus/{}", p.name), p.src.to_owned()))
-        .collect();
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for dir in [
-        "tests/lint_corpus",
-        "tests/lint_corpus/clean",
-        "examples/aulang",
-    ] {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
-            .expect("au dir exists")
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("au"))
-            .collect();
-        files.sort();
-        for path in files {
-            let label = format!("{dir}/{}", path.file_name().unwrap().to_string_lossy());
-            out.push((label, std::fs::read_to_string(&path).unwrap()));
-        }
-    }
-    out
-}
 
 /// Renders an `f64` exactly: the shortest round-trip form plus its bits,
 /// so `-0.0`/`+0.0` and every NaN payload stay distinguishable.
@@ -111,7 +86,7 @@ fn dump(label: &str, an: &Analysis) -> String {
 }
 
 fn full_dump() -> (String, usize) {
-    let progs = programs();
+    let progs = common::repo_programs();
     let mut out = String::new();
     for (label, src) in &progs {
         let program = parse(src).unwrap_or_else(|e| panic!("[{label}] must parse: {e}"));
@@ -124,27 +99,7 @@ fn full_dump() -> (String, usize) {
 fn absint_facts_match_golden() {
     let (actual, n) = full_dump();
     assert_eq!(n, 30, "nine corpus programs + 20 lint fixtures + 1 example");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    if std::env::var_os("AU_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{GOLDEN} missing ({e}); regenerate with AU_BLESS=1"));
-    if actual != expected {
-        let first = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, e)| a != e)
-            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
-        panic!(
-            "absint facts diverge from {GOLDEN} at line {}:\n  golden: {:?}\n  actual: {:?}",
-            first + 1,
-            expected.lines().nth(first),
-            actual.lines().nth(first)
-        );
-    }
+    common::check_golden(GOLDEN, &actual);
 }
 
 /// The dump must be a function of the program alone: two analyses of the
