@@ -8,13 +8,16 @@
 //! determined error message, and — in traced modes — decides *per site*
 //! whether to emit trace opcodes.
 //!
-//! In [`TraceMode::Selective`] the decision consults the static dependence
-//! graph: a site is instrumented only if the assigned variable (or, for
-//! condition/use sites, some possibly-read variable) cannot be proven
-//! unrelated to every prediction target by [`StaticFilter`]. Programs that
-//! defeat the static analysis (computed `input` / `mark_input` /
-//! `mark_target` names) fall back to [`TraceMode::Full`] so dynamic
-//! extraction never silently loses facts.
+//! In [`TraceMode::Selective`] the decision reads the program's static
+//! facts ([`StaticFacts`], one walk over the program): a site is
+//! instrumented only if the assigned variable (or, for condition/use
+//! sites, some variable the site may read) cannot be proven unrelated to
+//! every prediction target. The facts precompute that answer per variable
+//! and per site, from a bitset closure of the static dependence graph, so
+//! the compiler looks nothing up at a site. Programs that defeat the
+//! static analysis (computed `input` / `mark_input` / `mark_target` names)
+//! fall back to [`TraceMode::Full`] so dynamic extraction never silently
+//! loses facts.
 //!
 //! Every compile, in every trace mode, ends with a peephole pass that
 //! fuses `Load`/`Const`/`Bin` windows into superinstructions. A fused op
@@ -22,10 +25,9 @@
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind};
 use crate::bytecode::{CompiledProgram, FuncInfo, MathFn, Op, TraceKind, TraceMode};
-use crate::static_analysis;
+use crate::static_analysis::{Site, StaticFacts, TracePlan};
 use crate::value::Value;
-use au_trace::StaticFilter;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Compiles `program` under the requested trace mode.
 ///
@@ -50,26 +52,17 @@ pub fn compile_program_opt(program: &Program, requested: TraceMode) -> CompiledP
 }
 
 fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
-    let effective = match requested {
-        TraceMode::Selective if selective_defeated(program) => TraceMode::Full,
-        mode => mode,
-    };
-    let selective = match effective {
+    let (effective, selective) = match requested {
         TraceMode::Selective => {
-            let static_db = static_analysis::analyze(program);
-            let targets = static_db
-                .targets()
-                .iter()
-                .map(|&t| static_db.name(t).to_owned())
-                .collect();
-            Some(SelectiveCtx {
-                filter: StaticFilter::new(&static_db),
-                targets,
-                summaries: static_analysis::return_summaries(program),
-                memo: HashMap::new(),
-            })
+            let facts = StaticFacts::new(program);
+            if facts.defeats_selective() {
+                (TraceMode::Full, None)
+            } else {
+                let plan = facts.trace_plan();
+                (TraceMode::Selective, Some(SelectiveCtx { plan, next: 0 }))
+            }
         }
-        _ => None,
+        mode => (mode, None),
     };
     let mut c = Compiler {
         program,
@@ -104,24 +97,18 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
     }
     // Pass 2: compile each registered body.
     let mut compiled: Vec<bool> = vec![false; c.funcs.len()];
-    for f in &program.functions {
+    for (at, f) in program.functions.iter().enumerate() {
         let idx = c.func_ids[&f.name];
         if compiled[idx as usize] {
             continue; // duplicate definition is unreachable, skip
         }
         compiled[idx as usize] = true;
-        c.compile_function(f, idx);
+        c.compile_function(f, idx, at);
     }
     let main_func = c.func_ids["main"];
-    let relevant = {
-        let names: Vec<String> = c.names.clone();
-        names
-            .iter()
-            .map(|n| match c.selective.as_mut() {
-                Some(sel) => sel.is_relevant(n),
-                None => true,
-            })
-            .collect()
+    let relevant = match &c.selective {
+        Some(sel) => c.names.iter().map(|n| sel.plan.is_relevant(n)).collect(),
+        None => vec![true; c.names.len()],
     };
     CompiledProgram {
         ops: c.ops,
@@ -214,81 +201,11 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) {
     prog.ops = out;
 }
 
-/// True when the program uses a computed (non-literal) name in `input`,
-/// `mark_input`, or `mark_target` — the static target/input sets can then
-/// under-approximate the dynamic ones, so Selective must fall back to Full.
-fn selective_defeated(program: &Program) -> bool {
-    fn expr_defeats(expr: &Expr) -> bool {
-        match &expr.kind {
-            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) | ExprKind::Var(_) => false,
-            ExprKind::Array(items) => items.iter().any(expr_defeats),
-            ExprKind::Index(a, b) => expr_defeats(a) || expr_defeats(b),
-            ExprKind::Unary { expr, .. } => expr_defeats(expr),
-            ExprKind::Binary { lhs, rhs, .. } => expr_defeats(lhs) || expr_defeats(rhs),
-            ExprKind::Call { name, args } => {
-                if matches!(name.as_str(), "input" | "mark_input" | "mark_target")
-                    && !matches!(args.first().map(|a| &a.kind), Some(ExprKind::Str(_)))
-                {
-                    return true;
-                }
-                args.iter().any(expr_defeats)
-            }
-        }
-    }
-    fn stmt_defeats(stmt: &Stmt) -> bool {
-        match &stmt.kind {
-            StmtKind::Let { init: e, .. }
-            | StmtKind::Assign { value: e, .. }
-            | StmtKind::Expr(e)
-            | StmtKind::Return(Some(e)) => expr_defeats(e),
-            StmtKind::AssignIndex { index, value, .. } => {
-                expr_defeats(index) || expr_defeats(value)
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr_defeats(cond)
-                    || then_body.iter().any(stmt_defeats)
-                    || else_body.iter().any(stmt_defeats)
-            }
-            StmtKind::While { cond, body } => expr_defeats(cond) || body.iter().any(stmt_defeats),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => false,
-        }
-    }
-    program
-        .functions
-        .iter()
-        .any(|f| f.body.iter().any(stmt_defeats))
-}
-
-/// Static-filter context for Selective compiles.
-struct SelectiveCtx {
-    filter: StaticFilter,
-    targets: Vec<String>,
-    summaries: BTreeMap<String, BTreeSet<String>>,
-    memo: HashMap<String, bool>,
-}
-
-impl SelectiveCtx {
-    /// A name is relevant unless the filter proves it unrelated to *every*
-    /// prediction target (unknown names are conservatively relevant).
-    fn is_relevant(&mut self, name: &str) -> bool {
-        if let Some(&v) = self.memo.get(name) {
-            return v;
-        }
-        let v = self
-            .targets
-            .iter()
-            .any(|t| !self.filter.proves_unrelated(name, t));
-        self.memo.insert(name.to_owned(), v);
-        v
-    }
-
-    fn any_relevant(&mut self, names: &BTreeSet<String>) -> bool {
-        names.iter().any(|n| self.is_relevant(n))
-    }
+/// The static facts a Selective compile reads.
+struct SelectiveCtx<'p> {
+    plan: TracePlan<'p>,
+    /// Index of the next trace site of the function being compiled.
+    next: usize,
 }
 
 /// Per-function compile state: the lexical scope stack and loop labels.
@@ -338,7 +255,7 @@ impl FnCtx {
 struct Compiler<'p> {
     program: &'p Program,
     mode: TraceMode,
-    selective: Option<SelectiveCtx>,
+    selective: Option<SelectiveCtx<'p>>,
     ops: Vec<Op>,
     consts: Vec<Value>,
     names: Vec<String>,
@@ -432,35 +349,27 @@ impl<'p> Compiler<'p> {
 
     // -- trace-site decisions ------------------------------------------
 
-    fn may_deps(&self, expr: &Expr) -> BTreeSet<String> {
-        let sel = self.selective.as_ref().expect("selective mode");
-        static_analysis::expr_may_deps(expr, self.program, &sel.summaries)
+    /// How to instrument the next trace site of a Selective compile.
+    fn next_site(&mut self) -> Site {
+        let sel = self.selective.as_mut().expect("selective mode");
+        let site = sel.plan.site(sel.next);
+        sel.next += 1;
+        site
     }
 
-    /// How to instrument an assignment of `rhs` into `dst`.
-    fn assign_trace_kind(
-        &mut self,
-        dst: &str,
-        may: impl FnOnce(&Self) -> BTreeSet<String>,
-    ) -> TraceKind {
+    /// How to instrument an assignment site.
+    fn assign_trace_kind(&mut self) -> TraceKind {
         match self.mode {
             TraceMode::Off => TraceKind::None,
             TraceMode::Full => TraceKind::Assign,
             TraceMode::Selective => {
-                if self.selective.as_mut().expect("selective").is_relevant(dst) {
+                let site = self.next_site();
+                if site.writes_relevant {
                     TraceKind::Assign
+                } else if site.reads_relevant {
+                    TraceKind::Uses
                 } else {
-                    let names = may(self);
-                    if self
-                        .selective
-                        .as_mut()
-                        .expect("selective")
-                        .any_relevant(&names)
-                    {
-                        TraceKind::Uses
-                    } else {
-                        TraceKind::None
-                    }
+                    TraceKind::None
                 }
             }
         }
@@ -469,8 +378,7 @@ impl<'p> Compiler<'p> {
     /// Emits the trace prologue for a `let`/`assign` site (after the RHS
     /// value is on the stack, before the store — the interpreter's order).
     fn emit_assign_trace(&mut self, dst: &str, rhs: &Expr) {
-        let kind = self.assign_trace_kind(dst, |c| c.may_deps(rhs));
-        match kind {
+        match self.assign_trace_kind() {
             TraceKind::None => {}
             TraceKind::Assign => {
                 if is_write_back_call(rhs) {
@@ -488,30 +396,27 @@ impl<'p> Compiler<'p> {
 
     /// Emits a use-note for a condition expression when the mode calls for
     /// it (the dep set is on top of the dep stack).
-    fn emit_cond_note(&mut self, cond: &Expr) {
-        match self.mode {
-            TraceMode::Off => {}
-            TraceMode::Full => {
-                self.emit(Op::NoteUses);
-            }
-            TraceMode::Selective => {
-                let may = self.may_deps(cond);
-                if self
-                    .selective
-                    .as_mut()
-                    .expect("selective")
-                    .any_relevant(&may)
-                {
-                    self.emit(Op::NoteUses);
-                }
-            }
+    fn emit_cond_note(&mut self) {
+        let note = match self.mode {
+            TraceMode::Off => false,
+            TraceMode::Full => true,
+            TraceMode::Selective => self.next_site().reads_relevant,
+        };
+        if note {
+            self.emit(Op::NoteUses);
         }
     }
 
     // -- functions ------------------------------------------------------
 
-    fn compile_function(&mut self, f: &Function, idx: u16) {
+    /// Compiles `f`, which is `program.functions[at]`, into slot `idx`.
+    fn compile_function(&mut self, f: &Function, idx: u16, at: usize) {
         self.compiling_name = self.funcs[idx as usize].name;
+        let sites_end = self.selective.as_mut().map(|sel| {
+            let sites = sel.plan.function_sites(at);
+            sel.next = sites.start;
+            sites.end
+        });
         let entry = self.here();
         let mut ctx = FnCtx::new();
         let mut params = Vec::with_capacity(f.params.len());
@@ -521,6 +426,9 @@ impl<'p> Compiler<'p> {
         }
         self.compile_block(&f.body, &mut ctx);
         self.emit(Op::RetUnit);
+        if let Some(sel) = &self.selective {
+            debug_assert_eq!(Some(sel.next), sites_end, "`{}` left trace sites", f.name);
+        }
         let slot_names = ctx
             .slot_names
             .iter()
@@ -563,12 +471,7 @@ impl<'p> Compiler<'p> {
             StmtKind::AssignIndex { name, index, value } => {
                 self.compile_expr(index, ctx);
                 self.compile_expr(value, ctx);
-                let trace = self.assign_trace_kind(name, |c| {
-                    let mut may = c.may_deps(index);
-                    may.extend(c.may_deps(value));
-                    may.insert(name.clone());
-                    may
-                });
+                let trace = self.assign_trace_kind();
                 let nid = self.name_id(name);
                 match ctx.resolve(name) {
                     Some(slot) => self.emit(Op::StoreIndex {
@@ -585,7 +488,7 @@ impl<'p> Compiler<'p> {
                 else_body,
             } => {
                 self.compile_expr(cond, ctx);
-                self.emit_cond_note(cond);
+                self.emit_cond_note();
                 let msg = self.msg_id("if condition must be boolean");
                 let bf = self.emit(Op::BranchFalse { target: 0, msg });
                 self.compile_block(then_body, ctx);
@@ -597,7 +500,7 @@ impl<'p> Compiler<'p> {
             StmtKind::While { cond, body } => {
                 let start = self.here();
                 self.compile_expr(cond, ctx);
-                self.emit_cond_note(cond);
+                self.emit_cond_note();
                 let msg = self.msg_id("while condition must be boolean");
                 let bf = self.emit(Op::BranchFalse { target: 0, msg });
                 ctx.loops.push(LoopCtx {

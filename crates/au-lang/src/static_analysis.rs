@@ -4,311 +4,680 @@
 //! dependency analysis instead of static analysis which incurs too many
 //! false positives." This module implements the static alternative so the
 //! claim can be measured: it conservatively over-approximates dataflow
-//! (all array elements alias; both branches of every `if` execute; loops
-//! reach a def-use fixpoint; calls connect arguments to parameters and the
-//! callee's returns to the call result). The `static_vs_dynamic` ablation
-//! bench counts the resulting extra candidate edges against the
-//! interpreter's observed dynamic graph.
+//! (all array elements alias; both branches of every `if` execute; every
+//! assignment in a loop body connects regardless of iteration; calls
+//! connect arguments to parameters and the callee's returns to the call
+//! result). The `static_vs_dynamic` ablation bench counts the resulting
+//! extra candidate edges against the interpreter's observed dynamic graph.
+//!
+//! The repo also uses the graph soundly: Selective compiles trace only the
+//! sites it cannot prove unrelated to every target, and the pre-pruned
+//! Algorithms 1/2 skip candidates it proves disjoint from a target. Both
+//! start from one `StaticFacts` value, built by a single walk over the
+//! program that keeps every may-read set as a bitset of symbol ids:
+//! Selective compiles read it directly, and [`analyze`] turns it into the
+//! `AnalysisDb` that `au_trace::StaticFilter` is built from.
 
 use crate::ast::{Expr, ExprKind, Program, Stmt, StmtKind};
-use au_trace::AnalysisDb;
-use std::collections::{BTreeMap, BTreeSet};
+use au_trace::{AnalysisDb, BitMatrix};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Builds a static over-approximated dependence graph for `program`.
 ///
 /// Edges use the same variable-name space as the dynamic tracer, so the
-/// result can be fed to the same extraction algorithms. Function-call
-/// dataflow is resolved by connecting argument variables to parameter
-/// names and the callee's return-dependence summary (see
-/// [`return_summaries`]) to the call result.
+/// result can be fed to the same extraction algorithms. A call to a user
+/// function connects argument variables to parameter names, and the
+/// callee's return-dependence summary (the variables its returned value
+/// may depend on, through nested calls) to the call result. As in the
+/// interpreter and the VM, a name starting with `au_` always calls the
+/// builtin, never a user function of that name.
 pub fn analyze(program: &Program) -> AnalysisDb {
+    let facts = StaticFacts::new(program);
     let mut db = AnalysisDb::new();
-    let summaries = return_summaries(program);
-    // Iterate to a fixpoint: call-return summaries can feed one another
-    // (recursion, out-of-order definitions). The edge set is monotone and
-    // bounded by |vars|², so this terminates.
-    let mut last_edge_count = u64::MAX;
-    let mut analyzer = StaticAnalyzer {
-        db: &mut db,
-        program,
-        summaries: &summaries,
-    };
-    for _ in 0..program.functions.len() + 2 {
-        for func in &program.functions {
-            analyzer.block(&func.body, &func.name);
-        }
-        let count = analyzer.edge_count();
-        if count == last_edge_count {
-            break;
-        }
-        last_edge_count = count;
+    for &s in &facts.vars {
+        db.var(facts.names[s as usize]);
+    }
+    for &(src, dst) in &facts.edges {
+        db.record_edge(facts.var_name(src), facts.var_name(dst));
+    }
+    for &(v, f) in &facts.uses {
+        db.record_use(facts.var_name(v), &program.functions[f as usize].name);
+    }
+    for &v in &facts.inputs {
+        db.mark_input(facts.var_name(v));
+    }
+    for &v in &facts.targets {
+        db.mark_target(facts.var_name(v));
     }
     db
 }
 
-/// Per-function *return-dependence summaries*: for every function, the set
-/// of variable names the dynamic tracer could report as the dependences of
-/// a call's result. The summary must cover nested calls — `fn f(p) {
-/// return g(p); }` dynamically yields the deps of `g`'s executed return
-/// expression (variables in *`g`'s* scope), so `summary(f) ⊇ summary(g)`.
-/// A syntactic `return_vars` walk misses exactly that case, which would
-/// break the dyn ⊆ static containment the pre-pruning filter and the VM's
-/// selective tracing rely on. Computed as a monotone fixpoint, so
-/// recursion and out-of-order definitions converge.
-pub fn return_summaries(program: &Program) -> BTreeMap<String, BTreeSet<String>> {
-    let mut summaries: BTreeMap<String, BTreeSet<String>> = program
-        .functions
-        .iter()
-        .map(|f| (f.name.clone(), BTreeSet::new()))
-        .collect();
-    for _ in 0..program.functions.len() + 2 {
-        let mut changed = false;
+/// Marks a symbol id that the static graph never interned.
+const NONE: u32 = u32::MAX;
+
+/// Everything one walk over a program proves statically.
+///
+/// Names are interned as *symbols* in the order the walk meets them. Ids
+/// below `program.functions.len()` are reserved: id `f` stands for "what
+/// function `f`'s return value may depend on" (its return summary), so a
+/// call adds one bit to a may-read set and the summary is resolved once,
+/// after the walk. The graph's variables are the symbols the dependence
+/// records name, in the order [`analyze`] interns them: these are its
+/// `VarId`s.
+pub(crate) struct StaticFacts<'p> {
+    /// Symbol id → name (a function's name for the reserved ids).
+    names: Vec<&'p str>,
+    /// Variable name → symbol id.
+    ids: HashMap<&'p str, u32>,
+    /// Number of reserved summary ids (`program.functions.len()`).
+    funcs: u32,
+    /// Per function (first definition of its name), the variables its
+    /// returned value may depend on, through nested calls.
+    summaries: Vec<Bits>,
+    /// `VarId` → symbol.
+    vars: Vec<u32>,
+    /// Symbol → `VarId`, or [`NONE`].
+    var_of: Vec<u32>,
+    /// Direct dependence edges `(src, dst)` between `VarId`s, sorted.
+    edges: Vec<(u32, u32)>,
+    /// `(VarId, function)` pairs: the variable is used in that function.
+    uses: Vec<(u32, u32)>,
+    inputs: Vec<u32>,
+    targets: Vec<u32>,
+    /// Every trace site in walk order, and where each function's start.
+    sites: Vec<SiteSet>,
+    fn_sites: Vec<u32>,
+    /// The words of every stored may-read set.
+    arena: Vec<u64>,
+    /// Whether an `input`, `mark_input` or `mark_target` name is computed:
+    /// the static input and target sets may then miss dynamic ones.
+    computed_names: bool,
+}
+
+/// A may-read set stored in [`StaticFacts::arena`].
+#[derive(Clone, Copy)]
+struct SetRef {
+    start: u32,
+    len: u32,
+}
+
+/// A trace site: an assignment (with its destination) or a condition.
+#[derive(Clone, Copy)]
+struct SiteSet {
+    dst: Option<u32>,
+    reads: SetRef,
+}
+
+/// One dependence record, in the order the walk meets it.
+enum Event {
+    /// `dst` is computed from `reads` inside function `func`.
+    Assign {
+        dst: u32,
+        reads: SetRef,
+        func: u32,
+    },
+    /// `reads` are used inside function `func` (a condition).
+    Use {
+        reads: SetRef,
+        func: u32,
+    },
+    Input(u32),
+    Target(u32),
+}
+
+/// How a Selective compile instruments one trace site.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Site {
+    /// The assigned variable may reach a prediction target.
+    pub writes_relevant: bool,
+    /// Some variable the site may read may reach a prediction target.
+    pub reads_relevant: bool,
+}
+
+/// What a Selective compile reads from the static facts.
+pub(crate) struct TracePlan<'p> {
+    ids: HashMap<&'p str, u32>,
+    relevant: Bits,
+    /// The answer for a name the static graph never interned.
+    unknown_relevant: bool,
+    sites: Vec<Site>,
+    fn_sites: Vec<u32>,
+}
+
+impl<'p> TracePlan<'p> {
+    /// A name is relevant unless the static graph proves it unrelated to
+    /// *every* prediction target; a name the graph does not know is
+    /// relevant whenever there is a target.
+    pub(crate) fn is_relevant(&self, name: &str) -> bool {
+        match self.ids.get(name) {
+            Some(&s) => self.relevant.contains(s),
+            None => self.unknown_relevant,
+        }
+    }
+
+    /// The indices of `program.functions[func]`'s trace sites: its
+    /// assignments and conditions in source order, which is the order the
+    /// compiler meets them.
+    pub(crate) fn function_sites(&self, func: usize) -> Range<usize> {
+        let start = self.fn_sites[func] as usize;
+        let end = self
+            .fn_sites
+            .get(func + 1)
+            .map_or(self.sites.len(), |&e| e as usize);
+        start..end
+    }
+
+    pub(crate) fn site(&self, i: usize) -> Site {
+        self.sites[i]
+    }
+}
+
+impl<'p> StaticFacts<'p> {
+    /// Walks `program` once and resolves what the walk recorded.
+    pub(crate) fn new(program: &'p Program) -> Self {
+        let funcs = program.functions.len() as u32;
+        let mut w = Walk {
+            program,
+            names: program.functions.iter().map(|f| f.name.as_str()).collect(),
+            ids: HashMap::new(),
+            returns: vec![Bits::default(); funcs as usize],
+            events: Vec::new(),
+            sites: Vec::new(),
+            fn_sites: Vec::with_capacity(funcs as usize),
+            arena: Vec::new(),
+            arg_sets: Vec::new(),
+            pool: Vec::new(),
+            computed_names: false,
+        };
         for func in &program.functions {
-            let mut acc = BTreeSet::new();
-            summary_of_block(&func.body, program, &summaries, &mut acc);
-            let entry = summaries.get_mut(&func.name).expect("seeded above");
-            let before = entry.len();
-            entry.extend(acc);
-            changed |= entry.len() != before;
+            w.fn_sites.push(w.sites.len() as u32);
+            let f = w.first_def(&func.name).expect("defined") as u32;
+            w.block(&func.body, f);
         }
-        if !changed {
-            break;
+        let mut facts = StaticFacts {
+            summaries: summaries(&w.returns, funcs),
+            names: w.names,
+            ids: w.ids,
+            funcs,
+            vars: Vec::new(),
+            var_of: Vec::new(),
+            edges: Vec::new(),
+            uses: Vec::new(),
+            inputs: Vec::new(),
+            targets: Vec::new(),
+            sites: w.sites,
+            fn_sites: w.fn_sites,
+            arena: w.arena,
+            computed_names: w.computed_names,
+        };
+        facts.record(&w.events);
+        facts
+    }
+
+    /// True when Selective tracing must fall back to Full: a computed name
+    /// in `input`, `mark_input` or `mark_target` can make the static input
+    /// and target sets miss dynamic ones.
+    pub(crate) fn defeats_selective(&self) -> bool {
+        self.computed_names
+    }
+
+    fn var_name(&self, v: u32) -> &'p str {
+        self.names[self.vars[v as usize] as usize]
+    }
+
+    fn set(&self, r: SetRef) -> &[u64] {
+        &self.arena[r.start as usize..(r.start + r.len) as usize]
+    }
+
+    /// `reads` with every summary id replaced by that function's summary.
+    fn expand(&self, reads: SetRef, out: &mut Bits) {
+        out.clear();
+        let words = self.set(reads);
+        out.union_words(words);
+        for f in members(words).take_while(|&s| s < self.funcs) {
+            out.remove(f);
+            out.union_words(&self.summaries[f as usize].0);
         }
     }
-    summaries
-}
 
-fn summary_of_block(
-    stmts: &[Stmt],
-    program: &Program,
-    summaries: &BTreeMap<String, BTreeSet<String>>,
-    out: &mut BTreeSet<String>,
-) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Return(Some(e)) => summary_expr_deps(e, program, summaries, out),
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                summary_of_block(then_body, program, summaries, out);
-                summary_of_block(else_body, program, summaries, out);
-            }
-            StmtKind::While { body, .. } => summary_of_block(body, program, summaries, out),
-            _ => {}
+    /// Interns `sym` as the next `VarId` if it is not one yet.
+    fn var(&mut self, sym: u32) -> u32 {
+        let slot = &mut self.var_of[sym as usize];
+        if *slot == NONE {
+            *slot = self.vars.len() as u32;
+            self.vars.push(sym);
         }
+        *slot
     }
-}
 
-/// The names an expression's *value* may dynamically depend on, given the
-/// current summaries. Call arguments are included conservatively (the
-/// dynamic tracer separately flows them into parameters).
-fn summary_expr_deps(
-    expr: &Expr,
-    program: &Program,
-    summaries: &BTreeMap<String, BTreeSet<String>>,
-    out: &mut BTreeSet<String>,
-) {
-    match &expr.kind {
-        ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) => {}
-        ExprKind::Var(name) => {
-            out.insert(name.clone());
-        }
-        ExprKind::Array(items) => {
-            for item in items {
-                summary_expr_deps(item, program, summaries, out);
-            }
-        }
-        ExprKind::Index(target, index) => {
-            summary_expr_deps(target, program, summaries, out);
-            summary_expr_deps(index, program, summaries, out);
-        }
-        ExprKind::Unary { expr, .. } => summary_expr_deps(expr, program, summaries, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            summary_expr_deps(lhs, program, summaries, out);
-            summary_expr_deps(rhs, program, summaries, out);
-        }
-        ExprKind::Call { name, args } => {
-            for arg in args {
-                summary_expr_deps(arg, program, summaries, out);
-            }
-            if name == "input" {
-                if let Some(ExprKind::Str(input_name)) = args.first().map(|a| &a.kind) {
-                    out.insert(input_name.clone());
+    /// Replays the walk's records into the graph. A record interns its
+    /// destination first, then its sources in name order, exactly as
+    /// `AnalysisDb::record_assign` does with a sorted source list.
+    fn record(&mut self, events: &[Event]) {
+        self.var_of = vec![NONE; self.names.len()];
+        let (mut reads, mut order) = (Bits::default(), Vec::new());
+        for event in events {
+            match *event {
+                Event::Assign {
+                    dst,
+                    reads: r,
+                    func,
+                } => {
+                    let d = self.var(dst);
+                    self.sorted(r, &mut reads, &mut order);
+                    for &s in &order {
+                        let v = self.var(s);
+                        if v != d {
+                            self.edges.push((v, d));
+                        }
+                        self.uses.push((v, func));
+                    }
+                    self.uses.push((d, func));
+                }
+                Event::Use { reads: r, func } => {
+                    self.sorted(r, &mut reads, &mut order);
+                    for &s in &order {
+                        let v = self.var(s);
+                        self.uses.push((v, func));
+                    }
+                }
+                Event::Input(s) => {
+                    let v = self.var(s);
+                    self.inputs.push(v);
+                }
+                Event::Target(s) => {
+                    let v = self.var(s);
+                    self.targets.push(v);
                 }
             }
-            if !name.starts_with("au_") && program.function(name).is_some() {
-                if let Some(callee_summary) = summaries.get(name) {
-                    out.extend(callee_summary.iter().cloned());
-                }
+        }
+        for list in [&mut self.edges, &mut self.uses] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for list in [&mut self.inputs, &mut self.targets] {
+            list.sort_unstable();
+            list.dedup();
+        }
+    }
+
+    /// The expanded members of `r`, ordered by name.
+    fn sorted(&self, r: SetRef, scratch: &mut Bits, order: &mut Vec<u32>) {
+        self.expand(r, scratch);
+        order.clear();
+        order.extend(members(&scratch.0));
+        order.sort_unstable_by_key(|&s| self.names[s as usize]);
+    }
+
+    /// The relevance of every symbol and the instrumentation of every
+    /// site, for a Selective compile.
+    ///
+    /// `w` is relevant when some target `t` is related to it: `w == t`,
+    /// one reaches the other, or they share a dependent. With `R` the
+    /// targets plus everything they reach, that is `({w} ∪ dep(w)) ∩ R ≠
+    /// ∅`, one row test per variable.
+    pub(crate) fn trace_plan(self) -> TracePlan<'p> {
+        let n = self.vars.len();
+        let mut dep = BitMatrix::new(n);
+        for &(src, dst) in &self.edges {
+            dep.insert(src as usize, dst as usize);
+        }
+        dep.close();
+        let mut reach = Bits::default();
+        for &t in &self.targets {
+            reach.insert(t);
+            reach.union_words(dep.row(t as usize));
+        }
+        let unknown_relevant = !self.targets.is_empty();
+        let mut relevant = Bits::default();
+        for (sym, &v) in self.var_of.iter().enumerate().skip(self.funcs as usize) {
+            let yes = if v == NONE {
+                unknown_relevant
+            } else {
+                reach.contains(v) || intersects(dep.row(v as usize), &reach.0)
+            };
+            if yes {
+                relevant.insert(sym as u32);
             }
         }
-    }
-}
-
-/// Conservative over-approximation of the variable names `expr`'s value
-/// may dynamically depend on, given per-function [`return_summaries`].
-/// Every name the tracing interpreter could report as a dependence of this
-/// expression is included (arguments of calls are included conservatively,
-/// literal `input` keys count as names). The bytecode compiler uses this
-/// to decide which sites can be left untraced in selective mode.
-pub fn expr_may_deps(
-    expr: &Expr,
-    program: &Program,
-    summaries: &BTreeMap<String, BTreeSet<String>>,
-) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    summary_expr_deps(expr, program, summaries, &mut out);
-    out
-}
-
-struct StaticAnalyzer<'a> {
-    db: &'a mut AnalysisDb,
-    program: &'a Program,
-    summaries: &'a BTreeMap<String, BTreeSet<String>>,
-}
-
-impl<'a> StaticAnalyzer<'a> {
-    fn edge_count(&self) -> u64 {
-        let mut count = 0u64;
-        for v in self.db.all_vars() {
-            count += self.db.direct_dependents(v).len() as u64;
+        // A summary id is relevant when its summary reads a relevant name.
+        for f in 0..self.funcs {
+            if intersects(&self.summaries[f as usize].0, &relevant.0) {
+                relevant.insert(f);
+            }
         }
-        count
+        let sites = self
+            .sites
+            .iter()
+            .map(|site| Site {
+                writes_relevant: site.dst.is_some_and(|d| relevant.contains(d)),
+                reads_relevant: intersects(self.set(site.reads), &relevant.0),
+            })
+            .collect();
+        TracePlan {
+            ids: self.ids,
+            relevant,
+            unknown_relevant,
+            sites,
+            fn_sites: self.fn_sites,
+        }
+    }
+}
+
+/// Resolves return summaries: function `f`'s summary is the variables its
+/// own `return` expressions read plus those of every function they call,
+/// transitively — a closure over the call bits in `returns`.
+fn summaries(returns: &[Bits], funcs: u32) -> Vec<Bits> {
+    let mut calls = BitMatrix::new(funcs as usize);
+    for (f, ret) in returns.iter().enumerate() {
+        for g in members(&ret.0).take_while(|&g| g < funcs) {
+            calls.insert(f, g as usize);
+        }
+    }
+    calls.close();
+    (0..funcs as usize)
+        .map(|f| {
+            let mut summary = returns[f].clone();
+            for g in members(calls.row(f)) {
+                summary.union_words(&returns[g as usize].0);
+            }
+            for g in 0..funcs {
+                summary.remove(g);
+            }
+            summary
+        })
+        .collect()
+}
+
+/// The AST walk behind [`StaticFacts::new`]: it records may-read sets,
+/// dependence records and trace sites, and resolves nothing.
+struct Walk<'p> {
+    program: &'p Program,
+    names: Vec<&'p str>,
+    ids: HashMap<&'p str, u32>,
+    /// Per function, what its `return` expressions read (summary ids
+    /// included).
+    returns: Vec<Bits>,
+    events: Vec<Event>,
+    sites: Vec<SiteSet>,
+    fn_sites: Vec<u32>,
+    arena: Vec<u64>,
+    /// Argument sets of the calls being walked, innermost last.
+    arg_sets: Vec<SetRef>,
+    /// Cleared scratch sets, reused so the walk allocates few.
+    pool: Vec<Bits>,
+    computed_names: bool,
+}
+
+impl<'p> Walk<'p> {
+    fn sym(&mut self, name: &'p str) -> u32 {
+        if let Some(&s) = self.ids.get(name) {
+            return s;
+        }
+        let s = self.names.len() as u32;
+        self.names.push(name);
+        self.ids.insert(name, s);
+        s
     }
 
-    fn block(&mut self, stmts: &[Stmt], func: &str) {
+    /// Index of the first function named `name`: the one a call runs.
+    fn first_def(&self, name: &str) -> Option<usize> {
+        self.program.functions.iter().position(|f| f.name == name)
+    }
+
+    fn take(&mut self) -> Bits {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut set: Bits) {
+        set.clear();
+        self.pool.push(set);
+    }
+
+    fn store(&mut self, set: &Bits) -> SetRef {
+        let start = self.arena.len() as u32;
+        self.arena.extend_from_slice(&set.0);
+        SetRef {
+            start,
+            len: set.0.len() as u32,
+        }
+    }
+
+    /// Records `dst := f(reads)` as a dependence record and a trace site.
+    fn assign(&mut self, dst: u32, reads: &Bits, func: u32) {
+        let reads = self.store(reads);
+        self.events.push(Event::Assign { dst, reads, func });
+        self.sites.push(SiteSet {
+            dst: Some(dst),
+            reads,
+        });
+    }
+
+    fn block(&mut self, stmts: &'p [Stmt], func: u32) {
         for stmt in stmts {
-            self.stmt(stmt, func);
-        }
-    }
-
-    fn stmt(&mut self, stmt: &Stmt, func: &str) {
-        match &stmt.kind {
-            StmtKind::Let { name, init } | StmtKind::Assign { name, value: init } => {
-                let deps = self.expr_deps(init, func, Some(name));
-                let dep_refs: Vec<&str> = deps.iter().map(String::as_str).collect();
-                self.db.record_assign(name, &dep_refs, None, func);
-                self.mark_write_back_target(name, init);
-            }
-            StmtKind::AssignIndex { name, index, value } => {
-                // All elements alias statically: the whole array depends on
-                // the index and value expressions plus itself.
-                let mut deps = self.expr_deps(index, func, None);
-                deps.extend(self.expr_deps(value, func, None));
-                deps.insert(name.clone());
-                let dep_refs: Vec<&str> = deps.iter().map(String::as_str).collect();
-                self.db.record_assign(name, &dep_refs, None, func);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                for var in self.expr_deps(cond, func, None) {
-                    self.db.record_use(&var, func);
+            match &stmt.kind {
+                StmtKind::Let { name, init } | StmtKind::Assign { name, value: init } => {
+                    let mut reads = self.take();
+                    self.expr(init, &mut reads);
+                    let dst = self.sym(name);
+                    self.assign(dst, &reads, func);
+                    // `x = au_write_back("N")` marks x as a target, same
+                    // as the dynamic tracer.
+                    if let ExprKind::Call { name, .. } = &init.kind {
+                        if matches!(
+                            name.as_str(),
+                            "au_write_back" | "au_write_back_n" | "au_nn_rl"
+                        ) {
+                            self.events.push(Event::Target(dst));
+                        }
+                    }
+                    self.give(reads);
                 }
-                // Both branches conservatively execute.
-                self.block(then_body, func);
-                self.block(else_body, func);
-            }
-            StmtKind::While { cond, body } => {
-                for var in self.expr_deps(cond, func, None) {
-                    self.db.record_use(&var, func);
+                StmtKind::AssignIndex { name, index, value } => {
+                    // All elements alias statically: the whole array
+                    // depends on the index and value plus itself.
+                    let mut reads = self.take();
+                    self.expr(index, &mut reads);
+                    self.expr(value, &mut reads);
+                    let dst = self.sym(name);
+                    reads.insert(dst);
+                    self.assign(dst, &reads, func);
+                    self.give(reads);
                 }
-                self.block(body, func);
+                StmtKind::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    self.condition(cond, func);
+                    // Both branches conservatively execute.
+                    self.block(then_body, func);
+                    self.block(else_body, func);
+                }
+                StmtKind::While { cond, body } => {
+                    self.condition(cond, func);
+                    self.block(body, func);
+                }
+                StmtKind::Return(Some(e)) => {
+                    let mut reads = std::mem::take(&mut self.returns[func as usize]);
+                    self.expr(e, &mut reads);
+                    self.returns[func as usize] = reads;
+                }
+                StmtKind::Expr(e) => {
+                    let mut reads = self.take();
+                    self.expr(e, &mut reads);
+                    self.give(reads);
+                }
+                StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
             }
-            StmtKind::Return(Some(e)) | StmtKind::Expr(e) => {
-                let _ = self.expr_deps(e, func, None);
-            }
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
         }
     }
 
-    /// `x = au_write_back("N")` marks x as a target, same as the dynamic
-    /// tracer.
-    fn mark_write_back_target(&mut self, dst: &str, value: &Expr) {
-        if let ExprKind::Call { name, .. } = &value.kind {
-            if name == "au_write_back" || name == "au_write_back_n" || name == "au_nn_rl" {
-                self.db.mark_target(dst);
-            }
-        }
+    fn condition(&mut self, cond: &'p Expr, func: u32) {
+        let mut reads = self.take();
+        self.expr(cond, &mut reads);
+        let reads_ref = self.store(&reads);
+        self.events.push(Event::Use {
+            reads: reads_ref,
+            func,
+        });
+        self.sites.push(SiteSet {
+            dst: None,
+            reads: reads_ref,
+        });
+        self.give(reads);
     }
 
-    /// Variables an expression may read. For user-function calls, connects
-    /// arguments → parameters and returns the callee's return-variable set
-    /// (plus the arguments, conservatively). `input("name", d)` marks the
-    /// name as a program input.
-    #[allow(clippy::only_used_in_recursion)]
-    fn expr_deps(&mut self, expr: &Expr, func: &str, _target: Option<&str>) -> BTreeSet<String> {
-        let mut deps = BTreeSet::new();
+    /// Adds to `out` every symbol `expr`'s value may depend on: the
+    /// variables it reads, literal `input` keys, every call argument
+    /// (conservatively), and a summary id per user function it calls.
+    fn expr(&mut self, expr: &'p Expr, out: &mut Bits) {
         match &expr.kind {
             ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) => {}
             ExprKind::Var(name) => {
-                deps.insert(name.clone());
+                let s = self.sym(name);
+                out.insert(s);
             }
             ExprKind::Array(items) => {
                 for item in items {
-                    deps.extend(self.expr_deps(item, func, None));
+                    self.expr(item, out);
                 }
             }
             ExprKind::Index(target, index) => {
-                deps.extend(self.expr_deps(target, func, None));
-                deps.extend(self.expr_deps(index, func, None));
+                self.expr(target, out);
+                self.expr(index, out);
             }
-            ExprKind::Unary { expr, .. } => {
-                deps.extend(self.expr_deps(expr, func, None));
-            }
+            ExprKind::Unary { expr, .. } => self.expr(expr, out),
             ExprKind::Binary { lhs, rhs, .. } => {
-                deps.extend(self.expr_deps(lhs, func, None));
-                deps.extend(self.expr_deps(rhs, func, None));
+                self.expr(lhs, out);
+                self.expr(rhs, out);
             }
-            ExprKind::Call { name, args } => {
-                let mut arg_deps: Vec<BTreeSet<String>> = Vec::with_capacity(args.len());
-                for arg in args {
-                    arg_deps.push(self.expr_deps(arg, func, None));
-                }
-                if name == "input" {
-                    if let Some(ExprKind::Str(input_name)) = args.first().map(|a| &a.kind) {
-                        self.db.mark_input(input_name);
-                        deps.insert(input_name.clone());
-                    }
-                }
-                // The dynamic tracer marks these unconditionally at runtime;
-                // mirror literal uses so static target/input sets contain
-                // their dynamic counterparts.
-                if name == "mark_input" {
-                    if let Some(ExprKind::Str(var)) = args.first().map(|a| &a.kind) {
-                        self.db.mark_input(var);
-                    }
-                }
-                if name == "mark_target" {
-                    if let Some(ExprKind::Str(var)) = args.first().map(|a| &a.kind) {
-                        self.db.mark_target(var);
-                    }
-                }
-                if let Some(callee) = self.program.function(name).cloned() {
-                    // Argument → parameter edges (in the callee's scope).
-                    for (param, adeps) in callee.params.iter().zip(&arg_deps) {
-                        let refs: Vec<&str> = adeps.iter().map(String::as_str).collect();
-                        self.db.record_assign(param, &refs, None, &callee.name);
-                    }
-                    // The call result may depend on anything the callee's
-                    // executed return expression depends on, transitively
-                    // through nested calls.
-                    if let Some(summary) = self.summaries.get(&callee.name) {
-                        deps.extend(summary.iter().cloned());
-                    }
-                }
-                // Conservatively, the result also depends on all arguments.
-                for adeps in arg_deps {
-                    deps.extend(adeps);
-                }
+            ExprKind::Call { name, args } => self.call(name, args, out),
+        }
+    }
+
+    fn call(&mut self, name: &'p str, args: &'p [Expr], out: &mut Bits) {
+        let callee = if name.starts_with("au_") {
+            None
+        } else {
+            self.first_def(name)
+        };
+        // A user call keeps each argument's set apart until the argument
+        // → parameter records below.
+        let base = self.arg_sets.len();
+        for arg in args {
+            if callee.is_some() {
+                let mut reads = self.take();
+                self.expr(arg, &mut reads);
+                out.union_words(&reads.0);
+                let set = self.store(&reads);
+                self.arg_sets.push(set);
+                self.give(reads);
+            } else {
+                self.expr(arg, out);
             }
         }
-        deps
+        let literal = match args.first().map(|a| &a.kind) {
+            Some(ExprKind::Str(s)) => Some(s.as_str()),
+            _ => None,
+        };
+        // The dynamic tracer marks these at runtime; literal names are
+        // mirrored so the static input and target sets contain theirs.
+        match (name, literal) {
+            ("input", Some(key)) => {
+                let s = self.sym(key);
+                self.events.push(Event::Input(s));
+                out.insert(s);
+            }
+            ("mark_input", Some(var)) => {
+                let s = self.sym(var);
+                self.events.push(Event::Input(s));
+            }
+            ("mark_target", Some(var)) => {
+                let s = self.sym(var);
+                self.events.push(Event::Target(s));
+            }
+            ("input" | "mark_input" | "mark_target", None) => self.computed_names = true,
+            _ => {}
+        }
+        if let Some(f) = callee {
+            let program = self.program;
+            for (i, param) in program.functions[f].params.iter().enumerate() {
+                let Some(&reads) = self.arg_sets.get(base + i) else {
+                    break;
+                };
+                let dst = self.sym(param);
+                self.events.push(Event::Assign {
+                    dst,
+                    reads,
+                    func: f as u32,
+                });
+            }
+            self.arg_sets.truncate(base);
+            // The result may depend on anything the callee's executed
+            // return expression depends on.
+            out.insert(f as u32);
+        }
     }
+}
+
+/// A growable set of symbol ids, one bit each.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn insert(&mut self, i: u32) {
+        let w = (i / 64) as usize;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        self.0[w] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: u32) {
+        if let Some(word) = self.0.get_mut((i / 64) as usize) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        self.0
+            .get((i / 64) as usize)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn union_words(&mut self, words: &[u64]) {
+        if words.len() > self.0.len() {
+            self.0.resize(words.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(words) {
+            *a |= b;
+        }
+    }
+
+    /// Empties the set and keeps its buffer.
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// The set bits of `words`, ascending.
+fn members(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                i as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
 #[cfg(test)]
@@ -407,6 +776,14 @@ mod tests {
         );
     }
 
+    /// The names in the return summary of function `name`.
+    fn summary<'p>(facts: &StaticFacts<'p>, name: &str) -> Vec<&'p str> {
+        let f = facts.names.iter().position(|&n| n == name).unwrap();
+        members(&facts.summaries[f].0)
+            .map(|s| facts.names[s as usize])
+            .collect()
+    }
+
     #[test]
     fn nested_return_calls_flow_to_call_result() {
         // `f` returns `g(x)`; dynamically, the deps of `y = f(...)` are the
@@ -429,10 +806,16 @@ mod tests {
             "q flows through f's return-of-g into y"
         );
 
-        let summaries = return_summaries(&program);
-        assert!(summaries["g"].contains("q"));
-        assert!(summaries["f"].contains("q"), "f inherits g's summary");
-        assert!(summaries["f"].contains("x"), "args stay conservative");
+        let facts = StaticFacts::new(&program);
+        assert_eq!(summary(&facts, "g"), ["q"]);
+        assert!(
+            summary(&facts, "f").contains(&"q"),
+            "f inherits g's summary"
+        );
+        assert!(
+            summary(&facts, "f").contains(&"x"),
+            "args stay conservative"
+        );
     }
 
     #[test]
@@ -465,5 +848,74 @@ mod tests {
         let db = analyze(&program); // must terminate
         assert!(db.id("n").is_some());
         assert!(db.id("r").is_some());
+    }
+
+    #[test]
+    fn recursive_summaries_close_over_the_call_cycle() {
+        let src = r#"
+            fn even(n) { if (n < 1) { return n; } let m = n - 1; return odd(m); }
+            fn odd(k) { if (k < 1) { return 0; } let j = k - 1; return even(j); }
+            fn main() { let r = even(3); return r; }
+        "#;
+        let program = parse(src).unwrap();
+        let facts = StaticFacts::new(&program);
+        assert_eq!(summary(&facts, "even"), summary(&facts, "odd"));
+        // `k` reaches the result only through `j`: it is never returned.
+        assert_eq!(summary(&facts, "even"), ["n", "m", "j"]);
+        let db = analyze(&program);
+        let r = db.id("r").unwrap();
+        assert!(db.dependents(db.id("k").unwrap()).contains(&r));
+    }
+
+    #[test]
+    fn au_named_functions_are_builtins_to_the_graph() {
+        // The interpreter and the VM dispatch every `au_*` call to the
+        // builtin, so a user function of such a name never runs: no
+        // argument → parameter edge and no return summary.
+        let src = r#"
+            fn au_helper(v) { let w = v * 2; return w; }
+            fn main() {
+                let x = input("x", 1);
+                let y = au_helper(x);
+                return y;
+            }
+        "#;
+        let program = parse(src).unwrap();
+        let db = analyze(&program);
+        let x = db.id("x").unwrap();
+        let w = db.id("w").unwrap();
+        let y = db.id("y").unwrap();
+        assert!(db.dependents(x).contains(&y), "arguments stay conservative");
+        assert!(!db.dependents(x).contains(&db.id("v").unwrap()));
+        assert!(!db.dependents(w).contains(&y));
+    }
+
+    #[test]
+    fn interning_follows_records_not_reads() {
+        // `let y = x + 1;` interns y before x: a record names its
+        // destination first, then its sources in name order.
+        let src = r#"
+            fn main() {
+                let x = input("x", 1);
+                let y = x + zeta + alpha;
+                return y;
+            }
+        "#;
+        let db = analyze(&parse(src).unwrap());
+        let order: Vec<&str> = db.all_vars().map(|v| db.name(v)).collect();
+        assert_eq!(order, ["x", "y", "alpha", "zeta"]);
+    }
+
+    #[test]
+    fn trace_plan_answers_like_the_static_filter() {
+        let program = parse(BRANCHY).unwrap();
+        let db = analyze(&program);
+        let filter = au_trace::StaticFilter::new(&db);
+        let targets: Vec<&str> = db.targets().iter().map(|&t| db.name(t)).collect();
+        let plan = StaticFacts::new(&program).trace_plan();
+        for name in db.all_vars().map(|v| db.name(v)).chain(["main", "ghost"]) {
+            let expected = targets.iter().any(|t| !filter.proves_unrelated(name, t));
+            assert_eq!(plan.is_relevant(name), expected, "{name}");
+        }
     }
 }

@@ -59,7 +59,7 @@ mod sl;
 mod stats;
 
 pub use db::{AnalysisDb, VarId};
-pub use preprune::{extract_rl_pruned, extract_sl_pruned, PrepruneStats, StaticFilter};
+pub use preprune::{extract_rl_pruned, extract_sl_pruned, BitMatrix, PrepruneStats, StaticFilter};
 pub use rl::{extract_rl, extract_rl_detailed, RlExtraction, RlParams};
 pub use sl::{extract_sl, select_band, DistanceBand, RankedFeature};
 pub use stats::{euclidean_distance, min_max_scale, summarize, variance, TraceSummary};

@@ -54,36 +54,99 @@ impl PrepruneStats {
     }
 }
 
+/// A square matrix of bits over `0..n`, one row of `u64` words per index.
+///
+/// Static dependence graphs are small and dense enough that a row of bits
+/// beats a `BTreeSet` per variable: [`StaticFilter`] and AuLang's static
+/// analysis keep their edges and transitive closures in one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitMatrix {
+    n: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// An `n × n` matrix with no bit set.
+    pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitMatrix {
+            n,
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
+    /// Sets bit `(row, col)`.
+    pub fn insert(&mut self, row: usize, col: usize) {
+        self.bits[row * self.words + col / 64] |= 1 << (col % 64);
+    }
+
+    /// Whether bit `(row, col)` is set.
+    pub fn contains(&self, row: usize, col: usize) -> bool {
+        self.bits[row * self.words + col / 64] >> (col % 64) & 1 == 1
+    }
+
+    /// Row `row` as words: column `c` is bit `c % 64` of word `c / 64`.
+    pub fn row(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    /// Replaces the relation with its transitive closure (Warshall's
+    /// algorithm, 64 columns per word operation): afterwards `(i, j)` is
+    /// set exactly when a path of one or more steps leads from `i` to
+    /// `j`, so `(i, i)` is set only for an `i` on a cycle. Over
+    /// dependence edges, row `v` becomes [`AnalysisDb::dependents`]`(v)`.
+    pub fn close(&mut self) {
+        let w = self.words;
+        for k in 0..self.n {
+            for i in 0..self.n {
+                if i != k && self.contains(i, k) {
+                    for x in 0..w {
+                        self.bits[i * w + x] |= self.bits[k * w + x];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Precomputed reachability over a static dependence graph (from
 /// `au_lang::static_analysis::analyze`, or any [`AnalysisDb`] built from
 /// program text rather than a run).
 ///
-/// The closures live behind an `Arc`, so `clone()` is O(1) — the pooled
-/// extraction loops hand each `'static` worker job its own handle without
-/// recomputing or deep-copying the reachability sets.
+/// The filter holds an O(1) snapshot of the graph for name lookups and
+/// the graph's transitive closure as a [`BitMatrix`], both behind an
+/// `Arc`, so `clone()` is O(1) — the pooled extraction loops hand each
+/// `'static` worker job its own handle without recomputing anything.
 #[derive(Clone)]
 pub struct StaticFilter {
     core: std::sync::Arc<FilterCore>,
 }
 
 struct FilterCore {
-    index: BTreeMap<String, VarId>,
-    deps: BTreeMap<VarId, BTreeSet<VarId>>,
+    db: AnalysisDb,
+    /// Row `v`: the transitive dependents of `v`.
+    deps: BitMatrix,
 }
 
 impl StaticFilter {
     /// Computes the transitive-dependents closure of every static variable
-    /// once, so each candidate test is two map lookups and a set
-    /// intersection.
+    /// once, so each candidate test is two name lookups and a few word
+    /// operations.
     pub fn new(static_db: &AnalysisDb) -> Self {
-        let mut index = BTreeMap::new();
-        let mut deps = BTreeMap::new();
+        let mut deps = BitMatrix::new(static_db.var_count());
         for v in static_db.all_vars() {
-            index.insert(static_db.name(v).to_owned(), v);
-            deps.insert(v, static_db.dependents(v));
+            for &d in static_db.direct_dependents(v) {
+                deps.insert(v.0, d.0);
+            }
         }
+        deps.close();
         StaticFilter {
-            core: std::sync::Arc::new(FilterCore { index, deps }),
+            core: std::sync::Arc::new(FilterCore {
+                db: static_db.snapshot(),
+                deps,
+            }),
         }
     }
 
@@ -91,12 +154,17 @@ impl StaticFilter {
     /// Unknown names prove nothing (rule 2): the candidate is kept.
     pub fn proves_unrelated(&self, w: &str, v: &str) -> bool {
         let core = &*self.core;
-        match (core.index.get(w), core.index.get(v)) {
+        match (core.db.id(w), core.db.id(v)) {
             (Some(wi), Some(vi)) => {
+                let deps = &core.deps;
                 wi != vi
-                    && !core.deps[wi].contains(vi)
-                    && !core.deps[vi].contains(wi)
-                    && core.deps[wi].is_disjoint(&core.deps[vi])
+                    && !deps.contains(wi.0, vi.0)
+                    && !deps.contains(vi.0, wi.0)
+                    && deps
+                        .row(wi.0)
+                        .iter()
+                        .zip(deps.row(vi.0))
+                        .all(|(a, b)| a & b == 0)
             }
             _ => false,
         }
@@ -370,6 +438,27 @@ mod tests {
         // Unknown names prove nothing.
         assert!(!filter.proves_unrelated("ghost", "lo"));
         assert!(!filter.proves_unrelated("lo", "ghost"));
+    }
+
+    #[test]
+    fn closure_rows_are_the_dependents_sets() {
+        let mut db = canny_db();
+        // A cycle, so some rows contain their own index.
+        db.record_assign("image", &["result"], None, "loop");
+        for graph in [canny_db(), db] {
+            let mut m = BitMatrix::new(graph.var_count());
+            for v in graph.all_vars() {
+                for &d in graph.direct_dependents(v) {
+                    m.insert(v.0, d.0);
+                }
+            }
+            m.close();
+            for v in graph.all_vars() {
+                let row: BTreeSet<VarId> =
+                    graph.all_vars().filter(|d| m.contains(v.0, d.0)).collect();
+                assert_eq!(row, graph.dependents(v), "row of {}", graph.name(v));
+            }
+        }
     }
 
     #[test]
