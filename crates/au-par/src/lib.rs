@@ -31,7 +31,8 @@
 //!
 //! Thread count resolution: programmatic [`set_thread_override`] >
 //! `AU_PAR_THREADS` environment variable (read per call, so benchmark
-//! sweeps can vary it) > [`std::thread::available_parallelism`].
+//! sweeps can vary it) > [`std::thread::available_parallelism`] (read
+//! once per process: on Linux it parses cgroup files, tens of µs a call).
 //!
 //! With the `telemetry` feature on, every parallel region captures the
 //! caller's `au_telemetry` trace context before fanning out and installs
@@ -259,7 +260,8 @@ pub fn set_thread_override(threads: Option<usize>) {
 
 /// Resolves the maximum number of worker threads a parallel region may use:
 /// override > `AU_PAR_THREADS` > available parallelism, clamped to
-/// `1..=256`. Always at least 1.
+/// `1..=256`. Always at least 1. The override and the variable are read on
+/// every call; the host's parallelism only on the first.
 pub fn max_threads() -> usize {
     let forced = OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
@@ -271,10 +273,18 @@ pub fn max_threads() -> usize {
             _ => warn_invalid_threads(&v),
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS)
+    available_cores().min(MAX_THREADS)
+}
+
+/// [`std::thread::available_parallelism`] (1 if unknown), resolved once
+/// per process.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Surfaces a rejected `AU_PAR_THREADS` value instead of falling back
@@ -448,6 +458,26 @@ mod tests {
             })
             .collect();
         assert_eq!(warnings.len(), 1, "exactly one warning naming the value");
+    }
+
+    /// `AU_PAR_THREADS` is re-read on every call, so a sweep can change it
+    /// between regions; with neither it nor the override set, the budget
+    /// is the host's parallelism.
+    #[test]
+    fn environment_is_read_per_call() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(None);
+        let saved = std::env::var_os("AU_PAR_THREADS");
+        std::env::set_var("AU_PAR_THREADS", "3");
+        assert_eq!(max_threads(), 3);
+        std::env::set_var("AU_PAR_THREADS", "5");
+        assert_eq!(max_threads(), 5);
+        std::env::remove_var("AU_PAR_THREADS");
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(max_threads(), host.min(MAX_THREADS));
+        if let Some(v) = saved {
+            std::env::set_var("AU_PAR_THREADS", v);
+        }
     }
 
     #[test]

@@ -114,9 +114,7 @@ fn lock(shared: &PoolShared) -> MutexGuard<'_, PoolQueue> {
 fn warn_if_oversubscribed(workers: usize) {
     #[cfg(feature = "telemetry")]
     {
-        let avail = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let avail = crate::available_cores();
         if workers > avail {
             static WARNED: std::sync::Once = std::sync::Once::new();
             WARNED.call_once(|| {
