@@ -5,11 +5,15 @@
 //! fingerprint, or the newest run whose commit matches `--baseline` — and
 //! exits non-zero when any bench got slower past the threshold. Exit
 //! codes: `0` no regression (or no comparable baseline), `1` regression
-//! found, `2` usage or I/O error.
+//! found, `2` usage or I/O error, or a head row measured on a dirty tree.
 //!
 //! ```text
-//! bench-diff [--history BENCH_history.jsonl] [--threshold 1.30] [--baseline <commit>]
+//! bench-diff [--history BENCH_history.jsonl] [--threshold 1.30] [--baseline <commit>] [--allow-dirty]
 //! ```
+//!
+//! A head row whose commit ends in `-dirty` measured uncommitted code, so
+//! its verdict would be pinned on a commit it does not describe; the gate
+//! refuses it unless `--allow-dirty` is given.
 //!
 //! The threshold is a ratio: `1.30` fails a bench that is more than 30%
 //! slower than baseline (and more than 200 ns slower in absolute terms —
@@ -26,6 +30,7 @@ fn main() {
     let mut history = PathBuf::from("BENCH_history.jsonl");
     let mut threshold = 1.30f64;
     let mut baseline: Option<String> = None;
+    let mut allow_dirty = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -41,10 +46,11 @@ fn main() {
                 Some(commit) => baseline = Some(commit),
                 None => die("--baseline needs a commit prefix"),
             },
+            "--allow-dirty" => allow_dirty = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: bench-diff [--history BENCH_history.jsonl] \
-                     [--threshold 1.30] [--baseline <commit>]"
+                     [--threshold 1.30] [--baseline <commit>] [--allow-dirty]"
                 );
                 return;
             }
@@ -62,6 +68,13 @@ fn main() {
     let Some(head) = runs.last() else {
         die(&format!("{}: no runs recorded", history.display()));
     };
+    if head.commit.ends_with("-dirty") && !allow_dirty {
+        die(&format!(
+            "head row {} (unix_secs {}) was measured on a tree with uncommitted \
+             changes; commit and re-run bench-history, or pass --allow-dirty",
+            head.commit, head.unix_secs
+        ));
+    }
     let mut earlier = runs[..runs.len() - 1].iter().rev();
     let base = match &baseline {
         Some(commit) => earlier

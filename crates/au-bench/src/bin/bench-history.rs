@@ -2,8 +2,8 @@
 //!
 //! A deliberately small, fast smoke suite — not the criterion benches —
 //! covering the runtime's hot layers: the gemm kernel, feature
-//! extraction, end-to-end serving, and the au-par fork/join (back to
-//! back, and after its workers have parked). Each bench is timed as the
+//! extraction, end-to-end serving, the AuLang front end, and the au-par
+//! fork/join (back to back, and after its workers have parked). Each bench is timed as the
 //! median over many samples so one preempted sample cannot fake a
 //! regression, and the run lands as one JSON line in
 //! `BENCH_history.jsonl` (see `au_bench::history`).
@@ -218,6 +218,28 @@ fn main() {
     }
 
     {
+        // bench-e2e's corpus_cycle set-up without its pool warm-up: one
+        // sample parses the nine corpus programs, compiles each for TR
+        // (Selective) and TS (Off), and builds the static graph and filter
+        // behind the extraction pre-pass, so the front end is tracked
+        // between bench-e2e runs.
+        use au_lang::{compile_program, corpus, parse, static_analysis, TraceMode};
+        use au_trace::StaticFilter;
+        let sources: Vec<&str> = corpus::all().iter().map(|p| p.src).collect();
+        benches.insert(
+            "frontend_corpus".to_owned(),
+            median_ns(samples, 1, || {
+                for src in &sources {
+                    let program = parse(black_box(src)).expect("corpus parses");
+                    black_box(compile_program(&program, TraceMode::Selective));
+                    black_box(compile_program(&program, TraceMode::Off));
+                    black_box(StaticFilter::new(&static_analysis::analyze(&program)));
+                }
+            }),
+        );
+    }
+
+    {
         // One DqnAgent::observe on the `models` Criterion bench's
         // 8-feature chain: a replay push, plus a learning step every
         // second call (the warm-up sample fills the buffer past a batch).
@@ -264,9 +286,7 @@ fn main() {
     // A two-range region after the pool's workers have parked, as
     // between the set-ups of a real program; the back-to-back regions of
     // `pool_map_1k` never let them park. The thread budget is pinned for
-    // the leg, as bench-e2e pins it, so the samples time the region and
-    // not `available_parallelism`, which `max_threads` otherwise re-reads
-    // on every call (tens of µs on Linux).
+    // the leg, as bench-e2e pins it.
     au_par::set_thread_override(Some(au_par::max_threads()));
     benches.insert(
         "pool_region_parked".to_owned(),

@@ -153,10 +153,57 @@ fn diff_handles_empty_and_single_run_histories() {
 }
 
 #[test]
+fn diff_refuses_a_dirty_head_unless_allowed() {
+    let history = temp_history("dirty");
+    let clean = run_on(2, "aaa1111", &[("gemm_64", 100_000.0)]);
+    au_bench::history::append(&history, &clean).unwrap();
+    let dirty = run_on(2, "aaa1111-dirty", &[("gemm_64", 300_000.0)]);
+    au_bench::history::append(&history, &dirty).unwrap();
+
+    let refused = bench_diff(&history, &["--threshold", "1.30"]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(
+        refused.status.code(),
+        Some(2),
+        "dirty head refused: {stderr}"
+    );
+    assert!(stderr.contains("aaa1111-dirty"), "names the row: {stderr}");
+    assert!(
+        stderr.contains("--allow-dirty"),
+        "says how to proceed: {stderr}"
+    );
+    assert!(!stderr.contains("regressed"), "compared nothing: {stderr}");
+
+    // Allowed, the dirty row is gated like any other: 3x slower trips it.
+    let allowed = bench_diff(&history, &["--threshold", "1.30", "--allow-dirty"]);
+    let stderr = String::from_utf8_lossy(&allowed.stderr);
+    assert_eq!(
+        allowed.status.code(),
+        Some(1),
+        "gated when allowed: {stderr}"
+    );
+    assert!(stderr.contains("against base aaa1111 "), "{stderr}");
+
+    // Only the head matters: a dirty row earlier in the history is fine.
+    au_bench::history::append(&history, &run_on(2, "bbb2222", &[("gemm_64", 300_000.0)])).unwrap();
+    let later = bench_diff(&history, &["--threshold", "1.30"]);
+    let stderr = String::from_utf8_lossy(&later.stderr);
+    assert!(
+        later.status.success(),
+        "clean head after a dirty row: {stderr}"
+    );
+
+    std::fs::remove_dir_all(history.parent().unwrap()).ok();
+}
+
+#[test]
 fn bench_history_appends_parseable_runs_that_gate_clean() {
     let history = temp_history("smoke");
     for _ in 0..2 {
+        // Pin the stamp: rows measured in a checkout with uncommitted
+        // changes read `<hash>-dirty`, which the gate refuses.
         let out = Command::new(env!("CARGO_BIN_EXE_bench-history"))
+            .env("GIT_COMMIT", "feed123")
             .args(["--quick", "--out", history.to_str().unwrap()])
             .output()
             .expect("run bench-history");
@@ -178,6 +225,7 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
             "pool_map_1k",
             "pool_region_parked",
             "dqn_observe",
+            "frontend_corpus",
         ] {
             let ns = run.benches.get(expected).copied().unwrap_or_default();
             assert!(ns > 0.0, "{expected} missing or non-positive: {ns}");
