@@ -115,19 +115,27 @@ impl BitMatrix {
 /// `au_lang::static_analysis::analyze`, or any [`AnalysisDb`] built from
 /// program text rather than a run).
 ///
-/// The filter holds an O(1) snapshot of the graph for name lookups and
-/// the graph's transitive closure as a [`BitMatrix`], both behind an
-/// `Arc`, so `clone()` is O(1) — the pooled extraction loops hand each
-/// `'static` worker job its own handle without recomputing anything.
+/// The filter keeps only a sorted name index and the graph's transitive
+/// closure as a [`BitMatrix`], behind an `Arc`, so `clone()` is O(1) —
+/// the pooled extraction loops hand each `'static` worker job its own
+/// handle without recomputing or deep-copying anything.
 #[derive(Clone)]
 pub struct StaticFilter {
     core: std::sync::Arc<FilterCore>,
 }
 
 struct FilterCore {
-    db: AnalysisDb,
+    /// Every variable name, sorted, with its row in `deps`.
+    index: Vec<(Box<str>, usize)>,
     /// Row `v`: the transitive dependents of `v`.
     deps: BitMatrix,
+}
+
+impl FilterCore {
+    fn id(&self, name: &str) -> Option<usize> {
+        let at = self.index.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+        Some(self.index[at].1)
+    }
 }
 
 impl StaticFilter {
@@ -135,18 +143,18 @@ impl StaticFilter {
     /// once, so each candidate test is two name lookups and a few word
     /// operations.
     pub fn new(static_db: &AnalysisDb) -> Self {
+        let mut index = Vec::with_capacity(static_db.var_count());
         let mut deps = BitMatrix::new(static_db.var_count());
         for v in static_db.all_vars() {
+            index.push((Box::from(static_db.name(v)), v.0));
             for &d in static_db.direct_dependents(v) {
                 deps.insert(v.0, d.0);
             }
         }
+        index.sort_unstable();
         deps.close();
         StaticFilter {
-            core: std::sync::Arc::new(FilterCore {
-                db: static_db.snapshot(),
-                deps,
-            }),
+            core: std::sync::Arc::new(FilterCore { index, deps }),
         }
     }
 
@@ -154,16 +162,16 @@ impl StaticFilter {
     /// Unknown names prove nothing (rule 2): the candidate is kept.
     pub fn proves_unrelated(&self, w: &str, v: &str) -> bool {
         let core = &*self.core;
-        match (core.db.id(w), core.db.id(v)) {
+        match (core.id(w), core.id(v)) {
             (Some(wi), Some(vi)) => {
                 let deps = &core.deps;
                 wi != vi
-                    && !deps.contains(wi.0, vi.0)
-                    && !deps.contains(vi.0, wi.0)
+                    && !deps.contains(wi, vi)
+                    && !deps.contains(vi, wi)
                     && deps
-                        .row(wi.0)
+                        .row(wi)
                         .iter()
-                        .zip(deps.row(vi.0))
+                        .zip(deps.row(vi))
                         .all(|(a, b)| a & b == 0)
             }
             _ => false,
