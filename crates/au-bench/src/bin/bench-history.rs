@@ -3,10 +3,10 @@
 //! A deliberately small, fast smoke suite — not the criterion benches —
 //! covering the runtime's hot layers: the gemm kernel, feature
 //! extraction, end-to-end serving, the AuLang front end, and the au-par
-//! fork/join (back to back, and after its workers have parked). Each bench is timed as the
-//! median over many samples so one preempted sample cannot fake a
-//! regression, and the run lands as one JSON line in
-//! `BENCH_history.jsonl` (see `au_bench::history`).
+//! fork/join (back to back, and after its workers have parked). Each
+//! bench is timed as the median over many samples so one preempted
+//! sample cannot fake a regression, and the run lands as one JSON line
+//! in `BENCH_history.jsonl` (see `au_bench::history`).
 //!
 //! ```text
 //! bench-history [--quick] [--out BENCH_history.jsonl] [--print]
