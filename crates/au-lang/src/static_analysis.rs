@@ -444,14 +444,15 @@ impl<'p> Walk<'p> {
         }
     }
 
-    /// Records `dst := f(reads)` as a dependence record and a trace site.
-    fn assign(&mut self, dst: u32, reads: &Bits, func: u32) {
+    /// Records a trace site and its dependence record: `dst := f(reads)`
+    /// for an assignment, a use of `reads` for a condition (no `dst`).
+    fn site(&mut self, dst: Option<u32>, reads: &Bits, func: u32) {
         let reads = self.store(reads);
-        self.events.push(Event::Assign { dst, reads, func });
-        self.sites.push(SiteSet {
-            dst: Some(dst),
-            reads,
+        self.events.push(match dst {
+            Some(dst) => Event::Assign { dst, reads, func },
+            None => Event::Use { reads, func },
         });
+        self.sites.push(SiteSet { dst, reads });
     }
 
     fn block(&mut self, stmts: &'p [Stmt], func: u32) {
@@ -461,7 +462,7 @@ impl<'p> Walk<'p> {
                     let mut reads = self.take();
                     self.expr(init, &mut reads);
                     let dst = self.sym(name);
-                    self.assign(dst, &reads, func);
+                    self.site(Some(dst), &reads, func);
                     // `x = au_write_back("N")` marks x as a target, same
                     // as the dynamic tracer.
                     if let ExprKind::Call { name, .. } = &init.kind {
@@ -482,7 +483,7 @@ impl<'p> Walk<'p> {
                     self.expr(value, &mut reads);
                     let dst = self.sym(name);
                     reads.insert(dst);
-                    self.assign(dst, &reads, func);
+                    self.site(Some(dst), &reads, func);
                     self.give(reads);
                 }
                 StmtKind::If {
@@ -517,15 +518,7 @@ impl<'p> Walk<'p> {
     fn condition(&mut self, cond: &'p Expr, func: u32) {
         let mut reads = self.take();
         self.expr(cond, &mut reads);
-        let reads_ref = self.store(&reads);
-        self.events.push(Event::Use {
-            reads: reads_ref,
-            func,
-        });
-        self.sites.push(SiteSet {
-            dst: None,
-            reads: reads_ref,
-        });
+        self.site(None, &reads, func);
         self.give(reads);
     }
 
