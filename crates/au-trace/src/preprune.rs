@@ -399,8 +399,9 @@ mod tests {
         assert!(stats.considered > 0);
     }
 
-    #[test]
-    fn rl_pruned_matches_unpruned() {
+    /// A Mario-shaped game loop where every variable is used in `update`,
+    /// so every non-target variable reaches the static filter.
+    fn hud_db() -> AnalysisDb {
         let mut db = AnalysisDb::new();
         for i in 0..20 {
             let t = i as f64;
@@ -418,6 +419,12 @@ mod tests {
             );
         }
         db.mark_target("right");
+        db
+    }
+
+    #[test]
+    fn rl_pruned_matches_unpruned() {
+        let db = hud_db();
         let filter = StaticFilter::new(&db);
         let params = RlParams::default();
         let (pruned, stats) = extract_rl_pruned(&db, &filter, params);
@@ -428,6 +435,38 @@ mod tests {
             .candidates
             .iter()
             .all(|&w| db.name(w) != "hud"));
+    }
+
+    /// The exact counts, not just `pruned <= considered`.
+    ///
+    /// Algorithm 1 on `canny_db`: the candidates are `image` and its
+    /// dependents. For each of the two targets, `result` depends on the
+    /// target and is skipped, and the other five (`sImg`, `image`, `mag`,
+    /// `hist`, `noise`) reach the filter, which prunes `noise`.
+    ///
+    /// Algorithm 2 on `hud_db`: all six non-target variables share `update`
+    /// with dep(`right`), and the filter prunes only `hud`.
+    #[test]
+    fn preprune_stats_are_exact() {
+        let db = canny_db();
+        let (_, sl) = extract_sl_pruned(&db, &StaticFilter::new(&db));
+        assert_eq!(
+            sl,
+            PrepruneStats {
+                considered: 10,
+                pruned: 2
+            }
+        );
+
+        let db = hud_db();
+        let (_, rl) = extract_rl_pruned(&db, &StaticFilter::new(&db), RlParams::default());
+        assert_eq!(
+            rl,
+            PrepruneStats {
+                considered: 6,
+                pruned: 1
+            }
+        );
     }
 
     #[test]
