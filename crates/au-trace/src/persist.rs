@@ -6,7 +6,7 @@
 //! different processes, exactly as the original toolchain does.
 
 use crate::db::AnalysisDb;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
 /// Serializable mirror of [`AnalysisDb`].
@@ -15,7 +15,7 @@ struct DbFile {
     names: Vec<String>,
     /// Edges as (source index, dependent index).
     edges: Vec<(usize, usize)>,
-    traces: Vec<Vec<f64>>,
+    traces: Vec<Vec<Sample>>,
     use_funcs: Vec<Vec<String>>,
     inputs: Vec<usize>,
     targets: Vec<usize>,
@@ -54,6 +54,37 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// One trace value, kept bit for bit. A finite value is a JSON number,
+/// whose shortest round-trip form also keeps `-0.0`. JSON has no NaN or
+/// infinity, so those are written as a string of their bits in hex
+/// (`"0x7ff8000000000000"`), which keeps a NaN's sign and payload too.
+#[derive(Debug)]
+struct Sample(f64);
+
+impl Serialize for Sample {
+    fn serialize(&self) -> Value {
+        if self.0.is_finite() {
+            Value::Num(self.0)
+        } else {
+            Value::Str(format!("{:#018x}", self.0.to_bits()))
+        }
+    }
+}
+
+impl Deserialize for Sample {
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Num(n) => Ok(Sample(*n)),
+            Value::Str(s) => s
+                .strip_prefix("0x")
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .map(|bits| Sample(f64::from_bits(bits)))
+                .ok_or_else(|| DeError(format!("invalid trace value {s:?}"))),
+            other => Err(DeError::expected("trace value", other)),
+        }
+    }
+}
+
 /// Serializes the database to a JSON string.
 pub fn to_json(db: &AnalysisDb) -> String {
     let mut edges = Vec::new();
@@ -65,7 +96,10 @@ pub fn to_json(db: &AnalysisDb) -> String {
     let file = DbFile {
         names: db.all_vars().map(|v| db.name(v).to_owned()).collect(),
         edges,
-        traces: db.all_vars().map(|v| db.trace(v).to_vec()).collect(),
+        traces: db
+            .all_vars()
+            .map(|v| db.trace(v).iter().map(|&x| Sample(x)).collect())
+            .collect(),
         use_funcs: db
             .all_vars()
             .map(|v| db.use_funcs(v).iter().cloned().collect())
@@ -80,8 +114,8 @@ pub fn to_json(db: &AnalysisDb) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Format`] for malformed JSON or out-of-range
-/// indices.
+/// Returns [`PersistError::Format`] for malformed JSON, a variable name
+/// listed twice, or out-of-range indices.
 pub fn from_json(json: &str) -> Result<AnalysisDb, PersistError> {
     let file: DbFile =
         serde_json::from_str(json).map_err(|e| PersistError::Format(e.to_string()))?;
@@ -96,8 +130,12 @@ pub fn from_json(json: &str) -> Result<AnalysisDb, PersistError> {
         }
     };
     let mut db = AnalysisDb::new();
-    for name in &file.names {
-        db.var(name);
+    for (i, name) in file.names.iter().enumerate() {
+        if db.var(name).index() != i {
+            return Err(PersistError::Format(format!(
+                "variable name {name:?} is listed twice"
+            )));
+        }
     }
     for &(s, d) in &file.edges {
         check(s)?;
@@ -106,7 +144,7 @@ pub fn from_json(json: &str) -> Result<AnalysisDb, PersistError> {
     }
     for (i, trace) in file.traces.iter().enumerate() {
         check(i)?;
-        for &v in trace {
+        for &Sample(v) in trace {
             db.record_value(&file.names[i], v);
         }
     }
@@ -219,6 +257,36 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(matches!(from_json("nope"), Err(PersistError::Format(_))));
+    }
+
+    #[test]
+    fn non_finite_and_signed_zero_trace_values_round_trip_bit_for_bit() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // a NaN with a payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            0.1,
+            f64::MAX,
+        ];
+        let mut db = AnalysisDb::new();
+        for &v in &values {
+            db.record_value("x", v);
+        }
+        let restored = from_json(&to_json(&db)).unwrap();
+        let bits = |trace: &[f64]| trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = restored.id("x").unwrap();
+        assert_eq!(bits(restored.trace(x)), bits(&values));
+    }
+
+    #[test]
+    fn rejects_duplicate_names() {
+        let json = r#"{"names":["a","b","a"],"edges":[],"traces":[[1.0],[],[2.0]],"use_funcs":[[],[],[]],"inputs":[],"targets":[]}"#;
+        assert!(matches!(from_json(json), Err(PersistError::Format(_))));
     }
 
     #[test]
