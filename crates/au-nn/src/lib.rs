@@ -69,16 +69,3 @@ pub use loss::Loss;
 pub use network::{net_mut, InferScratch, Network, NetworkBuilder, NnError};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Tensor;
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes tests that mutate the process-wide au-par thread
-    /// override, which is global state shared by every test thread.
-    static PAR_LOCK: Mutex<()> = Mutex::new(());
-
-    pub(crate) fn par_lock() -> MutexGuard<'static, ()> {
-        PAR_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}

@@ -182,106 +182,11 @@ impl Network {
         loss_value
     }
 
-    /// [`Network::train_batch`] with the minibatch fanned out across au-par
-    /// workers: the batch rows are split into contiguous chunks, each chunk
-    /// runs forward/backward on a weight-sharing replica, and the chunk
-    /// gradients are summed in chunk order before a single optimizer step.
-    ///
-    /// With one worker (e.g. `AU_PAR_THREADS=1`, a single-core host, or a
-    /// batch smaller than two chunks) this *is* [`Network::train_batch`] —
-    /// same code path, bit-identical results. With N workers the merged
-    /// gradient is mathematically equal but floating-point addition is
-    /// regrouped at chunk boundaries, so weights may differ from the serial
-    /// run by normal `f32` rounding (documented tolerance: ~1e-6 relative
-    /// per step). Dropout replicas draw independent masks; networks with
-    /// dropout train correctly but make no cross-thread determinism claim.
-    pub fn train_minibatch(
-        &mut self,
-        input: &Tensor,
-        target: &Tensor,
-        loss: Loss,
-        opt: &mut dyn Optimizer,
-    ) -> f32 {
-        /// Below this many rows per chunk, replica setup costs more than
-        /// the parallel backward saves.
-        const MIN_ROWS: usize = 8;
-        let batch = input.batch();
-        let ranges = au_par::split_ranges(batch, MIN_ROWS);
-        if ranges.len() <= 1 {
-            return self.train_batch(input, target, loss, opt);
-        }
-        let _t = t_time!("au_nn.train_batch");
-        let scale = |r: &std::ops::Range<usize>| (r.end - r.start) as f32 / batch as f32;
-        let row_len = input.row_len();
-        let target_len = target.row_len();
-        let chunk_of = |t: &Tensor, len: usize, r: &std::ops::Range<usize>| {
-            Tensor::from_vec(
-                &[r.end - r.start, len],
-                t.data()[r.start * len..r.end * len].to_vec(),
-            )
-        };
-        // Chunks 1.. go to the persistent pool, each owning a weight-sharing
-        // replica and its chunk tensors; chunk 0 runs on the calling thread
-        // through `self`. The kernels under every chunk are serial, so
-        // nothing fans out again beneath this region.
-        let mut fork: au_par::Fork<(Network, f32)> = au_par::Fork::new();
-        for r in &ranges[1..] {
-            let mut replica = self.deep_clone();
-            let x = chunk_of(input, row_len, r);
-            let y = chunk_of(target, target_len, r);
-            let s = scale(r);
-            fork.submit(move || {
-                let value = run_minibatch_chunk(&mut replica, &x, &y, loss, s);
-                (replica, value)
-            });
-        }
-        let mut chunk_losses = vec![0.0f32; ranges.len()];
-        {
-            let x = chunk_of(input, row_len, &ranges[0]);
-            let y = chunk_of(target, target_len, &ranges[0]);
-            chunk_losses[0] = run_minibatch_chunk(self, &x, &y, loss, scale(&ranges[0]));
-        }
-        let mut replicas: Vec<Network> = Vec::with_capacity(ranges.len() - 1);
-        for (slot, (replica, value)) in chunk_losses[1..].iter_mut().zip(fork.join()) {
-            *slot = value;
-            replicas.push(replica);
-        }
-        // Merge replica gradients into the main network in chunk order,
-        // then take one optimizer step — identical step sequence to
-        // `train_batch`.
-        for (li, layer) in self.layers.iter_mut().enumerate() {
-            let mut replica_params: Vec<Vec<&mut Param>> = replicas
-                .iter_mut()
-                .map(|r| r.layers[li].params_mut())
-                .collect();
-            for (pi, param) in layer.params_mut().into_iter().enumerate() {
-                for rep in replica_params.iter_mut() {
-                    for (g, d) in param.grad.data_mut().iter_mut().zip(rep[pi].grad.data()) {
-                        *g += d;
-                    }
-                }
-                opt.step(param);
-                param.zero_grad();
-            }
-            layer.invalidate_cached_weights();
-        }
-        opt.end_batch();
-        t_count!("au_nn.batches_trained");
-        let loss_value: f32 = chunk_losses
-            .iter()
-            .zip(&ranges)
-            .map(|(v, r)| v * scale(r))
-            .sum();
-        t_gauge!("au_nn.last_batch_loss", f64::from(loss_value));
-        loss_value
-    }
-
     /// Clones the architecture and current weights into an independent
     /// network (training caches start empty; dropout replicas reseed).
     ///
-    /// Used for minibatch worker replicas and by [`net_mut`]'s
-    /// copy-on-write rebuild (training while an `Arc`'d network is still
-    /// serving).
+    /// Used by [`net_mut`]'s copy-on-write rebuild (training while an
+    /// `Arc`'d network is still serving) and for DQN target networks.
     pub fn deep_clone(&self) -> Network {
         Network {
             in_features: self.in_features,
@@ -423,20 +328,6 @@ pub fn net_mut(net: &mut Arc<Network>) -> &mut Network {
         *net = Arc::new(net.deep_clone());
     }
     Arc::get_mut(net).expect("unique after copy-on-write rebuild")
-}
-
-/// Forward/backward over one minibatch chunk, leaving gradients accumulated
-/// in `net`; returns the chunk loss (before rescaling). The loss gradient
-/// is rescaled by `scale` (`chunk_rows / batch_rows`) so the merged
-/// chunk-gradient sum equals the full-batch gradient.
-fn run_minibatch_chunk(net: &mut Network, x: &Tensor, y: &Tensor, loss: Loss, scale: f32) -> f32 {
-    let output = net.forward_mode(x, true);
-    let value = loss.value(&output, y);
-    let mut grad = loss.gradient(&output, y).scale(scale);
-    for layer in net.layers.iter_mut().rev() {
-        grad = layer.backward(&grad);
-    }
-    value
 }
 
 /// Reusable ping-pong buffers for [`Network::infer_reusing`]: one
@@ -811,66 +702,5 @@ mod tests {
         assert_eq!(net.out_features(), 5);
         // dense+relu per hidden, final dense
         assert_eq!(net.depth(), 5);
-    }
-
-    fn training_fixture() -> (Network, Network, Tensor, Tensor) {
-        crate::init::set_init_seed(77);
-        let a = dnn(3, &[16], 2);
-        crate::init::set_init_seed(77);
-        let b = dnn(3, &[16], 2);
-        let n = 32;
-        let xs: Vec<f32> = (0..n * 3)
-            .map(|i| ((i * 13 % 29) as f32) / 29.0 - 0.5)
-            .collect();
-        let ys: Vec<f32> = (0..n * 2).map(|i| ((i * 7 % 11) as f32) / 11.0).collect();
-        (
-            a,
-            b,
-            Tensor::from_vec(&[n, 3], xs),
-            Tensor::from_vec(&[n, 2], ys),
-        )
-    }
-
-    /// With one worker, `train_minibatch` *is* `train_batch`: identical
-    /// weights bit-for-bit after many steps.
-    #[test]
-    fn minibatch_single_worker_is_bit_identical_to_train_batch() {
-        let _g = crate::test_support::par_lock();
-        au_par::set_thread_override(Some(1));
-        let (mut a, mut b, xs, ys) = training_fixture();
-        let mut oa = Adam::new(0.01);
-        let mut ob = Adam::new(0.01);
-        for _ in 0..20 {
-            let la = a.train_batch(&xs, &ys, Loss::Mse, &mut oa);
-            let lb = b.train_minibatch(&xs, &ys, Loss::Mse, &mut ob);
-            assert_eq!(la.to_bits(), lb.to_bits(), "loss diverged");
-        }
-        let probe = Tensor::from_rows(&[&[0.2, -0.3, 0.4]]);
-        assert_eq!(a.forward(&probe), b.forward(&probe));
-        au_par::set_thread_override(None);
-    }
-
-    /// With N workers the merged gradient regroups f32 additions at chunk
-    /// boundaries; weights must stay within a small relative tolerance of
-    /// the serial run.
-    #[test]
-    fn minibatch_multi_worker_matches_serial_within_tolerance() {
-        let _g = crate::test_support::par_lock();
-        au_par::set_thread_override(Some(4));
-        let (mut a, mut b, xs, ys) = training_fixture();
-        let mut oa = Adam::new(0.01);
-        let mut ob = Adam::new(0.01);
-        for _ in 0..20 {
-            let la = a.train_batch(&xs, &ys, Loss::Mse, &mut oa);
-            let lb = b.train_minibatch(&xs, &ys, Loss::Mse, &mut ob);
-            assert!((la - lb).abs() < 1e-4, "loss diverged: {la} vs {lb}");
-        }
-        let probe = Tensor::from_rows(&[&[0.2, -0.3, 0.4]]);
-        let pa = a.forward(&probe);
-        let pb = b.forward(&probe);
-        for (x, y) in pa.data().iter().zip(pb.data()) {
-            assert!((x - y).abs() < 1e-3, "prediction drifted: {x} vs {y}");
-        }
-        au_par::set_thread_override(None);
     }
 }

@@ -2,17 +2,22 @@
 //!
 //! The workspace builds offline from `vendor/`, so this crate provides the
 //! small slice of rayon the Autonomizer runtime actually needs — an
-//! order-preserving map over chunked index ranges and a fork/join region —
-//! using nothing but `std` threads.
+//! order-preserving map over chunked index ranges — using nothing but
+//! `std` threads.
 //!
 //! Work leaves the calling thread only through the **persistent pool**
-//! ([`pool_map_ranges`], [`pool_map`], [`Fork`]): parked workers live
-//! across regions, so a region pays a queue push and a condvar notify
-//! instead of a thread spawn. It never waits for a parked worker to wake:
-//! the join takes back the region's jobs no worker has started, runs them
-//! on the calling thread, and blocks only for jobs already running. Jobs
-//! must own their data (`'static`); callers share big read-only inputs via
-//! `Arc`.
+//! ([`pool_map_ranges`], [`pool_map`]): parked workers live across
+//! regions, so a region pays a queue push and a condvar notify instead of
+//! a thread spawn. It never waits for a parked worker to wake: the join
+//! takes back the region's jobs no worker has started, runs them on the
+//! calling thread, and blocks only for jobs already running. Jobs must own
+//! their data (`'static`); callers share big read-only inputs via `Arc`.
+//!
+//! The runtime has one parallel region: batch serving, au-core's
+//! `EngineHandle::predict_rows` behind `predict_batch` and
+//! `predict_batch_f32`. Training, Algorithms 1 and 2 and the kernels run
+//! serially on the calling thread; a region stays only while it shows a
+//! measured win (docs/performance.md).
 //!
 //! Design rules, in priority order:
 //!
@@ -57,7 +62,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod pool;
 
-pub use pool::{pool_map, pool_map_ranges, pool_worker_count, shutdown_pool, Fork};
+pub use pool::{pool_map, pool_map_ranges, pool_worker_count, shutdown_pool};
 
 /// Upper bound on the resolved thread count; a safety valve against
 /// misconfigured overrides, far above any machine this targets.
@@ -322,7 +327,7 @@ fn in_worker() -> bool {
 /// Returns an empty vector for `len == 0`.
 ///
 /// Ranges are as even as possible and cover `0..len` exactly, in order.
-pub fn split_ranges(len: usize, min_chunk: usize) -> Vec<Range<usize>> {
+fn split_ranges(len: usize, min_chunk: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }

@@ -15,7 +15,7 @@
 //!   [`shutdown_pool`].
 //! - **`'static` jobs.** Pool workers outlive any caller's stack frame, so
 //!   jobs must own their data (`FnOnce() + Send + 'static`); callers share
-//!   their inputs via `Arc` and use [`pool_map_ranges`] / [`Fork`].
+//!   their inputs via `Arc` and use [`pool_map_ranges`] / [`pool_map`].
 //! - **The join takes back unstarted jobs.** Every queued job carries its
 //!   region's id. [`Fork::join`] removes its region's oldest job that no
 //!   worker has popped, runs it on the joining thread, and repeats until
@@ -265,7 +265,7 @@ pub fn pool_worker_count() -> usize {
 /// The forking thread's telemetry trace context is captured at
 /// [`Fork::new`] and installed around every job, wherever it runs, so
 /// spans opened inside pooled jobs parent under the span that forked them.
-pub struct Fork<R> {
+pub(crate) struct Fork<R> {
     tx: Sender<(usize, thread::Result<R>)>,
     rx: Receiver<(usize, thread::Result<R>)>,
     /// Tags this region's queued jobs for [`take_back_one`].
@@ -277,8 +277,7 @@ pub struct Fork<R> {
 
 impl<R: Send + 'static> Fork<R> {
     /// Opens a region, capturing the caller's trace context.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let (tx, rx) = channel();
         Fork {
             tx,
@@ -298,7 +297,7 @@ impl<R: Send + 'static> Fork<R> {
 
     /// Submits one job. Runs inline (still catching panics, so join-order
     /// semantics are identical) when called from inside an au-par worker.
-    pub fn submit(&mut self, f: impl FnOnce() -> R + Send + 'static) {
+    pub(crate) fn submit(&mut self, f: impl FnOnce() -> R + Send + 'static) {
         let idx = self.submitted;
         self.submitted += 1;
         if in_worker() {
@@ -327,7 +326,8 @@ impl<R: Send + 'static> Fork<R> {
     /// Re-raises the first panic (by submission order) after **all** jobs
     /// have settled, so a panicking region never leaves stray work running
     /// and the pool stays usable.
-    pub fn join(self) -> Vec<R> {
+    #[cfg(test)]
+    pub(crate) fn join(self) -> Vec<R> {
         self.run_unstarted();
         values_or_first_panic(self.wait_all())
     }
@@ -381,10 +381,12 @@ fn values_or_first_panic<R>(settled: impl Iterator<Item = thread::Result<R>>) ->
         .unwrap_or_else(|p| resume_unwind(p))
 }
 
-/// Runs `f` once per range of [`split_ranges(len, min_chunk)`](crate::split_ranges)
-/// and returns the per-range results in range order. The calling thread
-/// takes the first range instead of idling, then at the join every range
-/// no pool worker has started yet.
+/// Runs `f` once per range of `0..len`, split into at most
+/// [`max_threads`](crate::max_threads) contiguous ranges of at least
+/// `min_chunk` items (one range when `len < 2 * min_chunk`, none when
+/// `len == 0`), and returns the per-range results in range order. The
+/// calling thread takes the first range instead of idling, then at the
+/// join every range no pool worker has started yet.
 ///
 /// Requires an owning closure (`Send + Sync + 'static`) — share big
 /// read-only inputs via `Arc` and move clones in. Results are identical

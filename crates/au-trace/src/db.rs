@@ -1,7 +1,6 @@
 //! The analysis database: dependence graph + traces + usage map.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
 
 /// An interned program variable.
 ///
@@ -22,19 +21,8 @@ impl VarId {
 /// the dynamic dependence graph `GDep`, per-variable runtime value traces,
 /// the `UseFunc` map (variable → functions in which it is used), and the
 /// input (`In`) and target (`Trg`) variable sets consumed by Algorithms 1–2.
-///
-/// The facts live behind an `Arc` with copy-on-write mutation
-/// (`Arc::make_mut`): [`AnalysisDb::snapshot`] / `clone()` are O(1) and
-/// share storage, which lets the extraction algorithms hand owned handles
-/// to persistent-pool workers without deep-copying traces. A later
-/// `record_*` on a still-shared database transparently unshares it first.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisDb {
-    core: Arc<DbCore>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct DbCore {
     names: Vec<String>,
     index: HashMap<String, VarId>,
     /// `forward[a]` = variables with a direct dependence edge `a → b`
@@ -52,39 +40,23 @@ impl AnalysisDb {
         AnalysisDb::default()
     }
 
-    /// An O(1) copy-on-write handle to the same facts: reads see identical
-    /// data; a write to either side unshares first. This is what the
-    /// pooled extraction loops move into their `'static` worker closures.
-    pub fn snapshot(&self) -> AnalysisDb {
-        AnalysisDb {
-            core: Arc::clone(&self.core),
-        }
-    }
-
-    /// The copy-on-write mutation point: unshares the core if any
-    /// snapshot is still alive, then hands out the unique reference.
-    fn core_mut(&mut self) -> &mut DbCore {
-        Arc::make_mut(&mut self.core)
-    }
-
     /// Interns `name`, returning its stable id.
     pub fn var(&mut self, name: &str) -> VarId {
-        let core = self.core_mut();
-        if let Some(&id) = core.index.get(name) {
+        if let Some(&id) = self.index.get(name) {
             return id;
         }
-        let id = VarId(core.names.len());
-        core.names.push(name.to_owned());
-        core.index.insert(name.to_owned(), id);
-        core.forward.push(BTreeSet::new());
-        core.traces.push(Vec::new());
-        core.use_funcs.push(BTreeSet::new());
+        let id = VarId(self.names.len());
+        self.names.push(name.to_owned());
+        self.index.insert(name.to_owned(), id);
+        self.forward.push(BTreeSet::new());
+        self.traces.push(Vec::new());
+        self.use_funcs.push(BTreeSet::new());
         id
     }
 
     /// Looks up an already-interned variable.
     pub fn id(&self, name: &str) -> Option<VarId> {
-        self.core.index.get(name).copied()
+        self.index.get(name).copied()
     }
 
     /// The variable's source name.
@@ -93,17 +65,17 @@ impl AnalysisDb {
     ///
     /// Panics if `id` came from a different database.
     pub fn name(&self, id: VarId) -> &str {
-        &self.core.names[id.0]
+        &self.names[id.0]
     }
 
     /// Number of distinct variables recorded.
     pub fn var_count(&self) -> usize {
-        self.core.names.len()
+        self.names.len()
     }
 
     /// All variables, in interning order — the paper's `ProgVar` set.
     pub fn all_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.core.names.len()).map(VarId)
+        (0..self.names.len()).map(VarId)
     }
 
     /// Records a dynamic assignment `dst := f(srcs…)` executed inside
@@ -115,17 +87,16 @@ impl AnalysisDb {
         t_count!("au_trace.records");
         let d = self.var(dst);
         let src_ids: Vec<VarId> = srcs.iter().map(|src| self.var(src)).collect();
-        let core = self.core_mut();
         for s in src_ids {
             if s != d {
-                core.forward[s.0].insert(d);
+                self.forward[s.0].insert(d);
             }
-            core.use_funcs[s.0].insert(func.to_owned());
+            self.use_funcs[s.0].insert(func.to_owned());
         }
         if let Some(v) = value {
-            core.traces[d.0].push(v);
+            self.traces[d.0].push(v);
         }
-        core.use_funcs[d.0].insert(func.to_owned());
+        self.use_funcs[d.0].insert(func.to_owned());
     }
 
     /// Adds a bare dependence edge `src → dst` without touching traces or
@@ -134,9 +105,8 @@ impl AnalysisDb {
     pub fn record_edge(&mut self, src: &str, dst: &str) {
         let s = self.var(src);
         let d = self.var(dst);
-        let core = self.core_mut();
         if s != d {
-            core.forward[s.0].insert(d);
+            self.forward[s.0].insert(d);
         }
     }
 
@@ -145,56 +115,56 @@ impl AnalysisDb {
     pub fn record_value(&mut self, var: &str, value: f64) {
         t_count!("au_trace.records");
         let v = self.var(var);
-        self.core_mut().traces[v.0].push(value);
+        self.traces[v.0].push(value);
     }
 
     /// Notes that `var` is used inside `func` without recording dataflow.
     pub fn record_use(&mut self, var: &str, func: &str) {
         let v = self.var(var);
-        self.core_mut().use_funcs[v.0].insert(func.to_owned());
+        self.use_funcs[v.0].insert(func.to_owned());
     }
 
     /// Marks a variable as a program input (`In` in Algorithm 1).
     pub fn mark_input(&mut self, name: &str) {
         let v = self.var(name);
-        self.core_mut().inputs.insert(v);
+        self.inputs.insert(v);
     }
 
     /// Marks a variable as a prediction target (`Trg`).
     pub fn mark_target(&mut self, name: &str) {
         let v = self.var(name);
-        self.core_mut().targets.insert(v);
+        self.targets.insert(v);
     }
 
     /// The input variable set.
     pub fn inputs(&self) -> &BTreeSet<VarId> {
-        &self.core.inputs
+        &self.inputs
     }
 
     /// The target variable set.
     pub fn targets(&self) -> &BTreeSet<VarId> {
-        &self.core.targets
+        &self.targets
     }
 
     /// The recorded runtime trace of `var` (possibly empty).
     pub fn trace(&self, var: VarId) -> &[f64] {
-        &self.core.traces[var.0]
+        &self.traces[var.0]
     }
 
     /// Functions in which `var` is used.
     pub fn use_funcs(&self, var: VarId) -> &BTreeSet<String> {
-        &self.core.use_funcs[var.0]
+        &self.use_funcs[var.0]
     }
 
     /// Direct dependents of `var` (one dependence edge away).
     pub fn direct_dependents(&self, var: VarId) -> &BTreeSet<VarId> {
-        &self.core.forward[var.0]
+        &self.forward[var.0]
     }
 
     /// The paper's `dep(v)`: all variables transitively computed from `v`
     /// (excluding `v` itself unless it is on a dependence cycle).
     pub fn dependents(&self, var: VarId) -> BTreeSet<VarId> {
-        let forward = &self.core.forward;
+        let forward = &self.forward;
         let mut seen = BTreeSet::new();
         let mut queue: VecDeque<VarId> = forward[var.0].iter().copied().collect();
         while let Some(v) = queue.pop_front() {
@@ -226,7 +196,7 @@ impl AnalysisDb {
         queue.push_back(from);
         while let Some(v) = queue.pop_front() {
             let d = dist[&v];
-            for &next in &self.core.forward[v.0] {
+            for &next in &self.forward[v.0] {
                 if next == to {
                     return Some(d + 1);
                 }
@@ -275,7 +245,7 @@ impl AnalysisDb {
         seen.insert(from);
         queue.push_back((from, 0usize));
         while let Some((v, d)) = queue.pop_front() {
-            for &next in &self.core.forward[v.0] {
+            for &next in &self.forward[v.0] {
                 if goals.contains(&next) {
                     return Some(d + 1);
                 }

@@ -18,15 +18,15 @@
 //! 2. a variable the static graph has never heard of (runtime-only
 //!    recording, e.g. a game's per-frame state) is always kept.
 //!
-//! `extract_sl_pruned`/`extract_rl_pruned` mirror [`crate::extract_sl`] /
-//! [`crate::extract_rl_detailed`] exactly, adding only the filter; the
-//! repo's end-to-end tests assert result equality on all nine benchmarks.
+//! `extract_sl_pruned`/`extract_rl_pruned` run the same per-target loops
+//! as [`crate::extract_sl`] / [`crate::extract_rl_detailed`], with the
+//! filter as one extra test; the repo's end-to-end tests assert result
+//! equality on all nine benchmarks.
 
 use crate::db::{AnalysisDb, VarId};
 use crate::rl::{RlExtraction, RlParams};
 use crate::sl::RankedFeature;
-use crate::stats::{euclidean_distance, min_max_scale, variance};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How much work the static pre-pass saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,11 +46,6 @@ impl PrepruneStats {
         } else {
             self.pruned as f64 / self.considered as f64
         }
-    }
-
-    fn absorb(&mut self, other: PrepruneStats) {
-        self.considered += other.considered;
-        self.pruned += other.pruned;
     }
 }
 
@@ -116,26 +111,13 @@ impl BitMatrix {
 /// program text rather than a run).
 ///
 /// The filter keeps only a sorted name index and the graph's transitive
-/// closure as a [`BitMatrix`], behind an `Arc`, so `clone()` is O(1) —
-/// the pooled extraction loops hand each `'static` worker job its own
-/// handle without recomputing or deep-copying anything.
+/// closure as a [`BitMatrix`].
 #[derive(Clone)]
 pub struct StaticFilter {
-    core: std::sync::Arc<FilterCore>,
-}
-
-struct FilterCore {
     /// Every variable name, sorted, with its row in `deps`.
     index: Vec<(Box<str>, usize)>,
     /// Row `v`: the transitive dependents of `v`.
     deps: BitMatrix,
-}
-
-impl FilterCore {
-    fn id(&self, name: &str) -> Option<usize> {
-        let at = self.index.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
-        Some(self.index[at].1)
-    }
 }
 
 impl StaticFilter {
@@ -153,18 +135,20 @@ impl StaticFilter {
         }
         index.sort_unstable();
         deps.close();
-        StaticFilter {
-            core: std::sync::Arc::new(FilterCore { index, deps }),
-        }
+        StaticFilter { index, deps }
+    }
+
+    fn id(&self, name: &str) -> Option<usize> {
+        let at = self.index.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+        Some(self.index[at].1)
     }
 
     /// True when the static graph *proves* `w` and `v` share no dependent.
     /// Unknown names prove nothing (rule 2): the candidate is kept.
     pub fn proves_unrelated(&self, w: &str, v: &str) -> bool {
-        let core = &*self.core;
-        match (core.id(w), core.id(v)) {
+        match (self.id(w), self.id(v)) {
             (Some(wi), Some(vi)) => {
-                let deps = &core.deps;
+                let deps = &self.deps;
                 wi != vi
                     && !deps.contains(wi, vi)
                     && !deps.contains(vi, wi)
@@ -186,54 +170,7 @@ pub fn extract_sl_pruned(
     filter: &StaticFilter,
 ) -> (BTreeMap<VarId, Vec<RankedFeature>>, PrepruneStats) {
     let _t = t_time!("au_trace.extract_sl_pruned");
-    let mut candidates = db.inputs().clone();
-    candidates.extend(db.dependents_of_set(db.inputs()));
-
-    // Pooled like `extract_sl`: each `'static` job owns cheap Arc handles
-    // to the database snapshot and the precomputed static filter.
-    let targets: Vec<VarId> = db.targets().iter().copied().collect();
-    let db = db.snapshot();
-    let filter = filter.clone();
-    let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
-        let v = targets[ti];
-        let dep_v = db.dependents(v);
-        let mut ranked = Vec::new();
-        let mut stats = PrepruneStats::default();
-        for &w in &candidates {
-            if w == v || db.targets().contains(&w) {
-                continue;
-            }
-            if dep_v.contains(&w) {
-                continue;
-            }
-            stats.considered += 1;
-            if filter.proves_unrelated(db.name(w), db.name(v)) {
-                stats.pruned += 1;
-                continue;
-            }
-            let dep_w = db.dependents(w);
-            let common: BTreeSet<VarId> = dep_w.intersection(&dep_v).copied().collect();
-            if common.is_empty() {
-                continue;
-            }
-            let distance = db
-                .bfs_distance_to_set(w, &common)
-                .expect("common dependent is reachable from w by construction");
-            ranked.push(RankedFeature { var: w, distance });
-        }
-        ranked.sort_by_key(|f| (f.distance, f.var));
-        (v, ranked, stats)
-    });
-
-    let mut total = PrepruneStats::default();
-    let map = per_target
-        .into_iter()
-        .map(|(v, ranked, stats)| {
-            total.absorb(stats);
-            (v, ranked)
-        })
-        .collect();
-    (map, total)
+    crate::sl::algorithm1(db, Some(filter))
 }
 
 /// Algorithm 2 with the static pre-pass: identical output to
@@ -246,98 +183,14 @@ pub fn extract_rl_pruned(
     params: RlParams,
 ) -> (BTreeMap<VarId, RlExtraction>, PrepruneStats) {
     let _t = t_time!("au_trace.extract_rl_pruned");
-    // Pooled per target like `extract_rl_detailed`.
-    let targets: Vec<VarId> = db.targets().iter().copied().collect();
-    let db = db.snapshot();
-    let filter = filter.clone();
-    let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
-        let v = targets[ti];
-        let dep_v = db.dependents(v);
-        let mut dep_funcs: BTreeSet<&str> = BTreeSet::new();
-        for &d in &dep_v {
-            dep_funcs.extend(db.use_funcs(d).iter().map(|s| s.as_str()));
-        }
-
-        let mut stats = PrepruneStats::default();
-        let mut candidates: BTreeMap<VarId, Vec<f64>> = BTreeMap::new();
-        for w in db.all_vars() {
-            if w == v || db.targets().contains(&w) {
-                continue;
-            }
-            let shares_func = db
-                .use_funcs(w)
-                .iter()
-                .any(|f| dep_funcs.contains(f.as_str()));
-            if !shares_func {
-                continue;
-            }
-            stats.considered += 1;
-            if filter.proves_unrelated(db.name(w), db.name(v)) {
-                stats.pruned += 1;
-                continue;
-            }
-            let dep_w = db.dependents(w);
-            if dep_v.intersection(&dep_w).next().is_none() {
-                continue;
-            }
-            candidates.insert(w, min_max_scale(db.trace(w)));
-        }
-
-        // ε₁/ε₂ passes — byte-for-byte the logic of extract_rl_detailed.
-        let order: Vec<VarId> = candidates.keys().copied().collect();
-        let mut deleted: BTreeSet<VarId> = BTreeSet::new();
-        for (i, &w) in order.iter().enumerate() {
-            if deleted.contains(&w) {
-                continue;
-            }
-            for &x in &order[i + 1..] {
-                if !deleted.contains(&x)
-                    && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
-                {
-                    deleted.insert(x);
-                }
-            }
-        }
-
-        let mut selected = Vec::new();
-        let mut pruned_unchanging = Vec::new();
-        for &w in &order {
-            if deleted.contains(&w) {
-                continue;
-            }
-            if variance(&candidates[&w]) <= params.epsilon2 {
-                pruned_unchanging.push(w);
-                continue;
-            }
-            selected.push(w);
-        }
-        (
-            v,
-            RlExtraction {
-                candidates: order.clone(),
-                pruned_redundant: deleted.into_iter().collect(),
-                pruned_unchanging,
-                selected,
-            },
-            stats,
-        )
-    });
-
-    let mut total = PrepruneStats::default();
-    let map = per_target
-        .into_iter()
-        .map(|(v, e, stats)| {
-            total.absorb(stats);
-            (v, e)
-        })
-        .collect();
-    (map, total)
+    crate::rl::algorithm2(db, params, Some(filter))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{extract_rl_detailed, extract_sl};
+    use std::collections::BTreeSet;
 
     /// The Canny shape plus an uncorrelated `noise` branch.
     fn canny_db() -> AnalysisDb {

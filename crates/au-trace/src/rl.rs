@@ -1,8 +1,9 @@
 //! Algorithm 2: automatic reinforcement-learning feature extraction.
 
 use crate::db::{AnalysisDb, VarId};
+use crate::preprune::{PrepruneStats, StaticFilter};
 use crate::stats::{euclidean_distance, min_max_scale, variance};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Pruning thresholds for [`extract_rl`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,18 +69,26 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
     let _s = t_span!("extract_rl", targets = db.targets().len());
     let _t = t_time!("au_trace.extract_rl");
     t_count!("au_trace.rl_extractions");
-    // Targets are extracted independently (immutable reads of the db), so
-    // fan the per-target loop out across the persistent au-par pool. The
-    // closure owns an O(1) copy-on-write snapshot of the database (pool
-    // jobs are `'static`), and results recombine in target order — the
-    // result is identical for every thread count.
-    let targets: Vec<VarId> = db.targets().iter().copied().collect();
-    let db = db.snapshot();
-    let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
-        let v = targets[ti];
+    algorithm2(db, params, None).0
+}
+
+/// Algorithm 2's per-target loop, for [`extract_rl_detailed`] and, with a
+/// static filter, [`crate::extract_rl_pruned`]. Every (target, variable)
+/// pair that shares a function with dep(target) is counted as considered;
+/// one the filter proves unrelated is counted as pruned and never becomes
+/// a candidate, which the dynamic test would have rejected anyway, so the
+/// ε₁/ε₂ passes see the same candidates either way.
+pub(crate) fn algorithm2(
+    db: &AnalysisDb,
+    params: RlParams,
+    filter: Option<&StaticFilter>,
+) -> (BTreeMap<VarId, RlExtraction>, PrepruneStats) {
+    let mut stats = PrepruneStats::default();
+    let mut extractions = BTreeMap::new();
+    for &v in db.targets() {
         let dep_v = db.dependents(v);
         // UseFunc[dep(v)]: union of usage functions over v's dependents.
-        let mut dep_funcs: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        let mut dep_funcs: BTreeSet<&str> = BTreeSet::new();
         for &d in &dep_v {
             dep_funcs.extend(db.use_funcs(d).iter().map(|s| s.as_str()));
         }
@@ -98,6 +107,11 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
             if !shares_func {
                 continue;
             }
+            stats.considered += 1;
+            if filter.is_some_and(|f| f.proves_unrelated(db.name(w), db.name(v))) {
+                stats.pruned += 1;
+                continue;
+            }
             let dep_w = db.dependents(w);
             if dep_v.intersection(&dep_w).next().is_none() {
                 continue;
@@ -107,7 +121,7 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
 
         // Redundancy pruning (ε₁): keep the first of each similar pair.
         let order: Vec<VarId> = candidates.keys().copied().collect();
-        let mut deleted: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
+        let mut deleted: BTreeSet<VarId> = BTreeSet::new();
         for (i, &w) in order.iter().enumerate() {
             if deleted.contains(&w) {
                 continue;
@@ -134,17 +148,17 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
             }
             selected.push(w);
         }
-        (
+        extractions.insert(
             v,
             RlExtraction {
-                candidates: order.clone(),
+                candidates: order,
                 pruned_redundant: deleted.into_iter().collect(),
                 pruned_unchanging,
                 selected,
             },
-        )
-    });
-    per_target.into_iter().collect()
+        );
+    }
+    (extractions, stats)
 }
 
 #[cfg(test)]

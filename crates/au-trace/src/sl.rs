@@ -1,7 +1,8 @@
 //! Algorithm 1: automatic supervised-learning feature extraction.
 
 use crate::db::{AnalysisDb, VarId};
-use std::collections::BTreeMap;
+use crate::preprune::{PrepruneStats, StaticFilter};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A candidate feature variable with its dependence-graph distance to the
 /// first common dependent shared with the target.
@@ -43,33 +44,40 @@ pub fn extract_sl(db: &AnalysisDb) -> BTreeMap<VarId, Vec<RankedFeature>> {
     let _s = t_span!("extract_sl", targets = db.targets().len());
     let _t = t_time!("au_trace.extract_sl");
     t_count!("au_trace.sl_extractions");
+    algorithm1(db, None).0
+}
+
+/// Algorithm 1's per-target loop, for [`extract_sl`] and, with a static
+/// filter, [`crate::extract_sl_pruned`]. Every (target, candidate) pair
+/// that survives the dynamic exclusions is counted as considered; one the
+/// filter proves unrelated is counted as pruned and skips its dynamic
+/// closure and BFS.
+pub(crate) fn algorithm1(
+    db: &AnalysisDb,
+    filter: Option<&StaticFilter>,
+) -> (BTreeMap<VarId, Vec<RankedFeature>>, PrepruneStats) {
     // Candidate ← In ∪ dep(In)
     let mut candidates = db.inputs().clone();
     candidates.extend(db.dependents_of_set(db.inputs()));
 
-    // Each target's ranking reads the database immutably and is independent
-    // of every other target's, so the per-target loop fans out across the
-    // persistent au-par pool. The closure owns an O(1) copy-on-write
-    // snapshot of the database (the pool needs `'static` jobs), and results
-    // recombine in target order, so the returned map is identical for every
-    // thread count.
-    let targets: Vec<VarId> = db.targets().iter().copied().collect();
-    let db = db.snapshot();
-    let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
-        let v = targets[ti];
+    let mut stats = PrepruneStats::default();
+    let mut features = BTreeMap::new();
+    for &v in db.targets() {
         let dep_v = db.dependents(v);
         let mut ranked = Vec::new();
         for &w in &candidates {
-            if w == v || db.targets().contains(&w) {
+            // Other targets are outputs, and a w that depends on v is
+            // unavailable at prediction time.
+            if w == v || db.targets().contains(&w) || dep_v.contains(&w) {
                 continue;
             }
-            // Exclude w that depends on v: prediction-time unavailable.
-            if dep_v.contains(&w) {
+            stats.considered += 1;
+            if filter.is_some_and(|f| f.proves_unrelated(db.name(w), db.name(v))) {
+                stats.pruned += 1;
                 continue;
             }
             let dep_w = db.dependents(w);
-            let common: std::collections::BTreeSet<VarId> =
-                dep_w.intersection(&dep_v).copied().collect();
+            let common: BTreeSet<VarId> = dep_w.intersection(&dep_v).copied().collect();
             if common.is_empty() {
                 continue;
             }
@@ -79,9 +87,9 @@ pub fn extract_sl(db: &AnalysisDb) -> BTreeMap<VarId, Vec<RankedFeature>> {
             ranked.push(RankedFeature { var: w, distance });
         }
         ranked.sort_by_key(|f| (f.distance, f.var));
-        (v, ranked)
-    });
-    per_target.into_iter().collect()
+        features.insert(v, ranked);
+    }
+    (features, stats)
 }
 
 /// Selects the feature variables in the requested distance band:

@@ -14,9 +14,8 @@ use std::thread;
 const THREADS: usize = 8;
 const PREDICTIONS_PER_THREAD: usize = 1_000;
 
-/// Serializes tests that mutate the process-wide au-par thread override or
-/// the `AU_PAR_THREADS` environment variable — both are global state shared
-/// across cargo's parallel test threads.
+/// Serializes tests that mutate the process-wide au-par thread override,
+/// global state shared across cargo's parallel test threads.
 static PAR_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn par_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -189,56 +188,6 @@ fn predict_batch_is_invariant_to_thread_count() {
     au_par::set_thread_override(None);
 }
 
-/// A fixed 32-sample regression set and two identically initialized copies
-/// of the same network, for comparing the serial and parallel trainers.
-fn training_pair() -> (au_nn::Network, au_nn::Network, au_nn::Tensor, au_nn::Tensor) {
-    let build = || {
-        au_nn::set_init_seed(555);
-        au_nn::Network::builder(3)
-            .dense(16)
-            .activation(au_nn::Activation::Tanh)
-            .dense(2)
-            .build()
-    };
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for i in 0..32 {
-        let a = i as f32 / 32.0;
-        let b = ((i * 7) % 13) as f32 / 13.0;
-        let c = ((i * 3) % 5) as f32 / 5.0;
-        xs.extend([a, b, c]);
-        ys.extend([a * 2.0 - b, c + 0.5 * b]);
-    }
-    (
-        build(),
-        build(),
-        au_nn::Tensor::from_vec(&[32, 3], xs),
-        au_nn::Tensor::from_vec(&[32, 2], ys),
-    )
-}
-
-/// With `AU_PAR_THREADS=1` (the env-var path, not the programmatic
-/// override) the parallel minibatch trainer must be bit-identical to the
-/// serial trainer, step for step.
-#[test]
-fn parallel_training_single_worker_is_bit_identical() {
-    let _g = par_guard();
-    au_par::set_thread_override(None);
-    std::env::set_var("AU_PAR_THREADS", "1");
-    let (mut serial, mut parallel, x, y) = training_pair();
-    let mut opt_s = au_nn::Adam::new(0.01);
-    let mut opt_p = au_nn::Adam::new(0.01);
-    for step in 0..15 {
-        let ls = serial.train_batch(&x, &y, au_nn::Loss::Mse, &mut opt_s);
-        let lp = parallel.train_minibatch(&x, &y, au_nn::Loss::Mse, &mut opt_p);
-        assert_eq!(ls.to_bits(), lp.to_bits(), "loss diverged at step {step}");
-    }
-    let ps = serial.forward(&x);
-    let pp = parallel.forward(&x);
-    assert_eq!(ps.data(), pp.data(), "trained predictions diverged");
-    std::env::remove_var("AU_PAR_THREADS");
-}
-
 /// A panic inside a pool job propagates to the submitter — and the pool
 /// survives it: the very next region runs normally on the same workers.
 #[test]
@@ -302,31 +251,4 @@ fn predict_batch_f32_is_invariant_to_thread_count() {
         }
     }
     au_par::set_thread_override(None);
-}
-
-/// At N workers the minibatch trainer regroups f32 additions at chunk
-/// boundaries, so it only promises closeness, not bit-identity: losses
-/// within 1e-4 and trained predictions within 1e-3 of the serial run (the
-/// tolerance documented in docs/performance.md).
-#[test]
-fn parallel_training_multi_worker_stays_within_tolerance() {
-    let _g = par_guard();
-    au_par::set_thread_override(Some(4));
-    let (mut serial, mut parallel, x, y) = training_pair();
-    let mut opt_s = au_nn::Adam::new(0.01);
-    let mut opt_p = au_nn::Adam::new(0.01);
-    for _ in 0..15 {
-        let ls = serial.train_batch(&x, &y, au_nn::Loss::Mse, &mut opt_s);
-        let lp = parallel.train_minibatch(&x, &y, au_nn::Loss::Mse, &mut opt_p);
-        assert!(
-            (ls - lp).abs() < 1e-4,
-            "loss drift: serial {ls} vs par {lp}"
-        );
-    }
-    au_par::set_thread_override(None);
-    let ps = serial.forward(&x);
-    let pp = parallel.forward(&x);
-    for (a, b) in ps.data().iter().zip(pp.data()) {
-        assert!((a - b).abs() < 1e-3, "prediction drift: {a} vs {b}");
-    }
 }
