@@ -3,8 +3,10 @@
 //! `Raw`/`All` for the RL programs (with the 20%-of-players stopping rule
 //! and its "t/o" analogue).
 //!
-//! Pass `--quick` for a fast smoke run (smaller budgets; shapes still hold
-//! qualitatively but scores are noisier).
+//! Pass `--quick` to smoke-test the pipeline: tiny budgets, about a second
+//! on a 2-core x86-64 VM. It reproduces no Table 3 ordering: at the
+//! committed seeds Min scores below the baseline on Canny and Rothwell,
+//! and All times out on four of the five games.
 
 use au_bench::rl::{RlConfig, Variant};
 use au_bench::sl::{compare, Band, CannySl, PhylipSl, RothwellSl, SlConfig, SphinxSl};
