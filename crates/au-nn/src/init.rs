@@ -3,22 +3,29 @@
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static INIT_SEED: AtomicU64 = AtomicU64::new(0x5eed_0001);
+thread_local! {
+    /// The calling thread's initialization stream: the seed the next layer
+    /// built on this thread draws from.
+    static INIT_SEED: Cell<u64> = const { Cell::new(0x5eed_0001) };
+}
 
-/// Sets the global seed used for subsequent weight initialization.
+/// Reseeds the calling thread's weight-initialization stream.
 ///
 /// The Autonomizer experiments need reproducible training runs; every layer
-/// created after this call draws its weights from a generator seeded from
-/// `seed` (each draw advances the state so distinct layers differ).
+/// this thread creates after this call draws its weights from a generator
+/// seeded from `seed` (each draw advances the stream so distinct layers
+/// differ). The stream belongs to the thread, not the process: threads that
+/// each set a seed build the same networks however they interleave, and a
+/// thread that never calls this draws from its own default stream.
 pub fn set_init_seed(seed: u64) {
-    INIT_SEED.store(seed, Ordering::SeqCst);
+    INIT_SEED.with(|s| s.set(seed));
 }
 
 fn next_rng() -> StdRng {
-    // fetch_add gives every layer its own deterministic stream.
-    let s = INIT_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::SeqCst);
+    // Advancing the stream gives every layer its own deterministic seed.
+    let s = INIT_SEED.with(|s| s.replace(s.get().wrapping_add(0x9e37_79b9_7f4a_7c15)));
     StdRng::seed_from_u64(s)
 }
 
@@ -57,5 +64,21 @@ mod tests {
         let a = xavier(4, 4, &[4, 4]);
         let b = xavier(4, 4, &[4, 4]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn another_threads_seed_leaves_this_stream_alone() {
+        set_init_seed(42);
+        let first = xavier(4, 4, &[4, 4]);
+        std::thread::spawn(|| {
+            set_init_seed(7);
+            xavier(4, 4, &[4, 4])
+        })
+        .join()
+        .unwrap();
+        let second = xavier(4, 4, &[4, 4]);
+        set_init_seed(42);
+        assert_eq!(xavier(4, 4, &[4, 4]), first);
+        assert_eq!(xavier(4, 4, &[4, 4]), second);
     }
 }
