@@ -1,25 +1,20 @@
 //! Measures the cost of the telemetry layer on the engine's hot paths.
 //!
-//! Three configurations matter:
+//! Two configurations matter:
 //!
-//! 1. feature off — the macros expand to nothing (compile-time zero; build
-//!    with `--no-default-features` to measure, not representable here
-//!    because feature unification compiles this harness with the feature);
-//! 2. feature on, recorder disabled — the shipped default: each site pays
-//!    one relaxed atomic load and branch. Budget: < 2% over (1) on
-//!    `au_extract`, the hottest primitive;
-//! 3. feature on, recorder enabled — full span/counter/histogram capture.
+//! 1. recorder disabled — the shipped default: each site pays one relaxed
+//!    atomic load and branch;
+//! 2. recorder enabled — full span/counter/histogram capture.
 //!
-//! This bench reports (2) vs (3) for `au_extract` and `au_nn`, plus a
-//! fourth leg: (3) with the au-scope observability server running but
+//! This bench reports (1) vs (2) for `au_extract` and `au_nn`, plus a
+//! third leg: (2) with the au-scope observability server running but
 //! *unscraped* — the plane's accept loop parks in the kernel, so its
-//! off-path cost over (3) must stay < 2%. A fifth leg, `profiler_attached`,
+//! off-path cost over (2) must stay < 2%. A fourth leg, `profiler_attached`,
 //! primes the plane's au-prof profiler with one `/profile.json` scrape and
 //! then measures with nobody scraping: the profiler only folds spans at
-//! request time, so its attached-but-idle cost over (3) must stay < 3%
-//! (the budget quoted in docs/profiling.md). The disabled-path numbers
-//! here stand in for (1) within measurement noise — see docs/telemetry.md
-//! for the comparison method against a `--no-default-features` build.
+//! request time, so its attached-but-idle cost over (2) must stay < 3%
+//! (the budget quoted in docs/profiling.md). docs/telemetry.md records
+//! why there is no build without the instrumentation.
 
 use au_core::{Engine, Mode, ModelConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -5,7 +5,6 @@
 //!
 //! Run with `cargo run --release -p au-bench --bin drift_demo [--out <dir>]`.
 
-#[cfg(feature = "monitor")]
 fn main() {
     use au_core::monitor::MonitorConfig;
     use au_core::{AuError, Engine, Mode, ModelConfig};
@@ -82,10 +81,4 @@ fn main() {
     }
     println!("model served {served} predictions, original code path served {fallbacks}");
     print!("{}", engine.monitor_report());
-}
-
-#[cfg(not(feature = "monitor"))]
-fn main() {
-    eprintln!("drift_demo requires the `monitor` feature (on by default):");
-    eprintln!("  cargo run --release -p au-bench --bin drift_demo");
 }

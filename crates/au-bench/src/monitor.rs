@@ -5,7 +5,7 @@
 //! present, every engine the binary creates runs with online monitoring
 //! enabled — drift detection against the training distribution, shadow
 //! accuracy where labels still flow, and per-model flight recording — and
-//! alerts surface on stderr (and through telemetry when that is also on).
+//! alerts surface on stderr and through telemetry.
 
 /// Parses `--monitor` from `args` and, when present, installs the default
 /// [`au_core::monitor::MonitorConfig`] as the process-wide default picked up
@@ -14,7 +14,9 @@ pub fn init_from_args(args: &[String]) -> bool {
     if !args.iter().any(|a| a == "--monitor") {
         return false;
     }
-    enable()
+    au_core::set_default_monitor_config(Some(au_core::monitor::MonitorConfig::default()));
+    eprintln!("monitor: online monitoring enabled for every engine in this run");
+    true
 }
 
 /// Like [`init_from_args`] but reads the process arguments directly — the
@@ -22,19 +24,6 @@ pub fn init_from_args(args: &[String]) -> bool {
 pub fn init_from_env() -> bool {
     let args: Vec<String> = std::env::args().skip(1).collect();
     init_from_args(&args)
-}
-
-#[cfg(feature = "monitor")]
-fn enable() -> bool {
-    au_core::set_default_monitor_config(Some(au_core::monitor::MonitorConfig::default()));
-    eprintln!("monitor: online monitoring enabled for every engine in this run");
-    true
-}
-
-#[cfg(not(feature = "monitor"))]
-fn enable() -> bool {
-    eprintln!("monitor: built without the `monitor` feature; --monitor ignored");
-    false
 }
 
 #[cfg(test)]

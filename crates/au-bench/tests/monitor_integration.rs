@@ -3,8 +3,6 @@
 //! and the flight recorder, the fallback policy refuses to serve a
 //! degraded model, and the training baseline survives the model sidecar.
 
-#![cfg(feature = "monitor")]
-
 use au_core::monitor::{AlertKind, MonitorConfig};
 use au_core::{AuError, Engine, Mode, ModelConfig};
 use std::path::PathBuf;

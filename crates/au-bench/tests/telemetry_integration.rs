@@ -5,8 +5,6 @@
 //! The global recorder is process-wide, so everything lives in one `#[test]`
 //! (Rust runs tests in one process; two tests would race on the counters).
 
-#![cfg(feature = "telemetry")]
-
 use au_core::{Engine, Mode, ModelConfig};
 
 fn json_structure_balances(text: &str) -> bool {

@@ -3,8 +3,6 @@
 //! into a non-zero exit via `finish_or_exit`), and must keep succeeding on
 //! a writable one.
 
-#![cfg(feature = "telemetry")]
-
 use au_bench::telemetry::TelemetrySink;
 use std::path::PathBuf;
 

@@ -332,43 +332,37 @@ impl Engine {
     }
 
     /// Human-readable report of the global telemetry recorder.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_report(&self) -> String {
         self.handle.telemetry_report()
     }
 
     // ------------------------------------------------------------------
-    // Monitoring (the `monitor` feature)
+    // Monitoring
     // ------------------------------------------------------------------
 
     /// Switches prediction-quality monitoring on for this engine. See
     /// [`EngineHandle::set_monitor_config`].
-    #[cfg(feature = "monitor")]
     pub fn set_monitor_config(&mut self, config: au_monitor::MonitorConfig) {
         self.handle.set_monitor_config(config);
     }
 
     /// Whether monitoring is active on this engine.
-    #[cfg(feature = "monitor")]
     pub fn monitoring_enabled(&self) -> bool {
         self.handle.monitoring_enabled()
     }
 
     /// The live monitor for a model, once it has served in TS mode. Returns
     /// a lock guard — drop it before the next serving call.
-    #[cfg(feature = "monitor")]
     pub fn monitor(&self, model: &str) -> Option<crate::handle::MonitorRef<'_>> {
         self.handle.monitor(model)
     }
 
     /// Re-arms a model degraded by the fallback policy.
-    #[cfg(feature = "monitor")]
     pub fn clear_degraded(&mut self, model: &str) {
         self.handle.clear_degraded(model);
     }
 
     /// Human-readable monitoring report across every observed model.
-    #[cfg(feature = "monitor")]
     pub fn monitor_report(&self) -> String {
         self.handle.monitor_report()
     }
@@ -380,7 +374,6 @@ impl Engine {
     ///
     /// [`AuError::UnknownModel`] if the model has no monitor yet;
     /// [`AuError::Backend`] on I/O failure.
-    #[cfg(feature = "monitor")]
     pub fn dump_flight_recorder(&self, model: &str) -> Result<PathBuf, AuError> {
         self.handle.dump_flight_recorder(model)
     }
@@ -755,7 +748,6 @@ mod tests {
 
     /// Trains y = 2x on a monitored engine and returns it switched to TS
     /// mode, ready to serve.
-    #[cfg(feature = "monitor")]
     fn monitored_engine(config: au_monitor::MonitorConfig) -> Engine {
         au_nn::set_init_seed(31);
         let mut e = Engine::new(Mode::Train);
@@ -769,7 +761,6 @@ mod tests {
         e
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn monitored_clean_stream_raises_no_alerts() {
         let mut e = monitored_engine(au_monitor::MonitorConfig::default());
@@ -787,7 +778,6 @@ mod tests {
         assert!(report.contains("observations=40"), "{report}");
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn monitored_corrupted_stream_alerts_and_degrades() {
         let dir = std::env::temp_dir().join("au_core_monitor_degrade");
@@ -832,7 +822,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn baseline_persists_through_model_sidecar() {
         au_nn::set_init_seed(32);
@@ -874,7 +863,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn sidecar_without_monitoring_still_loads() {
         // A meta written by a non-monitored run has null baselines; a
@@ -903,7 +891,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn rl_monitoring_flags_out_of_range_states() {
         au_nn::set_init_seed(34);

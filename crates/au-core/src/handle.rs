@@ -27,9 +27,7 @@ use crate::model::{
     ModelConfig, ModelInstance, ModelStats,
 };
 use crate::monitoring::BaselineMeta;
-#[cfg(feature = "monitor")]
 use crate::monitoring::MonitorState;
-#[cfg(feature = "monitor")]
 use crate::registry::lock;
 use crate::registry::{read, write, ModelEntry, ModelRegistry};
 use crate::store::DbStore;
@@ -102,6 +100,40 @@ pub(crate) struct ModelMeta {
     pub feature_baseline: Option<BaselineMeta>,
 }
 
+impl ModelMeta {
+    /// Checks the sidecar's shapes against the network it was saved with,
+    /// so a mismatched pair fails at load instead of panicking when the
+    /// model first serves.
+    fn check_against(&self, net: &Network) -> Result<(), String> {
+        let (inputs, outputs) = (net.in_features(), net.out_features());
+        if self.n_actions != 0 && self.n_actions != outputs {
+            return Err(format!(
+                "n_actions {} but the network has {outputs} outputs",
+                self.n_actions
+            ));
+        }
+        let split_width = self
+            .output_split
+            .iter()
+            .try_fold(0usize, |sum, &w| sum.checked_add(w));
+        if split_width.is_none_or(|w| w > outputs) {
+            return Err(format!(
+                "output_split {:?} needs more than the network's {outputs} outputs",
+                self.output_split
+            ));
+        }
+        if let Some(b) = &self.feature_baseline {
+            let widths = [b.min.len(), b.max.len(), b.mean.len(), b.var.len()];
+            if widths.iter().any(|&w| w != inputs) {
+                return Err(format!(
+                    "feature_baseline columns {widths:?} but the network has {inputs} inputs"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The π layer: the database store plus every piece of state that must stay
 /// transactionally consistent with it — the label-freshness marks derived
 /// from its append counters and the checkpoint stack of (π, marks) pairs.
@@ -128,7 +160,6 @@ struct EngineShared {
     extracted_total: AtomicU64,
     /// Per-model monitors, baseline accumulators, and the active monitor
     /// configuration (inert until monitoring is switched on).
-    #[cfg(feature = "monitor")]
     monitor: Mutex<MonitorState>,
 }
 
@@ -160,13 +191,11 @@ impl std::ops::Deref for DbRef<'_> {
 /// Read guard over one model's live monitor, returned by
 /// [`EngineHandle::monitor`]/`Engine::monitor`. Holds the monitor lock —
 /// drop it before calling primitives that observe into the monitor.
-#[cfg(feature = "monitor")]
 pub struct MonitorRef<'a> {
     guard: MutexGuard<'a, MonitorState>,
     model: String,
 }
 
-#[cfg(feature = "monitor")]
 impl std::ops::Deref for MonitorRef<'_> {
     type Target = au_monitor::ModelMonitor;
 
@@ -188,7 +217,6 @@ impl EngineHandle {
                 registry: ModelRegistry::default(),
                 db: Mutex::new(DbLayer::default()),
                 extracted_total: AtomicU64::new(0),
-                #[cfg(feature = "monitor")]
                 monitor: Mutex::new(MonitorState::new()),
             }),
         }
@@ -239,8 +267,8 @@ impl EngineHandle {
     /// configuration; [`AuError::ModelNotTrained`] in TS mode when no saved
     /// model exists; [`AuError::Backend`] if a saved model fails to parse.
     pub fn au_config(&self, name: &str, config: ModelConfig) -> Result<(), AuError> {
-        let _s = t_span!("au_config", model = name);
-        t_count!("au_core.au_config_calls");
+        let _s = au_telemetry::span!("au_config", model = name);
+        au_telemetry::count!("au_core.au_config_calls");
         if let Some(result) = self.shared.registry.check_config(name, &config) {
             return result; // θ(mdName) ≢ ⊥ ⇒ θ′ = θ, or ModelExists
         }
@@ -251,7 +279,6 @@ impl EngineHandle {
                 entry.output_split = Some(meta.output_split.clone());
             }
             entry.n_actions = meta.n_actions;
-            #[cfg(feature = "monitor")]
             lock(&self.shared.monitor).install_loaded(
                 name,
                 meta.feature_baseline.as_ref(),
@@ -300,8 +327,8 @@ impl EngineHandle {
         algorithm: Algorithm,
         network: Network,
     ) -> Result<(), AuError> {
-        let _s = t_span!("au_config_custom", model = name);
-        t_count!("au_core.au_config_calls");
+        let _s = au_telemetry::span!("au_config_custom", model = name);
+        au_telemetry::count!("au_core.au_config_calls");
         if self.shared.registry.contains(name) {
             return Err(AuError::ModelExists(name.to_owned()));
         }
@@ -343,8 +370,8 @@ impl EngineHandle {
     ///
     /// [`AuError::Backend`] on I/O failure.
     pub fn save_db(&self, path: impl AsRef<std::path::Path>) -> Result<(), AuError> {
-        let _t = t_time!("au_core.db_save");
-        t_count!("au_core.db_saves");
+        let _t = au_telemetry::time!("au_core.db_save");
+        au_telemetry::count!("au_core.db_saves");
         let json = {
             let d = pi_lock(&self.shared.db);
             let map: BTreeMap<&str, &[f64]> = d.db.iter().collect();
@@ -360,8 +387,8 @@ impl EngineHandle {
     ///
     /// [`AuError::Backend`] on I/O failure or malformed content.
     pub fn load_db(&self, path: impl AsRef<std::path::Path>) -> Result<(), AuError> {
-        let _t = t_time!("au_core.db_load");
-        t_count!("au_core.db_loads");
+        let _t = au_telemetry::time!("au_core.db_load");
+        au_telemetry::count!("au_core.db_loads");
         let raw = std::fs::read_to_string(path).map_err(|e| AuError::Backend(e.into()))?;
         let map: BTreeMap<String, Vec<f64>> = serde_json::from_str(&raw)
             .map_err(|e| AuError::Backend(au_nn::NnError::Format(e.to_string())))?;
@@ -383,8 +410,8 @@ impl EngineHandle {
     /// Appends the current values of a feature variable to the π list named
     /// `name`. The slice length plays the role of the paper's `size`.
     pub fn au_extract(&self, name: &str, values: &[f64]) {
-        let _t = t_time!("au_core.au_extract");
-        t_count!("au_core.extract_rows", values.len() as u64);
+        let _t = au_telemetry::time!("au_core.au_extract");
+        au_telemetry::count!("au_core.extract_rows", values.len() as u64);
         self.shared
             .extracted_total
             .fetch_add(values.len() as u64, Ordering::Relaxed);
@@ -398,8 +425,8 @@ impl EngineHandle {
     /// [`FeatureBuffer`] and [`EngineHandle::predict_f32_into`] never
     /// convert through `f64` on their own account.
     pub fn au_extract_f32(&self, name: &str, values: &[f32]) {
-        let _t = t_time!("au_core.au_extract");
-        t_count!("au_core.extract_rows", values.len() as u64);
+        let _t = au_telemetry::time!("au_core.au_extract");
+        au_telemetry::count!("au_core.extract_rows", values.len() as u64);
         self.shared
             .extracted_total
             .fetch_add(values.len() as u64, Ordering::Relaxed);
@@ -435,7 +462,7 @@ impl EngineHandle {
     /// each `au_NN` call sees exactly the values extracted since the last
     /// one.
     pub fn au_serialize(&self, names: &[&str]) -> String {
-        let _t = t_time!("au_core.au_serialize");
+        let _t = au_telemetry::time!("au_core.au_serialize");
         let mut d = pi_lock(&self.shared.db);
         let combined = d.db.serialize(names);
         for name in names {
@@ -465,8 +492,8 @@ impl EngineHandle {
     /// call) no labels exist to fix the output width;
     /// [`AuError::WrongAlgorithm`] for QLearn models.
     pub fn au_nn(&self, model: &str, ext: &str, wbs: &[&str]) -> Result<Vec<f64>, AuError> {
-        let _s = t_span!("au_nn", model = model);
-        let _t = t_time!("au_core.au_nn");
+        let _s = au_telemetry::span!("au_nn", model = model);
+        let _t = au_telemetry::time!("au_core.au_nn");
         let mode = self.mode();
         let input = pi_lock(&self.shared.db).db.get(ext).to_vec();
         if input.is_empty() {
@@ -479,7 +506,6 @@ impl EngineHandle {
         // Graceful degradation: once the monitor's fallback policy trips,
         // refuse to serve. The input is still consumed (π(ext) → ⊥) so the
         // caller's fallback path starts from a clean store.
-        #[cfg(feature = "monitor")]
         if mode == Mode::Test && self.monitor_degraded(model) {
             pi_lock(&self.shared.db).db.clear(ext);
             return Err(AuError::ModelDegraded(model.to_owned()));
@@ -536,7 +562,7 @@ impl EngineHandle {
                             got: input.len(),
                         });
                     }
-                    t_count!("au_core.predictions_served");
+                    au_telemetry::count!("au_core.predictions_served");
                     fast = Some((run_model_ref(net, &input), s.clone()));
                 }
             }
@@ -583,11 +609,11 @@ impl EngineHandle {
                     } => {
                         if have_labels {
                             let loss = supervised_step(net_mut(net), opt, &input, &label_flat);
-                            t_count!("au_core.rows_trained");
-                            t_gauge!("au_core.last_loss", f64::from(loss));
+                            au_telemetry::count!("au_core.rows_trained");
+                            au_telemetry::gauge_set!("au_core.last_loss", f64::from(loss));
                             *train_steps += 1;
                         }
-                        t_count!("au_core.predictions_served");
+                        au_telemetry::count!("au_core.predictions_served");
                         run_model_ref(net, &input)
                     }
                     Backend::Reinforcement { .. } => unreachable!("ensure_supervised checked"),
@@ -596,31 +622,28 @@ impl EngineHandle {
             }
         };
 
-        #[cfg(feature = "monitor")]
-        {
-            if mode == Mode::Train {
-                // TR mode: grow the training baseline — input distribution
-                // plus (when labels flowed) the post-step absolute error.
-                let abs_err = if have_labels {
-                    mean_abs_err(&output, &label_flat)
+        if mode == Mode::Train {
+            // TR mode: grow the training baseline — input distribution
+            // plus (when labels flowed) the post-step absolute error.
+            let abs_err = if have_labels {
+                mean_abs_err(&output, &label_flat)
+            } else {
+                None
+            };
+            lock(&self.shared.monitor).observe_training(model, &input, abs_err);
+        } else if self.monitoring_enabled() {
+            // TS mode: shadow accuracy — when ground-truth labels still
+            // flow through au_extract, score the served prediction
+            // against them.
+            let outcome: Option<&[f64]> =
+                if !labels.is_empty() && labels.iter().all(|l| !l.is_empty()) {
+                    Some(&label_flat)
                 } else {
                     None
                 };
-                lock(&self.shared.monitor).observe_training(model, &input, abs_err);
-            } else if self.monitoring_enabled() {
-                // TS mode: shadow accuracy — when ground-truth labels still
-                // flow through au_extract, score the served prediction
-                // against them.
-                let outcome: Option<&[f64]> =
-                    if !labels.is_empty() && labels.iter().all(|l| !l.is_empty()) {
-                        Some(&label_flat)
-                    } else {
-                        None
-                    };
-                if self.monitor_observe(model, &input, &output, outcome) {
-                    pi_lock(&self.shared.db).db.clear(ext);
-                    return Err(AuError::ModelDegraded(model.to_owned()));
-                }
+            if self.monitor_observe(model, &input, &output, outcome) {
+                pi_lock(&self.shared.db).db.clear(ext);
+                return Err(AuError::ModelDegraded(model.to_owned()));
             }
         }
 
@@ -662,8 +685,8 @@ impl EngineHandle {
         wb: &str,
         n_actions: usize,
     ) -> Result<usize, AuError> {
-        let _s = t_span!("au_nn_rl", model = model);
-        let _t = t_time!("au_core.au_nn_rl");
+        let _s = au_telemetry::span!("au_nn_rl", model = model);
+        let _t = au_telemetry::time!("au_core.au_nn_rl");
         let mode = self.mode();
         let state = pi_lock(&self.shared.db).db.get(ext).to_vec();
         if state.is_empty() {
@@ -673,7 +696,6 @@ impl EngineHandle {
                 available: 0,
             });
         }
-        #[cfg(feature = "monitor")]
         if mode == Mode::Test && self.monitor_degraded(model) {
             pi_lock(&self.shared.db).db.clear(ext);
             return Err(AuError::ModelDegraded(model.to_owned()));
@@ -696,7 +718,7 @@ impl EngineHandle {
             }) = g.instance.backend.as_ref()
             {
                 if agent.state_dim() == state.len() && agent.n_actions() == n_actions {
-                    t_count!("au_core.predictions_served");
+                    au_telemetry::count!("au_core.predictions_served");
                     fast = Some(agent.greedy_action_ref(&to_f32(&state)));
                 }
             }
@@ -716,10 +738,10 @@ impl EngineHandle {
                     } => {
                         let a = rl_step(agent, pending, &state, reward, terminal, train);
                         if train {
-                            t_count!("au_core.rows_trained");
+                            au_telemetry::count!("au_core.rows_trained");
                             *train_steps += 1;
                         }
-                        t_count!("au_core.predictions_served");
+                        au_telemetry::count!("au_core.predictions_served");
                         a
                     }
                     Backend::Supervised { .. } => unreachable!("ensure_reinforcement checked"),
@@ -730,16 +752,11 @@ impl EngineHandle {
         };
         let mut one_hot = vec![0.0; n_actions];
         one_hot[action] = 1.0;
-        #[cfg(feature = "monitor")]
-        {
-            if train {
-                lock(&self.shared.monitor).observe_training(model, &state, None);
-            } else if self.monitoring_enabled()
-                && self.monitor_observe(model, &state, &one_hot, None)
-            {
-                pi_lock(&self.shared.db).db.clear(ext);
-                return Err(AuError::ModelDegraded(model.to_owned()));
-            }
+        if train {
+            lock(&self.shared.monitor).observe_training(model, &state, None);
+        } else if self.monitoring_enabled() && self.monitor_observe(model, &state, &one_hot, None) {
+            pi_lock(&self.shared.db).db.clear(ext);
+            return Err(AuError::ModelDegraded(model.to_owned()));
         }
         let mut d = pi_lock(&self.shared.db);
         d.db.put(wb, one_hot);
@@ -758,8 +775,8 @@ impl EngineHandle {
     /// [`AuError::MissingData`] if π(`name`) holds fewer values than
     /// requested.
     pub fn au_write_back(&self, name: &str, dst: &mut [f64]) -> Result<(), AuError> {
-        let _t = t_time!("au_core.au_write_back");
-        t_count!("au_core.write_backs");
+        let _t = au_telemetry::time!("au_core.au_write_back");
+        au_telemetry::count!("au_core.write_backs");
         let d = pi_lock(&self.shared.db);
         let src = d.db.get(name);
         if src.len() < dst.len() {
@@ -790,8 +807,8 @@ impl EngineHandle {
     /// restores the most recent checkpoint without consuming it (the paper
     /// creates a checkpoint once and restores it at every episode end).
     pub fn au_checkpoint(&self) {
-        let _t = t_time!("au_core.au_checkpoint");
-        t_count!("au_core.checkpoints");
+        let _t = au_telemetry::time!("au_core.au_checkpoint");
+        au_telemetry::count!("au_core.checkpoints");
         let mut d = pi_lock(&self.shared.db);
         let snap = (d.db.clone(), d.label_marks.clone());
         d.checkpoints.push(snap);
@@ -805,8 +822,8 @@ impl EngineHandle {
     /// [`AuError::NoCheckpoint`] if no checkpoint exists (e.g. after
     /// `pop_checkpoint` emptied the stack).
     pub fn au_restore(&self) -> Result<(), AuError> {
-        let _t = t_time!("au_core.au_restore");
-        t_count!("au_core.restores");
+        let _t = au_telemetry::time!("au_core.au_restore");
+        au_telemetry::count!("au_core.restores");
         {
             let mut d = pi_lock(&self.shared.db);
             let (db, marks) = d.checkpoints.last().cloned().ok_or(AuError::NoCheckpoint)?;
@@ -889,7 +906,6 @@ impl EngineHandle {
         };
         std::fs::write(dir.join(format!("{name}.json")), net_json)
             .map_err(|e| AuError::Backend(e.into()))?;
-        #[cfg(feature = "monitor")]
         let (baseline_mae, feature_baseline) = {
             let st = lock(&self.shared.monitor);
             (
@@ -899,8 +915,6 @@ impl EngineHandle {
                     .map(BaselineMeta::from_baseline),
             )
         };
-        #[cfg(not(feature = "monitor"))]
-        let (baseline_mae, feature_baseline) = (None, None);
         let meta = ModelMeta {
             output_split,
             n_actions,
@@ -924,8 +938,15 @@ impl EngineHandle {
         let meta = if meta_path.exists() {
             let raw =
                 std::fs::read_to_string(&meta_path).map_err(|e| AuError::Backend(e.into()))?;
-            serde_json::from_str(&raw)
-                .map_err(|e| AuError::Backend(au_nn::NnError::Format(e.to_string())))?
+            let meta: ModelMeta = serde_json::from_str(&raw)
+                .map_err(|e| AuError::Backend(au_nn::NnError::Format(e.to_string())))?;
+            meta.check_against(&net).map_err(|e| {
+                AuError::Backend(au_nn::NnError::Format(format!(
+                    "{}: {e}",
+                    meta_path.display()
+                )))
+            })?;
+            meta
         } else {
             ModelMeta {
                 output_split: Vec::new(),
@@ -958,13 +979,13 @@ impl EngineHandle {
     ) -> Result<f64, AuError> {
         assert_eq!(xs.len(), ys.len(), "dataset inputs and labels must pair up");
         assert!(!xs.is_empty(), "dataset must be non-empty");
-        let _s = t_span!(
+        let _s = au_telemetry::span!(
             "train_supervised",
             model = model,
             pairs = xs.len(),
             epochs = epochs
         );
-        let _t = t_time!("au_core.train_supervised");
+        let _t = au_telemetry::time!("au_core.train_supervised");
         let entry = self
             .shared
             .registry
@@ -986,15 +1007,15 @@ impl EngineHandle {
                     let net = net_mut(net);
                     let mut last_epoch_loss = 0.0f64;
                     for _ in 0..epochs {
-                        let _e = t_time!("au_core.train_epoch");
+                        let _e = au_telemetry::time!("au_core.train_epoch");
                         let mut total = 0.0f64;
                         for (x, y) in xs.iter().zip(ys) {
                             total += f64::from(supervised_step(net, opt, x, y));
                             *train_steps += 1;
                         }
-                        t_count!("au_core.rows_trained", xs.len() as u64);
+                        au_telemetry::count!("au_core.rows_trained", xs.len() as u64);
                         last_epoch_loss = total / xs.len() as f64;
-                        t_gauge!("au_core.last_loss", last_epoch_loss);
+                        au_telemetry::gauge_set!("au_core.last_loss", last_epoch_loss);
                     }
                     last_epoch_loss
                 }
@@ -1008,7 +1029,6 @@ impl EngineHandle {
         // With monitoring on, one extra pass over the dataset records the
         // trained model's input distribution and per-sample absolute error —
         // the baselines the deployed monitor will compare against.
-        #[cfg(feature = "monitor")]
         if self.monitoring_enabled() {
             for (x, y) in xs.iter().zip(ys) {
                 let pred = self.predict(model, x)?;
@@ -1048,9 +1068,9 @@ impl EngineHandle {
     ///
     /// [`AuError::UnknownModel`] or [`AuError::ModelNotTrained`].
     pub fn predict(&self, model: &str, x: &[f64]) -> Result<Vec<f64>, AuError> {
-        let _s = t_span!("predict", model = model);
-        let _t = t_time!("au_core.predict");
-        t_count!("au_core.predictions_served");
+        let _s = au_telemetry::span!("predict", model = model);
+        let _t = au_telemetry::time!("au_core.predict");
+        au_telemetry::count!("au_core.predictions_served");
         self.with_network(model, |net| run_model_ref(net, x))
     }
 
@@ -1112,9 +1132,9 @@ impl EngineHandle {
         x: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<(), AuError> {
-        let _s = t_span!("predict_f32", model = model);
-        let _t = t_time!("au_core.predict_f32");
-        t_count!("au_core.predictions_served");
+        let _s = au_telemetry::span!("predict_f32", model = model);
+        let _t = au_telemetry::time!("au_core.predict_f32");
+        au_telemetry::count!("au_core.predictions_served");
         self.with_network(model, |net| {
             if net.in_features() != x.len() {
                 return Err(AuError::InputSizeChanged {
@@ -1161,12 +1181,12 @@ impl EngineHandle {
         model: &str,
         layout: impl FnOnce(usize) -> Result<(Vec<f32>, usize), AuError>,
     ) -> Result<Vec<f32>, AuError> {
-        let _s = t_span!("predict_batch", model = model);
-        let _t = t_time!("au_core.predict_batch");
+        let _s = au_telemetry::span!("predict_batch", model = model);
+        let _t = au_telemetry::time!("au_core.predict_batch");
         let net = self.with_network(model, Arc::clone)?;
         let width = net.in_features();
         let (flat, rows) = layout(width)?;
-        t_count!("au_core.predictions_served", rows as u64);
+        au_telemetry::count!("au_core.predictions_served", rows as u64);
         if rows <= PREDICT_MIN_ROWS {
             // A batch this small is always a single range: feed it to the
             // network directly instead of sharing it with pool jobs.
@@ -1205,13 +1225,12 @@ impl EngineHandle {
     /// counter, gauge, and latency histogram the runtime has touched.
     /// Returns an empty-ish header until `au_telemetry::enable()` has been
     /// called and instrumented paths have run.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_report(&self) -> String {
         au_telemetry::global().summary()
     }
 
     // ------------------------------------------------------------------
-    // Monitoring (the `monitor` feature)
+    // Monitoring
     // ------------------------------------------------------------------
 
     /// Switches prediction-quality monitoring on for this runtime.
@@ -1222,13 +1241,11 @@ impl EngineHandle {
     /// [`EngineHandle::save_model`]; an in-process TR→TS switch hands them
     /// to the monitor directly. Runtimes created after
     /// [`crate::set_default_monitor_config`] start monitored automatically.
-    #[cfg(feature = "monitor")]
     pub fn set_monitor_config(&self, config: au_monitor::MonitorConfig) {
         lock(&self.shared.monitor).config = Some(config);
     }
 
     /// Whether monitoring is active on this runtime.
-    #[cfg(feature = "monitor")]
     pub fn monitoring_enabled(&self) -> bool {
         lock(&self.shared.monitor).enabled()
     }
@@ -1236,7 +1253,6 @@ impl EngineHandle {
     /// The live monitor for a model, once it has served in TS mode.
     /// Returns a guard ([`MonitorRef`]) — drop it before the next serving
     /// call.
-    #[cfg(feature = "monitor")]
     pub fn monitor(&self, model: &str) -> Option<MonitorRef<'_>> {
         let guard = lock(&self.shared.monitor);
         if guard.monitors.contains_key(model) {
@@ -1251,11 +1267,9 @@ impl EngineHandle {
 
     /// Re-arms a model degraded by the fallback policy (e.g. after
     /// retraining, or an operator decision to trust it again).
-    #[cfg(feature = "monitor")]
     pub fn clear_degraded(&self, model: &str) {
         if let Some(m) = lock(&self.shared.monitor).monitors.get_mut(model) {
             m.clear_degraded();
-            #[cfg(feature = "telemetry")]
             if au_telemetry::enabled() {
                 au_telemetry::global()
                     .gauge(&format!("au_monitor.{model}.degraded"))
@@ -1266,7 +1280,6 @@ impl EngineHandle {
 
     /// Human-readable monitoring report across every observed model — the
     /// monitoring sibling of [`EngineHandle::telemetry_report`].
-    #[cfg(feature = "monitor")]
     pub fn monitor_report(&self) -> String {
         let st = lock(&self.shared.monitor);
         let mut out = String::from("== monitor report ==\n");
@@ -1288,7 +1301,6 @@ impl EngineHandle {
     /// order — the machine-readable sibling of
     /// [`EngineHandle::monitor_report`], consumed by the observability
     /// plane's `/health` and `/snapshot.json` endpoints.
-    #[cfg(feature = "monitor")]
     pub fn monitor_reports(&self) -> Vec<(String, au_monitor::MonitorReport)> {
         let st = lock(&self.shared.monitor);
         st.monitors
@@ -1298,7 +1310,6 @@ impl EngineHandle {
     }
 
     /// Names of models the fallback policy has currently degraded.
-    #[cfg(feature = "monitor")]
     pub fn degraded_models(&self) -> Vec<String> {
         let st = lock(&self.shared.monitor);
         st.monitors
@@ -1316,7 +1327,6 @@ impl EngineHandle {
     ///
     /// [`AuError::UnknownModel`] if the model has no monitor yet;
     /// [`AuError::Backend`] on I/O failure.
-    #[cfg(feature = "monitor")]
     pub fn dump_flight_recorder(&self, model: &str) -> Result<PathBuf, AuError> {
         let buf = {
             let st = lock(&self.shared.monitor);
@@ -1334,7 +1344,6 @@ impl EngineHandle {
     }
 
     /// Writes already serialized flight-recorder bytes with no lock held.
-    #[cfg(feature = "monitor")]
     fn write_flight_dump(&self, model: &str, buf: &[u8]) -> Result<PathBuf, AuError> {
         let dir = self.model_dir_or_cwd();
         std::fs::create_dir_all(&dir).map_err(|e| AuError::Backend(e.into()))?;
@@ -1344,7 +1353,6 @@ impl EngineHandle {
     }
 
     /// Whether the fallback policy has already degraded `model`.
-    #[cfg(feature = "monitor")]
     pub(crate) fn monitor_degraded(&self, model: &str) -> bool {
         lock(&self.shared.monitor)
             .monitors
@@ -1355,7 +1363,6 @@ impl EngineHandle {
     /// Feeds one TS-mode observation to the model's monitor, emits any
     /// newly raised alerts, dumps the flight recorder on a critical alert,
     /// and returns whether the model is now degraded (fallback policy).
-    #[cfg(feature = "monitor")]
     fn monitor_observe(
         &self,
         model: &str,
@@ -1394,7 +1401,6 @@ impl EngineHandle {
                     } else {
                         None
                     };
-                    #[cfg(feature = "telemetry")]
                     publish_monitor_gauges(model, mon);
                     (flight, mon.is_degraded())
                 }
@@ -1415,8 +1421,7 @@ impl EngineHandle {
 /// `.degraded`) so the observability plane's `/metrics` scrape sees the
 /// current values without locking the monitor map. Gauge names are built
 /// per model, so this goes through `au_telemetry::global()` directly
-/// rather than the per-callsite-cached `t_gauge!` shim.
-#[cfg(all(feature = "monitor", feature = "telemetry"))]
+/// rather than the per-callsite-cached `au_telemetry::gauge_set!`.
 fn publish_monitor_gauges(model: &str, mon: &au_monitor::ModelMonitor) {
     if !au_telemetry::enabled() {
         return;
@@ -1519,7 +1524,6 @@ fn check_flat_width(model: &str, xs: &[f32], width: usize) -> Result<usize, AuEr
 
 /// Mean absolute element-wise error over the overlapping prefix; `None`
 /// when either side is empty.
-#[cfg(feature = "monitor")]
 fn mean_abs_err(prediction: &[f64], truth: &[f64]) -> Option<f64> {
     let n = prediction.len().min(truth.len());
     if n == 0 {
@@ -1586,5 +1590,101 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Trains and saves a monitored supervised model `S` (2 inputs, 1
+    /// output) and a Q-learning model `Q` (2 inputs, 3 actions) into `dir`.
+    fn save_two_models(dir: &std::path::Path) {
+        au_nn::set_init_seed(79);
+        let h = EngineHandle::new(Mode::Train);
+        h.set_monitor_config(au_monitor::MonitorConfig::default());
+        h.set_model_dir(dir);
+        h.au_config("S", ModelConfig::dnn(&[4])).unwrap();
+        h.train_supervised(
+            "S",
+            &[vec![0.1, 0.2], vec![0.3, 0.4]],
+            &[vec![0.5], vec![0.7]],
+            2,
+        )
+        .unwrap();
+        h.au_config("Q", ModelConfig::q_dnn(&[4])).unwrap();
+        for i in 0..3 {
+            h.au_extract("St", &[f64::from(i), 1.0]);
+            h.au_nn_rl("Q", "St", 1.0, false, "A", 3).unwrap();
+        }
+        h.save_model("S").unwrap();
+        h.save_model("Q").unwrap();
+    }
+
+    fn edit_sidecar(dir: &std::path::Path, name: &str, edit: impl FnOnce(&mut ModelMeta)) {
+        let path = dir.join(format!("{name}.meta.json"));
+        let mut meta: ModelMeta =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        edit(&mut meta);
+        std::fs::write(&path, serde_json::to_string(&meta).unwrap()).unwrap();
+    }
+
+    /// Loads `name` in TS mode and serves one call through it.
+    fn load_and_serve(dir: &std::path::Path, name: &str) -> Result<(), AuError> {
+        let h = EngineHandle::new(Mode::Test);
+        h.set_monitor_config(au_monitor::MonitorConfig::default());
+        h.set_model_dir(dir);
+        let config = if name == "Q" {
+            ModelConfig::q_dnn(&[4])
+        } else {
+            ModelConfig::dnn(&[4])
+        };
+        h.au_config(name, config)?;
+        h.au_extract("F", &[0.2, 0.3]);
+        if name == "Q" {
+            h.au_nn_rl(name, "F", 0.0, false, "A", 3).map(drop)
+        } else {
+            h.au_nn(name, "F", &["P"]).map(drop)
+        }
+    }
+
+    /// Each sidecar field edited on its own: a shape that disagrees with
+    /// the saved network is a typed format error at `au_config`, never a
+    /// panic; values that fit the network still load and serve.
+    #[test]
+    fn edited_sidecars_are_checked_against_the_network() {
+        let dir = std::env::temp_dir().join(format!("au_core_sidecar_{}", std::process::id()));
+        type Edit = fn(&mut ModelMeta);
+        // (model, edit, the field the error names — or `None`: still loads)
+        let cases: [(&str, Edit, Option<&str>); 7] = [
+            ("Q", |m| m.n_actions = 4, Some("n_actions")),
+            ("Q", |m| m.n_actions = 0, None),
+            ("S", |m| m.output_split = vec![2], Some("output_split")),
+            (
+                "S",
+                |m| m.output_split = vec![usize::MAX, 2],
+                Some("output_split"),
+            ),
+            ("S", |m| m.output_split = vec![0], None),
+            (
+                "S",
+                |m| m.feature_baseline.as_mut().unwrap().mean.truncate(1),
+                Some("feature_baseline"),
+            ),
+            ("S", |m| m.baseline_mae = Some(0.25), None),
+        ];
+        for (i, (model, edit, rejected)) in cases.into_iter().enumerate() {
+            let _ = std::fs::remove_dir_all(&dir);
+            save_two_models(&dir);
+            load_and_serve(&dir, model).unwrap_or_else(|e| panic!("pristine {model}: {e}"));
+            edit_sidecar(&dir, model, edit);
+            match (load_and_serve(&dir, model), rejected) {
+                (Ok(()), None) => {}
+                (Err(AuError::Backend(au_nn::NnError::Format(msg))), Some(field)) => {
+                    assert!(msg.contains(field), "case {i}: {msg}");
+                    assert!(
+                        msg.contains(&format!("{model}.meta.json")),
+                        "case {i}: {msg}"
+                    );
+                }
+                (got, _) => panic!("case {i}: unexpected {got:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

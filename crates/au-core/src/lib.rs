@@ -42,10 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[macro_use]
-#[path = "../../au-telemetry/shim.rs"]
-mod telem;
-
 mod engine;
 mod error;
 mod handle;
@@ -58,16 +54,13 @@ mod store;
 
 pub use engine::Engine;
 pub use error::AuError;
-#[cfg(feature = "monitor")]
 pub use handle::MonitorRef;
 pub use handle::{Checkpoint, DbRef, EngineHandle, FeatureBuffer, Mode};
 pub use model::{Algorithm, ModelConfig, ModelKind, ModelStats};
-#[cfg(feature = "monitor")]
 pub use monitoring::set_default_monitor_config;
 pub use monitoring::BaselineMeta;
 pub use store::{DbStore, ProgramStore, Value};
 
 /// Re-export of the monitoring subsystem (alerts, drift detection, flight
 /// recording) so engine users need not depend on `au-monitor` directly.
-#[cfg(feature = "monitor")]
 pub use au_monitor as monitor;

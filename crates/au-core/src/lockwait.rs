@@ -16,30 +16,18 @@
 //! | `au_core.shard_lock_contended`| counter   | contended shard acquisitions     |
 //!
 //! Poisoning recovers via `into_inner` exactly like the plain helpers in
-//! [`crate::registry`]. Without the `telemetry` feature the wrappers
-//! *are* the plain helpers.
+//! [`crate::registry`].
 
-#[cfg(feature = "telemetry")]
 use std::sync::OnceLock;
-#[cfg(feature = "telemetry")]
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
-#[cfg(not(feature = "telemetry"))]
-pub(crate) use crate::registry::lock as pi_lock;
-#[cfg(not(feature = "telemetry"))]
-pub(crate) use crate::registry::read as shard_read;
-#[cfg(not(feature = "telemetry"))]
-pub(crate) use crate::registry::write as shard_write;
-
 /// One instrumented lock site: lazily registered histogram + counter.
-#[cfg(feature = "telemetry")]
 struct Site {
     wait: &'static str,
     contended: &'static str,
     cell: OnceLock<(au_telemetry::Histogram, au_telemetry::Counter)>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Site {
     const fn new(wait: &'static str, contended: &'static str) -> Self {
         Site {
@@ -61,13 +49,10 @@ impl Site {
     }
 }
 
-#[cfg(feature = "telemetry")]
 static PI: Site = Site::new("au_core.pi_lock_wait", "au_core.pi_lock_contended");
-#[cfg(feature = "telemetry")]
 static SHARD: Site = Site::new("au_core.shard_lock_wait", "au_core.shard_lock_contended");
 
 /// Locks the π-store mutex, timing the wait when contended.
-#[cfg(feature = "telemetry")]
 pub(crate) fn pi_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.try_lock() {
         Ok(g) => return g,
@@ -78,7 +63,6 @@ pub(crate) fn pi_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Read-locks a registry shard, timing the wait when contended.
-#[cfg(feature = "telemetry")]
 pub(crate) fn shard_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     match l.try_read() {
         Ok(g) => return g,
@@ -89,7 +73,6 @@ pub(crate) fn shard_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 }
 
 /// Write-locks a registry shard, timing the wait when contended.
-#[cfg(feature = "telemetry")]
 pub(crate) fn shard_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     match l.try_write() {
         Ok(g) => return g,
@@ -101,7 +84,6 @@ pub(crate) fn shard_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 /// Times a blocking acquire; skips the recorder (but still acquires)
 /// when telemetry capture is globally off.
-#[cfg(feature = "telemetry")]
 fn timed<G>(site: &Site, acquire: impl FnOnce() -> G) -> G {
     if !au_telemetry::enabled() {
         return acquire();

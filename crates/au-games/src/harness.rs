@@ -425,7 +425,6 @@ mod tests {
         assert_eq!(engine.db().get(&ser), expected.as_slice());
     }
 
-    #[cfg(feature = "monitor")]
     #[test]
     fn drifted_deployment_trips_monitor() {
         use au_core::monitor::{AlertKind, MonitorConfig};

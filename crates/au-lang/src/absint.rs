@@ -2462,7 +2462,7 @@ fn dead_stores<'a>(program: &'a Program, may_ckpt: &HashSet<&'a str>) -> Vec<Dea
 /// it; functions never (transitively) called from `main` are reported
 /// unreachable in full. See [`Analysis`] for the guarantees on each field.
 pub fn analyze(program: &Program) -> Analysis {
-    let _t = t_time!("au_lang.absint");
+    let _t = au_telemetry::time!("au_lang.absint");
     let mut a = Analyzer::new(program);
     if let Some(main) = program.function("main") {
         if main.params.is_empty() {

@@ -38,7 +38,7 @@ use std::collections::HashMap;
 /// mode the result has its `Load`/`Const`/`Bin` windows fused into
 /// superinstructions.
 pub fn compile_program(program: &Program, requested: TraceMode) -> CompiledProgram {
-    let _t = t_time!("au_lang.vm.compile");
+    let _t = au_telemetry::time!("au_lang.vm.compile");
     let mut compiled = compile_impl(program, requested);
     fuse_superinstructions(&mut compiled);
     compiled

@@ -155,9 +155,9 @@ impl Interpreter {
     /// variables, type mismatches, step-limit exhaustion) and
     /// [`LangError::Engine`] for primitive failures.
     pub fn run(&mut self) -> Result<Value, LangError> {
-        let _s = t_span!("aulang_run");
-        let _t = t_time!("au_lang.run");
-        t_count!("au_lang.runs");
+        let _s = au_telemetry::span!("aulang_run");
+        let _t = au_telemetry::time!("au_lang.run");
+        au_telemetry::count!("au_lang.runs");
         self.stats = RunStats::default();
         self.output.clear();
         self.frames.clear();
@@ -168,7 +168,7 @@ impl Interpreter {
             .cloned()
             .expect("parser guarantees main");
         let (value, _) = self.call_function(&main, Vec::new())?;
-        t_count!("au_lang.steps", self.stats.steps);
+        au_telemetry::count!("au_lang.steps", self.stats.steps);
         Ok(value)
     }
 

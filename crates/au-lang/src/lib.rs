@@ -44,10 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[macro_use]
-#[path = "../../au-telemetry/shim.rs"]
-mod telem;
-
 pub mod absint;
 mod ast;
 mod bytecode;
@@ -66,7 +62,7 @@ pub use bytecode::{CompiledProgram, TraceMode};
 pub use compile::{compile_program, compile_program_opt};
 pub use interp::{Interpreter, RunStats};
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use value::Value;
 pub use vm::Vm;
 

@@ -4,24 +4,44 @@
 //! text it was parsed from (desugared `for` loops reuse the spans of the
 //! surface tokens they came from), so downstream tooling — `au-lint`
 //! diagnostics, error rendering — can point back into the file.
+//!
+//! The parser, and every pass after it, recurses once per level of
+//! nesting, so the parser refuses source nested deeper than
+//! [`MAX_NESTING`] levels instead of overflowing the stack.
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
 use crate::lexer::{Lexer, Token, TokenKind};
 use crate::LangError;
 
+/// The deepest nesting [`parse`] accepts, the same bound as the runtime's
+/// call depth. Each block, each expression (the parenthesized, bracketed,
+/// argument and index ones nested inside others included), each unary or
+/// binary operator, each `[index]` and each `else if` opens one level; a
+/// chain like `a + b + c` opens one per operator, as deep as its tree,
+/// and a `for` body two, as deep as its desugared `if` and `while`.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses AuLang source into a [`Program`].
 ///
 /// # Errors
 ///
-/// Returns [`LangError::Lex`] or [`LangError::Parse`] with a line number.
+/// Returns [`LangError::Lex`] or [`LangError::Parse`] with a line number;
+/// source nested deeper than [`MAX_NESTING`] levels is a parse error.
 pub fn parse(src: &str) -> Result<Program, LangError> {
     let tokens = Lexer::new(src).tokenize()?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open at `pos`; see [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -57,6 +77,16 @@ impl Parser {
             line: self.line(),
             message: message.into(),
         }
+    }
+
+    /// Opens one level of nesting. An error ends the whole parse, so only
+    /// the success paths close their levels again.
+    fn enter(&mut self) -> Result<(), LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), LangError> {
@@ -118,6 +148,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
         self.expect(TokenKind::LBrace, "`{`")?;
+        self.enter()?;
         let mut stmts = Vec::new();
         while *self.peek() != TokenKind::RBrace {
             if *self.peek() == TokenKind::Eof {
@@ -126,6 +157,7 @@ impl Parser {
             stmts.push(self.statement()?);
         }
         self.bump(); // `}`
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -149,7 +181,10 @@ impl Parser {
                 let else_body = if *self.peek() == TokenKind::Else {
                     self.bump();
                     if *self.peek() == TokenKind::If {
-                        vec![self.statement()?]
+                        self.enter()?;
+                        let else_if = self.statement()?;
+                        self.depth -= 1;
+                        vec![else_if]
                     } else {
                         self.block()?
                     }
@@ -292,7 +327,11 @@ impl Parser {
             self.stmt_from(StmtKind::Assign { name, value }, post_start)
         };
         self.expect(TokenKind::RParen, "`)`")?;
+        // The body nests two statements deep once desugared: one level
+        // for the `if`, one for the `while`'s block.
+        self.enter()?;
         let mut body = self.block()?;
+        self.depth -= 1;
         body.push(post);
         let whole = Span::new(for_span.start, self.prev_end());
         let while_stmt = Stmt::new(StmtKind::While { cond, body }, whole);
@@ -307,7 +346,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+        self.enter()?;
+        let e = self.or_expr()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     /// Joins two operand spans into the covering binary-expression node.
@@ -324,22 +366,28 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, LangError> {
+        let depth = self.depth;
         let mut lhs = self.and_expr()?;
         while *self.peek() == TokenKind::Or {
             self.bump();
+            self.enter()?;
             let rhs = self.and_expr()?;
             lhs = Self::binary(BinOp::Or, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, LangError> {
+        let depth = self.depth;
         let mut lhs = self.cmp_expr()?;
         while *self.peek() == TokenKind::And {
             self.bump();
+            self.enter()?;
             let rhs = self.cmp_expr()?;
             lhs = Self::binary(BinOp::And, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -355,37 +403,47 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        self.enter()?;
         let rhs = self.add_expr()?;
+        self.depth -= 1;
         Ok(Self::binary(op, lhs, rhs))
     }
 
     fn add_expr(&mut self) -> Result<Expr, LangError> {
+        let depth = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.bump();
+            self.enter()?;
             let rhs = self.mul_expr()?;
             lhs = Self::binary(op, lhs, rhs);
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, LangError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.bump();
+            self.enter()?;
             let rhs = self.unary_expr()?;
             lhs = Self::binary(op, lhs, rhs);
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
@@ -396,7 +454,9 @@ impl Parser {
             _ => return self.postfix_expr(),
         };
         self.bump();
+        self.enter()?;
         let inner = self.unary_expr()?;
+        self.depth -= 1;
         let span = op_span.join(inner.span);
         Ok(Expr::new(
             ExprKind::Unary {
@@ -408,14 +468,17 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, LangError> {
+        let depth = self.depth;
         let mut expr = self.primary_expr()?;
         while *self.peek() == TokenKind::LBracket {
             self.bump();
+            self.enter()?;
             let index = self.expr()?;
             self.expect(TokenKind::RBracket, "`]`")?;
             let span = Span::new(expr.span.start, self.prev_end());
             expr = Expr::new(ExprKind::Index(Box::new(expr), Box::new(index)), span);
         }
+        self.depth = depth;
         Ok(expr)
     }
 

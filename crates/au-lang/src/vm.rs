@@ -331,9 +331,9 @@ impl Vm {
     /// variables, type mismatches, step-limit exhaustion) and
     /// [`LangError::Engine`] for primitive failures.
     pub fn run(&mut self) -> Result<Value, LangError> {
-        let _s = t_span!("aulang_vm_run");
-        let _t = t_time!("au_lang.vm.run");
-        t_count!("au_lang.vm.runs");
+        let _s = au_telemetry::span!("aulang_vm_run");
+        let _t = au_telemetry::time!("au_lang.vm.run");
+        au_telemetry::count!("au_lang.vm.runs");
         self.stats = RunStats::default();
         self.output.clear();
         self.checkpoint = None;
@@ -341,7 +341,7 @@ impl Vm {
             TraceMode::Off => self.exec::<false>(),
             TraceMode::Full | TraceMode::Selective => self.exec::<true>(),
         };
-        t_count!("au_lang.vm.steps", self.stats.steps);
+        au_telemetry::count!("au_lang.vm.steps", self.stats.steps);
         result
     }
 

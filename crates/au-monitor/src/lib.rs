@@ -25,8 +25,8 @@
 //!   paper's hybrid mode) instead of serving silent bad predictions.
 //!
 //! [`ModelMonitor`] ties the four together for one model; the Autonomizer
-//! engine (`au-core` with the `monitor` feature) owns one per deployed
-//! model and feeds it from the `au_nn`/`au_nn_rl` hot paths.
+//! engine (`au-core`) owns one per deployed model and feeds it from the
+//! `au_nn`/`au_nn_rl` hot paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

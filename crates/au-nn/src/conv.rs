@@ -152,7 +152,7 @@ impl Conv2d {
     /// sees at output position `p = (oy, ox)`. Row `f` of `col` is a
     /// contiguous copy sweep per output row (unit-stride when `stride == 1`).
     fn im2col_row(&self, row: &[f32], col: &mut [f32]) {
-        let _t = t_time!("au_nn.im2col");
+        let _t = au_telemetry::time!("au_nn.im2col");
         let (oh, ow) = (self.out_h(), self.out_w());
         let patches = oh * ow;
         let k = self.kernel;
@@ -185,7 +185,7 @@ impl Conv2d {
     /// in ascending-`f` order — bit-identical to the scalar loop nest this
     /// replaced.
     fn forward_row(&self, col: &[f32], out_row: &mut [f32]) {
-        let _t = t_time!("au_nn.gemm");
+        let _t = au_telemetry::time!("au_nn.gemm");
         let patches = self.out_h() * self.out_w();
         for (oc, chunk) in out_row.chunks_exact_mut(patches).enumerate() {
             chunk.fill(self.bias.value.data()[oc]);

@@ -99,7 +99,7 @@ impl Layer for Dense {
         let n = self.out_features;
         out.resize_zeroed(&[batch, n]);
         {
-            let _t = t_time!("au_nn.gemm");
+            let _t = au_telemetry::time!("au_nn.gemm");
             crate::kernels::gemm_acc(
                 out.data_mut(),
                 input.data(),

@@ -40,10 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[macro_use]
-#[path = "../../au-telemetry/shim.rs"]
-mod telem;
-
 mod activation;
 mod conv;
 mod dense;

@@ -105,7 +105,7 @@ impl Network {
 
     /// Runs inference (TS mode) on a `[batch, in]` tensor.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let _t = t_time!("au_nn.forward");
+        let _t = au_telemetry::time!("au_nn.forward");
         self.forward_mode(input, false)
     }
 
@@ -114,7 +114,7 @@ impl Network {
     /// so one trained network (behind an `RwLock` read guard or `Arc`) can
     /// serve arbitrarily many threads at once.
     pub fn infer(&self, input: &Tensor) -> Tensor {
-        let _t = t_time!("au_nn.forward");
+        let _t = au_telemetry::time!("au_nn.forward");
         let mut x = input.clone();
         for layer in &self.layers {
             x = layer.infer(&x);
@@ -133,7 +133,7 @@ impl Network {
     /// scratch buffer holding the output (copy it out if it must outlive
     /// the next call).
     pub fn infer_reusing<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
-        let _t = t_time!("au_nn.forward");
+        let _t = au_telemetry::time!("au_nn.forward");
         let InferScratch { ping, pong } = scratch;
         ping.copy_from(input);
         let mut src: &mut Tensor = ping;
@@ -162,7 +162,7 @@ impl Network {
         loss: Loss,
         opt: &mut dyn Optimizer,
     ) -> f32 {
-        let _t = t_time!("au_nn.train_batch");
+        let _t = au_telemetry::time!("au_nn.train_batch");
         let output = self.forward_mode(input, true);
         let loss_value = loss.value(&output, target);
         let mut grad = loss.gradient(&output, target);
@@ -177,8 +177,8 @@ impl Network {
             layer.invalidate_cached_weights();
         }
         opt.end_batch();
-        t_count!("au_nn.batches_trained");
-        t_gauge!("au_nn.last_batch_loss", f64::from(loss_value));
+        au_telemetry::count!("au_nn.batches_trained");
+        au_telemetry::gauge_set!("au_nn.last_batch_loss", f64::from(loss_value));
         loss_value
     }
 
@@ -207,8 +207,8 @@ impl Network {
         grad_out: &Tensor,
         opt: &mut dyn Optimizer,
     ) {
-        let _t = t_time!("au_nn.train_batch");
-        t_count!("au_nn.batches_trained");
+        let _t = au_telemetry::time!("au_nn.train_batch");
+        au_telemetry::count!("au_nn.batches_trained");
         let _ = self.forward_mode(input, true);
         let mut grad = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {

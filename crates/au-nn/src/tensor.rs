@@ -179,7 +179,7 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimensions must agree: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        let _t = t_time!("au_nn.gemm");
+        let _t = au_telemetry::time!("au_nn.gemm");
         crate::kernels::gemm_acc(&mut out, &self.data, &other.data, m, k, n);
         Tensor::from_vec(&[m, n], out)
     }

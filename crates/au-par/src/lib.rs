@@ -1,9 +1,9 @@
-//! Zero-dependency parallel runtime: one persistent worker pool.
+//! Parallel runtime on `std` threads: one persistent worker pool.
 //!
 //! The workspace builds offline from `vendor/`, so this crate provides the
 //! small slice of rayon the Autonomizer runtime actually needs — an
 //! order-preserving map over chunked index ranges — using nothing but
-//! `std` threads.
+//! `std` threads and the workspace's own `au-telemetry` recorder.
 //!
 //! Work leaves the calling thread only through the **persistent pool**
 //! ([`pool_map_ranges`], [`pool_map`]): parked workers live across
@@ -39,12 +39,11 @@
 //! sweeps can vary it) > [`std::thread::available_parallelism`] (read
 //! once per process: on Linux it parses cgroup files, tens of µs a call).
 //!
-//! With the `telemetry` feature on, every parallel region captures the
-//! caller's `au_telemetry` trace context before fanning out and installs
-//! it in each worker, so spans opened inside a fork/join region parent
-//! under the span that forked them — a fanned-out request exports as one
-//! causal tree instead of per-thread orphans. The feature is off by
-//! default, keeping the crate zero-dependency for standalone use.
+//! Every parallel region captures the caller's `au_telemetry` trace
+//! context before fanning out and installs it in each worker, so spans
+//! opened inside a fork/join region parent under the span that forked
+//! them — a fanned-out request exports as one causal tree instead of
+//! per-thread orphans.
 //!
 //! **Unsafe audit (none needed).** Jobs own their inputs and send their
 //! results back over a channel, wherever they run; the join recombines
@@ -79,45 +78,23 @@ thread_local! {
 
 /// The caller's telemetry trace context, captured before fanning work out
 /// so spans opened inside workers parent under the span that forked them.
-/// With the `telemetry` feature off this is a zero-sized no-op.
-#[cfg(feature = "telemetry")]
 type ForkContext = au_telemetry::TraceContext;
-#[cfg(not(feature = "telemetry"))]
-#[derive(Clone, Copy)]
-struct NoContext;
-#[cfg(not(feature = "telemetry"))]
-type ForkContext = NoContext;
 
-#[cfg(feature = "telemetry")]
 fn capture_context() -> ForkContext {
     au_telemetry::current_context()
-}
-#[cfg(not(feature = "telemetry"))]
-fn capture_context() -> ForkContext {
-    NoContext
 }
 
 /// Fork/join observability series (all on the global recorder, handles
 /// cached per process): how many regions ran, how wide, how long each
 /// worker was busy, how long the forking thread waited at the join, and
 /// how lopsided the per-region work split was.
-#[cfg(feature = "telemetry")]
 mod metrics {
     use std::sync::OnceLock;
 
     pub(crate) fn region(ranges: usize, threads: usize) {
-        static REGIONS: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        static RANGES: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        static THREADS: OnceLock<au_telemetry::Gauge> = OnceLock::new();
-        REGIONS
-            .get_or_init(|| au_telemetry::counter("au_par.regions"))
-            .add(1);
-        RANGES
-            .get_or_init(|| au_telemetry::counter("au_par.ranges"))
-            .add(ranges as u64);
-        THREADS
-            .get_or_init(|| au_telemetry::gauge("au_par.threads"))
-            .set(threads as f64);
+        au_telemetry::count!("au_par.regions");
+        au_telemetry::count!("au_par.ranges", ranges);
+        au_telemetry::gauge_set!("au_par.threads", threads);
     }
 
     pub(crate) fn worker_busy(ns: u64) {
@@ -137,12 +114,6 @@ mod metrics {
         H.get_or_init(|| au_telemetry::histogram("au_par.region_imbalance"))
             .record(ns);
     }
-
-    pub(crate) fn region_inline() {
-        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| au_telemetry::counter("au_par.region_inline_total"))
-            .add(1);
-    }
 }
 
 /// Counts a region that ran inline (one range / one thread / nested) so
@@ -150,25 +121,19 @@ mod metrics {
 /// `au_par.region_inline_total` relative to `au_par.regions` means most
 /// call sites fall under the `min_chunk` split or run nested.
 fn note_inline_region() {
-    #[cfg(feature = "telemetry")]
-    if au_telemetry::enabled() {
-        metrics::region_inline();
-    }
+    au_telemetry::count!("au_par.region_inline_total");
 }
 
 /// Per-region accounting shared by every worker of one parallel region:
 /// times each chunk, folds a min/max busy envelope, and reports the
-/// region's join wait and imbalance when it finishes. With the
-/// `telemetry` feature off (or the recorder disabled) everything here is
-/// a no-op and no clock is read.
-#[cfg(feature = "telemetry")]
+/// region's join wait and imbalance when it finishes. With the recorder
+/// disabled everything here is a no-op and no clock is read.
 struct RegionStats {
     enabled: bool,
     min_busy: std::sync::atomic::AtomicU64,
     max_busy: std::sync::atomic::AtomicU64,
 }
 
-#[cfg(feature = "telemetry")]
 impl RegionStats {
     fn new(ranges: usize) -> Self {
         let enabled = au_telemetry::enabled();
@@ -218,23 +183,6 @@ impl RegionStats {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-struct RegionStats;
-
-#[cfg(not(feature = "telemetry"))]
-impl RegionStats {
-    fn new(_ranges: usize) -> Self {
-        RegionStats
-    }
-    fn measure<R>(&self, f: impl FnOnce() -> R) -> R {
-        f()
-    }
-    fn join_point(&self) -> Option<std::time::Instant> {
-        None
-    }
-    fn finish(&self, _join_from: Option<std::time::Instant>) {}
-}
-
 /// Runs one chunk of a region with the forked context installed (and the
 /// in-worker marker set), restoring both on the way out — on a panic too,
 /// so a thread whose chunk panicked does not stay flagged as a worker and
@@ -246,10 +194,7 @@ fn in_worker_with<R>(ctx: ForkContext, f: impl FnOnce() -> R) -> R {
             IN_WORKER.with(|w| w.set(self.0));
         }
     }
-    #[cfg(feature = "telemetry")]
     let _ctx = au_telemetry::set_context(ctx);
-    #[cfg(not(feature = "telemetry"))]
-    let NoContext = ctx;
     let _flag = RestoreFlag(IN_WORKER.with(|w| w.replace(true)));
     f()
 }
@@ -295,25 +240,19 @@ fn available_cores() -> usize {
 /// Surfaces a rejected `AU_PAR_THREADS` value instead of falling back
 /// silently: one leveled telemetry warning per process naming the value
 /// (echoed to stderr by the recorder's verbosity filter even when span
-/// capture is off). Without the `telemetry` feature the fallback stays
-/// silent — there is nowhere to report to.
+/// capture is off).
 fn warn_invalid_threads(value: &str) {
-    #[cfg(feature = "telemetry")]
-    {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            au_telemetry::event(
-                au_telemetry::Level::Warn,
-                "au_par",
-                &format!(
-                    "ignoring invalid AU_PAR_THREADS={value:?} (want an integer >= 1); \
-                     falling back to available parallelism"
-                ),
-            );
-        });
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = value;
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    WARNED.call_once(|| {
+        au_telemetry::event(
+            au_telemetry::Level::Warn,
+            "au_par",
+            &format!(
+                "ignoring invalid AU_PAR_THREADS={value:?} (want an integer >= 1); \
+                 falling back to available parallelism"
+            ),
+        );
+    });
 }
 
 /// True while the calling thread is an au-par worker; nested parallel
@@ -396,7 +335,6 @@ mod tests {
     /// so spans it opens must stay on the worker's thread, inside the
     /// caller's trace, parented under the worker's own span — not under a
     /// second-generation fork context.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn nested_spawn_spans_inherit_the_outer_trace() {
         let _g = OVERRIDE_LOCK.lock().unwrap();
@@ -440,7 +378,6 @@ mod tests {
     }
 
     /// A junk `AU_PAR_THREADS` must fall back *and* say so — once.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn invalid_au_par_threads_warns_once_and_falls_back() {
         let _g = OVERRIDE_LOCK.lock().unwrap();

@@ -112,26 +112,21 @@ fn lock(shared: &PoolShared) -> MutexGuard<'_, PoolQueue> {
 /// parallelism — extra workers only oversubscribe cores, so a persistent
 /// `AU_PAR_THREADS`/override above the core count deserves a visible note.
 fn warn_if_oversubscribed(workers: usize) {
-    #[cfg(feature = "telemetry")]
-    {
-        let avail = crate::available_cores();
-        if workers > avail {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                au_telemetry::event(
-                    au_telemetry::Level::Warn,
-                    "au_par",
-                    &format!(
-                        "worker pool grew to {workers} threads but this host reports \
-                         {avail} available core(s); the extra workers can only \
-                         oversubscribe (check AU_PAR_THREADS / set_thread_override)"
-                    ),
-                );
-            });
-        }
+    let avail = crate::available_cores();
+    if workers > avail {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            au_telemetry::event(
+                au_telemetry::Level::Warn,
+                "au_par",
+                &format!(
+                    "worker pool grew to {workers} threads but this host reports \
+                     {avail} available core(s); the extra workers can only \
+                     oversubscribe (check AU_PAR_THREADS / set_thread_override)"
+                ),
+            );
+        });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = workers;
 }
 
 /// Pushes one job of `region`, growing the pool if every worker is busy
@@ -146,7 +141,6 @@ fn submit_job(region: u64, job: Job) {
         job();
         return;
     }
-    #[cfg(feature = "telemetry")]
     let job: Job = if au_telemetry::enabled() {
         let queued = std::time::Instant::now();
         Box::new(move || {
@@ -451,44 +445,23 @@ where
 /// Pool-specific observability: park/wake totals, jobs executed (and how
 /// many of them the join took back), queue wait, and the live pool size,
 /// alongside the crate's region series.
-#[cfg(feature = "telemetry")]
 mod pmetrics {
     use std::sync::OnceLock;
 
     pub(crate) fn park() {
-        if !au_telemetry::enabled() {
-            return;
-        }
-        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| au_telemetry::counter("au_par.pool_park_total"))
-            .add(1);
+        au_telemetry::count!("au_par.pool_park_total");
     }
 
     pub(crate) fn wake() {
-        if !au_telemetry::enabled() {
-            return;
-        }
-        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| au_telemetry::counter("au_par.pool_wake_total"))
-            .add(1);
+        au_telemetry::count!("au_par.pool_wake_total");
     }
 
     pub(crate) fn job_run() {
-        if !au_telemetry::enabled() {
-            return;
-        }
-        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| au_telemetry::counter("au_par.pool_jobs_total"))
-            .add(1);
+        au_telemetry::count!("au_par.pool_jobs_total");
     }
 
     pub(crate) fn reclaimed() {
-        if !au_telemetry::enabled() {
-            return;
-        }
-        static C: OnceLock<au_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| au_telemetry::counter("au_par.pool_reclaimed_total"))
-            .add(1);
+        au_telemetry::count!("au_par.pool_reclaimed_total");
     }
 
     pub(crate) fn queue_wait(ns: u64) {
@@ -498,24 +471,8 @@ mod pmetrics {
     }
 
     pub(crate) fn pool_size(workers: usize) {
-        if !au_telemetry::enabled() {
-            return;
-        }
-        static G: OnceLock<au_telemetry::Gauge> = OnceLock::new();
-        G.get_or_init(|| au_telemetry::gauge("au_par.pool_size"))
-            .set(workers as f64);
+        au_telemetry::gauge_set!("au_par.pool_size", workers);
     }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod pmetrics {
-    // queue_wait has no feature-off twin: its only call site is the
-    // telemetry-gated job wrapper in `submit_job`.
-    pub(crate) fn park() {}
-    pub(crate) fn wake() {}
-    pub(crate) fn job_run() {}
-    pub(crate) fn reclaimed() {}
-    pub(crate) fn pool_size(_workers: usize) {}
 }
 
 #[cfg(test)]
@@ -664,7 +621,6 @@ mod tests {
     /// Spans opened inside pooled workers must parent under the forking
     /// span — the propagation contract au-core's batch and extraction
     /// fan-outs rely on.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn pooled_worker_spans_parent_under_the_forking_span() {
         let _g = OVERRIDE_LOCK.lock().unwrap();
@@ -774,7 +730,6 @@ mod tests {
 
     /// A taken-back job runs under the context captured at `Fork::new`,
     /// not under whatever span is open on the joining thread.
-    #[cfg(feature = "telemetry")]
     #[test]
     #[cfg_attr(miri, ignore)]
     fn taken_back_job_spans_parent_under_the_forking_span() {

@@ -1,7 +1,7 @@
 //! au-scope: the live observability plane.
 //!
 //! A zero-dependency HTTP server over the [`au_telemetry`] recorder (and,
-//! with the `engine` feature, an attached [`au_core::EngineHandle`]) that
+//! when one is attached, an [`au_core::EngineHandle`]) that
 //! turns the in-process telemetry the runtime already collects into
 //! something an operator can point a browser or a Prometheus scraper at
 //! *while the program runs*:
@@ -49,7 +49,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "engine")]
 use au_core::EngineHandle;
 
 /// The dashboard page served at `/`, bundled into the binary so the plane
@@ -64,7 +63,6 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Everything a handler thread needs, shared behind one `Arc`.
 pub(crate) struct Plane {
     pub recorder: &'static Recorder,
-    #[cfg(feature = "engine")]
     pub engine: Option<EngineHandle>,
     pub started: Instant,
     pub stop: AtomicBool,
@@ -84,7 +82,6 @@ impl Plane {
 /// Builder for [`ScopeServer`]; start with [`ScopeServer::builder`].
 pub struct ScopeBuilder {
     recorder: &'static Recorder,
-    #[cfg(feature = "engine")]
     engine: Option<EngineHandle>,
     addr: String,
     io_timeout: Duration,
@@ -102,7 +99,6 @@ impl ScopeBuilder {
     /// Attach the engine runtime, enabling the engine-aware parts of
     /// `/health` and `/snapshot.json` (mode, models, monitor state,
     /// registry shard occupancy).
-    #[cfg(feature = "engine")]
     #[must_use]
     pub fn engine(mut self, handle: EngineHandle) -> Self {
         self.engine = Some(handle);
@@ -137,7 +133,6 @@ impl ScopeBuilder {
         let addr = listener.local_addr()?;
         let plane = Arc::new(Plane {
             recorder: self.recorder,
-            #[cfg(feature = "engine")]
             engine: self.engine,
             started: Instant::now(),
             stop: AtomicBool::new(false),
@@ -169,7 +164,6 @@ impl ScopeServer {
     pub fn builder() -> ScopeBuilder {
         ScopeBuilder {
             recorder: au_telemetry::global(),
-            #[cfg(feature = "engine")]
             engine: None,
             addr: "127.0.0.1:0".to_owned(),
             io_timeout: IO_TIMEOUT,

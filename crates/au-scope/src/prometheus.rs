@@ -23,7 +23,6 @@ fn sanitize(name: &str) -> String {
 
 /// Escapes a label value (backslash, quote, newline per the exposition
 /// format). Only engine-level series carry labels today.
-#[cfg_attr(not(feature = "engine"), allow(dead_code))]
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -92,7 +91,6 @@ pub(crate) fn render(plane: &Plane) -> String {
         let _ = writeln!(out, "{metric} {v}");
     }
 
-    #[cfg(feature = "engine")]
     if let Some(engine) = &plane.engine {
         let mode = match engine.mode() {
             au_core::Mode::Train => 0,

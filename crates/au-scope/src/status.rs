@@ -40,7 +40,6 @@ pub(crate) fn health_json(plane: &Plane) -> String {
     out
 }
 
-#[cfg(feature = "engine")]
 fn append_engine_health(out: &mut String, plane: &Plane) {
     let Some(engine) = &plane.engine else {
         out.push(',');
@@ -78,14 +77,6 @@ fn append_engine_health(out: &mut String, plane: &Plane) {
     out.push('}');
 }
 
-#[cfg(not(feature = "engine"))]
-fn append_engine_health(out: &mut String, _plane: &Plane) {
-    out.push(',');
-    push_key(out, "engine");
-    out.push_str("null");
-}
-
-#[cfg(feature = "engine")]
 fn push_str_list(out: &mut String, items: &[String]) {
     out.push('[');
     for (i, s) in items.iter().enumerate() {
@@ -175,7 +166,6 @@ pub(crate) fn snapshot_json(plane: &Plane) -> String {
     out
 }
 
-#[cfg(feature = "engine")]
 fn append_engine_snapshot(out: &mut String, plane: &Plane) {
     let Some(engine) = &plane.engine else {
         out.push(',');
@@ -221,11 +211,4 @@ fn append_engine_snapshot(out: &mut String, plane: &Plane) {
         out.push('}');
     }
     out.push('}');
-}
-
-#[cfg(not(feature = "engine"))]
-fn append_engine_snapshot(out: &mut String, _plane: &Plane) {
-    out.push(',');
-    push_key(out, "monitor");
-    out.push_str("null");
 }

@@ -7,8 +7,6 @@
 //! Uses the process-global recorder (the real deployment shape), so this
 //! file holds exactly one test.
 
-#![cfg(feature = "engine")]
-
 use au_core::{Engine, Mode, ModelConfig};
 use serde::Value;
 use std::io::{Read, Write};

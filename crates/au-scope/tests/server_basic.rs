@@ -1,6 +1,5 @@
 //! Endpoint smoke tests against a private (leaked) recorder — no engine
-//! attached, so these exercise the plane's telemetry-only half and run
-//! identically with `--no-default-features`.
+//! attached, so these exercise the plane's telemetry-only half.
 
 use au_telemetry::Recorder;
 use serde::Value;

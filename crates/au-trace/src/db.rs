@@ -84,7 +84,7 @@ impl AnalysisDb {
     /// Adds dependence edges `src → dst`, appends `value` to `dst`'s runtime
     /// trace, and marks every involved variable as used in `func`.
     pub fn record_assign(&mut self, dst: &str, srcs: &[&str], value: Option<f64>, func: &str) {
-        t_count!("au_trace.records");
+        au_telemetry::count!("au_trace.records");
         let d = self.var(dst);
         let src_ids: Vec<VarId> = srcs.iter().map(|src| self.var(src)).collect();
         for s in src_ids {
@@ -113,7 +113,7 @@ impl AnalysisDb {
     /// Records an observed runtime value for `var` without any new edges
     /// (e.g. loop-carried updates sampled once per iteration).
     pub fn record_value(&mut self, var: &str, value: f64) {
-        t_count!("au_trace.records");
+        au_telemetry::count!("au_trace.records");
         let v = self.var(var);
         self.traces[v.0].push(value);
     }

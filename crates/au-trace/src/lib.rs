@@ -47,10 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[macro_use]
-#[path = "../../au-telemetry/shim.rs"]
-mod telem;
-
 mod db;
 pub mod persist;
 mod preprune;

@@ -169,7 +169,7 @@ pub fn extract_sl_pruned(
     db: &AnalysisDb,
     filter: &StaticFilter,
 ) -> (BTreeMap<VarId, Vec<RankedFeature>>, PrepruneStats) {
-    let _t = t_time!("au_trace.extract_sl_pruned");
+    let _t = au_telemetry::time!("au_trace.extract_sl_pruned");
     crate::sl::algorithm1(db, Some(filter))
 }
 
@@ -182,7 +182,7 @@ pub fn extract_rl_pruned(
     filter: &StaticFilter,
     params: RlParams,
 ) -> (BTreeMap<VarId, RlExtraction>, PrepruneStats) {
-    let _t = t_time!("au_trace.extract_rl_pruned");
+    let _t = au_telemetry::time!("au_trace.extract_rl_pruned");
     crate::rl::algorithm2(db, params, Some(filter))
 }
 

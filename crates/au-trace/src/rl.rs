@@ -66,9 +66,9 @@ pub struct RlExtraction {
 
 /// Runs Algorithm 2 returning full diagnostics per target.
 pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId, RlExtraction> {
-    let _s = t_span!("extract_rl", targets = db.targets().len());
-    let _t = t_time!("au_trace.extract_rl");
-    t_count!("au_trace.rl_extractions");
+    let _s = au_telemetry::span!("extract_rl", targets = db.targets().len());
+    let _t = au_telemetry::time!("au_trace.extract_rl");
+    au_telemetry::count!("au_trace.rl_extractions");
     algorithm2(db, params, None).0
 }
 

@@ -41,9 +41,9 @@ pub enum DistanceBand {
 /// Returns a map from each target to its ranked feature list. Targets with
 /// no correlated candidates map to an empty list.
 pub fn extract_sl(db: &AnalysisDb) -> BTreeMap<VarId, Vec<RankedFeature>> {
-    let _s = t_span!("extract_sl", targets = db.targets().len());
-    let _t = t_time!("au_trace.extract_sl");
-    t_count!("au_trace.sl_extractions");
+    let _s = au_telemetry::span!("extract_sl", targets = db.targets().len());
+    let _t = au_telemetry::time!("au_trace.extract_sl");
+    au_telemetry::count!("au_trace.sl_extractions");
     algorithm1(db, None).0
 }
 

@@ -5,9 +5,8 @@
 //! This example simulates both: a training process that collects traces
 //! into the database store, trains, and persists the model; and a fresh
 //! deployment process whose `au_config` call (rule CONFIG-TEST) loads the
-//! trained model back and serves predictions with no learning. With the
-//! `monitor` feature (on by default) a third process deploys behind the
-//! graceful-degradation fallback: when its sensors drift off the training
+//! trained model back and serves predictions with no learning. A third
+//! process deploys behind the graceful-degradation fallback: when its sensors drift off the training
 //! distribution, `au_nn` refuses with `AuError::ModelDegraded` and the
 //! caller routes back to the original (pre-autonomization) code path.
 //!
@@ -29,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Monitoring during training persists the per-feature input
         // distribution and baseline MAE into the model's sidecar, powering
         // drift detection in the deployment processes below.
-        #[cfg(feature = "monitor")]
         engine.set_monitor_config(autonomizer::core::monitor::MonitorConfig::default());
         engine.set_model_dir(&dir);
         engine.au_config(
@@ -115,7 +113,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------------------------------------------------------------
     // Process 3: deployment behind the monitoring fallback (TS mode).
     // ---------------------------------------------------------------
-    #[cfg(feature = "monitor")]
     {
         use autonomizer::core::monitor::MonitorConfig;
         use autonomizer::core::AuError;

@@ -11,7 +11,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --features scope --example live_dashboard -- --port 7878 --seconds 30
+//! cargo run --release --example live_dashboard -- --port 7878 --seconds 30
 //! ```
 //!
 //! then open <http://127.0.0.1:7878/> — or scrape:
@@ -22,7 +22,6 @@
 //! curl -N http://127.0.0.1:7878/events
 //! ```
 
-#[cfg(feature = "scope")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     use autonomizer::core::monitor::MonitorConfig;
     use autonomizer::core::{Engine, Mode, ModelConfig};
@@ -132,10 +131,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("final scrape: http://{}/metrics", server.local_addr());
     server.shutdown();
     Ok(())
-}
-
-#[cfg(not(feature = "scope"))]
-fn main() {
-    eprintln!("live_dashboard requires the `scope` feature:");
-    eprintln!("  cargo run --release --features scope --example live_dashboard");
 }

@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --release --example monitor_drift`
 
-#[cfg(feature = "monitor")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     use autonomizer::core::monitor::MonitorConfig;
     use autonomizer::core::{Engine, Mode, ModelConfig};
@@ -83,10 +82,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "drifted sensors must raise alerts"
     );
     Ok(())
-}
-
-#[cfg(not(feature = "monitor"))]
-fn main() {
-    eprintln!("monitor_drift requires the `monitor` feature (on by default):");
-    eprintln!("  cargo run --release --example monitor_drift");
 }

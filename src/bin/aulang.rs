@@ -34,78 +34,49 @@
 //! `--no-trace`) every assignment is recorded into the dynamic dependence
 //! graph used by `dot` and `features`.
 //!
-//! Diagnostics go through leveled events: `-q`/`--quiet` shows errors only,
-//! the default also shows run statistics, and `-v`/`--verbose` adds debug
-//! detail. With the `telemetry` feature the events are routed through the
-//! `au-telemetry` recorder (so they appear in exported traces as well).
+//! Diagnostics go through leveled events on the `au-telemetry` recorder
+//! (so they appear in exported traces as well): `-q`/`--quiet` shows
+//! errors only, the default also shows run statistics, and
+//! `-v`/`--verbose` adds debug detail.
 
 use au_lang::{parse, pretty, static_analysis, Interpreter, RunStats, TraceMode, Value, Vm};
+use au_telemetry::Level;
 use au_trace::{extract_rl, extract_sl, AnalysisDb, RlParams};
 use std::process::ExitCode;
-
-/// Diagnostic severity: 1 = error, 2 = info, 3 = debug.
-const ERROR: u8 = 1;
-const INFO: u8 = 2;
-const DEBUG: u8 = 3;
 
 /// Splits the verbosity flags out of the raw argument list so they can
 /// appear anywhere (before or after the subcommand) without disturbing
 /// the positional `<command> <file>` parse.
-fn take_verbosity(args: &mut Vec<String>) -> u8 {
+fn take_verbosity(args: &mut Vec<String>) -> Level {
     let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
     let verbose = args.iter().any(|a| a == "-v" || a == "--verbose");
     args.retain(|a| a != "-q" && a != "--quiet" && a != "-v" && a != "--verbose");
     if quiet {
-        ERROR
+        Level::Error
     } else if verbose {
-        DEBUG
+        Level::Debug
     } else {
-        INFO
+        Level::Info
     }
 }
 
-/// Emits one leveled diagnostic line. Routed through the au-telemetry
-/// recorder when the feature is on (echo controlled by its verbosity
-/// threshold, set once in `main`); otherwise a plain gated `eprintln!`.
-fn diag(level: u8, verbosity: u8, message: &str) {
-    #[cfg(feature = "telemetry")]
-    {
-        let _ = verbosity;
-        let lvl = match level {
-            ERROR => au_telemetry::Level::Error,
-            INFO => au_telemetry::Level::Info,
-            _ => au_telemetry::Level::Debug,
-        };
-        au_telemetry::event(lvl, "aulang", message);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if level <= verbosity {
-        let tag = match level {
-            ERROR => "error",
-            INFO => "info",
-            _ => "debug",
-        };
-        eprintln!("[{tag}] aulang: {message}");
-    }
+/// Emits one leveled diagnostic line through the au-telemetry recorder,
+/// which echoes it to stderr at or above the verbosity set in `main`.
+fn diag(level: Level, message: &str) {
+    au_telemetry::event(level, "aulang", message);
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let verbosity = take_verbosity(&mut args);
-    #[cfg(feature = "telemetry")]
-    au_telemetry::set_verbosity(match verbosity {
-        ERROR => au_telemetry::Level::Error,
-        INFO => au_telemetry::Level::Info,
-        _ => au_telemetry::Level::Debug,
-    });
-    match run(&args, verbosity) {
+    au_telemetry::set_verbosity(take_verbosity(&mut args));
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Failure(message)) => {
-            diag(ERROR, verbosity, &message);
+            diag(Level::Error, &message);
             ExitCode::FAILURE
         }
         Err(CliError::Usage(message)) => {
-            diag(ERROR, verbosity, &message);
+            diag(Level::Error, &message);
             ExitCode::from(2)
         }
     }
@@ -177,7 +148,7 @@ impl Exec {
     }
 }
 
-fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
+fn run(args: &[String]) -> Result<(), CliError> {
     let (command, file) = match (args.first(), args.get(1)) {
         (Some(c), Some(f)) => (c.as_str(), f.as_str()),
         _ => return Err(CliError::Usage(usage())),
@@ -209,7 +180,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
             if json {
                 println!("{}", au_lint::diagnostics_to_json(&diags));
             } else if diags.is_empty() {
-                diag(INFO, verbosity, &format!("{file}: no diagnostics"));
+                diag(Level::Info, &format!("{file}: no diagnostics"));
             } else {
                 print!("{}", au_lint::render_all(&diags, file));
             }
@@ -273,8 +244,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     };
                     let vm = Vm::compile(&source, mode).map_err(bad_source)?;
                     diag(
-                        DEBUG,
-                        verbosity,
+                        Level::Debug,
                         &format!(
                             "bytecode: {} ops, {} trace ops, requested {:?}, effective {:?}",
                             vm.compiled().op_count(),
@@ -311,7 +281,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     _ => {}
                 }
             }
-            diag(DEBUG, verbosity, &format!("running {file} ({command})"));
+            diag(Level::Debug, &format!("running {file} ({command})"));
             let result = exec.run().map_err(CliError::Failure)?;
             for line in exec.output() {
                 println!("{line}");
@@ -321,8 +291,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     println!("=> {result}");
                     let stats = exec.stats();
                     diag(
-                        INFO,
-                        verbosity,
+                        Level::Info,
                         &format!(
                             "{} statements, {} traced assignments, call depth {}",
                             stats.steps, stats.assignments, stats.max_depth
@@ -334,8 +303,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     let db = exec.analysis();
                     if db.targets().is_empty() {
                         diag(
-                            INFO,
-                            verbosity,
+                            Level::Info,
                             "no target variables (assign from au_write_back or call mark_target)",
                         );
                     }

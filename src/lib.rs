@@ -63,11 +63,8 @@ pub use au_speech as speech;
 pub use au_trace as trace;
 pub use au_vision as vision;
 
-#[cfg(feature = "prof")]
 pub use au_prof as prof;
-#[cfg(feature = "scope")]
 pub use au_scope as scope;
-#[cfg(feature = "telemetry")]
 pub use au_telemetry as telemetry;
 
 /// Everything a typical autonomization needs, in one import.

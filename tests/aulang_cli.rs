@@ -1,7 +1,8 @@
 //! End-to-end pinning of the `aulang` binary's exit-code contract:
 //! `0` success, `1` the program was understood but failed (denied lint
 //! findings, runtime errors), `2` the invocation or source could not be
-//! processed (usage, unreadable file, parse error).
+//! processed (usage, unreadable file, parse error) — and its stderr: one
+//! leveled `[level] aulang: …` line per diagnostic, filtered by `-q`/`-v`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -75,4 +76,89 @@ fn runtime_errors_exit_one() {
     );
     assert_eq!(code(&aulang(&["run", bad.to_str().unwrap()])), 1);
     let _ = std::fs::remove_file(&bad);
+}
+
+fn example(file: &str) -> String {
+    format!("{}/examples/aulang/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+fn stderr_lines(out: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn default_run_reports_statistics_on_stderr() {
+    let out = aulang(&["run", &example("threshold.au")]);
+    assert_eq!(code(&out), 0);
+    let lines = stderr_lines(&out);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].starts_with("[info] aulang: ") && lines[0].contains(" statements, "),
+        "{lines:?}"
+    );
+}
+
+#[test]
+fn quiet_run_prints_nothing_on_stderr() {
+    let out = aulang(&["run", &example("threshold.au"), "-q"]);
+    assert_eq!(code(&out), 0);
+    assert_eq!(stderr_lines(&out), Vec::<String>::new());
+}
+
+#[test]
+fn verbose_run_adds_debug_lines() {
+    let out = aulang(&["-v", "run", &example("threshold.au")]);
+    assert_eq!(code(&out), 0);
+    let lines = stderr_lines(&out);
+    let debug = lines
+        .iter()
+        .filter(|l| l.starts_with("[debug] aulang: "))
+        .count();
+    assert!(debug >= 2, "{lines:?}");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("[info] aulang: ") && l.contains(" statements, ")),
+        "{lines:?}"
+    );
+    assert_eq!(debug + 1, lines.len(), "only aulang lines: {lines:?}");
+}
+
+#[test]
+fn runtime_errors_print_an_error_line_even_when_quiet() {
+    let bad = temp_program(
+        "quiet_runtime",
+        "fn main() {\n    let a = [1, 2];\n    return a + 1;\n}\n",
+    );
+    for quiet in [false, true] {
+        let mut args = vec!["run", bad.to_str().unwrap()];
+        if quiet {
+            args.push("-q");
+        }
+        let out = aulang(&args);
+        assert_eq!(code(&out), 1);
+        assert_eq!(
+            stderr_lines(&out),
+            vec!["[error] aulang: runtime error: arithmetic on array".to_owned()]
+        );
+    }
+    let _ = std::fs::remove_file(&bad);
+}
+
+#[test]
+fn check_exits_two_on_source_nested_too_deep() {
+    let deep = temp_program(
+        "deep",
+        &format!(
+            "fn main() {{\n    return {}1{};\n}}\n",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        ),
+    );
+    let out = aulang(&["check", deep.to_str().unwrap()]);
+    assert_eq!(code(&out), 2, "{:?}", stderr_lines(&out));
+    let _ = std::fs::remove_file(&deep);
 }
