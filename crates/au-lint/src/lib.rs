@@ -461,6 +461,44 @@ fn main() {
     }
 
     #[test]
+    fn au012_anchors_at_any_extraction_but_au007_only_at_named_ones() {
+        // AU012 takes a feature variable's first span over every
+        // `au_extract`; AU007 only over those whose list name is a string
+        // literal. Here `k` first appears under a computed name, so the
+        // two lints anchor at different spans and AU012 does not yield.
+        let src = r#"
+fn main() {
+    au_config("M", "DNN", "AdamOpt", 1, 8);
+    let x = input("x", 1);
+    let k = 5;
+    let name = "G";
+    au_extract(name, k);
+    au_extract("F", x);
+    au_extract("G", k);
+    au_extract("Y", x * 2);
+    au_nn("M", "F", "Y");
+    let t = 0;
+    t = au_write_back("Y");
+    return t;
+}
+"#;
+        let first_k = src.find("name, k").unwrap() + 6;
+        let named_k = src.find("\"G\", k").unwrap() + 5;
+        let named_call = src.find("au_extract(\"G\"").unwrap();
+        let found: Vec<(String, usize)> = lint_source(src)
+            .unwrap()
+            .into_iter()
+            .map(|d| (d.code, d.start))
+            .collect();
+        let want = [
+            ("AU012", first_k),
+            ("AU006", named_call),
+            ("AU007", named_k),
+        ];
+        assert_eq!(found, want.map(|(c, at)| (c.to_owned(), at)));
+    }
+
+    #[test]
     fn lint_registry_is_consistent() {
         assert_eq!(LINTS.len(), 15);
         for (i, (code, _, _)) in LINTS.iter().enumerate() {
