@@ -43,13 +43,14 @@
 //!
 //! # Soundness contract
 //!
-//! Every fact exposed through [`Analysis`] is an *over-approximation
-//! claim*: a span in `folds` evaluates to exactly that value on **every**
-//! concrete execution that reaches it, a span in `totals` is pure and
-//! cannot error, a span in `unreachable` is never executed, and a name in
-//! `constants` only ever holds that one number. The lints lean on these
-//! claims, so the transfer functions here deliberately mirror `interp.rs`
-//! (the semantic oracle) — including NaN propagation, `-0.0`/`+0.0`
+//! Every semantic fact exposed through [`Analysis`] over-approximates
+//! **every** concrete execution: a name in `constants` only ever holds
+//! that one number, a span in `unreachable` is never executed, and a
+//! `div_zero` site's divisor only takes values inside its reported range.
+//! `dead_stores` and `loop_invariant` are syntactic. These are the facts
+//! AU011–AU015 read, and the analysis exports no others. The lints lean
+//! on these claims, so the transfer functions here deliberately mirror
+//! `interp.rs` (the semantic oracle) — including NaN propagation, `-0.0`/`+0.0`
 //! distinction, short-circuit evaluation order, and the
 //! arity-check-before-argument-evaluation order of the builtins. When the
 //! analysis runs out of fuel it sets `complete = false` and all semantic
@@ -58,7 +59,6 @@
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry as BEntry;
-use std::collections::hash_map::Entry as HEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
@@ -84,7 +84,7 @@ const MAX_LIVE_ITERS: u32 = 100;
 /// The bounds themselves are never NaN (`-inf`/`+inf` express
 /// unboundedness); a value that may be NaN at runtime sets `nan` instead.
 /// Equality is **bitwise** on the bounds so `-0.0` and `+0.0` stay
-/// distinct — folding `[-0.0, +0.0]` to a single constant would diverge
+/// distinct — treating `[-0.0, +0.0]` as a single constant would diverge
 /// from the interpreter on `1.0 / x` and on printing.
 #[derive(Debug, Clone, Copy)]
 pub struct Interval {
@@ -478,11 +478,11 @@ fn as_num_domain(v: &AbsVal) -> Option<(Interval, bool)> {
     }
 }
 
-/// The boolean view of a value, analogous to [`as_num_domain`].
-fn as_bool_domain(v: &AbsVal) -> Option<(AbsBool, bool)> {
+/// The boolean view of a value: `None` when it cannot be a boolean.
+fn as_bool_domain(v: &AbsVal) -> Option<AbsBool> {
     match v {
-        AbsVal::Bool(b) => Some((*b, true)),
-        AbsVal::Top | AbsVal::Bottom => Some((AbsBool::TOP, false)),
+        AbsVal::Bool(b) => Some(*b),
+        AbsVal::Top | AbsVal::Bottom => Some(AbsBool::TOP),
         _ => None,
     }
 }
@@ -732,18 +732,13 @@ struct Flow<'a> {
     cont: Vec<Env<'a>>,
     /// Join of all returned values (`Bottom` when no return is reachable).
     ret: AbsVal,
-    /// Whether execution is pure, error-free, and terminating throughout.
-    total: bool,
 }
 
 impl<'a> Flow<'a> {
     fn fall(env: Env<'a>) -> Flow<'a> {
         Flow {
             fall: Some(env),
-            brk: Vec::new(),
-            cont: Vec::new(),
-            ret: AbsVal::Bottom,
-            total: true,
+            ..Flow::halt()
         }
     }
 
@@ -754,23 +749,6 @@ impl<'a> Flow<'a> {
             brk: Vec::new(),
             cont: Vec::new(),
             ret: AbsVal::Bottom,
-            total: false,
-        }
-    }
-}
-
-/// The result of abstractly evaluating an expression.
-struct Out {
-    val: AbsVal,
-    /// Pure, cannot error, and (including any callees) terminates.
-    total: bool,
-}
-
-impl Out {
-    fn top() -> Out {
-        Out {
-            val: AbsVal::Top,
-            total: false,
         }
     }
 }
@@ -789,8 +767,8 @@ fn join_env_opt<'a>(a: Option<Env<'a>>, b: Env<'a>) -> Option<Env<'a>> {
 /// reuse it instead of walking the body again (see
 /// [`Analyzer::walk_while`]).
 struct LastIter<'a> {
-    /// The condition's result on the stable head.
-    cond: Out,
+    /// The condition's value on the stable head.
+    cond: AbsVal,
     /// The head after evaluating the condition.
     probe: Env<'a>,
     /// The entered body's flow with `fall`/`cont` already spent on the
@@ -801,15 +779,6 @@ struct LastIter<'a> {
 // ---------------------------------------------------------------------
 // Public result types
 // ---------------------------------------------------------------------
-
-/// A provably-constant expression value, ready to splice into the AST.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Folded {
-    /// A numeric constant.
-    Num(f64),
-    /// A boolean constant.
-    Bool(bool),
-}
 
 /// A store whose value is never read afterwards.
 #[derive(Debug, Clone, PartialEq)]
@@ -845,9 +814,9 @@ pub struct LoopInvariant {
 
 /// Everything the abstract interpreter proved about a program.
 ///
-/// All semantic fact sets (`constants`, `folds`, `totals`, `unreachable`,
-/// `div_zero`) are emptied when `complete` is false; the syntactic passes
-/// (`dead_stores`, `loop_invariant`) are always valid.
+/// The semantic fact sets (`constants`, `unreachable`, `div_zero`) are
+/// emptied when `complete` is false; the syntactic passes (`dead_stores`,
+/// `loop_invariant`) are always valid.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Variables that only ever hold one finite numeric value.
@@ -860,11 +829,6 @@ pub struct Analysis {
     pub div_zero: Vec<DivSite>,
     /// Loop-body assignments whose right-hand side is loop-invariant.
     pub loop_invariant: Vec<LoopInvariant>,
-    /// Expression spans (byte start/end) that always evaluate to one value
-    /// *and* are pure — safe to replace with a literal.
-    pub folds: HashMap<(usize, usize), Folded>,
-    /// Expression spans that are pure, error-free, and terminating.
-    pub totals: HashSet<(usize, usize)>,
     /// Whether the analysis ran to completion within its fuel budget.
     pub complete: bool,
 }
@@ -877,7 +841,6 @@ pub struct Analysis {
 struct FnSummary {
     params: Vec<AbsVal>,
     ret: AbsVal,
-    total: bool,
     runs: u32,
     reported: bool,
 }
@@ -902,30 +865,12 @@ struct Analyzer<'a> {
     stmt_spans: Vec<(usize, usize)>,
     /// `visited[i]`: some walk reached a statement spanning `stmt_spans[i]`.
     visited: Vec<bool>,
-    /// Per expression span: (total on every visit, the one folded value
-    /// seen on every visit if any).
-    facts: HashMap<(usize, usize), (bool, Option<Folded>)>,
     divs: BTreeMap<(usize, usize), Interval>,
     assigns: BTreeMap<&'a str, AbsVal>,
 }
 
 fn is_user_fn(fns: &HashMap<&str, &Function>, name: &str) -> bool {
     !name.starts_with("au_") && fns.contains_key(name)
-}
-
-fn is_literal(e: &Expr) -> bool {
-    matches!(
-        e.kind,
-        ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_)
-    )
-}
-
-fn folded_const(v: &AbsVal) -> Option<Folded> {
-    match v {
-        AbsVal::Num(i) => i.as_const().map(Folded::Num),
-        AbsVal::Bool(b) => b.as_const().map(Folded::Bool),
-        _ => None,
-    }
 }
 
 impl<'a> Analyzer<'a> {
@@ -958,7 +903,6 @@ impl<'a> Analyzer<'a> {
             complete: true,
             visited: vec![false; stmt_spans.len()],
             stmt_spans,
-            facts: HashMap::new(),
             divs: BTreeMap::new(),
             assigns: BTreeMap::new(),
         }
@@ -983,117 +927,50 @@ impl<'a> Analyzer<'a> {
     // Expression evaluation
     // -----------------------------------------------------------------
 
-    fn eval(&mut self, e: &'a Expr, env: &mut Env<'a>) -> Out {
+    fn eval(&mut self, e: &'a Expr, env: &mut Env<'a>) -> AbsVal {
         if self.fuel == 0 {
             self.complete = false;
-            return Out::top();
+            return AbsVal::Top;
         }
         self.fuel -= 1;
-        let out = self.eval_inner(e, env);
-        if self.reporting && !e.span.is_dummy() && !is_literal(e) {
-            let cand = if out.total {
-                folded_const(&out.val)
-            } else {
-                None
-            };
-            match self.facts.entry((e.span.start, e.span.end)) {
-                HEntry::Occupied(mut o) => {
-                    let (total, fold) = o.get_mut();
-                    *total &= out.total;
-                    if *fold != cand {
-                        *fold = None;
-                    }
-                }
-                HEntry::Vacant(slot) => {
-                    slot.insert((out.total, cand));
-                }
-            }
-        }
-        out
+        self.eval_inner(e, env)
     }
 
-    fn eval_inner(&mut self, e: &'a Expr, env: &mut Env<'a>) -> Out {
+    fn eval_inner(&mut self, e: &'a Expr, env: &mut Env<'a>) -> AbsVal {
         match &e.kind {
-            ExprKind::Num(n) => Out {
-                val: AbsVal::Num(Interval::point(*n)),
-                total: true,
-            },
-            ExprKind::Bool(b) => Out {
-                val: AbsVal::Bool(AbsBool::of(*b)),
-                total: true,
-            },
-            ExprKind::Str(s) => Out {
-                val: AbsVal::Str(Some(Rc::from(s.as_str()))),
-                total: true,
-            },
-            ExprKind::Var(name) => match env.get(name) {
-                Some(v) => Out {
-                    val: v.clone(),
-                    total: true,
-                },
-                // Undefined variable: certain runtime error.
-                None => Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                },
-            },
+            ExprKind::Num(n) => AbsVal::Num(Interval::point(*n)),
+            ExprKind::Bool(b) => AbsVal::Bool(AbsBool::of(*b)),
+            ExprKind::Str(s) => AbsVal::Str(Some(Rc::from(s.as_str()))),
+            // Undefined variable: certain runtime error.
+            ExprKind::Var(name) => env.get(name).cloned().unwrap_or(AbsVal::Bottom),
             ExprKind::Array(items) => {
                 let mut elem = AbsVal::Bottom;
-                let mut total = true;
                 for item in items {
-                    let o = self.eval(item, env);
-                    elem = elem.join(&o.val);
-                    total &= o.total;
+                    elem = elem.join(&self.eval(item, env));
                 }
-                Out {
-                    val: AbsVal::Array(Rc::new(elem), Interval::point(items.len() as f64)),
-                    total,
-                }
+                AbsVal::Array(Rc::new(elem), Interval::point(items.len() as f64))
             }
             ExprKind::Index(arr, idx) => {
                 let a = self.eval(arr, env);
-                let i = self.eval(idx, env);
-                let val = match &a.val {
-                    AbsVal::Array(elem, _) => (**elem).clone(),
+                self.eval(idx, env);
+                match a {
+                    AbsVal::Array(elem, _) => (*elem).clone(),
                     AbsVal::Top | AbsVal::Bottom => AbsVal::Top,
                     _ => AbsVal::Bottom,
-                };
-                let total = match (&a.val, as_num_domain(&i.val)) {
-                    (AbsVal::Array(_, len), Some((ii, true))) => {
-                        a.total
-                            && i.total
-                            && ii
-                                .as_const()
-                                .is_some_and(|c| c >= 0.0 && c.fract() == 0.0 && c < len.lo)
-                    }
-                    _ => false,
-                };
-                Out { val, total }
+                }
             }
             ExprKind::Call { name, args } => self.eval_call(name, args, env),
             ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, *op, lhs, rhs, env),
             ExprKind::Unary { op, expr } => {
-                let o = self.eval(expr, env);
+                let v = self.eval(expr, env);
                 match op {
-                    UnOp::Neg => match as_num_domain(&o.val) {
-                        Some((i, certain)) => Out {
-                            val: AbsVal::Num(i.neg()),
-                            total: o.total && certain,
-                        },
-                        None => Out {
-                            val: AbsVal::Bottom,
-                            total: false,
-                        },
+                    UnOp::Neg => match as_num_domain(&v) {
+                        Some((i, _)) => AbsVal::Num(i.neg()),
+                        None => AbsVal::Bottom,
                     },
-                    UnOp::Not => match as_bool_domain(&o.val) {
-                        Some((b, certain)) => Out {
-                            val: AbsVal::Bool(b.not()),
-                            total: o.total && certain,
-                        },
-                        None => Out {
-                            val: AbsVal::Bottom,
-                            total: false,
-                        },
+                    UnOp::Not => match as_bool_domain(&v) {
+                        Some(b) => AbsVal::Bool(b.not()),
+                        None => AbsVal::Bottom,
                     },
                 }
             }
@@ -1107,40 +984,24 @@ impl<'a> Analyzer<'a> {
         lhs: &'a Expr,
         rhs: &'a Expr,
         env: &mut Env<'a>,
-    ) -> Out {
+    ) -> AbsVal {
         if matches!(op, BinOp::And | BinOp::Or) {
             let l = self.eval(lhs, env);
-            let Some((lb, lcertain)) = as_bool_domain(&l.val) else {
-                return Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                };
+            let Some(lb) = as_bool_domain(&l) else {
+                return AbsVal::Bottom;
             };
             // Short-circuit: when the left side decides the result the
             // interpreter never evaluates the right side.
             match op {
-                BinOp::And if !lb.may_true => {
-                    return Out {
-                        val: AbsVal::Bool(AbsBool::of(false)),
-                        total: l.total && lcertain,
-                    }
-                }
-                BinOp::Or if !lb.may_false => {
-                    return Out {
-                        val: AbsVal::Bool(AbsBool::of(true)),
-                        total: l.total && lcertain,
-                    }
-                }
+                BinOp::And if !lb.may_true => return AbsVal::Bool(AbsBool::of(false)),
+                BinOp::Or if !lb.may_false => return AbsVal::Bool(AbsBool::of(true)),
                 _ => {}
             }
             let r = self.eval(rhs, env);
-            let Some((rb, rcertain)) = as_bool_domain(&r.val) else {
-                return Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                };
+            let Some(rb) = as_bool_domain(&r) else {
+                return AbsVal::Bottom;
             };
-            let val = match op {
+            return AbsVal::Bool(match op {
                 BinOp::And => AbsBool {
                     may_true: lb.may_true && rb.may_true,
                     may_false: lb.may_false || rb.may_false,
@@ -1149,71 +1010,38 @@ impl<'a> Analyzer<'a> {
                     may_true: lb.may_true || rb.may_true,
                     may_false: lb.may_false && rb.may_false,
                 },
-            };
-            return Out {
-                val: AbsVal::Bool(val),
-                total: l.total && r.total && lcertain && rcertain,
-            };
+            });
         }
 
         let l = self.eval(lhs, env);
         let r = self.eval(rhs, env);
+        if matches!(op, BinOp::Eq | BinOp::Ne) {
+            let b = abs_eq(&l, &r);
+            return AbsVal::Bool(if op == BinOp::Ne { b.not() } else { b });
+        }
+        let (Some((li, _)), Some((ri, rc))) = (as_num_domain(&l), as_num_domain(&r)) else {
+            return AbsVal::Bottom;
+        };
         match op {
-            BinOp::Eq | BinOp::Ne => {
-                let mut b = abs_eq(&l.val, &r.val);
-                if op == BinOp::Ne {
-                    b = b.not();
-                }
-                Out {
-                    val: AbsVal::Bool(b),
-                    total: l.total && r.total,
-                }
-            }
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                match (as_num_domain(&l.val), as_num_domain(&r.val)) {
-                    (Some((li, lc)), Some((ri, rc))) => Out {
-                        val: AbsVal::Bool(abs_cmp(op, li, ri)),
-                        total: l.total && r.total && lc && rc,
-                    },
-                    _ => Out {
-                        val: AbsVal::Bottom,
-                        total: false,
-                    },
-                }
-            }
-            _ => match (as_num_domain(&l.val), as_num_domain(&r.val)) {
-                (Some((li, lc)), Some((ri, rc))) => {
-                    let iv = match op {
-                        BinOp::Add => li.add(ri),
-                        BinOp::Sub => li.sub(ri),
-                        BinOp::Mul => li.mul(ri),
-                        BinOp::Div => {
-                            if self.reporting && rc && !e.span.is_dummy() {
-                                let key = (e.span.start, e.span.end);
-                                match self.divs.entry(key) {
-                                    BEntry::Occupied(mut o) => {
-                                        let j = o.get().join(ri);
-                                        o.insert(j);
-                                    }
-                                    BEntry::Vacant(slot) => {
-                                        slot.insert(ri);
-                                    }
-                                }
-                            }
-                            li.div(ri)
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => AbsVal::Bool(abs_cmp(op, li, ri)),
+            BinOp::Add => AbsVal::Num(li.add(ri)),
+            BinOp::Sub => AbsVal::Num(li.sub(ri)),
+            BinOp::Mul => AbsVal::Num(li.mul(ri)),
+            BinOp::Div => {
+                if self.reporting && rc && !e.span.is_dummy() {
+                    match self.divs.entry((e.span.start, e.span.end)) {
+                        BEntry::Occupied(mut o) => {
+                            let j = o.get().join(ri);
+                            o.insert(j);
                         }
-                        _ => li.rem(ri),
-                    };
-                    Out {
-                        val: AbsVal::Num(iv),
-                        total: l.total && r.total && lc && rc,
+                        BEntry::Vacant(slot) => {
+                            slot.insert(ri);
+                        }
                     }
                 }
-                _ => Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                },
-            },
+                AbsVal::Num(li.div(ri))
+            }
+            _ => AbsVal::Num(li.rem(ri)),
         }
     }
 
@@ -1221,7 +1049,7 @@ impl<'a> Analyzer<'a> {
     // Calls
     // -----------------------------------------------------------------
 
-    fn eval_call(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
+    fn eval_call(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
         if is_user_fn(&self.fns, name) {
             let out = self.call_user(name, args, env);
             if self.may_ckpt.contains(name) {
@@ -1232,7 +1060,7 @@ impl<'a> Analyzer<'a> {
         self.call_builtin(name, args, env)
     }
 
-    fn call_user(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
+    fn call_user(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
         let func = self.fns[name];
         if func.params.len() != args.len() {
             // Arity error is raised before the callee runs; arguments are
@@ -1240,12 +1068,11 @@ impl<'a> Analyzer<'a> {
             for a in args {
                 self.eval(a, env);
             }
-            return Out::top();
+            return AbsVal::Top;
         }
         let mut arg_vals = Vec::with_capacity(args.len());
         for a in args {
-            let o = self.eval(a, env);
-            arg_vals.push(o.val);
+            arg_vals.push(self.eval(a, env));
         }
         if self.recursive.contains(name) {
             // Recursive functions are summarized once under ⊤ parameters so
@@ -1253,20 +1080,17 @@ impl<'a> Analyzer<'a> {
             arg_vals.fill(AbsVal::Top);
         }
         if self.stack.contains(&name) {
-            return Out::top();
+            return AbsVal::Top;
         }
         if self.stack.len() > self.fns.len() + 1 {
             self.complete = false;
-            return Out::top();
+            return AbsVal::Top;
         }
         if let Some(s) = self.summaries.get(name) {
             let fits = s.params.len() == arg_vals.len()
                 && arg_vals.iter().zip(&s.params).all(|(a, p)| a.le(p));
             if fits && (!self.reporting || s.reported) {
-                return Out {
-                    val: s.ret.clone(),
-                    total: s.total,
-                };
+                return s.ret.clone();
             }
         }
         // (Re-)analyze the body under the joined parameter context.
@@ -1298,23 +1122,21 @@ impl<'a> Analyzer<'a> {
         if flow.fall.is_some() {
             ret = ret.join(&AbsVal::Unit);
         }
-        let total = flow.total && flow.brk.is_empty() && flow.cont.is_empty();
         let reported = self.reporting || self.summaries.get(name).is_some_and(|s| s.reported);
         self.summaries.insert(
             name,
             FnSummary {
                 params,
                 ret: ret.clone(),
-                total,
                 runs,
                 reported,
             },
         );
         self.summary_gen += 1;
-        Out { val: ret, total }
+        ret
     }
 
-    fn call_builtin(&mut self, name: &str, args: &'a [Expr], env: &mut Env<'a>) -> Out {
+    fn call_builtin(&mut self, name: &str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
         // Fixed-arity builtins check arity *before* evaluating arguments,
         // so a mismatch must not record argument effects or facts.
         let arity: Option<usize> = match name {
@@ -1327,12 +1149,12 @@ impl<'a> Analyzer<'a> {
         };
         if let Some(n) = arity {
             if args.len() != n {
-                return Out::top();
+                return AbsVal::Top;
             }
         }
         match name {
-            "au_config" if args.len() < 4 => return Out::top(),
-            "au_nn" if args.len() < 3 => return Out::top(),
+            "au_config" if args.len() < 4 => return AbsVal::Top,
+            "au_nn" if args.len() < 3 => return AbsVal::Top,
             _ => {}
         }
         let known = matches!(
@@ -1365,112 +1187,62 @@ impl<'a> Analyzer<'a> {
         if !known {
             // Unknown function: the interpreter errors before evaluating
             // any argument.
-            return Out::top();
+            return AbsVal::Top;
         }
-        let mut outs = Vec::with_capacity(args.len());
+        let mut vals = Vec::with_capacity(args.len());
         for a in args {
-            outs.push(self.eval(a, env));
+            vals.push(self.eval(a, env));
         }
-        let num_len = |o: Option<&Out>| -> (Interval, bool) {
-            match o.map(|o| &o.val) {
-                Some(AbsVal::Array(_, len)) => (*len, true),
-                Some(AbsVal::Str(Some(s))) => (Interval::point(s.len() as f64), true),
-                Some(AbsVal::Str(None)) => (Interval::make(0.0, f64::INFINITY, false), true),
-                _ => (Interval::make(0.0, f64::INFINITY, false), false),
-            }
-        };
+        let unbounded_len = || Interval::make(0.0, f64::INFINITY, false);
         match name {
-            "input" => Out::top(),
-            "rand" => Out {
-                val: AbsVal::Num(Interval::make(0.0, 1.0, false)),
-                total: false,
-            },
+            "input" => AbsVal::Top,
+            "rand" => AbsVal::Num(Interval::make(0.0, 1.0, false)),
             "print" | "au_config" | "au_extract" | "mark_input" | "mark_target"
-            | "au_checkpoint" => Out {
-                val: AbsVal::Unit,
-                total: false,
-            },
+            | "au_checkpoint" => AbsVal::Unit,
             "au_restore" => {
                 env.clobber();
-                Out {
-                    val: AbsVal::Unit,
-                    total: false,
-                }
+                AbsVal::Unit
             }
-            "au_serialize" => Out {
-                val: AbsVal::Str(None),
-                total: false,
-            },
-            "au_nn" | "au_write_back_n" => Out {
-                val: AbsVal::Array(
-                    Rc::new(AbsVal::Num(Interval::top_nan())),
-                    Interval::make(0.0, f64::INFINITY, false),
+            "au_serialize" => AbsVal::Str(None),
+            "au_nn" | "au_write_back_n" => {
+                AbsVal::Array(Rc::new(AbsVal::Num(Interval::top_nan())), unbounded_len())
+            }
+            "au_nn_rl" => AbsVal::Num(unbounded_len()),
+            "au_write_back" => AbsVal::Num(Interval::top_nan()),
+            "len" => AbsVal::Num(match &vals[0] {
+                AbsVal::Array(_, len) => *len,
+                AbsVal::Str(Some(s)) => Interval::point(s.len() as f64),
+                _ => unbounded_len(),
+            }),
+            "append" => match &vals[0] {
+                AbsVal::Array(elem, len) => {
+                    AbsVal::Array(Rc::new(elem.join(&vals[1])), len.add(Interval::point(1.0)))
+                }
+                _ => AbsVal::Array(
+                    Rc::new(AbsVal::Top),
+                    Interval::make(1.0, f64::INFINITY, false),
                 ),
-                total: false,
             },
-            "au_nn_rl" => Out {
-                val: AbsVal::Num(Interval::make(0.0, f64::INFINITY, false)),
-                total: false,
+            "floor" | "abs" | "sqrt" | "sin" | "cos" | "exp" => match as_num_domain(&vals[0]) {
+                Some((i, _)) => AbsVal::Num(match name {
+                    "floor" => i.floor_i(),
+                    "abs" => i.abs_i(),
+                    "sqrt" => i.sqrt_i(),
+                    "sin" => i.trig_i(f64::sin),
+                    "cos" => i.trig_i(f64::cos),
+                    _ => i.exp_i(),
+                }),
+                None => AbsVal::Bottom,
             },
-            "au_write_back" => Out {
-                val: AbsVal::Num(Interval::top_nan()),
-                total: false,
+            "min" | "max" => match (as_num_domain(&vals[0]), as_num_domain(&vals[1])) {
+                (Some((a, _)), Some((b, _))) => AbsVal::Num(if name == "min" {
+                    a.min_with(b)
+                } else {
+                    a.max_with(b)
+                }),
+                _ => AbsVal::Bottom,
             },
-            "len" => {
-                let (len, certain) = num_len(outs.first());
-                Out {
-                    val: AbsVal::Num(len),
-                    total: outs[0].total && certain,
-                }
-            }
-            "append" => match (&outs[0].val, &outs[1].val) {
-                (AbsVal::Array(elem, len), item) => Out {
-                    val: AbsVal::Array(Rc::new(elem.join(item)), len.add(Interval::point(1.0))),
-                    total: outs[0].total && outs[1].total,
-                },
-                _ => Out {
-                    val: AbsVal::Array(
-                        Rc::new(AbsVal::Top),
-                        Interval::make(1.0, f64::INFINITY, false),
-                    ),
-                    total: false,
-                },
-            },
-            "floor" | "abs" | "sqrt" | "sin" | "cos" | "exp" => match as_num_domain(&outs[0].val) {
-                Some((i, certain)) => {
-                    let iv = match name {
-                        "floor" => i.floor_i(),
-                        "abs" => i.abs_i(),
-                        "sqrt" => i.sqrt_i(),
-                        "sin" => i.trig_i(f64::sin),
-                        "cos" => i.trig_i(f64::cos),
-                        _ => i.exp_i(),
-                    };
-                    Out {
-                        val: AbsVal::Num(iv),
-                        total: outs[0].total && certain,
-                    }
-                }
-                None => Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                },
-            },
-            "min" | "max" => match (as_num_domain(&outs[0].val), as_num_domain(&outs[1].val)) {
-                (Some((a, ac)), Some((b, bc))) => Out {
-                    val: AbsVal::Num(if name == "min" {
-                        a.min_with(b)
-                    } else {
-                        a.max_with(b)
-                    }),
-                    total: outs[0].total && outs[1].total && ac && bc,
-                },
-                _ => Out {
-                    val: AbsVal::Bottom,
-                    total: false,
-                },
-            },
-            _ => Out::top(),
+            _ => AbsVal::Top,
         }
     }
 
@@ -1672,13 +1444,7 @@ impl<'a> Analyzer<'a> {
     fn walk_block(&mut self, stmts: &'a [Stmt], mut env: Env<'a>) -> Flow<'a> {
         let entry_depth = env.depth();
         env.push();
-        let mut result = Flow {
-            fall: None,
-            brk: Vec::new(),
-            cont: Vec::new(),
-            ret: AbsVal::Bottom,
-            total: true,
-        };
+        let mut result = Flow::halt();
         let mut cur = Some(env);
         for stmt in stmts {
             let Some(e) = cur.take() else {
@@ -1687,7 +1453,6 @@ impl<'a> Analyzer<'a> {
                 break;
             };
             let f = self.walk_stmt(stmt, e);
-            result.total &= f.total;
             result.ret = result.ret.join(&f.ret);
             result.brk.extend(f.brk);
             result.cont.extend(f.cont);
@@ -1717,41 +1482,33 @@ impl<'a> Analyzer<'a> {
         }
         match &stmt.kind {
             StmtKind::Let { name, init } => {
-                let o = self.eval(init, &mut env);
-                self.record_assign(name, &o.val);
-                env.declare(name, o.val);
-                let mut f = Flow::fall(env);
-                f.total = o.total;
-                f
+                let v = self.eval(init, &mut env);
+                self.record_assign(name, &v);
+                env.declare(name, v);
+                Flow::fall(env)
             }
             StmtKind::Assign { name, value } => {
-                let o = self.eval(value, &mut env);
-                self.record_assign(name, &o.val);
-                if env.assign(name, o.val) {
-                    let mut f = Flow::fall(env);
-                    f.total = o.total;
-                    f
+                let v = self.eval(value, &mut env);
+                self.record_assign(name, &v);
+                if env.assign(name, v) {
+                    Flow::fall(env)
                 } else {
                     Flow::halt()
                 }
             }
             StmtKind::AssignIndex { name, index, value } => {
                 self.eval(index, &mut env);
-                let o = self.eval(value, &mut env);
+                let v = self.eval(value, &mut env);
                 match env.get(name) {
                     Some(AbsVal::Array(elem, len)) => {
-                        let updated = AbsVal::Array(Rc::new(elem.join(&o.val)), *len);
+                        let updated = AbsVal::Array(Rc::new(elem.join(&v)), *len);
                         env.assign(name, updated);
                     }
                     Some(AbsVal::Top | AbsVal::Bottom) => {}
                     Some(_) => return Flow::halt(),
                     None => return Flow::halt(),
                 }
-                // Out-of-bounds and non-integer indices error at runtime;
-                // don't try to prove them away.
-                let mut f = Flow::fall(env);
-                f.total = false;
-                f
+                Flow::fall(env)
             }
             StmtKind::If {
                 cond,
@@ -1759,11 +1516,10 @@ impl<'a> Analyzer<'a> {
                 else_body,
             } => {
                 let c = self.eval(cond, &mut env);
-                let Some((ab, certain)) = as_bool_domain(&c.val) else {
+                let Some(ab) = as_bool_domain(&c) else {
                     return Flow::halt();
                 };
                 let mut merged = Flow::halt();
-                merged.total = c.total && certain;
                 // Each feasible branch refines its own copy of `env`.
                 let (then_env, else_env) = match (ab.may_true, ab.may_false) {
                     (true, true) => (Some(env.clone()), Some(env)),
@@ -1778,7 +1534,6 @@ impl<'a> Analyzer<'a> {
                         continue;
                     };
                     let f = self.walk_block(body, e);
-                    merged.total &= f.total;
                     merged.ret = merged.ret.join(&f.ret);
                     merged.brk.extend(f.brk);
                     merged.cont.extend(f.cont);
@@ -1793,41 +1548,24 @@ impl<'a> Analyzer<'a> {
                 merged
             }
             StmtKind::While { cond, body } => self.walk_while(cond, body, env),
-            StmtKind::Return(e) => {
-                let (val, total) = match e {
-                    Some(e) => {
-                        let o = self.eval(e, &mut env);
-                        (o.val, o.total)
-                    }
-                    None => (AbsVal::Unit, true),
-                };
-                Flow {
-                    fall: None,
-                    brk: Vec::new(),
-                    cont: Vec::new(),
-                    ret: val,
-                    total,
-                }
-            }
+            StmtKind::Return(e) => Flow {
+                ret: match e {
+                    Some(e) => self.eval(e, &mut env),
+                    None => AbsVal::Unit,
+                },
+                ..Flow::halt()
+            },
             StmtKind::Break => Flow {
-                fall: None,
                 brk: vec![env],
-                cont: Vec::new(),
-                ret: AbsVal::Bottom,
-                total: true,
+                ..Flow::halt()
             },
             StmtKind::Continue => Flow {
-                fall: None,
-                brk: Vec::new(),
                 cont: vec![env],
-                ret: AbsVal::Bottom,
-                total: true,
+                ..Flow::halt()
             },
             StmtKind::Expr(e) => {
-                let o = self.eval(e, &mut env);
-                let mut f = Flow::fall(env);
-                f.total = o.total;
-                f
+                self.eval(e, &mut env);
+                Flow::fall(env)
             }
         }
     }
@@ -1844,8 +1582,8 @@ impl<'a> Analyzer<'a> {
     fn walk_while(&mut self, cond: &'a Expr, body: &'a [Stmt], env: Env<'a>) -> Flow<'a> {
         let entry_depth = env.depth();
         // Phase 1: silent fixpoint on the loop-head environment. Facts are
-        // not recorded here — intermediate states under-approximate the
-        // final head and would poison the fold map with transient values.
+        // not recorded here; phase 2 records them once, against the stable
+        // head that over-approximates every intermediate state.
         let saved_reporting = self.reporting;
         self.reporting = false;
         let mut head = env;
@@ -1860,7 +1598,7 @@ impl<'a> Analyzer<'a> {
             let gen = self.summary_gen;
             let mut probe = head.clone();
             let c = self.eval(cond, &mut probe);
-            let may_true = as_bool_domain(&c.val).is_some_and(|(ab, _)| ab.may_true);
+            let may_true = as_bool_domain(&c).is_some_and(|ab| ab.may_true);
             let enter = if may_true {
                 self.refine(probe.clone(), cond, true)
             } else {
@@ -1888,11 +1626,9 @@ impl<'a> Analyzer<'a> {
                 cond: c,
                 probe,
                 body: Some(Flow {
-                    fall: None,
                     brk: f.brk,
-                    cont: Vec::new(),
                     ret: f.ret,
-                    total: f.total,
+                    ..Flow::halt()
                 }),
             };
             let Some(back) = back else {
@@ -1928,17 +1664,10 @@ impl<'a> Analyzer<'a> {
                 (c, probe, None)
             }
         };
-        let Some((ab, certain)) = as_bool_domain(&c.val) else {
+        let Some(ab) = as_bool_domain(&c) else {
             return Flow::halt();
         };
-        let mut flow = Flow {
-            fall: None,
-            brk: Vec::new(),
-            cont: Vec::new(),
-            ret: AbsVal::Bottom,
-            total: c.total && certain,
-        };
-        let mut entered = false;
+        let mut flow = Flow::halt();
         if ab.may_true {
             let walked = match reused {
                 Some(walked) => walked,
@@ -1947,8 +1676,6 @@ impl<'a> Analyzer<'a> {
                     .map(|enter| self.walk_block(body, enter)),
             };
             if let Some(f) = walked {
-                entered = true;
-                flow.total &= f.total;
                 flow.ret = flow.ret.join(&f.ret);
                 for mut e in f.brk {
                     e.truncate_to(entry_depth);
@@ -1963,11 +1690,6 @@ impl<'a> Analyzer<'a> {
                 exit.truncate_to(entry_depth);
                 flow.fall = join_env_opt(flow.fall.take(), exit);
             }
-        }
-        if entered {
-            // Termination is not provable; a possibly-entered loop is
-            // never total.
-            flow.total = false;
         }
         flow
     }
@@ -2506,14 +2228,6 @@ pub fn analyze(program: &Program) -> Analysis {
             }
         }
     }
-    for (key, (total, fold)) in a.facts {
-        if total {
-            analysis.totals.insert(key);
-        }
-        if let Some(f) = fold {
-            analysis.folds.insert(key, f);
-        }
-    }
     analysis.unreachable = a
         .stmt_spans
         .iter()
@@ -2541,12 +2255,6 @@ mod tests {
 
     fn run(src: &str) -> Analysis {
         analyze(&parse(src).expect("test program parses"))
-    }
-
-    /// Finds the fold recorded for the first occurrence of `snippet`.
-    fn fold_at(src: &str, an: &Analysis, snippet: &str) -> Option<Folded> {
-        let start = src.find(snippet).expect("snippet present");
-        an.folds.get(&(start, start + snippet.len())).copied()
     }
 
     #[test]
@@ -2577,12 +2285,15 @@ mod tests {
 
     #[test]
     fn constant_propagation_and_folding() {
-        let src = "fn main() { let k = 3; let y = k * 2; return y; }";
+        let src = "fn main() { let k = 3; let y = k * 2; let z = 1 / (k * 2 - 6); return y + z; }";
         let an = run(src);
         assert!(an.complete);
         assert_eq!(an.constants.get("k"), Some(&3.0));
         assert_eq!(an.constants.get("y"), Some(&6.0));
-        assert_eq!(fold_at(src, &an, "k * 2"), Some(Folded::Num(6.0)));
+        // `k * 2` is exactly 6, so `k * 2 - 6` is a provably zero divisor.
+        let d = &an.div_zero;
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].lo, d[0].hi), (0.0, 0.0));
     }
 
     #[test]
@@ -2590,9 +2301,9 @@ mod tests {
         let src = "fn main() { let debug = 0; if (debug > 0) { print(1); } return 0; }";
         let an = run(src);
         assert!(an.complete);
-        assert_eq!(fold_at(src, &an, "debug > 0"), Some(Folded::Bool(false)));
+        // `debug > 0` is decided false: only the branch body is unreachable.
         let pr = src.find("print(1);").unwrap();
-        assert!(an.unreachable.iter().any(|s| s.start == pr));
+        assert_eq!(an.unreachable, vec![Span::new(pr, pr + 9)]);
     }
 
     #[test]
@@ -2613,10 +2324,8 @@ mod tests {
         let an = run(src);
         assert!(an.complete);
         assert_eq!(an.constants.get("a"), Some(&42.0));
-        // The call itself must NOT be foldable: the callee's statements
-        // count interpreter steps, so replacing the call with a literal
-        // would change step-observable behavior.
-        assert_eq!(fold_at(src, &an, "x * 2"), Some(Folded::Num(42.0)));
+        // The callee is analyzed in its one calling context.
+        assert_eq!(an.constants.get("x"), Some(&21.0));
     }
 
     #[test]
@@ -2625,8 +2334,8 @@ mod tests {
                    fn main() { return fib(10); }";
         let an = run(src);
         assert!(an.complete);
-        // Nothing inside fib may be folded to the first call's context.
-        assert_eq!(fold_at(src, &an, "n < 2"), None);
+        // Nothing inside fib may be tied to the first call's context.
+        assert!(!an.constants.contains_key("n"));
         assert!(an.unreachable.is_empty());
     }
 
@@ -2648,7 +2357,7 @@ mod tests {
         let an = run(src);
         assert!(an.complete);
         // After widening, d ∈ [0, +inf): infinite bound → no AU014-style
-        // report (matches the corpus `total / pairs` pattern).
+        // report (matches the corpus division by a loop-counted `pairs`).
         assert!(an.div_zero.is_empty());
     }
 
@@ -2674,16 +2383,17 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_clobbers_flow_sensitive_facts() {
-        // At the return, x is 5 (the restored snapshot), not 7: without
-        // the restore clobber the analysis would wrongly fold x to 7.
-        let src = "fn main() { let x = 5; au_checkpoint(); x = 7; au_restore(); return x; }";
+        // After the restore x is 5 (the restored snapshot), not 7: without
+        // the restore clobber the analysis would wrongly decide `x == 7`
+        // and mark `return x` unreachable.
+        let src = "fn main() { let x = 5; au_checkpoint(); x = 7; au_restore(); \
+                   if (x == 7) { return 1; } return x; }";
         let an = run(src);
         assert!(an.complete);
         assert!(!an.constants.contains_key("x"), "x holds 5 then 7");
-        let ret = src.find("return x").unwrap();
         assert!(
-            !an.folds.contains_key(&(ret + 7, ret + 8)),
-            "the restored read of x must not fold"
+            an.unreachable.is_empty(),
+            "the restored read of x is undecided"
         );
         // The checkpoint snapshot reads every variable: no dead stores.
         assert!(an.dead_stores.is_empty());
@@ -2759,12 +2469,16 @@ mod tests {
 
     #[test]
     fn rand_and_input_are_never_foldable() {
-        let src = "fn main() { let r = rand(); let x = input(\"x\", 1); return r + x; }";
+        let src = "fn main() { let r = rand(); let x = input(\"x\", 1); \
+                   return (r + x) / rand(); }";
         let an = run(src);
         assert!(an.complete);
         assert!(!an.constants.contains_key("r"));
         assert!(!an.constants.contains_key("x"));
-        assert_eq!(fold_at(src, &an, "rand()"), None);
+        // `rand()` is the whole range [0, 1], never one value.
+        let d = &an.div_zero;
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].lo, d[0].hi), (0.0, 1.0));
     }
 
     #[test]
@@ -2775,9 +2489,10 @@ mod tests {
                    if (x < 0) { if (x < 10) { print(1); } else { print(2); } } return 0; }";
         let an = run(src);
         assert!(an.complete);
+        // `x < 10` is decided true inside the branch: only `print(2)` is
+        // unreachable.
         let pr = src.find("print(2);").unwrap();
-        assert!(an.unreachable.iter().any(|s| s.start == pr));
-        assert_eq!(fold_at(src, &an, "x < 10"), Some(Folded::Bool(true)));
+        assert_eq!(an.unreachable, vec![Span::new(pr, pr + 9)]);
     }
 
     #[test]
@@ -2793,24 +2508,16 @@ mod tests {
     type Facts = (
         Vec<(String, u64)>,
         Vec<(usize, usize)>,
-        Vec<((usize, usize), Folded)>,
-        Vec<(usize, usize)>,
         Vec<(usize, usize, u64, u64)>,
     );
 
     fn facts(an: &Analysis) -> Facts {
-        let mut folds: Vec<_> = an.folds.iter().map(|(k, f)| (*k, *f)).collect();
-        folds.sort_by_key(|(k, _)| *k);
-        let mut totals: Vec<_> = an.totals.iter().copied().collect();
-        totals.sort_unstable();
         (
             an.constants
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_bits()))
                 .collect(),
             an.unreachable.iter().map(|s| (s.start, s.end)).collect(),
-            folds,
-            totals,
             an.div_zero
                 .iter()
                 .map(|d| (d.span.start, d.span.end, d.lo.to_bits(), d.hi.to_bits()))
@@ -2826,8 +2533,9 @@ mod tests {
         // `pos(2)` in the same iteration used the old one. Phase 2 must
         // not reuse that iteration: evaluated again, `pos(2)` returns the
         // widened summary, `r > 2` is undecided, and the outer loop may
-        // run again. Reusing it would leave `r` at 3 and fold the outer
-        // loop to a single iteration (`i < 4` true, `i + 1` = 1).
+        // run again. Reusing it would leave `r` at 3 and collapse the
+        // outer loop to a single iteration (`i < 4` true, `i + 1` = 1), so
+        // `last` would hold exactly 1.
         let src = "fn pos(v) { if (v < 0) { return 0; } return v + 1; }\n\
                    fn main() {\n\
                      let r = 0; let hit = 0; let i = 0;\n\
@@ -2841,21 +2549,17 @@ mod tests {
                        i = i + 1;\n\
                        if (r > 2) { break; }\n\
                      }\n\
+                     let last = i;\n\
                      if (r > 2) { hit = 1; }\n\
-                     return hit + r;\n\
+                     return hit + r + last;\n\
                    }";
         let an = run(src);
         assert!(an.complete);
-        assert_eq!(fold_at(src, &an, "i < 4"), None);
-        assert_eq!(fold_at(src, &an, "i + 1"), None);
-        let mut folds: Vec<_> = an.folds.iter().collect();
-        folds.sort_by_key(|(k, _)| **k);
-        let v_lt_0 = src.find("v < 0").unwrap();
-        assert_eq!(
-            folds,
-            vec![(&(v_lt_0, v_lt_0 + 5), &Folded::Bool(false))],
-            "only `pos`'s guard is decided"
+        assert!(
+            !an.constants.contains_key("last"),
+            "the outer loop may repeat"
         );
+        // Only `pos`'s guard is decided.
         let ret0 = src.find("return 0;").unwrap();
         assert_eq!(an.unreachable, vec![Span::new(ret0, ret0 + 9)]);
         assert_eq!(facts(&an), facts(&run(src)));
@@ -2866,27 +2570,30 @@ mod tests {
         // A three-deep nest whose inner loops run only silently until the
         // outermost loop reports; the inner fixpoints feed the outer head.
         let src = "fn main() {\n\
-                     let a = 0; let t = 0;\n\
+                     let a = 0; let t = 0; let odd = 2;\n\
                      while (a < 4) {\n\
                        let b = 0;\n\
                        while (b < 3) {\n\
                          let c = 0;\n\
                          while (c < 2) { t = t + c; c = c + 1; }\n\
-                         if (c == 2) { t = t + 1; }\n\
+                         if (c == 2) { t = t + 1; } else { odd = 3; }\n\
                          b = b + 1;\n\
                        }\n\
                        a = a + 1;\n\
                      }\n\
-                     return t;\n\
+                     return t + odd;\n\
                    }";
         let an = run(src);
         assert!(an.complete);
         assert!(an.unreachable.is_empty());
         assert!(!an.constants.contains_key("t"));
         // `c == 2` after the innermost loop is not decided: `c < 2` may
-        // exit at any c ≥ 2 once c is widened.
-        assert_eq!(fold_at(src, &an, "c == 2"), None);
-        assert_eq!(fold_at(src, &an, "b < 3"), None);
+        // exit at any c ≥ 2 once c is widened, so the reporting pass
+        // records the `else` arm too.
+        assert!(!an.constants.contains_key("odd"));
+        // Nor is `b < 3`: the reporting pass leaves the `b` loop and
+        // records `a = a + 1`.
+        assert!(!an.constants.contains_key("a"));
     }
 
     #[test]
@@ -2908,11 +2615,7 @@ mod tests {
                    }";
         let an = run(src);
         assert!(an.complete);
-        assert_eq!(fold_at(src, &an, "z * 2"), Some(Folded::Num(14.0)));
-        assert!(an.totals.contains(&{
-            let s = src.find("k + 1").unwrap();
-            (s, s + 5)
-        }));
+        assert_eq!(an.constants.get("w"), Some(&14.0));
         assert!(an.unreachable.is_empty());
         assert_eq!(an.constants.get("z"), Some(&7.0));
         assert!(!an.constants.contains_key("k"));
@@ -2935,7 +2638,7 @@ mod tests {
                    }";
         let an = run(src);
         assert!(an.complete);
-        assert_eq!(fold_at(src, &an, "z * 2"), Some(Folded::Num(14.0)));
+        assert_eq!(an.constants.get("w"), Some(&14.0));
         assert_eq!(an.constants.get("z"), Some(&7.0));
         assert!(an.unreachable.is_empty());
     }

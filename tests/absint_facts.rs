@@ -4,11 +4,10 @@
 //! bundled examples) must match `tests/golden/absint_facts.txt` byte for
 //! byte.
 //!
-//! The AU011–AU015 lints consume these facts, and this golden is the only
-//! reader of the `folds` and `totals` no lint uses, so any change to the
-//! analysis — including a pure speed-up — has to leave this file
-//! untouched. After an intended change in what the analysis proves,
-//! regenerate it with
+//! The AU011–AU015 lints consume these facts, and the analysis exports no
+//! others, so any change to the analysis — including a pure speed-up —
+//! has to leave this file untouched. After an intended change in what
+//! the analysis proves, regenerate it with
 //!
 //! ```text
 //! AU_BLESS=1 cargo test --test absint_facts
@@ -16,7 +15,7 @@
 
 mod common;
 
-use autonomizer::lang::absint::{analyze, Analysis, Folded};
+use autonomizer::lang::absint::{analyze, Analysis};
 use autonomizer::lang::parse;
 use std::fmt::Write as _;
 
@@ -65,22 +64,6 @@ fn dump(label: &str, an: &Analysis) -> String {
     writeln!(s, "loop_invariant {}", an.loop_invariant.len()).unwrap();
     for li in &an.loop_invariant {
         writeln!(s, "  {} {}..{}", li.name, li.span.start, li.span.end).unwrap();
-    }
-    let mut folds: Vec<_> = an.folds.iter().collect();
-    folds.sort_by_key(|(k, _)| **k);
-    writeln!(s, "folds {}", folds.len()).unwrap();
-    for ((start, end), f) in folds {
-        let v = match f {
-            Folded::Num(x) => format!("num {}", num(*x)),
-            Folded::Bool(b) => format!("bool {b}"),
-        };
-        writeln!(s, "  {start}..{end} {v}").unwrap();
-    }
-    let mut totals: Vec<_> = an.totals.iter().copied().collect();
-    totals.sort_unstable();
-    writeln!(s, "totals {}", totals.len()).unwrap();
-    for (start, end) in totals {
-        writeln!(s, "  {start}..{end}").unwrap();
     }
     s
 }
