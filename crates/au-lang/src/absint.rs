@@ -56,7 +56,10 @@
 //! analysis runs out of fuel it sets `complete = false` and all semantic
 //! fact sets are emptied rather than left partial.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
+use crate::ast::{
+    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
+    Stmt, StmtKind, UnOp,
+};
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry as BEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -1698,72 +1701,6 @@ impl<'a> Analyzer<'a> {
 // ---------------------------------------------------------------------
 // Syntactic passes
 // ---------------------------------------------------------------------
-
-/// Calls `f` on `e` and every sub-expression of it, parents first.
-fn for_each_subexpr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Array(items) => items.iter().for_each(|i| for_each_subexpr(i, f)),
-        ExprKind::Index(a, b) => {
-            for_each_subexpr(a, f);
-            for_each_subexpr(b, f);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|a| for_each_subexpr(a, f)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            for_each_subexpr(lhs, f);
-            for_each_subexpr(rhs, f);
-        }
-        ExprKind::Unary { expr, .. } => for_each_subexpr(expr, f),
-        _ => {}
-    }
-}
-
-fn for_each_expr<'e>(stmts: &'e [Stmt], f: &mut impl FnMut(&'e Expr)) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Let { init, .. } => for_each_subexpr(init, f),
-            StmtKind::Assign { value, .. } => for_each_subexpr(value, f),
-            StmtKind::AssignIndex { index, value, .. } => {
-                for_each_subexpr(index, f);
-                for_each_subexpr(value, f);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                for_each_subexpr(cond, f);
-                for_each_expr(then_body, f);
-                for_each_expr(else_body, f);
-            }
-            StmtKind::While { cond, body } => {
-                for_each_subexpr(cond, f);
-                for_each_expr(body, f);
-            }
-            StmtKind::Return(Some(e)) => for_each_subexpr(e, f),
-            StmtKind::Expr(e) => for_each_subexpr(e, f),
-            _ => {}
-        }
-    }
-}
-
-fn for_each_stmt<'s>(stmts: &'s [Stmt], f: &mut impl FnMut(&'s Stmt)) {
-    for stmt in stmts {
-        f(stmt);
-        match &stmt.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                for_each_stmt(then_body, f);
-                for_each_stmt(else_body, f);
-            }
-            StmtKind::While { body, .. } => for_each_stmt(body, f),
-            _ => {}
-        }
-    }
-}
 
 /// Computes the recursive-function set and the may-checkpoint closure from
 /// the syntactic call graph.

@@ -287,6 +287,77 @@ impl Program {
     }
 }
 
+// ---------------------------------------------------------------------
+// Visitor
+// ---------------------------------------------------------------------
+
+impl Stmt {
+    /// The expressions this statement evaluates itself, in evaluation
+    /// order: a condition, but not the statements of the blocks it guards.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (first, second) = match &self.kind {
+            StmtKind::Let { init: e, .. }
+            | StmtKind::Assign { value: e, .. }
+            | StmtKind::Expr(e)
+            | StmtKind::Return(Some(e))
+            | StmtKind::If { cond: e, .. }
+            | StmtKind::While { cond: e, .. } => (Some(e), None),
+            StmtKind::AssignIndex { index, value, .. } => (Some(index), Some(value)),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// Calls `f` on `e` and every expression inside it, parents first and
+/// operands left to right.
+pub fn for_each_subexpr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
+    f(e);
+    match &e.kind {
+        ExprKind::Array(items) => items.iter().for_each(|i| for_each_subexpr(i, f)),
+        ExprKind::Index(a, b) => {
+            for_each_subexpr(a, f);
+            for_each_subexpr(b, f);
+        }
+        ExprKind::Call { args, .. } => args.iter().for_each(|a| for_each_subexpr(a, f)),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            for_each_subexpr(lhs, f);
+            for_each_subexpr(rhs, f);
+        }
+        ExprKind::Unary { expr, .. } => for_each_subexpr(expr, f),
+        _ => {}
+    }
+}
+
+/// Calls `f` on every statement of `stmts` and of the blocks nested in
+/// them, each statement before the blocks it guards.
+pub fn for_each_stmt<'s>(stmts: &'s [Stmt], f: &mut impl FnMut(&'s Stmt)) {
+    for stmt in stmts {
+        f(stmt);
+        match &stmt.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                for_each_stmt(then_body, f);
+                for_each_stmt(else_body, f);
+            }
+            StmtKind::While { body, .. } => for_each_stmt(body, f),
+            _ => {}
+        }
+    }
+}
+
+/// Calls `f` on every expression in `stmts`, nested blocks included, in
+/// source order: each statement's own expressions (see [`Stmt::exprs`])
+/// through [`for_each_subexpr`], then its blocks.
+pub fn for_each_expr<'e>(stmts: &'e [Stmt], f: &mut impl FnMut(&'e Expr)) {
+    for_each_stmt(stmts, &mut |s| {
+        s.exprs().for_each(|e| for_each_subexpr(e, f))
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,10 @@ pub mod static_analysis;
 mod value;
 mod vm;
 
-pub use ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
+pub use ast::{
+    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
+    Stmt, StmtKind, UnOp,
+};
 pub use bytecode::{CompiledProgram, TraceMode};
 pub use compile::{compile_program, compile_program_opt};
 pub use interp::{Interpreter, RunStats};

@@ -24,28 +24,26 @@
 //!   tracing, every iteration re-records the identical assignment event,
 //!   inflating the dependence database for no information gain.
 
+use crate::sites::Sites;
 use crate::{RawDiag, Severity};
 use au_lang::absint;
-use au_lang::{Expr, ExprKind, Program, Span, Stmt, StmtKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Runs AU011–AU015 over `program`. `au007_spans` holds the (start, end)
-/// spans AU007 fired on, so AU012 can yield to the stronger finding.
-pub(crate) fn absint_lints(
-    program: &Program,
-    au007_spans: &BTreeSet<(usize, usize)>,
-) -> Vec<RawDiag> {
-    let analysis = absint::analyze(program);
-    let mut facts = Sites::default();
-    for f in &program.functions {
-        collect_stmts(&f.body, &mut facts);
-    }
+/// Runs AU011–AU015 over the program behind `sites`. `au007_spans` holds
+/// the (start, end) spans AU007 fired on, so AU012 can yield to the
+/// stronger finding.
+pub(crate) fn lints(sites: &Sites, au007_spans: &BTreeSet<(usize, usize)>) -> Vec<RawDiag> {
+    let analysis = absint::analyze(sites.program);
+    // Feature variable → first span inside any `au_extract` argument.
+    // AU007 anchors the same way but over named extractions only, so
+    // the two spans differ when a computed list name comes first.
+    let feature_vars = sites.features(false);
     let mut diags = Vec::new();
 
     // AU011: dead store to an extracted variable. Liveness is syntactic,
     // so this fires even when the value analysis bails out.
     for d in &analysis.dead_stores {
-        if facts.feature_vars.contains_key(&d.name) {
+        if feature_vars.contains_key(d.name.as_str()) {
             diags.push(RawDiag {
                 code: "AU011",
                 severity: Severity::Warning,
@@ -61,11 +59,11 @@ pub(crate) fn absint_lints(
     }
 
     // AU012: statically-constant feature in an extraction vector.
-    for (name, span) in &facts.feature_vars {
+    for (name, span) in &feature_vars {
         if au007_spans.contains(&(span.start, span.end)) {
             continue; // AU007 is the stronger finding for this site
         }
-        if let Some(v) = analysis.constants.get(name) {
+        if let Some(v) = analysis.constants.get(*name) {
             diags.push(RawDiag {
                 code: "AU012",
                 severity: Severity::Warning,
@@ -79,7 +77,12 @@ pub(crate) fn absint_lints(
     }
 
     // AU013: checkpoint/restore that can never execute.
-    for (call, span) in &facts.ckpt_calls {
+    let ckpt_calls = sites
+        .calls
+        .iter()
+        .filter(|c| matches!(c.name, "au_checkpoint" | "au_restore"));
+    for call in ckpt_calls {
+        let span = call.span;
         if analysis
             .unreachable
             .iter()
@@ -88,10 +91,11 @@ pub(crate) fn absint_lints(
             diags.push(RawDiag {
                 code: "AU013",
                 severity: Severity::Warning,
-                span: *span,
+                span,
                 message: format!(
-                    "`{call}` is unreachable — σ/π snapshot semantics only \
-                     apply on paths that execute"
+                    "`{}` is unreachable — σ/π snapshot semantics only \
+                     apply on paths that execute",
+                    call.name
                 ),
             });
         }
@@ -136,94 +140,13 @@ pub(crate) fn absint_lints(
     diags
 }
 
-/// Syntactic sites the value facts are matched against.
-#[derive(Default)]
-struct Sites {
-    /// Feature variable → first span inside an `au_extract` argument
-    /// (the same anchoring convention AU007 uses, so suppression by span
-    /// works).
-    feature_vars: BTreeMap<String, Span>,
-    /// `au_checkpoint`/`au_restore` call sites.
-    ckpt_calls: Vec<(&'static str, Span)>,
-}
-
-fn collect_stmts(stmts: &[Stmt], facts: &mut Sites) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Let { init: e, .. }
-            | StmtKind::Assign { value: e, .. }
-            | StmtKind::Expr(e)
-            | StmtKind::Return(Some(e)) => collect_expr(e, facts),
-            StmtKind::AssignIndex { index, value, .. } => {
-                collect_expr(index, facts);
-                collect_expr(value, facts);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                collect_expr(cond, facts);
-                collect_stmts(then_body, facts);
-                collect_stmts(else_body, facts);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr(cond, facts);
-                collect_stmts(body, facts);
-            }
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-}
-
-fn collect_expr(expr: &Expr, facts: &mut Sites) {
-    if let ExprKind::Call { name, args } = &expr.kind {
-        match name.as_str() {
-            "au_extract" => {
-                for arg in args.iter().skip(1) {
-                    feature_vars(arg, &mut facts.feature_vars);
-                }
-            }
-            "au_checkpoint" => facts.ckpt_calls.push(("au_checkpoint", expr.span)),
-            "au_restore" => facts.ckpt_calls.push(("au_restore", expr.span)),
-            _ => {}
-        }
-    }
-    match &expr.kind {
-        ExprKind::Array(items) => items.iter().for_each(|e| collect_expr(e, facts)),
-        ExprKind::Index(a, b) => {
-            collect_expr(a, facts);
-            collect_expr(b, facts);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|e| collect_expr(e, facts)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, facts);
-            collect_expr(rhs, facts);
-        }
-        ExprKind::Unary { expr, .. } => collect_expr(expr, facts),
-        _ => {}
-    }
-}
-
-/// Variable names in `expr`, each with its first span (AU007's anchoring).
-fn feature_vars(expr: &Expr, out: &mut BTreeMap<String, Span>) {
-    match &expr.kind {
-        ExprKind::Var(name) => {
-            out.entry(name.clone()).or_insert(expr.span);
-        }
-        ExprKind::Array(items) => items.iter().for_each(|e| feature_vars(e, out)),
-        ExprKind::Index(a, b) => {
-            feature_vars(a, out);
-            feature_vars(b, out);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|e| feature_vars(e, out)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            feature_vars(lhs, out);
-            feature_vars(rhs, out);
-        }
-        ExprKind::Unary { expr, .. } => feature_vars(expr, out),
-        _ => {}
-    }
+/// AU011–AU015 on a program of their own, for the tests below.
+#[cfg(test)]
+fn absint_lints(
+    program: &au_lang::Program,
+    au007_spans: &BTreeSet<(usize, usize)>,
+) -> Vec<RawDiag> {
+    lints(&Sites::scan(program), au007_spans)
 }
 
 #[cfg(test)]

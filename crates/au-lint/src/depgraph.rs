@@ -15,8 +15,9 @@
 //! relation" implies "no dynamic relation": these warnings are conservative
 //! in the sound direction.
 
+use crate::sites::{str_arg, Sites};
 use crate::{RawDiag, Severity};
-use au_lang::{static_analysis, Expr, ExprKind, Program, Span, Stmt, StmtKind};
+use au_lang::{static_analysis, Span};
 use au_trace::AnalysisDb;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,14 +26,11 @@ fn pi(list: &str) -> String {
     format!("\u{3c0}:{list}")
 }
 
-/// Runs AU007/AU008 over `program`.
-pub(crate) fn dependence_lints(program: &Program) -> Vec<RawDiag> {
-    let mut db = static_analysis::analyze(program);
-    let mut facts = PiFacts::default();
-    for func in &program.functions {
-        collect_stmts(&func.body, &mut facts);
-    }
-    facts.add_pi_edges(&mut db);
+/// Runs AU007/AU008 over the program behind `sites`.
+pub(crate) fn lints(sites: &Sites) -> Vec<RawDiag> {
+    let mut db = static_analysis::analyze(sites.program);
+    let produced = add_pi_edges(sites, &mut db);
+    let feature_vars = sites.features(true);
 
     let mut diags = Vec::new();
 
@@ -40,23 +38,23 @@ pub(crate) fn dependence_lints(program: &Program) -> Vec<RawDiag> {
     // write-back key no extraction or prediction produces — that program
     // already gets AU003, and warning that features are "unrelated" to a
     // broken target would be cascade noise.
-    let usable_targets: Vec<(&String, Span)> = facts
-        .targets
+    let usable_targets: Vec<(&str, Span)> = sites
+        .stores
         .iter()
-        .filter(|t| t.keys.iter().all(|k| facts.produced.contains(k)))
-        .filter_map(|t| db.id(&t.var).map(|_| (&t.var, t.span)))
+        .filter(|t| t.keys.iter().all(|k| produced.contains(k)))
+        .filter_map(|t| db.id(t.var).map(|_| (t.var, t.span)))
         .collect();
 
     // AU007: an extracted feature variable with no static dependence
     // relation to any target can never influence a prediction outcome.
     if !usable_targets.is_empty() {
-        let target_deps: Vec<(&String, BTreeSet<au_trace::VarId>)> = usable_targets
+        let target_deps: Vec<(&str, BTreeSet<au_trace::VarId>)> = usable_targets
             .iter()
             .map(|(name, _)| (*name, db.dependents(db.id(name).unwrap())))
             .collect();
-        for (feat, span) in &facts.feature_vars {
+        for (feat, span) in &feature_vars {
             let Some(w) = db.id(feat) else { continue };
-            if usable_targets.iter().any(|(t, _)| *t == feat) {
+            if usable_targets.iter().any(|(t, _)| t == feat) {
                 continue;
             }
             let dep_w = db.dependents(w);
@@ -109,205 +107,61 @@ pub(crate) fn dependence_lints(program: &Program) -> Vec<RawDiag> {
     diags
 }
 
-/// One `x = …au_write_back/au_nn_rl/au_serialize(…)…` site.
-struct TargetSite {
-    var: String,
-    span: Span,
-    /// Engine-store keys the right-hand side consumes.
-    keys: Vec<String>,
-}
-
-#[derive(Default)]
-struct PiFacts {
-    /// List name → variables read by its extraction expression.
-    extract_srcs: BTreeMap<String, BTreeSet<String>>,
-    /// Feature variable → span of its first occurrence inside an
-    /// `au_extract` argument.
-    feature_vars: BTreeMap<String, Span>,
-    /// (feature list, write-back lists) per prediction: π:E → π:W edges.
-    pred_edges: Vec<(String, Vec<String>)>,
-    /// Lists produced somewhere (extractions + prediction write-backs).
-    produced: BTreeSet<String>,
-    /// Assignments whose value flows out of the engine store.
-    targets: Vec<TargetSite>,
-}
-
-impl PiFacts {
-    fn add_pi_edges(&self, db: &mut AnalysisDb) {
-        for (list, srcs) in &self.extract_srcs {
-            for src in srcs {
-                db.record_edge(src, &pi(list));
-            }
-        }
-        for (ext, wbs) in &self.pred_edges {
-            for wb in wbs {
-                db.record_edge(&pi(ext), &pi(wb));
-            }
-        }
-        for site in &self.targets {
-            for key in &site.keys {
-                db.record_edge(&pi(key), &site.var);
-            }
-        }
-    }
-}
-
-fn str_arg(args: &[Expr], i: usize) -> Option<&str> {
-    match args.get(i).map(|a| &a.kind) {
-        Some(ExprKind::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn collect_stmts(stmts: &[Stmt], facts: &mut PiFacts) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Let { name, init: e } | StmtKind::Assign { name, value: e } => {
-                let mut keys = Vec::new();
-                collect_store_reads(e, &mut keys);
-                if !keys.is_empty() {
-                    facts.targets.push(TargetSite {
-                        var: name.clone(),
-                        span: stmt.span,
-                        keys,
-                    });
-                }
-                collect_expr(e, facts);
-            }
-            StmtKind::AssignIndex { index, value, .. } => {
-                collect_expr(index, facts);
-                collect_expr(value, facts);
-            }
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => collect_expr(e, facts),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                collect_expr(cond, facts);
-                collect_stmts(then_body, facts);
-                collect_stmts(else_body, facts);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr(cond, facts);
-                collect_stmts(body, facts);
-            }
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-}
-
-/// Engine-store keys whose contents flow into this expression's value.
-fn collect_store_reads(expr: &Expr, keys: &mut Vec<String>) {
-    match &expr.kind {
-        ExprKind::Call { name, args } => {
-            match name.as_str() {
-                "au_write_back" | "au_write_back_n" => {
-                    if let Some(key) = str_arg(args, 0) {
-                        keys.push(key.to_owned());
-                    }
-                }
-                "au_nn_rl" => {
-                    if let Some(wb) = str_arg(args, 4) {
-                        keys.push(wb.to_owned());
-                    }
-                }
-                "au_serialize" => {
-                    for i in 0..args.len() {
-                        if let Some(list) = str_arg(args, i) {
-                            keys.push(list.to_owned());
-                        }
-                    }
-                }
-                _ => {}
-            }
-            for arg in args {
-                collect_store_reads(arg, keys);
-            }
-        }
-        ExprKind::Array(items) => items.iter().for_each(|e| collect_store_reads(e, keys)),
-        ExprKind::Index(a, b) => {
-            collect_store_reads(a, keys);
-            collect_store_reads(b, keys);
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_store_reads(lhs, keys);
-            collect_store_reads(rhs, keys);
-        }
-        ExprKind::Unary { expr, .. } => collect_store_reads(expr, keys),
-        _ => {}
-    }
-}
-
-fn collect_expr(expr: &Expr, facts: &mut PiFacts) {
-    if let ExprKind::Call { name, args } = &expr.kind {
-        match name.as_str() {
+/// Adds the π-list edges to `db`: from the variables an extraction reads
+/// to its list, from a prediction's feature list to its write-back lists,
+/// and from the lists a store reads to its variable. Returns the lists
+/// produced somewhere (extractions and prediction write-backs).
+fn add_pi_edges<'p>(sites: &Sites<'p>, db: &mut AnalysisDb) -> BTreeSet<&'p str> {
+    let mut produced = BTreeSet::new();
+    // List name → variables read by its extraction expressions.
+    let mut extract_srcs: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    // (feature list, write-back lists) per prediction.
+    let mut pred_edges: Vec<(&str, Vec<&str>)> = Vec::new();
+    for c in &sites.calls {
+        match c.name {
             "au_extract" => {
-                if let Some(list) = str_arg(args, 0) {
-                    facts.produced.insert(list.to_owned());
-                    let srcs = facts.extract_srcs.entry(list.to_owned()).or_default();
-                    for arg in args.iter().skip(1) {
-                        vars_with_spans(arg, srcs, &mut facts.feature_vars);
-                    }
+                if let Some(list) = str_arg(c.args, 0) {
+                    produced.insert(list);
+                    let srcs = extract_srcs.entry(list).or_default();
+                    srcs.extend(c.features.iter().map(|&(var, _)| var));
                 }
             }
-            "au_nn" => {
-                if let Some(ext) = str_arg(args, 1) {
-                    let wbs: Vec<String> = (2..args.len())
-                        .filter_map(|i| str_arg(args, i).map(str::to_owned))
-                        .collect();
-                    facts.produced.extend(wbs.iter().cloned());
-                    facts.pred_edges.push((ext.to_owned(), wbs));
-                }
-            }
-            "au_nn_rl" => {
-                if let Some(ext) = str_arg(args, 1) {
-                    let wbs: Vec<String> =
-                        str_arg(args, 4).map(str::to_owned).into_iter().collect();
-                    facts.produced.extend(wbs.iter().cloned());
-                    facts.pred_edges.push((ext.to_owned(), wbs));
+            "au_nn" | "au_nn_rl" => {
+                if let Some(ext) = str_arg(c.args, 1) {
+                    let wbs: Vec<&str> = if c.name == "au_nn" {
+                        c.str_args_from(2).collect()
+                    } else {
+                        str_arg(c.args, 4).into_iter().collect()
+                    };
+                    produced.extend(&wbs);
+                    pred_edges.push((ext, wbs));
                 }
             }
             _ => {}
         }
     }
-    match &expr.kind {
-        ExprKind::Array(items) => items.iter().for_each(|e| collect_expr(e, facts)),
-        ExprKind::Index(a, b) => {
-            collect_expr(a, facts);
-            collect_expr(b, facts);
+    for (list, srcs) in &extract_srcs {
+        for src in srcs {
+            db.record_edge(src, &pi(list));
         }
-        ExprKind::Call { args, .. } => args.iter().for_each(|e| collect_expr(e, facts)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, facts);
-            collect_expr(rhs, facts);
-        }
-        ExprKind::Unary { expr, .. } => collect_expr(expr, facts),
-        _ => {}
     }
+    for (ext, wbs) in &pred_edges {
+        for wb in wbs {
+            db.record_edge(&pi(ext), &pi(wb));
+        }
+    }
+    for store in &sites.stores {
+        for key in &store.keys {
+            db.record_edge(&pi(key), store.var);
+        }
+    }
+    produced
 }
 
-/// Collects variable names in `expr` into `srcs`, remembering each name's
-/// first span for AU007 report sites.
-fn vars_with_spans(expr: &Expr, srcs: &mut BTreeSet<String>, spans: &mut BTreeMap<String, Span>) {
-    match &expr.kind {
-        ExprKind::Var(name) => {
-            srcs.insert(name.clone());
-            spans.entry(name.clone()).or_insert(expr.span);
-        }
-        ExprKind::Array(items) => items.iter().for_each(|e| vars_with_spans(e, srcs, spans)),
-        ExprKind::Index(a, b) => {
-            vars_with_spans(a, srcs, spans);
-            vars_with_spans(b, srcs, spans);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|e| vars_with_spans(e, srcs, spans)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            vars_with_spans(lhs, srcs, spans);
-            vars_with_spans(rhs, srcs, spans);
-        }
-        ExprKind::Unary { expr, .. } => vars_with_spans(expr, srcs, spans),
-        _ => {}
-    }
+/// AU007/AU008 on a program of their own, for the tests below.
+#[cfg(test)]
+fn dependence_lints(program: &au_lang::Program) -> Vec<RawDiag> {
+    lints(&Sites::scan(program))
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@
 mod absint_lints;
 mod depgraph;
 mod protocol;
+mod sites;
 
 use au_lang::{parse, Interpreter, LangError, Program, Span};
 use serde::{Deserialize, Serialize};
@@ -214,8 +215,10 @@ impl LineIndex {
 /// (code, span) — a function called from two sites reports each of its
 /// violations once.
 pub fn lint_program(program: &Program, src: &str) -> Vec<Diagnostic> {
-    let mut raw = protocol::protocol_lints(program);
-    raw.extend(depgraph::dependence_lints(program));
+    let sites = sites::Sites::scan(program);
+    let mut raw = protocol::site_lints(&sites);
+    raw.extend(protocol::protocol_lints(program));
+    raw.extend(depgraph::lints(&sites));
     // AU012 yields to AU007 at the same site: "no dependence path to any
     // target" subsumes "constant" for an extracted feature.
     let au007_spans = raw
@@ -223,7 +226,7 @@ pub fn lint_program(program: &Program, src: &str) -> Vec<Diagnostic> {
         .filter(|d| d.code == "AU007")
         .map(|d| (d.span.start, d.span.end))
         .collect();
-    raw.extend(absint_lints::absint_lints(program, &au007_spans));
+    raw.extend(absint_lints::lints(&sites, &au007_spans));
     raw.sort_by(|a, b| (a.span.start, a.span.end, a.code).cmp(&(b.span.start, b.span.end, b.code)));
     raw.dedup_by(|a, b| a.code == b.code && a.span == b.span);
     let index = LineIndex::new(src);

@@ -1,85 +1,106 @@
-//! Protocol lints: a flow-sensitive walk of the AST enforcing the Fig. 8
-//! primitive contract.
+//! Protocol lints: the Fig. 8 primitive contract.
 //!
 //! Flow-sensitive facts (AU001, AU002, AU004, AU005, AU010) are tracked
 //! along an interprocedural walk starting at `main`: *may*-configured
 //! models and *may*-extracted lists merge by union at branch joins (a
 //! primitive reachable on some path counts as done — erring toward no
 //! false positives), while the *must*-checkpoint fact merges by
-//! intersection (a restore is only safe if every path checkpointed). Loop
-//! bodies are walked twice — a silent pre-pass lets facts established late
-//! in the body license uses early in the body on iterations ≥ 2 — and
-//! user-function calls descend into the callee with the caller's state (a
-//! visited stack cuts recursion).
+//! intersection (a restore is only safe if every path checkpointed).
 //!
-//! Whole-program facts (AU003, AU006, AU009) come from a flow-insensitive
-//! scan: write-back keys must be produced *somewhere*, extracted lists
-//! consumed *somewhere*, configured models used *somewhere* — including in
-//! dead code, since reachability does not change what names exist.
+//! The walk is linear in the program's nesting and call depth:
+//!
+//! - A loop body is walked twice when the walk reports: a silent pre-pass
+//!   lets facts established late in the body license uses early in the
+//!   body on iterations ≥ 2, then the reporting pass. A silent walk needs
+//!   one pass, because the may-facts a body adds do not depend on the
+//!   state it starts from, and the must-fact after a loop is its entry
+//!   value either way.
+//! - A user-function call descends into the callee with the caller's
+//!   state (a visited stack cuts recursion), once per call stack, entry
+//!   state, reachability and reporting mode; a call that repeats all four
+//!   reuses the exit state, since walking again could only repeat
+//!   reports already made.
+//!
+//! Whole-program facts (AU003, AU006, AU009) come from the site table:
+//! write-back keys must be produced *somewhere*, extracted lists consumed
+//! *somewhere*, configured models used *somewhere* — including in dead
+//! code, since reachability does not change what names exist.
 
+use crate::sites::{str_arg, Sites};
 use crate::{RawDiag, Severity};
 use au_lang::{Expr, ExprKind, Program, Span, Stmt, StmtKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Runs every protocol lint over `program`.
+/// Runs the flow-sensitive protocol lints from `main`.
 pub(crate) fn protocol_lints(program: &Program) -> Vec<RawDiag> {
-    let mut diags = global_lints(program);
     let mut walker = Walker {
         program,
         diags: Vec::new(),
         reported: BTreeSet::new(),
         reporting: true,
         stack: Vec::new(),
+        exits: BTreeMap::new(),
     };
     if let Some(main) = program.function("main") {
         let mut state = State::default();
         walker.walk_block(&main.body, &mut state, true);
     }
-    diags.extend(walker.diags);
-    diags
-}
-
-/// The string literal at `args[i]`, if present.
-fn str_arg(args: &[Expr], i: usize) -> Option<&str> {
-    match args.get(i).map(|a| &a.kind) {
-        Some(ExprKind::Str(s)) => Some(s),
-        _ => None,
-    }
+    walker.diags
 }
 
 // ---------------------------------------------------------------------
-// Flow-insensitive whole-program lints: AU003, AU006, AU009
+// Whole-program lints: AU003, AU006, AU009
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct GlobalFacts {
-    /// Extracted list name → first extraction site.
-    extracts: BTreeMap<String, Span>,
-    /// List names consumed anywhere: prediction features, training labels
-    /// (wb names), serialize arguments, write-back keys.
-    consumed: BTreeSet<String>,
-    /// Write-back names produced by predictions.
-    wb_names: BTreeSet<String>,
-    /// `au_config` sites in source order.
-    configs: Vec<(String, Span)>,
-    /// Model names used by some prediction.
-    models_used: BTreeSet<String>,
-    /// `au_write_back`/`au_write_back_n` sites.
-    write_backs: Vec<(String, Span)>,
-}
-
-fn global_lints(program: &Program) -> Vec<RawDiag> {
-    let mut facts = GlobalFacts::default();
-    for func in &program.functions {
-        scan_stmts(&func.body, &mut facts);
+/// Runs the whole-program protocol lints over the site table.
+pub(crate) fn site_lints(sites: &Sites) -> Vec<RawDiag> {
+    // Extracted list name → first extraction site.
+    let mut extracts: BTreeMap<&str, Span> = BTreeMap::new();
+    // List names consumed anywhere: prediction features, training labels
+    // (write-back names), serialize arguments, write-back keys.
+    let mut consumed: BTreeSet<&str> = BTreeSet::new();
+    // Write-back names produced by predictions.
+    let mut wb_names: BTreeSet<&str> = BTreeSet::new();
+    let mut models_used: BTreeSet<&str> = BTreeSet::new();
+    for c in &sites.calls {
+        match c.name {
+            "au_extract" => {
+                if let Some(list) = str_arg(c.args, 0) {
+                    extracts.entry(list).or_insert(c.span);
+                }
+            }
+            "au_nn" | "au_nn_rl" => {
+                models_used.extend(str_arg(c.args, 0));
+                consumed.extend(str_arg(c.args, 1));
+                let wbs: Vec<&str> = if c.name == "au_nn" {
+                    c.str_args_from(2).collect()
+                } else {
+                    str_arg(c.args, 4).into_iter().collect()
+                };
+                // Training reads the wb list as labels, so naming a list
+                // as wb also consumes an extraction of it.
+                wb_names.extend(&wbs);
+                consumed.extend(&wbs);
+            }
+            "au_serialize" => consumed.extend(c.str_args_from(0)),
+            "au_write_back" | "au_write_back_n" => consumed.extend(str_arg(c.args, 0)),
+            _ => {}
+        }
     }
     let mut diags = Vec::new();
-    for (key, span) in &facts.write_backs {
-        if !facts.wb_names.contains(key) && !facts.extracts.contains_key(key) {
+    let write_backs = sites
+        .calls
+        .iter()
+        .filter(|c| matches!(c.name, "au_write_back" | "au_write_back_n"));
+    for wb in write_backs {
+        let Some(key) = str_arg(wb.args, 0) else {
+            continue;
+        };
+        if !wb_names.contains(key) && !extracts.contains_key(key) {
             diags.push(RawDiag {
                 code: "AU003",
                 severity: Severity::Error,
-                span: *span,
+                span: wb.span,
                 message: format!(
                     "write-back of `{key}`, but no prediction or extraction ever \
                      produces a list named `{key}` — this fails at runtime"
@@ -87,8 +108,8 @@ fn global_lints(program: &Program) -> Vec<RawDiag> {
             });
         }
     }
-    for (name, span) in &facts.extracts {
-        if !facts.consumed.contains(name) {
+    for (name, span) in &extracts {
+        if !consumed.contains(name) {
             diags.push(RawDiag {
                 code: "AU006",
                 severity: Severity::Warning,
@@ -100,12 +121,15 @@ fn global_lints(program: &Program) -> Vec<RawDiag> {
             });
         }
     }
-    for (model, span) in &facts.configs {
-        if !facts.models_used.contains(model) {
+    for config in sites.calls_to("au_config") {
+        let Some(model) = str_arg(config.args, 0) else {
+            continue;
+        };
+        if !models_used.contains(model) {
             diags.push(RawDiag {
                 code: "AU009",
                 severity: Severity::Warning,
-                span: *span,
+                span: config.span,
                 message: format!(
                     "model `{model}` is configured but never used in any \
                      `au_nn`/`au_nn_rl` prediction"
@@ -116,114 +140,11 @@ fn global_lints(program: &Program) -> Vec<RawDiag> {
     diags
 }
 
-fn scan_stmts(stmts: &[Stmt], facts: &mut GlobalFacts) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Let { init: e, .. }
-            | StmtKind::Assign { value: e, .. }
-            | StmtKind::Expr(e)
-            | StmtKind::Return(Some(e)) => scan_expr(e, facts),
-            StmtKind::AssignIndex { index, value, .. } => {
-                scan_expr(index, facts);
-                scan_expr(value, facts);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                scan_expr(cond, facts);
-                scan_stmts(then_body, facts);
-                scan_stmts(else_body, facts);
-            }
-            StmtKind::While { cond, body } => {
-                scan_expr(cond, facts);
-                scan_stmts(body, facts);
-            }
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-}
-
-fn scan_expr(expr: &Expr, facts: &mut GlobalFacts) {
-    if let ExprKind::Call { name, args } = &expr.kind {
-        match name.as_str() {
-            "au_config" => {
-                if let Some(model) = str_arg(args, 0) {
-                    facts.configs.push((model.to_owned(), expr.span));
-                }
-            }
-            "au_extract" => {
-                if let Some(list) = str_arg(args, 0) {
-                    facts.extracts.entry(list.to_owned()).or_insert(expr.span);
-                }
-            }
-            "au_nn" => {
-                if let Some(model) = str_arg(args, 0) {
-                    facts.models_used.insert(model.to_owned());
-                }
-                if let Some(ext) = str_arg(args, 1) {
-                    facts.consumed.insert(ext.to_owned());
-                }
-                for i in 2..args.len() {
-                    if let Some(wb) = str_arg(args, i) {
-                        facts.wb_names.insert(wb.to_owned());
-                        // Training reads the wb list as labels, so naming a
-                        // list as wb also consumes an extraction of it.
-                        facts.consumed.insert(wb.to_owned());
-                    }
-                }
-            }
-            "au_nn_rl" => {
-                if let Some(model) = str_arg(args, 0) {
-                    facts.models_used.insert(model.to_owned());
-                }
-                if let Some(ext) = str_arg(args, 1) {
-                    facts.consumed.insert(ext.to_owned());
-                }
-                if let Some(wb) = str_arg(args, 4) {
-                    facts.wb_names.insert(wb.to_owned());
-                    facts.consumed.insert(wb.to_owned());
-                }
-            }
-            "au_serialize" => {
-                for i in 0..args.len() {
-                    if let Some(list) = str_arg(args, i) {
-                        facts.consumed.insert(list.to_owned());
-                    }
-                }
-            }
-            "au_write_back" | "au_write_back_n" => {
-                if let Some(key) = str_arg(args, 0) {
-                    facts.write_backs.push((key.to_owned(), expr.span));
-                    facts.consumed.insert(key.to_owned());
-                }
-            }
-            _ => {}
-        }
-    }
-    // Recurse into subexpressions regardless of call kind.
-    match &expr.kind {
-        ExprKind::Array(items) => items.iter().for_each(|e| scan_expr(e, facts)),
-        ExprKind::Index(a, b) => {
-            scan_expr(a, facts);
-            scan_expr(b, facts);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|e| scan_expr(e, facts)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            scan_expr(lhs, facts);
-            scan_expr(rhs, facts);
-        }
-        ExprKind::Unary { expr, .. } => scan_expr(expr, facts),
-        _ => {}
-    }
-}
-
 // ---------------------------------------------------------------------
 // Flow-sensitive walk: AU001, AU002, AU004, AU005, AU010
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct State {
     /// Models that *may* be configured at this point.
     configured: BTreeSet<String>,
@@ -245,6 +166,9 @@ struct Walker<'a> {
     reporting: bool,
     /// Call stack of user-function names, to cut recursion.
     stack: Vec<String>,
+    /// Exit state of every callee walk, keyed by the call stack (callee
+    /// included), entry state, reachability and reporting mode.
+    exits: BTreeMap<(Vec<String>, State, bool, bool), State>,
 }
 
 impl<'a> Walker<'a> {
@@ -347,18 +271,19 @@ impl<'a> Walker<'a> {
                     self.walk_block(body, &mut dead, false);
                     return false;
                 }
-                // Silent pre-pass: facts established anywhere in the body
-                // hold at the body's head from iteration 2 on.
                 let entry_checkpointed = st.checkpointed;
-                let was_reporting = self.reporting;
-                self.reporting = false;
-                let mut pre = st.clone();
-                self.walk_block(body, &mut pre, reachable);
-                self.reporting = was_reporting;
-                st.configured.extend(pre.configured);
-                st.extracted.extend(pre.extracted);
-                st.checkpointed = entry_checkpointed;
-                // Reporting pass.
+                if self.reporting {
+                    // Silent pre-pass: facts established anywhere in the
+                    // body hold at the body's head from iteration 2 on. A
+                    // silent walk skips it: the pass below adds the same
+                    // may-facts whatever it starts from.
+                    self.reporting = false;
+                    let mut pre = st.clone();
+                    self.walk_block(body, &mut pre, reachable);
+                    self.reporting = true;
+                    st.configured.extend(pre.configured);
+                    st.extracted.extend(pre.extracted);
+                }
                 let mut body_st = st.clone();
                 self.walk_block(body, &mut body_st, reachable);
                 st.configured = body_st.configured;
@@ -498,12 +423,20 @@ impl<'a> Walker<'a> {
                 }
             }
             _ => {
-                // User-defined function: descend with the caller's state.
+                // User-defined function: descend with the caller's state,
+                // or reuse the exit of an identical earlier descent.
                 if !name.starts_with("au_") {
                     if let Some(callee) = self.program.function(name) {
                         if !self.stack.iter().any(|f| f == name) {
                             self.stack.push(name.to_owned());
-                            self.walk_block(&callee.body, st, reachable);
+                            let key = (self.stack.clone(), st.clone(), reachable, self.reporting);
+                            match self.exits.get(&key) {
+                                Some(exit) => *st = exit.clone(),
+                                None => {
+                                    self.walk_block(&callee.body, st, reachable);
+                                    self.exits.insert(key, st.clone());
+                                }
+                            }
                             self.stack.pop();
                         }
                     }
@@ -687,6 +620,43 @@ fn main() {
 }
 "#;
         assert_eq!(codes(src), Vec::<String>::new());
+    }
+
+    #[test]
+    fn call_chains_are_walked_once_per_context() {
+        // Each of 30 functions calls the next from both arms of an `if`:
+        // walking every call site anew would walk the last one 2^30 times.
+        let mut src = String::from("fn f30(x) { au_restore(); return x; }\n");
+        for k in (0..30).rev() {
+            src += &format!(
+                "fn f{k}(x) {{ if (x > 0) {{ return f{n}(x - 1); }} \
+                 else {{ return f{n}(x + 1); }} }}\n",
+                n = k + 1
+            );
+        }
+        src += "fn main() { au_checkpoint(); return f0(1); }\n";
+        assert_eq!(codes(&src), Vec::<String>::new());
+        let unguarded = src.replace("au_checkpoint();", "");
+        assert_eq!(codes(&unguarded), vec!["AU004"]);
+    }
+
+    #[test]
+    fn nested_loops_are_walked_in_polynomial_time() {
+        // A silent walk of a loop makes one pass over its body, so 30
+        // nested loops cost a quadratic number of passes, not 2^30.
+        let mut src = String::from("fn main() {\n");
+        for i in 0..30 {
+            src += &format!("let i{i} = 0;\nwhile (i{i} < 1) {{\n");
+        }
+        src += "au_nn(\"M\", \"F\", \"Y\");\nau_config(\"M\", \"DNN\", \"AdamOpt\", 1, 8);\n";
+        for i in (0..30).rev() {
+            src += &format!("i{i} = i{i} + 1;\n}}\n");
+        }
+        src += "return 0;\n}\n";
+        // The config later in the innermost body licenses the prediction
+        // on iterations ≥ 2 and may reconfigure the model; the feature
+        // list is never extracted.
+        assert_eq!(codes(&src), vec!["AU002", "AU010"]);
     }
 
     #[test]

@@ -13,9 +13,6 @@ struct Shape {
     build: fn(usize) -> String,
     /// What `main` returns at any depth.
     result: f64,
-    /// The depth at which to lint the shape. The protocol lints walk
-    /// every loop body twice, so their cost doubles with each nested loop.
-    lint_depth: usize,
 }
 
 fn shapes() -> Vec<Shape> {
@@ -32,20 +29,17 @@ fn shapes() -> Vec<Shape> {
                 )
             },
             result: 1.0,
-            lint_depth: MAX_NESTING,
         },
         // One operator per level: the chain's tree is as deep as it is long.
         Shape {
             name: "binary chain",
             build: |d| format!("fn main() {{ return 0{}; }}", " + 0".repeat(d - 2)),
             result: 0.0,
-            lint_depth: MAX_NESTING,
         },
         Shape {
             name: "unary chain",
             build: |d| format!("fn main() {{ return {}0; }}", "- ".repeat(d - 2)),
             result: 0.0,
-            lint_depth: MAX_NESTING,
         },
         // Each array item is an expression of its own; the k-th `[0]` of
         // the chain opens a level and its index expression one more.
@@ -61,7 +55,6 @@ fn shapes() -> Vec<Shape> {
                 )
             },
             result: 1.0,
-            lint_depth: MAX_NESTING,
         },
         // Each call argument is an expression of its own.
         Shape {
@@ -75,7 +68,6 @@ fn shapes() -> Vec<Shape> {
                 )
             },
             result: 1.0,
-            lint_depth: MAX_NESTING,
         },
         // Body block, then one block per `if`; the innermost `x = x + 1`
         // adds its expression and its operator.
@@ -90,7 +82,6 @@ fn shapes() -> Vec<Shape> {
                 )
             },
             result: 1.0,
-            lint_depth: MAX_NESTING,
         },
         // Two levels per `for`; the innermost statement's operators make
         // up an odd depth.
@@ -112,7 +103,6 @@ fn shapes() -> Vec<Shape> {
                 src
             },
             result: 1.0,
-            lint_depth: 19,
         },
         // Body block, the `if`'s condition and its comparison, then one
         // level per `else if`.
@@ -127,7 +117,6 @@ fn shapes() -> Vec<Shape> {
                 src
             },
             result: 2.0,
-            lint_depth: MAX_NESTING,
         },
     ]
 }
@@ -166,8 +155,7 @@ fn programs_at_the_limit_run_through_every_pass() {
     for shape in shapes() {
         let src = (shape.build)(MAX_NESTING);
         parse(&src).unwrap_or_else(|e| panic!("[{}] {e}", shape.name));
-        autonomizer::lint::lint_source(&(shape.build)(shape.lint_depth))
-            .expect("lint parses what parse accepts");
+        autonomizer::lint::lint_source(&src).expect("lint parses what parse accepts");
         run_everywhere(shape.name, &src, shape.result);
     }
 }
