@@ -2,7 +2,9 @@
 //!
 //! The printer produces canonical source that re-parses to the same AST
 //! (round-trip property), which the test suite uses to validate the parser
-//! against itself.
+//! against itself. It writes only the parentheses precedence and
+//! associativity need, so `aulang fmt` output stays within the parser's
+//! nesting limit whenever its input did.
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, UnOp};
 use std::fmt::Write;
@@ -117,10 +119,36 @@ fn bin_op_str(op: BinOp) -> &'static str {
     }
 }
 
-/// Renders one expression with full parenthesization (canonical form: the
-/// output re-parses to the identical AST without precedence reasoning).
-pub fn print_expr(expr: &Expr) -> String {
+/// How tightly an expression's outermost operator binds, following the
+/// parser's grammar: `||` < `&&` < comparisons < `+ -` < `* / %` < unary
+/// operators < postfix indexing and atoms.
+fn precedence(expr: &Expr) -> u8 {
     match &expr.kind {
+        ExprKind::Binary { op, .. } => match op {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 3,
+            BinOp::Add | BinOp::Sub => 4,
+            BinOp::Mul | BinOp::Div | BinOp::Rem => 5,
+        },
+        ExprKind::Unary { .. } => 6,
+        _ => 7,
+    }
+}
+
+/// Renders one expression in canonical form: it re-parses to the
+/// identical AST, with parentheses only around an operand that binds more
+/// loosely than its position allows (`a - (b - c)`, `(a < b) == c`,
+/// `-(a + b)`, `(-a)[0]`). Parentheses count toward the parser's nesting
+/// limit, so this keeps an expression as shallow as any source it could
+/// have been parsed from.
+pub fn print_expr(expr: &Expr) -> String {
+    print_operand(expr, 0)
+}
+
+/// Renders `expr` in a position that needs at least precedence `min`.
+fn print_operand(expr: &Expr, min: u8) -> String {
+    let text = match &expr.kind {
         ExprKind::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 1e15 {
                 format!("{}", *n as i64)
@@ -152,24 +180,36 @@ pub fn print_expr(expr: &Expr) -> String {
             format!("[{}]", inner.join(", "))
         }
         ExprKind::Index(target, index) => {
-            format!("{}[{}]", print_expr(target), print_expr(index))
+            format!("{}[{}]", print_operand(target, 7), print_expr(index))
         }
         ExprKind::Call { name, args } => {
             let inner: Vec<String> = args.iter().map(print_expr).collect();
             format!("{name}({})", inner.join(", "))
         }
         ExprKind::Binary { op, lhs, rhs } => {
+            // Left-associative chains keep their left operand bare; a
+            // comparison takes no comparison operand on either side.
+            let own = precedence(expr);
+            let lhs_min = if own == 3 { own + 1 } else { own };
             format!(
-                "({} {} {})",
-                print_expr(lhs),
+                "{} {} {}",
+                print_operand(lhs, lhs_min),
                 bin_op_str(*op),
-                print_expr(rhs)
+                print_operand(rhs, own + 1)
             )
         }
-        ExprKind::Unary { op, expr } => match op {
-            UnOp::Neg => format!("(-{})", print_expr(expr)),
-            UnOp::Not => format!("(!{})", print_expr(expr)),
-        },
+        ExprKind::Unary { op, expr: inner } => {
+            let sign = match op {
+                UnOp::Neg => '-',
+                UnOp::Not => '!',
+            };
+            format!("{sign}{}", print_operand(inner, 6))
+        }
+    };
+    if precedence(expr) < min {
+        format!("({text})")
+    } else {
+        text
     }
 }
 

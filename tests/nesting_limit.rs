@@ -1,10 +1,11 @@
 //! The parser's nesting limit: every shape of nesting is accepted up to
 //! `MAX_NESTING` levels, and a program at the limit goes through every
 //! pass after the parser (lint, the interpreter, the VM in each trace
-//! mode) on a default-sized test thread. One level deeper is a parse
-//! error, not a stack overflow.
+//! mode) on a default-sized test thread and pretty-prints to source that
+//! parses back to the same program. One level deeper is a parse error,
+//! not a stack overflow.
 
-use autonomizer::lang::{parse, Interpreter, LangError, TraceMode, Value, Vm, MAX_NESTING};
+use autonomizer::lang::{parse, pretty, Interpreter, LangError, TraceMode, Value, Vm, MAX_NESTING};
 
 /// One shape of nesting: `build(d)` is a program whose deepest point
 /// sits exactly `d` levels deep.
@@ -157,6 +158,17 @@ fn programs_at_the_limit_run_through_every_pass() {
         parse(&src).unwrap_or_else(|e| panic!("[{}] {e}", shape.name));
         autonomizer::lint::lint_source(&src).expect("lint parses what parse accepts");
         run_everywhere(shape.name, &src, shape.result);
+    }
+}
+
+#[test]
+fn programs_at_the_limit_print_to_source_that_parses_back() {
+    for shape in shapes() {
+        let program = parse(&(shape.build)(MAX_NESTING)).expect("at-limit program parses");
+        let printed = pretty::print_program(&program);
+        let reparsed =
+            parse(&printed).unwrap_or_else(|e| panic!("[{}] {e}\n{printed}", shape.name));
+        assert_eq!(reparsed, program, "[{}] printed:\n{printed}", shape.name);
     }
 }
 
