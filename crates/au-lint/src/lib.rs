@@ -211,6 +211,8 @@ impl LineIndex {
 
 /// Lints a parsed program against its source text.
 ///
+/// The program is walked once for its primitive sites, which every lint
+/// family reads; the protocol walk and `absint` then follow control flow.
 /// Returns findings sorted by source position then code, deduplicated by
 /// (code, span) — a function called from two sites reports each of its
 /// violations once.

@@ -641,25 +641,6 @@ fn main() {
     }
 
     #[test]
-    fn nested_loops_are_walked_in_polynomial_time() {
-        // A silent walk of a loop makes one pass over its body, so 30
-        // nested loops cost a quadratic number of passes, not 2^30.
-        let mut src = String::from("fn main() {\n");
-        for i in 0..30 {
-            src += &format!("let i{i} = 0;\nwhile (i{i} < 1) {{\n");
-        }
-        src += "au_nn(\"M\", \"F\", \"Y\");\nau_config(\"M\", \"DNN\", \"AdamOpt\", 1, 8);\n";
-        for i in (0..30).rev() {
-            src += &format!("i{i} = i{i} + 1;\n}}\n");
-        }
-        src += "return 0;\n}\n";
-        // The config later in the innermost body licenses the prediction
-        // on iterations ≥ 2 and may reconfigure the model; the feature
-        // list is never extracted.
-        assert_eq!(codes(&src), vec!["AU002", "AU010"]);
-    }
-
-    #[test]
     fn dynamic_names_are_skipped() {
         // Model name is not a string literal: no AU001 (cannot resolve).
         let src = r#"

@@ -30,6 +30,27 @@ pub(crate) struct Call<'p> {
 }
 
 impl<'p> Call<'p> {
+    fn new(name: &'p str, args: &'p [Expr], span: Span) -> Self {
+        let mut features: Vec<(&str, Span)> = Vec::new();
+        if name == "au_extract" {
+            for arg in args.iter().skip(1) {
+                for_each_subexpr(arg, &mut |e| {
+                    if let ExprKind::Var(var) = &e.kind {
+                        if features.iter().all(|(seen, _)| seen != var) {
+                            features.push((var, e.span));
+                        }
+                    }
+                });
+            }
+        }
+        Call {
+            name,
+            args,
+            span,
+            features,
+        }
+    }
+
     /// The string literals from argument `from` on.
     pub fn str_args_from(&self, from: usize) -> impl Iterator<Item = &'p str> + '_ {
         (from..self.args.len()).filter_map(|i| str_arg(self.args, i))
@@ -77,7 +98,7 @@ impl<'p> Sites<'p> {
                     for_each_subexpr(e, &mut |e| {
                         if let ExprKind::Call { name, args } = &e.kind {
                             if name.starts_with("au_") {
-                                calls.push(call(name, args, e.span));
+                                calls.push(Call::new(name, args, e.span));
                             }
                         }
                     });
@@ -121,26 +142,5 @@ impl<'p> Sites<'p> {
             }
         }
         out
-    }
-}
-
-fn call<'p>(name: &'p str, args: &'p [Expr], span: Span) -> Call<'p> {
-    let mut features: Vec<(&str, Span)> = Vec::new();
-    if name == "au_extract" {
-        for arg in args.iter().skip(1) {
-            for_each_subexpr(arg, &mut |e| {
-                if let ExprKind::Var(var) = &e.kind {
-                    if features.iter().all(|(seen, _)| seen != var) {
-                        features.push((var, e.span));
-                    }
-                }
-            });
-        }
-    }
-    Call {
-        name,
-        args,
-        span,
-        features,
     }
 }
