@@ -37,13 +37,13 @@ pub(crate) fn lints(sites: &Sites, au007_spans: &BTreeSet<(usize, usize)>) -> Ve
     // Feature variable → first span inside any `au_extract` argument.
     // AU007 anchors the same way but over named extractions only, so
     // the two spans differ when a computed list name comes first.
-    let feature_vars = sites.features(false);
+    let features = sites.features(false);
     let mut diags = Vec::new();
 
     // AU011: dead store to an extracted variable. Liveness is syntactic,
     // so this fires even when the value analysis bails out.
     for d in &analysis.dead_stores {
-        if feature_vars.contains_key(d.name.as_str()) {
+        if features.contains_key(d.name.as_str()) {
             diags.push(RawDiag {
                 code: "AU011",
                 severity: Severity::Warning,
@@ -59,7 +59,7 @@ pub(crate) fn lints(sites: &Sites, au007_spans: &BTreeSet<(usize, usize)>) -> Ve
     }
 
     // AU012: statically-constant feature in an extraction vector.
-    for (name, span) in &feature_vars {
+    for (name, span) in &features {
         if au007_spans.contains(&(span.start, span.end)) {
             continue; // AU007 is the stronger finding for this site
         }

@@ -30,7 +30,7 @@ fn pi(list: &str) -> String {
 pub(crate) fn lints(sites: &Sites) -> Vec<RawDiag> {
     let mut db = static_analysis::analyze(sites.program);
     let produced = add_pi_edges(sites, &mut db);
-    let feature_vars = sites.features(true);
+    let features = sites.features(true);
 
     let mut diags = Vec::new();
 
@@ -52,7 +52,7 @@ pub(crate) fn lints(sites: &Sites) -> Vec<RawDiag> {
             .iter()
             .map(|(name, _)| (*name, db.dependents(db.id(name).unwrap())))
             .collect();
-        for (feat, span) in &feature_vars {
+        for (feat, span) in &features {
             let Some(w) = db.id(feat) else { continue };
             if usable_targets.iter().any(|(t, _)| t == feat) {
                 continue;
