@@ -44,14 +44,60 @@ fn print_block(stmts: &[Stmt], level: usize, out: &mut String) {
     out.push('}');
 }
 
+/// The parts of a desugared `for`: an `if (true)` with no `else` whose
+/// body is a `let` or `=` followed by a `while` whose body ends in an `=`.
+/// Printing that shape back as `for (init; cond; post)` re-parses to the
+/// same AST and keeps the condition and the post-step as shallow as in
+/// the `for` it came from.
+fn as_for(stmt: &Stmt) -> Option<(&Stmt, &Expr, &[Stmt], &Stmt)> {
+    let StmtKind::If {
+        cond,
+        then_body,
+        else_body,
+    } = &stmt.kind
+    else {
+        return None;
+    };
+    let ([init, looped], ExprKind::Bool(true), true) =
+        (then_body.as_slice(), &cond.kind, else_body.is_empty())
+    else {
+        return None;
+    };
+    let StmtKind::While { cond, body } = &looped.kind else {
+        return None;
+    };
+    let (post, body) = body.split_last()?;
+    let simple = |s: &Stmt| matches!(s.kind, StmtKind::Let { .. } | StmtKind::Assign { .. });
+    (simple(init) && matches!(post.kind, StmtKind::Assign { .. }))
+        .then_some((init, cond, body, post))
+}
+
+/// A `let` or `=` without its `;`, as a `for` header writes it.
+fn print_simple(stmt: &Stmt) -> String {
+    match &stmt.kind {
+        StmtKind::Let { name, init } => format!("let {name} = {}", print_expr(init)),
+        StmtKind::Assign { name, value } => format!("{name} = {}", print_expr(value)),
+        _ => unreachable!("as_for admits only `let` and `=`"),
+    }
+}
+
 fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
     indent(level, out);
+    if let Some((init, cond, body, post)) = as_for(stmt) {
+        let _ = write!(
+            out,
+            "for ({}; {}; {}) ",
+            print_simple(init),
+            print_expr(cond),
+            print_simple(post)
+        );
+        print_block(body, level, out);
+        out.push('\n');
+        return;
+    }
     match &stmt.kind {
-        StmtKind::Let { name, init } => {
-            let _ = writeln!(out, "let {name} = {};", print_expr(init));
-        }
-        StmtKind::Assign { name, value } => {
-            let _ = writeln!(out, "{name} = {};", print_expr(value));
+        StmtKind::Let { .. } | StmtKind::Assign { .. } => {
+            let _ = writeln!(out, "{};", print_simple(stmt));
         }
         StmtKind::AssignIndex { name, index, value } => {
             let _ = writeln!(
@@ -72,7 +118,7 @@ fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
                 out.push_str(" else ");
                 // `else if` chains are parsed as a single-statement else
                 // block; print them back flat.
-                if else_body.len() == 1 {
+                if else_body.len() == 1 && as_for(&else_body[0]).is_none() {
                     if let StmtKind::If { .. } = &else_body[0].kind {
                         let mut nested = String::new();
                         print_stmt(&else_body[0], 0, &mut nested);
@@ -268,6 +314,11 @@ mod tests {
     fn round_trips_else_if_chain() {
         round_trip(
             "fn main() { let x = 3; if (x < 1) { return 1; } else if (x < 2) { return 2; } else { return 3; } }",
+        );
+        // A `for` alone in an `else` desugars to an `if`, but prints as a
+        // `for` inside the block: `else for` would not parse.
+        round_trip(
+            "fn main() { let s = 0; if (s > 1) { s = 1; } else { for (let i = 0; i < 3; i = i + 1) { s = s + i; } } return s; }",
         );
     }
 

@@ -105,6 +105,20 @@ fn shapes() -> Vec<Shape> {
             },
             result: 1.0,
         },
+        // A `for` inside nested `if`s: its body block and its post-step's
+        // two operators each reach three levels past the `for`.
+        Shape {
+            name: "for inside ifs",
+            build: |d| {
+                let k = d - 4;
+                format!(
+                    "fn main() {{\nlet x = 0;\n{}for (let i = 0; i < 1; i = i + 1 + 0) {{ x = 1; }}\n{}return x;\n}}",
+                    "if (x < 1) {\n".repeat(k),
+                    "}\n".repeat(k)
+                )
+            },
+            result: 1.0,
+        },
         // Body block, the `if`'s condition and its comparison, then one
         // level per `else if`.
         Shape {
