@@ -1,6 +1,5 @@
 //! Compute-kernel benches: the blocked/batched kernels against faithful
-//! copies of the pre-overhaul scalar kernels, plus a worker-count sweep of
-//! batched serving.
+//! copies of the pre-overhaul scalar kernels.
 //!
 //! The `naive_*` routines here are byte-for-byte ports of the loops that
 //! `Tensor::matmul` and `Conv2d::forward` shipped with before the kernel
@@ -10,12 +9,6 @@
 //! from the repo root to rewrite this bench's keys in that file (cargo
 //! runs bench binaries with the package directory as cwd, so pass an
 //! absolute path); other benches' keys, such as `aulang_exec`, are kept.
-//!
-//! The kernels themselves are serial. The thread sweep times
-//! `predict_batch_f32`, whose row blocks fan out across the au-par pool —
-//! the one place the runtime spends parallelism. Worker counts above the
-//! host's core count only oversubscribe it; the served bits are identical
-//! at every count.
 
 use au_core::{Engine, EngineHandle, Mode, ModelConfig};
 use au_nn::{Network, Tensor};
@@ -175,29 +168,7 @@ fn serving_handle() -> EngineHandle {
     e.into_handle()
 }
 
-/// Rows in the batched-serving thread sweep.
-const SWEEP_ROWS: usize = 512;
-
-fn bench_thread_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("threads");
-    let h = serving_handle();
-    let rows = pseudo(SWEEP_ROWS * 64, 8);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("predict_batch_f32_{SWEEP_ROWS}/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| h.predict_batch_f32("M", black_box(&rows)).unwrap());
-            au_par::set_thread_override(None);
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_matmul_sweep,
-    bench_conv_forward,
-    bench_thread_sweep
-);
+criterion_group!(benches, bench_matmul_sweep, bench_conv_forward);
 
 // ---------------------------------------------------------------------
 // BENCH_kernels.json keys (AU_BENCH_JSON=<path>)
@@ -287,26 +258,9 @@ fn write_json(path: &str) {
         samples,
     );
 
-    let h = serving_handle();
-    let rows = pseudo(SWEEP_ROWS * 64, 8);
-    let mut sweep = String::new();
-    for threads in [1usize, 2, 4, 8] {
-        au_par::set_thread_override(Some(threads));
-        let t = measure(
-            || {
-                black_box(h.predict_batch_f32("M", &rows).unwrap());
-            },
-            samples,
-        );
-        au_par::set_thread_override(None);
-        if !sweep.is_empty() {
-            sweep.push_str(", ");
-        }
-        write!(sweep, "\"{threads}\": {:.0}", t * 1e9).expect("format");
-    }
-
-    // Scalar serving on the same model: the f64 boundary path vs the
+    // Scalar serving on the reference model: the f64 boundary path vs the
     // native-f32 allocation-free path.
+    let h = serving_handle();
     let x: Vec<f64> = (0..64).map(|j| (j % 64) as f64 / 64.0).collect();
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let serve_f64 = measure(
@@ -340,10 +294,6 @@ fn write_json(path: &str) {
             ),
         ),
         (
-            "thread_sweep_predict_batch_f32_512_ns",
-            format!("{{ {sweep} }}"),
-        ),
-        (
             "serving_dnn_64_256_256_4",
             format!(
                 "{{\n    \"predict_f64_ns\": {:.0},\n    \"predict_f32_ns\": {:.0},\n    \"speedup\": {:.2}\n  }}",
@@ -354,7 +304,7 @@ fn write_json(path: &str) {
         ),
         (
             "note",
-            "\"naive_* are the pre-overhaul kernels; the kernels are serial, so matmul and conv2d_forward are single-thread figures. thread_sweep_predict_batch_f32_512_ns times predict_batch_f32 on 512 rows of the 64-256-256-4 serving net with 1/2/4/8 au-par pool workers, the batch-level fan-out that is the runtime's one parallel region; counts above available_parallelism only oversubscribe the host. serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving on the same net.\"".to_owned(),
+            "\"naive_* are the pre-overhaul kernels; the kernels are serial, so matmul and conv2d_forward are single-thread figures. serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving on the same net.\"".to_owned(),
         ),
     ];
     let mut doc = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_owned());

@@ -132,7 +132,7 @@ fn bench_au_nn(c: &mut Criterion) {
 
 /// The native-f32 serving path (`predict_f32_into`): its telemetry sites
 /// (`predict_f32` span + time series) must stay as cheap as the f64
-/// path's, and the pooled batch path rides the same recorder toggles.
+/// path's, and the batch path rides the same recorder toggles.
 fn bench_predict_f32(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead/predict_f32");
     let row32 = [0.25f32, 0.5, 0.75, 1.0];

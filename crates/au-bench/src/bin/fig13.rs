@@ -4,7 +4,6 @@
 use au_bench::sl::{compare, Band, CannySl, SlConfig};
 
 fn main() {
-    au_bench::monitor::init_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = SlConfig {
         train_inputs: if quick { 10 } else { 150 },

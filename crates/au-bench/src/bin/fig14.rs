@@ -8,7 +8,6 @@ use au_image::scene::SceneGenerator;
 use au_vision::canny::{self, CannyParams};
 
 fn main() {
-    au_bench::monitor::init_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = SlConfig {
         train_inputs: if quick { 10 } else { 150 },

@@ -9,7 +9,6 @@ use au_trace::{
 };
 
 fn main() {
-    au_bench::monitor::init_from_env();
     let mut game = Torcs::new(9);
     let mut db = AnalysisDb::new();
     game.record_dependences(&mut db);

@@ -32,7 +32,6 @@ struct Curve {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry = au_bench::telemetry::init_from_args(&args);
-    au_bench::monitor::init_from_args(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let blocks = if quick { 4 } else { 10 };
     let episodes_per_block = if quick { 5 } else { 25 };

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    au_bench::monitor::init_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = if quick {
         RlConfig {

@@ -8,7 +8,6 @@ use au_bench::sl::{compare, Band, CannySl, PhylipSl, RothwellSl, SlConfig, Sphin
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    au_bench::monitor::init_from_args(&args);
     let program = args.get(1).map(String::as_str).unwrap_or("phylip");
     let mut cfg = SlConfig::default();
     if let Some(n) = args.get(2).and_then(|s| s.parse().ok()) {

@@ -5,7 +5,6 @@
 use au_bench::stats::table1_rows;
 
 fn main() {
-    au_bench::monitor::init_from_env();
     println!("Table 1: Program analysis statistics");
     println!(
         "{:<18} {:>7} {:>10} {:>9} {:>15} {:>14}",

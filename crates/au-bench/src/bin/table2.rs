@@ -11,7 +11,6 @@ use au_bench::stats::measure_checkpoint;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry = au_bench::telemetry::init_from_args(&args);
-    au_bench::monitor::init_from_args(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let sl_cfg = if quick {
         SlConfig {

@@ -12,7 +12,6 @@ use au_bench::rl::{RlConfig, Variant};
 use au_bench::sl::{compare, Band, CannySl, PhylipSl, RothwellSl, SlConfig, SphinxSl};
 
 fn main() {
-    au_bench::monitor::init_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
 
     // ----------------------------------------------------------------

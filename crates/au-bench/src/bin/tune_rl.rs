@@ -12,7 +12,6 @@ use au_nn::rl::DqnConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    au_bench::monitor::init_from_args(&args);
     let game_name = args.get(1).map(String::as_str).unwrap_or("flappy");
     let episodes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1000);
 

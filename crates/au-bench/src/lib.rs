@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod history;
-pub mod monitor;
 pub mod rl;
 pub mod sl;
 pub mod stats;

@@ -222,8 +222,6 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
             "gemm_128",
             "au_extract",
             "predict",
-            "pool_map_1k",
-            "pool_region_parked",
             "dqn_observe",
             "frontend_corpus",
         ] {

@@ -65,11 +65,6 @@ impl Mode {
     }
 }
 
-/// Minimum rows per parallel range in the batched prediction paths: below
-/// this, per-range tensor setup dominates the forward pass and the region
-/// runs inline.
-const PREDICT_MIN_ROWS: usize = 8;
-
 /// Per (model, wb-name) append-counter marks distinguishing fresh labels
 /// from stale predictions in `au_nn`.
 pub(crate) type LabelMarks = BTreeMap<(String, String), u64>;
@@ -217,7 +212,7 @@ impl EngineHandle {
                 registry: ModelRegistry::default(),
                 db: Mutex::new(DbLayer::default()),
                 extracted_total: AtomicU64::new(0),
-                monitor: Mutex::new(MonitorState::new()),
+                monitor: Mutex::new(MonitorState::default()),
             }),
         }
     }
@@ -1075,7 +1070,7 @@ impl EngineHandle {
     }
 
     /// Batched [`EngineHandle::predict`]: the `f64` boundary adapter over
-    /// [`EngineHandle::predict_batch_f32`]'s pooled core — one narrowing
+    /// [`EngineHandle::predict_batch_f32`]'s core — one narrowing
     /// pass over the batch in, one exact widening pass out.
     ///
     /// # Errors
@@ -1167,15 +1162,14 @@ impl EngineHandle {
         })
     }
 
-    /// The pooled row-block core under both batch entry points. `layout`
-    /// checks the caller's batch against the served network's input width
-    /// and returns it as one flat row-major `f32` matrix with its row
-    /// count. The network `Arc` is cloned out of the read lock, so the
-    /// batch runs on the persistent pool (jobs are `'static`) without
-    /// holding the model entry. Blocks of rows fan out across pool
-    /// workers; every kernel keeps each row's accumulation order, so the
-    /// flat outputs are bit-identical to one full-batch forward pass at
-    /// every thread count.
+    /// The core under both batch entry points: one forward pass over the
+    /// whole batch on the calling thread. `layout` checks the caller's
+    /// batch against the served network's input width and returns it as
+    /// one flat row-major `f32` matrix with its row count. The network
+    /// `Arc` is cloned out of the read lock, so a retrain on another
+    /// thread is not blocked for the length of a batch. Every kernel keeps
+    /// each row's accumulation order, so row `i` of the output has the
+    /// bits [`EngineHandle::predict_f32`] gives for row `i` alone.
     fn predict_rows(
         &self,
         model: &str,
@@ -1187,20 +1181,9 @@ impl EngineHandle {
         let width = net.in_features();
         let (flat, rows) = layout(width)?;
         au_telemetry::count!("au_core.predictions_served", rows as u64);
-        if rows <= PREDICT_MIN_ROWS {
-            // A batch this small is always a single range: feed it to the
-            // network directly instead of sharing it with pool jobs.
-            return Ok(net
-                .infer(&Tensor::from_vec(&[rows, width], flat))
-                .into_vec());
-        }
-        let flat = Arc::new(flat);
-        let chunks = au_par::pool_map_ranges(rows, PREDICT_MIN_ROWS, move |r| {
-            let block = flat[r.start * width..r.end * width].to_vec();
-            net.infer(&Tensor::from_vec(&[r.len(), width], block))
-                .into_vec()
-        });
-        Ok(chunks.concat())
+        Ok(net
+            .infer(&Tensor::from_vec(&[rows, width], flat))
+            .into_vec())
     }
 
     /// Size/training statistics for a built model (Table 2's model size).
@@ -1239,8 +1222,7 @@ impl EngineHandle {
     /// persisted training baselines. In TR mode the runtime accumulates
     /// baselines from the training stream and persists them with
     /// [`EngineHandle::save_model`]; an in-process TR→TS switch hands them
-    /// to the monitor directly. Runtimes created after
-    /// [`crate::set_default_monitor_config`] start monitored automatically.
+    /// to the monitor directly. A runtime starts unmonitored.
     pub fn set_monitor_config(&self, config: au_monitor::MonitorConfig) {
         lock(&self.shared.monitor).config = Some(config);
     }

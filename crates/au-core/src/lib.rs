@@ -49,7 +49,6 @@ mod lockwait;
 mod model;
 mod monitoring;
 mod registry;
-pub mod semantics;
 mod store;
 
 pub use engine::Engine;
@@ -57,9 +56,8 @@ pub use error::AuError;
 pub use handle::MonitorRef;
 pub use handle::{Checkpoint, DbRef, EngineHandle, FeatureBuffer, Mode};
 pub use model::{Algorithm, ModelConfig, ModelKind, ModelStats};
-pub use monitoring::set_default_monitor_config;
 pub use monitoring::BaselineMeta;
-pub use store::{DbStore, ProgramStore, Value};
+pub use store::DbStore;
 
 /// Re-export of the monitoring subsystem (alerts, drift detection, flight
 /// recording) so engine users need not depend on `au-monitor` directly.

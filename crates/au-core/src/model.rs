@@ -157,8 +157,8 @@ pub struct ModelStats {
 /// A live model instance: either a supervised regressor or a DQN agent.
 ///
 /// Both kinds hold their network behind an `Arc` so the serving paths
-/// (`predict_batch`'s pool jobs, snapshot readers) can clone it out of the
-/// registry lock in O(1) through [`Backend::network`]; training goes
+/// (`predict_batch`, snapshot readers) can clone it out of the registry
+/// lock in O(1) through [`Backend::network`]; training goes
 /// through [`net_mut`], which rebuilds the network copy-on-write only when
 /// a snapshot is still alive.
 #[derive(Debug)]

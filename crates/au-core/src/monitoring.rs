@@ -10,7 +10,6 @@ use au_monitor::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Per-feature training distribution snapshot as persisted in a model's
 /// `.meta.json` sidecar (columns parallel: index `i` describes feature `i`).
@@ -60,21 +59,6 @@ impl BaselineMeta {
     }
 }
 
-/// Process-wide default monitor configuration, consulted by
-/// [`crate::Engine::new`] so harness flags (e.g. `--monitor`) can switch
-/// monitoring on for every engine a binary creates.
-static DEFAULT_CONFIG: Mutex<Option<MonitorConfig>> = Mutex::new(None);
-
-/// Sets (or with `None` clears) the process-wide default
-/// [`MonitorConfig`] picked up by every subsequently created engine.
-pub fn set_default_monitor_config(config: Option<MonitorConfig>) {
-    *DEFAULT_CONFIG.lock().unwrap() = config;
-}
-
-pub(crate) fn default_monitor_config() -> Option<MonitorConfig> {
-    DEFAULT_CONFIG.lock().unwrap().clone()
-}
-
 /// Per-engine monitoring state: the active config plus per-model
 /// monitors, training-time baseline accumulators, and error sums.
 #[derive(Debug, Default)]
@@ -88,13 +72,6 @@ pub(crate) struct MonitorState {
 }
 
 impl MonitorState {
-    pub(crate) fn new() -> Self {
-        MonitorState {
-            config: default_monitor_config(),
-            ..MonitorState::default()
-        }
-    }
-
     pub(crate) fn enabled(&self) -> bool {
         self.config.is_some()
     }

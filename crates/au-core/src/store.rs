@@ -1,113 +1,11 @@
-//! The two stores of the operational semantics.
+//! The database store π of the operational semantics.
 //!
 //! Fig. 8 defines a *program store* σ (`Var → Value`) and a *database store*
 //! π (`String → list of Value`). They are isolated: data moves between them
-//! only through the primitives.
+//! only through the primitives. σ is the host program's own variables; the
+//! engine owns π.
 
 use std::collections::BTreeMap;
-
-/// A program-store value: a scalar or a numeric vector.
-///
-/// The paper's formalization treats all values as numbers (they are fed to
-/// neural networks); vectors cover array-typed variables such as histograms
-/// or image buffers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A single number.
-    Scalar(f64),
-    /// A numeric array.
-    Vector(Vec<f64>),
-}
-
-impl Value {
-    /// Views the value as a flat slice of numbers.
-    pub fn as_slice(&self) -> &[f64] {
-        match self {
-            Value::Scalar(v) => std::slice::from_ref(v),
-            Value::Vector(v) => v,
-        }
-    }
-
-    /// The scalar inside, if this is a scalar.
-    pub fn as_scalar(&self) -> Option<f64> {
-        match self {
-            Value::Scalar(v) => Some(*v),
-            Value::Vector(_) => None,
-        }
-    }
-
-    /// Number of scalars held.
-    pub fn len(&self) -> usize {
-        match self {
-            Value::Scalar(_) => 1,
-            Value::Vector(v) => v.len(),
-        }
-    }
-
-    /// Whether the value holds no scalars (an empty vector).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Scalar(v)
-    }
-}
-
-impl From<Vec<f64>> for Value {
-    fn from(v: Vec<f64>) -> Self {
-        Value::Vector(v)
-    }
-}
-
-/// The program store σ: a map from variable names to current values.
-///
-/// Host programs embedding the engine usually keep their state in native
-/// Rust variables; `ProgramStore` exists for interpreted programs (AuLang)
-/// and for the semantics test harness.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProgramStore {
-    vars: BTreeMap<String, Value>,
-}
-
-impl ProgramStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ProgramStore::default()
-    }
-
-    /// Rule ASSIGN: `σ[x ↦ v]`.
-    pub fn assign(&mut self, var: &str, value: impl Into<Value>) {
-        self.vars.insert(var.to_owned(), value.into());
-    }
-
-    /// Reads a variable.
-    pub fn get(&self, var: &str) -> Option<&Value> {
-        self.vars.get(var)
-    }
-
-    /// Reads a scalar variable.
-    pub fn get_scalar(&self, var: &str) -> Option<f64> {
-        self.vars.get(var).and_then(Value::as_scalar)
-    }
-
-    /// Number of variables.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
-    /// Iterates variables in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.vars.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
 
 /// One named π list: its values plus the append counter the engine uses to
 /// tell freshly extracted labels apart from stale model predictions.
@@ -247,24 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn value_slice_views() {
-        assert_eq!(Value::Scalar(2.0).as_slice(), &[2.0]);
-        assert_eq!(Value::Vector(vec![1.0, 2.0]).as_slice(), &[1.0, 2.0]);
-        assert_eq!(Value::Scalar(2.0).as_scalar(), Some(2.0));
-        assert_eq!(Value::Vector(vec![]).as_scalar(), None);
-        assert!(Value::Vector(vec![]).is_empty());
-    }
-
-    #[test]
-    fn program_store_assign_overwrites() {
-        let mut s = ProgramStore::new();
-        s.assign("x", 1.0);
-        s.assign("x", 2.0);
-        assert_eq!(s.get_scalar("x"), Some(2.0));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn db_append_accumulates_in_order() {
         let mut db = DbStore::new();
         db.append("A", &[1.0]);
@@ -306,13 +186,5 @@ mod tests {
         db.append("A", &[1.0]);
         let name = db.serialize(&["A", "B"]);
         assert_eq!(db.get(&name), &[1.0]);
-    }
-
-    #[test]
-    fn stores_are_isolated_types() {
-        // A compile-time property, but assert the runtime surfaces differ:
-        // ProgramStore has no append; DbStore has no assign. Nothing to do
-        // beyond constructing both.
-        let _ = (ProgramStore::new(), DbStore::new());
     }
 }

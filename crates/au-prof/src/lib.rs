@@ -18,10 +18,9 @@
 //! # The self-time model
 //!
 //! Exclusive time is *signed*: `exclusive = dur − Σ(direct children dur)`.
-//! Under au-par fork/join a parent's children run concurrently, so the sum
-//! of their wall durations can exceed the parent's own wall duration — the
-//! fork point then carries a *negative* exclusive time whose magnitude is
-//! the parallelism overlap. Keeping the sign (instead of clamping at zero)
+//! When a parent's children run concurrently, the sum of their wall
+//! durations can exceed the parent's own wall duration — the parent then
+//! carries a *negative* exclusive time whose magnitude is the overlap. Keeping the sign (instead of clamping at zero)
 //! makes the accounting telescope exactly: for every completed trace,
 //!
 //! ```text
@@ -37,8 +36,8 @@
 //! # Incrementality and ordering
 //!
 //! Spans are recorded when their guard drops, so a child always lands in
-//! the recorder buffer before its parent (fork/join workers join before
-//! the forking span closes — see docs/observability.md). The
+//! the recorder buffer before its parent (spans nest per thread — see
+//! docs/observability.md). The
 //! profiler exploits that: spans accumulate per-trace until the trace root
 //! (`parent_id == 0`) arrives, at which point the whole tree is folded in
 //! one pass and the per-trace buffer is freed. Unclosed traces are bounded

@@ -141,9 +141,8 @@ fn concurrent_serving_scraping_and_streaming_agree() {
             .collect();
 
         // Mixed load on the main thread while workers run: one batched
-        // call (fans out across au-par, exercising context propagation)
-        // and one training pass (produces *nested* spans for the parent-
-        // link check below).
+        // call and one training pass (produces *nested* spans for the
+        // parent-link check below).
         let batch: Vec<Vec<f64>> = (0..BATCH_ROWS).map(|i| vec![i as f64 / 64.0]).collect();
         handle.predict_batch("live", &batch).expect("predict_batch");
         // Monitoring makes the training pass below predict each row once

@@ -1,9 +1,9 @@
 //! The au-prof acceptance test: run a real workload (batched predictions
-//! fanning out across au-par, plus a mid-flight retrain) against a live
-//! ScopeServer, then fetch `/profile.json` and `/flamegraph` and check the
-//! attribution is *exact*: for every completed trace the signed exclusive
-//! times sum to the root's inclusive time, and every collapsed stack
-//! resolves segment-by-segment to real span names.
+//! plus a mid-flight retrain) against a live ScopeServer, then fetch
+//! `/profile.json` and `/flamegraph` and check the attribution is
+//! *exact*: for every completed trace the signed exclusive times sum to
+//! the root's inclusive time, and every collapsed stack resolves
+//! segment-by-segment to real span names.
 //!
 //! Uses the process-global recorder (the real deployment shape), so this
 //! file holds exactly one test.
@@ -61,9 +61,7 @@ fn profile_endpoints_attribute_a_live_workload_exactly() {
         .expect("start scope server");
     let addr = server.local_addr();
 
-    // The workload. Batched predictions fan out across au-par (worker
-    // spans parent under the batch span — overlapping children, the case
-    // that forces signed exclusive time), and the monitored retrain
+    // The workload: batched predictions, and a monitored retrain that
     // produces nested predict spans under its train_supervised span.
     let batch: Vec<Vec<f64>> = (0..BATCH_ROWS).map(|i| vec![i as f64 / 64.0]).collect();
     for _ in 0..4 {

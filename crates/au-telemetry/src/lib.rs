@@ -6,13 +6,11 @@
 //! - **Spans** — scoped timings with key/value arguments, recorded on drop
 //!   ([`span!`], [`Recorder::span_with`]). Every span carries a causal
 //!   identity: a [`TraceId`] naming the request tree it belongs to, its own
-//!   [`SpanId`], and the `SpanId` of its parent (0 for roots). Within a
-//!   thread parents are tracked automatically; across threads the caller
-//!   captures [`current_context`] and the worker installs it with
-//!   [`set_context`] (au-par does this for every fork/join worker), so an
-//!   exported trace shows one causal tree per request instead of a flat
-//!   span list. Nesting depth is still tracked per thread so exports
-//!   reconstruct the call tree.
+//!   [`SpanId`], and the `SpanId` of its parent (0 for roots). Parents
+//!   are tracked per thread, so an exported trace shows one causal tree
+//!   per request instead of a flat span list; a span opened on another
+//!   thread roots a trace of its own. Nesting depth is tracked per thread
+//!   too, so exports reconstruct the call tree.
 //! - **Metrics** — saturating monotonic counters, last-write-wins gauges,
 //!   and fixed log₂-bucket latency histograms ([`count!`], [`time!`]).
 //! - **Events** — leveled log records ([`Recorder::event`]) that echo to
@@ -289,7 +287,7 @@ thread_local! {
     static SPAN_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     static THREAD_ID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     /// The calling thread's current `(trace_id, span_id)`; `(0, 0)` when no
-    /// span is open and no cross-thread context has been installed.
+    /// span is open.
     static CONTEXT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
@@ -298,68 +296,13 @@ fn thread_id() -> u64 {
 }
 
 /// Identity of one causal tree of spans (usually: one request). Allocated
-/// when a root span opens and inherited by every descendant, including
-/// spans opened on other threads under [`set_context`].
+/// when a root span opens and inherited by every descendant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
 /// Identity of a single span within a trace; unique process-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
-
-/// A capturable position in a trace: the ids a child span opened *now*
-/// would inherit. `Copy + Send`, so it crosses thread boundaries freely.
-///
-/// The zero value ([`TraceContext::NONE`]) means "no active span": spans
-/// opened under it become roots of fresh traces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Trace the current span belongs to; 0 when no span is open.
-    pub trace_id: u64,
-    /// The currently open span; 0 when no span is open.
-    pub span_id: u64,
-}
-
-impl TraceContext {
-    /// The empty context: no trace, no parent.
-    pub const NONE: TraceContext = TraceContext {
-        trace_id: 0,
-        span_id: 0,
-    };
-}
-
-/// The calling thread's current trace position — capture this before
-/// handing work to another thread, then [`set_context`] it over there.
-pub fn current_context() -> TraceContext {
-    let (trace_id, span_id) = CONTEXT.with(std::cell::Cell::get);
-    TraceContext { trace_id, span_id }
-}
-
-/// Installs a captured [`TraceContext`] as the calling thread's parent
-/// context; the returned guard restores the previous context on drop.
-/// Spans opened while the guard lives are parented under `ctx.span_id`
-/// and belong to `ctx.trace_id` — this is how fork/join workers attach
-/// their spans to the caller's causal tree.
-#[must_use = "dropping the guard immediately uninstalls the context"]
-pub fn set_context(ctx: TraceContext) -> ContextGuard {
-    let prev = CONTEXT.with(|c| {
-        let prev = c.get();
-        c.set((ctx.trace_id, ctx.span_id));
-        prev
-    });
-    ContextGuard { prev }
-}
-
-/// Restores the thread's previous trace context on drop; see [`set_context`].
-pub struct ContextGuard {
-    prev: (u64, u64),
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        CONTEXT.with(|c| c.set(self.prev));
-    }
-}
 
 /// One completed span, as stored by the recorder.
 #[derive(Clone, Debug)]
@@ -625,7 +568,7 @@ impl Recorder {
         // Causal identity: inherit the thread's current (trace, span) as
         // (trace, parent); a span opened with no active context roots a
         // fresh trace. The new span becomes the thread's context until it
-        // drops (or until a nested set_context overrides it).
+        // drops.
         let (cur_trace, parent_id) = CONTEXT.with(std::cell::Cell::get);
         let trace_id = if cur_trace == 0 {
             NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
@@ -1340,38 +1283,6 @@ mod tests {
         let later = rec.spans().into_iter().find(|s| s.name == "later").unwrap();
         assert_ne!(later.trace_id, outer.trace_id);
         assert_eq!(later.parent_id, 0);
-    }
-
-    #[test]
-    fn captured_context_parents_spans_on_other_threads() {
-        let rec: &'static Recorder = Box::leak(Box::new(Recorder::new()));
-        rec.enable();
-        let (root_trace, root_span) = {
-            let root = rec.span("root").unwrap();
-            let ctx = current_context();
-            assert_eq!(ctx.trace_id, root.trace_id().0);
-            assert_eq!(ctx.span_id, root.span_id().0);
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    let _g = set_context(ctx);
-                    let _w = rec.span("worker");
-                });
-                // A thread without the context roots its own trace.
-                s.spawn(move || {
-                    let _w = rec.span("stranger");
-                });
-            });
-            (root.trace_id().0, root.span_id().0)
-        };
-        let spans = rec.spans();
-        let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.trace_id, root_trace);
-        assert_eq!(worker.parent_id, root_span);
-        let stranger = spans.iter().find(|s| s.name == "stranger").unwrap();
-        assert_ne!(stranger.trace_id, root_trace);
-        assert_eq!(stranger.parent_id, 0);
-        // The guard restored this thread's context.
-        assert_eq!(current_context(), TraceContext::NONE);
     }
 
     #[test]

@@ -8,19 +8,10 @@
 //! there is nothing order-dependent to race on).
 
 use autonomizer::core::{Engine, EngineHandle, Mode, ModelConfig};
-use std::sync::Mutex;
 use std::thread;
 
 const THREADS: usize = 8;
 const PREDICTIONS_PER_THREAD: usize = 1_000;
-
-/// Serializes tests that mutate the process-wide au-par thread override,
-/// global state shared across cargo's parallel test threads.
-static PAR_OVERRIDE: Mutex<()> = Mutex::new(());
-
-fn par_guard() -> std::sync::MutexGuard<'static, ()> {
-    PAR_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Compile-time proof that the handle can cross and be shared between
 /// threads, and that the facade inherits both properties.
@@ -33,8 +24,7 @@ fn handle_and_engine_are_send_sync() {
     assert_clone::<EngineHandle>();
 }
 
-/// Trains y = 2x as the supervised model `serve`, plus a one-feature
-/// Q-learning model `serve_q` through `au_nn_rl`, and returns the engine
+/// Trains y = 2x as the supervised model `serve` and returns the engine
 /// frozen in deployment mode.
 fn deployed_engine() -> Engine {
     au_nn::set_init_seed(97);
@@ -44,24 +34,9 @@ fn deployed_engine() -> Engine {
     let xs: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64 / 64.0]).collect();
     let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![2.0 * x[0]]).collect();
     e.train_supervised("serve", &xs, &ys, 60).expect("train");
-    let dqn = au_nn::rl::DqnConfig {
-        hidden: vec![32],
-        batch_size: 8,
-        ..au_nn::rl::DqnConfig::default()
-    };
-    e.au_config("serve_q", ModelConfig::q_dnn(&[32]).with_dqn(dqn))
-        .expect("config");
-    for (i, x) in xs.iter().enumerate() {
-        e.au_extract("state", x);
-        e.au_nn_rl("serve_q", "state", x[0], i % 16 == 15, "action", 3)
-            .expect("rl step");
-    }
     e.set_mode(Mode::Test);
     e
 }
-
-/// The supervised and the Q-learning model `deployed_engine` serves.
-const SERVED_MODELS: [&str; 2] = ["serve", "serve_q"];
 
 /// 8 threads × 1k predictions on clones of one handle must agree exactly
 /// with a single-threaded pass over the same inputs.
@@ -161,94 +136,4 @@ fn threaded_batch_serving_matches_scalar_path() {
             });
         }
     });
-}
-
-/// `predict_batch` fans rows out across au-par workers; every kernel
-/// preserves per-element accumulation order, so the served values must be
-/// bit-identical for every worker count, for both model kinds.
-#[test]
-fn predict_batch_is_invariant_to_thread_count() {
-    let _g = par_guard();
-    let engine = deployed_engine();
-    let handle = engine.handle();
-    let inputs: Vec<Vec<f64>> = (0..96).map(|i| vec![(i % 64) as f64 / 64.0]).collect();
-
-    for model in SERVED_MODELS {
-        au_par::set_thread_override(Some(1));
-        let reference = handle.predict_batch(model, &inputs).expect("batch");
-        for threads in [2usize, 4, 8] {
-            au_par::set_thread_override(Some(threads));
-            let got = handle.predict_batch(model, &inputs).expect("batch");
-            assert_eq!(
-                got, reference,
-                "{model}: threads={threads} changed served bits"
-            );
-        }
-    }
-    au_par::set_thread_override(None);
-}
-
-/// A panic inside a pool job propagates to the submitter — and the pool
-/// survives it: the very next region runs normally on the same workers.
-#[test]
-fn pool_panic_propagates_and_pool_stays_usable() {
-    let _g = par_guard();
-    au_par::set_thread_override(Some(4));
-    let boom = std::panic::catch_unwind(|| {
-        au_par::pool_map(64, 1, |i| {
-            if i == 37 {
-                panic!("job 37 exploded");
-            }
-            i * 2
-        })
-    });
-    assert!(boom.is_err(), "pool swallowed a job panic");
-
-    let after = au_par::pool_map(64, 1, |i| i * 2);
-    assert_eq!(after, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    au_par::set_thread_override(None);
-}
-
-/// `shutdown_pool` joins every worker; the next pooled region lazily
-/// respawns the pool and still returns order-preserving results.
-#[test]
-fn pool_shutdown_joins_workers_and_restarts_lazily() {
-    let _g = par_guard();
-    au_par::set_thread_override(Some(4));
-    // Force the pool up, then tear it down.
-    let warm = au_par::pool_map(16, 1, |i| i + 1);
-    assert_eq!(warm.len(), 16);
-    au_par::shutdown_pool();
-    assert_eq!(au_par::pool_worker_count(), 0, "shutdown left workers");
-
-    // Lazy restart: the next region brings the pool back transparently.
-    let reborn = au_par::pool_map(32, 1, |i| i * i);
-    assert_eq!(reborn, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    assert!(au_par::pool_worker_count() > 0, "pool did not respawn");
-    au_par::set_thread_override(None);
-}
-
-/// The f32 batch path fans out over the same persistent pool; like its f64
-/// twin it must serve bit-identical values at every worker count, for
-/// both model kinds.
-#[test]
-fn predict_batch_f32_is_invariant_to_thread_count() {
-    let _g = par_guard();
-    let engine = deployed_engine();
-    let handle = engine.handle();
-    let flat: Vec<f32> = (0..96).map(|i| (i % 64) as f32 / 64.0).collect();
-
-    for model in SERVED_MODELS {
-        au_par::set_thread_override(Some(1));
-        let reference = handle.predict_batch_f32(model, &flat).expect("batch");
-        for threads in [2usize, 4, 8] {
-            au_par::set_thread_override(Some(threads));
-            let got = handle.predict_batch_f32(model, &flat).expect("batch");
-            assert_eq!(
-                got, reference,
-                "{model}: threads={threads} changed served f32 bits"
-            );
-        }
-    }
-    au_par::set_thread_override(None);
 }

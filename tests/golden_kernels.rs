@@ -3,9 +3,9 @@
 //! The bit patterns below were captured from the *pre-overhaul* scalar
 //! kernels (naive `matmul` triple loop, 7-deep `Conv2d` loop nest) on a
 //! deterministic training run. The blocked/batched kernels that replaced
-//! them must reproduce these outputs bit-for-bit at `AU_PAR_THREADS=1`:
-//! the accumulation order per output element (ascending inner-dimension
-//! index) is part of the kernel contract, not an accident.
+//! them must reproduce these outputs bit-for-bit: the accumulation order
+//! per output element (ascending inner-dimension index) is part of the
+//! kernel contract, not an accident.
 
 use autonomizer::core::{Engine, Mode, ModelConfig};
 use autonomizer::nn::{Activation, Network, Tensor};
@@ -90,21 +90,18 @@ const GOLDEN_CONV: [u32; 6] = [
 /// that chain shows up here.
 #[test]
 fn predict_bits_match_pre_overhaul_kernels() {
-    au_par::set_thread_override(Some(1));
     let mut e = deployed_engine();
     for (x, want) in probe_inputs().iter().zip(GOLDEN_PREDICT) {
         let y = e.predict("G", x).unwrap();
         let want: Vec<f64> = want.iter().map(|&b| f64::from_bits(b)).collect();
         assert_eq!(y, want, "predict({x:?}) drifted from the golden kernels");
     }
-    au_par::set_thread_override(None);
 }
 
 /// `predict_batch` returns the same bits as scalar `predict`, row for row,
 /// and matches the pre-overhaul golden values.
 #[test]
 fn predict_batch_bits_match_pre_overhaul_kernels() {
-    au_par::set_thread_override(Some(1));
     let mut e = deployed_engine();
     let batch = e.predict_batch("G", &probe_inputs()).unwrap();
     assert_eq!(batch.len(), GOLDEN_PREDICT.len());
@@ -112,13 +109,11 @@ fn predict_batch_bits_match_pre_overhaul_kernels() {
         let want: Vec<f64> = want.iter().map(|&b| f64::from_bits(b)).collect();
         assert_eq!(row, &want, "batch row drifted from the golden kernels");
     }
-    au_par::set_thread_override(None);
 }
 
 /// The im2col conv forward reproduces the 7-deep loop nest bit-for-bit.
 #[test]
 fn conv_forward_bits_match_pre_overhaul_kernels() {
-    au_par::set_thread_override(Some(1));
     let (net, x) = conv_net_and_input();
     let y = net.infer(&x);
     assert_eq!(y.shape(), &[2, 3]);
@@ -128,7 +123,6 @@ fn conv_forward_bits_match_pre_overhaul_kernels() {
         &want[..],
         "conv forward drifted from the golden kernels"
     );
-    au_par::set_thread_override(None);
 }
 
 #[test]
