@@ -11,7 +11,7 @@ use std::hint::black_box;
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward");
     au_nn::set_init_seed(1);
-    let mut dense = Network::builder(10)
+    let dense = Network::builder(10)
         .dense(64)
         .activation(Activation::Relu)
         .dense(32)
@@ -20,10 +20,10 @@ fn bench_forward(c: &mut Criterion) {
         .build();
     let state = Tensor::row(&[0.3; 10]);
     group.bench_function("dense_10_features", |b| {
-        b.iter(|| black_box(dense.forward(black_box(&state))));
+        b.iter(|| black_box(dense.infer(black_box(&state))));
     });
 
-    let mut conv = Network::builder(144)
+    let conv = Network::builder(144)
         .conv2d(1, 12, 12, 4, 3, 1)
         .activation(Activation::Relu)
         .max_pool2d(4, 10, 10, 2)
@@ -36,7 +36,7 @@ fn bench_forward(c: &mut Criterion) {
         .build();
     let frame = Tensor::row(&[0.3; 144]);
     group.bench_function("conv_12x12_frame", |b| {
-        b.iter(|| black_box(conv.forward(black_box(&frame))));
+        b.iter(|| black_box(conv.infer(black_box(&frame))));
     });
     group.finish();
 }

@@ -51,8 +51,8 @@ fn quickstart_style_run_records_expected_counters() {
             .au_nn("TelemNN", "SUMMARY", &["OUT"])
             .expect("train step");
     }
-    engine.au_checkpoint();
-    engine.au_restore().expect("checkpoint exists");
+    let ckpt = engine.checkpoint_with(&());
+    engine.restore_with(&ckpt);
 
     engine.set_mode(Mode::Test);
     let test_inputs = 5u64;

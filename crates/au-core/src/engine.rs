@@ -127,12 +127,6 @@ impl Engine {
         self.handle.au_extract_f32(name, values);
     }
 
-    /// Extracts a staged [`crate::FeatureBuffer`] under `name` and clears
-    /// the buffer, keeping its allocation for the next frame.
-    pub fn au_extract_buffer(&mut self, name: &str, buf: &mut crate::FeatureBuffer) {
-        self.handle.au_extract_buffer(name, buf);
-    }
-
     /// Lifetime count of scalars extracted through [`Engine::au_extract`]
     /// (the paper's Table 2 trace-size metric; survives restores).
     pub fn total_extracted(&self) -> u64 {
@@ -186,6 +180,16 @@ impl Engine {
         self.handle.au_write_back(name, dst)
     }
 
+    /// [`Engine::au_write_back`] into a fresh vector of `n` values.
+    ///
+    /// # Errors
+    ///
+    /// [`AuError::MissingData`] if π(`name`) holds fewer than `n` values;
+    /// nothing is allocated then, however large `n` is.
+    pub fn au_write_back_n(&mut self, name: &str, n: usize) -> Result<Vec<f64>, AuError> {
+        self.handle.au_write_back_n(name, n)
+    }
+
     /// Scalar convenience form of [`Engine::au_write_back`].
     ///
     /// # Errors
@@ -195,34 +199,14 @@ impl Engine {
         self.handle.au_write_back_scalar(name)
     }
 
-    /// `@au_checkpoint()` over π only — rule CHECKPOINT.
-    pub fn au_checkpoint(&mut self) {
-        self.handle.au_checkpoint();
-    }
-
-    /// `@au_restore()` over π only — rule RESTORE. θ is untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`AuError::NoCheckpoint`] if no checkpoint exists (e.g. after
-    /// `pop_checkpoint` emptied the stack).
-    pub fn au_restore(&mut self) -> Result<(), AuError> {
-        self.handle.au_restore()
-    }
-
-    /// Discards the most recent checkpoint (a no-op on an empty stack).
-    pub fn pop_checkpoint(&mut self) {
-        self.handle.pop_checkpoint();
-    }
-
-    /// Combined ⟨σ, π⟩ checkpoint: clones the host program state `S`
-    /// together with π.
+    /// `@au_checkpoint()` — rule CHECKPOINT: clones the host program state
+    /// `S` (σ) together with π.
     pub fn checkpoint_with<S: Clone>(&self, program: &S) -> Checkpoint<S> {
         self.handle.checkpoint_with(program)
     }
 
-    /// Restores a combined checkpoint, returning the program state to
-    /// reinstall. θ is untouched.
+    /// `@au_restore()` — rule RESTORE: rolls π back to a checkpoint and
+    /// returns the program state to reinstall. θ is untouched.
     pub fn restore_with<S: Clone>(&mut self, ckpt: &Checkpoint<S>) -> S {
         self.handle.restore_with(ckpt)
     }
@@ -517,14 +501,14 @@ mod tests {
         let mut e = Engine::new(Mode::Train);
         e.au_config("M", ModelConfig::dnn(&[4])).unwrap();
         e.au_extract("STATE", &[42.0]);
-        e.au_checkpoint();
+        let ckpt = e.checkpoint_with(&());
         e.au_extract("STATE", &[99.0]);
         // Train a little so θ changes after the checkpoint.
         e.au_extract("F", &[1.0]);
         e.au_extract("L", &[0.5]);
         e.au_nn("M", "F", &["L"]).unwrap();
         let steps_before = e.model_stats("M").unwrap().train_steps;
-        e.au_restore().unwrap();
+        e.restore_with(&ckpt);
         assert_eq!(e.db().get("STATE"), &[42.0], "π rolled back");
         assert_eq!(
             e.model_stats("M").unwrap().train_steps,
@@ -533,14 +517,8 @@ mod tests {
         );
         // Restore is repeatable (the paper restores every episode).
         e.au_extract("STATE", &[7.0]);
-        e.au_restore().unwrap();
+        e.restore_with(&ckpt);
         assert_eq!(e.db().get("STATE"), &[42.0]);
-    }
-
-    #[test]
-    fn restore_without_checkpoint_errors() {
-        let mut e = Engine::new(Mode::Train);
-        assert!(matches!(e.au_restore(), Err(AuError::NoCheckpoint)));
     }
 
     #[test]
@@ -554,7 +532,7 @@ mod tests {
         let mut e = Engine::new(Mode::Train);
         e.au_config("M", ModelConfig::dnn(&[8]).with_learning_rate(0.05))
             .unwrap();
-        e.au_checkpoint();
+        let ckpt = e.checkpoint_with(&());
         for step in 0..50 {
             let x = (step % 10) as f64 / 10.0;
             e.au_extract("F", &[x]);
@@ -562,7 +540,7 @@ mod tests {
             e.au_nn("M", "F", &["L"]).unwrap();
         }
         let before = e.predict("M", &[0.5]).unwrap();
-        e.au_restore().unwrap();
+        e.restore_with(&ckpt);
         let after = e.predict("M", &[0.5]).unwrap();
         assert_eq!(before, after, "θ and its served values survive restore");
         // Backward passes after the restore rebuild caches from live
@@ -575,21 +553,6 @@ mod tests {
         }
         let p = e.predict("M", &[0.5]).unwrap()[0];
         assert!((p - 1.0).abs() < 0.3, "still converging after restore: {p}");
-    }
-
-    #[test]
-    fn restore_after_pop_on_empty_stack_is_typed_error() {
-        let mut e = Engine::new(Mode::Train);
-        // Popping an empty stack is a no-op, and restoring afterwards must
-        // surface the typed error, not panic.
-        e.pop_checkpoint();
-        assert!(matches!(e.au_restore(), Err(AuError::NoCheckpoint)));
-        e.au_extract("S", &[1.0]);
-        e.au_checkpoint();
-        e.pop_checkpoint();
-        assert!(matches!(e.au_restore(), Err(AuError::NoCheckpoint)));
-        // π is untouched by the failed restores.
-        assert_eq!(e.db().get("S"), &[1.0]);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub enum AuError {
         /// What the call expected (`"supervised"` / `"reinforcement"`).
         expected: &'static str,
     },
-    /// `au_restore` without a prior `au_checkpoint`.
-    NoCheckpoint,
     /// Model persistence failed (deployment-mode `loadModel`).
     Backend(au_nn::NnError),
     /// Deployment mode requires a trained model on disk, but none was found.
@@ -71,7 +69,6 @@ impl fmt::Display for AuError {
             AuError::WrongAlgorithm { model, expected } => {
                 write!(f, "model `{model}` does not use a {expected} algorithm")
             }
-            AuError::NoCheckpoint => write!(f, "au_restore called without a checkpoint"),
             AuError::Backend(e) => write!(f, "model backend error: {e}"),
             AuError::ModelNotTrained(name) => {
                 write!(f, "no trained model `{name}` available for deployment")

@@ -129,15 +129,13 @@ impl ModelMeta {
     }
 }
 
-/// The π layer: the database store plus every piece of state that must stay
+/// The π layer: the database store plus the state that must stay
 /// transactionally consistent with it — the label-freshness marks derived
-/// from its append counters and the checkpoint stack of (π, marks) pairs.
+/// from its append counters.
 #[derive(Debug, Default)]
 pub(crate) struct DbLayer {
     pub db: DbStore,
     pub label_marks: LabelMarks,
-    /// Internal π-only checkpoint stack for `au_checkpoint`/`au_restore`.
-    pub checkpoints: Vec<(DbStore, LabelMarks)>,
 }
 
 /// The layered state shared by every clone of an [`EngineHandle`].
@@ -417,8 +415,8 @@ impl EngineHandle {
     /// of [`EngineHandle::au_extract`]. Each value is widened exactly
     /// (every `f32` is representable as an `f64`) straight into π with no
     /// intermediate buffer, so extract→serve loops built on
-    /// [`FeatureBuffer`] and [`EngineHandle::predict_f32_into`] never
-    /// convert through `f64` on their own account.
+    /// [`EngineHandle::predict_f32_into`] never convert through `f64` on
+    /// their own account.
     pub fn au_extract_f32(&self, name: &str, values: &[f32]) {
         let _t = au_telemetry::time!("au_core.au_extract");
         au_telemetry::count!("au_core.extract_rows", values.len() as u64);
@@ -426,13 +424,6 @@ impl EngineHandle {
             .extracted_total
             .fetch_add(values.len() as u64, Ordering::Relaxed);
         pi_lock(&self.shared.db).db.append_f32(name, values);
-    }
-
-    /// Extracts a staged [`FeatureBuffer`] under `name` and clears the
-    /// buffer for the next frame, keeping its capacity.
-    pub fn au_extract_buffer(&self, name: &str, buf: &mut FeatureBuffer) {
-        self.au_extract_f32(name, buf.as_slice());
-        buf.clear();
     }
 
     /// Lifetime count of scalars extracted through
@@ -714,7 +705,7 @@ impl EngineHandle {
             {
                 if agent.state_dim() == state.len() && agent.n_actions() == n_actions {
                     au_telemetry::count!("au_core.predictions_served");
-                    fast = Some(agent.greedy_action_ref(&to_f32(&state)));
+                    fast = Some(agent.greedy_action(&to_f32(&state)));
                 }
             }
         }
@@ -770,19 +761,41 @@ impl EngineHandle {
     /// [`AuError::MissingData`] if π(`name`) holds fewer values than
     /// requested.
     pub fn au_write_back(&self, name: &str, dst: &mut [f64]) -> Result<(), AuError> {
+        self.write_back_with(name, dst.len(), |src| dst.copy_from_slice(src))
+    }
+
+    /// [`EngineHandle::au_write_back`] into a fresh vector of `n` values —
+    /// AuLang's `au_write_back_n`.
+    ///
+    /// # Errors
+    ///
+    /// [`AuError::MissingData`] if π(`name`) holds fewer than `n` values;
+    /// the size is checked before anything is allocated, so no `n` can
+    /// overflow an allocation.
+    pub fn au_write_back_n(&self, name: &str, n: usize) -> Result<Vec<f64>, AuError> {
+        self.write_back_with(name, n, <[f64]>::to_vec)
+    }
+
+    /// Rule WRITE-BACK's size check, then `read` over the first `n` values
+    /// of π(`name`), under the π lock.
+    fn write_back_with<R>(
+        &self,
+        name: &str,
+        n: usize,
+        read: impl FnOnce(&[f64]) -> R,
+    ) -> Result<R, AuError> {
         let _t = au_telemetry::time!("au_core.au_write_back");
         au_telemetry::count!("au_core.write_backs");
         let d = pi_lock(&self.shared.db);
         let src = d.db.get(name);
-        if src.len() < dst.len() {
+        if src.len() < n {
             return Err(AuError::MissingData {
                 name: name.to_owned(),
-                wanted: dst.len(),
+                wanted: n,
                 available: src.len(),
             });
         }
-        dst.copy_from_slice(&src[..dst.len()]);
-        Ok(())
+        Ok(read(&src[..n]))
     }
 
     /// Scalar convenience form of [`EngineHandle::au_write_back`].
@@ -796,47 +809,14 @@ impl EngineHandle {
         Ok(v[0])
     }
 
-    /// `@au_checkpoint()` over π only — rule CHECKPOINT, for host programs
-    /// that snapshot their own σ (see [`EngineHandle::checkpoint_with`] for
-    /// the combined form). Pushes onto a stack; [`EngineHandle::au_restore`]
-    /// restores the most recent checkpoint without consuming it (the paper
-    /// creates a checkpoint once and restores it at every episode end).
-    pub fn au_checkpoint(&self) {
+    /// `@au_checkpoint()` — rule CHECKPOINT: clones the host program state
+    /// `S` (σ) together with π, keeping both consistent as the semantics
+    /// require. The paper creates a checkpoint once and restores it at
+    /// every episode end, so [`EngineHandle::restore_with`] does not
+    /// consume it.
+    pub fn checkpoint_with<S: Clone>(&self, program: &S) -> Checkpoint<S> {
         let _t = au_telemetry::time!("au_core.au_checkpoint");
         au_telemetry::count!("au_core.checkpoints");
-        let mut d = pi_lock(&self.shared.db);
-        let snap = (d.db.clone(), d.label_marks.clone());
-        d.checkpoints.push(snap);
-    }
-
-    /// `@au_restore()` over π only — rule RESTORE. The model store θ is
-    /// deliberately untouched so learning accumulates.
-    ///
-    /// # Errors
-    ///
-    /// [`AuError::NoCheckpoint`] if no checkpoint exists (e.g. after
-    /// `pop_checkpoint` emptied the stack).
-    pub fn au_restore(&self) -> Result<(), AuError> {
-        let _t = au_telemetry::time!("au_core.au_restore");
-        au_telemetry::count!("au_core.restores");
-        {
-            let mut d = pi_lock(&self.shared.db);
-            let (db, marks) = d.checkpoints.last().cloned().ok_or(AuError::NoCheckpoint)?;
-            d.db = db;
-            d.label_marks = marks;
-        }
-        self.invalidate_model_caches();
-        Ok(())
-    }
-
-    /// Discards the most recent checkpoint (a no-op on an empty stack).
-    pub fn pop_checkpoint(&self) {
-        pi_lock(&self.shared.db).checkpoints.pop();
-    }
-
-    /// Combined ⟨σ, π⟩ checkpoint: clones the host program state `S`
-    /// together with π, keeping both consistent as the semantics require.
-    pub fn checkpoint_with<S: Clone>(&self, program: &S) -> Checkpoint<S> {
         let d = pi_lock(&self.shared.db);
         Checkpoint {
             program: program.clone(),
@@ -845,9 +825,12 @@ impl EngineHandle {
         }
     }
 
-    /// Restores a combined checkpoint, returning the program state to
-    /// reinstall. θ is untouched.
+    /// `@au_restore()` — rule RESTORE: rolls π back to `ckpt` and returns
+    /// the program state to reinstall. The model store θ is deliberately
+    /// untouched so learning accumulates.
     pub fn restore_with<S: Clone>(&self, ckpt: &Checkpoint<S>) -> S {
+        let _t = au_telemetry::time!("au_core.au_restore");
+        au_telemetry::count!("au_core.restores");
         {
             let mut d = pi_lock(&self.shared.db);
             d.db = ckpt.db.clone();
@@ -1421,60 +1404,6 @@ fn publish_monitor_gauges(model: &str, mon: &au_monitor::ModelMonitor) {
         .set(mon.flight().len() as f64);
     rec.gauge(&format!("au_monitor.{model}.degraded"))
         .set(if mon.is_degraded() { 1.0 } else { 0.0 });
-}
-
-/// A reusable `f32` feature-vector staging buffer for the native-`f32`
-/// serving path: host code pushes the frame's features, hands the buffer
-/// to [`EngineHandle::au_extract_buffer`] (or reads it back with
-/// [`FeatureBuffer::as_slice`] for [`EngineHandle::predict_f32_into`]),
-/// and reuses the allocation every frame.
-#[derive(Debug, Clone, Default)]
-pub struct FeatureBuffer {
-    values: Vec<f32>,
-}
-
-impl FeatureBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        FeatureBuffer::default()
-    }
-
-    /// An empty buffer with room for `cap` features.
-    pub fn with_capacity(cap: usize) -> Self {
-        FeatureBuffer {
-            values: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Stages one feature value.
-    pub fn push(&mut self, value: f32) {
-        self.values.push(value);
-    }
-
-    /// Stages a slice of feature values.
-    pub fn extend_from_slice(&mut self, values: &[f32]) {
-        self.values.extend_from_slice(values);
-    }
-
-    /// The staged features, in push order.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Number of staged features.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Clears the staged features, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
 }
 
 /// Checks every row of a nested batch against the built input width.

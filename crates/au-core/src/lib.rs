@@ -13,8 +13,8 @@
 //! | `@au_NN(name, ext, reward, term, wb)` (RL) | [`Engine::au_nn_rl`] |
 //! | `@au_write_back(name, size, var)` | [`Engine::au_write_back`] |
 //! | `@au_serialize(t1, t2, …)` | [`Engine::au_serialize`] |
-//! | `@au_checkpoint()` | [`Engine::au_checkpoint`] |
-//! | `@au_restore()` | [`Engine::au_restore`] |
+//! | `@au_checkpoint()` | [`Engine::checkpoint_with`] |
+//! | `@au_restore()` | [`Engine::restore_with`] |
 //!
 //! The *program store* σ belongs to the host program (its own variables);
 //! the engine owns the *database store* π ([`DbStore`]) and the model store
@@ -54,7 +54,7 @@ mod store;
 pub use engine::Engine;
 pub use error::AuError;
 pub use handle::MonitorRef;
-pub use handle::{Checkpoint, DbRef, EngineHandle, FeatureBuffer, Mode};
+pub use handle::{Checkpoint, DbRef, EngineHandle, Mode};
 pub use model::{Algorithm, ModelConfig, ModelKind, ModelStats};
 pub use monitoring::BaselineMeta;
 pub use store::DbStore;

@@ -676,8 +676,7 @@ impl Interpreter {
                     .as_num()
                     .ok_or_else(|| self.err("size must be a number"))?
                     as usize;
-                let mut buf = vec![0.0; n];
-                self.engine.au_write_back(&key, &mut buf)?;
+                let buf = self.engine.au_write_back_n(&key, n)?;
                 Ok((
                     Value::Array(buf.into_iter().map(Value::Num).collect()),
                     Deps::new(),

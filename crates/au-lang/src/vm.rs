@@ -1027,8 +1027,7 @@ impl Vm {
                         dpop(&mut deps);
                     }
                     let n = n_v.as_num().ok_or_else(|| rt("size must be a number"))? as usize;
-                    let mut buf = vec![0.0; n];
-                    self.engine.au_write_back(&key, &mut buf)?;
+                    let buf = self.engine.au_write_back_n(&key, n)?;
                     stack.push(Value::Array(buf.into_iter().map(Value::Num).collect()));
                     if TRACED {
                         deps.push(Vec::new());

@@ -83,16 +83,11 @@ impl ActivationLayer {
 }
 
 impl Layer for ActivationLayer {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_into(input, &mut out);
+        self.cached_output = Some(out.clone());
         out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(|x| self.kind.apply(x))
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -166,7 +161,7 @@ mod tests {
     fn layer_backward_scales_gradient() {
         let mut layer = ActivationLayer::new(Activation::Relu);
         let x = Tensor::row(&[-1.0, 2.0]);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x);
         let g = layer.backward(&Tensor::row(&[1.0, 1.0]));
         assert_eq!(g.data(), &[0.0, 1.0]);
     }

@@ -179,6 +179,33 @@ impl Conv2d {
         }
     }
 
+    /// Length of one batch row's im2col matrix.
+    fn col_len(&self) -> usize {
+        self.fan_in() * self.out_h() * self.out_w()
+    }
+
+    /// The convolution over every batch row of `input`, written into `out`.
+    /// Row `b` is lowered into block `b % blocks` of `cols` (blocks of
+    /// [`Conv2d::col_len`]): serving passes one block and reuses it for
+    /// every row, training passes one block per row and keeps them.
+    fn convolve(&self, input: &Tensor, out: &mut Tensor, cols: &mut [f32]) {
+        assert_eq!(
+            input.row_len(),
+            self.in_len(),
+            "conv2d expected {} features, got {}",
+            self.in_len(),
+            input.row_len()
+        );
+        let (col_len, out_len) = (self.col_len(), self.out_len());
+        let blocks = cols.len() / col_len;
+        out.resize_zeroed(&[input.batch(), out_len]);
+        for (b, out_row) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
+            let col = &mut cols[(b % blocks) * col_len..][..col_len];
+            self.im2col_row(input.row_slice(b), col);
+            self.forward_row(col, out_row);
+        }
+    }
+
     /// Forward pass for one batch row: pre-fills `out_row` with the
     /// per-channel bias, then accumulates `W [out_c, fan_in] × col
     /// [fan_in, patches]` on top. Per output element that is `bias + Σ_f`
@@ -202,64 +229,28 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "conv2d expected {} features, got {}",
-            self.in_len(),
-            input.row_len()
-        );
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        // The backward pass consumes the patch matrices, not the raw
+        // input: dW is a GEMM against them. Keep one per batch row.
         let batch = input.batch();
-        let col_len = self.fan_in() * self.out_h() * self.out_w();
-        let mut out = Tensor::zeros(&[batch, self.out_len()]);
-        let mut cols = vec![0.0f32; batch * col_len];
-        for b in 0..batch {
-            let col = &mut cols[b * col_len..(b + 1) * col_len];
-            self.im2col_row(input.row_slice(b), col);
-            let out_len = self.out_len();
-            self.forward_row(col, &mut out.data_mut()[b * out_len..(b + 1) * out_len]);
-        }
-        if train {
-            // The backward pass consumes the patch matrices, not the raw
-            // input: dW is a GEMM against them.
-            self.cached_cols = Some(cols);
-            self.cached_batch = batch;
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
+        let mut cols = vec![0.0f32; batch * self.col_len()];
         let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
+        self.convolve(input, &mut out, &mut cols);
+        self.cached_cols = Some(cols);
+        self.cached_batch = batch;
         out
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "conv2d expected {} features, got {}",
-            self.in_len(),
-            input.row_len()
-        );
-        let batch = input.batch();
-        let col_len = self.fan_in() * self.out_h() * self.out_w();
-        let out_len = self.out_len();
-        out.resize_zeroed(&[batch, out_len]);
         // One im2col buffer, reused for every batch row.
-        let mut col = vec![0.0f32; col_len];
-        for (b, out_row) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
-            self.im2col_row(input.row_slice(b), &mut col);
-            self.forward_row(&col, out_row);
-        }
+        self.convolve(input, out, &mut vec![0.0f32; self.col_len()]);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let (oh, ow) = (self.out_h(), self.out_w());
         let patches = oh * ow;
         let fan_in = self.fan_in();
-        let col_len = fan_in * patches;
+        let col_len = self.col_len();
         let batch = self.cached_batch;
         let in_len = self.in_len();
         let (out_channels, in_channels) = (self.out_channels, self.in_channels);
@@ -493,10 +484,11 @@ impl MaxPool2d {
     fn out_len(&self) -> usize {
         self.channels * self.out_h() * self.out_w()
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    /// Pools every batch row of `input` into `out`; with `argmax`, also
+    /// records the flat input index each output element took its maximum
+    /// from (what the backward pass routes gradients through).
+    fn pool(&self, input: &Tensor, out: &mut Tensor, mut argmax: Option<&mut [usize]>) {
         assert_eq!(
             input.row_len(),
             self.in_len(),
@@ -504,9 +496,9 @@ impl Layer for MaxPool2d {
         );
         let (oh, ow) = (self.out_h(), self.out_w());
         let w = self.window;
-        let mut out = Tensor::zeros(&[input.batch(), self.out_len()]);
-        let mut argmax = vec![0usize; input.batch() * self.out_len()];
-        for b in 0..input.batch() {
+        let out_len = self.out_len();
+        out.resize_zeroed(&[input.batch(), out_len]);
+        for (b, out_row) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
             let row = input.row_slice(b);
             for c in 0..self.channels {
                 for oy in 0..oh {
@@ -525,54 +517,29 @@ impl Layer for MaxPool2d {
                             }
                         }
                         let oidx = (c * oh + oy) * ow + ox;
-                        out.data_mut()[b * self.out_len() + oidx] = best;
-                        argmax[b * self.out_len() + oidx] = best_idx;
+                        out_row[oidx] = best;
+                        if let Some(argmax) = argmax.as_deref_mut() {
+                            argmax[b * out_len + oidx] = best_idx;
+                        }
                     }
                 }
             }
         }
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut argmax = vec![0usize; input.batch() * self.out_len()];
+        let mut out = Tensor::default();
+        self.pool(input, &mut out, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         self.cached_batch = input.batch();
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
-        out
-    }
-
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "maxpool input size mismatch"
-        );
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let w = self.window;
-        out.resize_zeroed(&[input.batch(), self.out_len()]);
-        for b in 0..input.batch() {
-            let row = input.row_slice(b);
-            for c in 0..self.channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..w {
-                            for kx in 0..w {
-                                let iy = oy * w + ky;
-                                let ix = ox * w + kx;
-                                let idx = (c * self.in_h + iy) * self.in_w + ix;
-                                if row[idx] > best {
-                                    best = row[idx];
-                                }
-                            }
-                        }
-                        let oidx = (c * oh + oy) * ow + ox;
-                        out.data_mut()[b * self.out_len() + oidx] = best;
-                    }
-                }
-            }
-        }
+        self.pool(input, out, None);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -623,13 +590,10 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.row_len(), self.features, "flatten size mismatch");
-        input.clone()
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_into(input, &mut out);
+        out
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -670,7 +634,7 @@ mod tests {
             Tensor::zeros(&[1, 1]),
         );
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x, false);
+        let y = conv.forward(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -687,7 +651,7 @@ mod tests {
             Tensor::from_vec(&[1, 4], vec![1.0; 4]),
             Tensor::zeros(&[1, 1]),
         );
-        let y = conv.forward(&Tensor::row(&[1.0, 2.0, 3.0, 4.0]), false);
+        let y = conv.forward(&Tensor::row(&[1.0, 2.0, 3.0, 4.0]));
         assert_eq!(y.data(), &[10.0]);
     }
 
@@ -712,7 +676,7 @@ mod tests {
             Tensor::zeros(&[1, 1]),
         );
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
-        let _ = conv.forward(&x, true);
+        let _ = conv.forward(&x);
         let dx = conv.backward(&Tensor::row(&[1.0]));
         assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
         let params = conv.params_mut();
@@ -723,7 +687,7 @@ mod tests {
     #[test]
     fn maxpool_selects_maximum() {
         let mut pool = MaxPool2d::new(1, 2, 2, 2);
-        let y = pool.forward(&Tensor::row(&[1.0, 5.0, 3.0, 2.0]), false);
+        let y = pool.forward(&Tensor::row(&[1.0, 5.0, 3.0, 2.0]));
         assert_eq!(y.data(), &[5.0]);
         let dx = pool.backward(&Tensor::row(&[1.0]));
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0]);
@@ -733,7 +697,7 @@ mod tests {
     fn maxpool_per_channel() {
         let mut pool = MaxPool2d::new(2, 2, 2, 2);
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0]);
-        let y = pool.forward(&x, false);
+        let y = pool.forward(&x);
         assert_eq!(y.data(), &[4.0, 8.0]);
     }
 
@@ -741,7 +705,7 @@ mod tests {
     fn flatten_is_identity() {
         let mut f = Flatten::new(4);
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(f.forward(&x, false), x);
+        assert_eq!(f.forward(&x), x);
         assert_eq!(f.backward(&x), x);
     }
 
@@ -781,7 +745,8 @@ mod tests {
                 Tensor::from_vec(&[1, out_c], pseudo(out_c, 13)),
             );
             let x = Tensor::from_vec(&[batch, in_c * h * w], pseudo(batch * in_c * h * w, 17));
-            let fast = conv.infer(&x);
+            let mut fast = Tensor::default();
+            conv.infer_into(&x, &mut fast);
             let naive = conv.infer_naive(&x);
             let fast_bits: Vec<u32> = fast.data().iter().map(|v| v.to_bits()).collect();
             let naive_bits: Vec<u32> = naive.data().iter().map(|v| v.to_bits()).collect();
@@ -815,7 +780,7 @@ mod tests {
             let x = Tensor::from_vec(&[batch, in_c * h * w], pseudo(batch * in_c * h * w, 31));
             let dy_len = batch * conv.out_len();
             let dy = Tensor::from_vec(&[batch, conv.out_len()], pseudo(dy_len, 37));
-            let _ = conv.forward(&x, true);
+            let _ = conv.forward(&x);
             let grad_in = conv.backward(&dy);
             let (want_gi, want_dw, want_db) = conv.backward_naive(&x, &dy);
             let close = |got: &[f32], want: &[f32], what: &str| {
@@ -849,7 +814,7 @@ mod tests {
         );
         let x = Tensor::row(&pseudo(9, 41));
         let dy = Tensor::row(&pseudo(4, 43));
-        let _ = conv.forward(&x, true);
+        let _ = conv.forward(&x);
         let _ = conv.backward(&dy); // populates cached_wt
         for p in conv.params_mut() {
             for v in p.value.data_mut() {
@@ -858,7 +823,7 @@ mod tests {
             p.zero_grad();
         }
         conv.invalidate_cached_weights();
-        let _ = conv.forward(&x, true);
+        let _ = conv.forward(&x);
         let got = conv.backward(&dy);
         let (want, _, _) = conv.backward_naive(&x, &dy);
         for (g, w) in got.data().iter().zip(want.data()) {

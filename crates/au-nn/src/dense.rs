@@ -68,18 +68,10 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        // The backward pass only needs the input during training.
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
         self.infer_into(input, &mut out);
+        self.cached_input = Some(input.clone());
         out
     }
 
@@ -92,9 +84,9 @@ impl Layer for Dense {
             input.row_len()
         );
         // Zero-init + GEMM + separate bias row-add: the same operation
-        // sequence as `matmul` followed by the bias loop, so the result is
-        // bit-identical to the allocating path (a fused bias pre-fill would
-        // change the per-element accumulation order).
+        // sequence as `matmul` followed by the bias loop (a fused bias
+        // pre-fill would change the per-element accumulation order and the
+        // pinned golden bits).
         let batch = input.batch();
         let n = self.out_features;
         out.resize_zeroed(&[batch, n]);
@@ -188,7 +180,7 @@ mod tests {
         let w = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         let b = Tensor::row(&[10.0, 20.0]);
         let mut layer = Dense::from_weights(w, b);
-        let out = layer.forward(&Tensor::row(&[3.0, 4.0]), false);
+        let out = layer.forward(&Tensor::row(&[3.0, 4.0]));
         assert_eq!(out.data(), &[13.0, 28.0]);
     }
 
@@ -198,7 +190,7 @@ mod tests {
         let b = Tensor::row(&[0.0, 0.0]);
         let mut layer = Dense::from_weights(w, b);
         let x = Tensor::row(&[1.0, 1.0]);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x);
         let dx = layer.backward(&Tensor::row(&[1.0, 1.0]));
         // dx = dy · Wᵀ = [1+2, 3+4]
         assert_eq!(dx.data(), &[3.0, 7.0]);
@@ -213,10 +205,10 @@ mod tests {
         let mut layer = Dense::new(3, 2);
         let a = Tensor::row(&[1.0, 2.0, 3.0]);
         let b = Tensor::row(&[-1.0, 0.5, 2.0]);
-        let ya = layer.forward(&a, false).into_vec();
-        let yb = layer.forward(&b, false).into_vec();
+        let ya = layer.forward(&a).into_vec();
+        let yb = layer.forward(&b).into_vec();
         let batch = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[-1.0, 0.5, 2.0]]);
-        let y = layer.forward(&batch, false);
+        let y = layer.forward(&batch);
         assert_eq!(y.row_slice(0), &ya[..]);
         assert_eq!(y.row_slice(1), &yb[..]);
     }
@@ -225,7 +217,7 @@ mod tests {
     #[should_panic(expected = "expected 3 features")]
     fn forward_rejects_wrong_width() {
         let mut layer = Dense::new(3, 2);
-        let _ = layer.forward(&Tensor::row(&[1.0, 2.0]), false);
+        let _ = layer.forward(&Tensor::row(&[1.0, 2.0]));
     }
 
     #[test]

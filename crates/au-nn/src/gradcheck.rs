@@ -37,7 +37,7 @@ pub fn check_gradients(
     let output = {
         let mut x = input.clone();
         for layer in net.layers_mut().iter_mut() {
-            x = layer.forward(&x, true);
+            x = layer.forward(&x);
         }
         x
     };
@@ -73,7 +73,7 @@ pub fn check_gradients(
                     }
                     let mut x = input.clone();
                     for layer in net.layers_mut().iter_mut() {
-                        x = layer.forward(&x, true);
+                        x = layer.forward(&x);
                     }
                     loss.value(&x, target)
                 };

@@ -49,36 +49,27 @@ impl Param {
     }
 }
 
-/// A differentiable network layer.
+/// A differentiable network layer with two passes: [`Layer::forward`] for
+/// training and [`Layer::infer_into`] for serving.
 ///
-/// Layers are stateful: `forward` caches whatever `backward` needs. A network
-/// always calls `backward` immediately after the matching `forward` on the
-/// same layer, with no interleaving. The `Sync` bound lets a fully trained
-/// network serve concurrent inference through [`Layer::infer`], which never
-/// touches the training caches.
+/// A network always calls `backward` immediately after the matching
+/// `forward` on the same layer, with no interleaving. The `Sync` bound lets
+/// a trained network serve concurrent inference through
+/// [`Layer::infer_into`], which never touches the training caches.
 pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// Computes the layer output for `input` (first dimension = batch).
-    ///
-    /// `train` distinguishes the paper's TR mode from TS mode for layers that
-    /// behave differently during training.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Training pass (the paper's TR mode): computes the layer output for
+    /// `input` (first dimension = batch) and caches whatever `backward`
+    /// needs. The output is bit-identical to [`Layer::infer_into`]'s.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
 
-    /// Pure deployment-mode forward pass: the same math as
-    /// `forward(input, false)` but through `&self`, so a shared model can
-    /// serve many threads at once. Must not touch any backward-pass cache.
-    fn infer(&self, input: &Tensor) -> Tensor;
-
-    /// [`Layer::infer`] writing into a caller-owned scratch tensor instead
-    /// of allocating the output — the building block of the allocation-free
-    /// serving path ([`crate::Network::infer_reusing`]).
+    /// Serving pass (TS mode) through `&self`, so a shared model can serve
+    /// many threads at once: writes the output into a caller-owned tensor
+    /// and touches no backward-pass cache.
     ///
     /// `out` is reshaped (any prior shape/contents are discarded; its
-    /// allocation is reused). Implementations must produce **bit-identical
-    /// values** to [`Layer::infer`]: same operations, same per-element
-    /// accumulation order, only the destination buffer differs.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        *out = self.infer(input);
-    }
+    /// allocation is reused), which makes it the building block of the
+    /// allocation-free serving path ([`crate::Network::infer_reusing`]).
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor);
 
     /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
     /// parameter gradients along the way.
@@ -174,11 +165,6 @@ pub enum LayerSpec {
     Flatten {
         /// Flattened feature count.
         features: usize,
-    },
-    /// Inverted dropout.
-    Dropout {
-        /// Drop probability.
-        p: f32,
     },
 }
 

@@ -33,7 +33,7 @@
 //! for _ in 0..200 {
 //!     net.train_batch(&xs, &ys, Loss::Mse, &mut opt);
 //! }
-//! let out = net.forward(&Tensor::from_rows(&[&[1.0, 1.0]]));
+//! let out = net.infer(&Tensor::from_rows(&[&[1.0, 1.0]]));
 //! assert!((out.data()[0] - 2.0).abs() < 0.2);
 //! ```
 
@@ -43,7 +43,6 @@
 mod activation;
 mod conv;
 mod dense;
-mod dropout;
 mod gradcheck;
 mod init;
 mod kernels;
@@ -57,7 +56,6 @@ mod tensor;
 pub use activation::Activation;
 pub use conv::{Conv2d, Flatten, MaxPool2d};
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use gradcheck::{check_gradients, GradCheckReport};
 pub use init::set_init_seed;
 pub use layer::{Layer, LayerSpec, Param};

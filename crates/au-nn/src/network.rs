@@ -3,7 +3,6 @@
 use crate::activation::{Activation, ActivationLayer};
 use crate::conv::{Conv2d, Flatten, MaxPool2d};
 use crate::dense::Dense;
-use crate::dropout::Dropout;
 use crate::layer::{Layer, LayerSpec, Param};
 use crate::loss::Loss;
 use crate::optim::Optimizer;
@@ -103,23 +102,14 @@ impl Network {
             .sum()
     }
 
-    /// Runs inference (TS mode) on a `[batch, in]` tensor.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let _t = au_telemetry::time!("au_nn.forward");
-        self.forward_mode(input, false)
-    }
-
-    /// Runs inference through `&self`: identical math to
-    /// [`Network::forward`], but without touching any backward-pass cache —
-    /// so one trained network (behind an `RwLock` read guard or `Arc`) can
-    /// serve arbitrarily many threads at once.
+    /// Runs inference (TS mode) on a `[batch, in]` tensor through `&self`,
+    /// without touching any backward-pass cache — so one trained network
+    /// (behind an `RwLock` read guard or `Arc`) can serve arbitrarily many
+    /// threads at once. This is the semantics' `runModel`.
     pub fn infer(&self, input: &Tensor) -> Tensor {
         let _t = au_telemetry::time!("au_nn.forward");
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.infer(&x);
-        }
-        x
+        let mut scratch = InferScratch::default();
+        std::mem::take(self.infer_in(input, &mut scratch))
     }
 
     /// [`Network::infer`] through caller-owned ping-pong buffers: after the
@@ -127,13 +117,19 @@ impl Network {
     /// same-shaped inputs performs **zero heap allocations** — the core of
     /// the f32 serving fast path.
     ///
-    /// Bit-identical to [`Network::infer`]: every layer's
-    /// [`Layer::infer_into`] runs the same operations in the same order,
-    /// only the destination buffers are reused. Returns a borrow of the
-    /// scratch buffer holding the output (copy it out if it must outlive
-    /// the next call).
+    /// Bit-identical to [`Network::infer`], which runs the same
+    /// [`Layer::infer_into`] loop on buffers of its own. Returns a borrow
+    /// of the scratch buffer holding the output (copy it out if it must
+    /// outlive the next call).
     pub fn infer_reusing<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
         let _t = au_telemetry::time!("au_nn.forward");
+        self.infer_in(input, scratch)
+    }
+
+    /// The serving loop shared by [`Network::infer`] and
+    /// [`Network::infer_reusing`]: each layer's [`Layer::infer_into`]
+    /// reads one scratch buffer and writes the other.
+    fn infer_in<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s mut Tensor {
         let InferScratch { ping, pong } = scratch;
         ping.copy_from(input);
         let mut src: &mut Tensor = ping;
@@ -145,14 +141,6 @@ impl Network {
         src
     }
 
-    fn forward_mode(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
     /// Runs one training step on a batch, returning the loss before the
     /// update. This is the semantics' `gradient(Parm, v)` statement.
     pub fn train_batch(
@@ -162,10 +150,30 @@ impl Network {
         loss: Loss,
         opt: &mut dyn Optimizer,
     ) -> f32 {
+        let loss_value = self.train_step(input, opt, |output| {
+            (loss.gradient(output, target), loss.value(output, target))
+        });
+        au_telemetry::gauge_set!("au_nn.last_batch_loss", f64::from(loss_value));
+        loss_value
+    }
+
+    /// One training step with a caller-computed output gradient — the
+    /// body [`Network::train_batch`] and the DQN step share. Runs the
+    /// training forward once, hands its output to `output_grad`, which
+    /// returns ∂loss/∂output and the loss, then backpropagates, applies
+    /// `opt` to every parameter and returns the loss.
+    pub fn train_step(
+        &mut self,
+        input: &Tensor,
+        opt: &mut dyn Optimizer,
+        output_grad: impl FnOnce(&Tensor) -> (Tensor, f32),
+    ) -> f32 {
         let _t = au_telemetry::time!("au_nn.train_batch");
-        let output = self.forward_mode(input, true);
-        let loss_value = loss.value(&output, target);
-        let mut grad = loss.gradient(&output, target);
+        let mut x = input.clone();
+        for layer in &mut self.layers {
+            x = layer.forward(&x);
+        }
+        let (mut grad, loss) = output_grad(&x);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
         }
@@ -178,12 +186,11 @@ impl Network {
         }
         opt.end_batch();
         au_telemetry::count!("au_nn.batches_trained");
-        au_telemetry::gauge_set!("au_nn.last_batch_loss", f64::from(loss_value));
-        loss_value
+        loss
     }
 
     /// Clones the architecture and current weights into an independent
-    /// network (training caches start empty; dropout replicas reseed).
+    /// network (training caches start empty).
     ///
     /// Used by [`net_mut`]'s copy-on-write rebuild (training while an
     /// `Arc`'d network is still serving) and for DQN target networks.
@@ -196,32 +203,6 @@ impl Network {
                 .map(|l| build_layer(l.spec()).expect("replica of a live layer"))
                 .collect(),
         }
-    }
-
-    /// Like [`Network::train_batch`] but with a caller-supplied output
-    /// gradient instead of a loss — needed by Q-learning, which only
-    /// penalizes the taken action's output.
-    pub fn train_with_output_grad(
-        &mut self,
-        input: &Tensor,
-        grad_out: &Tensor,
-        opt: &mut dyn Optimizer,
-    ) {
-        let _t = au_telemetry::time!("au_nn.train_batch");
-        au_telemetry::count!("au_nn.batches_trained");
-        let _ = self.forward_mode(input, true);
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        for layer in &mut self.layers {
-            for param in layer.params_mut() {
-                opt.step(param);
-                param.zero_grad();
-            }
-            layer.invalidate_cached_weights();
-        }
-        opt.end_batch();
     }
 
     /// Drops every layer's derived weight views (cached transposes).
@@ -373,7 +354,6 @@ fn build_layer(spec: LayerSpec) -> Result<Box<dyn Layer>, NnError> {
             in_w,
         } => Box::new(MaxPool2d::new(channels, window, in_h, in_w)),
         LayerSpec::Flatten { features } => Box::new(Flatten::new(features)),
-        LayerSpec::Dropout { p } => Box::new(Dropout::new(p)),
     })
 }
 
@@ -452,13 +432,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Appends inverted dropout with drop probability `p` (active only in
-    /// training mode).
-    pub fn dropout(mut self, p: f32) -> Self {
-        self.layers.push(Box::new(Dropout::new(p)));
-        self
-    }
-
     /// Finalizes the network.
     pub fn build(self) -> Network {
         Network {
@@ -515,9 +488,18 @@ mod tests {
         assert!(last < 0.05, "xor loss should fall below 0.05, got {last}");
     }
 
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (
+            t.shape().to_vec(),
+            t.data().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// The training forward, `infer` and `infer_reusing` compute the same
+    /// bits through every layer kind, at batch 1 and at batch 3, with one
+    /// scratch reused across both shapes and then across another network.
     #[test]
-    fn infer_matches_forward_everywhere() {
-        // Every layer kind: conv → pool → flatten → dense → act → dropout.
+    fn training_forward_matches_both_serving_paths() {
         crate::init::set_init_seed(41);
         let mut net = Network::builder(8 * 8)
             .conv2d(1, 8, 8, 2, 3, 1)
@@ -526,45 +508,32 @@ mod tests {
             .flatten()
             .dense(8)
             .activation(Activation::Tanh)
-            .dropout(0.2)
-            .dense(3)
-            .build();
-        let x = Tensor::from_rows(&[&[0.3; 64], &[0.7; 64]]);
-        let by_ref = net.infer(&x);
-        let by_mut = net.forward(&x);
-        assert_eq!(by_ref, by_mut, "infer must be bit-identical to forward");
-    }
-
-    /// The allocation-free serving path must be bit-identical to `infer`
-    /// across every layer kind, and stay correct when the scratch is
-    /// reused across different networks and input shapes.
-    #[test]
-    fn infer_reusing_is_bit_identical_to_infer() {
-        crate::init::set_init_seed(41);
-        let net = Network::builder(8 * 8)
-            .conv2d(1, 8, 8, 2, 3, 1)
-            .activation(Activation::Relu)
-            .max_pool2d(2, 6, 6, 2)
-            .flatten()
-            .dense(8)
-            .activation(Activation::Tanh)
-            .dropout(0.2)
             .dense(3)
             .build();
         let mut scratch = InferScratch::default();
-        let x = Tensor::from_rows(&[&[0.3; 64], &[0.7; 64]]);
-        for _ in 0..3 {
-            let fresh = net.infer(&x);
-            let reused = net.infer_reusing(&x, &mut scratch);
-            assert_eq!(&fresh, reused, "scratch path must match infer exactly");
+        let pixel = |i: usize| (i % 13) as f32 / 13.0 - 0.4;
+        for batch in [1, 3] {
+            let x = Tensor::from_vec(&[batch, 64], (0..batch * 64).map(pixel).collect());
+            let served = bits(&net.infer(&x));
+            assert_eq!(
+                bits(net.infer_reusing(&x, &mut scratch)),
+                served,
+                "batch {batch}"
+            );
+            // A zero output gradient leaves the weights as they were.
+            let mut trained = None;
+            net.train_step(&x, &mut Sgd::new(0.1), |out| {
+                trained = Some(bits(out));
+                (Tensor::zeros(out.shape()), 0.0)
+            });
+            assert_eq!(trained.as_ref(), Some(&served), "batch {batch}");
+            assert_eq!(bits(&net.infer(&x)), served, "batch {batch}");
         }
-        // Same scratch, different network and shape: buffers re-adapt.
         crate::init::set_init_seed(42);
         let other = dnn(5, &[16], 2);
-        let x2 = Tensor::from_rows(&[&[0.1, -0.2, 0.3, -0.4, 0.5]]);
-        let fresh = other.infer(&x2);
-        let reused = other.infer_reusing(&x2, &mut scratch);
-        assert_eq!(&fresh, reused);
+        let x = Tensor::from_rows(&[&[0.1, -0.2, 0.3, -0.4, 0.5]]);
+        let reused = bits(other.infer_reusing(&x, &mut scratch));
+        assert_eq!(reused, bits(&other.infer(&x)));
     }
 
     /// A network with no layers degenerates to the identity on both paths.
@@ -584,15 +553,15 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_predictions() {
-        let mut net = Network::builder(3)
+        let net = Network::builder(3)
             .dense(5)
             .activation(Activation::Sigmoid)
             .dense(2)
             .build();
         let x = Tensor::row(&[0.1, -0.2, 0.3]);
-        let before = net.forward(&x);
-        let mut restored = Network::from_json(&net.to_json()).unwrap();
-        let after = restored.forward(&x);
+        let before = net.infer(&x);
+        let restored = Network::from_json(&net.to_json()).unwrap();
+        let after = restored.infer(&x);
         assert_eq!(before, after);
     }
 
@@ -607,28 +576,28 @@ mod tests {
     #[test]
     fn save_load_file_round_trip() {
         let dir = std::env::temp_dir().join("au_nn_test_model.json");
-        let mut net = Network::builder(2).dense(2).build();
+        let net = Network::builder(2).dense(2).build();
         net.save(&dir).unwrap();
-        let mut loaded = Network::load(&dir).unwrap();
+        let loaded = Network::load(&dir).unwrap();
         let x = Tensor::row(&[1.0, -1.0]);
-        assert_eq!(net.forward(&x), loaded.forward(&x));
+        assert_eq!(net.infer(&x), loaded.infer(&x));
         let _ = std::fs::remove_file(&dir);
     }
 
     #[test]
     fn copy_weights_synchronizes() {
         let mut a = Network::builder(2).dense(3).dense(1).build();
-        let mut b = Network::builder(2).dense(3).dense(1).build();
+        let b = Network::builder(2).dense(3).dense(1).build();
         let x = Tensor::row(&[0.5, 0.5]);
-        assert_ne!(a.forward(&x), b.forward(&x));
+        assert_ne!(a.infer(&x), b.infer(&x));
         a.copy_weights_from(&b);
-        assert_eq!(a.forward(&x), b.forward(&x));
+        assert_eq!(a.infer(&x), b.infer(&x));
     }
 
     #[test]
     fn conv_network_builds_and_runs() {
         // A miniature DeepMind-style pixel network: conv → pool → dense.
-        let mut net = Network::builder(8 * 8)
+        let net = Network::builder(8 * 8)
             .conv2d(1, 8, 8, 2, 3, 1)
             .activation(Activation::Relu)
             .max_pool2d(2, 6, 6, 2)
@@ -636,7 +605,7 @@ mod tests {
             .dense(4)
             .build();
         let x = Tensor::zeros(&[2, 64]);
-        let y = net.forward(&x);
+        let y = net.infer(&x);
         assert_eq!(y.shape(), &[2, 4]);
     }
 
@@ -657,42 +626,6 @@ mod tests {
             last = net.train_batch(&xs, &ys, Loss::Mse, &mut opt);
         }
         assert!(last < first, "loss should decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn dropout_network_json_round_trip() {
-        crate::init::set_init_seed(13);
-        let mut net = Network::builder(4)
-            .dense(8)
-            .dropout(0.3)
-            .activation(Activation::Relu)
-            .dense(2)
-            .build();
-        let x = Tensor::row(&[0.1, 0.2, 0.3, 0.4]);
-        // Inference is deterministic (dropout inactive in TS mode).
-        let before = net.forward(&x);
-        let mut restored = Network::from_json(&net.to_json()).unwrap();
-        assert_eq!(restored.forward(&x), before);
-        assert_eq!(restored.depth(), 4);
-    }
-
-    #[test]
-    fn dropout_training_still_converges() {
-        crate::init::set_init_seed(14);
-        let mut net = Network::builder(1)
-            .dense(16)
-            .activation(Activation::Tanh)
-            .dropout(0.1)
-            .dense(1)
-            .build();
-        let xs = Tensor::from_rows(&[&[0.0], &[0.5], &[1.0]]);
-        let ys = Tensor::from_rows(&[&[0.0], &[1.0], &[2.0]]);
-        let mut opt = Adam::new(0.02);
-        for _ in 0..400 {
-            net.train_batch(&xs, &ys, Loss::Mse, &mut opt);
-        }
-        let out = net.forward(&Tensor::row(&[0.5]));
-        assert!((out.data()[0] - 1.0).abs() < 0.3, "got {}", out.data()[0]);
     }
 
     #[test]

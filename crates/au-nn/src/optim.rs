@@ -97,18 +97,6 @@ impl Adam {
             t: 0,
         }
     }
-
-    /// Overrides the exponential decay rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either beta is outside `[0, 1)`.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {

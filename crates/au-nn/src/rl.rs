@@ -207,25 +207,15 @@ impl DqnAgent {
         &self.online
     }
 
-    /// Q-values for a single state.
-    pub fn q_values(&mut self, state: &[f32]) -> Vec<f32> {
-        self.q_values_ref(state)
-    }
-
-    /// Q-values for a single state through `&self`, so a shared agent can
+    /// Q-values for a single state, through `&self` so a shared agent can
     /// serve concurrent deployment-mode traffic.
-    pub fn q_values_ref(&self, state: &[f32]) -> Vec<f32> {
+    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
         assert_eq!(state.len(), self.state_dim, "state size mismatch");
         self.online.infer(&Tensor::row(state)).into_vec()
     }
 
     /// Greedy (exploitation-only) action — used in TS/deployment mode.
-    pub fn greedy_action(&mut self, state: &[f32]) -> usize {
-        self.greedy_action_ref(state)
-    }
-
-    /// Greedy action through `&self` — the concurrent deployment-mode path.
-    pub fn greedy_action_ref(&self, state: &[f32]) -> usize {
+    pub fn greedy_action(&self, state: &[f32]) -> usize {
         let q = self.online.infer(&Tensor::row(state));
         q.argmax_row(0)
     }
@@ -279,34 +269,38 @@ impl DqnAgent {
         }
 
         // Bootstrap targets from the target network (or online, if disabled).
-        let online = net_mut(&mut self.online);
-        let next_q = match &mut self.target {
-            Some(target) => target.forward(&next_states),
-            None => online.forward(&next_states),
-        };
-        let q = online.forward(&states);
-        let mut grad = Tensor::zeros(q.shape());
-        let mut loss = 0.0f32;
-        for (i, t) in sampled.iter().enumerate() {
-            let max_next = (0..self.n_actions)
-                .map(|a| next_q.row_slice(i)[a])
-                .fold(f32::NEG_INFINITY, f32::max);
-            let target_value = if t.terminal {
-                t.reward
-            } else {
-                t.reward + self.config.gamma * max_next
-            };
-            let predicted = q.row_slice(i)[t.action];
-            let d = predicted - target_value;
-            // Huber loss on the taken action's output only.
-            loss += if d.abs() <= 1.0 {
-                0.5 * d * d
-            } else {
-                d.abs() - 0.5
-            };
-            grad.data_mut()[i * self.n_actions + t.action] = d.clamp(-1.0, 1.0) / batch_size as f32;
-        }
-        online.train_with_output_grad(&states, &grad, &mut self.opt);
+        let next_q = self
+            .target
+            .as_ref()
+            .unwrap_or(&self.online)
+            .infer(&next_states);
+        let (n_actions, gamma) = (self.n_actions, self.config.gamma);
+        // One training forward yields Q(s,·); the gradient is the Huber
+        // loss's on the taken action's output only.
+        let loss = net_mut(&mut self.online).train_step(&states, &mut self.opt, |q| {
+            let mut grad = Tensor::zeros(q.shape());
+            let mut loss = 0.0f32;
+            for (i, t) in sampled.iter().enumerate() {
+                let max_next = next_q
+                    .row_slice(i)
+                    .iter()
+                    .copied()
+                    .fold(f32::NEG_INFINITY, f32::max);
+                let target_value = if t.terminal {
+                    t.reward
+                } else {
+                    t.reward + gamma * max_next
+                };
+                let d = q.row_slice(i)[t.action] - target_value;
+                loss += if d.abs() <= 1.0 {
+                    0.5 * d * d
+                } else {
+                    d.abs() - 0.5
+                };
+                grad.data_mut()[i * n_actions + t.action] = d.clamp(-1.0, 1.0) / batch_size as f32;
+            }
+            (grad, loss)
+        });
 
         self.learn_steps += 1;
         self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);

@@ -162,3 +162,51 @@ fn check_exits_two_on_source_nested_too_deep() {
     assert_eq!(code(&out), 2, "{:?}", stderr_lines(&out));
     let _ = std::fs::remove_file(&deep);
 }
+
+/// Runs `src` under the default VM and under `--engine interp`; both must
+/// fail at run time (exit 1) with the same stderr.
+fn runtime_error_on_both_engines(tag: &str, src: &str) -> Vec<String> {
+    let path = temp_program(tag, src);
+    let file = path.to_str().unwrap();
+    let vm = aulang(&["run", file, "-q"]);
+    let interp = aulang(&["run", file, "-q", "--engine", "interp"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        (code(&vm), code(&interp)),
+        (1, 1),
+        "{:?}",
+        stderr_lines(&vm)
+    );
+    assert_eq!(stderr_lines(&vm), stderr_lines(&interp));
+    stderr_lines(&vm)
+}
+
+#[test]
+fn oversized_write_back_is_missing_data_on_both_engines() {
+    // No π list can hold n⁴ values; the size is refused before anything
+    // is allocated instead of overflowing the allocation.
+    let lines = runtime_error_on_both_engines(
+        "huge_write_back",
+        "fn main() {\n    au_extract(\"W\", 1);\n    let n = 1000000000;\n    \
+         let xs = au_write_back_n(\"W\", n * n * n * n);\n    return 0;\n}\n",
+    );
+    assert_eq!(
+        lines,
+        vec![format!(
+            "[error] aulang: engine error: database store entry `W` has 1 values, {} requested",
+            usize::MAX
+        )]
+    );
+}
+
+#[test]
+fn restore_without_checkpoint_is_the_same_error_on_both_engines() {
+    let lines = runtime_error_on_both_engines(
+        "restore_first",
+        "fn main() {\n    au_restore();\n    return 0;\n}\n",
+    );
+    assert_eq!(
+        lines,
+        vec!["[error] aulang: runtime error: au_restore without au_checkpoint".to_owned()]
+    );
+}

@@ -174,10 +174,10 @@ proptest! {
     fn network_json_roundtrip(inputs in prop::collection::vec(-10.0f32..10.0, 3..=3)) {
         use autonomizer::nn::{Activation, Network};
         autonomizer::nn::set_init_seed(7);
-        let mut net = Network::builder(3).dense(5).activation(Activation::Tanh).dense(2).build();
+        let net = Network::builder(3).dense(5).activation(Activation::Tanh).dense(2).build();
         let x = Tensor::row(&inputs);
-        let y = net.forward(&x);
-        let mut restored = Network::from_json(&net.to_json()).unwrap();
-        prop_assert_eq!(restored.forward(&x), y);
+        let y = net.infer(&x);
+        let restored = Network::from_json(&net.to_json()).unwrap();
+        prop_assert_eq!(restored.infer(&x), y);
     }
 }
