@@ -127,14 +127,19 @@ impl Network {
     }
 
     /// The serving loop shared by [`Network::infer`] and
-    /// [`Network::infer_reusing`]: each layer's [`Layer::infer_into`]
-    /// reads one scratch buffer and writes the other.
+    /// [`Network::infer_reusing`]: the first layer reads `input`, and each
+    /// later layer's [`Layer::infer_into`] reads one scratch buffer and
+    /// writes the other.
     fn infer_in<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s mut Tensor {
         let InferScratch { ping, pong } = scratch;
-        ping.copy_from(input);
+        let Some((first, rest)) = self.layers.split_first() else {
+            ping.copy_from(input);
+            return ping;
+        };
+        first.infer_into(input, ping);
         let mut src: &mut Tensor = ping;
         let mut dst: &mut Tensor = pong;
-        for layer in &self.layers {
+        for layer in rest {
             layer.infer_into(src, dst);
             std::mem::swap(&mut src, &mut dst);
         }

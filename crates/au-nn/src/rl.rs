@@ -274,30 +274,30 @@ impl DqnAgent {
             .as_ref()
             .unwrap_or(&self.online)
             .infer(&next_states);
-        let (n_actions, gamma) = (self.n_actions, self.config.gamma);
-        // One training forward yields Q(s,·); the gradient is the Huber
-        // loss's on the taken action's output only.
-        let loss = net_mut(&mut self.online).train_step(&states, &mut self.opt, |q| {
+        // Q(s,·) comes from the one training forward of `train_step`.
+        let online = net_mut(&mut self.online);
+        let loss = online.train_step(&states, &mut self.opt, |q| {
             let mut grad = Tensor::zeros(q.shape());
             let mut loss = 0.0f32;
             for (i, t) in sampled.iter().enumerate() {
-                let max_next = next_q
-                    .row_slice(i)
-                    .iter()
-                    .copied()
+                let max_next = (0..self.n_actions)
+                    .map(|a| next_q.row_slice(i)[a])
                     .fold(f32::NEG_INFINITY, f32::max);
                 let target_value = if t.terminal {
                     t.reward
                 } else {
-                    t.reward + gamma * max_next
+                    t.reward + self.config.gamma * max_next
                 };
-                let d = q.row_slice(i)[t.action] - target_value;
+                let predicted = q.row_slice(i)[t.action];
+                let d = predicted - target_value;
+                // Huber loss on the taken action's output only.
                 loss += if d.abs() <= 1.0 {
                     0.5 * d * d
                 } else {
                     d.abs() - 0.5
                 };
-                grad.data_mut()[i * n_actions + t.action] = d.clamp(-1.0, 1.0) / batch_size as f32;
+                grad.data_mut()[i * self.n_actions + t.action] =
+                    d.clamp(-1.0, 1.0) / batch_size as f32;
             }
             (grad, loss)
         });

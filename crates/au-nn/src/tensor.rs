@@ -239,12 +239,6 @@ impl Tensor {
         Tensor::from_vec(&self.shape, data)
     }
 
-    /// Applies `f` to every element, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let data = self.data.iter().map(|&a| f(a)).collect();
-        Tensor::from_vec(&self.shape, data)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -348,13 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_map() {
+    fn add_sub_scale() {
         let a = Tensor::row(&[1.0, 2.0]);
         let b = Tensor::row(&[3.0, 4.0]);
         assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-        assert_eq!(a.map(|x| x * x).data(), &[1.0, 4.0]);
     }
 
     #[test]
