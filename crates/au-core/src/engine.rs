@@ -522,12 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn restore_invalidates_cached_weight_views() {
-        // Training builds cached transposed-weight views inside the layers;
-        // a restore must drop them so later passes never use a transpose of
-        // parameters that have since been replaced. Observable contract:
-        // predictions are unchanged across restore (θ untouched, caches
-        // rebuilt from live weights) and training keeps working afterwards.
+    fn restore_leaves_theta_serving_and_learning() {
+        // RESTORE rolls back π only: predictions are unchanged across a
+        // restore and training keeps converging afterwards.
         au_nn::set_init_seed(31);
         let mut e = Engine::new(Mode::Train);
         e.au_config("M", ModelConfig::dnn(&[8]).with_learning_rate(0.05))
@@ -543,8 +540,6 @@ mod tests {
         e.restore_with(&ckpt);
         let after = e.predict("M", &[0.5]).unwrap();
         assert_eq!(before, after, "θ and its served values survive restore");
-        // Backward passes after the restore rebuild caches from live
-        // weights and keep learning.
         for step in 0..200 {
             let x = (step % 10) as f64 / 10.0;
             e.au_extract("F", &[x]);

@@ -4,32 +4,31 @@
 //! state, and every primitive takes `&self`, so clones can serve predictions
 //! from many threads at once. The layers (see `docs/architecture.md`):
 //!
-//! - **model registry** (θ) — [`crate::registry::ModelRegistry`]: per-model
-//!   `RwLock`s, so deployment-mode serving of one model shares a read lock
-//!   and different models never contend;
-//! - **db store** (π) — a [`DbLayer`] behind one mutex: the `DbStore`, the
-//!   label-freshness marks derived from it, and the checkpoint stack, which
-//!   must stay mutually consistent;
+//! - **model registry** (θ) — [`crate::registry::ModelRegistry`]: one
+//!   name→entry map with per-model `RwLock`s, so deployment-mode serving of
+//!   one model shares a read lock and different models never contend;
+//! - **db store** (π) — a [`DbLayer`] behind one mutex: the `DbStore` and
+//!   the label-freshness marks derived from it, which must stay mutually
+//!   consistent;
 //! - **inference** — the `au_nn`/`au_nn_rl`/`predict`/`predict_batch`
 //!   methods: a read-locked fast path in TS mode, a write-locked slow path
 //!   for training and first-call network construction;
 //! - **monitoring/telemetry** — interior-mutable counters (atomics) plus the
 //!   monitor state behind its own mutex, usable from `&self`.
 //!
-//! Lock discipline: no method holds two of {registry shard, model entry, π,
-//! monitor} locks at once, except that π and the monitor lock are never held
-//! together with a model-entry lock; file I/O happens with no lock held.
+//! Lock discipline: no method holds two of {registry map, model entry, π,
+//! monitor} locks at once; file I/O happens with no lock held.
 
 use crate::error::AuError;
 use crate::lockwait::pi_lock;
 use crate::model::{
     rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm, Backend,
-    ModelConfig, ModelInstance, ModelStats,
+    ModelConfig, ModelEntry, ModelStats,
 };
 use crate::monitoring::BaselineMeta;
 use crate::monitoring::MonitorState;
 use crate::registry::lock;
-use crate::registry::{read, write, ModelEntry, ModelRegistry};
+use crate::registry::{read, write, ModelRegistry};
 use crate::store::DbStore;
 use au_nn::rl::DqnAgent;
 use au_nn::{net_mut, Adam, Network, Tensor};
@@ -265,7 +264,7 @@ impl EngineHandle {
         if let Some(result) = self.shared.registry.check_config(name, &config) {
             return result; // θ(mdName) ≢ ⊥ ⇒ θ′ = θ, or ModelExists
         }
-        let mut entry = ModelEntry::new(ModelInstance::new(config));
+        let mut entry = ModelEntry::new(config);
         if self.mode() == Mode::Test {
             let (net, meta) = self.load_model_files(name)?;
             if !meta.output_split.is_empty() {
@@ -277,10 +276,10 @@ impl EngineHandle {
                 meta.feature_baseline.as_ref(),
                 meta.baseline_mae,
             );
-            entry.instance.backend = Some(match entry.instance.config.algorithm {
+            entry.backend = Some(match entry.config.algorithm {
                 Algorithm::AdamOpt => Backend::Supervised {
                     net: Arc::new(net),
-                    opt: Adam::new(entry.instance.config.learning_rate),
+                    opt: Adam::new(entry.config.learning_rate),
                     train_steps: 0,
                 },
                 Algorithm::QLearn => {
@@ -291,7 +290,7 @@ impl EngineHandle {
                         net.out_features()
                     };
                     entry.n_actions = actions;
-                    let mut dqn = entry.instance.config.dqn.clone();
+                    let mut dqn = entry.config.dqn.clone();
                     dqn.epsilon_start = 0.0;
                     dqn.epsilon_end = 0.0;
                     Backend::Reinforcement {
@@ -322,15 +321,12 @@ impl EngineHandle {
     ) -> Result<(), AuError> {
         let _s = au_telemetry::span!("au_config_custom", model = name);
         au_telemetry::count!("au_core.au_config_calls");
-        if self.shared.registry.contains(name) {
-            return Err(AuError::ModelExists(name.to_owned()));
-        }
         let config = match algorithm {
             Algorithm::AdamOpt => ModelConfig::dnn(&[]),
             Algorithm::QLearn => ModelConfig::q_dnn(&[]),
         };
-        let mut entry = ModelEntry::new(ModelInstance::new(config));
-        entry.instance.backend = Some(match algorithm {
+        let mut entry = ModelEntry::new(config);
+        entry.backend = Some(match algorithm {
             Algorithm::AdamOpt => Backend::Supervised {
                 net: Arc::new(network),
                 opt: Adam::new(1e-3),
@@ -344,7 +340,7 @@ impl EngineHandle {
                     agent: Box::new(DqnAgent::with_network(
                         inputs,
                         n_actions,
-                        entry.instance.config.dqn.clone(),
+                        entry.config.dqn.clone(),
                         network,
                     )),
                     pending: None,
@@ -427,9 +423,8 @@ impl EngineHandle {
     }
 
     /// Lifetime count of scalars extracted through
-    /// [`EngineHandle::au_extract`]. Unlike [`DbStore::total_appended`],
-    /// this survives checkpoint restores — it is the paper's Table 2
-    /// trace-size metric.
+    /// [`EngineHandle::au_extract`]. It survives checkpoint restores — it
+    /// is the paper's Table 2 trace-size metric.
     pub fn total_extracted(&self) -> u64 {
         self.shared.extracted_total.load(Ordering::Relaxed)
     }
@@ -538,7 +533,7 @@ impl EngineHandle {
         if mode == Mode::Test {
             let g = read(&entry);
             if let (Some(s), Some(Backend::Supervised { net, .. })) =
-                (g.output_split.as_ref(), g.instance.backend.as_ref())
+                (g.output_split.as_ref(), g.backend.as_ref())
             {
                 if s.len() == wbs.len() {
                     if net.in_features() != input.len() {
@@ -563,7 +558,7 @@ impl EngineHandle {
                     split
                 } else if have_labels {
                     labels.iter().map(Vec::len).collect()
-                } else if let Some(Backend::Supervised { net, .. }) = g.instance.backend.as_ref() {
+                } else if let Some(Backend::Supervised { net, .. }) = g.backend.as_ref() {
                     // Loaded model without sidecar: split evenly.
                     let out = net.out_features();
                     let each = out / wbs.len().max(1);
@@ -584,9 +579,7 @@ impl EngineHandle {
                 }
                 let out_width: usize = split.iter().sum();
                 g.output_split = Some(split.clone());
-                let backend = g
-                    .instance
-                    .ensure_supervised(model, input.len(), out_width)?;
+                let backend = g.ensure_supervised(model, input.len(), out_width)?;
                 let output = match backend {
                     Backend::Supervised {
                         net,
@@ -701,7 +694,7 @@ impl EngineHandle {
                 agent,
                 pending: None,
                 ..
-            }) = g.instance.backend.as_ref()
+            }) = g.backend.as_ref()
             {
                 if agent.state_dim() == state.len() && agent.n_actions() == n_actions {
                     au_telemetry::count!("au_core.predictions_served");
@@ -713,9 +706,7 @@ impl EngineHandle {
             Some(a) => a,
             None => {
                 let mut g = write(&entry);
-                let backend = g
-                    .instance
-                    .ensure_reinforcement(model, state.len(), n_actions)?;
+                let backend = g.ensure_reinforcement(model, state.len(), n_actions)?;
                 let a = match backend {
                     Backend::Reinforcement {
                         agent,
@@ -827,7 +818,8 @@ impl EngineHandle {
 
     /// `@au_restore()` — rule RESTORE: rolls π back to `ckpt` and returns
     /// the program state to reinstall. The model store θ is deliberately
-    /// untouched so learning accumulates.
+    /// untouched so learning accumulates: only the π lock is taken, and a
+    /// restore never waits for a model another thread is training.
     pub fn restore_with<S: Clone>(&self, ckpt: &Checkpoint<S>) -> S {
         let _t = au_telemetry::time!("au_core.au_restore");
         au_telemetry::count!("au_core.restores");
@@ -836,19 +828,7 @@ impl EngineHandle {
             d.db = ckpt.db.clone();
             d.label_marks = ckpt.label_marks.clone();
         }
-        self.invalidate_model_caches();
         ckpt.program.clone()
-    }
-
-    /// Drops every model's cached weight views (transposed-weight
-    /// tensors). Restores roll program state back while θ keeps learning,
-    /// and the rolled-back host may have mutated parameters through any
-    /// handle; a stale cached view would serve a transpose of weights that
-    /// no longer exist. π lock and entry locks are never held together.
-    fn invalidate_model_caches(&self) {
-        for entry in self.shared.registry.entries() {
-            write(&entry).instance.invalidate_cached_weights();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -872,7 +852,7 @@ impl EngineHandle {
             .ok_or_else(|| AuError::UnknownModel(name.to_owned()))?;
         let (net_json, output_split, n_actions) = {
             let g = read(&entry);
-            let json = match g.instance.backend.as_ref() {
+            let json = match g.backend.as_ref() {
                 Some(backend) => backend.network().to_json(),
                 None => return Err(AuError::ModelNotTrained(name.to_owned())),
             };
@@ -971,9 +951,7 @@ impl EngineHandle {
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
         let last_epoch_loss = {
             let mut g = write(&entry);
-            let backend = g
-                .instance
-                .ensure_supervised(model, xs[0].len(), ys[0].len())?;
+            let backend = g.ensure_supervised(model, xs[0].len(), ys[0].len())?;
             let last_epoch_loss = match backend {
                 Backend::Supervised {
                     net,
@@ -1031,7 +1009,6 @@ impl EngineHandle {
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
         let g = read(&entry);
         let backend = g
-            .instance
             .backend
             .as_ref()
             .ok_or_else(|| AuError::ModelNotTrained(model.to_owned()))?;
@@ -1173,18 +1150,12 @@ impl EngineHandle {
     pub fn model_stats(&self, name: &str) -> Option<ModelStats> {
         let entry = self.shared.registry.get(name)?;
         let g = read(&entry);
-        g.instance.stats()
+        g.stats()
     }
 
     /// Names of configured models, sorted.
     pub fn model_names(&self) -> Vec<String> {
         self.shared.registry.names()
-    }
-
-    /// Registered-model count per registry shard, in shard order — the θ
-    /// occupancy stats the observability plane reports on `/health`.
-    pub fn registry_shard_sizes(&self) -> Vec<usize> {
-        self.shared.registry.shard_sizes()
     }
 
     /// Human-readable report of the global telemetry recorder: every

@@ -1,6 +1,6 @@
 //! Contention observability for the runtime's two hottest shared locks:
-//! the π-store mutex ([`crate::handle`]'s `shared.db`) and the registry
-//! shard `RwLock`s.
+//! the π-store mutex ([`crate::handle`]'s `shared.db`) and the registry's
+//! name→entry `RwLock`.
 //!
 //! Each wrapper tries the lock first; the uncontended fast path is one
 //! `try_lock` (no clock read, no recorder touch). Only when that fails
@@ -12,8 +12,11 @@
 //! |-------------------------------|-----------|----------------------------------|
 //! | `au_core.pi_lock_wait`        | histogram | ns blocked on the π-store mutex  |
 //! | `au_core.pi_lock_contended`   | counter   | contended π-store acquisitions   |
-//! | `au_core.shard_lock_wait`     | histogram | ns blocked on a registry shard   |
-//! | `au_core.shard_lock_contended`| counter   | contended shard acquisitions     |
+//! | `au_core.shard_lock_wait`     | histogram | ns blocked on the registry lock  |
+//! | `au_core.shard_lock_contended`| counter   | contended registry acquisitions  |
+//!
+//! The registry series keep the `shard_lock` names the benchmark reads,
+//! from when θ was split over several maps.
 //!
 //! Poisoning recovers via `into_inner` exactly like the plain helpers in
 //! [`crate::registry`].
@@ -50,7 +53,7 @@ impl Site {
 }
 
 static PI: Site = Site::new("au_core.pi_lock_wait", "au_core.pi_lock_contended");
-static SHARD: Site = Site::new("au_core.shard_lock_wait", "au_core.shard_lock_contended");
+static REGISTRY: Site = Site::new("au_core.shard_lock_wait", "au_core.shard_lock_contended");
 
 /// Locks the π-store mutex, timing the wait when contended.
 pub(crate) fn pi_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -62,24 +65,24 @@ pub(crate) fn pi_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     timed(&PI, || crate::registry::lock(m))
 }
 
-/// Read-locks a registry shard, timing the wait when contended.
-pub(crate) fn shard_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+/// Read-locks the registry map, timing the wait when contended.
+pub(crate) fn registry_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     match l.try_read() {
         Ok(g) => return g,
         Err(TryLockError::Poisoned(e)) => return e.into_inner(),
         Err(TryLockError::WouldBlock) => {}
     }
-    timed(&SHARD, || crate::registry::read(l))
+    timed(&REGISTRY, || crate::registry::read(l))
 }
 
-/// Write-locks a registry shard, timing the wait when contended.
-pub(crate) fn shard_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+/// Write-locks the registry map, timing the wait when contended.
+pub(crate) fn registry_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     match l.try_write() {
         Ok(g) => return g,
         Err(TryLockError::Poisoned(e)) => return e.into_inner(),
         Err(TryLockError::WouldBlock) => {}
     }
-    timed(&SHARD, || crate::registry::write(l))
+    timed(&REGISTRY, || crate::registry::write(l))
 }
 
 /// Times a blocking acquire; skips the recorder (but still acquires)

@@ -2,7 +2,7 @@
 
 use crate::error::AuError;
 use au_nn::rl::{DqnAgent, DqnConfig, Transition};
-use au_nn::{net_mut, Activation, Adam, InferScratch, Loss, Network, Tensor};
+use au_nn::{Activation, Adam, InferScratch, Loss, Network, Tensor};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -158,8 +158,8 @@ pub struct ModelStats {
 ///
 /// Both kinds hold their network behind an `Arc` so the serving paths
 /// (`predict_batch`, snapshot readers) can clone it out of the registry
-/// lock in O(1) through [`Backend::network`]; training goes
-/// through [`net_mut`], which rebuilds the network copy-on-write only when
+/// lock in O(1) through [`Backend::network`]; training goes through
+/// [`au_nn::net_mut`], which rebuilds the network copy-on-write only when
 /// a snapshot is still alive.
 #[derive(Debug)]
 pub(crate) enum Backend {
@@ -187,19 +187,27 @@ impl Backend {
     }
 }
 
-/// A configured model: configuration plus a lazily built backend
-/// (input/output widths become known at the first `au_NN` call).
+/// One named model in θ: its configuration, a lazily built backend
+/// (input/output widths become known at the first `au_NN` call), and the
+/// two shapes its `.meta.json` sidecar persists.
 #[derive(Debug)]
-pub(crate) struct ModelInstance {
+pub(crate) struct ModelEntry {
     pub config: ModelConfig,
     pub backend: Option<Backend>,
+    /// Split of the flat model output across the `wb` names of `au_nn`,
+    /// fixed the first time labels are seen.
+    pub output_split: Option<Vec<usize>>,
+    /// RL action count.
+    pub n_actions: usize,
 }
 
-impl ModelInstance {
+impl ModelEntry {
     pub fn new(config: ModelConfig) -> Self {
-        ModelInstance {
+        ModelEntry {
             config,
             backend: None,
+            output_split: None,
+            n_actions: 0,
         }
     }
 
@@ -312,18 +320,6 @@ impl ModelInstance {
             model_bytes: n * 4,
             train_steps: *train_steps,
         })
-    }
-
-    /// Drops cached weight views (transposes) on every network the backend
-    /// holds. Called on checkpoint restore: a host that rolls state back may
-    /// have mutated parameters through any path, and a stale cached view
-    /// would silently poison later backward passes.
-    pub fn invalidate_cached_weights(&mut self) {
-        match self.backend.as_mut() {
-            Some(Backend::Supervised { net, .. }) => net_mut(net).invalidate_cached_weights(),
-            Some(Backend::Reinforcement { agent, .. }) => agent.invalidate_cached_weights(),
-            None => {}
-        }
     }
 }
 
@@ -451,25 +447,25 @@ mod tests {
     }
 
     #[test]
-    fn instance_rejects_algorithm_mismatch() {
-        let mut inst = ModelInstance::new(ModelConfig::dnn(&[8]));
+    fn entry_rejects_algorithm_mismatch() {
+        let mut entry = ModelEntry::new(ModelConfig::dnn(&[8]));
         assert!(matches!(
-            inst.ensure_reinforcement("m", 4, 2),
+            entry.ensure_reinforcement("m", 4, 2),
             Err(AuError::WrongAlgorithm { .. })
         ));
-        let mut inst = ModelInstance::new(ModelConfig::q_dnn(&[8]));
+        let mut entry = ModelEntry::new(ModelConfig::q_dnn(&[8]));
         assert!(matches!(
-            inst.ensure_supervised("m", 4, 2),
+            entry.ensure_supervised("m", 4, 2),
             Err(AuError::WrongAlgorithm { .. })
         ));
     }
 
     #[test]
-    fn instance_detects_input_size_change() {
-        let mut inst = ModelInstance::new(ModelConfig::dnn(&[4]));
-        inst.ensure_supervised("m", 3, 1).unwrap();
+    fn entry_detects_input_size_change() {
+        let mut entry = ModelEntry::new(ModelConfig::dnn(&[4]));
+        entry.ensure_supervised("m", 3, 1).unwrap();
         assert!(matches!(
-            inst.ensure_supervised("m", 5, 1),
+            entry.ensure_supervised("m", 5, 1),
             Err(AuError::InputSizeChanged {
                 built: 3,
                 got: 5,
@@ -480,23 +476,23 @@ mod tests {
 
     #[test]
     fn stats_reflect_backend() {
-        let mut inst = ModelInstance::new(ModelConfig::dnn(&[4]));
-        assert!(inst.stats().is_none());
-        inst.ensure_supervised("m", 2, 1).unwrap();
-        let stats = inst.stats().unwrap();
+        let mut entry = ModelEntry::new(ModelConfig::dnn(&[4]));
+        assert!(entry.stats().is_none());
+        entry.ensure_supervised("m", 2, 1).unwrap();
+        let stats = entry.stats().unwrap();
         assert_eq!(stats.param_count, 2 * 4 + 4 + 4 + 1);
         assert_eq!(stats.model_bytes, stats.param_count * 4);
     }
 
     #[test]
     fn stats_keep_the_network_a_snapshot_serves() {
-        let mut inst = ModelInstance::new(ModelConfig::dnn(&[4]));
-        inst.ensure_supervised("m", 2, 1).unwrap();
-        let served = |inst: &ModelInstance| Arc::clone(inst.backend.as_ref().unwrap().network());
-        let snapshot = served(&inst);
-        assert!(inst.stats().is_some());
+        let mut entry = ModelEntry::new(ModelConfig::dnn(&[4]));
+        entry.ensure_supervised("m", 2, 1).unwrap();
+        let served = |entry: &ModelEntry| Arc::clone(entry.backend.as_ref().unwrap().network());
+        let snapshot = served(&entry);
+        assert!(entry.stats().is_some());
         assert!(
-            Arc::ptr_eq(&served(&inst), &snapshot),
+            Arc::ptr_eq(&served(&entry), &snapshot),
             "stats() rebuilt the network behind a live serving snapshot"
         );
     }

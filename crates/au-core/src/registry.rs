@@ -1,24 +1,20 @@
 //! The model-registry layer: the model store θ behind per-model locks.
 //!
-//! The registry maps model names to [`ModelEntry`] values, each behind its
-//! own `RwLock` so two threads serving *different* models never contend, and
-//! threads serving the *same* model in deployment mode share a read lock.
-//! The name→entry maps themselves are sharded to keep registration and
-//! lookup from serializing on one lock.
+//! θ is one name→entry map. Each [`ModelEntry`] sits behind its own
+//! `RwLock`, so two threads serving *different* models never contend past
+//! the lookup, and threads serving the *same* model in deployment mode
+//! share a read lock.
 //!
 //! Lock discipline: the registry hands out `Arc`s to entries; callers lock
-//! an entry only after releasing the shard lock, and the engine layer never
+//! an entry only after releasing the map lock, and the engine layer never
 //! holds an entry lock and the π lock at the same time.
 
 use crate::error::AuError;
-use crate::lockwait::{shard_read, shard_write};
-use crate::model::{ModelConfig, ModelInstance};
+use crate::lockwait::{registry_read, registry_write};
+use crate::model::{ModelConfig, ModelEntry};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Number of independent name→entry maps. Eight is plenty: contention on a
-/// shard only happens during registration, not serving.
-const SHARDS: usize = 8;
 
 /// Locks a mutex, recovering the data if a previous holder panicked — the
 /// stores hold plain data that stays structurally valid across unwinds, so
@@ -37,55 +33,20 @@ pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Everything the runtime knows about one named model: the instance (config
-/// plus lazily built backend) and the per-model bookkeeping that used to
-/// live in separate `Engine` maps, now co-located under the entry's lock.
-#[derive(Debug)]
-pub(crate) struct ModelEntry {
-    pub instance: ModelInstance,
-    /// Split of the flat model output across the `wb` names of `au_nn`,
-    /// fixed the first time labels are seen (persisted alongside the model).
-    pub output_split: Option<Vec<usize>>,
-    /// RL action count (persisted alongside the model).
-    pub n_actions: usize,
-}
-
-impl ModelEntry {
-    pub fn new(instance: ModelInstance) -> Self {
-        ModelEntry {
-            instance,
-            output_split: None,
-            n_actions: 0,
-        }
-    }
-}
-
 /// A shared, lockable handle to one model's entry.
 pub(crate) type SharedEntry = Arc<RwLock<ModelEntry>>;
 
-/// The model store θ: sharded name→entry maps with per-entry locks.
+/// The model store θ: name → entry, with per-entry locks.
 #[derive(Debug, Default)]
 pub(crate) struct ModelRegistry {
-    shards: [RwLock<BTreeMap<String, SharedEntry>>; SHARDS],
+    models: RwLock<BTreeMap<String, SharedEntry>>,
 }
 
 impl ModelRegistry {
-    /// FNV-1a over the name selects the shard.
-    fn shard_of(name: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % SHARDS as u64) as usize
-    }
-
-    /// Looks a model up, returning a clone of its shared entry. The shard
+    /// Looks a model up, returning a clone of its shared entry. The map
     /// lock is released before the caller locks the entry.
     pub fn get(&self, name: &str) -> Option<SharedEntry> {
-        shard_read(&self.shards[Self::shard_of(name)])
-            .get(name)
-            .cloned()
+        registry_read(&self.models).get(name).cloned()
     }
 
     /// Registers a model, treating re-registration with an *identical*
@@ -96,19 +57,17 @@ impl ModelRegistry {
     /// [`AuError::ModelExists`] if the name is taken by a different
     /// configuration.
     pub fn insert(&self, name: &str, entry: ModelEntry) -> Result<(), AuError> {
-        let mut shard = shard_write(&self.shards[Self::shard_of(name)]);
-        match shard.get(name) {
-            Some(existing) => {
-                if read(existing).instance.config == entry.instance.config {
-                    Ok(())
-                } else {
-                    Err(AuError::ModelExists(name.to_owned()))
-                }
+        let existing = match registry_write(&self.models).entry(name.to_owned()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(RwLock::new(entry)));
+                return Ok(());
             }
-            None => {
-                shard.insert(name.to_owned(), Arc::new(RwLock::new(entry)));
-                Ok(())
-            }
+            Entry::Occupied(slot) => Arc::clone(slot.get()),
+        };
+        if read(&existing).config == entry.config {
+            Ok(())
+        } else {
+            Err(AuError::ModelExists(name.to_owned()))
         }
     }
 
@@ -119,51 +78,24 @@ impl ModelRegistry {
     ///
     /// [`AuError::ModelExists`] if the name is taken.
     pub fn insert_new(&self, name: &str, entry: ModelEntry) -> Result<(), AuError> {
-        let mut shard = shard_write(&self.shards[Self::shard_of(name)]);
-        if shard.contains_key(name) {
+        let mut models = registry_write(&self.models);
+        if models.contains_key(name) {
             return Err(AuError::ModelExists(name.to_owned()));
         }
-        shard.insert(name.to_owned(), Arc::new(RwLock::new(entry)));
+        models.insert(name.to_owned(), Arc::new(RwLock::new(entry)));
         Ok(())
     }
 
-    /// Clones every registered entry handle. Shard locks are released
-    /// before any entry is locked, preserving the lock discipline above.
-    pub fn entries(&self) -> Vec<SharedEntry> {
-        self.shards
-            .iter()
-            .flat_map(|s| shard_read(s).values().cloned().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Registered-model count per shard, in shard order — the occupancy
-    /// stats surfaced by the observability plane's `/health` endpoint.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| shard_read(s).len()).collect()
-    }
-
-    /// Whether a model is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        shard_read(&self.shards[Self::shard_of(name)]).contains_key(name)
-    }
-
-    /// All registered names in sorted order (the order the old single
-    /// `BTreeMap` iterated in).
+    /// All registered names in sorted order.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| shard_read(s).keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.sort();
-        names
+        registry_read(&self.models).keys().cloned().collect()
     }
 
     /// Validates a configuration against an existing entry, mirroring
     /// [`ModelRegistry::insert`]'s comparison without inserting.
     pub fn check_config(&self, name: &str, config: &ModelConfig) -> Option<Result<(), AuError>> {
         let entry = self.get(name)?;
-        let same = read(&entry).instance.config == *config;
+        let same = read(&entry).config == *config;
         Some(if same {
             Ok(())
         } else {
@@ -175,17 +107,12 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelConfig;
 
     #[test]
     fn insert_then_get_round_trips() {
         let reg = ModelRegistry::default();
-        reg.insert(
-            "M",
-            ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[4]))),
-        )
-        .unwrap();
-        assert!(reg.contains("M"));
+        reg.insert("M", ModelEntry::new(ModelConfig::dnn(&[4])))
+            .unwrap();
         let entry = reg.get("M").unwrap();
         assert_eq!(read(&entry).n_actions, 0);
         assert!(reg.get("other").is_none());
@@ -194,42 +121,27 @@ mod tests {
     #[test]
     fn reinsert_same_config_is_idempotent() {
         let reg = ModelRegistry::default();
-        reg.insert(
-            "M",
-            ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[4]))),
-        )
-        .unwrap();
+        reg.insert("M", ModelEntry::new(ModelConfig::dnn(&[4])))
+            .unwrap();
         assert!(reg
-            .insert(
-                "M",
-                ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[4])))
-            )
+            .insert("M", ModelEntry::new(ModelConfig::dnn(&[4])))
             .is_ok());
         assert!(matches!(
-            reg.insert(
-                "M",
-                ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[8])))
-            ),
+            reg.insert("M", ModelEntry::new(ModelConfig::dnn(&[8]))),
             Err(AuError::ModelExists(_))
         ));
         assert!(matches!(
-            reg.insert_new(
-                "M",
-                ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[4])))
-            ),
+            reg.insert_new("M", ModelEntry::new(ModelConfig::dnn(&[4]))),
             Err(AuError::ModelExists(_))
         ));
     }
 
     #[test]
-    fn names_are_sorted_across_shards() {
+    fn names_are_sorted() {
         let reg = ModelRegistry::default();
         for name in ["zeta", "alpha", "mid", "beta", "omega", "kappa"] {
-            reg.insert(
-                name,
-                ModelEntry::new(ModelInstance::new(ModelConfig::dnn(&[2]))),
-            )
-            .unwrap();
+            reg.insert(name, ModelEntry::new(ModelConfig::dnn(&[2])))
+                .unwrap();
         }
         assert_eq!(
             reg.names(),

@@ -31,9 +31,6 @@ struct DbList {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbStore {
     lists: BTreeMap<String, DbList>,
-    /// Total scalars ever appended — the paper's "trace size" metric
-    /// (Table 2) in units of recorded values.
-    appended: u64,
 }
 
 impl DbStore {
@@ -44,7 +41,6 @@ impl DbStore {
 
     /// Rule EXTRACT: appends `values` to the list under `name`.
     pub fn append(&mut self, name: &str, values: &[f64]) {
-        self.appended += values.len() as u64;
         let list = match self.lists.get_mut(name) {
             Some(list) => list,
             None => self.lists.entry(name.to_owned()).or_default(),
@@ -57,7 +53,6 @@ impl DbStore {
     /// (every `f32` is representable as an `f64`) straight into the list,
     /// with no intermediate `f64` buffer.
     pub fn append_f32(&mut self, name: &str, values: &[f32]) {
-        self.appended += values.len() as u64;
         let list = match self.lists.get_mut(name) {
             Some(list) => list,
             None => self.lists.entry(name.to_owned()).or_default(),
@@ -123,13 +118,6 @@ impl DbStore {
         self.len() == 0
     }
 
-    /// Total scalars appended over the store's lifetime (survives `clear`,
-    /// reset by checkpointing restore only insofar as the snapshot's counter
-    /// is restored).
-    pub fn total_appended(&self) -> u64 {
-        self.appended
-    }
-
     /// Iterates non-empty lists in name order (cleared lists are ⊥ and
     /// indistinguishable from never-written ones).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[f64])> {
@@ -150,7 +138,6 @@ mod tests {
         db.append("A", &[1.0]);
         db.append("A", &[2.0, 3.0]);
         assert_eq!(db.get("A"), &[1.0, 2.0, 3.0]);
-        assert_eq!(db.total_appended(), 3);
     }
 
     #[test]
@@ -165,8 +152,8 @@ mod tests {
         db.append("A", &[1.0]);
         db.clear("A");
         assert_eq!(db.get("A"), &[] as &[f64]);
-        // lifetime counter unaffected
-        assert_eq!(db.total_appended(), 1);
+        // the append counter survives, so label freshness stays monotonic
+        assert_eq!(db.append_count("A"), 1);
     }
 
     #[test]

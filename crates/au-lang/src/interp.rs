@@ -9,7 +9,7 @@
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, UnOp};
 use crate::parser::parse;
-use crate::value::Value;
+use crate::value::{count_arg, Value};
 use crate::LangError;
 use au_core::{Checkpoint, Engine, Mode, ModelConfig};
 use au_trace::AnalysisDb;
@@ -295,7 +295,7 @@ impl Interpreter {
                 let (value_v, value_deps) = self.eval(value)?;
                 deps.extend(value_deps);
                 deps.insert(name.clone());
-                let idx = self.index_of(&index_v)?;
+                let idx = count_arg(&index_v, "array index", 0)?;
                 self.trace_assign(name, &deps, &value_v);
                 let frame = self.frames.last_mut().expect("frame");
                 let problem = match frame.lookup_mut(name) {
@@ -375,19 +375,6 @@ impl Interpreter {
         }
     }
 
-    /// Validates an array index: must be a non-negative integral number.
-    fn index_of(&self, value: &Value) -> Result<usize, LangError> {
-        let n = value
-            .as_num()
-            .ok_or_else(|| self.err("array index must be a number"))?;
-        if !n.is_finite() || n < 0.0 || n.fract() != 0.0 {
-            return Err(self.err(format!(
-                "array index must be a non-negative integer, got {n}"
-            )));
-        }
-        Ok(n as usize)
-    }
-
     fn note_uses(&mut self, deps: &Deps) {
         if !self.tracing {
             return;
@@ -427,7 +414,7 @@ impl Interpreter {
                 let (target_v, mut deps) = self.eval(target)?;
                 let (index_v, index_deps) = self.eval(index)?;
                 deps.extend(index_deps);
-                let idx = self.index_of(&index_v)?;
+                let idx = count_arg(&index_v, "array index", 0)?;
                 match target_v {
                     Value::Array(items) => items
                         .get(idx)
@@ -562,25 +549,25 @@ impl Interpreter {
                 let kind = self.eval_str_arg(name, &args[1])?;
                 let algo = self.eval_str_arg(name, &args[2])?;
                 let (layer_count_v, _) = self.eval(&args[3])?;
-                let layer_count = layer_count_v
-                    .as_num()
-                    .ok_or_else(|| self.err("layer count must be a number"))?
-                    as usize;
+                let layer_count = count_arg(&layer_count_v, "layer count", 0)?;
                 if args.len() != 4 + layer_count {
                     return Err(self.err(format!(
                         "`au_config` declared {layer_count} layers but listed {}",
                         args.len() - 4
                     )));
                 }
-                let mut hidden = Vec::with_capacity(layer_count);
+                let mut widths = Vec::with_capacity(layer_count);
                 for arg in &args[4..] {
                     let (v, _) = self.eval(arg)?;
-                    hidden.push(
-                        v.as_num()
-                            .ok_or_else(|| self.err("layer size must be a number"))?
-                            as usize,
-                    );
+                    if v.as_num().is_none() {
+                        return Err(self.err("layer size must be a number"));
+                    }
+                    widths.push(v);
                 }
+                let hidden = widths
+                    .iter()
+                    .map(|v| count_arg(v, "layer size", 1))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let config = match (kind.as_str(), algo.as_str()) {
                     ("DNN", "AdamOpt") => ModelConfig::dnn(&hidden),
                     ("DNN", "QLearn") => ModelConfig::q_dnn(&hidden),
@@ -653,10 +640,7 @@ impl Interpreter {
                         )))
                     }
                 };
-                let n_actions = n_v
-                    .as_num()
-                    .ok_or_else(|| self.err("action count must be a number"))?
-                    as usize;
+                let n_actions = count_arg(&n_v, "action count", 1)?;
                 let action = self
                     .engine
                     .au_nn_rl(&model, &ext, reward, terminal, &wb, n_actions)?;
@@ -672,10 +656,7 @@ impl Interpreter {
                 self.arity(name, args, 2)?;
                 let key = self.eval_str_arg(name, &args[0])?;
                 let (n_v, _) = self.eval(&args[1])?;
-                let n = n_v
-                    .as_num()
-                    .ok_or_else(|| self.err("size must be a number"))?
-                    as usize;
+                let n = count_arg(&n_v, "size", 0)?;
                 let buf = self.engine.au_write_back_n(&key, n)?;
                 Ok((
                     Value::Array(buf.into_iter().map(Value::Num).collect()),

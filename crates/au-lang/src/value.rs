@@ -1,5 +1,6 @@
 //! AuLang runtime values.
 
+use crate::LangError;
 use std::fmt;
 
 /// A runtime value. Arrays have value semantics (copied on assignment),
@@ -68,6 +69,24 @@ impl Value {
             Value::Unit => "unit",
         }
     }
+}
+
+/// Reads a count — an array index, a π size, a layer count or width, an
+/// action count — as a `usize`. It must be a whole number of at least
+/// `min`; a whole number past `usize::MAX` saturates, which the engine's
+/// own size checks then report. Both engines read every count through
+/// this, so they refuse the same values with the same message.
+pub(crate) fn count_arg(value: &Value, what: &str, min: usize) -> Result<usize, LangError> {
+    let n = value
+        .as_num()
+        .ok_or_else(|| LangError::Runtime(format!("{what} must be a number")))?;
+    if !n.is_finite() || n.fract() != 0.0 || n < min as f64 {
+        let kind = if min == 0 { "non-negative" } else { "positive" };
+        return Err(LangError::Runtime(format!(
+            "{what} must be a {kind} integer, got {n}"
+        )));
+    }
+    Ok(n as usize)
 }
 
 impl fmt::Display for Value {

@@ -18,7 +18,7 @@ use crate::ast::BinOp;
 use crate::bytecode::{CompiledProgram, Op, TraceKind, TraceMode};
 use crate::compile::compile_program;
 use crate::parser::parse;
-use crate::value::Value;
+use crate::value::{count_arg, Value};
 use crate::{LangError, Program, RunStats};
 use au_core::{Checkpoint, Engine, Mode, ModelConfig};
 use au_trace::AnalysisDb;
@@ -93,19 +93,6 @@ fn bin_value(bin: BinOp, l: Value, r: Value) -> Result<Value, LangError> {
             }
         }
     })
-}
-
-/// Validates an array index: must be a non-negative integral number.
-fn index_of(value: &Value) -> Result<usize, LangError> {
-    let n = value
-        .as_num()
-        .ok_or_else(|| rt("array index must be a number"))?;
-    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 {
-        return Err(rt(format!(
-            "array index must be a non-negative integer, got {n}"
-        )));
-    }
-    Ok(n as usize)
 }
 
 /// Records one traced assignment, exactly like the interpreter's
@@ -418,7 +405,7 @@ impl Vm {
                         let di = dpop(&mut deps);
                         deps.last_mut().expect("dep").extend(di);
                     }
-                    let idx = index_of(&idx_v)?;
+                    let idx = count_arg(&idx_v, "array index", 0)?;
                     match target {
                         Value::Array(items) => match items.get(idx) {
                             Some(v) => stack.push(v.clone()),
@@ -435,7 +422,7 @@ impl Vm {
                     } else {
                         (Vec::new(), Vec::new())
                     };
-                    let idx = index_of(&idx_v)?;
+                    let idx = count_arg(&idx_v, "array index", 0)?;
                     if TRACED && trace != TraceKind::None {
                         let mut d = di;
                         d.extend(dv);
@@ -491,7 +478,7 @@ impl Vm {
                     } else {
                         (Vec::new(), Vec::new())
                     };
-                    index_of(&idx_v)?;
+                    count_arg(&idx_v, "array index", 0)?;
                     if TRACED && trace != TraceKind::None {
                         let mut d = di;
                         d.extend(dv);
@@ -847,12 +834,7 @@ impl Vm {
                     }
                 }
                 Op::AuConfigCheck { argc } => {
-                    let n = stack
-                        .last()
-                        .expect("value")
-                        .as_num()
-                        .ok_or_else(|| rt("layer count must be a number"))?;
-                    let layer_count = n as usize;
+                    let layer_count = count_arg(stack.last().expect("value"), "layer count", 0)?;
                     if argc as usize != 4 + layer_count {
                         return Err(rt(format!(
                             "`au_config` declared {layer_count} layers but listed {}",
@@ -861,15 +843,18 @@ impl Vm {
                     }
                 }
                 Op::AuConfig { layers } => {
-                    let mut hidden = Vec::with_capacity(layers as usize);
+                    let mut widths = Vec::with_capacity(layers as usize);
                     for _ in 0..layers {
-                        let v = vpop(&mut stack);
+                        widths.push(vpop(&mut stack));
                         if TRACED {
                             dpop(&mut deps);
                         }
-                        hidden.push(v.as_num().expect("EnsureNum") as usize);
                     }
-                    hidden.reverse();
+                    widths.reverse();
+                    let hidden = widths
+                        .iter()
+                        .map(|v| count_arg(v, "layer size", 1))
+                        .collect::<Result<Vec<_>, _>>()?;
                     vpop(&mut stack); // layer count, validated by AuConfigCheck
                     let algo = take_str(vpop(&mut stack));
                     let kind = take_str(vpop(&mut stack));
@@ -996,10 +981,7 @@ impl Vm {
                             )))
                         }
                     };
-                    let n_actions = n_v
-                        .as_num()
-                        .ok_or_else(|| rt("action count must be a number"))?
-                        as usize;
+                    let n_actions = count_arg(&n_v, "action count", 1)?;
                     let action = self
                         .engine
                         .au_nn_rl(&model, &ext, reward, terminal, &wb, n_actions)?;
@@ -1026,7 +1008,7 @@ impl Vm {
                         dpop(&mut deps);
                         dpop(&mut deps);
                     }
-                    let n = n_v.as_num().ok_or_else(|| rt("size must be a number"))? as usize;
+                    let n = count_arg(&n_v, "size", 0)?;
                     let buf = self.engine.au_write_back_n(&key, n)?;
                     stack.push(Value::Array(buf.into_iter().map(Value::Num).collect()));
                     if TRACED {

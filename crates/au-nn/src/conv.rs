@@ -29,9 +29,6 @@ pub struct Conv2d {
     /// them for the weight-gradient GEMM.
     cached_cols: Option<Vec<f32>>,
     cached_batch: usize,
-    /// `Wᵀ` (`[fan_in, out_c]`) memoized for the input-gradient GEMM;
-    /// rebuilt lazily after [`Layer::invalidate_cached_weights`].
-    cached_wt: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -72,7 +69,6 @@ impl Conv2d {
             bias: Param::new(Tensor::zeros(&[1, out_channels])),
             cached_cols: None,
             cached_batch: 0,
-            cached_wt: None,
         }
     }
 
@@ -116,7 +112,6 @@ impl Conv2d {
             bias: Param::new(bias),
             cached_cols: None,
             cached_batch: 0,
-            cached_wt: None,
         }
     }
 
@@ -260,11 +255,8 @@ impl Layer for Conv2d {
             .as_ref()
             .expect("backward called before forward");
         let mut grad_in = Tensor::zeros(&[batch, in_len]);
-        // Wᵀ for the input-gradient GEMM, transposed once per weight
-        // version rather than once per call.
-        let wt = self
-            .cached_wt
-            .get_or_insert_with(|| self.weight.value.transpose());
+        // Wᵀ (`[fan_in, out_c]`) for the input-gradient GEMM.
+        let wt = self.weight.value.transpose();
         let mut colt = vec![0.0f32; col_len];
         let mut dcol = vec![0.0f32; col_len];
         for b in 0..batch {
@@ -344,10 +336,6 @@ impl Layer for Conv2d {
             weight: self.weight.value.clone(),
             bias: self.bias.value.clone(),
         }
-    }
-
-    fn invalidate_cached_weights(&mut self) {
-        self.cached_wt = None;
     }
 }
 
@@ -798,10 +786,10 @@ mod tests {
         }
     }
 
-    /// A stale cached Wᵀ would poison backward after a weight mutation;
-    /// the invalidation hook must drop it.
+    /// Backward reads the live weights, so a write through `params_mut`
+    /// between two steps needs no further call.
     #[test]
-    fn invalidation_refreshes_cached_transpose() {
+    fn backward_reads_weights_written_through_params() {
         let mut conv = Conv2d::from_weights(
             1,
             1,
@@ -815,21 +803,20 @@ mod tests {
         let x = Tensor::row(&pseudo(9, 41));
         let dy = Tensor::row(&pseudo(4, 43));
         let _ = conv.forward(&x);
-        let _ = conv.backward(&dy); // populates cached_wt
+        let _ = conv.backward(&dy);
         for p in conv.params_mut() {
             for v in p.value.data_mut() {
                 *v *= 2.0;
             }
             p.zero_grad();
         }
-        conv.invalidate_cached_weights();
         let _ = conv.forward(&x);
         let got = conv.backward(&dy);
         let (want, _, _) = conv.backward_naive(&x, &dy);
         for (g, w) in got.data().iter().zip(want.data()) {
             assert!(
                 (g - w).abs() < 1e-6,
-                "stale transpose survived invalidation"
+                "backward used the weights from before the write"
             );
         }
     }

@@ -14,9 +14,6 @@ pub struct Dense {
     weight: Param,
     bias: Param,
     cached_input: Option<Tensor>,
-    /// `Wᵀ` memoized for the backward pass (`dx = dy · Wᵀ`); rebuilt lazily
-    /// after [`Layer::invalidate_cached_weights`].
-    cached_wt: Option<Tensor>,
 }
 
 impl Dense {
@@ -38,7 +35,6 @@ impl Dense {
             )),
             bias: Param::new(Tensor::zeros(&[1, out_features])),
             cached_input: None,
-            cached_wt: None,
         }
     }
 
@@ -57,7 +53,6 @@ impl Dense {
             weight: Param::new(weight),
             bias: Param::new(bias),
             cached_input: None,
-            cached_wt: None,
         }
     }
 
@@ -135,14 +130,8 @@ impl Layer for Dense {
                 *g += d;
             }
         }
-        // dx = dy · Wᵀ through the memoized transpose: valid until the next
-        // weight mutation, so repeated backward passes between optimizer
-        // steps (gradient checking, minibatch accumulation) pay for the
-        // transpose once.
-        let wt = self
-            .cached_wt
-            .get_or_insert_with(|| self.weight.value.transpose());
-        grad_out.matmul(wt)
+        // dx = dy · Wᵀ
+        grad_out.matmul(&self.weight.value.transpose())
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -164,10 +153,6 @@ impl Layer for Dense {
             weight: self.weight.value.clone(),
             bias: self.bias.value.clone(),
         }
-    }
-
-    fn invalidate_cached_weights(&mut self) {
-        self.cached_wt = None;
     }
 }
 

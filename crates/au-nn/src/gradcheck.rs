@@ -93,13 +93,11 @@ pub fn check_gradients(
             }
         }
     }
-    // Clear gradients so the check leaves the network clean, and drop any
-    // cached weight views: the probe loop wrote parameter values directly.
+    // Clear gradients so the check leaves the network clean.
     for layer in net.layers_mut().iter_mut() {
         for param in layer.params_mut() {
             param.zero_grad();
         }
-        layer.invalidate_cached_weights();
     }
     GradCheckReport {
         max_relative_error: max_err,

@@ -98,15 +98,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// A serializable description of this layer (architecture + weights).
     fn spec(&self) -> LayerSpec;
-
-    /// Drops any derived view of the layer's weights (e.g. the cached
-    /// transpose [`crate::Dense`] keeps for its backward pass).
-    ///
-    /// Must be called after every mutation of parameter *values* that does
-    /// not go through the layer itself: optimizer steps, weight copies,
-    /// checkpoint restores, and direct [`Layer::params_mut`] writes. The
-    /// default is a no-op for layers with no derived state.
-    fn invalidate_cached_weights(&mut self) {}
 }
 
 /// Serializable layer description used for model persistence.

@@ -187,7 +187,6 @@ impl Network {
                 opt.step(param);
                 param.zero_grad();
             }
-            layer.invalidate_cached_weights();
         }
         opt.end_batch();
         au_telemetry::count!("au_nn.batches_trained");
@@ -207,19 +206,6 @@ impl Network {
                 .iter()
                 .map(|l| build_layer(l.spec()).expect("replica of a live layer"))
                 .collect(),
-        }
-    }
-
-    /// Drops every layer's derived weight views (cached transposes).
-    ///
-    /// Training steps and [`Network::copy_weights_from`] do this
-    /// automatically; callers that mutate parameter values directly —
-    /// checkpoint restores, custom weight surgery through layer params —
-    /// must call it afterwards or stale views will poison later backward
-    /// passes.
-    pub fn invalidate_cached_weights(&mut self) {
-        for layer in &mut self.layers {
-            layer.invalidate_cached_weights();
         }
     }
 
@@ -291,7 +277,6 @@ impl Network {
                 );
                 pa.value = pb.value.clone();
             }
-            a.invalidate_cached_weights();
         }
     }
 

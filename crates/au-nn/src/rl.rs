@@ -189,17 +189,6 @@ impl DqnAgent {
         net_mut(&mut self.online)
     }
 
-    /// Drops cached weight views on the online and target networks — see
-    /// [`Network::invalidate_cached_weights`]. Required after any direct
-    /// parameter mutation (e.g. [`DqnAgent::network_mut`] weight surgery,
-    /// checkpoint restores in a host runtime).
-    pub fn invalidate_cached_weights(&mut self) {
-        net_mut(&mut self.online).invalidate_cached_weights();
-        if let Some(t) = self.target.as_mut() {
-            t.invalidate_cached_weights();
-        }
-    }
-
     /// The shared online Q-network — enough for persistence (`to_json`)
     /// and concurrent inference ([`Network::infer`]); clone the `Arc` to
     /// serve from it without borrowing the agent.

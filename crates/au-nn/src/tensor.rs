@@ -165,7 +165,7 @@ impl Tensor {
 
     /// Matrix multiply: `self [m,k] × other [k,n] → [m,n]`.
     ///
-    /// Runs through the cache-blocked kernel in [`crate::kernels`]. Each
+    /// Runs through au-nn's cache-blocked GEMM kernel. Each
     /// output element accumulates its products in ascending inner-index
     /// order, so results are bit-identical to the scalar triple loop.
     ///

@@ -10,7 +10,7 @@
 //! |------------------|-------------------------------------------------------|
 //! | `/`              | bundled single-file dashboard (live charts over SSE)  |
 //! | `/metrics`       | Prometheus text exposition of every counter/gauge/histogram |
-//! | `/health`        | engine mode, degraded models, registry shard occupancy |
+//! | `/health`        | engine mode, registered and degraded models           |
 //! | `/snapshot.json` | one-shot JSON dump of the full recorder state          |
 //! | `/events`        | Server-Sent Events stream: spans, alerts, metric ticks |
 //! | `/profile.json`  | au-prof self-time attribution: per-name inclusive/exclusive, collapsed stacks, per-trace totals |
@@ -97,8 +97,7 @@ impl ScopeBuilder {
     }
 
     /// Attach the engine runtime, enabling the engine-aware parts of
-    /// `/health` and `/snapshot.json` (mode, models, monitor state,
-    /// registry shard occupancy).
+    /// `/health` and `/snapshot.json` (mode, models, monitor state).
     #[must_use]
     pub fn engine(mut self, handle: EngineHandle) -> Self {
         self.engine = Some(handle);

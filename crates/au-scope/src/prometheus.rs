@@ -98,17 +98,8 @@ pub(crate) fn render(plane: &Plane) -> String {
         };
         let _ = writeln!(out, "# TYPE au_engine_mode gauge");
         let _ = writeln!(out, "au_engine_mode {mode}");
-        let shard_sizes = engine.registry_shard_sizes();
         let _ = writeln!(out, "# TYPE au_engine_models gauge");
-        let _ = writeln!(
-            out,
-            "au_engine_models {}",
-            shard_sizes.iter().sum::<usize>()
-        );
-        let _ = writeln!(out, "# TYPE au_registry_shard_models gauge");
-        for (i, n) in shard_sizes.iter().enumerate() {
-            let _ = writeln!(out, "au_registry_shard_models{{shard=\"{i}\"}} {n}");
-        }
+        let _ = writeln!(out, "au_engine_models {}", engine.model_names().len());
         let reports = engine.monitor_reports();
         let _ = writeln!(out, "# TYPE au_engine_degraded_models gauge");
         let _ = writeln!(

@@ -9,8 +9,7 @@ use crate::Plane;
 use std::fmt::Write as _;
 
 /// Renders the `/health` payload: plane liveness plus (with an engine
-/// attached) mode, model counts, degraded set, and registry shard
-/// occupancy.
+/// attached) mode, registered models and the degraded set.
 pub(crate) fn health_json(plane: &Plane) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
@@ -64,16 +63,6 @@ fn append_engine_health(out: &mut String, plane: &Plane) {
     out.push(',');
     push_key(out, "degraded");
     push_str_list(out, &engine.degraded_models());
-    out.push(',');
-    push_key(out, "registry_shards");
-    out.push('[');
-    for (i, n) in engine.registry_shard_sizes().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{n}");
-    }
-    out.push(']');
     out.push('}');
 }
 

@@ -100,8 +100,8 @@ impl AnalysisDb {
     }
 
     /// Adds a bare dependence edge `src → dst` without touching traces or
-    /// usage maps — used when reloading a persisted graph, where the
-    /// original function names are restored separately.
+    /// usage maps — used by graphs built from a static analysis, which
+    /// record function usage separately.
     pub fn record_edge(&mut self, src: &str, dst: &str) {
         let s = self.var(src);
         let d = self.var(dst);

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod db;
-pub mod persist;
 mod preprune;
 mod rl;
 mod sl;

@@ -200,6 +200,71 @@ fn oversized_write_back_is_missing_data_on_both_engines() {
 }
 
 #[test]
+fn invalid_sizes_are_runtime_errors_on_both_engines() {
+    // Every count is a whole number, and a width or an action count is
+    // also positive. A bare `as usize` cast would read a negative or
+    // fractional write-back size as `[]` and a 0.5 layer count as 0, and
+    // a zero or negative width or action count would panic the backend.
+    let cases = [
+        (
+            "wb_negative",
+            "au_extract(\"W\", 1);\n    let xs = au_write_back_n(\"W\", -3);",
+            "size must be a non-negative integer, got -3",
+        ),
+        (
+            "wb_fraction",
+            "au_extract(\"W\", 1);\n    let xs = au_write_back_n(\"W\", 0.5);",
+            "size must be a non-negative integer, got 0.5",
+        ),
+        (
+            "wb_infinite",
+            "au_extract(\"W\", 1);\n    let xs = au_write_back_n(\"W\", 1 / 0);",
+            "size must be a non-negative integer, got inf",
+        ),
+        (
+            "zero_actions",
+            "au_config(\"Q\", \"DNN\", \"QLearn\", 1, 4);\n    au_extract(\"S\", 0.5);\n    \
+             let a = au_nn_rl(\"Q\", \"S\", 0, false, \"A\", 0);",
+            "action count must be a positive integer, got 0",
+        ),
+        (
+            "negative_actions",
+            "au_config(\"Q\", \"DNN\", \"QLearn\", 1, 4);\n    au_extract(\"S\", 0.5);\n    \
+             let a = au_nn_rl(\"Q\", \"S\", 0, false, \"A\", -2);",
+            "action count must be a positive integer, got -2",
+        ),
+        (
+            "negative_width",
+            "au_config(\"M\", \"DNN\", \"AdamOpt\", 1, -4);\n    au_extract(\"F\", 0.5);\n    \
+             au_extract(\"P\", 1);\n    let y = au_nn(\"M\", \"F\", \"P\");",
+            "layer size must be a positive integer, got -4",
+        ),
+        (
+            "zero_width",
+            "au_config(\"M\", \"DNN\", \"AdamOpt\", 1, 0);\n    au_extract(\"F\", 0.5);\n    \
+             au_extract(\"P\", 1);\n    let y = au_nn(\"M\", \"F\", \"P\");",
+            "layer size must be a positive integer, got 0",
+        ),
+        (
+            "fractional_layer_count",
+            "au_config(\"M\", \"DNN\", \"AdamOpt\", 0.5);",
+            "layer count must be a non-negative integer, got 0.5",
+        ),
+    ];
+    for (tag, body, message) in cases {
+        let lines = runtime_error_on_both_engines(
+            tag,
+            &format!("fn main() {{\n    {body}\n    return 0;\n}}\n"),
+        );
+        assert_eq!(
+            lines,
+            vec![format!("[error] aulang: runtime error: {message}")],
+            "{tag}"
+        );
+    }
+}
+
+#[test]
 fn restore_without_checkpoint_is_the_same_error_on_both_engines() {
     let lines = runtime_error_on_both_engines(
         "restore_first",

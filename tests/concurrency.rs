@@ -8,10 +8,15 @@
 //! there is nothing order-dependent to race on).
 
 use autonomizer::core::{Engine, EngineHandle, Mode, ModelConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
+use std::time::Duration;
 
 const THREADS: usize = 8;
 const PREDICTIONS_PER_THREAD: usize = 1_000;
+/// Epochs of the 256-row training run a restore must not wait for: about
+/// a second in a debug build.
+const TRAIN_EPOCHS: usize = 20;
 
 /// Compile-time proof that the handle can cross and be shared between
 /// threads, and that the facade inherits both properties.
@@ -135,5 +140,50 @@ fn threaded_batch_serving_matches_scalar_path() {
                 }
             });
         }
+    });
+}
+
+/// Fig. 8's RESTORE rolls back σ and π and leaves θ alone, so a restore
+/// returns while another clone of the handle is still inside a long
+/// `train_supervised` on the model store.
+#[test]
+fn restore_does_not_wait_for_training_on_another_clone() {
+    let handle = EngineHandle::new(Mode::Train);
+    handle
+        .au_config("slow", ModelConfig::dnn(&[64]))
+        .expect("config");
+    let xs: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64 / 256.0; 16]).collect();
+    let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0]]).collect();
+    handle.au_extract("STATE", &[1.0]);
+    let ckpt = handle.checkpoint_with(&7u32);
+    handle.au_extract("STATE", &[2.0]);
+    let (started, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+
+    thread::scope(|scope| {
+        let trainer = handle.clone();
+        let (started, finished, xs, ys) = (&started, &finished, &xs, &ys);
+        scope.spawn(move || {
+            started.store(true, Ordering::SeqCst);
+            trainer
+                .train_supervised("slow", xs, ys, TRAIN_EPOCHS)
+                .expect("train");
+            finished.store(true, Ordering::SeqCst);
+        });
+        while !started.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        // Let the trainer take the model's write lock.
+        thread::sleep(Duration::from_millis(10));
+        assert!(
+            !finished.load(Ordering::SeqCst),
+            "training ended before the restore began; lengthen it"
+        );
+        let program = handle.restore_with(&ckpt);
+        assert!(
+            !finished.load(Ordering::SeqCst),
+            "restore_with waited for train_supervised on another clone"
+        );
+        assert_eq!(program, 7);
+        assert_eq!(handle.db().get("STATE"), &[1.0]);
     });
 }
