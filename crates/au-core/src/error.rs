@@ -36,6 +36,16 @@ pub enum AuError {
         /// What the call expected (`"supervised"` / `"reinforcement"`).
         expected: &'static str,
     },
+    /// No network can be built from this configuration or for these
+    /// widths: a zero hidden width, input width or output width (action
+    /// count), or a CNN frame that is under 8×8 pixels or whose volume is
+    /// not the input width.
+    InvalidShape {
+        /// Model name.
+        model: String,
+        /// What does not fit.
+        reason: String,
+    },
     /// Model persistence failed (deployment-mode `loadModel`).
     Backend(au_nn::NnError),
     /// Deployment mode requires a trained model on disk, but none was found.
@@ -68,6 +78,9 @@ impl fmt::Display for AuError {
             ),
             AuError::WrongAlgorithm { model, expected } => {
                 write!(f, "model `{model}` does not use a {expected} algorithm")
+            }
+            AuError::InvalidShape { model, reason } => {
+                write!(f, "model `{model}` cannot be built: {reason}")
             }
             AuError::Backend(e) => write!(f, "model backend error: {e}"),
             AuError::ModelNotTrained(name) => {

@@ -31,8 +31,9 @@ use crate::registry::lock;
 use crate::registry::{read, write, ModelRegistry};
 use crate::store::DbStore;
 use au_nn::rl::DqnAgent;
-use au_nn::{net_mut, Adam, Network, Tensor};
+use au_nn::{net_mut, Adam, Network, Rows};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -255,12 +256,15 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// [`AuError::ModelExists`] if the name is taken by a *different*
-    /// configuration; [`AuError::ModelNotTrained`] in TS mode when no saved
-    /// model exists; [`AuError::Backend`] if a saved model fails to parse.
+    /// [`AuError::InvalidShape`] for a zero hidden width or a CNN frame
+    /// under 8×8; [`AuError::ModelExists`] if the name is taken by a
+    /// *different* configuration; [`AuError::ModelNotTrained`] in TS mode
+    /// when no saved model exists; [`AuError::Backend`] if a saved model
+    /// fails to parse.
     pub fn au_config(&self, name: &str, config: ModelConfig) -> Result<(), AuError> {
         let _s = au_telemetry::span!("au_config", model = name);
         au_telemetry::count!("au_core.au_config_calls");
+        config.check(name)?;
         if let Some(result) = self.shared.registry.check_config(name, &config) {
             return result; // θ(mdName) ≢ ⊥ ⇒ θ′ = θ, or ModelExists
         }
@@ -471,7 +475,9 @@ impl EngineHandle {
     /// [`AuError::UnknownModel`] if `au_config` never ran for `model`;
     /// [`AuError::MissingData`] if π(`ext`) is empty or (on the first TR
     /// call) no labels exist to fix the output width;
-    /// [`AuError::WrongAlgorithm`] for QLearn models.
+    /// [`AuError::WrongAlgorithm`] for QLearn models;
+    /// [`AuError::InvalidShape`] when the first call cannot build the
+    /// network (no `wb` name, so no output width).
     pub fn au_nn(&self, model: &str, ext: &str, wbs: &[&str]) -> Result<Vec<f64>, AuError> {
         let _s = au_telemetry::span!("au_nn", model = model);
         let _t = au_telemetry::time!("au_core.au_nn");
@@ -654,7 +660,10 @@ impl EngineHandle {
     /// # Errors
     ///
     /// [`AuError::UnknownModel`], [`AuError::MissingData`] (empty π(`ext`)),
-    /// or [`AuError::WrongAlgorithm`] for AdamOpt models.
+    /// [`AuError::WrongAlgorithm`] for AdamOpt models, or
+    /// [`AuError::InvalidShape`] when the first call cannot build the
+    /// agent (a zero `n_actions`, or a CNN frame whose volume is not the
+    /// state width).
     pub fn au_nn_rl(
         &self,
         model: &str,
@@ -1044,7 +1053,8 @@ impl EngineHandle {
         }
         let out = self.predict_rows(model, |width| {
             check_batch_widths(model, xs, width)?;
-            Ok((xs.iter().flatten().map(|&v| v as f32).collect(), xs.len()))
+            let flat = xs.iter().flatten().map(|&v| v as f32).collect();
+            Ok((Cow::Owned(flat), xs.len()))
         })?;
         let out_width = out.len() / xs.len();
         Ok((0..xs.len())
@@ -1118,22 +1128,23 @@ impl EngineHandle {
         }
         self.predict_rows(model, |width| {
             let rows = check_flat_width(model, xs, width)?;
-            Ok((xs.to_vec(), rows))
+            Ok((Cow::Borrowed(xs), rows))
         })
     }
 
     /// The core under both batch entry points: one forward pass over the
     /// whole batch on the calling thread. `layout` checks the caller's
     /// batch against the served network's input width and returns it as
-    /// one flat row-major `f32` matrix with its row count. The network
-    /// `Arc` is cloned out of the read lock, so a retrain on another
-    /// thread is not blocked for the length of a batch. Every kernel keeps
-    /// each row's accumulation order, so row `i` of the output has the
-    /// bits [`EngineHandle::predict_f32`] gives for row `i` alone.
-    fn predict_rows(
+    /// one flat row-major `f32` matrix with its row count, borrowed when
+    /// the caller's batch already is one. The network `Arc` is cloned out
+    /// of the read lock, so a retrain on another thread is not blocked for
+    /// the length of a batch. Every kernel keeps each row's accumulation
+    /// order, so row `i` of the output has the bits
+    /// [`EngineHandle::predict_f32`] gives for row `i` alone.
+    fn predict_rows<'x>(
         &self,
         model: &str,
-        layout: impl FnOnce(usize) -> Result<(Vec<f32>, usize), AuError>,
+        layout: impl FnOnce(usize) -> Result<(Cow<'x, [f32]>, usize), AuError>,
     ) -> Result<Vec<f32>, AuError> {
         let _s = au_telemetry::span!("predict_batch", model = model);
         let _t = au_telemetry::time!("au_core.predict_batch");
@@ -1141,9 +1152,7 @@ impl EngineHandle {
         let width = net.in_features();
         let (flat, rows) = layout(width)?;
         au_telemetry::count!("au_core.predictions_served", rows as u64);
-        Ok(net
-            .infer(&Tensor::from_vec(&[rows, width], flat))
-            .into_vec())
+        Ok(net.infer(Rows::new(rows, width, &flat)).into_vec())
     }
 
     /// Size/training statistics for a built model (Table 2's model size).
@@ -1472,6 +1481,41 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Shapes no network can be built for are typed errors, not panics in
+    /// au-nn's constructors: a zero hidden width or an undersized frame at
+    /// `au_config`; a zero action count, no output width, or a frame whose
+    /// volume is not the state width at the first call.
+    #[test]
+    fn unbuildable_shapes_are_typed_errors() {
+        fn invalid<T>(r: Result<T, AuError>) -> bool {
+            matches!(r, Err(AuError::InvalidShape { .. }))
+        }
+        let h = EngineHandle::new(Mode::Train);
+        assert!(invalid(h.au_config("Z", ModelConfig::dnn(&[8, 0]))));
+        assert!(invalid(h.au_config("Z", ModelConfig::q_dnn(&[0]))));
+        assert!(invalid(
+            h.au_config("Z", ModelConfig::q_cnn(1, 7, 12, &[8]))
+        ));
+        assert!(h.model_names().is_empty(), "nothing was registered");
+
+        h.au_config("Q", ModelConfig::q_dnn(&[4])).unwrap();
+        h.au_extract("S", &[0.1, 0.2]);
+        assert!(invalid(h.au_nn_rl("Q", "S", 0.0, false, "A", 0)));
+
+        h.au_config("C", ModelConfig::q_cnn(1, 8, 8, &[4])).unwrap();
+        h.au_extract("F", &[0.5; 63]);
+        assert!(invalid(h.au_nn_rl("C", "F", 0.0, false, "A", 2)));
+
+        h.au_config("M", ModelConfig::dnn(&[4])).unwrap();
+        h.au_extract("X", &[0.1, 0.2]);
+        assert!(invalid(h.au_nn("M", "X", &[])));
+        assert!(invalid(h.train_supervised("M", &[vec![]], &[vec![1.0]], 1)));
+        assert!(
+            h.model_stats("M").is_none() && h.model_stats("Q").is_none(),
+            "no backend was built"
+        );
     }
 
     /// Trains and saves a monitored supervised model `S` (2 inputs, 1

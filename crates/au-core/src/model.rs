@@ -2,7 +2,7 @@
 
 use crate::error::AuError;
 use au_nn::rl::{DqnAgent, DqnConfig, Transition};
-use au_nn::{Activation, Adam, InferScratch, Loss, Network, Tensor};
+use au_nn::{Activation, Adam, InferScratch, Loss, Network, Rows, Tensor};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -106,6 +106,48 @@ impl ModelConfig {
         self
     }
 
+    /// Refuses, at `au_config`, a configuration no network can be built
+    /// from: a zero hidden width, or a CNN frame under 8×8 pixels.
+    pub(crate) fn check(&self, model: &str) -> Result<(), AuError> {
+        if self.hidden.contains(&0) {
+            return Err(invalid_shape(
+                model,
+                format!("hidden widths {:?} include a zero", self.hidden),
+            ));
+        }
+        match (self.kind, self.frame) {
+            (ModelKind::Cnn, Some((c, h, w))) if h < MIN_FRAME || w < MIN_FRAME => {
+                Err(invalid_shape(
+                    model,
+                    format!("frame {c}x{h}x{w} is under {MIN_FRAME}x{MIN_FRAME}"),
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuses the widths no network of this configuration can be built
+    /// for: a zero input or output width, or a CNN frame whose volume is
+    /// not the input width.
+    fn check_widths(&self, model: &str, inputs: usize, outputs: usize) -> Result<(), AuError> {
+        if inputs == 0 || outputs == 0 {
+            return Err(invalid_shape(
+                model,
+                format!("{inputs} inputs and {outputs} outputs; both must be positive"),
+            ));
+        }
+        match (self.kind, self.frame) {
+            (ModelKind::Cnn, Some((c, h, w))) if c * h * w != inputs => Err(invalid_shape(
+                model,
+                format!(
+                    "frame {c}x{h}x{w} holds {} values but the input has {inputs}",
+                    c * h * w
+                ),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Builds the network for a given input/output width.
     pub(crate) fn build_network(&self, inputs: usize, outputs: usize) -> Network {
         match (self.kind, self.frame) {
@@ -139,6 +181,17 @@ impl ModelConfig {
                 b.dense(outputs).build()
             }
         }
+    }
+}
+
+/// The smallest CNN frame side: two 3×3 convolutions around a 2×2 pool
+/// leave at least one pixel.
+const MIN_FRAME: usize = 8;
+
+fn invalid_shape(model: &str, reason: String) -> AuError {
+    AuError::InvalidShape {
+        model: model.to_owned(),
+        reason,
     }
 }
 
@@ -225,6 +278,7 @@ impl ModelEntry {
             });
         }
         if self.backend.is_none() {
+            self.config.check_widths(name, inputs, outputs)?;
             let net = Arc::new(self.config.build_network(inputs, outputs));
             let opt = Adam::new(self.config.learning_rate);
             self.backend = Some(Backend::Supervised {
@@ -267,6 +321,7 @@ impl ModelEntry {
             });
         }
         if self.backend.is_none() {
+            self.config.check_widths(name, inputs, n_actions)?;
             let mut dqn = self.config.dqn.clone();
             dqn.hidden = self.config.hidden.clone();
             let agent = match self.config.kind {
@@ -337,21 +392,21 @@ pub(crate) fn supervised_step(
 }
 
 thread_local! {
-    /// Per-thread single-row inference scratch: the input row tensor, the
-    /// layer-output ping-pong buffers, and the f64→f32 conversion buffer.
-    /// Reusing them makes the steady-state serve path allocation-free.
-    static ROW_SCRATCH: RefCell<(Tensor, InferScratch, Vec<f32>)> =
-        RefCell::new((Tensor::default(), InferScratch::default(), Vec::new()));
+    /// Per-thread single-row inference scratch: the layer-output ping-pong
+    /// buffers and the f64→f32 conversion buffer. Reusing them makes the
+    /// steady-state serve path allocation-free.
+    static ROW_SCRATCH: RefCell<(InferScratch, Vec<f32>)> =
+        RefCell::new((InferScratch::default(), Vec::new()));
 }
 
-/// The native-`f32` serving core: runs the model on one feature row,
-/// appending the outputs to `out`. All buffers come from thread-local
-/// scratch, so the steady state performs zero heap allocations.
+/// The native-`f32` serving core: runs the model on one feature row, read
+/// in place, appending the outputs to `out`. The layer buffers come from
+/// thread-local scratch, so the steady state performs zero heap
+/// allocations.
 pub(crate) fn run_model_f32_into(net: &Network, input: &[f32], out: &mut Vec<f32>) {
     ROW_SCRATCH.with(|cell| {
-        let (row, scratch, _) = &mut *cell.borrow_mut();
-        row.set_row(input);
-        let y = net.infer_reusing(row, scratch);
+        let (scratch, _) = &mut *cell.borrow_mut();
+        let y = net.infer_reusing(Rows::new(1, input.len(), input), scratch);
         out.extend_from_slice(y.data());
     });
 }
@@ -366,11 +421,10 @@ pub(crate) fn run_model_f32_into(net: &Network, input: &[f32], out: &mut Vec<f32
 /// performed, so results are bit-identical to it.
 pub(crate) fn run_model_ref(net: &Network, input: &[f64]) -> Vec<f64> {
     ROW_SCRATCH.with(|cell| {
-        let (row, scratch, conv) = &mut *cell.borrow_mut();
+        let (scratch, conv) = &mut *cell.borrow_mut();
         conv.clear();
         conv.extend(input.iter().map(|&v| v as f32));
-        row.set_row(conv);
-        let y = net.infer_reusing(row, scratch);
+        let y = net.infer_reusing(Rows::new(1, conv.len(), conv), scratch);
         y.data().iter().map(|&v| f64::from(v)).collect()
     })
 }
@@ -440,10 +494,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "frame shape")]
     fn cnn_rejects_mismatched_frame() {
-        let cfg = ModelConfig::q_cnn(1, 16, 16, &[32]);
-        let _ = cfg.build_network(100, 4);
+        let mut entry = ModelEntry::new(ModelConfig::q_cnn(1, 16, 16, &[32]));
+        assert!(matches!(
+            entry.ensure_reinforcement("m", 100, 4),
+            Err(AuError::InvalidShape { .. })
+        ));
+        assert!(entry.backend.is_none());
     }
 
     #[test]

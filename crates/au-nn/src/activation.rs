@@ -1,7 +1,7 @@
 //! Element-wise activation layers.
 
 use crate::layer::{Layer, LayerSpec};
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 
 /// An element-wise activation function usable as a [`Layer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,31 +85,29 @@ impl ActivationLayer {
 impl Layer for ActivationLayer {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
+        self.infer_into(input.into(), &mut out);
         self.cached_output = Some(out.clone());
         out
     }
 
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor) {
         out.copy_from(input);
         for v in out.data_mut() {
             *v = self.kind.apply(*v);
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let Some(grad_in) = grad_in else { return };
         let out = self
             .cached_output
             .as_ref()
             .expect("backward called before forward");
         assert_eq!(out.shape(), grad_out.shape(), "gradient shape mismatch");
-        let data = out
-            .data()
-            .iter()
-            .zip(grad_out.data())
-            .map(|(&y, &g)| g * self.kind.derivative_from_output(y))
-            .collect();
-        Tensor::from_vec(grad_out.shape(), data)
+        grad_in.copy_from(grad_out);
+        for (g, &y) in grad_in.data_mut().iter_mut().zip(out.data()) {
+            *g *= self.kind.derivative_from_output(y);
+        }
     }
 
     fn spec(&self) -> LayerSpec {
@@ -162,7 +160,8 @@ mod tests {
         let mut layer = ActivationLayer::new(Activation::Relu);
         let x = Tensor::row(&[-1.0, 2.0]);
         let _ = layer.forward(&x);
-        let g = layer.backward(&Tensor::row(&[1.0, 1.0]));
-        assert_eq!(g.data(), &[0.0, 1.0]);
+        let mut g = Tensor::default();
+        layer.backward(&Tensor::row(&[1.0, 1.0]), Some(&mut g));
+        assert_eq!(g, Tensor::row(&[0.0, 1.0]));
     }
 }

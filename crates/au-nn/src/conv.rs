@@ -9,7 +9,7 @@
 
 use crate::init::xavier;
 use crate::layer::{Layer, LayerSpec, Param};
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 
 /// A 2-D convolution with square kernels and no padding.
 #[derive(Debug)]
@@ -174,6 +174,30 @@ impl Conv2d {
         }
     }
 
+    /// The adjoint of [`Conv2d::im2col_row`]: adds each `dcol[f][p]` back
+    /// onto the input pixel that `col[f][p]` was copied from, kernel
+    /// elements in ascending-`f` order.
+    fn col2im_row(&self, dcol: &[f32], grad_row: &mut [f32]) {
+        let (oh, ow) = (self.out_h(), self.out_w());
+        let patches = oh * ow;
+        let k = self.kernel;
+        let mut f = 0;
+        for ic in 0..self.in_channels {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let src = &dcol[f * patches..(f + 1) * patches];
+                    for oy in 0..oh {
+                        let base = self.input_index(ic, oy * self.stride + ky, kx);
+                        for ox in 0..ow {
+                            grad_row[base + ox * self.stride] += src[oy * ow + ox];
+                        }
+                    }
+                    f += 1;
+                }
+            }
+        }
+    }
+
     /// Length of one batch row's im2col matrix.
     fn col_len(&self) -> usize {
         self.fan_in() * self.out_h() * self.out_w()
@@ -183,7 +207,7 @@ impl Conv2d {
     /// Row `b` is lowered into block `b % blocks` of `cols` (blocks of
     /// [`Conv2d::col_len`]): serving passes one block and reuses it for
     /// every row, training passes one block per row and keeps them.
-    fn convolve(&self, input: &Tensor, out: &mut Tensor, cols: &mut [f32]) {
+    fn convolve(&self, input: Rows<'_>, out: &mut Tensor, cols: &mut [f32]) {
         assert_eq!(
             input.row_len(),
             self.in_len(),
@@ -230,35 +254,36 @@ impl Layer for Conv2d {
         let batch = input.batch();
         let mut cols = vec![0.0f32; batch * self.col_len()];
         let mut out = Tensor::default();
-        self.convolve(input, &mut out, &mut cols);
+        self.convolve(input.into(), &mut out, &mut cols);
         self.cached_cols = Some(cols);
         self.cached_batch = batch;
         out
     }
 
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor) {
         // One im2col buffer, reused for every batch row.
         self.convolve(input, out, &mut vec![0.0f32; self.col_len()]);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let patches = oh * ow;
-        let fan_in = self.fan_in();
-        let col_len = self.col_len();
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let patches = self.out_h() * self.out_w();
+        let (fan_in, col_len, in_len) = (self.fan_in(), self.col_len(), self.in_len());
         let batch = self.cached_batch;
-        let in_len = self.in_len();
-        let (out_channels, in_channels) = (self.out_channels, self.in_channels);
-        let (k, stride, in_h, in_w) = (self.kernel, self.stride, self.in_h, self.in_w);
         let cols = self
             .cached_cols
             .as_ref()
             .expect("backward called before forward");
-        let mut grad_in = Tensor::zeros(&[batch, in_len]);
-        // Wᵀ (`[fan_in, out_c]`) for the input-gradient GEMM.
-        let wt = self.weight.value.transpose();
+        // The input gradient's Wᵀ (`[fan_in, out_c]`) and dcol buffer exist
+        // only when the caller reads dx.
+        let mut dx = grad_in.map(|grad_in| {
+            grad_in.resize_zeroed(&[batch, in_len]);
+            (
+                grad_in,
+                self.weight.value.transpose(),
+                vec![0.0f32; col_len],
+            )
+        });
         let mut colt = vec![0.0f32; col_len];
-        let mut dcol = vec![0.0f32; col_len];
         for b in 0..batch {
             let go_row = grad_out.row_slice(b);
             let col = &cols[b * col_len..(b + 1) * col_len];
@@ -281,7 +306,7 @@ impl Layer for Conv2d {
                 self.weight.grad.data_mut(),
                 go_row,
                 &colt,
-                out_channels,
+                self.out_channels,
                 patches,
                 fan_in,
             );
@@ -290,27 +315,19 @@ impl Layer for Conv2d {
             // scatter visits kernel elements in ascending-f order, which
             // regroups the additions relative to the old oc-major nest —
             // equal within f32 rounding, covered by the 1e-6 oracle tests.
-            dcol.fill(0.0);
-            crate::kernels::gemm_acc(&mut dcol, wt.data(), go_row, fan_in, out_channels, patches);
-            let gi_row = &mut grad_in.data_mut()[b * in_len..(b + 1) * in_len];
-            let mut f = 0;
-            for ic in 0..in_channels {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let src = &dcol[f * patches..(f + 1) * patches];
-                        for oy in 0..oh {
-                            let iy = oy * stride + ky;
-                            let base = (ic * in_h + iy) * in_w + kx;
-                            for ox in 0..ow {
-                                gi_row[base + ox * stride] += src[oy * ow + ox];
-                            }
-                        }
-                        f += 1;
-                    }
-                }
+            if let Some((grad_in, wt, dcol)) = dx.as_mut() {
+                dcol.fill(0.0);
+                crate::kernels::gemm_acc(
+                    dcol,
+                    wt.data(),
+                    go_row,
+                    fan_in,
+                    self.out_channels,
+                    patches,
+                );
+                self.col2im_row(dcol, &mut grad_in.data_mut()[b * in_len..(b + 1) * in_len]);
             }
         }
-        grad_in
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -476,7 +493,7 @@ impl MaxPool2d {
     /// Pools every batch row of `input` into `out`; with `argmax`, also
     /// records the flat input index each output element took its maximum
     /// from (what the backward pass routes gradients through).
-    fn pool(&self, input: &Tensor, out: &mut Tensor, mut argmax: Option<&mut [usize]>) {
+    fn pool(&self, input: Rows<'_>, out: &mut Tensor, mut argmax: Option<&mut [usize]>) {
         assert_eq!(
             input.row_len(),
             self.in_len(),
@@ -520,22 +537,23 @@ impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut argmax = vec![0usize; input.batch() * self.out_len()];
         let mut out = Tensor::default();
-        self.pool(input, &mut out, Some(&mut argmax));
+        self.pool(input.into(), &mut out, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         self.cached_batch = input.batch();
         out
     }
 
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor) {
         self.pool(input, out, None);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let Some(grad_in) = grad_in else { return };
         let argmax = self
             .cached_argmax
             .as_ref()
             .expect("backward called before forward");
-        let mut grad_in = Tensor::zeros(&[self.cached_batch, self.in_len()]);
+        grad_in.resize_zeroed(&[self.cached_batch, self.in_len()]);
         for b in 0..self.cached_batch {
             let go = grad_out.row_slice(b);
             for (o, &g) in go.iter().enumerate() {
@@ -543,7 +561,6 @@ impl Layer for MaxPool2d {
                 grad_in.data_mut()[b * self.in_len() + idx] += g;
             }
         }
-        grad_in
     }
 
     fn out_features(&self) -> Option<usize> {
@@ -580,17 +597,19 @@ impl Flatten {
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
+        self.infer_into(input.into(), &mut out);
         out
     }
 
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor) {
         assert_eq!(input.row_len(), self.features, "flatten size mismatch");
         out.copy_from(input);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        if let Some(grad_in) = grad_in {
+            grad_in.copy_from(grad_out);
+        }
     }
 
     fn out_features(&self) -> Option<usize> {
@@ -665,8 +684,9 @@ mod tests {
         );
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
         let _ = conv.forward(&x);
-        let dx = conv.backward(&Tensor::row(&[1.0]));
-        assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
+        let mut dx = Tensor::default();
+        conv.backward(&Tensor::row(&[1.0]), Some(&mut dx));
+        assert_eq!(dx, Tensor::row(&[1.0, 1.0, 1.0, 1.0]));
         let params = conv.params_mut();
         assert_eq!(params[0].grad.data(), x.data());
         assert_eq!(params[1].grad.data(), &[1.0]);
@@ -677,8 +697,9 @@ mod tests {
         let mut pool = MaxPool2d::new(1, 2, 2, 2);
         let y = pool.forward(&Tensor::row(&[1.0, 5.0, 3.0, 2.0]));
         assert_eq!(y.data(), &[5.0]);
-        let dx = pool.backward(&Tensor::row(&[1.0]));
-        assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0]);
+        let mut dx = Tensor::default();
+        pool.backward(&Tensor::row(&[1.0]), Some(&mut dx));
+        assert_eq!(dx, Tensor::row(&[0.0, 1.0, 0.0, 0.0]));
     }
 
     #[test]
@@ -694,7 +715,9 @@ mod tests {
         let mut f = Flatten::new(4);
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(f.forward(&x), x);
-        assert_eq!(f.backward(&x), x);
+        let mut dx = Tensor::default();
+        f.backward(&x, Some(&mut dx));
+        assert_eq!(dx, x);
     }
 
     #[test]
@@ -734,7 +757,7 @@ mod tests {
             );
             let x = Tensor::from_vec(&[batch, in_c * h * w], pseudo(batch * in_c * h * w, 17));
             let mut fast = Tensor::default();
-            conv.infer_into(&x, &mut fast);
+            conv.infer_into((&x).into(), &mut fast);
             let naive = conv.infer_naive(&x);
             let fast_bits: Vec<u32> = fast.data().iter().map(|v| v.to_bits()).collect();
             let naive_bits: Vec<u32> = naive.data().iter().map(|v| v.to_bits()).collect();
@@ -769,7 +792,8 @@ mod tests {
             let dy_len = batch * conv.out_len();
             let dy = Tensor::from_vec(&[batch, conv.out_len()], pseudo(dy_len, 37));
             let _ = conv.forward(&x);
-            let grad_in = conv.backward(&dy);
+            let mut grad_in = Tensor::default();
+            conv.backward(&dy, Some(&mut grad_in));
             let (want_gi, want_dw, want_db) = conv.backward_naive(&x, &dy);
             let close = |got: &[f32], want: &[f32], what: &str| {
                 for (g, w) in got.iter().zip(want) {
@@ -803,7 +827,7 @@ mod tests {
         let x = Tensor::row(&pseudo(9, 41));
         let dy = Tensor::row(&pseudo(4, 43));
         let _ = conv.forward(&x);
-        let _ = conv.backward(&dy);
+        conv.backward(&dy, Some(&mut Tensor::default()));
         for p in conv.params_mut() {
             for v in p.value.data_mut() {
                 *v *= 2.0;
@@ -811,7 +835,8 @@ mod tests {
             p.zero_grad();
         }
         let _ = conv.forward(&x);
-        let got = conv.backward(&dy);
+        let mut got = Tensor::default();
+        conv.backward(&dy, Some(&mut got));
         let (want, _, _) = conv.backward_naive(&x, &dy);
         for (g, w) in got.data().iter().zip(want.data()) {
             assert!(

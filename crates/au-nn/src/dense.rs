@@ -2,7 +2,7 @@
 
 use crate::init::xavier;
 use crate::layer::{Layer, LayerSpec, Param};
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 
 /// A fully connected layer computing `y = x·W + b`.
 ///
@@ -65,12 +65,12 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
+        self.infer_into(input.into(), &mut out);
         self.cached_input = Some(input.clone());
         out
     }
 
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor) {
         assert_eq!(
             input.row_len(),
             self.in_features,
@@ -105,7 +105,7 @@ impl Layer for Dense {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
         let input = self
             .cached_input
             .as_ref()
@@ -130,8 +130,21 @@ impl Layer for Dense {
                 *g += d;
             }
         }
-        // dx = dy · Wᵀ
-        grad_out.matmul(&self.weight.value.transpose())
+        // dx = dy · Wᵀ, only when the caller reads it: zero-init plus one
+        // GEMM against the transpose, the per-element order of `matmul`.
+        if let Some(grad_in) = grad_in {
+            let wt = self.weight.value.transpose();
+            grad_in.resize_zeroed(&[batch, self.in_features]);
+            let _t = au_telemetry::time!("au_nn.gemm");
+            crate::kernels::gemm_acc(
+                grad_in.data_mut(),
+                grad_out.data(),
+                wt.data(),
+                batch,
+                n,
+                self.in_features,
+            );
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -176,9 +189,10 @@ mod tests {
         let mut layer = Dense::from_weights(w, b);
         let x = Tensor::row(&[1.0, 1.0]);
         let _ = layer.forward(&x);
-        let dx = layer.backward(&Tensor::row(&[1.0, 1.0]));
+        let mut dx = Tensor::default();
+        layer.backward(&Tensor::row(&[1.0, 1.0]), Some(&mut dx));
         // dx = dy · Wᵀ = [1+2, 3+4]
-        assert_eq!(dx.data(), &[3.0, 7.0]);
+        assert_eq!(dx, Tensor::row(&[3.0, 7.0]));
         let params = layer.params_mut();
         // dW = xᵀ·dy = all ones; db = dy
         assert_eq!(params[0].grad.data(), &[1.0, 1.0, 1.0, 1.0]);

@@ -1,5 +1,6 @@
 //! Numerical gradient checking for network correctness tests.
 
+use crate::layer::Param;
 use crate::loss::Loss;
 use crate::network::Network;
 use crate::tensor::Tensor;
@@ -24,8 +25,12 @@ impl GradCheckReport {
 /// Compares the network's backpropagated gradients against central finite
 /// differences of the loss, parameter by parameter.
 ///
-/// Only the first `max_params` scalars of each parameter tensor are probed to
-/// keep the check fast on large layers.
+/// The analytic gradients come from the training body itself (the
+/// forward and backward of [`Network::train_step`], without the update;
+/// the first layer computes no input gradient there), and each probed
+/// loss from [`Network::infer`], which computes the training forward's
+/// bits. Only the first `max_params` scalars of each parameter
+/// tensor are probed to keep the check fast on large layers.
 pub fn check_gradients(
     net: &mut Network,
     input: &Tensor,
@@ -33,68 +38,32 @@ pub fn check_gradients(
     loss: Loss,
     max_params: usize,
 ) -> GradCheckReport {
-    // Analytic pass: forward + backward without any optimizer update.
-    let output = {
-        let mut x = input.clone();
-        for layer in net.layers_mut().iter_mut() {
-            x = layer.forward(&x);
-        }
-        x
-    };
-    let mut grad = loss.gradient(&output, target);
-    for layer in net.layers_mut().iter_mut().rev() {
-        grad = layer.backward(&grad);
-    }
-    // Collect analytic gradients, then probe numerically.
+    net.backprop(input, |output| {
+        (loss.gradient(output, target), loss.value(output, target))
+    });
     let mut max_err = 0.0f32;
     let mut checked = 0usize;
     let eps = 1e-2f32;
-    let layer_count = net.layers_mut().len();
-    for li in 0..layer_count {
-        let param_count = net.layers_mut()[li].params_mut().len();
-        for pi in 0..param_count {
-            let len = {
-                let params = net.layers_mut()[li].params_mut();
-                params[pi].len().min(max_params)
-            };
+    for li in 0..net.depth() {
+        for pi in 0..net.layers_mut()[li].params().len() {
+            let len = param(net, li, pi).len().min(max_params);
             for i in 0..len {
-                let analytic = {
-                    let params = net.layers_mut()[li].params_mut();
-                    params[pi].grad.data()[i]
+                let p = param(net, li, pi);
+                let (analytic, orig) = (p.grad.data()[i], p.value.data()[i]);
+                let mut loss_at = |v: f32| {
+                    param(net, li, pi).value.data_mut()[i] = v;
+                    loss.value(&net.infer(input), target)
                 };
-                let orig = {
-                    let params = net.layers_mut()[li].params_mut();
-                    params[pi].value.data()[i]
-                };
-                let eval = |net: &mut Network, v: f32| {
-                    {
-                        let mut params = net.layers_mut()[li].params_mut();
-                        params[pi].value.data_mut()[i] = v;
-                    }
-                    let mut x = input.clone();
-                    for layer in net.layers_mut().iter_mut() {
-                        x = layer.forward(&x);
-                    }
-                    loss.value(&x, target)
-                };
-                let plus = eval(net, orig + eps);
-                let minus = eval(net, orig - eps);
-                {
-                    let mut params = net.layers_mut()[li].params_mut();
-                    params[pi].value.data_mut()[i] = orig;
-                }
-                let numeric = (plus - minus) / (2.0 * eps);
+                let numeric = (loss_at(orig + eps) - loss_at(orig - eps)) / (2.0 * eps);
+                param(net, li, pi).value.data_mut()[i] = orig;
                 let denom = analytic.abs().max(numeric.abs()).max(1e-4);
-                let err = (analytic - numeric).abs() / denom;
-                if err > max_err {
-                    max_err = err;
-                }
+                max_err = max_err.max((analytic - numeric).abs() / denom);
                 checked += 1;
             }
         }
     }
     // Clear gradients so the check leaves the network clean.
-    for layer in net.layers_mut().iter_mut() {
+    for layer in net.layers_mut() {
         for param in layer.params_mut() {
             param.zero_grad();
         }
@@ -103,6 +72,11 @@ pub fn check_gradients(
         max_relative_error: max_err,
         checked,
     }
+}
+
+/// Parameter `pi` of layer `li`.
+fn param(net: &mut Network, li: usize, pi: usize) -> &mut Param {
+    net.layers_mut()[li].params_mut().swap_remove(pi)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The [`Layer`] trait and learnable [`Param`] storage.
 
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// A learnable parameter: its value, accumulated gradient, and Adam moments.
@@ -63,21 +63,26 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Serving pass (TS mode) through `&self`, so a shared model can serve
-    /// many threads at once: writes the output into a caller-owned tensor
-    /// and touches no backward-pass cache.
+    /// many threads at once: reads a borrowed batch, writes the output into
+    /// a caller-owned tensor and touches no backward-pass cache.
     ///
     /// `out` is reshaped (any prior shape/contents are discarded; its
     /// allocation is reused), which makes it the building block of the
     /// allocation-free serving path ([`crate::Network::infer_reusing`]).
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor);
+    fn infer_into(&self, input: Rows<'_>, out: &mut Tensor);
 
-    /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
-    /// parameter gradients along the way.
+    /// Backward pass: accumulates the parameter gradients for `grad_out`
+    /// (∂loss/∂output) and, when the caller passes `grad_in`, writes
+    /// ∂loss/∂input into it. `grad_in` is reshaped like
+    /// [`Layer::infer_into`]'s `out`. With `None` the layer computes no
+    /// input gradient at all: the network's first layer gets `None`,
+    /// because its input is the features, which nothing differentiates.
+    /// The parameter gradients are the same bits either way.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>);
 
     /// The layer's learnable parameters, if any.
     fn params_mut(&mut self) -> Vec<&mut Param> {

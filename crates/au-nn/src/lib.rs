@@ -6,7 +6,8 @@
 //! `buildModel`, `loadModel`, `runModel`, and `gradient` — as a small,
 //! dependency-light Rust library:
 //!
-//! - [`Tensor`]: an n-dimensional `f32` array with shape bookkeeping.
+//! - [`Tensor`]: an n-dimensional `f32` array with shape bookkeeping, and
+//!   [`Rows`], a borrowed `[rows, width]` batch that serving reads.
 //! - [`Layer`] implementations: [`Dense`], [`Conv2d`], [`MaxPool2d`],
 //!   [`Flatten`], and activations ([`Activation`]).
 //! - [`Network`]: a sequential model with forward/backward passes, losses,
@@ -62,4 +63,4 @@ pub use layer::{Layer, LayerSpec, Param};
 pub use loss::Loss;
 pub use network::{net_mut, InferScratch, Network, NetworkBuilder, NnError};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use tensor::Tensor;
+pub use tensor::{Rows, Tensor};

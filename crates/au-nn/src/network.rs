@@ -6,7 +6,7 @@ use crate::dense::Dense;
 use crate::layer::{Layer, LayerSpec, Param};
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -102,14 +102,16 @@ impl Network {
             .sum()
     }
 
-    /// Runs inference (TS mode) on a `[batch, in]` tensor through `&self`,
+    /// Runs inference (TS mode) on a `[batch, in]` batch through `&self`,
     /// without touching any backward-pass cache — so one trained network
     /// (behind an `RwLock` read guard or `Arc`) can serve arbitrarily many
-    /// threads at once. This is the semantics' `runModel`.
-    pub fn infer(&self, input: &Tensor) -> Tensor {
+    /// threads at once. This is the semantics' `runModel`. `input` is a
+    /// `&Tensor` or a [`Rows`] view of a caller's flat slice; either way
+    /// the first layer reads it in place.
+    pub fn infer<'a>(&self, input: impl Into<Rows<'a>>) -> Tensor {
         let _t = au_telemetry::time!("au_nn.forward");
         let mut scratch = InferScratch::default();
-        std::mem::take(self.infer_in(input, &mut scratch))
+        std::mem::take(self.infer_in(input.into(), &mut scratch))
     }
 
     /// [`Network::infer`] through caller-owned ping-pong buffers: after the
@@ -121,16 +123,20 @@ impl Network {
     /// [`Layer::infer_into`] loop on buffers of its own. Returns a borrow
     /// of the scratch buffer holding the output (copy it out if it must
     /// outlive the next call).
-    pub fn infer_reusing<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
+    pub fn infer_reusing<'a, 's>(
+        &self,
+        input: impl Into<Rows<'a>>,
+        scratch: &'s mut InferScratch,
+    ) -> &'s Tensor {
         let _t = au_telemetry::time!("au_nn.forward");
-        self.infer_in(input, scratch)
+        self.infer_in(input.into(), scratch)
     }
 
     /// The serving loop shared by [`Network::infer`] and
     /// [`Network::infer_reusing`]: the first layer reads `input`, and each
     /// later layer's [`Layer::infer_into`] reads one scratch buffer and
     /// writes the other.
-    fn infer_in<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s mut Tensor {
+    fn infer_in<'s>(&self, input: Rows<'_>, scratch: &'s mut InferScratch) -> &'s mut Tensor {
         let InferScratch { ping, pong } = scratch;
         let Some((first, rest)) = self.layers.split_first() else {
             ping.copy_from(input);
@@ -140,7 +146,7 @@ impl Network {
         let mut src: &mut Tensor = ping;
         let mut dst: &mut Tensor = pong;
         for layer in rest {
-            layer.infer_into(src, dst);
+            layer.infer_into((&*src).into(), dst);
             std::mem::swap(&mut src, &mut dst);
         }
         src
@@ -166,7 +172,8 @@ impl Network {
     /// body [`Network::train_batch`] and the DQN step share. Runs the
     /// training forward once, hands its output to `output_grad`, which
     /// returns ∂loss/∂output and the loss, then backpropagates, applies
-    /// `opt` to every parameter and returns the loss.
+    /// `opt` to every parameter and returns the loss. The first layer
+    /// computes no input gradient: its input is the features.
     pub fn train_step(
         &mut self,
         input: &Tensor,
@@ -174,14 +181,7 @@ impl Network {
         output_grad: impl FnOnce(&Tensor) -> (Tensor, f32),
     ) -> f32 {
         let _t = au_telemetry::time!("au_nn.train_batch");
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        let (mut grad, loss) = output_grad(&x);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
+        let loss = self.backprop(input, output_grad);
         for layer in &mut self.layers {
             for param in layer.params_mut() {
                 opt.step(param);
@@ -190,6 +190,34 @@ impl Network {
         }
         opt.end_batch();
         au_telemetry::count!("au_nn.batches_trained");
+        loss
+    }
+
+    /// The training step up to the update: runs the training forward once
+    /// (the first layer reads `input` in place), hands its output to
+    /// `output_grad`, which returns ∂loss/∂output and the loss, then
+    /// backpropagates, leaving every parameter's gradient in
+    /// [`Param::grad`]. The input gradients pass through two buffers in
+    /// turn; the first layer is asked for none, since its input is the
+    /// features and nothing reads ∂loss/∂features.
+    pub(crate) fn backprop(
+        &mut self,
+        input: &Tensor,
+        output_grad: impl FnOnce(&Tensor) -> (Tensor, f32),
+    ) -> f32 {
+        let mut out: Option<Tensor> = None;
+        for layer in &mut self.layers {
+            out = Some(layer.forward(out.as_ref().unwrap_or(input)));
+        }
+        let (mut grad, loss) = output_grad(out.as_ref().unwrap_or(input));
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let mut spare = Tensor::default();
+            for layer in rest.iter_mut().rev() {
+                layer.backward(&grad, Some(&mut spare));
+                std::mem::swap(&mut grad, &mut spare);
+            }
+            first.backward(&grad, None);
+        }
         loss
     }
 
@@ -280,7 +308,7 @@ impl Network {
         }
     }
 
-    /// Direct access to layers for gradient checking.
+    /// Direct access to layers, for gradient checking and tests.
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
@@ -524,6 +552,69 @@ mod tests {
         let x = Tensor::from_rows(&[&[0.1, -0.2, 0.3, -0.4, 0.5]]);
         let reused = bits(other.infer_reusing(&x, &mut scratch));
         assert_eq!(reused, bits(&other.infer(&x)));
+    }
+
+    /// The parameter gradients `backprop` leaves, with no input gradient
+    /// asked of the first layer, are the bits of a backward pass in which
+    /// every layer writes its input gradient: conv-first and dense-first,
+    /// at batch 1 and at batch 3.
+    #[test]
+    fn backprop_skips_the_first_input_gradient_without_changing_a_bit() {
+        crate::init::set_init_seed(43);
+        let conv_first = Network::builder(8 * 8)
+            .conv2d(1, 8, 8, 2, 3, 1)
+            .activation(Activation::Relu)
+            .max_pool2d(2, 6, 6, 2)
+            .flatten()
+            .dense(8)
+            .activation(Activation::Tanh)
+            .dense(3)
+            .build();
+        let dense_first = dnn(64, &[16, 8], 3);
+        let pixel = |i: usize| (i % 13) as f32 / 13.0 - 0.4;
+        let output_grad = |out: &Tensor| {
+            (
+                Tensor::from_vec(out.shape(), (0..out.len()).map(pixel).collect()),
+                0.0,
+            )
+        };
+        let param_grads = |net: &mut Network| -> Vec<(Vec<usize>, Vec<u32>)> {
+            let layers = net.layers_mut();
+            layers
+                .iter()
+                .flat_map(|l| l.params())
+                .map(|p| bits(&p.grad))
+                .collect()
+        };
+        for net in [conv_first, dense_first] {
+            for batch in [1, 3] {
+                let x = Tensor::from_vec(&[batch, 64], (0..batch * 64).map(pixel).collect());
+                let mut skipped = net.deep_clone();
+                skipped.backprop(&x, output_grad);
+                let mut full = net.deep_clone();
+                let mut out = x.clone();
+                for layer in full.layers_mut() {
+                    out = layer.forward(&out);
+                }
+                let (mut grad, _) = output_grad(&out);
+                for layer in full.layers_mut().iter_mut().rev() {
+                    let mut grad_in = Tensor::default();
+                    layer.backward(&grad, Some(&mut grad_in));
+                    grad = grad_in;
+                }
+                assert_eq!(
+                    grad.shape(),
+                    &[batch, 64],
+                    "the full pass reaches the input"
+                );
+                let want = param_grads(&mut full);
+                assert!(
+                    want.iter().all(|(_, g)| g.iter().any(|&b| b != 0)),
+                    "every parameter gets a gradient"
+                );
+                assert_eq!(param_grads(&mut skipped), want, "batch {batch}");
+            }
+        }
     }
 
     /// A network with no layers degenerates to the identity on both paths.

@@ -25,8 +25,7 @@ pub struct Tensor {
 
 impl Default for Tensor {
     /// A one-element placeholder, meant to be overwritten via
-    /// [`Tensor::resize_zeroed`] / [`Tensor::copy_from`] /
-    /// [`Tensor::set_row`] before use — the seed value for reusable
+    /// [`Tensor::resize_zeroed`] / [`Tensor::copy_from`] before use — the seed value for reusable
     /// scratch buffers like [`crate::InferScratch`].
     fn default() -> Self {
         Tensor {
@@ -43,6 +42,67 @@ impl fmt::Debug for Tensor {
             write!(f, " {:?}", self.data)
         } else {
             write!(f, " [{} values]", self.data.len())
+        }
+    }
+}
+
+/// A borrowed `[rows, width]` batch: what [`crate::Layer::infer_into`]
+/// reads. `&Tensor` converts into one, and [`Rows::new`] views a caller's
+/// flat row-major slice as a batch without copying it.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    data: &'a [f32],
+    rows: usize,
+    width: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Views `data` as `rows` rows of `width` values each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not `rows * width`.
+    pub fn new(rows: usize, width: usize, data: &'a [f32]) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * width,
+            "data length {} does not match [{rows}, {width}]",
+            data.len()
+        );
+        Rows { data, rows, width }
+    }
+
+    /// Number of rows (the batch size).
+    pub fn batch(&self) -> usize {
+        self.rows
+    }
+
+    /// Elements per row.
+    pub fn row_len(&self) -> usize {
+        self.width
+    }
+
+    /// The whole batch, row-major.
+    pub fn data(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Borrows row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn row_slice(&self, i: usize) -> &'a [f32] {
+        &self.data[i * self.width..(i + 1) * self.width]
+    }
+}
+
+impl<'a> From<&'a Tensor> for Rows<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        Rows {
+            data: &t.data,
+            rows: t.batch(),
+            width: t.row_len(),
         }
     }
 }
@@ -260,23 +320,15 @@ impl Tensor {
         self.shape.extend_from_slice(shape);
     }
 
-    /// Makes this tensor an exact copy of `src` (shape and data), reusing
-    /// the existing allocation when capacity allows.
-    pub fn copy_from(&mut self, src: &Tensor) {
+    /// Makes this tensor a `[rows, width]` copy of `src` (a [`Tensor`] or
+    /// a [`Rows`] view), reusing the existing allocation when capacity
+    /// allows.
+    pub fn copy_from<'a>(&mut self, src: impl Into<Rows<'a>>) {
+        let src = src.into();
         self.shape.clear();
-        self.shape.extend_from_slice(&src.shape);
+        self.shape.extend_from_slice(&[src.batch(), src.row_len()]);
         self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
-    /// Makes this tensor a `[1, n]` single-sample batch of `values`,
-    /// reusing the existing allocation — the in-place twin of
-    /// [`Tensor::row`].
-    pub fn set_row(&mut self, values: &[f32]) {
-        self.shape.clear();
-        self.shape.extend_from_slice(&[1, values.len()]);
-        self.data.clear();
-        self.data.extend_from_slice(values);
+        self.data.extend_from_slice(src.data());
     }
 
     /// Index of the maximum element in batch row `i`.
@@ -391,12 +443,29 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_set_row_overwrite_in_place() {
+    fn copy_from_overwrites_in_place() {
         let src = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let mut dst = Tensor::default();
         dst.copy_from(&src);
         assert_eq!(dst, src);
-        dst.set_row(&[9.0, 8.0, 7.0]);
+        dst.copy_from(Rows::new(1, 3, &[9.0, 8.0, 7.0]));
         assert_eq!(dst, Tensor::row(&[9.0, 8.0, 7.0]));
+    }
+
+    #[test]
+    fn rows_view_a_flat_slice_and_a_tensor_alike() {
+        let t = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let flat = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        for rows in [Rows::from(&t), Rows::new(2, 3, &flat)] {
+            assert_eq!((rows.batch(), rows.row_len()), (2, 3));
+            assert_eq!(rows.row_slice(1), &[4.0, 5.0, 6.0]);
+            assert_eq!(rows.data(), &flat);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn rows_checks_len() {
+        let _ = Rows::new(2, 2, &[1.0]);
     }
 }
