@@ -227,15 +227,11 @@ impl Engine {
     }
 
     /// Offline supervised training over a dataset. Returns the mean loss of
-    /// the final epoch.
+    /// the final epoch; a refused dataset trains nothing.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Engine::au_nn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` and `ys` lengths differ or the dataset is empty.
+    /// Same conditions as [`EngineHandle::train_supervised`].
     pub fn train_supervised(
         &mut self,
         model: &str,
@@ -251,7 +247,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`AuError::UnknownModel`] or [`AuError::ModelNotTrained`].
+    /// Same conditions as [`EngineHandle::predict`].
     pub fn predict(&mut self, model: &str, x: &[f64]) -> Result<Vec<f64>, AuError> {
         self.handle.predict(model, x)
     }

@@ -37,9 +37,11 @@ pub enum AuError {
         expected: &'static str,
     },
     /// No network can be built from this configuration or for these
-    /// widths: a zero hidden width, input width or output width (action
+    /// widths (a zero hidden width, input width or output width (action
     /// count), or a CNN frame that is under 8×8 pixels or whose volume is
-    /// not the input width.
+    /// not the input width), or a training dataset does not fit one (it
+    /// is empty, its sides do not pair up, or its labels are ragged or of
+    /// another width than the network's output).
     InvalidShape {
         /// Model name.
         model: String,
@@ -80,7 +82,7 @@ impl fmt::Display for AuError {
                 write!(f, "model `{model}` does not use a {expected} algorithm")
             }
             AuError::InvalidShape { model, reason } => {
-                write!(f, "model `{model}` cannot be built: {reason}")
+                write!(f, "invalid shape for model `{model}`: {reason}")
             }
             AuError::Backend(e) => write!(f, "model backend error: {e}"),
             AuError::ModelNotTrained(name) => {

@@ -5,14 +5,16 @@
 //! from many threads at once. The layers (see `docs/architecture.md`):
 //!
 //! - **model registry** (θ) — [`crate::registry::ModelRegistry`]: one
-//!   name→entry map with per-model `RwLock`s, so deployment-mode serving of
-//!   one model shares a read lock and different models never contend;
+//!   name→entry map with a writer-preferring lock per model, so
+//!   deployment-mode serving of one model shares a read lock, different
+//!   models never contend, and training waits only for running reads;
 //! - **db store** (π) — a [`DbLayer`] behind one mutex: the `DbStore` and
 //!   the label-freshness marks derived from it, which must stay mutually
 //!   consistent;
 //! - **inference** — the `au_nn`/`au_nn_rl`/`predict`/`predict_batch`
 //!   methods: a read-locked fast path in TS mode, a write-locked slow path
-//!   for training and first-call network construction;
+//!   for training and first-call network construction. Every forward
+//!   pass, batches included, runs under the read lock;
 //! - **monitoring/telemetry** — interior-mutable counters (atomics) plus the
 //!   monitor state behind its own mutex, usable from `&self`.
 //!
@@ -22,16 +24,15 @@
 use crate::error::AuError;
 use crate::lockwait::pi_lock;
 use crate::model::{
-    rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm, Backend,
-    ModelConfig, ModelEntry, ModelStats,
+    invalid_shape, rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm,
+    Backend, ModelConfig, ModelEntry, ModelStats,
 };
 use crate::monitoring::BaselineMeta;
 use crate::monitoring::MonitorState;
-use crate::registry::lock;
-use crate::registry::{read, write, ModelRegistry};
+use crate::registry::{lock, read, write, ModelRegistry};
 use crate::store::DbStore;
 use au_nn::rl::DqnAgent;
-use au_nn::{net_mut, Adam, Network, Rows};
+use au_nn::{Adam, Network, Rows};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -65,9 +66,10 @@ impl Mode {
     }
 }
 
-/// Per (model, wb-name) append-counter marks distinguishing fresh labels
-/// from stale predictions in `au_nn`.
-pub(crate) type LabelMarks = BTreeMap<(String, String), u64>;
+/// Per (model, wb-name) marks of how many values π had received under the
+/// wb name at the model's last `au_nn`: the values appended since are the
+/// fresh label, the rest is the stale prediction.
+pub(crate) type LabelMarks = BTreeMap<(String, String), usize>;
 
 /// A combined snapshot of host program state `S` and the database store π.
 ///
@@ -78,8 +80,8 @@ pub(crate) type LabelMarks = BTreeMap<(String, String), u64>;
 pub struct Checkpoint<S> {
     program: S,
     db: DbStore,
-    /// Label-freshness marks are derived from π's append counters, so they
-    /// roll back with it.
+    /// Label-freshness marks are derived from π's appended-value counts,
+    /// so they roll back with it.
     label_marks: LabelMarks,
 }
 
@@ -282,7 +284,7 @@ impl EngineHandle {
             );
             entry.backend = Some(match entry.config.algorithm {
                 Algorithm::AdamOpt => Backend::Supervised {
-                    net: Arc::new(net),
+                    net,
                     opt: Adam::new(entry.config.learning_rate),
                     train_steps: 0,
                 },
@@ -332,7 +334,7 @@ impl EngineHandle {
         let mut entry = ModelEntry::new(config);
         entry.backend = Some(match algorithm {
             Algorithm::AdamOpt => Backend::Supervised {
-                net: Arc::new(network),
+                net: network,
                 opt: Adam::new(1e-3),
                 train_steps: 0,
             },
@@ -473,8 +475,10 @@ impl EngineHandle {
     /// # Errors
     ///
     /// [`AuError::UnknownModel`] if `au_config` never ran for `model`;
-    /// [`AuError::MissingData`] if π(`ext`) is empty or (on the first TR
-    /// call) no labels exist to fix the output width;
+    /// [`AuError::MissingData`] if π(`ext`) is empty, (on the first TR
+    /// call) no labels exist to fix the output width, or a `wb` name
+    /// received fewer values since the last call than its part of the
+    /// output split;
     /// [`AuError::WrongAlgorithm`] for QLearn models;
     /// [`AuError::InvalidShape`] when the first call cannot build the
     /// network (no `wb` name, so no output width).
@@ -502,33 +506,40 @@ impl EngineHandle {
             .registry
             .get(model)
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let known_split = read(&entry).output_split.clone();
-        // Labels recorded under the wb names (training mode only). After a
+        let known_split = entry.read().output_split.clone();
+        // Labels recorded under the wb names: TR trains on them, and a
+        // monitored TS run scores its prediction against them. After a
         // previous au_NN call, each wb list starts with that call's
-        // prediction; a freshly extracted label is *appended* behind it. A
-        // wb list counts as carrying a label only if au_extract has touched
-        // it since the last au_NN call on this model, and once the output
-        // split is known only the tail of each list is the label.
+        // prediction, and the values au_extract appended since sit behind
+        // it: the label is those values and nothing else. Once the output
+        // split is known, a label must hold `split[i]` of them (the latest,
+        // if more were appended).
         let labels: Vec<Vec<f64>> = {
             let d = pi_lock(&self.shared.db);
             wbs.iter()
                 .enumerate()
                 .map(|(i, wb)| {
                     let mark_key = (model.to_owned(), (*wb).to_owned());
-                    let fresh =
-                        d.db.append_count(wb) > d.label_marks.get(&mark_key).copied().unwrap_or(0);
-                    if !fresh {
-                        return Vec::new();
-                    }
+                    let mark = d.label_marks.get(&mark_key).copied().unwrap_or(0);
                     let full = d.db.get(wb);
-                    match &known_split {
-                        Some(split) if full.len() >= split[i] && split[i] > 0 => {
-                            full[full.len() - split[i]..].to_vec()
-                        }
-                        _ => full.to_vec(),
+                    let fresh = d.db.appended(wb).saturating_sub(mark).min(full.len());
+                    let want = known_split
+                        .as_ref()
+                        .and_then(|split| split.get(i).copied())
+                        .unwrap_or(fresh);
+                    if fresh == 0 {
+                        Ok(Vec::new())
+                    } else if fresh < want {
+                        Err(AuError::MissingData {
+                            name: (*wb).to_owned(),
+                            wanted: want,
+                            available: fresh,
+                        })
+                    } else {
+                        Ok(full[full.len() - want..].to_vec())
                     }
                 })
-                .collect()
+                .collect::<Result<_, _>>()?
         };
         let have_labels = mode == Mode::Train && labels.iter().all(|l| !l.is_empty());
         let label_flat: Vec<f64> = labels.iter().flatten().copied().collect();
@@ -537,18 +548,12 @@ impl EngineHandle {
         // under the model's read lock so clones predict in parallel.
         let mut fast: Option<(Vec<f64>, Vec<usize>)> = None;
         if mode == Mode::Test {
-            let g = read(&entry);
+            let g = entry.read();
             if let (Some(s), Some(Backend::Supervised { net, .. })) =
                 (g.output_split.as_ref(), g.backend.as_ref())
             {
                 if s.len() == wbs.len() {
-                    if net.in_features() != input.len() {
-                        return Err(AuError::InputSizeChanged {
-                            model: model.to_owned(),
-                            built: net.in_features(),
-                            got: input.len(),
-                        });
-                    }
+                    check_width(model, net.in_features(), input.len())?;
                     au_telemetry::count!("au_core.predictions_served");
                     fast = Some((run_model_ref(net, &input), s.clone()));
                 }
@@ -559,7 +564,7 @@ impl EngineHandle {
             None => {
                 // Slow path: first call (split/backend unknown) or training
                 // — serialize on the model's write lock.
-                let mut g = write(&entry);
+                let mut g = entry.write();
                 let split: Vec<usize> = if let Some(split) = g.output_split.clone() {
                     split
                 } else if have_labels {
@@ -593,7 +598,7 @@ impl EngineHandle {
                         train_steps,
                     } => {
                         if have_labels {
-                            let loss = supervised_step(net_mut(net), opt, &input, &label_flat);
+                            let loss = supervised_step(net, opt, &input, &label_flat);
                             au_telemetry::count!("au_core.rows_trained");
                             au_telemetry::gauge_set!("au_core.last_loss", f64::from(loss));
                             *train_steps += 1;
@@ -637,7 +642,7 @@ impl EngineHandle {
         let mut offset = 0;
         for (wb, width) in wbs.iter().zip(&split) {
             d.db.put(wb, output[offset..offset + width].to_vec());
-            let count = d.db.append_count(wb);
+            let count = d.db.appended(wb);
             d.label_marks
                 .insert((model.to_owned(), (*wb).to_owned()), count);
             offset += width;
@@ -698,7 +703,7 @@ impl EngineHandle {
         // transition to clear ⇒ greedy action under the read lock.
         let mut fast: Option<usize> = None;
         if !train {
-            let g = read(&entry);
+            let g = entry.read();
             if let Some(Backend::Reinforcement {
                 agent,
                 pending: None,
@@ -714,7 +719,7 @@ impl EngineHandle {
         let action = match fast {
             Some(a) => a,
             None => {
-                let mut g = write(&entry);
+                let mut g = entry.write();
                 let backend = g.ensure_reinforcement(model, state.len(), n_actions)?;
                 let a = match backend {
                     Backend::Reinforcement {
@@ -860,7 +865,7 @@ impl EngineHandle {
             .get(name)
             .ok_or_else(|| AuError::UnknownModel(name.to_owned()))?;
         let (net_json, output_split, n_actions) = {
-            let g = read(&entry);
+            let g = entry.read();
             let json = match g.backend.as_ref() {
                 Some(backend) => backend.network().to_json(),
                 None => return Err(AuError::ModelNotTrained(name.to_owned())),
@@ -928,15 +933,17 @@ impl EngineHandle {
     /// Offline supervised training over a dataset — the paper trains SL
     /// models "offline after execution" on the collected traces. One epoch
     /// performs one gradient step per `(x, y)` pair. Returns the mean loss
-    /// of the final epoch.
+    /// of the final epoch. The whole dataset is checked before the first
+    /// step, so a refused dataset trains nothing.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`EngineHandle::au_nn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` and `ys` lengths differ or the dataset is empty.
+    /// [`AuError::UnknownModel`]; [`AuError::WrongAlgorithm`] for QLearn
+    /// models; [`AuError::InvalidShape`] for an empty dataset, `xs` and
+    /// `ys` of different lengths, label rows of different widths or of
+    /// another width than the network's output, or a zero width;
+    /// [`AuError::InputSizeChanged`] for a feature row whose width is not
+    /// the first row's or the built network's input width.
     pub fn train_supervised(
         &self,
         model: &str,
@@ -944,8 +951,6 @@ impl EngineHandle {
         ys: &[Vec<f64>],
         epochs: usize,
     ) -> Result<f64, AuError> {
-        assert_eq!(xs.len(), ys.len(), "dataset inputs and labels must pair up");
-        assert!(!xs.is_empty(), "dataset must be non-empty");
         let _s = au_telemetry::span!(
             "train_supervised",
             model = model,
@@ -958,36 +963,40 @@ impl EngineHandle {
             .registry
             .get(model)
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
+        let (inputs, outputs) = dataset_widths(model, xs, ys)?;
         let last_epoch_loss = {
-            let mut g = write(&entry);
-            let backend = g.ensure_supervised(model, xs[0].len(), ys[0].len())?;
-            let last_epoch_loss = match backend {
-                Backend::Supervised {
-                    net,
-                    opt,
-                    train_steps,
-                } => {
-                    // One copy-on-write unshare for the whole training run,
-                    // not one per gradient step.
-                    let net = net_mut(net);
-                    let mut last_epoch_loss = 0.0f64;
-                    for _ in 0..epochs {
-                        let _e = au_telemetry::time!("au_core.train_epoch");
-                        let mut total = 0.0f64;
-                        for (x, y) in xs.iter().zip(ys) {
-                            total += f64::from(supervised_step(net, opt, x, y));
-                            *train_steps += 1;
-                        }
-                        au_telemetry::count!("au_core.rows_trained", xs.len() as u64);
-                        last_epoch_loss = total / xs.len() as f64;
-                        au_telemetry::gauge_set!("au_core.last_loss", last_epoch_loss);
-                    }
-                    last_epoch_loss
-                }
-                Backend::Reinforcement { .. } => unreachable!("ensure_supervised checked"),
+            let mut g = entry.write();
+            let Backend::Supervised {
+                net,
+                opt,
+                train_steps,
+            } = g.ensure_supervised(model, inputs, outputs)?
+            else {
+                unreachable!("ensure_supervised checked")
             };
+            if net.out_features() != outputs {
+                return Err(invalid_shape(
+                    model,
+                    format!(
+                        "labels have {outputs} values but the network has {} outputs",
+                        net.out_features()
+                    ),
+                ));
+            }
+            let mut last_epoch_loss = 0.0f64;
+            for _ in 0..epochs {
+                let _e = au_telemetry::time!("au_core.train_epoch");
+                let mut total = 0.0f64;
+                for (x, y) in xs.iter().zip(ys) {
+                    total += f64::from(supervised_step(net, opt, x, y));
+                    *train_steps += 1;
+                }
+                au_telemetry::count!("au_core.rows_trained", xs.len() as u64);
+                last_epoch_loss = total / xs.len() as f64;
+                au_telemetry::gauge_set!("au_core.last_loss", last_epoch_loss);
+            }
             if g.output_split.is_none() {
-                g.output_split = Some(vec![ys[0].len()]);
+                g.output_split = Some(vec![outputs]);
             }
             last_epoch_loss
         };
@@ -1006,17 +1015,13 @@ impl EngineHandle {
     /// Runs `f` on the network `model` serves, whichever backend holds
     /// it, under the model's read lock — the one way every predict entry
     /// point reaches θ.
-    fn with_network<R>(
-        &self,
-        model: &str,
-        f: impl FnOnce(&Arc<Network>) -> R,
-    ) -> Result<R, AuError> {
+    fn with_network<R>(&self, model: &str, f: impl FnOnce(&Network) -> R) -> Result<R, AuError> {
         let entry = self
             .shared
             .registry
             .get(model)
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
+        let g = entry.read();
         let backend = g
             .backend
             .as_ref()
@@ -1030,12 +1035,17 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// [`AuError::UnknownModel`] or [`AuError::ModelNotTrained`].
+    /// [`AuError::UnknownModel`], [`AuError::ModelNotTrained`], or
+    /// [`AuError::InputSizeChanged`] if `x`'s width differs from the built
+    /// network's input width.
     pub fn predict(&self, model: &str, x: &[f64]) -> Result<Vec<f64>, AuError> {
         let _s = au_telemetry::span!("predict", model = model);
         let _t = au_telemetry::time!("au_core.predict");
         au_telemetry::count!("au_core.predictions_served");
-        self.with_network(model, |net| run_model_ref(net, x))
+        self.with_network(model, |net| {
+            check_width(model, net.in_features(), x.len())?;
+            Ok(run_model_ref(net, x))
+        })?
     }
 
     /// Batched [`EngineHandle::predict`]: the `f64` boundary adapter over
@@ -1101,13 +1111,7 @@ impl EngineHandle {
         let _t = au_telemetry::time!("au_core.predict_f32");
         au_telemetry::count!("au_core.predictions_served");
         self.with_network(model, |net| {
-            if net.in_features() != x.len() {
-                return Err(AuError::InputSizeChanged {
-                    model: model.to_owned(),
-                    built: net.in_features(),
-                    got: x.len(),
-                });
-            }
+            check_width(model, net.in_features(), x.len())?;
             run_model_f32_into(net, x, out);
             Ok(())
         })?
@@ -1133,13 +1137,12 @@ impl EngineHandle {
     }
 
     /// The core under both batch entry points: one forward pass over the
-    /// whole batch on the calling thread. `layout` checks the caller's
-    /// batch against the served network's input width and returns it as
-    /// one flat row-major `f32` matrix with its row count, borrowed when
-    /// the caller's batch already is one. The network `Arc` is cloned out
-    /// of the read lock, so a retrain on another thread is not blocked for
-    /// the length of a batch. Every kernel keeps each row's accumulation
-    /// order, so row `i` of the output has the bits
+    /// whole batch on the calling thread, under the model's read lock like
+    /// every other serving path. `layout` checks the caller's batch
+    /// against the served network's input width and returns it as one
+    /// flat row-major `f32` matrix with its row count, borrowed when the
+    /// caller's batch already is one. Every kernel keeps each row's
+    /// accumulation order, so row `i` of the output has the bits
     /// [`EngineHandle::predict_f32`] gives for row `i` alone.
     fn predict_rows<'x>(
         &self,
@@ -1148,17 +1151,18 @@ impl EngineHandle {
     ) -> Result<Vec<f32>, AuError> {
         let _s = au_telemetry::span!("predict_batch", model = model);
         let _t = au_telemetry::time!("au_core.predict_batch");
-        let net = self.with_network(model, Arc::clone)?;
-        let width = net.in_features();
-        let (flat, rows) = layout(width)?;
-        au_telemetry::count!("au_core.predictions_served", rows as u64);
-        Ok(net.infer(Rows::new(rows, width, &flat)).into_vec())
+        self.with_network(model, |net| {
+            let width = net.in_features();
+            let (flat, rows) = layout(width)?;
+            au_telemetry::count!("au_core.predictions_served", rows as u64);
+            Ok(net.infer(Rows::new(rows, width, &flat)).into_vec())
+        })?
     }
 
     /// Size/training statistics for a built model (Table 2's model size).
     pub fn model_stats(&self, name: &str) -> Option<ModelStats> {
         let entry = self.shared.registry.get(name)?;
-        let g = read(&entry);
+        let g = entry.read();
         g.stats()
     }
 
@@ -1386,18 +1390,53 @@ fn publish_monitor_gauges(model: &str, mon: &au_monitor::ModelMonitor) {
         .set(if mon.is_degraded() { 1.0 } else { 0.0 });
 }
 
+/// Checks one input row's width against the built input width.
+fn check_width(model: &str, built: usize, got: usize) -> Result<(), AuError> {
+    if got == built {
+        Ok(())
+    } else {
+        Err(AuError::InputSizeChanged {
+            model: model.to_owned(),
+            built,
+            got,
+        })
+    }
+}
+
 /// Checks every row of a nested batch against the built input width.
 fn check_batch_widths(model: &str, xs: &[Vec<f64>], width: usize) -> Result<(), AuError> {
-    for x in xs {
-        if x.len() != width {
-            return Err(AuError::InputSizeChanged {
-                model: model.to_owned(),
-                built: width,
-                got: x.len(),
-            });
-        }
+    xs.iter()
+        .try_for_each(|x| check_width(model, width, x.len()))
+}
+
+/// Checks that a training dataset pairs up, is not empty and has rows of
+/// one width on each side, returning its input and output widths.
+fn dataset_widths(
+    model: &str,
+    xs: &[Vec<f64>],
+    ys: &[Vec<f64>],
+) -> Result<(usize, usize), AuError> {
+    if xs.len() != ys.len() {
+        return Err(invalid_shape(
+            model,
+            format!("{} feature rows but {} label rows", xs.len(), ys.len()),
+        ));
     }
-    Ok(())
+    let (Some(x0), Some(y0)) = (xs.first(), ys.first()) else {
+        return Err(invalid_shape(model, "the dataset is empty".to_owned()));
+    };
+    check_batch_widths(model, xs, x0.len())?;
+    if let Some((i, y)) = ys.iter().enumerate().find(|(_, y)| y.len() != y0.len()) {
+        return Err(invalid_shape(
+            model,
+            format!(
+                "label row {i} has {} values but row 0 has {}",
+                y.len(),
+                y0.len()
+            ),
+        ));
+    }
+    Ok((x0.len(), y0.len()))
 }
 
 /// Checks a flat row-major batch divides evenly into `width`-wide rows,
@@ -1475,6 +1514,58 @@ mod tests {
         assert!(h.predict_batch("M", &[]).unwrap().is_empty());
         assert!(matches!(
             h.predict_batch("M", &[vec![0.1, 0.2], vec![0.5]]),
+            Err(AuError::InputSizeChanged {
+                built: 2,
+                got: 1,
+                ..
+            })
+        ));
+    }
+
+    /// A dataset that does not fit is refused before the first step, so it
+    /// trains nothing, and a row of the wrong width is a typed error on the
+    /// f64 serving path as on the f32 one — all panics in au-nn before.
+    #[test]
+    fn refused_datasets_and_rows_are_typed_errors() {
+        fn shape(r: Result<f64, AuError>) -> bool {
+            matches!(r, Err(AuError::InvalidShape { .. }))
+        }
+        au_nn::set_init_seed(80);
+        let h = EngineHandle::new(Mode::Train);
+        h.au_config("M", ModelConfig::dnn(&[4])).unwrap();
+        let x = vec![0.1, 0.2];
+        let (one, two) = ([x.clone()], [x.clone(), x.clone()]);
+        h.train_supervised("M", &one, &[vec![0.3]], 1).unwrap();
+        let before = h.predict("M", &x).unwrap();
+        assert!(shape(h.train_supervised("M", &[], &[], 1)));
+        assert!(shape(h.train_supervised("M", &two, &[vec![0.3]], 1)));
+        assert!(shape(h.train_supervised(
+            "M",
+            &two,
+            &[vec![0.3], vec![0.3, 0.4]],
+            1
+        )));
+        assert!(shape(h.train_supervised("M", &one, &[vec![0.3, 0.4]], 1)));
+        assert!(matches!(
+            h.train_supervised("M", &[x.clone(), vec![0.1]], &[vec![0.3], vec![0.3]], 1),
+            Err(AuError::InputSizeChanged {
+                built: 2,
+                got: 1,
+                ..
+            })
+        ));
+        assert!(matches!(
+            h.train_supervised("M", &[vec![0.1; 3]], &[vec![0.3]], 1),
+            Err(AuError::InputSizeChanged {
+                built: 2,
+                got: 3,
+                ..
+            })
+        ));
+        assert_eq!(h.model_stats("M").unwrap().train_steps, 1);
+        assert_eq!(h.predict("M", &x).unwrap(), before, "nothing trained");
+        assert!(matches!(
+            h.predict("M", &[0.1]),
             Err(AuError::InputSizeChanged {
                 built: 2,
                 got: 1,

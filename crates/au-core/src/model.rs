@@ -4,7 +4,6 @@ use crate::error::AuError;
 use au_nn::rl::{DqnAgent, DqnConfig, Transition};
 use au_nn::{Activation, Adam, InferScratch, Loss, Network, Rows, Tensor};
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Model architecture family (`ModelType δ` in Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,7 +187,7 @@ impl ModelConfig {
 /// leave at least one pixel.
 const MIN_FRAME: usize = 8;
 
-fn invalid_shape(model: &str, reason: String) -> AuError {
+pub(crate) fn invalid_shape(model: &str, reason: String) -> AuError {
     AuError::InvalidShape {
         model: model.to_owned(),
         reason,
@@ -209,15 +208,13 @@ pub struct ModelStats {
 
 /// A live model instance: either a supervised regressor or a DQN agent.
 ///
-/// Both kinds hold their network behind an `Arc` so the serving paths
-/// (`predict_batch`, snapshot readers) can clone it out of the registry
-/// lock in O(1) through [`Backend::network`]; training goes through
-/// [`au_nn::net_mut`], which rebuilds the network copy-on-write only when
-/// a snapshot is still alive.
+/// Each holds its network once. Serving reads it under the entry's read
+/// lock and training writes it under the write lock, so no snapshot of
+/// the weights exists beside the one θ holds.
 #[derive(Debug)]
 pub(crate) enum Backend {
     Supervised {
-        net: Arc<Network>,
+        net: Network,
         opt: Adam,
         train_steps: u64,
     },
@@ -232,7 +229,7 @@ pub(crate) enum Backend {
 
 impl Backend {
     /// The network this backend serves, whichever kind holds it.
-    pub(crate) fn network(&self) -> &Arc<Network> {
+    pub(crate) fn network(&self) -> &Network {
         match self {
             Backend::Supervised { net, .. } => net,
             Backend::Reinforcement { agent, .. } => agent.network(),
@@ -279,7 +276,7 @@ impl ModelEntry {
         }
         if self.backend.is_none() {
             self.config.check_widths(name, inputs, outputs)?;
-            let net = Arc::new(self.config.build_network(inputs, outputs));
+            let net = self.config.build_network(inputs, outputs);
             let opt = Adam::new(self.config.learning_rate);
             self.backend = Some(Backend::Supervised {
                 net,
@@ -539,19 +536,6 @@ mod tests {
         let stats = entry.stats().unwrap();
         assert_eq!(stats.param_count, 2 * 4 + 4 + 4 + 1);
         assert_eq!(stats.model_bytes, stats.param_count * 4);
-    }
-
-    #[test]
-    fn stats_keep_the_network_a_snapshot_serves() {
-        let mut entry = ModelEntry::new(ModelConfig::dnn(&[4]));
-        entry.ensure_supervised("m", 2, 1).unwrap();
-        let served = |entry: &ModelEntry| Arc::clone(entry.backend.as_ref().unwrap().network());
-        let snapshot = served(&entry);
-        assert!(entry.stats().is_some());
-        assert!(
-            Arc::ptr_eq(&served(&entry), &snapshot),
-            "stats() rebuilt the network behind a live serving snapshot"
-        );
     }
 
     #[test]

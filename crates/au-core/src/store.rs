@@ -7,16 +7,17 @@
 
 use std::collections::BTreeMap;
 
-/// One named π list: its values plus the append counter the engine uses to
-/// tell freshly extracted labels apart from stale model predictions.
+/// One named π list: its values plus the count of values ever appended,
+/// which the engine uses to tell a freshly extracted label apart from a
+/// stale model prediction.
 ///
-/// Keeping the counter next to the values (instead of in a parallel map)
+/// Keeping the count next to the values (instead of in a parallel map)
 /// means `append` — the hottest π write, fired by every `au_extract` — does
 /// a single tree lookup with no key allocation on the hit path.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct DbList {
     values: Vec<f64>,
-    appends: u64,
+    appended: usize,
 }
 
 /// The database store π: `String → list of values`.
@@ -45,7 +46,7 @@ impl DbStore {
             Some(list) => list,
             None => self.lists.entry(name.to_owned()).or_default(),
         };
-        list.appends += 1;
+        list.appended += values.len();
         list.values.extend_from_slice(values);
     }
 
@@ -57,15 +58,15 @@ impl DbStore {
             Some(list) => list,
             None => self.lists.entry(name.to_owned()).or_default(),
         };
-        list.appends += 1;
+        list.appended += values.len();
         list.values.extend(values.iter().map(|&v| f64::from(v)));
     }
 
-    /// How many times [`DbStore::append`] has run for `name`. Survives
-    /// [`DbStore::clear`] — label freshness tracking depends on it being
-    /// monotonic for the store's lifetime.
-    pub fn append_count(&self, name: &str) -> u64 {
-        self.lists.get(name).map(|l| l.appends).unwrap_or(0)
+    /// How many values [`DbStore::append`] has added under `name`.
+    /// Survives [`DbStore::clear`] and [`DbStore::put`] — label freshness
+    /// tracking depends on it being monotonic for the store's lifetime.
+    pub fn appended(&self, name: &str) -> usize {
+        self.lists.get(name).map_or(0, |l| l.appended)
     }
 
     /// Reads the list under `name` (empty slice if absent — the paper's ⊥).
@@ -149,11 +150,15 @@ mod tests {
     #[test]
     fn db_clear_resets_to_bottom() {
         let mut db = DbStore::new();
-        db.append("A", &[1.0]);
+        db.append("A", &[1.0, 2.0]);
         db.clear("A");
         assert_eq!(db.get("A"), &[] as &[f64]);
-        // the append counter survives, so label freshness stays monotonic
-        assert_eq!(db.append_count("A"), 1);
+        // the appended-value count survives, so label freshness stays
+        // monotonic
+        assert_eq!(db.appended("A"), 2);
+        db.put("A", vec![3.0]);
+        db.append_f32("A", &[4.0]);
+        assert_eq!(db.appended("A"), 3);
     }
 
     #[test]

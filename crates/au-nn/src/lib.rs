@@ -61,6 +61,6 @@ pub use gradcheck::{check_gradients, GradCheckReport};
 pub use init::set_init_seed;
 pub use layer::{Layer, LayerSpec, Param};
 pub use loss::Loss;
-pub use network::{net_mut, InferScratch, Network, NetworkBuilder, NnError};
+pub use network::{InferScratch, Network, NetworkBuilder, NnError};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::{Rows, Tensor};

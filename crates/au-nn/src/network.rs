@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Errors from model persistence.
 #[derive(Debug)]
@@ -104,10 +103,10 @@ impl Network {
 
     /// Runs inference (TS mode) on a `[batch, in]` batch through `&self`,
     /// without touching any backward-pass cache — so one trained network
-    /// (behind an `RwLock` read guard or `Arc`) can serve arbitrarily many
-    /// threads at once. This is the semantics' `runModel`. `input` is a
-    /// `&Tensor` or a [`Rows`] view of a caller's flat slice; either way
-    /// the first layer reads it in place.
+    /// behind a read lock can serve arbitrarily many threads at once. This
+    /// is the semantics' `runModel`. `input` is a `&Tensor` or a [`Rows`]
+    /// view of a caller's flat slice; either way the first layer reads it
+    /// in place.
     pub fn infer<'a>(&self, input: impl Into<Rows<'a>>) -> Tensor {
         let _t = au_telemetry::time!("au_nn.forward");
         let mut scratch = InferScratch::default();
@@ -222,10 +221,8 @@ impl Network {
     }
 
     /// Clones the architecture and current weights into an independent
-    /// network (training caches start empty).
-    ///
-    /// Used by [`net_mut`]'s copy-on-write rebuild (training while an
-    /// `Arc`'d network is still serving) and for DQN target networks.
+    /// network (training caches and optimizer moments start empty) — a
+    /// DQN target network's starting point.
     pub fn deep_clone(&self) -> Network {
         Network {
             in_features: self.in_features,
@@ -312,21 +309,6 @@ impl Network {
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
-}
-
-/// Unique access to a shared network, copy-on-write.
-///
-/// Serving paths hold the network as an `Arc` so they can clone it out of
-/// a lock in O(1). Training mutates it in place when no such snapshot
-/// holds a second `Arc`; if serving overlaps training, the network is
-/// rebuilt once (via [`Network::deep_clone`]) and the snapshot keeps the
-/// old weights — the same isolation the paper gets from its separate
-/// TR/TS processes.
-pub fn net_mut(net: &mut Arc<Network>) -> &mut Network {
-    if Arc::get_mut(net).is_none() {
-        *net = Arc::new(net.deep_clone());
-    }
-    Arc::get_mut(net).expect("unique after copy-on-write rebuild")
 }
 
 /// Reusable ping-pong buffers for [`Network::infer_reusing`]: one

@@ -7,12 +7,11 @@
 //! the paper's baselines — ε-greedy exploration, an experience replay buffer,
 //! and a periodically synchronized target network.
 
-use crate::network::{net_mut, Network};
+use crate::network::Network;
 use crate::optim::Adam;
-use crate::tensor::Tensor;
+use crate::tensor::{Rows, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 mod replay;
 
@@ -87,9 +86,7 @@ impl Default for DqnConfig {
 /// A deep-Q-network agent over flat feature vectors.
 #[derive(Debug)]
 pub struct DqnAgent {
-    /// Shared like a supervised model's network, so serving can take an
-    /// `Arc` snapshot; learning goes through [`net_mut`].
-    online: Arc<Network>,
+    online: Network,
     target: Option<Network>,
     opt: Adam,
     buffer: ReplayBuffer,
@@ -123,7 +120,7 @@ impl DqnAgent {
         };
         let rng = StdRng::seed_from_u64(config.seed);
         DqnAgent {
-            online: Arc::new(online),
+            online,
             target,
             opt: Adam::new(config.learning_rate),
             buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
@@ -154,7 +151,7 @@ impl DqnAgent {
         let target = (config.target_sync_every > 0).then(|| network.deep_clone());
         let rng = StdRng::seed_from_u64(config.seed);
         DqnAgent {
-            online: Arc::new(network),
+            online: network,
             target,
             opt: Adam::new(config.learning_rate),
             buffer: ReplayBuffer::new(config.replay_capacity, state_dim),
@@ -183,29 +180,16 @@ impl DqnAgent {
         self.state_dim
     }
 
-    /// The online Q-network (e.g. for persistence via `to_json`), rebuilt
-    /// copy-on-write if a [`DqnAgent::network`] snapshot still holds it.
-    pub fn network_mut(&mut self) -> &mut Network {
-        net_mut(&mut self.online)
-    }
-
-    /// The shared online Q-network — enough for persistence (`to_json`)
-    /// and concurrent inference ([`Network::infer`]); clone the `Arc` to
-    /// serve from it without borrowing the agent.
-    pub fn network(&self) -> &Arc<Network> {
+    /// The online Q-network — enough for persistence (`to_json`) and
+    /// concurrent inference ([`Network::infer`]) through `&self`.
+    pub fn network(&self) -> &Network {
         &self.online
     }
 
-    /// Q-values for a single state, through `&self` so a shared agent can
-    /// serve concurrent deployment-mode traffic.
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        assert_eq!(state.len(), self.state_dim, "state size mismatch");
-        self.online.infer(&Tensor::row(state)).into_vec()
-    }
-
     /// Greedy (exploitation-only) action — used in TS/deployment mode.
+    /// Reads `state` in place as a one-row batch.
     pub fn greedy_action(&self, state: &[f32]) -> usize {
-        let q = self.online.infer(&Tensor::row(state));
+        let q = self.online.infer(Rows::new(1, state.len(), state));
         q.argmax_row(0)
     }
 
@@ -264,8 +248,7 @@ impl DqnAgent {
             .unwrap_or(&self.online)
             .infer(&next_states);
         // Q(s,·) comes from the one training forward of `train_step`.
-        let online = net_mut(&mut self.online);
-        let loss = online.train_step(&states, &mut self.opt, |q| {
+        let loss = self.online.train_step(&states, &mut self.opt, |q| {
             let mut grad = Tensor::zeros(q.shape());
             let mut loss = 0.0f32;
             for (i, t) in sampled.iter().enumerate() {
@@ -356,7 +339,7 @@ mod tests {
             });
         }
         assert_eq!(agent.greedy_action(&[1.0]), 1);
-        let q = agent.q_values(&[1.0]);
+        let q = agent.network().infer(&Tensor::row(&[1.0])).into_vec();
         assert!(q[1] > q[0], "Q(s,1)={} should exceed Q(s,0)={}", q[1], q[0]);
     }
 

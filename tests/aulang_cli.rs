@@ -275,3 +275,32 @@ fn restore_without_checkpoint_is_the_same_error_on_both_engines() {
         vec!["[error] aulang: runtime error: au_restore without au_checkpoint".to_owned()]
     );
 }
+
+#[test]
+fn a_partial_label_is_missing_data_on_both_engines() {
+    // The output split is 2, so a one-value label is not a label: without
+    // a restore the label was the stale prediction's second value and the
+    // new one, and after a restore the one value, which panicked au-nn.
+    let first = "au_config(\"M\", \"DNN\", \"AdamOpt\", 1, 4);\n    au_checkpoint();\n    \
+                 au_extract(\"F\", 0.5);\n    au_extract(\"P\", [1, 2]);\n    \
+                 let y = au_nn(\"M\", \"F\", \"P\");";
+    let second = "au_extract(\"F\", 0.5);\n    au_extract(\"P\", 3);\n    \
+                  let z = au_nn(\"M\", \"F\", \"P\");";
+    for (tag, between) in [
+        ("partial_label", ""),
+        ("partial_label_restored", "au_restore();"),
+    ] {
+        let lines = runtime_error_on_both_engines(
+            tag,
+            &format!("fn main() {{\n    {first}\n    {between}\n    {second}\n    return 0;\n}}\n"),
+        );
+        assert_eq!(
+            lines,
+            vec![
+                "[error] aulang: engine error: database store entry `P` has 1 values, 2 requested"
+                    .to_owned()
+            ],
+            "{tag}"
+        );
+    }
+}

@@ -5,10 +5,12 @@
 //! tests pin down the two properties that make that safe: the handle is
 //! `Send + Sync + Clone`, and concurrent serving returns bit-identical
 //! results to a single-threaded run (inference takes no training step, so
-//! there is nothing order-dependent to race on).
+//! there is nothing order-dependent to race on). Serving also never changes
+//! what training computes, and a restore never waits for training on
+//! another clone.
 
 use autonomizer::core::{Engine, EngineHandle, Mode, ModelConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 use std::time::Duration;
 
@@ -186,4 +188,75 @@ fn restore_does_not_wait_for_training_on_another_clone() {
         assert_eq!(program, 7);
         assert_eq!(handle.db().get("STATE"), &[1.0]);
     });
+}
+
+/// Trains the supervised model `overlap` (256 inputs) through 30
+/// `train_supervised` calls of 4 rows each, with a millisecond's pause
+/// between calls. With `serve`, another clone serves 64-row
+/// `predict_batch_f32` batches of the same model from before the second
+/// call to after the last. Returns the bits of the trained model's
+/// outputs on one of those batches.
+fn train_while_serving(serve: bool) -> Vec<u32> {
+    const STEPS: usize = 30;
+    let row =
+        |i: usize| -> Vec<f64> { (0..256).map(|j| ((i * 7 + j) % 13) as f64 / 13.0).collect() };
+    let xs: Vec<Vec<f64>> = (0..4 * STEPS).map(row).collect();
+    let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0] - x[1]]).collect();
+    let batch: Vec<f32> = (0..64).flat_map(row).map(|v| v as f32).collect();
+    au_nn::set_init_seed(131);
+    let handle = EngineHandle::new(Mode::Train);
+    handle
+        .au_config("overlap", ModelConfig::dnn(&[64, 32]))
+        .expect("config");
+    let step = |i: usize| {
+        let rows = 4 * i..4 * i + 4;
+        handle.train_supervised("overlap", &xs[rows.clone()], &ys[rows], 1)
+    };
+    // The first call builds the network from this thread's seed.
+    step(0).expect("train");
+    let (served, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+    thread::scope(|scope| {
+        if serve {
+            let (server, served, done, batch) = (handle.clone(), &served, &done, &batch);
+            scope.spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    server.predict_batch_f32("overlap", batch).expect("serve");
+                    served.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            while served.load(Ordering::SeqCst) == 0 {
+                thread::yield_now();
+            }
+        }
+        let trained = (1..STEPS).try_for_each(|i| {
+            thread::sleep(Duration::from_millis(1));
+            step(i).map(drop)
+        });
+        done.store(true, Ordering::SeqCst);
+        trained.expect("train");
+    });
+    if serve {
+        assert!(
+            served.load(Ordering::SeqCst) > 1,
+            "nothing served during training"
+        );
+    }
+    handle
+        .predict_batch_f32("overlap", &batch)
+        .expect("predict")
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Fig. 8's TRAIN writes θ and TEST only reads it, so serving a model
+/// while another clone trains it must not change what training computes:
+/// the weights end with the bits of the same training alone.
+#[test]
+fn training_under_batch_serving_matches_training_alone() {
+    assert_eq!(
+        train_while_serving(true),
+        train_while_serving(false),
+        "batch serving on another clone changed the trained weights"
+    );
 }

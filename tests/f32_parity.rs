@@ -10,7 +10,7 @@
 //! by a supervised model and by a Q-learning model, so both backends are
 //! held to the same parity.
 
-use autonomizer::core::{EngineHandle, Mode, ModelConfig};
+use autonomizer::core::{AuError, EngineHandle, Mode, ModelConfig};
 use autonomizer::games::Game;
 use autonomizer::image::scene::SceneGenerator;
 use autonomizer::nn::rl::DqnConfig;
@@ -93,7 +93,8 @@ fn benchmark_rows() -> Vec<(&'static str, Vec<Vec<f64>>)> {
 
 /// Scalar and batch parity for one deployed model: widened `predict_f32`
 /// ≡ `predict` ≡ `predict_f32_into`, and every batch row ≡ its per-row
-/// result, on both the f32 and the f64 batch entry points.
+/// result, on both the f32 and the f64 batch entry points. A row one
+/// value too wide is the same typed error on both scalar paths.
 fn assert_serving_parity(h: &EngineHandle, model: &str, rows: &[Vec<f64>]) {
     let rows32: Vec<Vec<f32>> = rows
         .iter()
@@ -118,6 +119,17 @@ fn assert_serving_parity(h: &EngineHandle, model: &str, rows: &[Vec<f64>]) {
         h.predict_f32_into(model, row32, &mut scratch_out).unwrap();
         assert_eq!(scratch_out, via_f32, "{model}: _into diverged");
     }
+
+    // Error parity: a row of the wrong width is refused alike.
+    let wide: Vec<f64> = rows[0].iter().copied().chain([0.5]).collect();
+    let wide32: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+    let via_f64 = h.predict(model, &wide).unwrap_err();
+    let via_f32 = h.predict_f32(model, &wide32).unwrap_err();
+    assert!(
+        matches!(via_f64, AuError::InputSizeChanged { .. }),
+        "{model}: {via_f64}"
+    );
+    assert_eq!(via_f64.to_string(), via_f32.to_string(), "{model}");
 
     // Batch parity: the flat f32 batch equals per-row f32 serving, and
     // the f64 batch equals per-row f64 serving.
