@@ -377,6 +377,8 @@ impl EngineHandle {
     }
 
     /// Loads a database store saved by [`EngineHandle::save_db`], replacing π.
+    /// The label marks derived from the old π's counters go with it, so
+    /// the loaded lists count as fresh labels.
     ///
     /// # Errors
     ///
@@ -393,7 +395,11 @@ impl EngineHandle {
             db.append(&name, &values);
             loaded += values.len() as u64;
         }
-        pi_lock(&self.shared.db).db = db;
+        {
+            let mut d = pi_lock(&self.shared.db);
+            d.db = db;
+            d.label_marks.clear();
+        }
         self.shared
             .extracted_total
             .fetch_add(loaded, Ordering::Relaxed);
@@ -481,7 +487,9 @@ impl EngineHandle {
     /// output split;
     /// [`AuError::WrongAlgorithm`] for QLearn models;
     /// [`AuError::InvalidShape`] when the first call cannot build the
-    /// network (no `wb` name, so no output width).
+    /// network (no `wb` name, so no output width) or a label's width is not
+    /// the output width of a network built before it (by
+    /// [`EngineHandle::au_config_custom`]).
     pub fn au_nn(&self, model: &str, ext: &str, wbs: &[&str]) -> Result<Vec<f64>, AuError> {
         let _s = au_telemetry::span!("au_nn", model = model);
         let _t = au_telemetry::time!("au_core.au_nn");
@@ -589,9 +597,23 @@ impl EngineHandle {
                     });
                 }
                 let out_width: usize = split.iter().sum();
+                // A network built before the first label (a custom one)
+                // fixes the label width; nothing is stored for a refused
+                // call.
+                if let (true, Some(Backend::Supervised { net, .. })) = (have_labels, &g.backend) {
+                    if net.out_features() != out_width {
+                        return Err(invalid_shape(
+                            model,
+                            format!(
+                                "a {out_width}-value label for a network with {} outputs",
+                                net.out_features()
+                            ),
+                        ));
+                    }
+                }
+                g.ensure_supervised(model, input.len(), out_width)?;
                 g.output_split = Some(split.clone());
-                let backend = g.ensure_supervised(model, input.len(), out_width)?;
-                let output = match backend {
+                let output = match g.backend.as_mut().expect("just ensured") {
                     Backend::Supervised {
                         net,
                         opt,
@@ -1572,6 +1594,55 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// `load_db` replaces π and the label marks derived from it: after
+    /// five labelled calls, a save and a load, the next labelled call
+    /// trains (a mark kept from the replaced π would make its label look
+    /// stale).
+    #[test]
+    fn load_db_resets_the_label_marks() {
+        au_nn::set_init_seed(81);
+        let h = EngineHandle::new(Mode::Train);
+        h.au_config("M", ModelConfig::dnn(&[4])).unwrap();
+        let labelled = |i: u32| {
+            h.au_extract("F", &[0.1 * f64::from(i), 0.2]);
+            h.au_extract("Y", &[0.05 * f64::from(i)]);
+            h.au_nn("M", "F", &["Y"]).unwrap();
+        };
+        (0..5).for_each(labelled);
+        let path =
+            std::env::temp_dir().join(format!("au_core_label_marks_{}.json", std::process::id()));
+        h.save_db(&path).unwrap();
+        h.load_db(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        labelled(5);
+        assert_eq!(h.model_stats("M").unwrap().train_steps, 6);
+    }
+
+    /// A label wider than an `au_config_custom` network's output is
+    /// refused before the output split is stored (au-nn's loss would
+    /// panic on it), so a label of the right width trains afterwards.
+    #[test]
+    fn a_label_wider_than_a_custom_network_is_refused() {
+        au_nn::set_init_seed(82);
+        let h = EngineHandle::new(Mode::Train);
+        let net = Network::builder(2).dense(4).dense(1).build();
+        h.au_config_custom("C", Algorithm::AdamOpt, net).unwrap();
+        h.au_extract("F", &[0.1, 0.2]);
+        h.au_extract("Y", &[0.3, 0.4]);
+        assert!(matches!(
+            h.au_nn("C", "F", &["Y"]),
+            Err(AuError::InvalidShape { .. })
+        ));
+        let entry = h.shared.registry.get("C").unwrap();
+        assert_eq!(entry.read().output_split, None, "no split stored");
+        // The refused call consumed nothing, so fresh lists carry the next.
+        h.au_extract("G", &[0.1, 0.2]);
+        h.au_extract("Z", &[0.3]);
+        h.au_nn("C", "G", &["Z"]).unwrap();
+        assert_eq!(h.model_stats("C").unwrap().train_steps, 1);
+        assert_eq!(entry.read().output_split, Some(vec![1]));
     }
 
     /// Shapes no network can be built for are typed errors, not panics in

@@ -58,7 +58,7 @@
 
 use crate::ast::{
     for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
-    Stmt, StmtKind, UnOp,
+    Stmt, StmtKind, Sym, UnOp,
 };
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry as BEntry;
@@ -849,6 +849,7 @@ struct FnSummary {
 }
 
 struct Analyzer<'a> {
+    program: &'a Program,
     fns: HashMap<&'a str, &'a Function>,
     /// Functions on a cycle in the call graph: always analyzed with ⊤
     /// parameters so the in-progress-call cut stays sound.
@@ -876,14 +877,27 @@ fn is_user_fn(fns: &HashMap<&str, &Function>, name: &str) -> bool {
     !name.starts_with("au_") && fns.contains_key(name)
 }
 
+/// Each function by name; a later definition of a name replaces an
+/// earlier one.
+fn function_map(program: &Program) -> HashMap<&str, &Function> {
+    program
+        .functions
+        .iter()
+        .map(|f| (program.name(f.name), f))
+        .collect()
+}
+
+/// Whether a call to `name` may checkpoint or restore.
+fn may_checkpoint(name: &str, fns: &HashMap<&str, &Function>, may_ckpt: &HashSet<&str>) -> bool {
+    name == "au_checkpoint"
+        || name == "au_restore"
+        || (is_user_fn(fns, name) && may_ckpt.contains(name))
+}
+
 impl<'a> Analyzer<'a> {
     fn new(program: &'a Program) -> Self {
-        let fns: HashMap<&str, &Function> = program
-            .functions
-            .iter()
-            .map(|f| (f.name.as_str(), f))
-            .collect();
-        let (recursive, may_ckpt) = call_graph_facts(&fns);
+        let fns = function_map(program);
+        let (recursive, may_ckpt) = call_graph_facts(program, &fns);
         let mut stmt_spans = Vec::new();
         for func in &program.functions {
             for_each_stmt(&func.body, &mut |s| {
@@ -895,6 +909,7 @@ impl<'a> Analyzer<'a> {
         stmt_spans.sort_unstable();
         stmt_spans.dedup();
         Analyzer {
+            program,
             fns,
             recursive,
             may_ckpt,
@@ -945,7 +960,10 @@ impl<'a> Analyzer<'a> {
             ExprKind::Bool(b) => AbsVal::Bool(AbsBool::of(*b)),
             ExprKind::Str(s) => AbsVal::Str(Some(Rc::from(s.as_str()))),
             // Undefined variable: certain runtime error.
-            ExprKind::Var(name) => env.get(name).cloned().unwrap_or(AbsVal::Bottom),
+            ExprKind::Var(name) => env
+                .get(self.program.name(*name))
+                .cloned()
+                .unwrap_or(AbsVal::Bottom),
             ExprKind::Array(items) => {
                 let mut elem = AbsVal::Bottom;
                 for item in items {
@@ -962,7 +980,7 @@ impl<'a> Analyzer<'a> {
                     _ => AbsVal::Bottom,
                 }
             }
-            ExprKind::Call { name, args } => self.eval_call(name, args, env),
+            ExprKind::Call { name, args } => self.eval_call(self.program.name(*name), args, env),
             ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, *op, lhs, rhs, env),
             ExprKind::Unary { op, expr } => {
                 let v = self.eval(expr, env);
@@ -1114,7 +1132,8 @@ impl<'a> Analyzer<'a> {
             None => (arg_vals, 1),
         };
         let mut fenv = Env::new();
-        for (p, v) in func.params.iter().zip(&params) {
+        for (&p, v) in func.params.iter().zip(&params) {
+            let p = self.program.name(p);
             self.record_assign(p, v);
             fenv.declare(p, v.clone());
         }
@@ -1265,6 +1284,7 @@ impl<'a> Analyzer<'a> {
         match &cond.kind {
             ExprKind::Bool(b) => (*b == want).then_some(env),
             ExprKind::Var(name) => {
+                let name = self.program.name(*name);
                 match env.get(name) {
                     Some(AbsVal::Bool(b)) => {
                         if (want && !b.may_true) || (!want && !b.may_false) {
@@ -1318,9 +1338,9 @@ impl<'a> Analyzer<'a> {
         want: bool,
     ) -> Option<Env<'a>> {
         // Resolve each operand to a variable or a numeric constant.
-        fn side(e: &Expr) -> Option<Result<&str, f64>> {
+        fn side<'a>(p: &'a Program, e: &Expr) -> Option<Result<&'a str, f64>> {
             match &e.kind {
-                ExprKind::Var(n) => Some(Ok(n)),
+                ExprKind::Var(n) => Some(Ok(p.name(*n))),
                 ExprKind::Num(n) => Some(Err(*n)),
                 ExprKind::Unary {
                     op: UnOp::Neg,
@@ -1332,7 +1352,7 @@ impl<'a> Analyzer<'a> {
                 _ => None,
             }
         }
-        let (Some(ls), Some(rs)) = (side(lhs), side(rhs)) else {
+        let (Some(ls), Some(rs)) = (side(self.program, lhs), side(self.program, rhs)) else {
             return Some(env);
         };
         // Whether a side is a number literal or a variable that may hold
@@ -1485,12 +1505,14 @@ impl<'a> Analyzer<'a> {
         }
         match &stmt.kind {
             StmtKind::Let { name, init } => {
+                let name = self.program.name(*name);
                 let v = self.eval(init, &mut env);
                 self.record_assign(name, &v);
                 env.declare(name, v);
                 Flow::fall(env)
             }
             StmtKind::Assign { name, value } => {
+                let name = self.program.name(*name);
                 let v = self.eval(value, &mut env);
                 self.record_assign(name, &v);
                 if env.assign(name, v) {
@@ -1500,6 +1522,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
             StmtKind::AssignIndex { name, index, value } => {
+                let name = self.program.name(*name);
                 self.eval(index, &mut env);
                 let v = self.eval(value, &mut env);
                 match env.get(name) {
@@ -1705,6 +1728,7 @@ impl<'a> Analyzer<'a> {
 /// Computes the recursive-function set and the may-checkpoint closure from
 /// the syntactic call graph.
 fn call_graph_facts<'a>(
+    program: &'a Program,
     fns: &HashMap<&'a str, &'a Function>,
 ) -> (HashSet<&'a str>, HashSet<&'a str>) {
     let mut calls: HashMap<&'a str, HashSet<&'a str>> = HashMap::new();
@@ -1714,8 +1738,9 @@ fn call_graph_facts<'a>(
         let mut ckpt = false;
         for_each_expr(&func.body, &mut |e| {
             if let ExprKind::Call { name: callee, .. } = &e.kind {
+                let callee = program.name(*callee);
                 if is_user_fn(fns, callee) {
-                    out.insert(callee.as_str());
+                    out.insert(callee);
                 } else if callee == "au_checkpoint" || callee == "au_restore" {
                     ckpt = true;
                 }
@@ -1783,7 +1808,7 @@ fn protocol_names(program: &Program) -> HashSet<String> {
     for func in &program.functions {
         for_each_expr(&func.body, &mut |e| {
             if let ExprKind::Call { name, args } = &e.kind {
-                if PROTO.contains(&name.as_str()) {
+                if PROTO.contains(&program.name(*name)) {
                     for a in args {
                         if let ExprKind::Str(s) = &a.kind {
                             out.insert(s.clone());
@@ -1800,11 +1825,7 @@ fn protocol_names(program: &Program) -> HashSet<String> {
 /// `let`/`=` statements whose right-hand side contains no call, at least
 /// one variable, and no variable assigned anywhere in the loop body.
 fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvariant> {
-    let fns: HashMap<&str, &Function> = program
-        .functions
-        .iter()
-        .map(|f| (f.name.as_str(), f))
-        .collect();
+    let fns = function_map(program);
     let mut out = Vec::new();
     for func in &program.functions {
         for_each_stmt(&func.body, &mut |stmt| {
@@ -1816,10 +1837,7 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
             let mut has_ckpt = false;
             for_each_expr(body, &mut |e| {
                 if let ExprKind::Call { name, .. } = &e.kind {
-                    if name == "au_checkpoint"
-                        || name == "au_restore"
-                        || (is_user_fn(&fns, name) && may_ckpt.contains(name.as_str()))
-                    {
+                    if may_checkpoint(program.name(*name), &fns, may_ckpt) {
                         has_ckpt = true;
                     }
                 }
@@ -1827,12 +1845,12 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
             if has_ckpt {
                 return;
             }
-            let mut assigned: HashSet<&str> = HashSet::new();
+            let mut assigned: HashSet<Sym> = HashSet::new();
             for_each_stmt(body, &mut |s| match &s.kind {
                 StmtKind::Let { name, .. }
                 | StmtKind::Assign { name, .. }
                 | StmtKind::AssignIndex { name, .. } => {
-                    assigned.insert(name);
+                    assigned.insert(*name);
                 }
                 _ => {}
             });
@@ -1850,7 +1868,7 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
                 let mut check = |e: &Expr| match &e.kind {
                     ExprKind::Var(v) => {
                         vars += 1;
-                        if assigned.contains(v.as_str()) {
+                        if assigned.contains(v) {
                             blocked = true;
                         }
                     }
@@ -1860,7 +1878,7 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
                 for_each_subexpr(value, &mut check);
                 if !blocked && vars >= 1 {
                     out.push(LoopInvariant {
-                        name: name.clone(),
+                        name: program.name(*name).to_owned(),
                         span: s.span,
                     });
                 }
@@ -1946,6 +1964,7 @@ impl<'a> Live<'a> {
 }
 
 struct LiveCtx<'c, 'a> {
+    program: &'a Program,
     fns: &'c HashMap<&'a str, &'a Function>,
     may_ckpt: &'c HashSet<&'a str>,
     brk: Live<'a>,
@@ -1954,7 +1973,7 @@ struct LiveCtx<'c, 'a> {
 
 fn expr_reads<'a>(e: &'a Expr, l: &mut Live<'a>, ctx: &LiveCtx<'_, 'a>) {
     match &e.kind {
-        ExprKind::Var(name) => l.read(name),
+        ExprKind::Var(name) => l.read(ctx.program.name(*name)),
         ExprKind::Array(items) => items.iter().for_each(|i| expr_reads(i, l, ctx)),
         ExprKind::Index(a, b) => {
             expr_reads(a, l, ctx);
@@ -1963,10 +1982,7 @@ fn expr_reads<'a>(e: &'a Expr, l: &mut Live<'a>, ctx: &LiveCtx<'_, 'a>) {
         ExprKind::Call { name, args } => {
             // Checkpoint/restore snapshot or rewrite every variable in
             // every frame: treat as a read of everything.
-            if name == "au_checkpoint"
-                || name == "au_restore"
-                || (is_user_fn(ctx.fns, name) && ctx.may_ckpt.contains(name.as_str()))
-            {
+            if may_checkpoint(ctx.program.name(*name), ctx.fns, ctx.may_ckpt) {
                 l.set_all();
             }
             args.iter().for_each(|a| expr_reads(a, l, ctx));
@@ -1993,9 +2009,10 @@ fn live_block<'a>(
     for stmt in stmts.iter().rev() {
         match &stmt.kind {
             StmtKind::Let { name, init } => {
+                let name = ctx.program.name(*name);
                 if recording && !l.is_live(name) && !stmt.span.is_dummy() {
                     out.push(DeadStore {
-                        name: name.clone(),
+                        name: name.to_owned(),
                         span: stmt.span,
                         value_span: init.span,
                     });
@@ -2004,9 +2021,10 @@ fn live_block<'a>(
                 expr_reads(init, &mut l, ctx);
             }
             StmtKind::Assign { name, value } => {
+                let name = ctx.program.name(*name);
                 if recording && !l.is_live(name) && !stmt.span.is_dummy() {
                     out.push(DeadStore {
-                        name: name.clone(),
+                        name: name.to_owned(),
                         span: stmt.span,
                         value_span: value.span,
                     });
@@ -2016,7 +2034,7 @@ fn live_block<'a>(
             }
             StmtKind::AssignIndex { name, index, value } => {
                 // Writes one element; the rest of the array survives.
-                l.read(name);
+                l.read(ctx.program.name(*name));
                 expr_reads(index, &mut l, ctx);
                 expr_reads(value, &mut l, ctx);
             }
@@ -2037,6 +2055,7 @@ fn live_block<'a>(
                 let mut iters: u32 = 0;
                 loop {
                     let ictx = LiveCtx {
+                        program: ctx.program,
                         fns: ctx.fns,
                         may_ckpt: ctx.may_ckpt,
                         brk: l.clone(),
@@ -2059,6 +2078,7 @@ fn live_block<'a>(
                 }
                 if recording {
                     let ictx = LiveCtx {
+                        program: ctx.program,
                         fns: ctx.fns,
                         may_ckpt: ctx.may_ckpt,
                         brk: l.clone(),
@@ -2085,21 +2105,18 @@ fn live_block<'a>(
     // dead-store reports for outer bindings).
     for stmt in stmts {
         if let StmtKind::Let { name, .. } = &stmt.kind {
-            l.read(name);
+            l.read(ctx.program.name(*name));
         }
     }
     l
 }
 
 fn dead_stores<'a>(program: &'a Program, may_ckpt: &HashSet<&'a str>) -> Vec<DeadStore> {
-    let fns: HashMap<&str, &Function> = program
-        .functions
-        .iter()
-        .map(|f| (f.name.as_str(), f))
-        .collect();
+    let fns = function_map(program);
     let mut out = Vec::new();
     for func in &program.functions {
         let ctx = LiveCtx {
+            program,
             fns: &fns,
             may_ckpt,
             brk: Live::none(),
@@ -2140,7 +2157,7 @@ pub fn analyze(program: &Program) -> Analysis {
     for func in &program.functions {
         for_each_stmt(&func.body, &mut |s| {
             if let StmtKind::AssignIndex { name, .. } = &s.kind {
-                indexed.insert(name.clone());
+                indexed.insert(program.name(*name).to_owned());
             }
         });
     }

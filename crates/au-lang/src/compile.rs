@@ -23,11 +23,10 @@
 //! fuses `Load`/`Const`/`Bin` windows into superinstructions. A fused op
 //! behaves exactly like the sequence it replaces, trace deps included.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind};
+use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, Sym};
 use crate::bytecode::{CompiledProgram, FuncInfo, MathFn, Op, TraceKind, TraceMode};
 use crate::static_analysis::{Site, StaticFacts, TracePlan};
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Compiles `program` under the requested trace mode.
 ///
@@ -64,28 +63,31 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
         }
         mode => (mode, None),
     };
+    // Sized from the source text, so the pools rarely grow.
+    let src_len = program.source_len();
     let mut c = Compiler {
         program,
         mode: effective,
         selective,
-        ops: Vec::new(),
-        consts: Vec::new(),
-        names: Vec::new(),
-        name_ids: HashMap::new(),
+        ops: Vec::with_capacity(src_len / 4),
+        consts: Vec::with_capacity(src_len / 16),
+        names: Vec::with_capacity(program.symbols().len()),
         msgs: Vec::new(),
-        msg_ids: HashMap::new(),
-        live_sets: vec![Vec::new()], // id 0 = the empty live set
-        funcs: Vec::new(),
-        func_ids: HashMap::new(),
+        live_sets: Vec::with_capacity(src_len / 64 + 1),
+        funcs: Vec::with_capacity(program.functions.len()),
+        syms: vec![SymInfo::default(); program.symbols().len()],
         compiling_name: 0,
     };
+    // Live set 0 is the empty one.
+    c.live_sets.push(Vec::new());
     // Pass 1: register every function (first definition wins, matching
     // `Program::function`) so calls can resolve forward references.
     for f in &program.functions {
-        if !c.func_ids.contains_key(&f.name) {
-            let idx = c.funcs.len() as u16;
-            c.func_ids.insert(f.name.clone(), idx);
-            let name = c.name_id(&f.name);
+        let info = &mut c.syms[f.name.index()];
+        if info.func.is_none() {
+            info.func = Some(c.funcs.len() as u16);
+            info.arity = f.params.len();
+            let name = c.name_id(f.name);
             c.funcs.push(FuncInfo {
                 name,
                 params: Vec::new(),
@@ -95,17 +97,20 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
             });
         }
     }
-    // Pass 2: compile each registered body.
-    let mut compiled: Vec<bool> = vec![false; c.funcs.len()];
+    // Pass 2: compile each registered body. First definitions come in
+    // registration order; a later one of the same name is unreachable.
+    let mut ctx = FnCtx::default();
+    let mut next = 0;
     for (at, f) in program.functions.iter().enumerate() {
-        let idx = c.func_ids[&f.name];
-        if compiled[idx as usize] {
-            continue; // duplicate definition is unreachable, skip
+        if c.syms[f.name.index()].func == Some(next) {
+            c.compile_function(f, next, at, &mut ctx);
+            next += 1;
         }
-        compiled[idx as usize] = true;
-        c.compile_function(f, idx, at);
     }
-    let main_func = c.func_ids["main"];
+    let main_func = program
+        .sym("main")
+        .and_then(|main| c.syms[main.index()].func)
+        .expect("the parser guarantees `main`");
     let relevant = match &c.selective {
         Some(sel) => c.names.iter().map(|n| sel.plan.is_relevant(n)).collect(),
         None => vec![true; c.names.len()],
@@ -146,48 +151,39 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) {
     for f in &prog.funcs {
         is_target[f.entry as usize] = true;
     }
-    let mut out: Vec<Op> = Vec::with_capacity(n);
+    // Fused ops are written back into `ops`, never ahead of the op being
+    // read.
+    let ops = &mut prog.ops;
     let mut map = vec![0u32; n + 1];
-    let mut i = 0usize;
+    let (mut i, mut at) = (0usize, 0usize);
     while i < n {
-        let at = out.len() as u32;
-        if i + 2 < n && !is_target[i + 1] && !is_target[i + 2] {
-            if let (Op::Load(a), Op::Load(b), Op::Bin(op)) =
-                (prog.ops[i], prog.ops[i + 1], prog.ops[i + 2])
+        map[i] = at as u32;
+        let (fused, width) = match (ops[i], ops.get(i + 1), ops.get(i + 2)) {
+            (Op::Load(a), Some(&Op::Load(b)), Some(&Op::Bin(op)))
+                if !is_target[i + 1] && !is_target[i + 2] =>
             {
-                map[i] = at;
-                map[i + 1] = at;
-                map[i + 2] = at;
-                out.push(Op::LoadLoadBin { a, b, op });
-                i += 3;
-                continue;
+                (Op::LoadLoadBin { a, b, op }, 3)
             }
-            if let (Op::Load(slot), Op::Const(cidx), Op::Bin(op)) =
-                (prog.ops[i], prog.ops[i + 1], prog.ops[i + 2])
+            (Op::Load(slot), Some(&Op::Const(cidx)), Some(&Op::Bin(op)))
+                if !is_target[i + 1] && !is_target[i + 2] =>
             {
-                map[i] = at;
-                map[i + 1] = at;
-                map[i + 2] = at;
-                out.push(Op::LoadConstBin { slot, cidx, op });
-                i += 3;
-                continue;
+                (Op::LoadConstBin { slot, cidx, op }, 3)
             }
-        }
-        if i + 1 < n && !is_target[i + 1] {
-            if let (Op::Const(cidx), Op::Bin(op)) = (prog.ops[i], prog.ops[i + 1]) {
-                map[i] = at;
-                map[i + 1] = at;
-                out.push(Op::ConstBin { cidx, op });
-                i += 2;
-                continue;
+            (Op::Const(cidx), Some(&Op::Bin(op)), _) if !is_target[i + 1] => {
+                (Op::ConstBin { cidx, op }, 2)
             }
+            (op, _, _) => (op, 1),
+        };
+        for m in &mut map[i + 1..i + width] {
+            *m = at as u32;
         }
-        map[i] = at;
-        out.push(prog.ops[i]);
-        i += 1;
+        ops[at] = fused;
+        at += 1;
+        i += width;
     }
-    map[n] = out.len() as u32;
-    for op in &mut out {
+    map[n] = at as u32;
+    ops.truncate(at);
+    for op in ops.iter_mut() {
         match op {
             Op::Jump(t) => *t = map[*t as usize],
             Op::BranchFalse { target, .. } => *target = map[*target as usize],
@@ -198,7 +194,6 @@ fn fuse_superinstructions(prog: &mut CompiledProgram) {
     for f in &mut prog.funcs {
         f.entry = map[f.entry as usize];
     }
-    prog.ops = out;
 }
 
 /// The static facts a Selective compile reads.
@@ -209,11 +204,16 @@ struct SelectiveCtx<'p> {
 }
 
 /// Per-function compile state: the lexical scope stack and loop labels.
+/// One value serves every function of a compile, so its buffers are
+/// allocated once.
+#[derive(Default)]
 struct FnCtx {
     /// Scope stack; each scope is `(name, slot)` in declaration order with
     /// same-name redeclaration replacing the earlier entry.
-    scopes: Vec<Vec<(String, u16)>>,
-    slot_names: Vec<String>,
+    scopes: Vec<Vec<(Sym, u16)>>,
+    /// Emptied scopes, reused by the next blocks.
+    spare: Vec<Vec<(Sym, u16)>>,
+    slot_names: Vec<Sym>,
     loops: Vec<LoopCtx>,
 }
 
@@ -223,33 +223,63 @@ struct LoopCtx {
 }
 
 impl FnCtx {
-    fn new() -> Self {
-        FnCtx {
-            scopes: vec![Vec::new()],
-            slot_names: Vec::new(),
-            loops: Vec::new(),
+    /// Readies the context for a function: one open scope, no slots.
+    fn reset(&mut self) {
+        while self.scopes.len() > 1 {
+            self.close_scope();
         }
+        match self.scopes.first_mut() {
+            Some(scope) => scope.clear(),
+            None => self.open_scope(),
+        }
+        self.slot_names.clear();
+        self.loops.clear();
+    }
+
+    fn open_scope(&mut self) {
+        let scope = self.spare.pop().unwrap_or_default();
+        self.scopes.push(scope);
+    }
+
+    fn close_scope(&mut self) {
+        let mut scope = self.scopes.pop().expect("scope");
+        scope.clear();
+        self.spare.push(scope);
     }
 
     /// Allocates a fresh slot for `name` in the innermost scope.
-    fn declare(&mut self, name: &str) -> u16 {
+    fn declare(&mut self, name: Sym) -> u16 {
         let slot = self.slot_names.len() as u16;
-        self.slot_names.push(name.to_owned());
+        self.slot_names.push(name);
         let scope = self.scopes.last_mut().expect("scope");
-        match scope.iter_mut().find(|(n, _)| n == name) {
+        match scope.iter_mut().find(|(n, _)| *n == name) {
             Some(entry) => entry.1 = slot,
-            None => scope.push((name.to_owned(), slot)),
+            None => scope.push((name, slot)),
         }
         slot
     }
 
     /// Innermost-first lookup, mirroring the interpreter's scope chain.
-    fn resolve(&self, name: &str) -> Option<u16> {
+    fn resolve(&self, name: Sym) -> Option<u16> {
         self.scopes
             .iter()
             .rev()
-            .find_map(|s| s.iter().find(|(n, _)| n == name).map(|&(_, slot)| slot))
+            .find_map(|s| s.iter().find(|(n, _)| *n == name).map(|&(_, slot)| slot))
     }
+}
+
+/// What a compile knows about one symbol.
+#[derive(Clone, Copy, Default)]
+struct SymInfo {
+    /// Its id in the names pool, once it has one.
+    name: Option<u32>,
+    /// As a builtin's name, the id of its "expects a string literal"
+    /// message, once it has one.
+    ensure_msg: Option<u32>,
+    /// The index in `funcs` of the first function of this name.
+    func: Option<u16>,
+    /// That function's parameter count.
+    arity: usize,
 }
 
 struct Compiler<'p> {
@@ -258,13 +288,13 @@ struct Compiler<'p> {
     selective: Option<SelectiveCtx<'p>>,
     ops: Vec<Op>,
     consts: Vec<Value>,
+    /// The names pool, in order of first use.
     names: Vec<String>,
-    name_ids: HashMap<String, u32>,
     msgs: Vec<String>,
-    msg_ids: HashMap<String, u32>,
     live_sets: Vec<Vec<(u16, u32)>>,
     funcs: Vec<FuncInfo>,
-    func_ids: HashMap<String, u16>,
+    /// Indexed by symbol.
+    syms: Vec<SymInfo>,
     /// Name id of the function currently being compiled (for `break` /
     /// `continue` error messages).
     compiling_name: u32,
@@ -273,24 +303,42 @@ struct Compiler<'p> {
 impl<'p> Compiler<'p> {
     // -- pools ----------------------------------------------------------
 
-    fn name_id(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.name_ids.get(name) {
+    fn name(&self, sym: Sym) -> &'p str {
+        self.program.name(sym)
+    }
+
+    fn name_id(&mut self, sym: Sym) -> u32 {
+        if let Some(id) = self.syms[sym.index()].name {
             return id;
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.name_ids.insert(name.to_owned(), id);
+        self.names.push(self.name(sym).to_owned());
+        self.syms[sym.index()].name = Some(id);
         id
     }
 
-    fn msg_id(&mut self, msg: &str) -> u32 {
-        if let Some(&id) = self.msg_ids.get(msg) {
-            return id;
+    /// The pool id of a literal `input` key: its symbol's when an
+    /// identifier spells it too.
+    fn key_id(&mut self, key: &str) -> u32 {
+        if let Some(sym) = self.program.sym(key) {
+            return self.name_id(sym);
         }
-        let id = self.msgs.len() as u32;
+        match self.names.iter().position(|n| n == key) {
+            Some(id) => id as u32,
+            None => {
+                self.names.push(key.to_owned());
+                (self.names.len() - 1) as u32
+            }
+        }
+    }
+
+    /// A program has a handful of distinct messages, so a scan finds one.
+    fn msg_id(&mut self, msg: &str) -> u32 {
+        if let Some(id) = self.msgs.iter().position(|m| m == msg) {
+            return id as u32;
+        }
         self.msgs.push(msg.to_owned());
-        self.msg_ids.insert(msg.to_owned(), id);
-        id
+        (self.msgs.len() - 1) as u32
     }
 
     fn const_id(&mut self, v: Value) -> u32 {
@@ -302,15 +350,14 @@ impl<'p> Compiler<'p> {
     /// checkpoint snapshots at this site). Outer-to-inner order, so
     /// name-based flattening picks the innermost binding.
     fn live_id(&mut self, ctx: &FnCtx) -> u32 {
-        let mut entries: Vec<(u16, u32)> = Vec::new();
-        for scope in &ctx.scopes {
-            for (name, slot) in scope {
-                let id = self.name_id(name);
-                entries.push((*slot, id));
-            }
-        }
-        if entries.is_empty() {
+        let count = ctx.scopes.iter().map(Vec::len).sum();
+        if count == 0 {
             return 0;
+        }
+        let mut entries: Vec<(u16, u32)> = Vec::with_capacity(count);
+        for &(name, slot) in ctx.scopes.iter().flatten() {
+            let id = self.name_id(name);
+            entries.push((slot, id));
         }
         self.live_sets.push(entries);
         (self.live_sets.len() - 1) as u32
@@ -342,8 +389,16 @@ impl<'p> Compiler<'p> {
         self.emit(Op::Fail(m));
     }
 
-    fn ensure_str(&mut self, builtin: &str) {
-        let m = self.msg_id(&format!("`{builtin}` expects a string literal argument"));
+    fn ensure_str(&mut self, builtin: Sym) {
+        let m = match self.syms[builtin.index()].ensure_msg {
+            Some(m) => m,
+            None => {
+                let name = self.name(builtin);
+                let m = self.msg_id(&format!("`{name}` expects a string literal argument"));
+                self.syms[builtin.index()].ensure_msg = Some(m);
+                m
+            }
+        };
         self.emit(Op::EnsureStr(m));
     }
 
@@ -377,11 +432,11 @@ impl<'p> Compiler<'p> {
 
     /// Emits the trace prologue for a `let`/`assign` site (after the RHS
     /// value is on the stack, before the store — the interpreter's order).
-    fn emit_assign_trace(&mut self, dst: &str, rhs: &Expr) {
+    fn emit_assign_trace(&mut self, dst: Sym, rhs: &Expr) {
         match self.assign_trace_kind() {
             TraceKind::None => {}
             TraceKind::Assign => {
-                if is_write_back_call(rhs) {
+                if is_write_back_call(self.program, rhs) {
                     let id = self.name_id(dst);
                     self.emit(Op::MarkTargetName(id));
                 }
@@ -410,7 +465,7 @@ impl<'p> Compiler<'p> {
     // -- functions ------------------------------------------------------
 
     /// Compiles `f`, which is `program.functions[at]`, into slot `idx`.
-    fn compile_function(&mut self, f: &Function, idx: u16, at: usize) {
+    fn compile_function(&mut self, f: &Function, idx: u16, at: usize, ctx: &mut FnCtx) {
         self.compiling_name = self.funcs[idx as usize].name;
         let sites_end = self.selective.as_mut().map(|sel| {
             let sites = sel.plan.function_sites(at);
@@ -418,21 +473,22 @@ impl<'p> Compiler<'p> {
             sites.end
         });
         let entry = self.here();
-        let mut ctx = FnCtx::new();
+        ctx.reset();
         let mut params = Vec::with_capacity(f.params.len());
-        for p in &f.params {
+        for &p in &f.params {
             ctx.declare(p);
             params.push(self.name_id(p));
         }
-        self.compile_block(&f.body, &mut ctx);
+        self.compile_block(&f.body, ctx);
         self.emit(Op::RetUnit);
         if let Some(sel) = &self.selective {
-            debug_assert_eq!(Some(sel.next), sites_end, "`{}` left trace sites", f.name);
+            let name = self.name(f.name);
+            debug_assert_eq!(Some(sel.next), sites_end, "`{name}` left trace sites");
         }
         let slot_names = ctx
             .slot_names
             .iter()
-            .map(|n| self.name_id(n))
+            .map(|&n| self.name_id(n))
             .collect::<Vec<_>>();
         let fi = &mut self.funcs[idx as usize];
         fi.params = params;
@@ -442,11 +498,11 @@ impl<'p> Compiler<'p> {
     }
 
     fn compile_block(&mut self, stmts: &[Stmt], ctx: &mut FnCtx) {
-        ctx.scopes.push(Vec::new());
+        ctx.open_scope();
         for stmt in stmts {
             self.compile_stmt(stmt, ctx);
         }
-        ctx.scopes.pop();
+        ctx.close_scope();
     }
 
     fn compile_stmt(&mut self, stmt: &Stmt, ctx: &mut FnCtx) {
@@ -454,26 +510,29 @@ impl<'p> Compiler<'p> {
         match &stmt.kind {
             StmtKind::Let { name, init } => {
                 self.compile_expr(init, ctx);
-                self.emit_assign_trace(name, init);
-                let slot = ctx.declare(name);
+                self.emit_assign_trace(*name, init);
+                let slot = ctx.declare(*name);
                 self.emit(Op::Store(slot));
             }
             StmtKind::Assign { name, value } => {
                 self.compile_expr(value, ctx);
-                self.emit_assign_trace(name, value);
-                match ctx.resolve(name) {
+                self.emit_assign_trace(*name, value);
+                match ctx.resolve(*name) {
                     Some(slot) => {
                         self.emit(Op::Store(slot));
                     }
-                    None => self.fail(&format!("assignment to undefined variable `{name}`")),
+                    None => {
+                        let name = self.name(*name);
+                        self.fail(&format!("assignment to undefined variable `{name}`"))
+                    }
                 }
             }
             StmtKind::AssignIndex { name, index, value } => {
                 self.compile_expr(index, ctx);
                 self.compile_expr(value, ctx);
                 let trace = self.assign_trace_kind();
-                let nid = self.name_id(name);
-                match ctx.resolve(name) {
+                let nid = self.name_id(*name);
+                match ctx.resolve(*name) {
                     Some(slot) => self.emit(Op::StoreIndex {
                         slot,
                         name: nid,
@@ -572,11 +631,14 @@ impl<'p> Compiler<'p> {
                 let c = self.const_id(Value::Str(s.clone()));
                 self.emit(Op::Const(c));
             }
-            ExprKind::Var(name) => match ctx.resolve(name) {
+            ExprKind::Var(name) => match ctx.resolve(*name) {
                 Some(slot) => {
                     self.emit(Op::Load(slot));
                 }
-                None => self.fail(&format!("undefined variable `{name}`")),
+                None => {
+                    let name = self.name(*name);
+                    self.fail(&format!("undefined variable `{name}`"))
+                }
             },
             ExprKind::Array(items) => {
                 for item in items {
@@ -613,22 +675,19 @@ impl<'p> Compiler<'p> {
                     self.emit(Op::Bin(*op));
                 }
             },
-            ExprKind::Call { name, args } => self.compile_call(name, args, ctx),
+            ExprKind::Call { name, args } => self.compile_call(*name, args, ctx),
         }
     }
 
-    fn compile_call(&mut self, name: &str, args: &[Expr], ctx: &mut FnCtx) {
+    fn compile_call(&mut self, sym: Sym, args: &[Expr], ctx: &mut FnCtx) {
+        let name = self.name(sym);
+        let info = self.syms[sym.index()];
         if !name.starts_with("au_") {
-            if let Some(&fidx) = self.func_ids.get(name) {
+            if let Some(fidx) = info.func {
                 for arg in args {
                     self.compile_expr(arg, ctx);
                 }
-                let arity = self
-                    .program
-                    .function(name)
-                    .expect("registered function")
-                    .params
-                    .len();
+                let arity = info.arity;
                 if args.len() != arity {
                     self.fail(&format!(
                         "function `{name}` expects {arity} arguments, got {}",
@@ -641,7 +700,7 @@ impl<'p> Compiler<'p> {
                 return;
             }
         }
-        self.compile_builtin(name, args, ctx);
+        self.compile_builtin(sym, args, ctx);
     }
 
     /// Emits the interpreter's fixed-arity check: the error fires *before*
@@ -658,7 +717,8 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn compile_builtin(&mut self, name: &str, args: &[Expr], ctx: &mut FnCtx) {
+    fn compile_builtin(&mut self, sym: Sym, args: &[Expr], ctx: &mut FnCtx) {
+        let name = self.name(sym);
         match name {
             "au_config" => {
                 if args.len() < 4 {
@@ -667,7 +727,7 @@ impl<'p> Compiler<'p> {
                 }
                 for arg in &args[..3] {
                     self.compile_expr(arg, ctx);
-                    self.ensure_str("au_config");
+                    self.ensure_str(sym);
                 }
                 self.compile_expr(&args[3], ctx);
                 self.emit(Op::AuConfigCheck {
@@ -687,14 +747,14 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[1], ctx);
                 self.emit(Op::AuExtract);
             }
             "au_serialize" => {
                 for arg in args {
                     self.compile_expr(arg, ctx);
-                    self.ensure_str(name);
+                    self.ensure_str(sym);
                 }
                 self.emit(Op::AuSerialize {
                     argc: args.len() as u16,
@@ -707,7 +767,7 @@ impl<'p> Compiler<'p> {
                 }
                 for arg in args {
                     self.compile_expr(arg, ctx);
-                    self.ensure_str(name);
+                    self.ensure_str(sym);
                 }
                 self.emit(Op::AuNn {
                     argc: args.len() as u16,
@@ -718,13 +778,13 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[1], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[2], ctx);
                 self.compile_expr(&args[3], ctx);
                 self.compile_expr(&args[4], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[5], ctx);
                 self.emit(Op::AuNnRl);
             }
@@ -733,7 +793,7 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.emit(Op::AuWriteBack);
             }
             "au_write_back_n" => {
@@ -741,7 +801,7 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[1], ctx);
                 self.emit(Op::AuWriteBackN);
             }
@@ -764,7 +824,7 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.emit(Op::MarkInput);
             }
             "mark_target" => {
@@ -772,7 +832,7 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.emit(Op::MarkTarget);
             }
             "input" => {
@@ -780,12 +840,12 @@ impl<'p> Compiler<'p> {
                     return;
                 }
                 self.compile_expr(&args[0], ctx);
-                self.ensure_str(name);
+                self.ensure_str(sym);
                 self.compile_expr(&args[1], ctx);
                 // Pre-intern literal keys so traced runs use a pooled id
                 // with a precomputed relevance bit.
                 if let ExprKind::Str(key) = &args[0].kind {
-                    self.name_id(key);
+                    self.key_id(key);
                 }
                 self.emit(Op::Input);
             }
@@ -847,11 +907,11 @@ impl<'p> Compiler<'p> {
 }
 
 /// True for RHS calls that designate their destination as a target.
-fn is_write_back_call(rhs: &Expr) -> bool {
+fn is_write_back_call(program: &Program, rhs: &Expr) -> bool {
     matches!(
         &rhs.kind,
         ExprKind::Call { name, .. }
-            if name == "au_write_back" || name == "au_write_back_n" || name == "au_nn_rl"
+            if matches!(program.name(*name), "au_write_back" | "au_write_back_n" | "au_nn_rl")
     )
 }
 

@@ -7,13 +7,14 @@
 //! exactly what Algorithms 1–2 consume, so feature extraction works on any
 //! AuLang program with no further annotation.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, UnOp};
+use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, Sym, UnOp};
 use crate::parser::parse;
 use crate::value::{count_arg, Value};
 use crate::LangError;
 use au_core::{Checkpoint, Engine, Mode, ModelConfig};
 use au_trace::AnalysisDb;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Variables read while evaluating an expression (for dependence edges).
 type Deps = BTreeSet<String>;
@@ -31,7 +32,7 @@ pub struct RunStats {
 
 #[derive(Debug, Clone)]
 struct Frame {
-    func: String,
+    func: Sym,
     scopes: Vec<HashMap<String, Value>>,
 }
 
@@ -55,7 +56,9 @@ enum Flow {
 /// The AuLang interpreter with Autonomizer runtime and dynamic tracing.
 #[derive(Debug)]
 pub struct Interpreter {
-    program: Program,
+    /// Shared with each run, which reads names and bodies through it
+    /// while it mutates the interpreter.
+    program: Arc<Program>,
     engine: Engine,
     analysis: AnalysisDb,
     inputs: BTreeMap<String, Value>,
@@ -83,7 +86,7 @@ impl Interpreter {
     /// Wraps an already parsed program.
     pub fn with_program(program: Program) -> Self {
         Interpreter {
-            program,
+            program: Arc::new(program),
             engine: Engine::new(Mode::Train),
             analysis: AnalysisDb::new(),
             inputs: BTreeMap::new(),
@@ -162,12 +165,10 @@ impl Interpreter {
         self.output.clear();
         self.frames.clear();
         self.checkpoint = None;
-        let main = self
-            .program
-            .function("main")
-            .cloned()
-            .expect("parser guarantees main");
-        let (value, _) = self.call_function(&main, Vec::new())?;
+        let program = Arc::clone(&self.program);
+        let p = &*program;
+        let main = p.function("main").expect("parser guarantees main");
+        let (value, _) = self.call_function(p, main, Vec::new())?;
         au_telemetry::count!("au_lang.steps", self.stats.steps);
         Ok(value)
     }
@@ -176,68 +177,65 @@ impl Interpreter {
         LangError::Runtime(message.into())
     }
 
-    fn current_func(&self) -> String {
-        self.frames
-            .last()
-            .map(|f| f.func.clone())
-            .unwrap_or_else(|| "main".to_owned())
+    /// The name of the function executing now.
+    fn current_func<'p>(&self, p: &'p Program) -> &'p str {
+        self.frames.last().map_or("main", |f| p.name(f.func))
     }
 
-    fn trace_assign(&mut self, dst: &str, deps: &Deps, value: &Value) {
+    fn trace_assign(&mut self, p: &Program, dst: &str, deps: &Deps, value: &Value) {
         if !self.tracing {
             return;
         }
         self.stats.assignments += 1;
-        let func = self.current_func();
+        let func = self.current_func(p);
         let dep_refs: Vec<&str> = deps.iter().map(String::as_str).collect();
         self.analysis
-            .record_assign(dst, &dep_refs, value.as_num(), &func);
+            .record_assign(dst, &dep_refs, value.as_num(), func);
     }
 
     fn call_function(
         &mut self,
+        p: &Program,
         func: &Function,
         args: Vec<(Value, Deps)>,
     ) -> Result<(Value, Deps), LangError> {
+        let name = p.name(func.name);
         if args.len() != func.params.len() {
             return Err(self.err(format!(
-                "function `{}` expects {} arguments, got {}",
-                func.name,
+                "function `{name}` expects {} arguments, got {}",
                 func.params.len(),
                 args.len()
             )));
         }
         if self.frames.len() >= 64 {
             return Err(self.err(format!(
-                "call depth limit (64) exceeded in `{}` — runaway recursion?",
-                func.name
+                "call depth limit (64) exceeded in `{name}` — runaway recursion?"
             )));
         }
         let mut scope = HashMap::new();
         self.frames.push(Frame {
-            func: func.name.clone(),
+            func: func.name,
             scopes: vec![HashMap::new()],
         });
         self.stats.max_depth = self.stats.max_depth.max(self.frames.len());
-        for (param, (value, deps)) in func.params.iter().zip(args) {
-            self.trace_assign(param, &deps, &value);
-            scope.insert(param.clone(), value);
+        for (&param, (value, deps)) in func.params.iter().zip(args) {
+            let param = p.name(param);
+            self.trace_assign(p, param, &deps, &value);
+            scope.insert(param.to_owned(), value);
         }
         self.frames.last_mut().expect("just pushed").scopes[0] = scope;
-        let body = func.body.clone();
-        let flow = self.exec_block(&body)?;
+        let flow = self.exec_block(p, &func.body)?;
         self.frames.pop();
         match flow {
             Flow::Return(value, deps) => Ok((value, deps)),
             Flow::Break | Flow::Continue => Err(self.err(format!(
-                "`break`/`continue` outside a loop in function `{}`",
-                func.name
+                "`break`/`continue` outside a loop in function `{name}`"
             ))),
             Flow::Normal => Ok((Value::Unit, Deps::new())),
         }
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<Flow, LangError> {
+    fn exec_block(&mut self, p: &Program, stmts: &[Stmt]) -> Result<Flow, LangError> {
         self.frames
             .last_mut()
             .expect("block inside a frame")
@@ -245,7 +243,7 @@ impl Interpreter {
             .push(HashMap::new());
         let mut flow = Flow::Normal;
         for stmt in stmts {
-            flow = self.exec_stmt(stmt)?;
+            flow = self.exec_stmt(p, stmt)?;
             if !matches!(flow, Flow::Normal) {
                 break;
             }
@@ -258,29 +256,31 @@ impl Interpreter {
         Ok(flow)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, LangError> {
+    fn exec_stmt(&mut self, p: &Program, stmt: &Stmt) -> Result<Flow, LangError> {
         self.stats.steps += 1;
         if self.stats.steps > self.step_limit {
             return Err(self.err("step limit exceeded"));
         }
         match &stmt.kind {
             StmtKind::Let { name, init } => {
-                let (value, deps) = self.eval(init)?;
-                self.mark_target_if_write_back(name, init);
-                self.trace_assign(name, &deps, &value);
+                let name = p.name(*name);
+                let (value, deps) = self.eval(p, init)?;
+                self.mark_target_if_write_back(p, name, init);
+                self.trace_assign(p, name, &deps, &value);
                 self.frames
                     .last_mut()
                     .expect("frame")
                     .scopes
                     .last_mut()
                     .expect("scope")
-                    .insert(name.clone(), value);
+                    .insert(name.to_owned(), value);
                 Ok(Flow::Normal)
             }
             StmtKind::Assign { name, value } => {
-                let (value_v, deps) = self.eval(value)?;
-                self.mark_target_if_write_back(name, value);
-                self.trace_assign(name, &deps, &value_v);
+                let name = p.name(*name);
+                let (value_v, deps) = self.eval(p, value)?;
+                self.mark_target_if_write_back(p, name, value);
+                self.trace_assign(p, name, &deps, &value_v);
                 let frame = self.frames.last_mut().expect("frame");
                 match frame.lookup_mut(name) {
                     Some(slot) => {
@@ -291,12 +291,13 @@ impl Interpreter {
                 }
             }
             StmtKind::AssignIndex { name, index, value } => {
-                let (index_v, mut deps) = self.eval(index)?;
-                let (value_v, value_deps) = self.eval(value)?;
+                let name = p.name(*name);
+                let (index_v, mut deps) = self.eval(p, index)?;
+                let (value_v, value_deps) = self.eval(p, value)?;
                 deps.extend(value_deps);
-                deps.insert(name.clone());
+                deps.insert(name.to_owned());
                 let idx = count_arg(&index_v, "array index", 0)?;
-                self.trace_assign(name, &deps, &value_v);
+                self.trace_assign(p, name, &deps, &value_v);
                 let frame = self.frames.last_mut().expect("frame");
                 let problem = match frame.lookup_mut(name) {
                     Some(Value::Array(items)) => {
@@ -320,27 +321,27 @@ impl Interpreter {
                 then_body,
                 else_body,
             } => {
-                let (cond_v, cond_deps) = self.eval(cond)?;
-                self.note_uses(&cond_deps);
+                let (cond_v, cond_deps) = self.eval(p, cond)?;
+                self.note_uses(p, &cond_deps);
                 let truthy = cond_v
                     .as_bool()
                     .ok_or_else(|| self.err("if condition must be boolean"))?;
                 if truthy {
-                    self.exec_block(then_body)
+                    self.exec_block(p, then_body)
                 } else {
-                    self.exec_block(else_body)
+                    self.exec_block(p, else_body)
                 }
             }
             StmtKind::While { cond, body } => loop {
-                let (cond_v, cond_deps) = self.eval(cond)?;
-                self.note_uses(&cond_deps);
+                let (cond_v, cond_deps) = self.eval(p, cond)?;
+                self.note_uses(p, &cond_deps);
                 let truthy = cond_v
                     .as_bool()
                     .ok_or_else(|| self.err("while condition must be boolean"))?;
                 if !truthy {
                     return Ok(Flow::Normal);
                 }
-                match self.exec_block(body)? {
+                match self.exec_block(p, body)? {
                     Flow::Normal | Flow::Continue => continue,
                     Flow::Break => return Ok(Flow::Normal),
                     ret @ Flow::Return(..) => return Ok(ret),
@@ -348,7 +349,7 @@ impl Interpreter {
             },
             StmtKind::Return(expr) => match expr {
                 Some(e) => {
-                    let (value, deps) = self.eval(e)?;
+                    let (value, deps) = self.eval(p, e)?;
                     Ok(Flow::Return(value, deps))
                 }
                 None => Ok(Flow::Return(Value::Unit, Deps::new())),
@@ -356,7 +357,7 @@ impl Interpreter {
             StmtKind::Break => Ok(Flow::Break),
             StmtKind::Continue => Ok(Flow::Continue),
             StmtKind::Expr(e) => {
-                let _ = self.eval(e)?;
+                let _ = self.eval(p, e)?;
                 Ok(Flow::Normal)
             }
         }
@@ -364,55 +365,59 @@ impl Interpreter {
 
     /// `x = au_write_back("NAME")` annotates `x` as a prediction target —
     /// this is how the paper's users designate target variables.
-    fn mark_target_if_write_back(&mut self, dst: &str, value: &Expr) {
+    fn mark_target_if_write_back(&mut self, p: &Program, dst: &str, value: &Expr) {
         if !self.tracing {
             return;
         }
         if let ExprKind::Call { name, .. } = &value.kind {
-            if name == "au_write_back" || name == "au_write_back_n" || name == "au_nn_rl" {
+            if matches!(
+                p.name(*name),
+                "au_write_back" | "au_write_back_n" | "au_nn_rl"
+            ) {
                 self.analysis.mark_target(dst);
             }
         }
     }
 
-    fn note_uses(&mut self, deps: &Deps) {
+    fn note_uses(&mut self, p: &Program, deps: &Deps) {
         if !self.tracing {
             return;
         }
-        let func = self.current_func();
+        let func = self.current_func(p);
         for var in deps {
-            self.analysis.record_use(var, &func);
+            self.analysis.record_use(var, func);
         }
     }
 
-    fn eval(&mut self, expr: &Expr) -> Result<(Value, Deps), LangError> {
+    fn eval(&mut self, p: &Program, expr: &Expr) -> Result<(Value, Deps), LangError> {
         match &expr.kind {
             ExprKind::Num(n) => Ok((Value::Num(*n), Deps::new())),
             ExprKind::Bool(b) => Ok((Value::Bool(*b), Deps::new())),
             ExprKind::Str(s) => Ok((Value::Str(s.clone()), Deps::new())),
             ExprKind::Var(name) => {
+                let name = p.name(*name);
                 let frame = self.frames.last().expect("frame");
                 let value = frame
                     .lookup(name)
                     .cloned()
                     .ok_or_else(|| self.err(format!("undefined variable `{name}`")))?;
                 let mut deps = Deps::new();
-                deps.insert(name.clone());
+                deps.insert(name.to_owned());
                 Ok((value, deps))
             }
             ExprKind::Array(items) => {
                 let mut values = Vec::with_capacity(items.len());
                 let mut deps = Deps::new();
                 for item in items {
-                    let (v, d) = self.eval(item)?;
+                    let (v, d) = self.eval(p, item)?;
                     values.push(v);
                     deps.extend(d);
                 }
                 Ok((Value::Array(values), deps))
             }
             ExprKind::Index(target, index) => {
-                let (target_v, mut deps) = self.eval(target)?;
-                let (index_v, index_deps) = self.eval(index)?;
+                let (target_v, mut deps) = self.eval(p, target)?;
+                let (index_v, index_deps) = self.eval(p, index)?;
                 deps.extend(index_deps);
                 let idx = count_arg(&index_v, "array index", 0)?;
                 match target_v {
@@ -425,7 +430,7 @@ impl Interpreter {
                 }
             }
             ExprKind::Unary { op, expr } => {
-                let (v, deps) = self.eval(expr)?;
+                let (v, deps) = self.eval(p, expr)?;
                 let out = match op {
                     UnOp::Neg => Value::Num(
                         -v.as_num()
@@ -438,20 +443,21 @@ impl Interpreter {
                 };
                 Ok((out, deps))
             }
-            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
-            ExprKind::Call { name, args } => self.eval_call(name, args),
+            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(p, *op, lhs, rhs),
+            ExprKind::Call { name, args } => self.eval_call(p, *name, args),
         }
     }
 
     fn eval_binary(
         &mut self,
+        p: &Program,
         op: BinOp,
         lhs: &Expr,
         rhs: &Expr,
     ) -> Result<(Value, Deps), LangError> {
         // Short-circuit forms first.
         if matches!(op, BinOp::And | BinOp::Or) {
-            let (l, mut deps) = self.eval(lhs)?;
+            let (l, mut deps) = self.eval(p, lhs)?;
             let l = l
                 .as_bool()
                 .ok_or_else(|| self.err("logical operand must be boolean"))?;
@@ -463,15 +469,15 @@ impl Interpreter {
             if short {
                 return Ok((Value::Bool(l), deps));
             }
-            let (r, rdeps) = self.eval(rhs)?;
+            let (r, rdeps) = self.eval(p, rhs)?;
             deps.extend(rdeps);
             let r = r
                 .as_bool()
                 .ok_or_else(|| self.err("logical operand must be boolean"))?;
             return Ok((Value::Bool(r), deps));
         }
-        let (l, mut deps) = self.eval(lhs)?;
-        let (r, rdeps) = self.eval(rhs)?;
+        let (l, mut deps) = self.eval(p, lhs)?;
+        let (r, rdeps) = self.eval(p, rhs)?;
         deps.extend(rdeps);
         // Equality works on any same-typed values; ordering and arithmetic
         // need numbers.
@@ -502,19 +508,25 @@ impl Interpreter {
         Ok((out, deps))
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr]) -> Result<(Value, Deps), LangError> {
+    fn eval_call(
+        &mut self,
+        p: &Program,
+        sym: Sym,
+        args: &[Expr],
+    ) -> Result<(Value, Deps), LangError> {
         // User-defined functions shadow nothing: builtins win on collision
         // is avoided by checking user functions first only for non-au names.
+        let name = p.name(sym);
         if !name.starts_with("au_") {
-            if let Some(func) = self.program.function(name).cloned() {
+            if let Some(func) = p.functions.iter().find(|f| f.name == sym) {
                 let mut evaluated = Vec::with_capacity(args.len());
                 for arg in args {
-                    evaluated.push(self.eval(arg)?);
+                    evaluated.push(self.eval(p, arg)?);
                 }
-                return self.call_function(&func, evaluated);
+                return self.call_function(p, func, evaluated);
             }
         }
-        self.eval_builtin(name, args)
+        self.eval_builtin(p, name, args)
     }
 
     fn arity(&self, name: &str, args: &[Expr], n: usize) -> Result<(), LangError> {
@@ -528,14 +540,19 @@ impl Interpreter {
         }
     }
 
-    fn eval_str_arg(&mut self, name: &str, arg: &Expr) -> Result<String, LangError> {
-        let (v, _) = self.eval(arg)?;
+    fn eval_str_arg(&mut self, p: &Program, name: &str, arg: &Expr) -> Result<String, LangError> {
+        let (v, _) = self.eval(p, arg)?;
         v.as_str()
             .map(str::to_owned)
             .ok_or_else(|| self.err(format!("`{name}` expects a string literal argument")))
     }
 
-    fn eval_builtin(&mut self, name: &str, args: &[Expr]) -> Result<(Value, Deps), LangError> {
+    fn eval_builtin(
+        &mut self,
+        p: &Program,
+        name: &str,
+        args: &[Expr],
+    ) -> Result<(Value, Deps), LangError> {
         match name {
             // ---------------------------------------------------------
             // Autonomizer primitives
@@ -545,10 +562,10 @@ impl Interpreter {
                 if args.len() < 4 {
                     return Err(self.err("`au_config` needs model, type, algorithm, layer count"));
                 }
-                let model = self.eval_str_arg(name, &args[0])?;
-                let kind = self.eval_str_arg(name, &args[1])?;
-                let algo = self.eval_str_arg(name, &args[2])?;
-                let (layer_count_v, _) = self.eval(&args[3])?;
+                let model = self.eval_str_arg(p, name, &args[0])?;
+                let kind = self.eval_str_arg(p, name, &args[1])?;
+                let algo = self.eval_str_arg(p, name, &args[2])?;
+                let (layer_count_v, _) = self.eval(p, &args[3])?;
                 let layer_count = count_arg(&layer_count_v, "layer count", 0)?;
                 if args.len() != 4 + layer_count {
                     return Err(self.err(format!(
@@ -558,7 +575,7 @@ impl Interpreter {
                 }
                 let mut widths = Vec::with_capacity(layer_count);
                 for arg in &args[4..] {
-                    let (v, _) = self.eval(arg)?;
+                    let (v, _) = self.eval(p, arg)?;
                     if v.as_num().is_none() {
                         return Err(self.err("layer size must be a number"));
                     }
@@ -582,18 +599,18 @@ impl Interpreter {
             }
             "au_extract" => {
                 self.arity(name, args, 2)?;
-                let ext = self.eval_str_arg(name, &args[0])?;
-                let (v, deps) = self.eval(&args[1])?;
+                let ext = self.eval_str_arg(p, name, &args[0])?;
+                let (v, deps) = self.eval(p, &args[1])?;
                 let mut nums = Vec::new();
                 v.flatten_nums(&mut nums);
                 self.engine.au_extract(&ext, &nums);
-                self.note_uses(&deps);
+                self.note_uses(p, &deps);
                 Ok((Value::Unit, Deps::new()))
             }
             "au_serialize" => {
                 let mut names = Vec::with_capacity(args.len());
                 for arg in args {
-                    names.push(self.eval_str_arg(name, arg)?);
+                    names.push(self.eval_str_arg(p, name, arg)?);
                 }
                 let refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 let combined = self.engine.au_serialize(&refs);
@@ -603,11 +620,11 @@ impl Interpreter {
                 if args.len() < 3 {
                     return Err(self.err("`au_nn` needs model, ext, and at least one wb name"));
                 }
-                let model = self.eval_str_arg(name, &args[0])?;
-                let ext = self.eval_str_arg(name, &args[1])?;
+                let model = self.eval_str_arg(p, name, &args[0])?;
+                let ext = self.eval_str_arg(p, name, &args[1])?;
                 let mut wbs = Vec::new();
                 for arg in &args[2..] {
-                    wbs.push(self.eval_str_arg(name, arg)?);
+                    wbs.push(self.eval_str_arg(p, name, arg)?);
                 }
                 let wb_refs: Vec<&str> = wbs.iter().map(String::as_str).collect();
                 let out = self.engine.au_nn(&model, &ext, &wb_refs)?;
@@ -619,14 +636,14 @@ impl Interpreter {
             "au_nn_rl" => {
                 // au_nn_rl("M", ext, reward, terminal, "wb", n_actions)
                 self.arity(name, args, 6)?;
-                let model = self.eval_str_arg(name, &args[0])?;
-                let ext = self.eval_str_arg(name, &args[1])?;
-                let (reward_v, reward_deps) = self.eval(&args[2])?;
-                let (term_v, term_deps) = self.eval(&args[3])?;
-                let wb = self.eval_str_arg(name, &args[4])?;
-                let (n_v, _) = self.eval(&args[5])?;
-                self.note_uses(&reward_deps);
-                self.note_uses(&term_deps);
+                let model = self.eval_str_arg(p, name, &args[0])?;
+                let ext = self.eval_str_arg(p, name, &args[1])?;
+                let (reward_v, reward_deps) = self.eval(p, &args[2])?;
+                let (term_v, term_deps) = self.eval(p, &args[3])?;
+                let wb = self.eval_str_arg(p, name, &args[4])?;
+                let (n_v, _) = self.eval(p, &args[5])?;
+                self.note_uses(p, &reward_deps);
+                self.note_uses(p, &term_deps);
                 let reward = reward_v
                     .as_num()
                     .ok_or_else(|| self.err("reward must be a number"))?;
@@ -648,14 +665,14 @@ impl Interpreter {
             }
             "au_write_back" => {
                 self.arity(name, args, 1)?;
-                let key = self.eval_str_arg(name, &args[0])?;
+                let key = self.eval_str_arg(p, name, &args[0])?;
                 let v = self.engine.au_write_back_scalar(&key)?;
                 Ok((Value::Num(v), Deps::new()))
             }
             "au_write_back_n" => {
                 self.arity(name, args, 2)?;
-                let key = self.eval_str_arg(name, &args[0])?;
-                let (n_v, _) = self.eval(&args[1])?;
+                let key = self.eval_str_arg(p, name, &args[0])?;
+                let (n_v, _) = self.eval(p, &args[1])?;
                 let n = count_arg(&n_v, "size", 0)?;
                 let buf = self.engine.au_write_back_n(&key, n)?;
                 Ok((
@@ -711,13 +728,13 @@ impl Interpreter {
             // ---------------------------------------------------------
             "mark_input" => {
                 self.arity(name, args, 1)?;
-                let var = self.eval_str_arg(name, &args[0])?;
+                let var = self.eval_str_arg(p, name, &args[0])?;
                 self.analysis.mark_input(&var);
                 Ok((Value::Unit, Deps::new()))
             }
             "mark_target" => {
                 self.arity(name, args, 1)?;
-                let var = self.eval_str_arg(name, &args[0])?;
+                let var = self.eval_str_arg(p, name, &args[0])?;
                 self.analysis.mark_target(&var);
                 Ok((Value::Unit, Deps::new()))
             }
@@ -726,8 +743,8 @@ impl Interpreter {
             // ---------------------------------------------------------
             "input" => {
                 self.arity(name, args, 2)?;
-                let key = self.eval_str_arg(name, &args[0])?;
-                let (default, _) = self.eval(&args[1])?;
+                let key = self.eval_str_arg(p, name, &args[0])?;
+                let (default, _) = self.eval(p, &args[1])?;
                 let value = self.inputs.get(&key).cloned().unwrap_or(default);
                 self.analysis.mark_input(&key);
                 if let Some(n) = value.as_num() {
@@ -740,7 +757,7 @@ impl Interpreter {
             "print" => {
                 let mut parts = Vec::with_capacity(args.len());
                 for arg in args {
-                    let (v, _) = self.eval(arg)?;
+                    let (v, _) = self.eval(p, arg)?;
                     parts.push(v.to_string());
                 }
                 self.output.push(parts.join(" "));
@@ -748,7 +765,7 @@ impl Interpreter {
             }
             "len" => {
                 self.arity(name, args, 1)?;
-                let (v, deps) = self.eval(&args[0])?;
+                let (v, deps) = self.eval(p, &args[0])?;
                 match v {
                     Value::Array(items) => Ok((Value::Num(items.len() as f64), deps)),
                     Value::Str(s) => Ok((Value::Num(s.len() as f64), deps)),
@@ -757,8 +774,8 @@ impl Interpreter {
             }
             "append" => {
                 self.arity(name, args, 2)?;
-                let (arr, mut deps) = self.eval(&args[0])?;
-                let (item, item_deps) = self.eval(&args[1])?;
+                let (arr, mut deps) = self.eval(p, &args[0])?;
+                let (item, item_deps) = self.eval(p, &args[1])?;
                 deps.extend(item_deps);
                 match arr {
                     Value::Array(mut items) => {
@@ -770,7 +787,7 @@ impl Interpreter {
             }
             "floor" | "abs" | "sqrt" | "sin" | "cos" | "exp" => {
                 self.arity(name, args, 1)?;
-                let (v, deps) = self.eval(&args[0])?;
+                let (v, deps) = self.eval(p, &args[0])?;
                 let x = v
                     .as_num()
                     .ok_or_else(|| self.err(format!("`{name}` needs a number")))?;
@@ -787,8 +804,8 @@ impl Interpreter {
             }
             "min" | "max" => {
                 self.arity(name, args, 2)?;
-                let (a, mut deps) = self.eval(&args[0])?;
-                let (b, bdeps) = self.eval(&args[1])?;
+                let (a, mut deps) = self.eval(p, &args[0])?;
+                let (b, bdeps) = self.eval(p, &args[1])?;
                 deps.extend(bdeps);
                 let (a, b) = (
                     a.as_num()

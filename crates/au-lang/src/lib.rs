@@ -59,12 +59,12 @@ mod vm;
 
 pub use ast::{
     for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
-    Stmt, StmtKind, UnOp,
+    Stmt, StmtKind, Sym, Symbols, UnOp,
 };
 pub use bytecode::{CompiledProgram, TraceMode};
 pub use compile::{compile_program, compile_program_opt};
 pub use interp::{Interpreter, RunStats};
-pub use lexer::{Lexer, Token, TokenKind};
+pub use lexer::{string_value, Lexer, Token, TokenKind};
 pub use parser::{parse, MAX_NESTING};
 pub use value::Value;
 pub use vm::Vm;

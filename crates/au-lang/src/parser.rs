@@ -9,8 +9,10 @@
 //! nesting, so the parser refuses source nested deeper than
 //! [`MAX_NESTING`] levels instead of overflowing the stack.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::ast::{
+    BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, Sym, Symbols, UnOp,
+};
+use crate::lexer::{string_value, Lexer, Token, TokenKind};
 use crate::LangError;
 
 /// The deepest nesting [`parse`] accepts, the same bound as the runtime's
@@ -28,23 +30,28 @@ pub const MAX_NESTING: usize = 64;
 /// Returns [`LangError::Lex`] or [`LangError::Parse`] with a line number;
 /// source nested deeper than [`MAX_NESTING`] levels is a parse error.
 pub fn parse(src: &str) -> Result<Program, LangError> {
-    let tokens = Lexer::new(src).tokenize()?;
+    let (tokens, symbols) = Lexer::new(src).tokenize()?;
     Parser {
+        src,
         tokens,
+        symbols,
         pos: 0,
         depth: 0,
     }
     .program()
 }
 
-struct Parser {
+struct Parser<'src> {
+    src: &'src str,
     tokens: Vec<Token>,
+    /// The table the tokens' identifiers index; the program takes it.
+    symbols: Symbols,
     pos: usize,
     /// Levels of nesting open at `pos`; see [`MAX_NESTING`].
     depth: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -64,12 +71,26 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span.end
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        kind
+    }
+
+    /// The token about to be consumed as error messages name it: its
+    /// `Debug` form, with an identifier or string spelled out.
+    fn found(&self) -> String {
+        let token = &self.tokens[self.pos];
+        match token.kind {
+            TokenKind::Ident(name) => format!("Ident({:?})", self.symbols.name(name)),
+            TokenKind::Str => format!("Str({:?})", self.string(token.span)),
+            kind => format!("{kind:?}"),
+        }
+    }
+
+    /// The value of the string literal token at `span`.
+    fn string(&self, span: Span) -> String {
+        string_value(&self.src[span.start + 1..span.end - 1])
     }
 
     fn err(&self, message: impl Into<String>) -> LangError {
@@ -94,17 +115,17 @@ impl Parser {
             self.bump();
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
+            Err(self.err(format!("expected {what}, found {}", self.found())))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, LangError> {
-        match self.peek().clone() {
+    fn ident(&mut self, what: &str) -> Result<Sym, LangError> {
+        match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
                 Ok(name)
             }
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
+            _ => Err(self.err(format!("expected {what}, found {}", self.found()))),
         }
     }
 
@@ -113,10 +134,11 @@ impl Parser {
         while *self.peek() != TokenKind::Eof {
             functions.push(self.function()?);
         }
-        if functions.iter().filter(|f| f.name == "main").count() != 1 {
+        let main = self.symbols.get("main");
+        if functions.iter().filter(|f| Some(f.name) == main).count() != 1 {
             return Err(self.err("program must define exactly one `main` function"));
         }
-        Ok(Program { functions })
+        Ok(Program::new(functions, std::mem::take(&mut self.symbols)))
     }
 
     fn function(&mut self) -> Result<Function, LangError> {
@@ -163,7 +185,7 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Stmt, LangError> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Let => {
                 self.bump();
                 let name = self.ident("variable name")?;
@@ -234,7 +256,7 @@ impl Parser {
                 // expression statement starting with an identifier.
                 let start_pos = self.pos;
                 self.bump();
-                match self.peek().clone() {
+                match *self.peek() {
                     TokenKind::Assign => {
                         self.bump();
                         let value = self.expr()?;
@@ -297,7 +319,7 @@ impl Parser {
         self.expect(TokenKind::LParen, "`(`")?;
         // init: `let x = e` or `x = e`
         let init_start = self.span();
-        let init = match self.peek().clone() {
+        let init = match *self.peek() {
             TokenKind::Let => {
                 self.bump();
                 let name = self.ident("variable name")?;
@@ -311,8 +333,11 @@ impl Parser {
                 let value = self.expr()?;
                 self.stmt_from(StmtKind::Assign { name, value }, init_start)
             }
-            other => {
-                return Err(self.err(format!("expected for-loop initializer, found {other:?}")))
+            _ => {
+                return Err(self.err(format!(
+                    "expected for-loop initializer, found {}",
+                    self.found()
+                )))
             }
         };
         self.expect(TokenKind::Semi, "`;`")?;
@@ -365,85 +390,91 @@ impl Parser {
         )
     }
 
+    /// A chain `operand (op operand)*` at one precedence level, left
+    /// associative; each operator opens one more level of nesting until the
+    /// chain ends. Without `repeat` the chain stops after one operator
+    /// (comparisons do not chain). Each level calls the next from one
+    /// place only, so the levels inline into one function.
+    #[inline(always)]
+    fn chain(
+        &mut self,
+        repeat: bool,
+        op_at: impl Fn(&TokenKind) -> Option<BinOp>,
+        mut operand: impl FnMut(&mut Self) -> Result<Expr, LangError>,
+    ) -> Result<Expr, LangError> {
+        let depth = self.depth;
+        let mut pending: Option<(Expr, BinOp)> = None;
+        loop {
+            let rhs = operand(self)?;
+            let joined = pending.is_some();
+            let lhs = match pending.take() {
+                Some((lhs, op)) => Self::binary(op, lhs, rhs),
+                None => rhs,
+            };
+            match op_at(self.peek()) {
+                Some(op) if repeat || !joined => {
+                    self.bump();
+                    self.enter()?;
+                    pending = Some((lhs, op));
+                }
+                _ => {
+                    self.depth = depth;
+                    return Ok(lhs);
+                }
+            }
+        }
+    }
+
     fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == TokenKind::Or {
-            self.bump();
-            self.enter()?;
-            let rhs = self.and_expr()?;
-            lhs = Self::binary(BinOp::Or, lhs, rhs);
-        }
-        self.depth = depth;
-        Ok(lhs)
+        self.chain(
+            true,
+            |t| (*t == TokenKind::Or).then_some(BinOp::Or),
+            Self::and_expr,
+        )
     }
 
+    #[inline(always)]
     fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.cmp_expr()?;
-        while *self.peek() == TokenKind::And {
-            self.bump();
-            self.enter()?;
-            let rhs = self.cmp_expr()?;
-            lhs = Self::binary(BinOp::And, lhs, rhs);
-        }
-        self.depth = depth;
-        Ok(lhs)
+        self.chain(
+            true,
+            |t| (*t == TokenKind::And).then_some(BinOp::And),
+            Self::cmp_expr,
+        )
     }
 
+    #[inline(always)]
     fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::Eq => BinOp::Eq,
-            TokenKind::Ne => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+        let op_at = |t: &TokenKind| match t {
+            TokenKind::Eq => Some(BinOp::Eq),
+            TokenKind::Ne => Some(BinOp::Ne),
+            TokenKind::Lt => Some(BinOp::Lt),
+            TokenKind::Le => Some(BinOp::Le),
+            TokenKind::Gt => Some(BinOp::Gt),
+            TokenKind::Ge => Some(BinOp::Ge),
+            _ => None,
         };
-        self.bump();
-        self.enter()?;
-        let rhs = self.add_expr()?;
-        self.depth -= 1;
-        Ok(Self::binary(op, lhs, rhs))
+        self.chain(false, op_at, Self::add_expr)
     }
 
+    #[inline(always)]
     fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            self.enter()?;
-            let rhs = self.mul_expr()?;
-            lhs = Self::binary(op, lhs, rhs);
-        }
-        self.depth = depth;
-        Ok(lhs)
+        let op_at = |t: &TokenKind| match t {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        };
+        self.chain(true, op_at, Self::mul_expr)
     }
 
+    #[inline(always)]
     fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            self.enter()?;
-            let rhs = self.unary_expr()?;
-            lhs = Self::binary(op, lhs, rhs);
-        }
-        self.depth = depth;
-        Ok(lhs)
+        let op_at = |t: &TokenKind| match t {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Percent => Some(BinOp::Rem),
+            _ => None,
+        };
+        self.chain(true, op_at, Self::unary_expr)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
@@ -467,6 +498,7 @@ impl Parser {
         ))
     }
 
+    #[inline(always)]
     fn postfix_expr(&mut self) -> Result<Expr, LangError> {
         let depth = self.depth;
         let mut expr = self.primary_expr()?;
@@ -484,14 +516,14 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, LangError> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Num(n) => {
                 self.bump();
                 Ok(Expr::new(ExprKind::Num(n), start))
             }
-            TokenKind::Str(s) => {
+            TokenKind::Str => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Str(s), start))
+                Ok(Expr::new(ExprKind::Str(self.string(start)), start))
             }
             TokenKind::True => {
                 self.bump();
@@ -547,7 +579,7 @@ impl Parser {
                     Ok(Expr::new(ExprKind::Var(name), start))
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            _ => Err(self.err(format!("expected expression, found {}", self.found()))),
         }
     }
 }
@@ -560,7 +592,7 @@ mod tests {
     fn parses_minimal_main() {
         let p = parse("fn main() { return 1; }").unwrap();
         assert_eq!(p.functions.len(), 1);
-        assert_eq!(p.functions[0].name, "main");
+        assert_eq!(p.name(p.functions[0].name), "main");
     }
 
     #[test]
@@ -618,7 +650,7 @@ mod tests {
         match &p.functions[0].body[0].kind {
             StmtKind::Expr(e) => match &e.kind {
                 ExprKind::Call { name, args } => {
-                    assert_eq!(name, "au_extract");
+                    assert_eq!(p.name(*name), "au_extract");
                     assert_eq!(args.len(), 2);
                 }
                 other => panic!("expected call: {other:?}"),
@@ -632,6 +664,34 @@ mod tests {
         let src = "fn main() { let a = [1]; a[0]; return 0; }";
         let p = parse(src).unwrap();
         assert!(matches!(p.functions[0].body[1].kind, StmtKind::Expr(_)));
+    }
+
+    #[test]
+    fn errors_name_the_token_found() {
+        let message = |src: &str| match parse(src) {
+            Err(LangError::Parse { message, .. }) => message,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        assert_eq!(
+            message("fn main() { let = 3; }"),
+            "expected variable name, found Assign"
+        );
+        assert_eq!(
+            message("fn main() { return x y; }"),
+            r#"expected `;`, found Ident("y")"#
+        );
+        assert_eq!(
+            message(r#"fn main() { let "a\"b" = 1; }"#),
+            r#"expected variable name, found Str("a\"b")"#
+        );
+        assert_eq!(
+            message("fn main() { for (2; x; x = 1) {} }"),
+            "expected for-loop initializer, found Num(2.0)"
+        );
+        assert_eq!(
+            message("fn main() { return ); }"),
+            "expected expression, found RParen"
+        );
     }
 
     #[test]

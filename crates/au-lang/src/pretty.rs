@@ -16,15 +16,22 @@ pub fn print_program(program: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        print_function(func, &mut out);
+        print_function(program, func, &mut out);
     }
     out
 }
 
-fn print_function(func: &Function, out: &mut String) {
-    let _ = writeln!(out, "fn {}({}) {{", func.name, func.params.join(", "));
+fn print_function(p: &Program, func: &Function, out: &mut String) {
+    let _ = write!(out, "fn {}(", p.name(func.name));
+    for (i, &param) in func.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(p.name(param));
+    }
+    out.push_str(") {\n");
     for stmt in &func.body {
-        print_stmt(stmt, 1, out);
+        print_stmt(p, stmt, 1, out);
     }
     out.push_str("}\n");
 }
@@ -35,10 +42,10 @@ fn indent(level: usize, out: &mut String) {
     }
 }
 
-fn print_block(stmts: &[Stmt], level: usize, out: &mut String) {
+fn print_block(p: &Program, stmts: &[Stmt], level: usize, out: &mut String) {
     out.push_str("{\n");
     for stmt in stmts {
-        print_stmt(stmt, level + 1, out);
+        print_stmt(p, stmt, level + 1, out);
     }
     indent(level, out);
     out.push('}');
@@ -73,38 +80,43 @@ fn as_for(stmt: &Stmt) -> Option<(&Stmt, &Expr, &[Stmt], &Stmt)> {
 }
 
 /// A `let` or `=` without its `;`, as a `for` header writes it.
-fn print_simple(stmt: &Stmt) -> String {
+fn print_simple(p: &Program, stmt: &Stmt) -> String {
     match &stmt.kind {
-        StmtKind::Let { name, init } => format!("let {name} = {}", print_expr(init)),
-        StmtKind::Assign { name, value } => format!("{name} = {}", print_expr(value)),
+        StmtKind::Let { name, init } => {
+            format!("let {} = {}", p.name(*name), print_expr(p, init))
+        }
+        StmtKind::Assign { name, value } => {
+            format!("{} = {}", p.name(*name), print_expr(p, value))
+        }
         _ => unreachable!("as_for admits only `let` and `=`"),
     }
 }
 
-fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
+fn print_stmt(p: &Program, stmt: &Stmt, level: usize, out: &mut String) {
     indent(level, out);
     if let Some((init, cond, body, post)) = as_for(stmt) {
         let _ = write!(
             out,
             "for ({}; {}; {}) ",
-            print_simple(init),
-            print_expr(cond),
-            print_simple(post)
+            print_simple(p, init),
+            print_expr(p, cond),
+            print_simple(p, post)
         );
-        print_block(body, level, out);
+        print_block(p, body, level, out);
         out.push('\n');
         return;
     }
     match &stmt.kind {
         StmtKind::Let { .. } | StmtKind::Assign { .. } => {
-            let _ = writeln!(out, "{};", print_simple(stmt));
+            let _ = writeln!(out, "{};", print_simple(p, stmt));
         }
         StmtKind::AssignIndex { name, index, value } => {
             let _ = writeln!(
                 out,
-                "{name}[{}] = {};",
-                print_expr(index),
-                print_expr(value)
+                "{}[{}] = {};",
+                p.name(*name),
+                print_expr(p, index),
+                print_expr(p, value)
             );
         }
         StmtKind::If {
@@ -112,8 +124,8 @@ fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
             then_body,
             else_body,
         } => {
-            let _ = write!(out, "if ({}) ", print_expr(cond));
-            print_block(then_body, level, out);
+            let _ = write!(out, "if ({}) ", print_expr(p, cond));
+            print_block(p, then_body, level, out);
             if !else_body.is_empty() {
                 out.push_str(" else ");
                 // `else if` chains are parsed as a single-statement else
@@ -121,28 +133,28 @@ fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
                 if else_body.len() == 1 && as_for(&else_body[0]).is_none() {
                     if let StmtKind::If { .. } = &else_body[0].kind {
                         let mut nested = String::new();
-                        print_stmt(&else_body[0], 0, &mut nested);
+                        print_stmt(p, &else_body[0], 0, &mut nested);
                         out.push_str(nested.trim_start());
                         return;
                     }
                 }
-                print_block(else_body, level, out);
+                print_block(p, else_body, level, out);
             }
             out.push('\n');
         }
         StmtKind::While { cond, body } => {
-            let _ = write!(out, "while ({}) ", print_expr(cond));
-            print_block(body, level, out);
+            let _ = write!(out, "while ({}) ", print_expr(p, cond));
+            print_block(p, body, level, out);
             out.push('\n');
         }
         StmtKind::Return(Some(e)) => {
-            let _ = writeln!(out, "return {};", print_expr(e));
+            let _ = writeln!(out, "return {};", print_expr(p, e));
         }
         StmtKind::Return(None) => out.push_str("return;\n"),
         StmtKind::Break => out.push_str("break;\n"),
         StmtKind::Continue => out.push_str("continue;\n"),
         StmtKind::Expr(e) => {
-            let _ = writeln!(out, "{};", print_expr(e));
+            let _ = writeln!(out, "{};", print_expr(p, e));
         }
     }
 }
@@ -187,13 +199,13 @@ fn precedence(expr: &Expr) -> u8 {
 /// loosely than its position allows (`a - (b - c)`, `(a < b) == c`,
 /// `-(a + b)`, `(-a)[0]`). Parentheses count toward the parser's nesting
 /// limit, so this keeps an expression as shallow as any source it could
-/// have been parsed from.
-pub fn print_expr(expr: &Expr) -> String {
-    print_operand(expr, 0)
+/// have been parsed from. `program` spells its names.
+pub fn print_expr(program: &Program, expr: &Expr) -> String {
+    print_operand(program, expr, 0)
 }
 
 /// Renders `expr` in a position that needs at least precedence `min`.
-fn print_operand(expr: &Expr, min: u8) -> String {
+fn print_operand(p: &Program, expr: &Expr, min: u8) -> String {
     let text = match &expr.kind {
         ExprKind::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 1e15 {
@@ -220,17 +232,17 @@ fn print_operand(expr: &Expr, min: u8) -> String {
             out.push('"');
             out
         }
-        ExprKind::Var(name) => name.clone(),
+        ExprKind::Var(name) => p.name(*name).to_owned(),
         ExprKind::Array(items) => {
-            let inner: Vec<String> = items.iter().map(print_expr).collect();
+            let inner: Vec<String> = items.iter().map(|i| print_expr(p, i)).collect();
             format!("[{}]", inner.join(", "))
         }
         ExprKind::Index(target, index) => {
-            format!("{}[{}]", print_operand(target, 7), print_expr(index))
+            format!("{}[{}]", print_operand(p, target, 7), print_expr(p, index))
         }
         ExprKind::Call { name, args } => {
-            let inner: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", inner.join(", "))
+            let inner: Vec<String> = args.iter().map(|a| print_expr(p, a)).collect();
+            format!("{}({})", p.name(*name), inner.join(", "))
         }
         ExprKind::Binary { op, lhs, rhs } => {
             // Left-associative chains keep their left operand bare; a
@@ -239,9 +251,9 @@ fn print_operand(expr: &Expr, min: u8) -> String {
             let lhs_min = if own == 3 { own + 1 } else { own };
             format!(
                 "{} {} {}",
-                print_operand(lhs, lhs_min),
+                print_operand(p, lhs, lhs_min),
                 bin_op_str(*op),
-                print_operand(rhs, own + 1)
+                print_operand(p, rhs, own + 1)
             )
         }
         ExprKind::Unary { op, expr: inner } => {
@@ -249,7 +261,7 @@ fn print_operand(expr: &Expr, min: u8) -> String {
                 UnOp::Neg => '-',
                 UnOp::Not => '!',
             };
-            format!("{sign}{}", print_operand(inner, 6))
+            format!("{sign}{}", print_operand(p, inner, 6))
         }
     };
     if precedence(expr) < min {

@@ -18,9 +18,8 @@
 //! Selective compiles read it directly, and [`analyze`] turns it into the
 //! `AnalysisDb` that `au_trace::StaticFilter` is built from.
 
-use crate::ast::{Expr, ExprKind, Program, Stmt, StmtKind};
+use crate::ast::{Expr, ExprKind, Program, Stmt, StmtKind, Sym};
 use au_trace::{AnalysisDb, BitMatrix};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Builds a static over-approximated dependence graph for `program`.
@@ -34,15 +33,19 @@ use std::ops::Range;
 /// builtin, never a user function of that name.
 pub fn analyze(program: &Program) -> AnalysisDb {
     let facts = StaticFacts::new(program);
-    let mut db = AnalysisDb::new();
+    let mut db = AnalysisDb::with_capacity(facts.vars.len());
     for &s in &facts.vars {
-        db.var(facts.names[s as usize]);
+        db.var(facts.names.name(s));
     }
-    for &(src, dst) in &facts.edges {
-        db.record_edge(facts.var_name(src), facts.var_name(dst));
+    for v in 0..facts.vars.len() {
+        for dst in members(facts.dep.row(v)) {
+            db.record_edge(facts.var_name(v as u32), facts.var_name(dst));
+        }
     }
-    for &(v, f) in &facts.uses {
-        db.record_use(facts.var_name(v), &program.functions[f as usize].name);
+    for v in 0..facts.vars.len() {
+        for f in members(facts.used_in(v as u32)) {
+            db.record_use(facts.var_name(v as u32), facts.names.name(f));
+        }
     }
     for &v in &facts.inputs {
         db.mark_input(facts.var_name(v));
@@ -56,22 +59,81 @@ pub fn analyze(program: &Program) -> AnalysisDb {
 /// Marks a symbol id that the static graph never interned.
 const NONE: u32 = u32::MAX;
 
-/// Everything one walk over a program proves statically.
+/// The symbol ids of one walk, read through the parser's symbols.
 ///
-/// Names are interned as *symbols* in the order the walk meets them. Ids
-/// below `program.functions.len()` are reserved: id `f` stands for "what
-/// function `f`'s return value may depend on" (its return summary), so a
-/// call adds one bit to a may-read set and the summary is resolved once,
-/// after the walk. The graph's variables are the symbols the dependence
-/// records name, in the order [`analyze`] interns them: these are its
-/// `VarId`s.
-pub(crate) struct StaticFacts<'p> {
-    /// Symbol id → name (a function's name for the reserved ids).
-    names: Vec<&'p str>,
-    /// Variable name → symbol id.
-    ids: HashMap<&'p str, u32>,
+/// Ids below `program.functions.len()` are reserved: id `f` stands for
+/// "what function `f`'s return value may depend on" (its return summary),
+/// so a call adds one bit to a may-read set and the summary is resolved
+/// once, after the walk. Id `funcs + s` is the program's symbol `s`, and
+/// the ids after those are the literal `input`, `mark_input` and
+/// `mark_target` names that no identifier of the program spells.
+struct Names<'p> {
+    program: &'p Program,
     /// Number of reserved summary ids (`program.functions.len()`).
     funcs: u32,
+    /// The literal names past the program's symbols, in walk order.
+    literals: Vec<&'p str>,
+}
+
+impl<'p> Names<'p> {
+    fn new(program: &'p Program) -> Self {
+        Names {
+            program,
+            funcs: program.functions.len() as u32,
+            literals: Vec::new(),
+        }
+    }
+
+    fn of(&self, sym: Sym) -> u32 {
+        self.funcs + sym.index() as u32
+    }
+
+    /// One past the largest id.
+    fn count(&self) -> usize {
+        self.funcs as usize + self.program.symbols().len() + self.literals.len()
+    }
+
+    /// The name of id `id`: a function's for a summary id.
+    fn name(&self, id: u32) -> &'p str {
+        let program = self.program;
+        match id.checked_sub(self.funcs) {
+            None => program.name(program.functions[id as usize].name),
+            Some(s) => match (s as usize).checked_sub(program.symbols().len()) {
+                None => program.name(Sym::from_index(s as usize)),
+                Some(l) => self.literals[l],
+            },
+        }
+    }
+
+    /// The id of a literal name; a program has few that no identifier
+    /// spells, so a scan finds those.
+    fn literal(&mut self, name: &'p str) -> u32 {
+        self.find(name).unwrap_or_else(|| {
+            self.literals.push(name);
+            (self.count() - 1) as u32
+        })
+    }
+
+    /// The id of a name the walk may have met, if it has one.
+    fn find(&self, name: &str) -> Option<u32> {
+        match self.program.sym(name) {
+            Some(sym) => Some(self.of(sym)),
+            None => self
+                .literals
+                .iter()
+                .position(|&l| l == name)
+                .map(|l| (self.funcs as usize + self.program.symbols().len() + l) as u32),
+        }
+    }
+}
+
+/// Everything one walk over a program proves statically.
+///
+/// Every may-read set is a bitset of [`Names`] ids. The graph's variables
+/// are the ids the dependence records name, in the order [`analyze`]
+/// interns them: these are its `VarId`s.
+pub(crate) struct StaticFacts<'p> {
+    names: Names<'p>,
     /// Per function (first definition of its name), the variables its
     /// returned value may depend on, through nested calls.
     summaries: Vec<Bits>,
@@ -79,10 +141,11 @@ pub(crate) struct StaticFacts<'p> {
     vars: Vec<u32>,
     /// Symbol → `VarId`, or [`NONE`].
     var_of: Vec<u32>,
-    /// Direct dependence edges `(src, dst)` between `VarId`s, sorted.
-    edges: Vec<(u32, u32)>,
-    /// `(VarId, function)` pairs: the variable is used in that function.
-    uses: Vec<(u32, u32)>,
+    /// Direct dependence edges between `VarId`s: row `src` holds `dst`.
+    dep: BitMatrix,
+    /// Per `VarId`, a row of [`Self::words`] words: the functions it is
+    /// used in.
+    uses: Vec<u64>,
     inputs: Vec<u32>,
     targets: Vec<u32>,
     /// Every trace site in walk order, and where each function's start.
@@ -137,7 +200,7 @@ pub(crate) struct Site {
 
 /// What a Selective compile reads from the static facts.
 pub(crate) struct TracePlan<'p> {
-    ids: HashMap<&'p str, u32>,
+    names: Names<'p>,
     relevant: Bits,
     /// The answer for a name the static graph never interned.
     unknown_relevant: bool,
@@ -150,8 +213,8 @@ impl<'p> TracePlan<'p> {
     /// *every* prediction target; a name the graph does not know is
     /// relevant whenever there is a target.
     pub(crate) fn is_relevant(&self, name: &str) -> bool {
-        match self.ids.get(name) {
-            Some(&s) => self.relevant.contains(s),
+        match self.names.find(name) {
+            Some(s) => self.relevant.contains(s),
             None => self.unknown_relevant,
         }
     }
@@ -177,32 +240,32 @@ impl<'p> StaticFacts<'p> {
     /// Walks `program` once and resolves what the walk recorded.
     pub(crate) fn new(program: &'p Program) -> Self {
         let funcs = program.functions.len() as u32;
+        // About one site per statement, sized from the source text.
+        let sites = program.source_len() / 16;
         let mut w = Walk {
             program,
-            names: program.functions.iter().map(|f| f.name.as_str()).collect(),
-            ids: HashMap::new(),
+            names: Names::new(program),
+            first_def: program.first_defs(),
             returns: vec![Bits::default(); funcs as usize],
-            events: Vec::new(),
-            sites: Vec::new(),
+            events: Vec::with_capacity(sites),
+            sites: Vec::with_capacity(sites),
             fn_sites: Vec::with_capacity(funcs as usize),
-            arena: Vec::new(),
+            arena: Vec::with_capacity(sites),
             arg_sets: Vec::new(),
             pool: Vec::new(),
             computed_names: false,
         };
         for func in &program.functions {
             w.fn_sites.push(w.sites.len() as u32);
-            let f = w.first_def(&func.name).expect("defined") as u32;
+            let f = w.first_def[func.name.index()].expect("defined");
             w.block(&func.body, f);
         }
         let mut facts = StaticFacts {
             summaries: summaries(&w.returns, funcs),
             names: w.names,
-            ids: w.ids,
-            funcs,
             vars: Vec::new(),
             var_of: Vec::new(),
-            edges: Vec::new(),
+            dep: BitMatrix::new(0),
             uses: Vec::new(),
             inputs: Vec::new(),
             targets: Vec::new(),
@@ -223,7 +286,18 @@ impl<'p> StaticFacts<'p> {
     }
 
     fn var_name(&self, v: u32) -> &'p str {
-        self.names[self.vars[v as usize] as usize]
+        self.names.name(self.vars[v as usize])
+    }
+
+    /// The words of one row of function bits.
+    fn words(&self) -> usize {
+        (self.names.funcs as usize).div_ceil(64)
+    }
+
+    /// The functions variable `v` is used in, as bits.
+    fn used_in(&self, v: u32) -> &[u64] {
+        let w = self.words();
+        &self.uses[v as usize * w..(v as usize + 1) * w]
     }
 
     fn set(&self, r: SetRef) -> &[u64] {
@@ -235,7 +309,7 @@ impl<'p> StaticFacts<'p> {
         out.clear();
         let words = self.set(reads);
         out.union_words(words);
-        for f in members(words).take_while(|&s| s < self.funcs) {
+        for f in members(words).take_while(|&s| s < self.names.funcs) {
             out.remove(f);
             out.union_words(&self.summaries[f as usize].0);
         }
@@ -253,10 +327,15 @@ impl<'p> StaticFacts<'p> {
 
     /// Replays the walk's records into the graph. A record interns its
     /// destination first, then its sources in name order, exactly as
-    /// `AnalysisDb::record_assign` does with a sorted source list.
+    /// `AnalysisDb::record_assign` does with a sorted source list. Edges
+    /// and uses land in bit rows, which keep them sorted and unique.
     fn record(&mut self, events: &[Event]) {
-        self.var_of = vec![NONE; self.names.len()];
+        self.var_of = vec![NONE; self.names.count()];
+        self.vars
+            .reserve(self.names.count() - self.names.funcs as usize);
         let (mut reads, mut order) = (Bits::default(), Vec::new());
+        let mut edges = Vec::with_capacity(2 * events.len());
+        let mut uses = Vec::with_capacity(3 * events.len());
         for event in events {
             match *event {
                 Event::Assign {
@@ -265,21 +344,21 @@ impl<'p> StaticFacts<'p> {
                     func,
                 } => {
                     let d = self.var(dst);
-                    self.sorted(r, &mut reads, &mut order);
+                    self.sources(r, &mut reads, &mut order);
                     for &s in &order {
                         let v = self.var(s);
                         if v != d {
-                            self.edges.push((v, d));
+                            edges.push((v, d));
                         }
-                        self.uses.push((v, func));
+                        uses.push((v, func));
                     }
-                    self.uses.push((d, func));
+                    uses.push((d, func));
                 }
                 Event::Use { reads: r, func } => {
-                    self.sorted(r, &mut reads, &mut order);
+                    self.sources(r, &mut reads, &mut order);
                     for &s in &order {
                         let v = self.var(s);
-                        self.uses.push((v, func));
+                        uses.push((v, func));
                     }
                 }
                 Event::Input(s) => {
@@ -292,22 +371,35 @@ impl<'p> StaticFacts<'p> {
                 }
             }
         }
-        for list in [&mut self.edges, &mut self.uses] {
-            list.sort_unstable();
-            list.dedup();
-        }
         for list in [&mut self.inputs, &mut self.targets] {
             list.sort_unstable();
             list.dedup();
         }
+        self.dep = BitMatrix::new(self.vars.len());
+        for (src, dst) in edges {
+            self.dep.insert(src as usize, dst as usize);
+        }
+        let w = self.words();
+        self.uses = vec![0; self.vars.len() * w];
+        for (v, f) in uses {
+            self.uses[v as usize * w + f as usize / 64] |= 1 << (f % 64);
+        }
     }
 
-    /// The expanded members of `r`, ordered by name.
-    fn sorted(&self, r: SetRef, scratch: &mut Bits, order: &mut Vec<u32>) {
+    /// The expanded members of `r`, in an order that interns them as a
+    /// name-sorted list would: by name when two or more are not `VarId`s
+    /// yet (the order of the others decides nothing).
+    fn sources(&self, r: SetRef, scratch: &mut Bits, order: &mut Vec<u32>) {
         self.expand(r, scratch);
         order.clear();
         order.extend(members(&scratch.0));
-        order.sort_unstable_by_key(|&s| self.names[s as usize]);
+        let new = order
+            .iter()
+            .filter(|&&s| self.var_of[s as usize] == NONE)
+            .count();
+        if new > 1 {
+            order.sort_unstable_by_key(|&s| self.names.name(s));
+        }
     }
 
     /// The relevance of every symbol and the instrumentation of every
@@ -317,12 +409,8 @@ impl<'p> StaticFacts<'p> {
     /// one reaches the other, or they share a dependent. With `R` the
     /// targets plus everything they reach, that is `({w} ∪ dep(w)) ∩ R ≠
     /// ∅`, one row test per variable.
-    pub(crate) fn trace_plan(self) -> TracePlan<'p> {
-        let n = self.vars.len();
-        let mut dep = BitMatrix::new(n);
-        for &(src, dst) in &self.edges {
-            dep.insert(src as usize, dst as usize);
-        }
+    pub(crate) fn trace_plan(mut self) -> TracePlan<'p> {
+        let mut dep = std::mem::replace(&mut self.dep, BitMatrix::new(0));
         dep.close();
         let mut reach = Bits::default();
         for &t in &self.targets {
@@ -330,8 +418,9 @@ impl<'p> StaticFacts<'p> {
             reach.union_words(dep.row(t as usize));
         }
         let unknown_relevant = !self.targets.is_empty();
+        let funcs = self.names.funcs;
         let mut relevant = Bits::default();
-        for (sym, &v) in self.var_of.iter().enumerate().skip(self.funcs as usize) {
+        for (sym, &v) in self.var_of.iter().enumerate().skip(funcs as usize) {
             let yes = if v == NONE {
                 unknown_relevant
             } else {
@@ -342,7 +431,7 @@ impl<'p> StaticFacts<'p> {
             }
         }
         // A summary id is relevant when its summary reads a relevant name.
-        for f in 0..self.funcs {
+        for f in 0..funcs {
             if intersects(&self.summaries[f as usize].0, &relevant.0) {
                 relevant.insert(f);
             }
@@ -356,7 +445,7 @@ impl<'p> StaticFacts<'p> {
             })
             .collect();
         TracePlan {
-            ids: self.ids,
+            names: self.names,
             relevant,
             unknown_relevant,
             sites,
@@ -394,8 +483,9 @@ fn summaries(returns: &[Bits], funcs: u32) -> Vec<Bits> {
 /// dependence records and trace sites, and resolves nothing.
 struct Walk<'p> {
     program: &'p Program,
-    names: Vec<&'p str>,
-    ids: HashMap<&'p str, u32>,
+    names: Names<'p>,
+    /// Per symbol, the first function of that name: the one a call runs.
+    first_def: Vec<Option<u32>>,
     /// Per function, what its `return` expressions read (summary ids
     /// included).
     returns: Vec<Bits>,
@@ -411,21 +501,6 @@ struct Walk<'p> {
 }
 
 impl<'p> Walk<'p> {
-    fn sym(&mut self, name: &'p str) -> u32 {
-        if let Some(&s) = self.ids.get(name) {
-            return s;
-        }
-        let s = self.names.len() as u32;
-        self.names.push(name);
-        self.ids.insert(name, s);
-        s
-    }
-
-    /// Index of the first function named `name`: the one a call runs.
-    fn first_def(&self, name: &str) -> Option<usize> {
-        self.program.functions.iter().position(|f| f.name == name)
-    }
-
     fn take(&mut self) -> Bits {
         self.pool.pop().unwrap_or_default()
     }
@@ -461,13 +536,13 @@ impl<'p> Walk<'p> {
                 StmtKind::Let { name, init } | StmtKind::Assign { name, value: init } => {
                     let mut reads = self.take();
                     self.expr(init, &mut reads);
-                    let dst = self.sym(name);
+                    let dst = self.names.of(*name);
                     self.site(Some(dst), &reads, func);
                     // `x = au_write_back("N")` marks x as a target, same
                     // as the dynamic tracer.
                     if let ExprKind::Call { name, .. } = &init.kind {
                         if matches!(
-                            name.as_str(),
+                            self.program.name(*name),
                             "au_write_back" | "au_write_back_n" | "au_nn_rl"
                         ) {
                             self.events.push(Event::Target(dst));
@@ -481,7 +556,7 @@ impl<'p> Walk<'p> {
                     let mut reads = self.take();
                     self.expr(index, &mut reads);
                     self.expr(value, &mut reads);
-                    let dst = self.sym(name);
+                    let dst = self.names.of(*name);
                     reads.insert(dst);
                     self.site(Some(dst), &reads, func);
                     self.give(reads);
@@ -528,10 +603,7 @@ impl<'p> Walk<'p> {
     fn expr(&mut self, expr: &'p Expr, out: &mut Bits) {
         match &expr.kind {
             ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) => {}
-            ExprKind::Var(name) => {
-                let s = self.sym(name);
-                out.insert(s);
-            }
+            ExprKind::Var(name) => out.insert(self.names.of(*name)),
             ExprKind::Array(items) => {
                 for item in items {
                     self.expr(item, out);
@@ -546,15 +618,16 @@ impl<'p> Walk<'p> {
                 self.expr(lhs, out);
                 self.expr(rhs, out);
             }
-            ExprKind::Call { name, args } => self.call(name, args, out),
+            ExprKind::Call { name, args } => self.call(*name, args, out),
         }
     }
 
-    fn call(&mut self, name: &'p str, args: &'p [Expr], out: &mut Bits) {
+    fn call(&mut self, sym: Sym, args: &'p [Expr], out: &mut Bits) {
+        let name = self.program.name(sym);
         let callee = if name.starts_with("au_") {
             None
         } else {
-            self.first_def(name)
+            self.first_def[sym.index()]
         };
         // A user call keeps each argument's set apart until the argument
         // → parameter records below.
@@ -579,16 +652,16 @@ impl<'p> Walk<'p> {
         // mirrored so the static input and target sets contain theirs.
         match (name, literal) {
             ("input", Some(key)) => {
-                let s = self.sym(key);
+                let s = self.names.literal(key);
                 self.events.push(Event::Input(s));
                 out.insert(s);
             }
             ("mark_input", Some(var)) => {
-                let s = self.sym(var);
+                let s = self.names.literal(var);
                 self.events.push(Event::Input(s));
             }
             ("mark_target", Some(var)) => {
-                let s = self.sym(var);
+                let s = self.names.literal(var);
                 self.events.push(Event::Target(s));
             }
             ("input" | "mark_input" | "mark_target", None) => self.computed_names = true,
@@ -596,21 +669,20 @@ impl<'p> Walk<'p> {
         }
         if let Some(f) = callee {
             let program = self.program;
-            for (i, param) in program.functions[f].params.iter().enumerate() {
+            for (i, &param) in program.functions[f as usize].params.iter().enumerate() {
                 let Some(&reads) = self.arg_sets.get(base + i) else {
                     break;
                 };
-                let dst = self.sym(param);
                 self.events.push(Event::Assign {
-                    dst,
+                    dst: self.names.of(param),
                     reads,
-                    func: f as u32,
+                    func: f,
                 });
             }
             self.arg_sets.truncate(base);
             // The result may depend on anything the callee's executed
             // return expression depends on.
-            out.insert(f as u32);
+            out.insert(f);
         }
     }
 }
@@ -771,9 +843,14 @@ mod tests {
 
     /// The names in the return summary of function `name`.
     fn summary<'p>(facts: &StaticFacts<'p>, name: &str) -> Vec<&'p str> {
-        let f = facts.names.iter().position(|&n| n == name).unwrap();
+        let program = facts.names.program;
+        let f = program
+            .functions
+            .iter()
+            .position(|f| program.name(f.name) == name)
+            .unwrap();
         members(&facts.summaries[f].0)
-            .map(|s| facts.names[s as usize])
+            .map(|s| facts.names.name(s))
             .collect()
     }
 

@@ -4,12 +4,54 @@
 //! back to exactly the source text of its node.
 
 use au_lang::pretty::print_program;
-use au_lang::{parse, BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
+use au_lang::{parse, BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, Sym, UnOp};
 use proptest::prelude::*;
 
-/// Identifiers that cannot collide with keywords or builtins.
-fn ident_strategy() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,6}".prop_map(|s| format!("v_{s}"))
+/// A fixed vocabulary of identifiers that cannot collide with keywords
+/// or builtins: `v_`, a letter, then up to six of `[a-z0-9_]`.
+fn vocabulary() -> Vec<String> {
+    const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n) as usize
+    };
+    let mut names: Vec<String> = Vec::new();
+    while names.len() < 48 {
+        let len = 1 + next(7);
+        let mut name = String::from("v_");
+        name.push(CHARS[next(26)] as char);
+        for _ in 1..len {
+            name.push(CHARS[next(CHARS.len() as u64)] as char);
+        }
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// An empty program whose table holds `main` and the vocabulary; the
+/// generated ASTs name things through it.
+fn names_program() -> Program {
+    let mut program = Program::default();
+    program.intern("main");
+    for name in vocabulary() {
+        program.intern(&name);
+    }
+    program
+}
+
+/// An identifier of [`names_program`]'s vocabulary.
+fn ident_strategy() -> impl Strategy<Value = Sym> {
+    let program = names_program();
+    let vocabulary: Vec<Sym> = vocabulary()
+        .iter()
+        .map(|n| program.sym(n).expect("interned"))
+        .collect();
+    (0..vocabulary.len()).prop_map(move |i| vocabulary[i])
 }
 
 fn leaf_expr() -> impl Strategy<Value = Expr> {
@@ -18,7 +60,9 @@ fn leaf_expr() -> impl Strategy<Value = Expr> {
         (0i64..1000).prop_map(|n| ExprKind::Num(n as f64).into()),
         (0i64..1000).prop_map(|n| ExprKind::Num(n as f64 / 4.0).into()),
         any::<bool>().prop_map(|b| ExprKind::Bool(b).into()),
-        "[ -~&&[^\"\\\\]]{0,8}".prop_map(|s| ExprKind::Str(s).into()),
+        // Printable ASCII (quotes and backslashes included), the escaped
+        // controls, and two- to four-byte UTF-8.
+        "[ -~\n\tà-ÿα-ω✓×😀-😏]{0,8}".prop_map(|s| ExprKind::Str(s).into()),
         ident_strategy().prop_map(|v| ExprKind::Var(v).into()),
     ]
 }
@@ -127,6 +171,7 @@ fn program_strategy() -> impl Strategy<Value = Program> {
         ),
     )
         .prop_map(|(main_body, helpers)| {
+            let mut program = names_program();
             let mut functions: Vec<Function> = helpers
                 .into_iter()
                 .map(|(name, mut params, body)| {
@@ -142,12 +187,13 @@ fn program_strategy() -> impl Strategy<Value = Program> {
             // Helper names must be unique and differ from main.
             functions.dedup_by(|a, b| a.name == b.name);
             functions.push(Function {
-                name: "main".to_owned(),
+                name: program.sym("main").expect("interned"),
                 params: Vec::new(),
                 body: main_body,
                 span: Span::DUMMY,
             });
-            Program { functions }
+            program.functions = functions;
+            program
         })
 }
 
@@ -156,10 +202,11 @@ fn program_strategy() -> impl Strategy<Value = Program> {
 // slices back to text representing exactly that node.
 // ---------------------------------------------------------------------
 
-fn check_expr_spans(expr: &Expr, src: &str) -> Result<(), String> {
+fn check_expr_spans(p: &Program, expr: &Expr, src: &str) -> Result<(), String> {
     let text = expr.span.slice(src);
     match &expr.kind {
         ExprKind::Var(name) => {
+            let name = p.name(*name);
             if text != name {
                 return Err(format!("Var `{name}` span sliced `{text}`"));
             }
@@ -185,31 +232,32 @@ fn check_expr_spans(expr: &Expr, src: &str) -> Result<(), String> {
         }
         ExprKind::Array(items) => {
             for item in items {
-                check_expr_spans(item, src)?;
+                check_expr_spans(p, item, src)?;
             }
         }
         ExprKind::Index(target, index) => {
-            check_expr_spans(target, src)?;
-            check_expr_spans(index, src)?;
+            check_expr_spans(p, target, src)?;
+            check_expr_spans(p, index, src)?;
         }
         ExprKind::Call { name, args } => {
-            if !text.starts_with(name.as_str()) {
+            let name = p.name(*name);
+            if !text.starts_with(name) {
                 return Err(format!("Call `{name}` span sliced `{text}`"));
             }
             for arg in args {
-                check_expr_spans(arg, src)?;
+                check_expr_spans(p, arg, src)?;
             }
         }
         ExprKind::Binary { lhs, rhs, .. } => {
-            check_expr_spans(lhs, src)?;
-            check_expr_spans(rhs, src)?;
+            check_expr_spans(p, lhs, src)?;
+            check_expr_spans(p, rhs, src)?;
         }
-        ExprKind::Unary { expr, .. } => check_expr_spans(expr, src)?,
+        ExprKind::Unary { expr, .. } => check_expr_spans(p, expr, src)?,
     }
     Ok(())
 }
 
-fn check_stmt_spans(stmt: &Stmt, src: &str) -> Result<(), String> {
+fn check_stmt_spans(p: &Program, stmt: &Stmt, src: &str) -> Result<(), String> {
     let text = stmt.span.slice(src);
     let starts_ok = match &stmt.kind {
         StmtKind::Let { .. } => text.starts_with("let"),
@@ -228,25 +276,25 @@ fn check_stmt_spans(stmt: &Stmt, src: &str) -> Result<(), String> {
         StmtKind::Let { init: e, .. }
         | StmtKind::Assign { value: e, .. }
         | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => check_expr_spans(e, src),
+        | StmtKind::Return(Some(e)) => check_expr_spans(p, e, src),
         StmtKind::AssignIndex { index, value, .. } => {
-            check_expr_spans(index, src)?;
-            check_expr_spans(value, src)
+            check_expr_spans(p, index, src)?;
+            check_expr_spans(p, value, src)
         }
         StmtKind::If {
             cond,
             then_body,
             else_body,
         } => {
-            check_expr_spans(cond, src)?;
+            check_expr_spans(p, cond, src)?;
             then_body
                 .iter()
                 .chain(else_body)
-                .try_for_each(|s| check_stmt_spans(s, src))
+                .try_for_each(|s| check_stmt_spans(p, s, src))
         }
         StmtKind::While { cond, body } => {
-            check_expr_spans(cond, src)?;
-            body.iter().try_for_each(|s| check_stmt_spans(s, src))
+            check_expr_spans(p, cond, src)?;
+            body.iter().try_for_each(|s| check_stmt_spans(p, s, src))
         }
         StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => Ok(()),
     }
@@ -256,10 +304,11 @@ fn check_program_spans(program: &Program, src: &str) -> Result<(), String> {
     for func in &program.functions {
         let text = func.span.slice(src);
         if !text.starts_with("fn") {
-            return Err(format!("function `{}` span sliced `{text}`", func.name));
+            let name = program.name(func.name);
+            return Err(format!("function `{name}` span sliced `{text}`"));
         }
         for stmt in &func.body {
-            check_stmt_spans(stmt, src)?;
+            check_stmt_spans(program, stmt, src)?;
         }
     }
     Ok(())

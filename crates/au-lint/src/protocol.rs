@@ -304,7 +304,7 @@ impl<'a> Walker<'a> {
                 for arg in args {
                     self.walk_expr(arg, st, reachable);
                 }
-                self.handle_call(name, args, expr.span, st, reachable);
+                self.handle_call(self.program.name(*name), args, expr.span, st, reachable);
             }
             ExprKind::Array(items) => {
                 for item in items {

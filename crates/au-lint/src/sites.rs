@@ -30,13 +30,14 @@ pub(crate) struct Call<'p> {
 }
 
 impl<'p> Call<'p> {
-    fn new(name: &'p str, args: &'p [Expr], span: Span) -> Self {
+    fn new(program: &'p Program, name: &'p str, args: &'p [Expr], span: Span) -> Self {
         let mut features: Vec<(&str, Span)> = Vec::new();
         if name == "au_extract" {
             for arg in args.iter().skip(1) {
                 for_each_subexpr(arg, &mut |e| {
                     if let ExprKind::Var(var) = &e.kind {
-                        if features.iter().all(|(seen, _)| seen != var) {
+                        let var = program.name(*var);
+                        if features.iter().all(|&(seen, _)| seen != var) {
                             features.push((var, e.span));
                         }
                     }
@@ -97,8 +98,9 @@ impl<'p> Sites<'p> {
                 for e in stmt.exprs() {
                     for_each_subexpr(e, &mut |e| {
                         if let ExprKind::Call { name, args } = &e.kind {
+                            let name = program.name(*name);
                             if name.starts_with("au_") {
-                                calls.push(Call::new(name, args, e.span));
+                                calls.push(Call::new(program, name, args, e.span));
                             }
                         }
                     });
@@ -108,7 +110,7 @@ impl<'p> Sites<'p> {
                         calls[first..].iter().flat_map(Call::store_reads).collect();
                     if !keys.is_empty() {
                         stores.push(Store {
-                            var: name,
+                            var: program.name(*name),
                             span: stmt.span,
                             keys,
                         });

@@ -1,6 +1,7 @@
 //! The analysis database: dependence graph + traces + usage map.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// An interned program variable.
 ///
@@ -23,8 +24,9 @@ impl VarId {
 /// input (`In`) and target (`Trg`) variable sets consumed by Algorithms 1–2.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisDb {
-    names: Vec<String>,
-    index: HashMap<String, VarId>,
+    /// Each name is allocated once and shared with `index`.
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, VarId>,
     /// `forward[a]` = variables with a direct dependence edge `a → b`
     /// (i.e. `b` is computed from `a`; `b` is a *dependent* of `a`).
     forward: Vec<BTreeSet<VarId>>,
@@ -40,14 +42,27 @@ impl AnalysisDb {
         AnalysisDb::default()
     }
 
+    /// Creates an empty database with room for `vars` variables.
+    pub fn with_capacity(vars: usize) -> Self {
+        AnalysisDb {
+            names: Vec::with_capacity(vars),
+            index: HashMap::with_capacity(vars),
+            forward: Vec::with_capacity(vars),
+            traces: Vec::with_capacity(vars),
+            use_funcs: Vec::with_capacity(vars),
+            ..AnalysisDb::default()
+        }
+    }
+
     /// Interns `name`, returning its stable id.
     pub fn var(&mut self, name: &str) -> VarId {
         if let Some(&id) = self.index.get(name) {
             return id;
         }
         let id = VarId(self.names.len());
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, id);
         self.forward.push(BTreeSet::new());
         self.traces.push(Vec::new());
         self.use_funcs.push(BTreeSet::new());
@@ -86,17 +101,17 @@ impl AnalysisDb {
     pub fn record_assign(&mut self, dst: &str, srcs: &[&str], value: Option<f64>, func: &str) {
         au_telemetry::count!("au_trace.records");
         let d = self.var(dst);
-        let src_ids: Vec<VarId> = srcs.iter().map(|src| self.var(src)).collect();
-        for s in src_ids {
+        for src in srcs {
+            let s = self.var(src);
             if s != d {
                 self.forward[s.0].insert(d);
             }
-            self.use_funcs[s.0].insert(func.to_owned());
+            note_use(&mut self.use_funcs[s.0], func);
         }
         if let Some(v) = value {
             self.traces[d.0].push(v);
         }
-        self.use_funcs[d.0].insert(func.to_owned());
+        note_use(&mut self.use_funcs[d.0], func);
     }
 
     /// Adds a bare dependence edge `src → dst` without touching traces or
@@ -121,7 +136,7 @@ impl AnalysisDb {
     /// Notes that `var` is used inside `func` without recording dataflow.
     pub fn record_use(&mut self, var: &str, func: &str) {
         let v = self.var(var);
-        self.use_funcs[v.0].insert(func.to_owned());
+        note_use(&mut self.use_funcs[v.0], func);
     }
 
     /// Marks a variable as a program input (`In` in Algorithm 1).
@@ -255,6 +270,14 @@ impl AnalysisDb {
             }
         }
         None
+    }
+}
+
+/// Adds `func` to a variable's function set, allocating its name only
+/// the first time.
+fn note_use(funcs: &mut BTreeSet<String>, func: &str) {
+    if !funcs.contains(func) {
+        funcs.insert(func.to_owned());
     }
 }
 

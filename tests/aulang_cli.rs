@@ -304,3 +304,50 @@ fn a_partial_label_is_missing_data_on_both_engines() {
         );
     }
 }
+
+/// A string literal holding two-, three- and four-byte UTF-8.
+const UTF8_PROGRAM: &str = "fn main() {\n    print(\"café ✓ 😀\");\n    return 0;\n}\n";
+
+#[test]
+fn non_ascii_string_literals_print_verbatim_on_both_engines() {
+    let path = temp_program("utf8_print", UTF8_PROGRAM);
+    let file = path.to_str().unwrap();
+    for engine in ["vm", "interp"] {
+        let out = aulang(&["run", file, "-q", "--engine", engine]);
+        assert_eq!(code(&out), 0, "{engine}: {:?}", stderr_lines(&out));
+        assert_eq!(
+            String::from_utf8(out.stdout).expect("UTF-8 output"),
+            "café ✓ 😀\n=> 0\n",
+            "{engine}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn fmt_is_idempotent_on_non_ascii_string_literals() {
+    let path = temp_program("utf8_fmt", UTF8_PROGRAM);
+    let once = aulang(&["fmt", path.to_str().unwrap()]);
+    assert_eq!(code(&once), 0, "{:?}", stderr_lines(&once));
+    let once = String::from_utf8(once.stdout).expect("UTF-8 output");
+    assert_eq!(once, UTF8_PROGRAM, "fmt keeps the literal verbatim");
+    std::fs::write(&path, &once).expect("temp file writes");
+    let twice = aulang(&["fmt", path.to_str().unwrap()]);
+    assert_eq!(String::from_utf8(twice.stdout).expect("UTF-8 output"), once);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn lex_errors_name_a_non_ascii_character_whole() {
+    let path = temp_program(
+        "utf8_lex",
+        "fn main() {\n    let x = 1 × 2;\n    return x;\n}\n",
+    );
+    let out = aulang(&["check", path.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    assert_eq!(
+        stderr_lines(&out),
+        vec!["[error] aulang: lex error at line 2: unexpected character `×`".to_owned()]
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -24,30 +24,28 @@ use std::fmt::Write as _;
 
 const GOLDEN: &str = "tests/golden/lint_diagnostics.txt";
 
-/// Whether `e` or any expression inside it calls an `au_*` primitive.
-fn calls_primitive(e: &Expr) -> bool {
+/// Whether `e` or any expression inside it calls an `au_*` primitive;
+/// `p` spells the names.
+fn calls_primitive(p: &Program, e: &Expr) -> bool {
+    let calls = |e: &Expr| calls_primitive(p, e);
     match &e.kind {
-        ExprKind::Call { name, args } => {
-            name.starts_with("au_") || args.iter().any(calls_primitive)
-        }
-        ExprKind::Array(items) => items.iter().any(calls_primitive),
-        ExprKind::Index(a, b) | ExprKind::Binary { lhs: a, rhs: b, .. } => {
-            calls_primitive(a) || calls_primitive(b)
-        }
-        ExprKind::Unary { expr, .. } => calls_primitive(expr),
+        ExprKind::Call { name, args } => p.name(*name).starts_with("au_") || args.iter().any(calls),
+        ExprKind::Array(items) => items.iter().any(calls),
+        ExprKind::Index(a, b) | ExprKind::Binary { lhs: a, rhs: b, .. } => calls(a) || calls(b),
+        ExprKind::Unary { expr, .. } => calls(expr),
         _ => false,
     }
 }
 
 /// Whether `stmt` itself (not a nested block) calls an `au_*` primitive.
-fn is_primitive_stmt(stmt: &Stmt) -> bool {
+fn is_primitive_stmt(p: &Program, stmt: &Stmt) -> bool {
     match &stmt.kind {
         StmtKind::Let { init: e, .. }
         | StmtKind::Assign { value: e, .. }
         | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => calls_primitive(e),
+        | StmtKind::Return(Some(e)) => calls_primitive(p, e),
         StmtKind::AssignIndex { index, value, .. } => {
-            calls_primitive(index) || calls_primitive(value)
+            calls_primitive(p, index) || calls_primitive(p, value)
         }
         _ => false,
     }
@@ -55,9 +53,9 @@ fn is_primitive_stmt(stmt: &Stmt) -> bool {
 
 /// Removes the `k`-th primitive statement of `stmts` (pre-order, counting
 /// down `k`) and returns its span, or `None` if there are fewer.
-fn remove_nth(stmts: &mut Vec<Stmt>, k: &mut usize) -> Option<Span> {
+fn remove_nth(p: &Program, stmts: &mut Vec<Stmt>, k: &mut usize) -> Option<Span> {
     for i in 0..stmts.len() {
-        if is_primitive_stmt(&stmts[i]) {
+        if is_primitive_stmt(p, &stmts[i]) {
             if *k == 0 {
                 return Some(stmts.remove(i).span);
             }
@@ -68,8 +66,8 @@ fn remove_nth(stmts: &mut Vec<Stmt>, k: &mut usize) -> Option<Span> {
                 then_body,
                 else_body,
                 ..
-            } => remove_nth(then_body, k).or_else(|| remove_nth(else_body, k)),
-            StmtKind::While { body, .. } => remove_nth(body, k),
+            } => remove_nth(p, then_body, k).or_else(|| remove_nth(p, else_body, k)),
+            StmtKind::While { body, .. } => remove_nth(p, body, k),
             _ => None,
         };
         if removed.is_some() {
@@ -89,7 +87,7 @@ fn mutants(program: &Program) -> Vec<(Span, Program)> {
         let removed = mutant
             .functions
             .iter_mut()
-            .find_map(|f| remove_nth(&mut f.body, &mut k));
+            .find_map(|f| remove_nth(program, &mut f.body, &mut k));
         match removed {
             Some(span) => out.push((span, mutant)),
             None => break,
