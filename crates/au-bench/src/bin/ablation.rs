@@ -173,7 +173,7 @@ fn static_vs_dynamic() {
     let dynamic_db = interp.analysis();
 
     let count_edges =
-        |db: &AnalysisDb| -> usize { db.all_vars().map(|v| db.direct_dependents(v).len()).sum() };
+        |db: &AnalysisDb| -> usize { db.all_vars().map(|v| db.direct_dependents(v).count()).sum() };
     let sx = static_db.id("x").expect("x");
     let dx = dynamic_db.id("x").expect("x");
     println!(

@@ -57,8 +57,8 @@
 //! fact sets are emptied rather than left partial.
 
 use crate::ast::{
-    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
-    Stmt, StmtKind, Sym, UnOp,
+    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprId, ExprKind, Function,
+    Program, Span, Stmt, StmtKind, Sym, UnOp,
 };
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry as BEntry;
@@ -881,7 +881,7 @@ fn is_user_fn(fns: &HashMap<&str, &Function>, name: &str) -> bool {
 /// earlier one.
 fn function_map(program: &Program) -> HashMap<&str, &Function> {
     program
-        .functions
+        .functions()
         .iter()
         .map(|f| (program.name(f.name), f))
         .collect()
@@ -899,7 +899,7 @@ impl<'a> Analyzer<'a> {
         let fns = function_map(program);
         let (recursive, may_ckpt) = call_graph_facts(program, &fns);
         let mut stmt_spans = Vec::new();
-        for func in &program.functions {
+        for func in program.functions() {
             for_each_stmt(&func.body, &mut |s| {
                 if !s.span.is_dummy() {
                     stmt_spans.push((s.span.start, s.span.end));
@@ -945,7 +945,7 @@ impl<'a> Analyzer<'a> {
     // Expression evaluation
     // -----------------------------------------------------------------
 
-    fn eval(&mut self, e: &'a Expr, env: &mut Env<'a>) -> AbsVal {
+    fn eval(&mut self, e: ExprId, env: &mut Env<'a>) -> AbsVal {
         if self.fuel == 0 {
             self.complete = false;
             return AbsVal::Top;
@@ -954,19 +954,17 @@ impl<'a> Analyzer<'a> {
         self.eval_inner(e, env)
     }
 
-    fn eval_inner(&mut self, e: &'a Expr, env: &mut Env<'a>) -> AbsVal {
-        match &e.kind {
-            ExprKind::Num(n) => AbsVal::Num(Interval::point(*n)),
-            ExprKind::Bool(b) => AbsVal::Bool(AbsBool::of(*b)),
-            ExprKind::Str(s) => AbsVal::Str(Some(Rc::from(s.as_str()))),
+    fn eval_inner(&mut self, e: ExprId, env: &mut Env<'a>) -> AbsVal {
+        let p = self.program;
+        match p.expr(e).kind {
+            ExprKind::Num(n) => AbsVal::Num(Interval::point(n)),
+            ExprKind::Bool(b) => AbsVal::Bool(AbsBool::of(b)),
+            ExprKind::Str(s) => AbsVal::Str(Some(Rc::from(p.str(s)))),
             // Undefined variable: certain runtime error.
-            ExprKind::Var(name) => env
-                .get(self.program.name(*name))
-                .cloned()
-                .unwrap_or(AbsVal::Bottom),
+            ExprKind::Var(name) => env.get(p.name(name)).cloned().unwrap_or(AbsVal::Bottom),
             ExprKind::Array(items) => {
                 let mut elem = AbsVal::Bottom;
-                for item in items {
+                for &item in p.list(items) {
                     elem = elem.join(&self.eval(item, env));
                 }
                 AbsVal::Array(Rc::new(elem), Interval::point(items.len() as f64))
@@ -980,8 +978,8 @@ impl<'a> Analyzer<'a> {
                     _ => AbsVal::Bottom,
                 }
             }
-            ExprKind::Call { name, args } => self.eval_call(self.program.name(*name), args, env),
-            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, *op, lhs, rhs, env),
+            ExprKind::Call { name, args } => self.eval_call(p.name(name), p.list(args), env),
+            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, op, lhs, rhs, env),
             ExprKind::Unary { op, expr } => {
                 let v = self.eval(expr, env);
                 match op {
@@ -1000,10 +998,10 @@ impl<'a> Analyzer<'a> {
 
     fn eval_binary(
         &mut self,
-        e: &'a Expr,
+        e: ExprId,
         op: BinOp,
-        lhs: &'a Expr,
-        rhs: &'a Expr,
+        lhs: ExprId,
+        rhs: ExprId,
         env: &mut Env<'a>,
     ) -> AbsVal {
         if matches!(op, BinOp::And | BinOp::Or) {
@@ -1049,6 +1047,7 @@ impl<'a> Analyzer<'a> {
             BinOp::Sub => AbsVal::Num(li.sub(ri)),
             BinOp::Mul => AbsVal::Num(li.mul(ri)),
             BinOp::Div => {
+                let e = self.program.expr(e);
                 if self.reporting && rc && !e.span.is_dummy() {
                     match self.divs.entry((e.span.start, e.span.end)) {
                         BEntry::Occupied(mut o) => {
@@ -1070,7 +1069,7 @@ impl<'a> Analyzer<'a> {
     // Calls
     // -----------------------------------------------------------------
 
-    fn eval_call(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
+    fn eval_call(&mut self, name: &'a str, args: &'a [ExprId], env: &mut Env<'a>) -> AbsVal {
         if is_user_fn(&self.fns, name) {
             let out = self.call_user(name, args, env);
             if self.may_ckpt.contains(name) {
@@ -1081,18 +1080,18 @@ impl<'a> Analyzer<'a> {
         self.call_builtin(name, args, env)
     }
 
-    fn call_user(&mut self, name: &'a str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
+    fn call_user(&mut self, name: &'a str, args: &'a [ExprId], env: &mut Env<'a>) -> AbsVal {
         let func = self.fns[name];
         if func.params.len() != args.len() {
             // Arity error is raised before the callee runs; arguments are
             // still evaluated at the call site first.
-            for a in args {
+            for &a in args {
                 self.eval(a, env);
             }
             return AbsVal::Top;
         }
         let mut arg_vals = Vec::with_capacity(args.len());
-        for a in args {
+        for &a in args {
             arg_vals.push(self.eval(a, env));
         }
         if self.recursive.contains(name) {
@@ -1158,7 +1157,7 @@ impl<'a> Analyzer<'a> {
         ret
     }
 
-    fn call_builtin(&mut self, name: &str, args: &'a [Expr], env: &mut Env<'a>) -> AbsVal {
+    fn call_builtin(&mut self, name: &str, args: &'a [ExprId], env: &mut Env<'a>) -> AbsVal {
         // Fixed-arity builtins check arity *before* evaluating arguments,
         // so a mismatch must not record argument effects or facts.
         let arity: Option<usize> = match name {
@@ -1212,7 +1211,7 @@ impl<'a> Analyzer<'a> {
             return AbsVal::Top;
         }
         let mut vals = Vec::with_capacity(args.len());
-        for a in args {
+        for &a in args {
             vals.push(self.eval(a, env));
         }
         let unbounded_len = || Interval::make(0.0, f64::INFINITY, false);
@@ -1280,11 +1279,11 @@ impl<'a> Analyzer<'a> {
     /// understands literals, variables, `!`, short-circuit chains, and
     /// comparisons whose operands are variables or (negated) number
     /// literals.
-    fn refine(&self, mut env: Env<'a>, cond: &'a Expr, want: bool) -> Option<Env<'a>> {
-        match &cond.kind {
-            ExprKind::Bool(b) => (*b == want).then_some(env),
+    fn refine(&self, mut env: Env<'a>, cond: ExprId, want: bool) -> Option<Env<'a>> {
+        match self.program.expr(cond).kind {
+            ExprKind::Bool(b) => (b == want).then_some(env),
             ExprKind::Var(name) => {
-                let name = self.program.name(*name);
+                let name = self.program.name(name);
                 match env.get(name) {
                     Some(AbsVal::Bool(b)) => {
                         if (want && !b.may_true) || (!want && !b.may_false) {
@@ -1323,7 +1322,7 @@ impl<'a> Analyzer<'a> {
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq
                 ) =>
             {
-                self.refine_cmp(env, *op, lhs, rhs, want)
+                self.refine_cmp(env, op, lhs, rhs, want)
             }
             _ => Some(env),
         }
@@ -1333,20 +1332,20 @@ impl<'a> Analyzer<'a> {
         &self,
         mut env: Env<'a>,
         op: BinOp,
-        lhs: &'a Expr,
-        rhs: &'a Expr,
+        lhs: ExprId,
+        rhs: ExprId,
         want: bool,
     ) -> Option<Env<'a>> {
         // Resolve each operand to a variable or a numeric constant.
-        fn side<'a>(p: &'a Program, e: &Expr) -> Option<Result<&'a str, f64>> {
-            match &e.kind {
-                ExprKind::Var(n) => Some(Ok(p.name(*n))),
-                ExprKind::Num(n) => Some(Err(*n)),
+        fn side(p: &Program, e: ExprId) -> Option<Result<&str, f64>> {
+            match p.expr(e).kind {
+                ExprKind::Var(n) => Some(Ok(p.name(n))),
+                ExprKind::Num(n) => Some(Err(n)),
                 ExprKind::Unary {
                     op: UnOp::Neg,
                     expr,
-                } => match &expr.kind {
-                    ExprKind::Num(n) => Some(Err(-*n)),
+                } => match p.expr(expr).kind {
+                    ExprKind::Num(n) => Some(Err(-n)),
                     _ => None,
                 },
                 _ => None,
@@ -1506,14 +1505,14 @@ impl<'a> Analyzer<'a> {
         match &stmt.kind {
             StmtKind::Let { name, init } => {
                 let name = self.program.name(*name);
-                let v = self.eval(init, &mut env);
+                let v = self.eval(*init, &mut env);
                 self.record_assign(name, &v);
                 env.declare(name, v);
                 Flow::fall(env)
             }
             StmtKind::Assign { name, value } => {
                 let name = self.program.name(*name);
-                let v = self.eval(value, &mut env);
+                let v = self.eval(*value, &mut env);
                 self.record_assign(name, &v);
                 if env.assign(name, v) {
                     Flow::fall(env)
@@ -1523,8 +1522,8 @@ impl<'a> Analyzer<'a> {
             }
             StmtKind::AssignIndex { name, index, value } => {
                 let name = self.program.name(*name);
-                self.eval(index, &mut env);
-                let v = self.eval(value, &mut env);
+                self.eval(*index, &mut env);
+                let v = self.eval(*value, &mut env);
                 match env.get(name) {
                     Some(AbsVal::Array(elem, len)) => {
                         let updated = AbsVal::Array(Rc::new(elem.join(&v)), *len);
@@ -1541,7 +1540,7 @@ impl<'a> Analyzer<'a> {
                 then_body,
                 else_body,
             } => {
-                let c = self.eval(cond, &mut env);
+                let c = self.eval(*cond, &mut env);
                 let Some(ab) = as_bool_domain(&c) else {
                     return Flow::halt();
                 };
@@ -1556,7 +1555,7 @@ impl<'a> Analyzer<'a> {
                 let mut any = false;
                 for (env, want, body) in [(then_env, true, then_body), (else_env, false, else_body)]
                 {
-                    let Some(e) = env.and_then(|env| self.refine(env, cond, want)) else {
+                    let Some(e) = env.and_then(|env| self.refine(env, *cond, want)) else {
                         continue;
                     };
                     let f = self.walk_block(body, e);
@@ -1573,10 +1572,10 @@ impl<'a> Analyzer<'a> {
                 }
                 merged
             }
-            StmtKind::While { cond, body } => self.walk_while(cond, body, env),
+            StmtKind::While { cond, body } => self.walk_while(*cond, body, env),
             StmtKind::Return(e) => Flow {
                 ret: match e {
-                    Some(e) => self.eval(e, &mut env),
+                    Some(e) => self.eval(*e, &mut env),
                     None => AbsVal::Unit,
                 },
                 ..Flow::halt()
@@ -1590,7 +1589,7 @@ impl<'a> Analyzer<'a> {
                 ..Flow::halt()
             },
             StmtKind::Expr(e) => {
-                self.eval(e, &mut env);
+                self.eval(*e, &mut env);
                 Flow::fall(env)
             }
         }
@@ -1605,7 +1604,7 @@ impl<'a> Analyzer<'a> {
     /// again. That is exact only if the iteration changed no function
     /// summary: a call evaluated early in it may have used a summary that
     /// a later call then replaced, and a replay would see the new one.
-    fn walk_while(&mut self, cond: &'a Expr, body: &'a [Stmt], env: Env<'a>) -> Flow<'a> {
+    fn walk_while(&mut self, cond: ExprId, body: &'a [Stmt], env: Env<'a>) -> Flow<'a> {
         let entry_depth = env.depth();
         // Phase 1: silent fixpoint on the loop-head environment. Facts are
         // not recorded here; phase 2 records them once, against the stable
@@ -1736,9 +1735,9 @@ fn call_graph_facts<'a>(
     for (&name, &func) in fns {
         let mut out = HashSet::new();
         let mut ckpt = false;
-        for_each_expr(&func.body, &mut |e| {
-            if let ExprKind::Call { name: callee, .. } = &e.kind {
-                let callee = program.name(*callee);
+        for_each_expr(program, &func.body, &mut |e| {
+            if let ExprKind::Call { name: callee, .. } = e.kind {
+                let callee = program.name(callee);
                 if is_user_fn(fns, callee) {
                     out.insert(callee);
                 } else if callee == "au_checkpoint" || callee == "au_restore" {
@@ -1805,13 +1804,13 @@ fn protocol_names(program: &Program) -> HashSet<String> {
         "au_config",
     ];
     let mut out = HashSet::new();
-    for func in &program.functions {
-        for_each_expr(&func.body, &mut |e| {
-            if let ExprKind::Call { name, args } = &e.kind {
-                if PROTO.contains(&program.name(*name)) {
-                    for a in args {
-                        if let ExprKind::Str(s) = &a.kind {
-                            out.insert(s.clone());
+    for func in program.functions() {
+        for_each_expr(program, &func.body, &mut |e| {
+            if let ExprKind::Call { name, args } = e.kind {
+                if PROTO.contains(&program.name(name)) {
+                    for &a in program.list(args) {
+                        if let ExprKind::Str(s) = program.expr(a).kind {
+                            out.insert(program.str(s).to_owned());
                         }
                     }
                 }
@@ -1827,7 +1826,7 @@ fn protocol_names(program: &Program) -> HashSet<String> {
 fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvariant> {
     let fns = function_map(program);
     let mut out = Vec::new();
-    for func in &program.functions {
+    for func in program.functions() {
         for_each_stmt(&func.body, &mut |stmt| {
             let StmtKind::While { body, .. } = &stmt.kind else {
                 return;
@@ -1835,9 +1834,9 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
             // A checkpoint restore may rewrite any variable mid-loop, so
             // nothing in such a body is provably invariant.
             let mut has_ckpt = false;
-            for_each_expr(body, &mut |e| {
-                if let ExprKind::Call { name, .. } = &e.kind {
-                    if may_checkpoint(program.name(*name), &fns, may_ckpt) {
+            for_each_expr(program, body, &mut |e| {
+                if let ExprKind::Call { name, .. } = e.kind {
+                    if may_checkpoint(program.name(name), &fns, may_ckpt) {
                         has_ckpt = true;
                     }
                 }
@@ -1865,17 +1864,17 @@ fn loop_invariants(program: &Program, may_ckpt: &HashSet<&str>) -> Vec<LoopInvar
                 }
                 let mut vars = 0usize;
                 let mut blocked = false;
-                let mut check = |e: &Expr| match &e.kind {
+                let mut check = |e: &Expr| match e.kind {
                     ExprKind::Var(v) => {
                         vars += 1;
-                        if assigned.contains(v) {
+                        if assigned.contains(&v) {
                             blocked = true;
                         }
                     }
                     ExprKind::Call { .. } => blocked = true,
                     _ => {}
                 };
-                for_each_subexpr(value, &mut check);
+                for_each_subexpr(program, *value, &mut check);
                 if !blocked && vars >= 1 {
                     out.push(LoopInvariant {
                         name: program.name(*name).to_owned(),
@@ -1971,28 +1970,22 @@ struct LiveCtx<'c, 'a> {
     cont: Live<'a>,
 }
 
-fn expr_reads<'a>(e: &'a Expr, l: &mut Live<'a>, ctx: &LiveCtx<'_, 'a>) {
-    match &e.kind {
-        ExprKind::Var(name) => l.read(ctx.program.name(*name)),
-        ExprKind::Array(items) => items.iter().for_each(|i| expr_reads(i, l, ctx)),
-        ExprKind::Index(a, b) => {
-            expr_reads(a, l, ctx);
-            expr_reads(b, l, ctx);
-        }
-        ExprKind::Call { name, args } => {
+fn expr_reads<'a>(e: ExprId, l: &mut Live<'a>, ctx: &LiveCtx<'_, 'a>) {
+    let program = ctx.program;
+    match program.expr(e).kind {
+        ExprKind::Var(name) => l.read(program.name(name)),
+        ExprKind::Call { name, .. } => {
             // Checkpoint/restore snapshot or rewrite every variable in
             // every frame: treat as a read of everything.
-            if may_checkpoint(ctx.program.name(*name), ctx.fns, ctx.may_ckpt) {
+            if may_checkpoint(program.name(name), ctx.fns, ctx.may_ckpt) {
                 l.set_all();
             }
-            args.iter().for_each(|a| expr_reads(a, l, ctx));
+            program
+                .expr(e)
+                .kind
+                .for_each_operand(program, |a| expr_reads(a, l, ctx));
         }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            expr_reads(lhs, l, ctx);
-            expr_reads(rhs, l, ctx);
-        }
-        ExprKind::Unary { expr, .. } => expr_reads(expr, l, ctx),
-        _ => {}
+        kind => kind.for_each_operand(program, |a| expr_reads(a, l, ctx)),
     }
 }
 
@@ -2014,11 +2007,11 @@ fn live_block<'a>(
                     out.push(DeadStore {
                         name: name.to_owned(),
                         span: stmt.span,
-                        value_span: init.span,
+                        value_span: ctx.program.expr(*init).span,
                     });
                 }
                 l.kill(name);
-                expr_reads(init, &mut l, ctx);
+                expr_reads(*init, &mut l, ctx);
             }
             StmtKind::Assign { name, value } => {
                 let name = ctx.program.name(*name);
@@ -2026,17 +2019,17 @@ fn live_block<'a>(
                     out.push(DeadStore {
                         name: name.to_owned(),
                         span: stmt.span,
-                        value_span: value.span,
+                        value_span: ctx.program.expr(*value).span,
                     });
                 }
                 l.kill(name);
-                expr_reads(value, &mut l, ctx);
+                expr_reads(*value, &mut l, ctx);
             }
             StmtKind::AssignIndex { name, index, value } => {
                 // Writes one element; the rest of the array survives.
                 l.read(ctx.program.name(*name));
-                expr_reads(index, &mut l, ctx);
-                expr_reads(value, &mut l, ctx);
+                expr_reads(*index, &mut l, ctx);
+                expr_reads(*value, &mut l, ctx);
             }
             StmtKind::If {
                 cond,
@@ -2046,7 +2039,7 @@ fn live_block<'a>(
                 let t = live_block(then_body, l.clone(), ctx, recording, out);
                 let e = live_block(else_body, l.clone(), ctx, recording, out);
                 l = t.join(&e);
-                expr_reads(cond, &mut l, ctx);
+                expr_reads(*cond, &mut l, ctx);
             }
             StmtKind::While { cond, body } => {
                 // Fixpoint on the loop-head live set (silent), then one
@@ -2064,7 +2057,7 @@ fn live_block<'a>(
                     let mut scratch = Vec::new();
                     let body_in = live_block(body, head.clone(), &ictx, false, &mut scratch);
                     let mut nh = l.join(&body_in);
-                    expr_reads(cond, &mut nh, ctx);
+                    expr_reads(*cond, &mut nh, ctx);
                     if nh == head {
                         break;
                     }
@@ -2072,7 +2065,7 @@ fn live_block<'a>(
                     iters += 1;
                     if iters > MAX_LIVE_ITERS {
                         head = Live::everything();
-                        expr_reads(cond, &mut head, ctx);
+                        expr_reads(*cond, &mut head, ctx);
                         break;
                     }
                 }
@@ -2091,12 +2084,12 @@ fn live_block<'a>(
             StmtKind::Return(e) => {
                 l = Live::none();
                 if let Some(e) = e {
-                    expr_reads(e, &mut l, ctx);
+                    expr_reads(*e, &mut l, ctx);
                 }
             }
             StmtKind::Break => l = ctx.brk.clone(),
             StmtKind::Continue => l = ctx.cont.clone(),
-            StmtKind::Expr(e) => expr_reads(e, &mut l, ctx),
+            StmtKind::Expr(e) => expr_reads(*e, &mut l, ctx),
         }
     }
     // A `let` inside this block shadows any outer binding of the same
@@ -2114,7 +2107,7 @@ fn live_block<'a>(
 fn dead_stores<'a>(program: &'a Program, may_ckpt: &HashSet<&'a str>) -> Vec<DeadStore> {
     let fns = function_map(program);
     let mut out = Vec::new();
-    for func in &program.functions {
+    for func in program.functions() {
         let ctx = LiveCtx {
             program,
             fns: &fns,
@@ -2154,7 +2147,7 @@ pub fn analyze(program: &Program) -> Analysis {
 
     let proto = protocol_names(program);
     let mut indexed: HashSet<String> = HashSet::new();
-    for func in &program.functions {
+    for func in program.functions() {
         for_each_stmt(&func.body, &mut |s| {
             if let StmtKind::AssignIndex { name, .. } = &s.kind {
                 indexed.insert(program.name(*name).to_owned());

@@ -4,156 +4,31 @@
 //! half-open byte range of the source text it was parsed from. Spans are
 //! threaded from the lexer through the parser so downstream tooling
 //! (`au-lint` diagnostics, error rendering) can point at the offending
-//! source. Structural equality (`PartialEq`) deliberately **ignores
-//! spans**: the pretty-printer round-trip property compares programs by
-//! shape, and synthetic nodes (desugared `for` loops, test-built ASTs)
-//! use [`Span::DUMMY`].
+//! source. Synthetic nodes (desugared `for` loops, built ASTs) use
+//! [`Span::DUMMY`].
 //!
-//! Names are [`Sym`]s: the lexer interns each distinct identifier once
-//! into the [`Symbols`] table its [`Program`] owns, so every later pass
-//! compares names as integers and keeps per-name facts in tables indexed
-//! by [`Sym::index`]. [`Program::name`] reads a symbol's text back.
-//! Equality of expressions, statements and functions compares symbols,
-//! which is meaningful within one program; equality of programs compares
-//! the names the symbols spell, so programs with differently numbered
-//! tables compare equal when their sources say the same thing.
+//! A [`Program`] lays its nodes out flat. Its expressions sit in one
+//! arena, addressed by [`ExprId`] and read with [`Program::expr`]; call
+//! arguments and array items are [`ExprList`] ranges of one id pool, and
+//! string literals [`StrId`] ranges of one text buffer. Statements keep
+//! their `Vec<Stmt>` blocks and hold expression ids. Names are [`Sym`]s:
+//! the lexer interns each distinct identifier once into the [`Symbols`]
+//! table the program owns, so every later pass compares names as
+//! integers and keeps per-name facts in tables indexed by [`Sym::index`].
+//! [`Program::name`] reads a symbol's text back.
+//!
+//! A program is immutable once built, by the parser or by a
+//! [`ProgramBuilder`], so it computes what it proves statically once, on
+//! first use, for every pass that asks. Ids and symbols mean something
+//! only within their program; equality of programs compares the shapes
+//! and names they spell, ignoring spans, so programs with differently
+//! numbered tables compare equal when their sources say the same thing.
 
-use std::fmt;
-
-/// An identifier: an index into its program's [`Symbols`]. It means
-/// nothing without that table; [`Program::name`] spells it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(u32);
-
-impl Sym {
-    /// The symbol's position in its table, for per-name tables.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The symbol at position `index` of its table.
-    pub(crate) fn from_index(index: usize) -> Sym {
-        Sym(index as u32)
-    }
-}
-
-/// A program's identifiers, each stored once and numbered in order of
-/// first interning (for a parsed program, first occurrence in the
-/// source).
-///
-/// The names share one string buffer, and an open-addressing index finds
-/// a name's symbol, so interning a name already present allocates
-/// nothing, and a new one only grows the buffers.
-#[derive(Clone, Default)]
-pub struct Symbols {
-    /// Every name, back to back.
-    text: String,
-    /// `ends[s]` is where symbol `s`'s name ends in `text`.
-    ends: Vec<u32>,
-    /// Symbol plus one per slot, 0 for an empty slot; the length is a
-    /// power of two at least twice the number of symbols.
-    slots: Vec<u32>,
-}
-
-impl Symbols {
-    /// An empty table with room for about `names` names of `bytes` bytes
-    /// in all before it grows.
-    pub fn with_capacity(names: usize, bytes: usize) -> Self {
-        Symbols {
-            text: String::with_capacity(bytes),
-            ends: Vec::with_capacity(names),
-            slots: vec![0; (2 * names).next_power_of_two().max(16)],
-        }
-    }
-
-    /// The number of symbols.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// True when no name has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// The name `sym` stands for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` came from another table.
-    pub fn name(&self, sym: Sym) -> &str {
-        let i = sym.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[start..self.ends[i] as usize]
-    }
-
-    /// The symbol of `name`, if it has been interned.
-    pub fn get(&self, name: &str) -> Option<Sym> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.slots[self.probe(name)] {
-            0 => None,
-            s => Some(Sym(s - 1)),
-        }
-    }
-
-    /// The symbol of `name`, interning it first if it is new.
-    pub fn intern(&mut self, name: &str) -> Sym {
-        if self.slots.len() < 2 * (self.len() + 1) {
-            self.grow();
-        }
-        let slot = self.probe(name);
-        if self.slots[slot] == 0 {
-            self.text.push_str(name);
-            self.ends.push(self.text.len() as u32);
-            self.slots[slot] = self.len() as u32;
-        }
-        Sym(self.slots[slot] - 1)
-    }
-
-    /// Every symbol with its name, in symbol order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        (0..self.len() as u32).map(|i| (Sym(i), self.name(Sym(i))))
-    }
-
-    /// The slot holding `name`, or the empty slot where it would go.
-    fn probe(&self, name: &str) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = hash(name) & mask;
-        loop {
-            match self.slots[i] {
-                0 => return i,
-                s if self.name(Sym(s - 1)) == name => return i,
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let len = (2 * self.slots.len()).max(16);
-        self.slots = vec![0; len];
-        for i in 0..self.len() {
-            let slot = self.probe(self.name(Sym(i as u32)));
-            self.slots[slot] = i as u32 + 1;
-        }
-    }
-}
-
-/// FNV-1a over the name's bytes, folded so the low bits mix in the high.
-fn hash(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    }
-    (h ^ (h >> 32)) as usize
-}
-
-impl fmt::Debug for Symbols {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter().map(|(_, n)| n)).finish()
-    }
-}
+use crate::parser::MAX_NESTING;
+use crate::static_analysis::StaticFacts;
+use crate::LangError;
+pub use au_trace::{Sym, Symbols};
+use std::sync::OnceLock;
 
 /// A half-open byte range `[start, end)` into the original source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -241,8 +116,52 @@ pub enum UnOp {
     Not,
 }
 
+/// An expression's index in its program's arena; [`Program::expr`]
+/// reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ExprId(u32);
+
+impl ExprId {
+    /// The expression's position in the arena, for per-expression tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Call arguments or array items: a run of ids in the program's id pool;
+/// [`Program::list`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExprList {
+    start: u32,
+    len: u32,
+}
+
+impl ExprList {
+    /// The number of expressions in the list.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for an empty list.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A string literal's value: a range of the program's literal text;
+/// [`Program::str`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrId {
+    start: u32,
+    end: u32,
+}
+
 /// An expression: shape plus source span.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Expr {
     /// The expression's shape.
     pub kind: ExprKind,
@@ -250,68 +169,66 @@ pub struct Expr {
     pub span: Span,
 }
 
-impl Expr {
-    /// Builds an expression at an explicit span.
-    pub fn new(kind: ExprKind, span: Span) -> Self {
-        Expr { kind, span }
-    }
-}
-
-impl From<ExprKind> for Expr {
-    /// Builds a synthetic expression with [`Span::DUMMY`].
-    fn from(kind: ExprKind) -> Self {
-        Expr {
-            kind,
-            span: Span::DUMMY,
-        }
-    }
-}
-
-/// Structural equality — spans are ignored.
-impl PartialEq for Expr {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
-}
-
-/// An expression's shape.
-#[derive(Debug, Clone, PartialEq)]
+/// An expression's shape. Operands are ids in the same program's arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExprKind {
     /// Numeric literal.
     Num(f64),
     /// Boolean literal.
     Bool(bool),
     /// String literal.
-    Str(String),
+    Str(StrId),
     /// Variable reference.
     Var(Sym),
     /// Array literal `[e1, e2, …]`.
-    Array(Vec<Expr>),
+    Array(ExprList),
     /// Indexing `a[i]`.
-    Index(Box<Expr>, Box<Expr>),
+    Index(ExprId, ExprId),
     /// Function or builtin call.
     Call {
         /// Callee name.
         name: Sym,
         /// Argument expressions.
-        args: Vec<Expr>,
+        args: ExprList,
     },
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
     },
     /// Unary operation.
     Unary {
         /// Operator.
         op: UnOp,
         /// Operand.
-        expr: Box<Expr>,
+        expr: ExprId,
     },
+}
+
+impl ExprKind {
+    /// Calls `f` on each operand, left to right.
+    pub fn for_each_operand(self, program: &Program, f: impl FnMut(ExprId)) {
+        self.each_operand(&program.nodes.lists, f)
+    }
+
+    /// Calls `f` on each operand, reading lists from `lists`.
+    fn each_operand(self, lists: &[ExprId], mut f: impl FnMut(ExprId)) {
+        match self {
+            ExprKind::Array(l) | ExprKind::Call { args: l, .. } => {
+                lists[l.range()].iter().for_each(|&e| f(e))
+            }
+            ExprKind::Index(a, b) | ExprKind::Binary { lhs: a, rhs: b, .. } => {
+                f(a);
+                f(b);
+            }
+            ExprKind::Unary { expr, .. } => f(expr),
+            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) | ExprKind::Var(_) => {}
+        }
+    }
 }
 
 /// A statement: shape plus source span.
@@ -340,43 +257,36 @@ impl From<StmtKind> for Stmt {
     }
 }
 
-/// Structural equality — spans are ignored.
-impl PartialEq for Stmt {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
-}
-
-/// A statement's shape.
-#[derive(Debug, Clone, PartialEq)]
+/// A statement's shape. Expressions are ids in the program's arena.
+#[derive(Debug, Clone)]
 pub enum StmtKind {
     /// `let x = e;` — introduces a variable in the current scope.
     Let {
         /// Variable name.
         name: Sym,
         /// Initializer.
-        init: Expr,
+        init: ExprId,
     },
     /// `x = e;`
     Assign {
         /// Variable name.
         name: Sym,
         /// New value.
-        value: Expr,
+        value: ExprId,
     },
     /// `a[i] = e;`
     AssignIndex {
         /// Array variable name.
         name: Sym,
         /// Index expression.
-        index: Expr,
+        index: ExprId,
         /// New value.
-        value: Expr,
+        value: ExprId,
     },
     /// `if (cond) { … } else { … }`
     If {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Then-branch.
         then_body: Vec<Stmt>,
         /// Else-branch (possibly empty).
@@ -385,18 +295,18 @@ pub enum StmtKind {
     /// `while (cond) { … }`
     While {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Loop body.
         body: Vec<Stmt>,
     },
     /// `return e;` / `return;`
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
     /// `break;`
     Break,
     /// `continue;`
     Continue,
     /// Expression statement (calls evaluated for effect).
-    Expr(Expr),
+    Expr(ExprId),
 }
 
 /// A function definition.
@@ -412,44 +322,81 @@ pub struct Function {
     pub span: Span,
 }
 
-/// Structural equality — spans are ignored.
-impl PartialEq for Function {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.params == other.params && self.body == other.body
-    }
+/// The nodes of a program: what [`Program`] and [`ProgramBuilder`] share.
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    /// Function definitions in source order.
+    functions: Vec<Function>,
+    /// The names every [`Sym`] indexes.
+    symbols: Symbols,
+    /// Every expression; an expression's operands precede it.
+    exprs: Vec<Expr>,
+    /// The id pool [`ExprList`]s index.
+    lists: Vec<ExprId>,
+    /// The text [`StrId`]s index.
+    text: String,
 }
 
-/// A whole program: a list of functions and the symbol table their names
-/// index; execution starts at `main`.
+/// A whole program: its functions, the arena their expressions live in,
+/// and the symbol table their names index; execution starts at `main`.
 ///
-/// A test or tool that builds or edits an AST names things through
-/// [`Program::intern`]:
+/// The parser builds one from source, and a [`ProgramBuilder`] from
+/// nodes:
 ///
 /// ```
-/// use au_lang::{Function, Program, Span};
+/// use au_lang::{ExprKind, Function, ProgramBuilder, Span, StmtKind};
 ///
-/// let mut program = Program::default();
-/// let main = program.intern("main");
-/// program.functions.push(Function {
-///     name: main,
-///     params: Vec::new(),
-///     body: Vec::new(),
-///     span: Span::DUMMY,
-/// });
+/// let mut b = ProgramBuilder::new();
+/// let (main, x) = (b.intern("main"), b.intern("x"));
+/// let one = b.expr(ExprKind::Num(1.0), Span::DUMMY);
+/// let program = b
+///     .function(Function {
+///         name: main,
+///         params: Vec::new(),
+///         body: vec![StmtKind::Let { name: x, init: one }.into()],
+///         span: Span::DUMMY,
+///     })
+///     .build()?;
 /// assert_eq!(program.function("main").map(|f| f.name), Some(main));
+/// # Ok::<(), au_lang::LangError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Program {
-    /// Function definitions in source order.
-    pub functions: Vec<Function>,
-    /// The names every [`Sym`] in `functions` indexes.
-    symbols: Symbols,
+    nodes: Nodes,
+    /// What the program proves statically, built on first use.
+    facts: OnceLock<StaticFacts>,
 }
 
 impl Program {
-    /// A program over `functions`, whose symbols index `symbols`.
-    pub(crate) fn new(functions: Vec<Function>, symbols: Symbols) -> Self {
-        Program { functions, symbols }
+    /// Function definitions in source order.
+    pub fn functions(&self) -> &[Function] {
+        &self.nodes.functions
+    }
+
+    /// The expression `id` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from another program.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        &self.nodes.exprs[id.index()]
+    }
+
+    /// The expressions of a call's arguments or an array's items.
+    pub fn list(&self, list: ExprList) -> &[ExprId] {
+        &self.nodes.lists[list.range()]
+    }
+
+    /// A string literal's value.
+    pub fn str(&self, s: StrId) -> &str {
+        &self.nodes.text[s.start as usize..s.end as usize]
+    }
+
+    /// The number of expressions in the arena: every [`ExprId`] of the
+    /// program indexes below it.
+    #[cfg(test)]
+    pub(crate) fn expr_count(&self) -> usize {
+        self.nodes.exprs.len()
     }
 
     /// The name `sym` stands for.
@@ -458,48 +405,272 @@ impl Program {
     ///
     /// Panics if `sym` came from another program's table.
     pub fn name(&self, sym: Sym) -> &str {
-        self.symbols.name(sym)
+        self.nodes.symbols.name(sym)
     }
 
     /// The symbol spelling `name`, if any identifier of the program does.
     pub fn sym(&self, name: &str) -> Option<Sym> {
-        self.symbols.get(name)
-    }
-
-    /// The symbol spelling `name`, added to the table if it is new.
-    pub fn intern(&mut self, name: &str) -> Sym {
-        self.symbols.intern(name)
+        self.nodes.symbols.get(name)
     }
 
     /// The program's symbol table.
     pub(crate) fn symbols(&self) -> &Symbols {
-        &self.symbols
+        &self.nodes.symbols
+    }
+
+    /// The program's static facts, from one walk made on first use.
+    pub(crate) fn facts(&self) -> &StaticFacts {
+        self.facts.get_or_init(|| StaticFacts::new(self))
     }
 
     /// Finds the first function named `name`.
     pub fn function(&self, name: &str) -> Option<&Function> {
         let sym = self.sym(name)?;
-        self.functions.iter().find(|f| f.name == sym)
+        self.functions().iter().find(|f| f.name == sym)
+    }
+
+    /// A builder holding a copy of this program's nodes, to derive an
+    /// edited program from it; the copy's ids and symbols are this
+    /// program's.
+    pub fn to_builder(&self) -> ProgramBuilder {
+        ProgramBuilder {
+            nodes: self.nodes.clone(),
+        }
     }
 
     /// The source bytes the functions span (none for a built AST): the
     /// passes after the parser size their buffers from it.
     pub(crate) fn source_len(&self) -> usize {
-        self.functions
+        self.functions()
             .iter()
             .map(|f| f.span.end - f.span.start)
             .sum()
     }
+}
 
-    /// Per symbol, the index of the first function of that name: the one
-    /// a call runs. `None` for a symbol that names no function.
-    pub(crate) fn first_defs(&self) -> Vec<Option<u32>> {
-        let mut first = vec![None; self.symbols.len()];
-        for (i, f) in self.functions.iter().enumerate().rev() {
-            first[f.name.index()] = Some(i as u32);
-        }
-        first
+/// Builds a [`Program`]: names are interned, expressions added operands
+/// first, and functions appended; [`build`](Self::build) checks the result
+/// as the parser checks source.
+#[derive(Debug, Clone, Default)]
+pub struct ProgramBuilder {
+    nodes: Nodes,
+}
+
+impl ProgramBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        ProgramBuilder::default()
     }
+
+    /// A builder sized for a program parsed from `src_len` bytes, whose
+    /// symbols come with [`finish`](Self::finish).
+    pub(crate) fn for_source(src_len: usize) -> Self {
+        ProgramBuilder {
+            nodes: Nodes {
+                functions: Vec::new(),
+                symbols: Symbols::default(),
+                // The corpus programs average an expression per 5 bytes,
+                // a listed one per 12 and a literal byte per 6.
+                exprs: Vec::with_capacity(src_len / 5 + 8),
+                lists: Vec::with_capacity(src_len / 12 + 8),
+                text: String::with_capacity(src_len / 6 + 8),
+            },
+        }
+    }
+
+    /// The symbol spelling `name`, added to the table if it is new.
+    pub fn intern(&mut self, name: &str) -> Sym {
+        self.nodes.symbols.intern(name)
+    }
+
+    /// The symbol spelling `name`, if it has been interned.
+    pub fn sym(&self, name: &str) -> Option<Sym> {
+        self.nodes.symbols.get(name)
+    }
+
+    /// The name `sym` stands for.
+    pub fn name(&self, sym: Sym) -> &str {
+        self.nodes.symbols.name(sym)
+    }
+
+    /// Adds an expression and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand of `kind` is not an expression of this
+    /// builder.
+    pub fn expr(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        let id = ExprId(self.nodes.exprs.len() as u32);
+        let nodes = &self.nodes;
+        let known = |e: ExprId| e < id;
+        let listed = |l: ExprList| {
+            nodes
+                .lists
+                .get(l.range())
+                .is_some_and(|ids| ids.iter().all(|&e| known(e)))
+        };
+        let ok = match kind {
+            ExprKind::Array(l) | ExprKind::Call { args: l, .. } => listed(l),
+            ExprKind::Index(a, b) | ExprKind::Binary { lhs: a, rhs: b, .. } => known(a) && known(b),
+            ExprKind::Unary { expr, .. } => known(expr),
+            ExprKind::Str(s) => s.start <= s.end && s.end as usize <= nodes.text.len(),
+            ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Var(_) => true,
+        };
+        assert!(ok, "an operand of {kind:?} is not in this builder");
+        self.push_expr(kind, span)
+    }
+
+    /// [`expr`](Self::expr) for operands known to be this builder's.
+    pub(crate) fn push_expr(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        let id = ExprId(self.nodes.exprs.len() as u32);
+        self.nodes.exprs.push(Expr { kind, span });
+        id
+    }
+
+    /// The expression `id` names.
+    pub(crate) fn get(&self, id: ExprId) -> &Expr {
+        &self.nodes.exprs[id.index()]
+    }
+
+    /// Stores `ids`, in order, as one list of call arguments or array
+    /// items.
+    pub fn list(&mut self, ids: &[ExprId]) -> ExprList {
+        let start = self.nodes.lists.len() as u32;
+        self.nodes.lists.extend_from_slice(ids);
+        ExprList {
+            start,
+            len: ids.len() as u32,
+        }
+    }
+
+    /// Stores a string literal's value.
+    pub fn str(&mut self, value: &str) -> StrId {
+        let start = self.nodes.text.len() as u32;
+        self.nodes.text.push_str(value);
+        StrId {
+            start,
+            end: self.nodes.text.len() as u32,
+        }
+    }
+
+    /// Appends a function definition.
+    pub fn function(mut self, function: Function) -> Self {
+        self.push_function(function);
+        self
+    }
+
+    /// Appends a function definition in place.
+    pub fn push_function(&mut self, function: Function) {
+        self.nodes.functions.push(function);
+    }
+
+    /// The functions so far, to edit in place.
+    pub fn functions_mut(&mut self) -> &mut Vec<Function> {
+        &mut self.nodes.functions
+    }
+
+    /// The program, checked as the parser checks source.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LangError::Parse`], at line 0, unless exactly one function
+    /// is named `main`, or when blocks and expressions nest deeper than
+    /// [`MAX_NESTING`] levels (a block, and an expression inside its
+    /// parent, each open one).
+    pub fn build(mut self) -> Result<Program, LangError> {
+        let nodes = &self.nodes;
+        // Operands precede their expression, so one pass in id order
+        // finds every expression's height.
+        let mut height = vec![0u8; nodes.exprs.len()];
+        for (i, e) in nodes.exprs.iter().enumerate() {
+            let mut h = 0;
+            e.kind
+                .each_operand(&nodes.lists, |o| h = h.max(height[o.index()]));
+            height[i] = h.saturating_add(1);
+        }
+        let deepest = nodes
+            .functions
+            .iter()
+            .map(|f| block_depth(&f.body, 1, &height))
+            .max()
+            .unwrap_or(0);
+        if deepest > MAX_NESTING {
+            return Err(LangError::Parse {
+                line: 0,
+                message: format!("nesting deeper than {MAX_NESTING} levels"),
+            });
+        }
+        let symbols = std::mem::take(&mut self.nodes.symbols);
+        self.finish(symbols, 0)
+    }
+
+    /// How many expressions, list entries and literal bytes the builder
+    /// holds, for [`rewind`](Self::rewind).
+    pub(crate) fn mark(&self) -> (usize, usize, usize) {
+        let n = &self.nodes;
+        (n.exprs.len(), n.lists.len(), n.text.len())
+    }
+
+    /// Drops what was added since `mark`.
+    pub(crate) fn rewind(&mut self, (exprs, lists, text): (usize, usize, usize)) {
+        self.nodes.exprs.truncate(exprs);
+        self.nodes.lists.truncate(lists);
+        self.nodes.text.truncate(text);
+    }
+
+    /// The program over `symbols`, checked for its `main` only: the parser
+    /// has checked nesting as it went. An error names `line`.
+    pub(crate) fn finish(mut self, symbols: Symbols, line: usize) -> Result<Program, LangError> {
+        self.nodes.symbols = symbols;
+        let main = self.sym("main");
+        let mains = self
+            .nodes
+            .functions
+            .iter()
+            .filter(|f| Some(f.name) == main)
+            .count();
+        if mains != 1 {
+            return Err(LangError::Parse {
+                line,
+                message: "program must define exactly one `main` function".to_owned(),
+            });
+        }
+        Ok(Program {
+            nodes: self.nodes,
+            facts: OnceLock::new(),
+        })
+    }
+}
+
+/// The deepest level a block at level `level` reaches, counting each
+/// nested block and each expression below its statement's block; past
+/// [`MAX_NESTING`] it stops looking, so the walk stays shallow.
+fn block_depth(stmts: &[Stmt], level: usize, height: &[u8]) -> usize {
+    let mut deepest = level;
+    for stmt in stmts {
+        if deepest > MAX_NESTING {
+            break;
+        }
+        for e in stmt.exprs() {
+            deepest = deepest.max(level + height[e.index()] as usize);
+        }
+        match &stmt.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                deepest = deepest
+                    .max(block_depth(then_body, level + 1, height))
+                    .max(block_depth(else_body, level + 1, height));
+            }
+            StmtKind::While { body, .. } => {
+                deepest = deepest.max(block_depth(body, level + 1, height))
+            }
+            _ => {}
+        }
+    }
+    deepest
 }
 
 /// Structural equality by name: the functions must match node for node
@@ -508,8 +679,9 @@ impl Program {
 impl PartialEq for Program {
     fn eq(&self, other: &Self) -> bool {
         let same = SameNames(self, other);
-        self.functions.len() == other.functions.len()
-            && self.functions.iter().zip(&other.functions).all(|(f, g)| {
+        let (fs, gs) = (self.functions(), other.functions());
+        fs.len() == gs.len()
+            && fs.iter().zip(gs).all(|(f, g)| {
                 same.sym(f.name, g.name)
                     && same.syms(&f.params, &g.params)
                     && same.block(&f.body, &g.body)
@@ -533,8 +705,16 @@ impl SameNames<'_> {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| self.stmt(x, y))
     }
 
-    fn exprs(&self, a: &[Expr], b: &[Expr]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| self.expr(x, y))
+    fn list(&self, a: ExprList, b: ExprList) -> bool {
+        let (a, b) = (self.0.list(a), self.1.list(b));
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| self.expr(x, y))
+    }
+
+    fn opt(&self, a: Option<ExprId>, b: Option<ExprId>) -> bool {
+        match (a, b) {
+            (Some(x), Some(y)) => self.expr(x, y),
+            (x, y) => x.is_none() && y.is_none(),
+        }
     }
 
     fn stmt(&self, a: &Stmt, b: &Stmt) -> bool {
@@ -542,7 +722,7 @@ impl SameNames<'_> {
         match (&a.kind, &b.kind) {
             (S::Let { name: m, init: x }, S::Let { name: n, init: y })
             | (S::Assign { name: m, value: x }, S::Assign { name: n, value: y }) => {
-                self.sym(*m, *n) && self.expr(x, y)
+                self.sym(*m, *n) && self.expr(*x, *y)
             }
             (
                 S::AssignIndex {
@@ -555,7 +735,7 @@ impl SameNames<'_> {
                     index: j,
                     value: y,
                 },
-            ) => self.sym(*m, *n) && self.expr(i, j) && self.expr(x, y),
+            ) => self.sym(*m, *n) && self.expr(*i, *j) && self.expr(*x, *y),
             (
                 S::If {
                     cond: c,
@@ -567,26 +747,26 @@ impl SameNames<'_> {
                     then_body: u,
                     else_body: f,
                 },
-            ) => self.expr(c, d) && self.block(t, u) && self.block(e, f),
+            ) => self.expr(*c, *d) && self.block(t, u) && self.block(e, f),
             (S::While { cond: c, body: t }, S::While { cond: d, body: u }) => {
-                self.expr(c, d) && self.block(t, u)
+                self.expr(*c, *d) && self.block(t, u)
             }
-            (S::Return(Some(x)), S::Return(Some(y))) | (S::Expr(x), S::Expr(y)) => self.expr(x, y),
-            (S::Return(None), S::Return(None))
-            | (S::Break, S::Break)
-            | (S::Continue, S::Continue) => true,
+            (S::Return(x), S::Return(y)) => self.opt(*x, *y),
+            (S::Expr(x), S::Expr(y)) => self.expr(*x, *y),
+            (S::Break, S::Break) | (S::Continue, S::Continue) => true,
             _ => false,
         }
     }
 
-    fn expr(&self, a: &Expr, b: &Expr) -> bool {
+    fn expr(&self, a: ExprId, b: ExprId) -> bool {
         use ExprKind as E;
-        match (&a.kind, &b.kind) {
-            (E::Var(m), E::Var(n)) => self.sym(*m, *n),
+        match (self.0.expr(a).kind, self.1.expr(b).kind) {
+            (E::Var(m), E::Var(n)) => self.sym(m, n),
+            (E::Str(s), E::Str(t)) => self.0.str(s) == self.1.str(t),
             (E::Call { name: m, args: x }, E::Call { name: n, args: y }) => {
-                self.sym(*m, *n) && self.exprs(x, y)
+                self.sym(m, n) && self.list(x, y)
             }
-            (E::Array(x), E::Array(y)) => self.exprs(x, y),
+            (E::Array(x), E::Array(y)) => self.list(x, y),
             (E::Index(x, i), E::Index(y, j)) => self.expr(x, y) && self.expr(i, j),
             (
                 E::Binary {
@@ -601,7 +781,9 @@ impl SameNames<'_> {
                 },
             ) => o == p && self.expr(x, y) && self.expr(i, j),
             (E::Unary { op: o, expr: x }, E::Unary { op: p, expr: y }) => o == p && self.expr(x, y),
-            (x, y) => x == y,
+            (E::Num(x), E::Num(y)) => x == y,
+            (E::Bool(x), E::Bool(y)) => x == y,
+            _ => false,
         }
     }
 }
@@ -613,8 +795,8 @@ impl SameNames<'_> {
 impl Stmt {
     /// The expressions this statement evaluates itself, in evaluation
     /// order: a condition, but not the statements of the blocks it guards.
-    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
-        let (first, second) = match &self.kind {
+    pub fn exprs(&self) -> impl Iterator<Item = ExprId> {
+        let (first, second) = match self.kind {
             StmtKind::Let { init: e, .. }
             | StmtKind::Assign { value: e, .. }
             | StmtKind::Expr(e)
@@ -630,22 +812,11 @@ impl Stmt {
 
 /// Calls `f` on `e` and every expression inside it, parents first and
 /// operands left to right.
-pub fn for_each_subexpr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Array(items) => items.iter().for_each(|i| for_each_subexpr(i, f)),
-        ExprKind::Index(a, b) => {
-            for_each_subexpr(a, f);
-            for_each_subexpr(b, f);
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|a| for_each_subexpr(a, f)),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            for_each_subexpr(lhs, f);
-            for_each_subexpr(rhs, f);
-        }
-        ExprKind::Unary { expr, .. } => for_each_subexpr(expr, f),
-        _ => {}
-    }
+pub fn for_each_subexpr<'p>(program: &'p Program, e: ExprId, f: &mut impl FnMut(&'p Expr)) {
+    let expr = program.expr(e);
+    f(expr);
+    expr.kind
+        .for_each_operand(program, |o| for_each_subexpr(program, o, f));
 }
 
 /// Calls `f` on every statement of `stmts` and of the blocks nested in
@@ -671,9 +842,9 @@ pub fn for_each_stmt<'s>(stmts: &'s [Stmt], f: &mut impl FnMut(&'s Stmt)) {
 /// Calls `f` on every expression in `stmts`, nested blocks included, in
 /// source order: each statement's own expressions (see [`Stmt::exprs`])
 /// through [`for_each_subexpr`], then its blocks.
-pub fn for_each_expr<'e>(stmts: &'e [Stmt], f: &mut impl FnMut(&'e Expr)) {
+pub fn for_each_expr<'p>(program: &'p Program, stmts: &'p [Stmt], f: &mut impl FnMut(&'p Expr)) {
     for_each_stmt(stmts, &mut |s| {
-        s.exprs().for_each(|e| for_each_subexpr(e, f))
+        s.exprs().for_each(|e| for_each_subexpr(program, e, f))
     });
 }
 
@@ -698,41 +869,25 @@ mod tests {
         assert_eq!(Span::new(99, 120).slice(src), "");
     }
 
-    #[test]
-    fn symbols_intern_each_name_once_in_order() {
-        let mut table = Symbols::default();
-        assert_eq!(table.get("x"), None, "an empty table finds nothing");
-        let names: Vec<String> = (0..100).map(|i| format!("v{i}")).collect();
-        let syms: Vec<Sym> = names.iter().map(|n| table.intern(n)).collect();
-        assert_eq!(table.len(), 100, "grew past its first slots");
-        for (i, (name, &sym)) in names.iter().zip(&syms).enumerate() {
-            assert_eq!(sym.index(), i, "ids follow first interning");
-            assert_eq!(table.name(sym), name);
-            assert_eq!(table.get(name), Some(sym));
-            assert_eq!(table.intern(name), sym);
-        }
-        assert_eq!(table.len(), 100);
-        assert_eq!(table.get("v100"), None);
-    }
-
-    /// Builds `fn main() { let <a> = <b>; }`, interning `order` first.
-    fn one_let(order: &[&str], a: &str, b: &str) -> Program {
-        let mut p = Program::default();
+    /// A builder holding `fn main() { let <a> = <b>; }`, interning
+    /// `order` first.
+    fn one_let_builder(order: &[&str], a: &str, b: &str) -> ProgramBuilder {
+        let mut p = ProgramBuilder::new();
         for name in order {
             p.intern(name);
         }
         let (main, a, b) = (p.intern("main"), p.intern(a), p.intern(b));
-        let body = vec![Stmt::from(StmtKind::Let {
-            name: a,
-            init: ExprKind::Var(b).into(),
-        })];
-        p.functions.push(Function {
+        let init = p.expr(ExprKind::Var(b), Span::new(4, 5));
+        p.function(Function {
             name: main,
             params: Vec::new(),
-            body,
+            body: vec![StmtKind::Let { name: a, init }.into()],
             span: Span::DUMMY,
-        });
-        p
+        })
+    }
+
+    fn one_let(order: &[&str], a: &str, b: &str) -> Program {
+        one_let_builder(order, a, b).build().expect("one main")
     }
 
     #[test]
@@ -746,12 +901,90 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_spans() {
-        let a = Expr::new(ExprKind::Num(1.0), Span::new(0, 1));
-        let b = Expr::new(ExprKind::Num(1.0), Span::new(5, 6));
-        assert_eq!(a, b);
-        let s = Stmt::new(StmtKind::Expr(a), Span::new(0, 2));
-        let t = Stmt::new(StmtKind::Expr(b), Span::DUMMY);
-        assert_eq!(s, t);
+    fn equality_ignores_spans_and_compares_literal_text() {
+        let lit = |text: &str, span: Span| {
+            let mut b = ProgramBuilder::new();
+            let main = b.intern("main");
+            let s = b.str(text);
+            let e = b.expr(ExprKind::Str(s), span);
+            b.function(Function {
+                name: main,
+                params: Vec::new(),
+                body: vec![Stmt::new(StmtKind::Expr(e), span)],
+                span,
+            })
+            .build()
+            .unwrap()
+        };
+        assert_eq!(lit("hi", Span::new(0, 4)), lit("hi", Span::DUMMY));
+        assert_ne!(lit("hi", Span::DUMMY), lit("ho", Span::DUMMY));
+    }
+
+    #[test]
+    fn build_requires_exactly_one_main() {
+        let error = |b: ProgramBuilder| match b.build() {
+            Err(LangError::Parse { message, .. }) => message,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let missing = error(ProgramBuilder::new());
+        assert_eq!(missing, "program must define exactly one `main` function");
+        let twice = one_let_builder(&[], "a", "b");
+        let main = twice.sym("main").unwrap();
+        let twice = twice.function(Function {
+            name: main,
+            params: Vec::new(),
+            body: Vec::new(),
+            span: Span::DUMMY,
+        });
+        assert_eq!(error(twice), missing);
+    }
+
+    #[test]
+    fn build_refuses_nesting_past_the_parser_limit() {
+        // `let x = - - … - 1;` in main: the block is one level and each
+        // expression one more.
+        let nested = |negations: usize| {
+            let mut b = ProgramBuilder::new();
+            let (main, x) = (b.intern("main"), b.intern("x"));
+            let mut e = b.expr(ExprKind::Num(1.0), Span::DUMMY);
+            for _ in 0..negations {
+                e = b.expr(
+                    ExprKind::Unary {
+                        op: UnOp::Neg,
+                        expr: e,
+                    },
+                    Span::DUMMY,
+                );
+            }
+            b.function(Function {
+                name: main,
+                params: Vec::new(),
+                body: vec![StmtKind::Let { name: x, init: e }.into()],
+                span: Span::DUMMY,
+            })
+            .build()
+        };
+        assert!(nested(MAX_NESTING - 2).is_ok());
+        assert!(matches!(
+            nested(MAX_NESTING - 1),
+            Err(LangError::Parse { line: 0, .. })
+        ));
+        assert!(nested(100_000).is_err(), "no deeper than the limit looks");
+    }
+
+    #[test]
+    #[should_panic(expected = "not in this builder")]
+    fn operands_must_come_from_the_same_builder() {
+        let mut other = ProgramBuilder::new();
+        other.expr(ExprKind::Num(1.0), Span::DUMMY);
+        let far = other.expr(ExprKind::Num(2.0), Span::DUMMY);
+        let mut b = ProgramBuilder::new();
+        b.expr(
+            ExprKind::Unary {
+                op: UnOp::Neg,
+                expr: far,
+            },
+            Span::DUMMY,
+        );
     }
 }

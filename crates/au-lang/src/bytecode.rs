@@ -15,8 +15,9 @@
 //! untraced program contains no trace opcodes at all, so untraced
 //! execution carries zero tracing overhead.
 
-use crate::ast::BinOp;
+use crate::ast::{BinOp, Sym, Symbols};
 use crate::value::Value;
+use std::fmt;
 
 /// How much dynamic dependence tracing the compiled program carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +113,8 @@ pub(crate) enum Op {
     StoreIndexUndef { name: u32, trace: TraceKind },
     /// Pop rhs then lhs, push the non-short-circuit binary result.
     Bin(BinOp),
-    /// Fused `Load(a); Load(b); Bin(op)` emitted by the compiler's
-    /// peephole pass. Pushes one result (and, when traced, one dep set
+    /// Fused `Load(a); Load(b); Bin(op)`, emitted in place of the
+    /// sequence as the compiler emits the `Bin`. Pushes one result (and, when traced, one dep set
     /// holding both slot names) — identical observable behavior to the
     /// unfused sequence.
     LoadLoadBin {
@@ -226,36 +227,47 @@ pub(crate) enum Op {
 }
 
 /// Compile-time metadata for one function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FuncInfo {
     /// Function name (index into the names pool).
     pub name: u32,
-    /// Parameter names in order (indices into the names pool).
-    pub params: Vec<u32>,
+    /// Parameter count: the parameters are the first slots.
+    pub nparams: u16,
     /// First opcode of the body.
     pub entry: u32,
     /// Locals-array length for a frame of this function (params included).
     pub nlocals: u16,
-    /// Source-level variable name of each slot (indices into the names
-    /// pool); used by traced `Load` to push the dependence name.
-    pub slot_names: Vec<u32>,
+    /// Where the function's `nlocals` slot names start in
+    /// [`CompiledProgram::slot_names`].
+    pub slots: u32,
 }
 
 /// A lowered AuLang program, ready for the VM.
 ///
 /// Produced by [`crate::compile::compile_program`]; executed by
 /// [`crate::Vm`]. The struct is immutable once built — a single
-/// `CompiledProgram` can back any number of VM runs.
-#[derive(Debug, Clone)]
+/// `CompiledProgram` can back any number of VM runs. Its per-function and
+/// per-site lists share one pool each.
+#[derive(Clone)]
 pub struct CompiledProgram {
     pub(crate) ops: Vec<Op>,
     pub(crate) consts: Vec<Value>,
-    pub(crate) names: Vec<String>,
-    pub(crate) msgs: Vec<String>,
+    /// Every name the program's ops refer to by id, in order of first
+    /// use.
+    pub(crate) names: Symbols,
+    /// Every statically formatted error message, in order of first use.
+    pub(crate) msgs: Symbols,
     pub(crate) funcs: Vec<FuncInfo>,
-    /// Scope snapshots for checkpoint/call sites: `(slot, name)` pairs in
-    /// outer-to-inner declaration order. Id 0 is always the empty set.
-    pub(crate) live_sets: Vec<Vec<(u16, u32)>>,
+    /// Every function's slot names, back to back: the source-level
+    /// variable name of each slot (indices into the names pool), which
+    /// traced `Load`s push as the dependence name.
+    pub(crate) slot_names: Vec<u32>,
+    /// Scope snapshots for checkpoint/call sites, back to back: `(slot,
+    /// name)` pairs in outer-to-inner declaration order. Set `i` ends at
+    /// `live_ends[i]` and starts where set `i - 1` ends; set 0 is always
+    /// the empty one.
+    pub(crate) live: Vec<(u16, u32)>,
+    pub(crate) live_ends: Vec<u32>,
     pub(crate) main_func: u16,
     /// The mode the caller asked for.
     pub(crate) requested: TraceMode,
@@ -268,6 +280,32 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
+    /// The slot names of function `func`.
+    pub(crate) fn slot_names(&self, func: usize) -> &[u32] {
+        let fi = &self.funcs[func];
+        &self.slot_names[fi.slots as usize..fi.slots as usize + fi.nlocals as usize]
+    }
+
+    /// The parameter names of function `func`.
+    pub(crate) fn params(&self, func: usize) -> &[u32] {
+        &self.slot_names(func)[..self.funcs[func].nparams as usize]
+    }
+
+    /// Scope snapshot `live`.
+    pub(crate) fn live_set(&self, live: u32) -> &[(u16, u32)] {
+        let end = self.live_ends[live as usize] as usize;
+        let start = match live {
+            0 => 0,
+            l => self.live_ends[l as usize - 1] as usize,
+        };
+        &self.live[start..end]
+    }
+
+    /// Error message `msg`.
+    pub(crate) fn msg(&self, msg: u32) -> &str {
+        self.msgs.name(Sym::from_index(msg as usize))
+    }
+
     /// Number of instructions in the program.
     pub fn op_count(&self) -> usize {
         self.ops.len()
@@ -308,5 +346,46 @@ impl CompiledProgram {
                 )
             })
             .count()
+    }
+}
+
+/// Lists every field, each function's and each site's lists spelled out
+/// as if each held its own.
+impl fmt::Debug for CompiledProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// A function as its own lists spell it.
+        #[derive(Debug)]
+        #[allow(dead_code)] // Read by the derived `Debug` only.
+        struct FuncInfo<'a> {
+            name: u32,
+            params: &'a [u32],
+            entry: u32,
+            nlocals: u16,
+            slot_names: &'a [u32],
+        }
+        let funcs: Vec<FuncInfo> = (0..self.funcs.len())
+            .map(|i| FuncInfo {
+                name: self.funcs[i].name,
+                params: self.params(i),
+                entry: self.funcs[i].entry,
+                nlocals: self.funcs[i].nlocals,
+                slot_names: self.slot_names(i),
+            })
+            .collect();
+        let live_sets: Vec<&[(u16, u32)]> = (0..self.live_ends.len() as u32)
+            .map(|l| self.live_set(l))
+            .collect();
+        f.debug_struct("CompiledProgram")
+            .field("ops", &self.ops)
+            .field("consts", &self.consts)
+            .field("names", &self.names)
+            .field("msgs", &self.msgs)
+            .field("funcs", &funcs)
+            .field("live_sets", &live_sets)
+            .field("main_func", &self.main_func)
+            .field("requested", &self.requested)
+            .field("effective", &self.effective)
+            .field("relevant", &self.relevant)
+            .finish()
     }
 }

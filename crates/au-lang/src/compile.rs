@@ -19,14 +19,15 @@
 //! fall back to [`TraceMode::Full`] so dynamic extraction never silently
 //! loses facts.
 //!
-//! Every compile, in every trace mode, ends with a peephole pass that
-//! fuses `Load`/`Const`/`Bin` windows into superinstructions. A fused op
-//! behaves exactly like the sequence it replaces, trace deps included.
+//! Every compile, in every trace mode, fuses `Load`/`Const`/`Bin` windows
+//! into superinstructions as it emits each `Bin`. A fused op behaves
+//! exactly like the sequence it replaces, trace deps included.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, Sym};
+use crate::ast::{BinOp, ExprId, ExprKind, Function, Program, Stmt, StmtKind, Sym, Symbols};
 use crate::bytecode::{CompiledProgram, FuncInfo, MathFn, Op, TraceKind, TraceMode};
-use crate::static_analysis::{Site, StaticFacts, TracePlan};
+use crate::static_analysis::{Site, TracePlan};
 use crate::value::Value;
+use std::fmt::{self, Write as _};
 
 /// Compiles `program` under the requested trace mode.
 ///
@@ -38,9 +39,7 @@ use crate::value::Value;
 /// superinstructions.
 pub fn compile_program(program: &Program, requested: TraceMode) -> CompiledProgram {
     let _t = au_telemetry::time!("au_lang.vm.compile");
-    let mut compiled = compile_impl(program, requested);
-    fuse_superinstructions(&mut compiled);
-    compiled
+    compile_impl(program, requested)
 }
 
 /// The same as [`compile_program`]. Kept only because the `bench-e2e`
@@ -53,11 +52,11 @@ pub fn compile_program_opt(program: &Program, requested: TraceMode) -> CompiledP
 fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
     let (effective, selective) = match requested {
         TraceMode::Selective => {
-            let facts = StaticFacts::new(program);
+            let facts = program.facts();
             if facts.defeats_selective() {
                 (TraceMode::Full, None)
             } else {
-                let plan = facts.trace_plan();
+                let plan = facts.trace_plan(program);
                 (TraceMode::Selective, Some(SelectiveCtx { plan, next: 0 }))
             }
         }
@@ -71,18 +70,23 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
         selective,
         ops: Vec::with_capacity(src_len / 4),
         consts: Vec::with_capacity(src_len / 16),
-        names: Vec::with_capacity(program.symbols().len()),
-        msgs: Vec::new(),
-        live_sets: Vec::with_capacity(src_len / 64 + 1),
-        funcs: Vec::with_capacity(program.functions.len()),
+        names: Symbols::with_capacity(program.symbols().len(), src_len / 8),
+        msgs: Symbols::with_capacity(8, 256),
+        text: String::new(),
+        fixed: [None; 3],
+        live: Vec::with_capacity(src_len / 32),
+        live_ends: Vec::with_capacity(src_len / 64 + 1),
+        funcs: Vec::with_capacity(program.functions().len()),
+        slot_names: Vec::with_capacity(src_len / 32),
         syms: vec![SymInfo::default(); program.symbols().len()],
-        compiling_name: 0,
+        compiling: Sym::from_index(0),
+        last_target: None,
     };
     // Live set 0 is the empty one.
-    c.live_sets.push(Vec::new());
+    c.live_ends.push(0);
     // Pass 1: register every function (first definition wins, matching
     // `Program::function`) so calls can resolve forward references.
-    for f in &program.functions {
+    for f in program.functions() {
         let info = &mut c.syms[f.name.index()];
         if info.func.is_none() {
             info.func = Some(c.funcs.len() as u16);
@@ -90,10 +94,10 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
             let name = c.name_id(f.name);
             c.funcs.push(FuncInfo {
                 name,
-                params: Vec::new(),
+                nparams: 0,
                 entry: 0,
                 nlocals: 0,
-                slot_names: Vec::new(),
+                slots: 0,
             });
         }
     }
@@ -101,7 +105,7 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
     // registration order; a later one of the same name is unreachable.
     let mut ctx = FnCtx::default();
     let mut next = 0;
-    for (at, f) in program.functions.iter().enumerate() {
+    for (at, f) in program.functions().iter().enumerate() {
         if c.syms[f.name.index()].func == Some(next) {
             c.compile_function(f, next, at, &mut ctx);
             next += 1;
@@ -110,9 +114,13 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
     let main_func = program
         .sym("main")
         .and_then(|main| c.syms[main.index()].func)
-        .expect("the parser guarantees `main`");
+        .expect("a built program has one `main`");
     let relevant = match &c.selective {
-        Some(sel) => c.names.iter().map(|n| sel.plan.is_relevant(n)).collect(),
+        Some(sel) => c
+            .names
+            .iter()
+            .map(|(_, n)| sel.plan.is_relevant(n))
+            .collect(),
         None => vec![true; c.names.len()],
     };
     CompiledProgram {
@@ -121,78 +129,13 @@ fn compile_impl(program: &Program, requested: TraceMode) -> CompiledProgram {
         names: c.names,
         msgs: c.msgs,
         funcs: c.funcs,
-        live_sets: c.live_sets,
+        slot_names: c.slot_names,
+        live: c.live,
+        live_ends: c.live_ends,
         main_func,
         requested,
         effective,
         relevant,
-    }
-}
-
-/// The peephole pass: fuses `Load a; Load b; Bin`, `Load; Const; Bin`,
-/// and `Const; Bin` sequences into single superinstructions.
-///
-/// A window is fused only when no interior instruction is a jump target
-/// (static targets: `Jump` / `BranchFalse` / `ShortCircuit` destinations
-/// and function entries — `Call` return addresses are computed at
-/// runtime in the rewritten index space, so they need no barrier). All
-/// jump fields and function entries are remapped afterwards.
-fn fuse_superinstructions(prog: &mut CompiledProgram) {
-    let n = prog.ops.len();
-    let mut is_target = vec![false; n + 1];
-    for op in &prog.ops {
-        match *op {
-            Op::Jump(t) => is_target[t as usize] = true,
-            Op::BranchFalse { target, .. } => is_target[target as usize] = true,
-            Op::ShortCircuit { skip, .. } => is_target[skip as usize] = true,
-            _ => {}
-        }
-    }
-    for f in &prog.funcs {
-        is_target[f.entry as usize] = true;
-    }
-    // Fused ops are written back into `ops`, never ahead of the op being
-    // read.
-    let ops = &mut prog.ops;
-    let mut map = vec![0u32; n + 1];
-    let (mut i, mut at) = (0usize, 0usize);
-    while i < n {
-        map[i] = at as u32;
-        let (fused, width) = match (ops[i], ops.get(i + 1), ops.get(i + 2)) {
-            (Op::Load(a), Some(&Op::Load(b)), Some(&Op::Bin(op)))
-                if !is_target[i + 1] && !is_target[i + 2] =>
-            {
-                (Op::LoadLoadBin { a, b, op }, 3)
-            }
-            (Op::Load(slot), Some(&Op::Const(cidx)), Some(&Op::Bin(op)))
-                if !is_target[i + 1] && !is_target[i + 2] =>
-            {
-                (Op::LoadConstBin { slot, cidx, op }, 3)
-            }
-            (Op::Const(cidx), Some(&Op::Bin(op)), _) if !is_target[i + 1] => {
-                (Op::ConstBin { cidx, op }, 2)
-            }
-            (op, _, _) => (op, 1),
-        };
-        for m in &mut map[i + 1..i + width] {
-            *m = at as u32;
-        }
-        ops[at] = fused;
-        at += 1;
-        i += width;
-    }
-    map[n] = at as u32;
-    ops.truncate(at);
-    for op in ops.iter_mut() {
-        match op {
-            Op::Jump(t) => *t = map[*t as usize],
-            Op::BranchFalse { target, .. } => *target = map[*target as usize],
-            Op::ShortCircuit { skip, .. } => *skip = map[*skip as usize],
-            _ => {}
-        }
-    }
-    for f in &mut prog.funcs {
-        f.entry = map[f.entry as usize];
     }
 }
 
@@ -208,64 +151,74 @@ struct SelectiveCtx<'p> {
 /// allocated once.
 #[derive(Default)]
 struct FnCtx {
-    /// Scope stack; each scope is `(name, slot)` in declaration order with
-    /// same-name redeclaration replacing the earlier entry.
-    scopes: Vec<Vec<(Sym, u16)>>,
-    /// Emptied scopes, reused by the next blocks.
-    spare: Vec<Vec<(Sym, u16)>>,
+    /// The scope stack, flat: each scope is `(name, slot)` in declaration
+    /// order with same-name redeclaration replacing the earlier entry,
+    /// and the scopes follow each other outer to inner.
+    scopes: Vec<(Sym, u16)>,
+    /// Where each open scope starts in `scopes`.
+    scope_starts: Vec<usize>,
     slot_names: Vec<Sym>,
     loops: Vec<LoopCtx>,
+    /// The `break` jumps of the open loops, to patch at each loop's end.
+    breaks: Vec<usize>,
 }
 
 struct LoopCtx {
     start: u32,
-    breaks: Vec<usize>,
+    /// Where this loop's `break` jumps start in [`FnCtx::breaks`].
+    breaks: usize,
 }
 
 impl FnCtx {
     /// Readies the context for a function: one open scope, no slots.
     fn reset(&mut self) {
-        while self.scopes.len() > 1 {
-            self.close_scope();
-        }
-        match self.scopes.first_mut() {
-            Some(scope) => scope.clear(),
-            None => self.open_scope(),
-        }
+        self.scopes.clear();
+        self.scope_starts.clear();
+        self.scope_starts.push(0);
         self.slot_names.clear();
         self.loops.clear();
+        self.breaks.clear();
     }
 
     fn open_scope(&mut self) {
-        let scope = self.spare.pop().unwrap_or_default();
-        self.scopes.push(scope);
+        self.scope_starts.push(self.scopes.len());
     }
 
     fn close_scope(&mut self) {
-        let mut scope = self.scopes.pop().expect("scope");
-        scope.clear();
-        self.spare.push(scope);
+        let start = self.scope_starts.pop().expect("scope");
+        self.scopes.truncate(start);
     }
 
     /// Allocates a fresh slot for `name` in the innermost scope.
     fn declare(&mut self, name: Sym) -> u16 {
         let slot = self.slot_names.len() as u16;
         self.slot_names.push(name);
-        let scope = self.scopes.last_mut().expect("scope");
-        match scope.iter_mut().find(|(n, _)| *n == name) {
+        let start = *self.scope_starts.last().expect("scope");
+        match self.scopes[start..].iter_mut().find(|(n, _)| *n == name) {
             Some(entry) => entry.1 = slot,
-            None => scope.push((name, slot)),
+            None => self.scopes.push((name, slot)),
         }
         slot
     }
 
-    /// Innermost-first lookup, mirroring the interpreter's scope chain.
+    /// Innermost-first lookup, mirroring the interpreter's scope chain: a
+    /// name appears once per scope, and inner scopes come later.
     fn resolve(&self, name: Sym) -> Option<u16> {
         self.scopes
             .iter()
             .rev()
-            .find_map(|s| s.iter().find(|(n, _)| *n == name).map(|&(_, slot)| slot))
+            .find(|(n, _)| *n == name)
+            .map(|&(_, slot)| slot)
     }
+}
+
+/// The messages of every `if`, every `while` and every `au_config` layer
+/// size.
+#[derive(Clone, Copy)]
+enum Fixed {
+    If,
+    While,
+    Layer,
 }
 
 /// What a compile knows about one symbol.
@@ -289,15 +242,24 @@ struct Compiler<'p> {
     ops: Vec<Op>,
     consts: Vec<Value>,
     /// The names pool, in order of first use.
-    names: Vec<String>,
-    msgs: Vec<String>,
-    live_sets: Vec<Vec<(u16, u32)>>,
+    names: Symbols,
+    msgs: Symbols,
+    /// Where messages are formatted before they are pooled.
+    text: String,
+    /// The pool ids of the [`Fixed`] messages met so far.
+    fixed: [Option<u32>; 3],
+    live: Vec<(u16, u32)>,
+    live_ends: Vec<u32>,
     funcs: Vec<FuncInfo>,
+    slot_names: Vec<u32>,
     /// Indexed by symbol.
     syms: Vec<SymInfo>,
-    /// Name id of the function currently being compiled (for `break` /
-    /// `continue` error messages).
-    compiling_name: u32,
+    /// The name of the function being compiled (for `break` / `continue`
+    /// error messages).
+    compiling: Sym,
+    /// The last jump target marked. Targets are marked at the end of the
+    /// code so far, so it is also the largest.
+    last_target: Option<u32>,
 }
 
 impl<'p> Compiler<'p> {
@@ -311,8 +273,7 @@ impl<'p> Compiler<'p> {
         if let Some(id) = self.syms[sym.index()].name {
             return id;
         }
-        let id = self.names.len() as u32;
-        self.names.push(self.name(sym).to_owned());
+        let id = self.names.intern(self.program.name(sym)).index() as u32;
         self.syms[sym.index()].name = Some(id);
         id
     }
@@ -320,25 +281,35 @@ impl<'p> Compiler<'p> {
     /// The pool id of a literal `input` key: its symbol's when an
     /// identifier spells it too.
     fn key_id(&mut self, key: &str) -> u32 {
-        if let Some(sym) = self.program.sym(key) {
-            return self.name_id(sym);
-        }
-        match self.names.iter().position(|n| n == key) {
-            Some(id) => id as u32,
-            None => {
-                self.names.push(key.to_owned());
-                (self.names.len() - 1) as u32
-            }
-        }
+        self.names.intern(key).index() as u32
     }
 
-    /// A program has a handful of distinct messages, so a scan finds one.
     fn msg_id(&mut self, msg: &str) -> u32 {
-        if let Some(id) = self.msgs.iter().position(|m| m == msg) {
-            return id as u32;
+        self.msgs.intern(msg).index() as u32
+    }
+
+    /// The id of a message many sites share, pooled on first use.
+    fn fixed_msg(&mut self, which: Fixed) -> u32 {
+        if let Some(id) = self.fixed[which as usize] {
+            return id;
         }
-        self.msgs.push(msg.to_owned());
-        (self.msgs.len() - 1) as u32
+        let id = self.msg_id(match which {
+            Fixed::If => "if condition must be boolean",
+            Fixed::While => "while condition must be boolean",
+            Fixed::Layer => "layer size must be a number",
+        });
+        self.fixed[which as usize] = Some(id);
+        id
+    }
+
+    /// The id of the message `args` formats.
+    fn msg_fmt(&mut self, args: fmt::Arguments<'_>) -> u32 {
+        let mut text = std::mem::take(&mut self.text);
+        text.clear();
+        text.write_fmt(args).expect("formatting into a string");
+        let id = self.msg_id(&text);
+        self.text = text;
+        id
     }
 
     fn const_id(&mut self, v: Value) -> u32 {
@@ -350,32 +321,62 @@ impl<'p> Compiler<'p> {
     /// checkpoint snapshots at this site). Outer-to-inner order, so
     /// name-based flattening picks the innermost binding.
     fn live_id(&mut self, ctx: &FnCtx) -> u32 {
-        let count = ctx.scopes.iter().map(Vec::len).sum();
-        if count == 0 {
+        if ctx.scopes.is_empty() {
             return 0;
         }
-        let mut entries: Vec<(u16, u32)> = Vec::with_capacity(count);
-        for &(name, slot) in ctx.scopes.iter().flatten() {
+        for &(name, slot) in &ctx.scopes {
             let id = self.name_id(name);
-            entries.push((slot, id));
+            self.live.push((slot, id));
         }
-        self.live_sets.push(entries);
-        (self.live_sets.len() - 1) as u32
+        self.live_ends.push(self.live.len() as u32);
+        (self.live_ends.len() - 1) as u32
     }
 
     // -- emission helpers ----------------------------------------------
 
+    /// Appends `op`, fusing a `Bin` with the `Load`/`Const` ops just
+    /// before it into a superinstruction: a trailing `Load; Load` becomes
+    /// `LoadLoadBin`, a trailing `Load; Const` becomes `LoadConstBin`, and
+    /// otherwise a trailing `Const` becomes `ConstBin`. A window is fused
+    /// only when no jump lands inside it, which [`Compiler::target`] knows
+    /// because every jump target is marked when it is set.
     fn emit(&mut self, op: Op) -> usize {
+        let n = self.ops.len();
+        if let Op::Bin(op) = op {
+            // A target at `n` lands on the `Bin`; one at `n - 1` on the
+            // op before it.
+            let free = |back: usize| self.last_target.is_none_or(|t| (t as usize) + back < n);
+            let fused = match self.ops[n.saturating_sub(2)..] {
+                [Op::Load(a), Op::Load(b)] if free(1) => Some((Op::LoadLoadBin { a, b, op }, 2)),
+                [Op::Load(slot), Op::Const(cidx)] if free(1) => {
+                    Some((Op::LoadConstBin { slot, cidx, op }, 2))
+                }
+                [.., Op::Const(cidx)] if free(0) => Some((Op::ConstBin { cidx, op }, 1)),
+                _ => None,
+            };
+            if let Some((fused, width)) = fused {
+                self.ops.truncate(n - width);
+                self.ops.push(fused);
+                return self.ops.len() - 1;
+            }
+        }
         self.ops.push(op);
-        self.ops.len() - 1
+        n
     }
 
     fn here(&self) -> u32 {
         self.ops.len() as u32
     }
 
+    /// Marks the next op's position as a jump target and returns it.
+    fn target(&mut self) -> u32 {
+        let at = self.here();
+        self.last_target = Some(at);
+        at
+    }
+
     fn patch(&mut self, at: usize) {
-        let target = self.here();
+        let target = self.target();
         match &mut self.ops[at] {
             Op::Jump(t) => *t = target,
             Op::BranchFalse { target: t, .. } => *t = target,
@@ -389,12 +390,17 @@ impl<'p> Compiler<'p> {
         self.emit(Op::Fail(m));
     }
 
+    fn fail_fmt(&mut self, args: fmt::Arguments<'_>) {
+        let m = self.msg_fmt(args);
+        self.emit(Op::Fail(m));
+    }
+
     fn ensure_str(&mut self, builtin: Sym) {
         let m = match self.syms[builtin.index()].ensure_msg {
             Some(m) => m,
             None => {
                 let name = self.name(builtin);
-                let m = self.msg_id(&format!("`{name}` expects a string literal argument"));
+                let m = self.msg_fmt(format_args!("`{name}` expects a string literal argument"));
                 self.syms[builtin.index()].ensure_msg = Some(m);
                 m
             }
@@ -432,7 +438,7 @@ impl<'p> Compiler<'p> {
 
     /// Emits the trace prologue for a `let`/`assign` site (after the RHS
     /// value is on the stack, before the store — the interpreter's order).
-    fn emit_assign_trace(&mut self, dst: Sym, rhs: &Expr) {
+    fn emit_assign_trace(&mut self, dst: Sym, rhs: ExprId) {
         match self.assign_trace_kind() {
             TraceKind::None => {}
             TraceKind::Assign => {
@@ -464,20 +470,19 @@ impl<'p> Compiler<'p> {
 
     // -- functions ------------------------------------------------------
 
-    /// Compiles `f`, which is `program.functions[at]`, into slot `idx`.
+    /// Compiles `f`, which is `program.functions()[at]`, into slot `idx`.
     fn compile_function(&mut self, f: &Function, idx: u16, at: usize, ctx: &mut FnCtx) {
-        self.compiling_name = self.funcs[idx as usize].name;
+        self.compiling = f.name;
         let sites_end = self.selective.as_mut().map(|sel| {
             let sites = sel.plan.function_sites(at);
             sel.next = sites.start;
             sites.end
         });
-        let entry = self.here();
+        let entry = self.target();
         ctx.reset();
-        let mut params = Vec::with_capacity(f.params.len());
         for &p in &f.params {
             ctx.declare(p);
-            params.push(self.name_id(p));
+            self.name_id(p);
         }
         self.compile_block(&f.body, ctx);
         self.emit(Op::RetUnit);
@@ -485,16 +490,16 @@ impl<'p> Compiler<'p> {
             let name = self.name(f.name);
             debug_assert_eq!(Some(sel.next), sites_end, "`{name}` left trace sites");
         }
-        let slot_names = ctx
-            .slot_names
-            .iter()
-            .map(|&n| self.name_id(n))
-            .collect::<Vec<_>>();
+        let slots = self.slot_names.len() as u32;
+        for &n in &ctx.slot_names {
+            let id = self.name_id(n);
+            self.slot_names.push(id);
+        }
         let fi = &mut self.funcs[idx as usize];
-        fi.params = params;
+        fi.nparams = f.params.len() as u16;
         fi.entry = entry;
         fi.nlocals = ctx.slot_names.len() as u16;
-        fi.slot_names = slot_names;
+        fi.slots = slots;
     }
 
     fn compile_block(&mut self, stmts: &[Stmt], ctx: &mut FnCtx) {
@@ -509,27 +514,27 @@ impl<'p> Compiler<'p> {
         self.emit(Op::Step);
         match &stmt.kind {
             StmtKind::Let { name, init } => {
-                self.compile_expr(init, ctx);
-                self.emit_assign_trace(*name, init);
+                self.compile_expr(*init, ctx);
+                self.emit_assign_trace(*name, *init);
                 let slot = ctx.declare(*name);
                 self.emit(Op::Store(slot));
             }
             StmtKind::Assign { name, value } => {
-                self.compile_expr(value, ctx);
-                self.emit_assign_trace(*name, value);
+                self.compile_expr(*value, ctx);
+                self.emit_assign_trace(*name, *value);
                 match ctx.resolve(*name) {
                     Some(slot) => {
                         self.emit(Op::Store(slot));
                     }
                     None => {
                         let name = self.name(*name);
-                        self.fail(&format!("assignment to undefined variable `{name}`"))
+                        self.fail_fmt(format_args!("assignment to undefined variable `{name}`"))
                     }
                 }
             }
             StmtKind::AssignIndex { name, index, value } => {
-                self.compile_expr(index, ctx);
-                self.compile_expr(value, ctx);
+                self.compile_expr(*index, ctx);
+                self.compile_expr(*value, ctx);
                 let trace = self.assign_trace_kind();
                 let nid = self.name_id(*name);
                 match ctx.resolve(*name) {
@@ -546,9 +551,9 @@ impl<'p> Compiler<'p> {
                 then_body,
                 else_body,
             } => {
-                self.compile_expr(cond, ctx);
+                self.compile_expr(*cond, ctx);
                 self.emit_cond_note();
-                let msg = self.msg_id("if condition must be boolean");
+                let msg = self.fixed_msg(Fixed::If);
                 let bf = self.emit(Op::BranchFalse { target: 0, msg });
                 self.compile_block(then_body, ctx);
                 let j = self.emit(Op::Jump(0));
@@ -557,25 +562,26 @@ impl<'p> Compiler<'p> {
                 self.patch(j);
             }
             StmtKind::While { cond, body } => {
-                let start = self.here();
-                self.compile_expr(cond, ctx);
+                let start = self.target();
+                self.compile_expr(*cond, ctx);
                 self.emit_cond_note();
-                let msg = self.msg_id("while condition must be boolean");
+                let msg = self.fixed_msg(Fixed::While);
                 let bf = self.emit(Op::BranchFalse { target: 0, msg });
                 ctx.loops.push(LoopCtx {
                     start,
-                    breaks: Vec::new(),
+                    breaks: ctx.breaks.len(),
                 });
                 self.compile_block(body, ctx);
                 self.emit(Op::Jump(start));
                 let done = ctx.loops.pop().expect("loop ctx");
                 self.patch(bf);
-                for b in done.breaks {
-                    self.patch(b);
+                for i in done.breaks..ctx.breaks.len() {
+                    self.patch(ctx.breaks[i]);
                 }
+                ctx.breaks.truncate(done.breaks);
             }
             StmtKind::Return(Some(e)) => {
-                self.compile_expr(e, ctx);
+                self.compile_expr(*e, ctx);
                 self.emit(Op::Ret);
             }
             StmtKind::Return(None) => {
@@ -583,19 +589,19 @@ impl<'p> Compiler<'p> {
             }
             StmtKind::Break => {
                 if ctx.loops.is_empty() {
-                    let fname = self.current_fn_name(ctx);
-                    self.fail(&format!(
+                    let fname = self.name(self.compiling);
+                    self.fail_fmt(format_args!(
                         "`break`/`continue` outside a loop in function `{fname}`"
                     ));
                 } else {
                     let j = self.emit(Op::Jump(0));
-                    ctx.loops.last_mut().expect("loop").breaks.push(j);
+                    ctx.breaks.push(j);
                 }
             }
             StmtKind::Continue => {
                 if ctx.loops.is_empty() {
-                    let fname = self.current_fn_name(ctx);
-                    self.fail(&format!(
+                    let fname = self.name(self.compiling);
+                    self.fail_fmt(format_args!(
                         "`break`/`continue` outside a loop in function `{fname}`"
                     ));
                 } else {
@@ -604,44 +610,39 @@ impl<'p> Compiler<'p> {
                 }
             }
             StmtKind::Expr(e) => {
-                self.compile_expr(e, ctx);
+                self.compile_expr(*e, ctx);
                 self.emit(Op::Pop);
             }
         }
     }
 
-    /// Name of the function currently being compiled (for error messages).
-    fn current_fn_name(&self, _ctx: &FnCtx) -> String {
-        self.names[self.compiling_name as usize].clone()
-    }
-
     // -- expressions ----------------------------------------------------
 
-    fn compile_expr(&mut self, expr: &Expr, ctx: &mut FnCtx) {
-        match &expr.kind {
+    fn compile_expr(&mut self, expr: ExprId, ctx: &mut FnCtx) {
+        match self.program.expr(expr).kind {
             ExprKind::Num(n) => {
-                let c = self.const_id(Value::Num(*n));
+                let c = self.const_id(Value::Num(n));
                 self.emit(Op::Const(c));
             }
             ExprKind::Bool(b) => {
-                let c = self.const_id(Value::Bool(*b));
+                let c = self.const_id(Value::Bool(b));
                 self.emit(Op::Const(c));
             }
             ExprKind::Str(s) => {
-                let c = self.const_id(Value::Str(s.clone()));
+                let c = self.const_id(Value::Str(self.program.str(s).to_owned()));
                 self.emit(Op::Const(c));
             }
-            ExprKind::Var(name) => match ctx.resolve(*name) {
+            ExprKind::Var(name) => match ctx.resolve(name) {
                 Some(slot) => {
                     self.emit(Op::Load(slot));
                 }
                 None => {
-                    let name = self.name(*name);
-                    self.fail(&format!("undefined variable `{name}`"))
+                    let name = self.name(name);
+                    self.fail_fmt(format_args!("undefined variable `{name}`"))
                 }
             },
             ExprKind::Array(items) => {
-                for item in items {
+                for &item in self.program.list(items) {
                     self.compile_expr(item, ctx);
                 }
                 self.emit(Op::MakeArray(items.len() as u16));
@@ -662,7 +663,7 @@ impl<'p> Compiler<'p> {
                 BinOp::And | BinOp::Or => {
                     self.compile_expr(lhs, ctx);
                     let probe = self.emit(Op::ShortCircuit {
-                        is_and: *op == BinOp::And,
+                        is_and: op == BinOp::And,
                         skip: 0,
                     });
                     self.compile_expr(rhs, ctx);
@@ -672,24 +673,24 @@ impl<'p> Compiler<'p> {
                 _ => {
                     self.compile_expr(lhs, ctx);
                     self.compile_expr(rhs, ctx);
-                    self.emit(Op::Bin(*op));
+                    self.emit(Op::Bin(op));
                 }
             },
-            ExprKind::Call { name, args } => self.compile_call(*name, args, ctx),
+            ExprKind::Call { name, args } => self.compile_call(name, self.program.list(args), ctx),
         }
     }
 
-    fn compile_call(&mut self, sym: Sym, args: &[Expr], ctx: &mut FnCtx) {
+    fn compile_call(&mut self, sym: Sym, args: &'p [ExprId], ctx: &mut FnCtx) {
         let name = self.name(sym);
         let info = self.syms[sym.index()];
         if !name.starts_with("au_") {
             if let Some(fidx) = info.func {
-                for arg in args {
+                for &arg in args {
                     self.compile_expr(arg, ctx);
                 }
                 let arity = info.arity;
                 if args.len() != arity {
-                    self.fail(&format!(
+                    self.fail_fmt(format_args!(
                         "function `{name}` expects {arity} arguments, got {}",
                         args.len()
                     ));
@@ -705,11 +706,11 @@ impl<'p> Compiler<'p> {
 
     /// Emits the interpreter's fixed-arity check: the error fires *before*
     /// any argument is evaluated, so it compiles to a bare `Fail`.
-    fn check_arity(&mut self, name: &str, args: &[Expr], n: usize) -> bool {
+    fn check_arity(&mut self, name: &str, args: &[ExprId], n: usize) -> bool {
         if args.len() == n {
             true
         } else {
-            self.fail(&format!(
+            self.fail_fmt(format_args!(
                 "`{name}` expects {n} arguments, got {}",
                 args.len()
             ));
@@ -717,7 +718,7 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn compile_builtin(&mut self, sym: Sym, args: &[Expr], ctx: &mut FnCtx) {
+    fn compile_builtin(&mut self, sym: Sym, args: &'p [ExprId], ctx: &mut FnCtx) {
         let name = self.name(sym);
         match name {
             "au_config" => {
@@ -725,16 +726,16 @@ impl<'p> Compiler<'p> {
                     self.fail("`au_config` needs model, type, algorithm, layer count");
                     return;
                 }
-                for arg in &args[..3] {
+                for &arg in &args[..3] {
                     self.compile_expr(arg, ctx);
                     self.ensure_str(sym);
                 }
-                self.compile_expr(&args[3], ctx);
+                self.compile_expr(args[3], ctx);
                 self.emit(Op::AuConfigCheck {
                     argc: args.len() as u16,
                 });
-                let layer_msg = self.msg_id("layer size must be a number");
-                for arg in &args[4..] {
+                let layer_msg = self.fixed_msg(Fixed::Layer);
+                for &arg in &args[4..] {
                     self.compile_expr(arg, ctx);
                     self.emit(Op::EnsureNum(layer_msg));
                 }
@@ -746,13 +747,13 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 2) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[1], ctx);
                 self.emit(Op::AuExtract);
             }
             "au_serialize" => {
-                for arg in args {
+                for &arg in args {
                     self.compile_expr(arg, ctx);
                     self.ensure_str(sym);
                 }
@@ -765,7 +766,7 @@ impl<'p> Compiler<'p> {
                     self.fail("`au_nn` needs model, ext, and at least one wb name");
                     return;
                 }
-                for arg in args {
+                for &arg in args {
                     self.compile_expr(arg, ctx);
                     self.ensure_str(sym);
                 }
@@ -777,22 +778,22 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 6) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[1], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[2], ctx);
-                self.compile_expr(&args[3], ctx);
-                self.compile_expr(&args[4], ctx);
+                self.compile_expr(args[2], ctx);
+                self.compile_expr(args[3], ctx);
+                self.compile_expr(args[4], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[5], ctx);
+                self.compile_expr(args[5], ctx);
                 self.emit(Op::AuNnRl);
             }
             "au_write_back" => {
                 if !self.check_arity(name, args, 1) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
                 self.emit(Op::AuWriteBack);
             }
@@ -800,9 +801,9 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 2) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[1], ctx);
                 self.emit(Op::AuWriteBackN);
             }
             "au_checkpoint" => {
@@ -823,7 +824,7 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 1) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
                 self.emit(Op::MarkInput);
             }
@@ -831,7 +832,7 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 1) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
                 self.emit(Op::MarkTarget);
             }
@@ -839,18 +840,18 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 2) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.ensure_str(sym);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[1], ctx);
                 // Pre-intern literal keys so traced runs use a pooled id
                 // with a precomputed relevance bit.
-                if let ExprKind::Str(key) = &args[0].kind {
-                    self.key_id(key);
+                if let ExprKind::Str(key) = self.program.expr(args[0]).kind {
+                    self.key_id(self.program.str(key));
                 }
                 self.emit(Op::Input);
             }
             "print" => {
-                for arg in args {
+                for &arg in args {
                     self.compile_expr(arg, ctx);
                 }
                 self.emit(Op::Print(args.len() as u16));
@@ -859,22 +860,22 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 1) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 self.emit(Op::Len);
             }
             "append" => {
                 if !self.check_arity(name, args, 2) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[0], ctx);
+                self.compile_expr(args[1], ctx);
                 self.emit(Op::Append);
             }
             "floor" | "abs" | "sqrt" | "sin" | "cos" | "exp" => {
                 if !self.check_arity(name, args, 1) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
+                self.compile_expr(args[0], ctx);
                 let f = match name {
                     "floor" => MathFn::Floor,
                     "abs" => MathFn::Abs,
@@ -889,8 +890,8 @@ impl<'p> Compiler<'p> {
                 if !self.check_arity(name, args, 2) {
                     return;
                 }
-                self.compile_expr(&args[0], ctx);
-                self.compile_expr(&args[1], ctx);
+                self.compile_expr(args[0], ctx);
+                self.compile_expr(args[1], ctx);
                 self.emit(Op::Math2 {
                     is_min: name == "min",
                 });
@@ -901,17 +902,17 @@ impl<'p> Compiler<'p> {
                 }
                 self.emit(Op::Rand);
             }
-            other => self.fail(&format!("unknown function `{other}`")),
+            other => self.fail_fmt(format_args!("unknown function `{other}`")),
         }
     }
 }
 
 /// True for RHS calls that designate their destination as a target.
-fn is_write_back_call(program: &Program, rhs: &Expr) -> bool {
+fn is_write_back_call(program: &Program, rhs: ExprId) -> bool {
     matches!(
-        &rhs.kind,
+        program.expr(rhs).kind,
         ExprKind::Call { name, .. }
-            if matches!(program.name(*name), "au_write_back" | "au_write_back_n" | "au_nn_rl")
+            if matches!(program.name(name), "au_write_back" | "au_write_back_n" | "au_nn_rl")
     )
 }
 

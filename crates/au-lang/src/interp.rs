@@ -7,7 +7,7 @@
 //! exactly what Algorithms 1–2 consume, so feature extraction works on any
 //! AuLang program with no further annotation.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, Sym, UnOp};
+use crate::ast::{BinOp, ExprId, ExprKind, Function, Program, Stmt, StmtKind, Sym, UnOp};
 use crate::parser::parse;
 use crate::value::{count_arg, Value};
 use crate::LangError;
@@ -167,7 +167,7 @@ impl Interpreter {
         self.checkpoint = None;
         let program = Arc::clone(&self.program);
         let p = &*program;
-        let main = p.function("main").expect("parser guarantees main");
+        let main = p.function("main").expect("a built program has one `main`");
         let (value, _) = self.call_function(p, main, Vec::new())?;
         au_telemetry::count!("au_lang.steps", self.stats.steps);
         Ok(value)
@@ -264,8 +264,8 @@ impl Interpreter {
         match &stmt.kind {
             StmtKind::Let { name, init } => {
                 let name = p.name(*name);
-                let (value, deps) = self.eval(p, init)?;
-                self.mark_target_if_write_back(p, name, init);
+                let (value, deps) = self.eval(p, *init)?;
+                self.mark_target_if_write_back(p, name, *init);
                 self.trace_assign(p, name, &deps, &value);
                 self.frames
                     .last_mut()
@@ -278,8 +278,8 @@ impl Interpreter {
             }
             StmtKind::Assign { name, value } => {
                 let name = p.name(*name);
-                let (value_v, deps) = self.eval(p, value)?;
-                self.mark_target_if_write_back(p, name, value);
+                let (value_v, deps) = self.eval(p, *value)?;
+                self.mark_target_if_write_back(p, name, *value);
                 self.trace_assign(p, name, &deps, &value_v);
                 let frame = self.frames.last_mut().expect("frame");
                 match frame.lookup_mut(name) {
@@ -292,8 +292,8 @@ impl Interpreter {
             }
             StmtKind::AssignIndex { name, index, value } => {
                 let name = p.name(*name);
-                let (index_v, mut deps) = self.eval(p, index)?;
-                let (value_v, value_deps) = self.eval(p, value)?;
+                let (index_v, mut deps) = self.eval(p, *index)?;
+                let (value_v, value_deps) = self.eval(p, *value)?;
                 deps.extend(value_deps);
                 deps.insert(name.to_owned());
                 let idx = count_arg(&index_v, "array index", 0)?;
@@ -321,7 +321,7 @@ impl Interpreter {
                 then_body,
                 else_body,
             } => {
-                let (cond_v, cond_deps) = self.eval(p, cond)?;
+                let (cond_v, cond_deps) = self.eval(p, *cond)?;
                 self.note_uses(p, &cond_deps);
                 let truthy = cond_v
                     .as_bool()
@@ -333,7 +333,7 @@ impl Interpreter {
                 }
             }
             StmtKind::While { cond, body } => loop {
-                let (cond_v, cond_deps) = self.eval(p, cond)?;
+                let (cond_v, cond_deps) = self.eval(p, *cond)?;
                 self.note_uses(p, &cond_deps);
                 let truthy = cond_v
                     .as_bool()
@@ -349,7 +349,7 @@ impl Interpreter {
             },
             StmtKind::Return(expr) => match expr {
                 Some(e) => {
-                    let (value, deps) = self.eval(p, e)?;
+                    let (value, deps) = self.eval(p, *e)?;
                     Ok(Flow::Return(value, deps))
                 }
                 None => Ok(Flow::Return(Value::Unit, Deps::new())),
@@ -357,7 +357,7 @@ impl Interpreter {
             StmtKind::Break => Ok(Flow::Break),
             StmtKind::Continue => Ok(Flow::Continue),
             StmtKind::Expr(e) => {
-                let _ = self.eval(p, e)?;
+                let _ = self.eval(p, *e)?;
                 Ok(Flow::Normal)
             }
         }
@@ -365,13 +365,13 @@ impl Interpreter {
 
     /// `x = au_write_back("NAME")` annotates `x` as a prediction target —
     /// this is how the paper's users designate target variables.
-    fn mark_target_if_write_back(&mut self, p: &Program, dst: &str, value: &Expr) {
+    fn mark_target_if_write_back(&mut self, p: &Program, dst: &str, value: ExprId) {
         if !self.tracing {
             return;
         }
-        if let ExprKind::Call { name, .. } = &value.kind {
+        if let ExprKind::Call { name, .. } = p.expr(value).kind {
             if matches!(
-                p.name(*name),
+                p.name(name),
                 "au_write_back" | "au_write_back_n" | "au_nn_rl"
             ) {
                 self.analysis.mark_target(dst);
@@ -389,13 +389,13 @@ impl Interpreter {
         }
     }
 
-    fn eval(&mut self, p: &Program, expr: &Expr) -> Result<(Value, Deps), LangError> {
-        match &expr.kind {
-            ExprKind::Num(n) => Ok((Value::Num(*n), Deps::new())),
-            ExprKind::Bool(b) => Ok((Value::Bool(*b), Deps::new())),
-            ExprKind::Str(s) => Ok((Value::Str(s.clone()), Deps::new())),
+    fn eval(&mut self, p: &Program, expr: ExprId) -> Result<(Value, Deps), LangError> {
+        match p.expr(expr).kind {
+            ExprKind::Num(n) => Ok((Value::Num(n), Deps::new())),
+            ExprKind::Bool(b) => Ok((Value::Bool(b), Deps::new())),
+            ExprKind::Str(s) => Ok((Value::Str(p.str(s).to_owned()), Deps::new())),
             ExprKind::Var(name) => {
-                let name = p.name(*name);
+                let name = p.name(name);
                 let frame = self.frames.last().expect("frame");
                 let value = frame
                     .lookup(name)
@@ -408,7 +408,7 @@ impl Interpreter {
             ExprKind::Array(items) => {
                 let mut values = Vec::with_capacity(items.len());
                 let mut deps = Deps::new();
-                for item in items {
+                for &item in p.list(items) {
                     let (v, d) = self.eval(p, item)?;
                     values.push(v);
                     deps.extend(d);
@@ -443,8 +443,8 @@ impl Interpreter {
                 };
                 Ok((out, deps))
             }
-            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(p, *op, lhs, rhs),
-            ExprKind::Call { name, args } => self.eval_call(p, *name, args),
+            ExprKind::Binary { op, lhs, rhs } => self.eval_binary(p, op, lhs, rhs),
+            ExprKind::Call { name, args } => self.eval_call(p, name, p.list(args)),
         }
     }
 
@@ -452,8 +452,8 @@ impl Interpreter {
         &mut self,
         p: &Program,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
+        lhs: ExprId,
+        rhs: ExprId,
     ) -> Result<(Value, Deps), LangError> {
         // Short-circuit forms first.
         if matches!(op, BinOp::And | BinOp::Or) {
@@ -512,15 +512,15 @@ impl Interpreter {
         &mut self,
         p: &Program,
         sym: Sym,
-        args: &[Expr],
+        args: &[ExprId],
     ) -> Result<(Value, Deps), LangError> {
         // User-defined functions shadow nothing: builtins win on collision
         // is avoided by checking user functions first only for non-au names.
         let name = p.name(sym);
         if !name.starts_with("au_") {
-            if let Some(func) = p.functions.iter().find(|f| f.name == sym) {
+            if let Some(func) = p.functions().iter().find(|f| f.name == sym) {
                 let mut evaluated = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in args {
                     evaluated.push(self.eval(p, arg)?);
                 }
                 return self.call_function(p, func, evaluated);
@@ -529,7 +529,7 @@ impl Interpreter {
         self.eval_builtin(p, name, args)
     }
 
-    fn arity(&self, name: &str, args: &[Expr], n: usize) -> Result<(), LangError> {
+    fn arity(&self, name: &str, args: &[ExprId], n: usize) -> Result<(), LangError> {
         if args.len() == n {
             Ok(())
         } else {
@@ -540,7 +540,7 @@ impl Interpreter {
         }
     }
 
-    fn eval_str_arg(&mut self, p: &Program, name: &str, arg: &Expr) -> Result<String, LangError> {
+    fn eval_str_arg(&mut self, p: &Program, name: &str, arg: ExprId) -> Result<String, LangError> {
         let (v, _) = self.eval(p, arg)?;
         v.as_str()
             .map(str::to_owned)
@@ -551,7 +551,7 @@ impl Interpreter {
         &mut self,
         p: &Program,
         name: &str,
-        args: &[Expr],
+        args: &[ExprId],
     ) -> Result<(Value, Deps), LangError> {
         match name {
             // ---------------------------------------------------------
@@ -562,10 +562,10 @@ impl Interpreter {
                 if args.len() < 4 {
                     return Err(self.err("`au_config` needs model, type, algorithm, layer count"));
                 }
-                let model = self.eval_str_arg(p, name, &args[0])?;
-                let kind = self.eval_str_arg(p, name, &args[1])?;
-                let algo = self.eval_str_arg(p, name, &args[2])?;
-                let (layer_count_v, _) = self.eval(p, &args[3])?;
+                let model = self.eval_str_arg(p, name, args[0])?;
+                let kind = self.eval_str_arg(p, name, args[1])?;
+                let algo = self.eval_str_arg(p, name, args[2])?;
+                let (layer_count_v, _) = self.eval(p, args[3])?;
                 let layer_count = count_arg(&layer_count_v, "layer count", 0)?;
                 if args.len() != 4 + layer_count {
                     return Err(self.err(format!(
@@ -574,7 +574,7 @@ impl Interpreter {
                     )));
                 }
                 let mut widths = Vec::with_capacity(layer_count);
-                for arg in &args[4..] {
+                for &arg in &args[4..] {
                     let (v, _) = self.eval(p, arg)?;
                     if v.as_num().is_none() {
                         return Err(self.err("layer size must be a number"));
@@ -599,8 +599,8 @@ impl Interpreter {
             }
             "au_extract" => {
                 self.arity(name, args, 2)?;
-                let ext = self.eval_str_arg(p, name, &args[0])?;
-                let (v, deps) = self.eval(p, &args[1])?;
+                let ext = self.eval_str_arg(p, name, args[0])?;
+                let (v, deps) = self.eval(p, args[1])?;
                 let mut nums = Vec::new();
                 v.flatten_nums(&mut nums);
                 self.engine.au_extract(&ext, &nums);
@@ -609,7 +609,7 @@ impl Interpreter {
             }
             "au_serialize" => {
                 let mut names = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in args {
                     names.push(self.eval_str_arg(p, name, arg)?);
                 }
                 let refs: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -620,10 +620,10 @@ impl Interpreter {
                 if args.len() < 3 {
                     return Err(self.err("`au_nn` needs model, ext, and at least one wb name"));
                 }
-                let model = self.eval_str_arg(p, name, &args[0])?;
-                let ext = self.eval_str_arg(p, name, &args[1])?;
+                let model = self.eval_str_arg(p, name, args[0])?;
+                let ext = self.eval_str_arg(p, name, args[1])?;
                 let mut wbs = Vec::new();
-                for arg in &args[2..] {
+                for &arg in &args[2..] {
                     wbs.push(self.eval_str_arg(p, name, arg)?);
                 }
                 let wb_refs: Vec<&str> = wbs.iter().map(String::as_str).collect();
@@ -636,12 +636,12 @@ impl Interpreter {
             "au_nn_rl" => {
                 // au_nn_rl("M", ext, reward, terminal, "wb", n_actions)
                 self.arity(name, args, 6)?;
-                let model = self.eval_str_arg(p, name, &args[0])?;
-                let ext = self.eval_str_arg(p, name, &args[1])?;
-                let (reward_v, reward_deps) = self.eval(p, &args[2])?;
-                let (term_v, term_deps) = self.eval(p, &args[3])?;
-                let wb = self.eval_str_arg(p, name, &args[4])?;
-                let (n_v, _) = self.eval(p, &args[5])?;
+                let model = self.eval_str_arg(p, name, args[0])?;
+                let ext = self.eval_str_arg(p, name, args[1])?;
+                let (reward_v, reward_deps) = self.eval(p, args[2])?;
+                let (term_v, term_deps) = self.eval(p, args[3])?;
+                let wb = self.eval_str_arg(p, name, args[4])?;
+                let (n_v, _) = self.eval(p, args[5])?;
                 self.note_uses(p, &reward_deps);
                 self.note_uses(p, &term_deps);
                 let reward = reward_v
@@ -665,14 +665,14 @@ impl Interpreter {
             }
             "au_write_back" => {
                 self.arity(name, args, 1)?;
-                let key = self.eval_str_arg(p, name, &args[0])?;
+                let key = self.eval_str_arg(p, name, args[0])?;
                 let v = self.engine.au_write_back_scalar(&key)?;
                 Ok((Value::Num(v), Deps::new()))
             }
             "au_write_back_n" => {
                 self.arity(name, args, 2)?;
-                let key = self.eval_str_arg(p, name, &args[0])?;
-                let (n_v, _) = self.eval(p, &args[1])?;
+                let key = self.eval_str_arg(p, name, args[0])?;
+                let (n_v, _) = self.eval(p, args[1])?;
                 let n = count_arg(&n_v, "size", 0)?;
                 let buf = self.engine.au_write_back_n(&key, n)?;
                 Ok((
@@ -728,13 +728,13 @@ impl Interpreter {
             // ---------------------------------------------------------
             "mark_input" => {
                 self.arity(name, args, 1)?;
-                let var = self.eval_str_arg(p, name, &args[0])?;
+                let var = self.eval_str_arg(p, name, args[0])?;
                 self.analysis.mark_input(&var);
                 Ok((Value::Unit, Deps::new()))
             }
             "mark_target" => {
                 self.arity(name, args, 1)?;
-                let var = self.eval_str_arg(p, name, &args[0])?;
+                let var = self.eval_str_arg(p, name, args[0])?;
                 self.analysis.mark_target(&var);
                 Ok((Value::Unit, Deps::new()))
             }
@@ -743,8 +743,8 @@ impl Interpreter {
             // ---------------------------------------------------------
             "input" => {
                 self.arity(name, args, 2)?;
-                let key = self.eval_str_arg(p, name, &args[0])?;
-                let (default, _) = self.eval(p, &args[1])?;
+                let key = self.eval_str_arg(p, name, args[0])?;
+                let (default, _) = self.eval(p, args[1])?;
                 let value = self.inputs.get(&key).cloned().unwrap_or(default);
                 self.analysis.mark_input(&key);
                 if let Some(n) = value.as_num() {
@@ -756,7 +756,7 @@ impl Interpreter {
             }
             "print" => {
                 let mut parts = Vec::with_capacity(args.len());
-                for arg in args {
+                for &arg in args {
                     let (v, _) = self.eval(p, arg)?;
                     parts.push(v.to_string());
                 }
@@ -765,7 +765,7 @@ impl Interpreter {
             }
             "len" => {
                 self.arity(name, args, 1)?;
-                let (v, deps) = self.eval(p, &args[0])?;
+                let (v, deps) = self.eval(p, args[0])?;
                 match v {
                     Value::Array(items) => Ok((Value::Num(items.len() as f64), deps)),
                     Value::Str(s) => Ok((Value::Num(s.len() as f64), deps)),
@@ -774,8 +774,8 @@ impl Interpreter {
             }
             "append" => {
                 self.arity(name, args, 2)?;
-                let (arr, mut deps) = self.eval(p, &args[0])?;
-                let (item, item_deps) = self.eval(p, &args[1])?;
+                let (arr, mut deps) = self.eval(p, args[0])?;
+                let (item, item_deps) = self.eval(p, args[1])?;
                 deps.extend(item_deps);
                 match arr {
                     Value::Array(mut items) => {
@@ -787,7 +787,7 @@ impl Interpreter {
             }
             "floor" | "abs" | "sqrt" | "sin" | "cos" | "exp" => {
                 self.arity(name, args, 1)?;
-                let (v, deps) = self.eval(p, &args[0])?;
+                let (v, deps) = self.eval(p, args[0])?;
                 let x = v
                     .as_num()
                     .ok_or_else(|| self.err(format!("`{name}` needs a number")))?;
@@ -804,8 +804,8 @@ impl Interpreter {
             }
             "min" | "max" => {
                 self.arity(name, args, 2)?;
-                let (a, mut deps) = self.eval(p, &args[0])?;
-                let (b, bdeps) = self.eval(p, &args[1])?;
+                let (a, mut deps) = self.eval(p, args[0])?;
+                let (b, bdeps) = self.eval(p, args[1])?;
                 deps.extend(bdeps);
                 let (a, b) = (
                     a.as_num()

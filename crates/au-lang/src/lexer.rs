@@ -168,6 +168,27 @@ impl<'src> Lexer<'src> {
         }
     }
 
+    /// Where the lexer stands (byte offset and line), for
+    /// [`set_state`](Self::set_state) to come back to.
+    pub(crate) fn state(&self) -> (usize, usize) {
+        (self.pos, self.line)
+    }
+
+    pub(crate) fn set_state(&mut self, (pos, line): (usize, usize)) {
+        self.pos = pos;
+        self.line = line;
+    }
+
+    /// The table the identifiers lexed so far index.
+    pub(crate) fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// Takes the table the identifiers lexed so far index.
+    pub(crate) fn take_symbols(&mut self) -> Symbols {
+        std::mem::take(&mut self.symbols)
+    }
+
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -221,7 +242,13 @@ impl<'src> Lexer<'src> {
         self.pos += rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len());
     }
 
-    fn next_token(&mut self) -> Result<Token, LangError> {
+    /// Lexes the next token: [`TokenKind::Eof`] at the end, and again on
+    /// every call after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`tokenize`](Self::tokenize).
+    pub(crate) fn next_token(&mut self) -> Result<Token, LangError> {
         self.skip_trivia();
         let line = self.line;
         let start = self.pos;

@@ -58,8 +58,8 @@ mod value;
 mod vm;
 
 pub use ast::{
-    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprKind, Function, Program, Span,
-    Stmt, StmtKind, Sym, Symbols, UnOp,
+    for_each_expr, for_each_stmt, for_each_subexpr, BinOp, Expr, ExprId, ExprKind, ExprList,
+    Function, Program, ProgramBuilder, Span, Stmt, StmtKind, StrId, Sym, Symbols, UnOp,
 };
 pub use bytecode::{CompiledProgram, TraceMode};
 pub use compile::{compile_program, compile_program_opt};

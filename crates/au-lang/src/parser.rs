@@ -10,7 +10,7 @@
 //! [`MAX_NESTING`] levels instead of overflowing the stack.
 
 use crate::ast::{
-    BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, Sym, Symbols, UnOp,
+    BinOp, ExprId, ExprKind, Function, Program, ProgramBuilder, Span, Stmt, StmtKind, Sym, UnOp,
 };
 use crate::lexer::{string_value, Lexer, Token, TokenKind};
 use crate::LangError;
@@ -30,79 +30,152 @@ pub const MAX_NESTING: usize = 64;
 /// Returns [`LangError::Lex`] or [`LangError::Parse`] with a line number;
 /// source nested deeper than [`MAX_NESTING`] levels is a parse error.
 pub fn parse(src: &str) -> Result<Program, LangError> {
-    let (tokens, symbols) = Lexer::new(src).tokenize()?;
-    Parser {
+    let mut lexer = Lexer::new(src);
+    let mut parser = Parser {
         src,
-        tokens,
-        symbols,
-        pos: 0,
+        tok: lexer.next_token()?,
+        lexer,
+        lex_error: None,
+        prev_end: 0,
+        b: ProgramBuilder::for_source(src.len()),
+        listed: Vec::with_capacity(16),
+        stmts: Vec::with_capacity(32),
         depth: 0,
+    };
+    let parsed = parser.program();
+    // A lex error anywhere in the source wins over a parse error, as if
+    // the whole source had been lexed first.
+    if let Some(e) = parser.lex_error {
+        return Err(e);
     }
-    .program()
+    match parsed {
+        Ok(program) => Ok(program),
+        Err(e) => loop {
+            match parser.lexer.next_token() {
+                Err(lex) => return Err(lex),
+                Ok(t) if t.kind == TokenKind::Eof => return Err(*e),
+                Ok(_) => {}
+            }
+        },
+    }
+}
+
+/// A parse step's result. The error is boxed, so a result carries no
+/// more than its value up the precedence chain.
+type PResult<T> = Result<T, Box<LangError>>;
+
+/// Where the parser stands: enough to come back and read the same tokens
+/// again.
+struct Mark {
+    lexer: (usize, usize),
+    tok: Token,
+    prev_end: usize,
+    nodes: (usize, usize, usize),
 }
 
 struct Parser<'src> {
     src: &'src str,
-    tokens: Vec<Token>,
-    /// The table the tokens' identifiers index; the program takes it.
-    symbols: Symbols,
-    pos: usize,
-    /// Levels of nesting open at `pos`; see [`MAX_NESTING`].
+    /// Reads the tokens one at a time, interning identifiers into the
+    /// table the program will own.
+    lexer: Lexer<'src>,
+    /// The token about to be consumed.
+    tok: Token,
+    /// The first lex error met; the parser sees an end of input there.
+    lex_error: Option<LangError>,
+    /// End offset of the most recently consumed token.
+    prev_end: usize,
+    /// The program so far.
+    b: ProgramBuilder,
+    /// The arguments or items of the lists being parsed, innermost last.
+    listed: Vec<ExprId>,
+    /// The statements of the blocks being parsed, innermost last.
+    stmts: Vec<Stmt>,
+    /// Levels of nesting open at the current token; see [`MAX_NESTING`].
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'src> Parser<'src> {
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+        &self.tok.kind
     }
 
     fn line(&self) -> usize {
-        self.tokens[self.pos].line
+        self.tok.line
     }
 
     /// Span of the token about to be consumed.
     fn span(&self) -> Span {
-        self.tokens[self.pos].span
+        self.tok.span
     }
 
     /// End offset of the most recently consumed token — the natural end of
     /// a construct once its last token has been bumped.
     fn prev_end(&self) -> usize {
-        self.tokens[self.pos.saturating_sub(1)].span.end
+        self.prev_end
     }
 
     fn bump(&mut self) {
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        if self.tok.kind == TokenKind::Eof {
+            return;
         }
+        self.prev_end = self.tok.span.end;
+        self.tok = match self.lexer.next_token() {
+            Ok(token) => token,
+            Err(e) => {
+                self.lex_error = Some(e);
+                let at = self.prev_end;
+                Token {
+                    kind: TokenKind::Eof,
+                    line: self.tok.line,
+                    span: Span::new(at, at),
+                }
+            }
+        };
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            lexer: self.lexer.state(),
+            tok: self.tok,
+            prev_end: self.prev_end,
+            nodes: self.b.mark(),
+        }
+    }
+
+    /// Goes back to `mark`, dropping the expressions parsed since.
+    fn rewind(&mut self, mark: Mark) {
+        self.lexer.set_state(mark.lexer);
+        self.tok = mark.tok;
+        self.prev_end = mark.prev_end;
+        self.b.rewind(mark.nodes);
     }
 
     /// The token about to be consumed as error messages name it: its
     /// `Debug` form, with an identifier or string spelled out.
     fn found(&self) -> String {
-        let token = &self.tokens[self.pos];
+        let token = &self.tok;
         match token.kind {
-            TokenKind::Ident(name) => format!("Ident({:?})", self.symbols.name(name)),
-            TokenKind::Str => format!("Str({:?})", self.string(token.span)),
+            TokenKind::Ident(name) => format!("Ident({:?})", self.lexer.symbols().name(name)),
+            TokenKind::Str => format!("Str({:?})", string_value(self.raw_string(token.span))),
             kind => format!("{kind:?}"),
         }
     }
 
-    /// The value of the string literal token at `span`.
-    fn string(&self, span: Span) -> String {
-        string_value(&self.src[span.start + 1..span.end - 1])
+    /// The text between the quotes of the string literal token at `span`.
+    fn raw_string(&self, span: Span) -> &'src str {
+        &self.src[span.start + 1..span.end - 1]
     }
 
-    fn err(&self, message: impl Into<String>) -> LangError {
-        LangError::Parse {
+    fn err(&self, message: impl Into<String>) -> Box<LangError> {
+        Box::new(LangError::Parse {
             line: self.line(),
             message: message.into(),
-        }
+        })
     }
 
     /// Opens one level of nesting. An error ends the whole parse, so only
     /// the success paths close their levels again.
-    fn enter(&mut self) -> Result<(), LangError> {
+    fn enter(&mut self) -> PResult<()> {
         if self.depth == MAX_NESTING {
             return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
         }
@@ -110,7 +183,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), LangError> {
+    fn expect(&mut self, kind: TokenKind, what: &str) -> PResult<()> {
         if *self.peek() == kind {
             self.bump();
             Ok(())
@@ -119,7 +192,7 @@ impl Parser<'_> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<Sym, LangError> {
+    fn ident(&mut self, what: &str) -> PResult<Sym> {
         match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
@@ -129,19 +202,16 @@ impl Parser<'_> {
         }
     }
 
-    fn program(&mut self) -> Result<Program, LangError> {
-        let mut functions = Vec::new();
+    fn program(&mut self) -> PResult<Program> {
         while *self.peek() != TokenKind::Eof {
-            functions.push(self.function()?);
+            let function = self.function()?;
+            self.b.push_function(function);
         }
-        let main = self.symbols.get("main");
-        if functions.iter().filter(|f| Some(f.name) == main).count() != 1 {
-            return Err(self.err("program must define exactly one `main` function"));
-        }
-        Ok(Program::new(functions, std::mem::take(&mut self.symbols)))
+        let symbols = self.lexer.take_symbols();
+        Ok(std::mem::take(&mut self.b).finish(symbols, self.line())?)
     }
 
-    fn function(&mut self) -> Result<Function, LangError> {
+    fn function(&mut self) -> PResult<Function> {
         let start = self.span();
         self.expect(TokenKind::Fn, "`fn`")?;
         let name = self.ident("function name")?;
@@ -168,22 +238,23 @@ impl Parser<'_> {
         })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
+    fn block(&mut self) -> PResult<Vec<Stmt>> {
         self.expect(TokenKind::LBrace, "`{`")?;
         self.enter()?;
-        let mut stmts = Vec::new();
+        let base = self.stmts.len();
         while *self.peek() != TokenKind::RBrace {
             if *self.peek() == TokenKind::Eof {
                 return Err(self.err("unterminated block"));
             }
-            stmts.push(self.statement()?);
+            let stmt = self.statement()?;
+            self.stmts.push(stmt);
         }
         self.bump(); // `}`
         self.depth -= 1;
-        Ok(stmts)
+        Ok(self.stmts.drain(base..).collect())
     }
 
-    fn statement(&mut self) -> Result<Stmt, LangError> {
+    fn statement(&mut self) -> PResult<Stmt> {
         let start = self.span();
         match *self.peek() {
             TokenKind::Let => {
@@ -254,7 +325,7 @@ impl Parser<'_> {
             TokenKind::Ident(name) => {
                 // Lookahead distinguishes `x = …;`, `x[i] = …;`, and an
                 // expression statement starting with an identifier.
-                let start_pos = self.pos;
+                let back = self.mark();
                 self.bump();
                 match *self.peek() {
                     TokenKind::Assign => {
@@ -274,14 +345,14 @@ impl Parser<'_> {
                             Ok(self.stmt_from(StmtKind::AssignIndex { name, index, value }, start))
                         } else {
                             // Not an assignment — rewind and parse as expr.
-                            self.pos = start_pos;
+                            self.rewind(back);
                             let e = self.expr()?;
                             self.expect(TokenKind::Semi, "`;`")?;
                             Ok(self.stmt_from(StmtKind::Expr(e), start))
                         }
                     }
                     _ => {
-                        self.pos = start_pos;
+                        self.rewind(back);
                         let e = self.expr()?;
                         self.expect(TokenKind::Semi, "`;`")?;
                         Ok(self.stmt_from(StmtKind::Expr(e), start))
@@ -313,7 +384,7 @@ impl Parser<'_> {
     /// Known sugar limitation: `continue` inside a `for` body skips the
     /// `post` step too — documented AuLang behaviour matching the naive
     /// expansion.
-    fn for_statement(&mut self) -> Result<Stmt, LangError> {
+    fn for_statement(&mut self) -> PResult<Stmt> {
         let for_span = self.span();
         self.bump(); // `for`
         self.expect(TokenKind::LParen, "`(`")?;
@@ -362,7 +433,7 @@ impl Parser<'_> {
         let while_stmt = Stmt::new(StmtKind::While { cond, body }, whole);
         Ok(Stmt::new(
             StmtKind::If {
-                cond: Expr::new(ExprKind::Bool(true), for_span),
+                cond: self.node(ExprKind::Bool(true), for_span),
                 then_body: vec![init, while_stmt],
                 else_body: Vec::new(),
             },
@@ -370,24 +441,26 @@ impl Parser<'_> {
         ))
     }
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> PResult<ExprId> {
         self.enter()?;
         let e = self.or_expr()?;
         self.depth -= 1;
         Ok(e)
     }
 
+    /// Adds an expression at `span`; its operands are the parser's own.
+    fn node(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        self.b.push_expr(kind, span)
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.b.get(e).span
+    }
+
     /// Joins two operand spans into the covering binary-expression node.
-    fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        let span = lhs.span.join(rhs.span);
-        Expr::new(
-            ExprKind::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            },
-            span,
-        )
+    fn binary(&mut self, op: BinOp, lhs: ExprId, rhs: ExprId) -> ExprId {
+        let span = self.span_of(lhs).join(self.span_of(rhs));
+        self.node(ExprKind::Binary { op, lhs, rhs }, span)
     }
 
     /// A chain `operand (op operand)*` at one precedence level, left
@@ -400,15 +473,15 @@ impl Parser<'_> {
         &mut self,
         repeat: bool,
         op_at: impl Fn(&TokenKind) -> Option<BinOp>,
-        mut operand: impl FnMut(&mut Self) -> Result<Expr, LangError>,
-    ) -> Result<Expr, LangError> {
+        mut operand: impl FnMut(&mut Self) -> PResult<ExprId>,
+    ) -> PResult<ExprId> {
         let depth = self.depth;
-        let mut pending: Option<(Expr, BinOp)> = None;
+        let mut pending: Option<(ExprId, BinOp)> = None;
         loop {
             let rhs = operand(self)?;
             let joined = pending.is_some();
             let lhs = match pending.take() {
-                Some((lhs, op)) => Self::binary(op, lhs, rhs),
+                Some((lhs, op)) => self.binary(op, lhs, rhs),
                 None => rhs,
             };
             match op_at(self.peek()) {
@@ -425,7 +498,7 @@ impl Parser<'_> {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
+    fn or_expr(&mut self) -> PResult<ExprId> {
         self.chain(
             true,
             |t| (*t == TokenKind::Or).then_some(BinOp::Or),
@@ -434,7 +507,7 @@ impl Parser<'_> {
     }
 
     #[inline(always)]
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
+    fn and_expr(&mut self) -> PResult<ExprId> {
         self.chain(
             true,
             |t| (*t == TokenKind::And).then_some(BinOp::And),
@@ -443,7 +516,7 @@ impl Parser<'_> {
     }
 
     #[inline(always)]
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
+    fn cmp_expr(&mut self) -> PResult<ExprId> {
         let op_at = |t: &TokenKind| match t {
             TokenKind::Eq => Some(BinOp::Eq),
             TokenKind::Ne => Some(BinOp::Ne),
@@ -457,7 +530,7 @@ impl Parser<'_> {
     }
 
     #[inline(always)]
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
+    fn add_expr(&mut self) -> PResult<ExprId> {
         let op_at = |t: &TokenKind| match t {
             TokenKind::Plus => Some(BinOp::Add),
             TokenKind::Minus => Some(BinOp::Sub),
@@ -467,7 +540,7 @@ impl Parser<'_> {
     }
 
     #[inline(always)]
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    fn mul_expr(&mut self) -> PResult<ExprId> {
         let op_at = |t: &TokenKind| match t {
             TokenKind::Star => Some(BinOp::Mul),
             TokenKind::Slash => Some(BinOp::Div),
@@ -477,7 +550,7 @@ impl Parser<'_> {
         self.chain(true, op_at, Self::unary_expr)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
+    fn unary_expr(&mut self) -> PResult<ExprId> {
         let op_span = self.span();
         let op = match self.peek() {
             TokenKind::Minus => UnOp::Neg,
@@ -488,18 +561,12 @@ impl Parser<'_> {
         self.enter()?;
         let inner = self.unary_expr()?;
         self.depth -= 1;
-        let span = op_span.join(inner.span);
-        Ok(Expr::new(
-            ExprKind::Unary {
-                op,
-                expr: Box::new(inner),
-            },
-            span,
-        ))
+        let span = op_span.join(self.span_of(inner));
+        Ok(self.node(ExprKind::Unary { op, expr: inner }, span))
     }
 
     #[inline(always)]
-    fn postfix_expr(&mut self) -> Result<Expr, LangError> {
+    fn postfix_expr(&mut self) -> PResult<ExprId> {
         let depth = self.depth;
         let mut expr = self.primary_expr()?;
         while *self.peek() == TokenKind::LBracket {
@@ -507,80 +574,75 @@ impl Parser<'_> {
             self.enter()?;
             let index = self.expr()?;
             self.expect(TokenKind::RBracket, "`]`")?;
-            let span = Span::new(expr.span.start, self.prev_end());
-            expr = Expr::new(ExprKind::Index(Box::new(expr), Box::new(index)), span);
+            let span = Span::new(self.span_of(expr).start, self.prev_end());
+            expr = self.node(ExprKind::Index(expr, index), span);
         }
         self.depth = depth;
         Ok(expr)
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, LangError> {
+    fn primary_expr(&mut self) -> PResult<ExprId> {
         let start = self.span();
-        match *self.peek() {
-            TokenKind::Num(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Num(n), start))
-            }
+        let kind = match *self.peek() {
+            TokenKind::Num(n) => ExprKind::Num(n),
             TokenKind::Str => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Str(self.string(start)), start))
+                let raw = self.raw_string(start);
+                ExprKind::Str(if raw.contains('\\') {
+                    self.b.str(&string_value(raw))
+                } else {
+                    self.b.str(raw)
+                })
             }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Bool(true), start))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Bool(false), start))
-            }
+            TokenKind::True => ExprKind::Bool(true),
+            TokenKind::False => ExprKind::Bool(false),
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 // The node keeps its own span; the parens only group.
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::LBracket => {
                 self.bump();
-                let mut items = Vec::new();
-                if *self.peek() != TokenKind::RBracket {
-                    loop {
-                        items.push(self.expr()?);
-                        if *self.peek() == TokenKind::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.expect(TokenKind::RBracket, "`]`")?;
+                let items = self.list(TokenKind::RBracket, "`]`")?;
                 let span = Span::new(start.start, self.prev_end());
-                Ok(Expr::new(ExprKind::Array(items), span))
+                return Ok(self.node(ExprKind::Array(items), span));
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if *self.peek() == TokenKind::LParen {
+                if *self.peek() != TokenKind::LParen {
+                    return Ok(self.node(ExprKind::Var(name), start));
+                }
+                self.bump();
+                let args = self.list(TokenKind::RParen, "`)`")?;
+                let span = Span::new(start.start, self.prev_end());
+                return Ok(self.node(ExprKind::Call { name, args }, span));
+            }
+            _ => return Err(self.err(format!("expected expression, found {}", self.found()))),
+        };
+        self.bump();
+        Ok(self.node(kind, start))
+    }
+
+    /// Comma-separated expressions up to and including the `close` token,
+    /// stored as one list.
+    fn list(&mut self, close: TokenKind, what: &str) -> PResult<crate::ast::ExprList> {
+        let base = self.listed.len();
+        if *self.peek() != close {
+            loop {
+                let e = self.expr()?;
+                self.listed.push(e);
+                if *self.peek() == TokenKind::Comma {
                     self.bump();
-                    let mut args = Vec::new();
-                    if *self.peek() != TokenKind::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == TokenKind::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen, "`)`")?;
-                    let span = Span::new(start.start, self.prev_end());
-                    Ok(Expr::new(ExprKind::Call { name, args }, span))
                 } else {
-                    Ok(Expr::new(ExprKind::Var(name), start))
+                    break;
                 }
             }
-            _ => Err(self.err(format!("expected expression, found {}", self.found()))),
         }
+        self.expect(close, what)?;
+        let list = self.b.list(&self.listed[base..]);
+        self.listed.truncate(base);
+        Ok(list)
     }
 }
 
@@ -591,8 +653,8 @@ mod tests {
     #[test]
     fn parses_minimal_main() {
         let p = parse("fn main() { return 1; }").unwrap();
-        assert_eq!(p.functions.len(), 1);
-        assert_eq!(p.name(p.functions[0].name), "main");
+        assert_eq!(p.functions().len(), 1);
+        assert_eq!(p.name(p.functions()[0].name), "main");
     }
 
     #[test]
@@ -606,14 +668,17 @@ mod tests {
     #[test]
     fn parses_precedence() {
         let p = parse("fn main() { let x = 1 + 2 * 3; return x; }").unwrap();
-        match &p.functions[0].body[0].kind {
-            StmtKind::Let { init, .. } => match &init.kind {
+        match &p.functions()[0].body[0].kind {
+            StmtKind::Let { init, .. } => match p.expr(*init).kind {
                 ExprKind::Binary {
                     op: BinOp::Add,
                     rhs,
                     ..
                 } => {
-                    assert!(matches!(rhs.kind, ExprKind::Binary { op: BinOp::Mul, .. }));
+                    assert!(matches!(
+                        p.expr(rhs).kind,
+                        ExprKind::Binary { op: BinOp::Mul, .. }
+                    ));
                 }
                 other => panic!("expected add at top: {other:?}"),
             },
@@ -625,7 +690,7 @@ mod tests {
     fn parses_if_else_chain() {
         let src = "fn main() { if (1 < 2) { return 1; } else if (2 < 3) { return 2; } else { return 3; } }";
         let p = parse(src).unwrap();
-        match &p.functions[0].body[0].kind {
+        match &p.functions()[0].body[0].kind {
             StmtKind::If { else_body, .. } => {
                 assert!(matches!(else_body[0].kind, StmtKind::If { .. }));
             }
@@ -638,7 +703,7 @@ mod tests {
         let src = "fn main() { let a = [1, 2]; a[0] = 5; return a[0]; }";
         let p = parse(src).unwrap();
         assert!(matches!(
-            p.functions[0].body[1].kind,
+            p.functions()[0].body[1].kind,
             StmtKind::AssignIndex { .. }
         ));
     }
@@ -647,10 +712,10 @@ mod tests {
     fn parses_calls_with_string_args() {
         let src = r#"fn main() { au_extract("PX", 1); return 0; }"#;
         let p = parse(src).unwrap();
-        match &p.functions[0].body[0].kind {
-            StmtKind::Expr(e) => match &e.kind {
+        match &p.functions()[0].body[0].kind {
+            StmtKind::Expr(e) => match p.expr(*e).kind {
                 ExprKind::Call { name, args } => {
-                    assert_eq!(p.name(*name), "au_extract");
+                    assert_eq!(p.name(name), "au_extract");
                     assert_eq!(args.len(), 2);
                 }
                 other => panic!("expected call: {other:?}"),
@@ -663,7 +728,7 @@ mod tests {
     fn index_read_statement_is_not_assignment() {
         let src = "fn main() { let a = [1]; a[0]; return 0; }";
         let p = parse(src).unwrap();
-        assert!(matches!(p.functions[0].body[1].kind, StmtKind::Expr(_)));
+        assert!(matches!(p.functions()[0].body[1].kind, StmtKind::Expr(_)));
     }
 
     #[test]
@@ -695,6 +760,31 @@ mod tests {
     }
 
     #[test]
+    fn a_lex_error_anywhere_wins_over_a_parse_error() {
+        // The parser reads tokens as it goes, but reports what lexing the
+        // whole source first would.
+        assert!(matches!(
+            parse("fn main() { let = 1; }\n@"),
+            Err(LangError::Lex { line: 2, .. })
+        ));
+        assert!(matches!(
+            parse("fn main() { return 0; } @"),
+            Err(LangError::Lex { line: 1, .. })
+        ));
+        assert!(matches!(parse("@"), Err(LangError::Lex { .. })));
+    }
+
+    #[test]
+    fn an_index_read_statement_leaves_no_nodes_behind() {
+        // `a[0];` is first read as the start of `a[0] = …;`; the parser
+        // drops what that look-ahead built.
+        let p = parse("fn main() { let a = [1]; a[0]; return 0; }").unwrap();
+        let mut reachable = 0;
+        crate::ast::for_each_expr(&p, &p.functions()[0].body, &mut |_| reachable += 1);
+        assert_eq!(p.expr_count(), reachable);
+    }
+
+    #[test]
     fn reports_parse_error_line() {
         let err = parse("fn main() {\n let = 3; }").unwrap_err();
         match err {
@@ -709,7 +799,7 @@ mod tests {
             "fn main() { let s = 0; for (let i = 0; i < 5; i = i + 1) { s = s + i; } return s; }";
         let p = parse(src).unwrap();
         // Desugared: the for becomes an if-true wrapper.
-        assert!(matches!(p.functions[0].body[1].kind, StmtKind::If { .. }));
+        assert!(matches!(p.functions()[0].body[1].kind, StmtKind::If { .. }));
     }
 
     #[test]
@@ -734,23 +824,24 @@ mod tests {
     fn statement_spans_slice_source_text() {
         let src = "fn main() { let x = 1 + 2; return x; }";
         let p = parse(src).unwrap();
-        let body = &p.functions[0].body;
+        let body = &p.functions()[0].body;
         assert_eq!(body[0].span.slice(src), "let x = 1 + 2;");
         assert_eq!(body[1].span.slice(src), "return x;");
-        assert_eq!(p.functions[0].span.slice(src), src);
+        assert_eq!(p.functions()[0].span.slice(src), src);
     }
 
     #[test]
     fn expression_spans_cover_their_tokens() {
         let src = "fn main() { let y = foo(1, bar) + [2, 3][0]; return y; }";
         let p = parse(src).unwrap();
-        match &p.functions[0].body[0].kind {
+        match &p.functions()[0].body[0].kind {
             StmtKind::Let { init, .. } => {
+                let init = p.expr(*init);
                 assert_eq!(init.span.slice(src), "foo(1, bar) + [2, 3][0]");
-                match &init.kind {
+                match init.kind {
                     ExprKind::Binary { lhs, rhs, .. } => {
-                        assert_eq!(lhs.span.slice(src), "foo(1, bar)");
-                        assert_eq!(rhs.span.slice(src), "[2, 3][0]");
+                        assert_eq!(p.expr(lhs).span.slice(src), "foo(1, bar)");
+                        assert_eq!(p.expr(rhs).span.slice(src), "[2, 3][0]");
                     }
                     other => panic!("expected binary: {other:?}"),
                 }
@@ -763,9 +854,9 @@ mod tests {
     fn call_spans_point_at_the_call() {
         let src = "fn main() {\n    au_nn(\"M\", \"F\", \"Y\");\n    return 0;\n}";
         let p = parse(src).unwrap();
-        match &p.functions[0].body[0].kind {
+        match &p.functions()[0].body[0].kind {
             StmtKind::Expr(e) => {
-                assert_eq!(e.span.slice(src), "au_nn(\"M\", \"F\", \"Y\")");
+                assert_eq!(p.expr(*e).span.slice(src), "au_nn(\"M\", \"F\", \"Y\")");
             }
             other => panic!("expected expr stmt: {other:?}"),
         }
@@ -775,11 +866,11 @@ mod tests {
     fn desugared_for_keeps_surface_spans() {
         let src = "fn main() { for (let i = 0; i < 3; i = i + 1) { } return 0; }";
         let p = parse(src).unwrap();
-        match &p.functions[0].body[0].kind {
+        match &p.functions()[0].body[0].kind {
             StmtKind::If {
                 cond, then_body, ..
             } => {
-                assert_eq!(cond.span.slice(src), "for");
+                assert_eq!(p.expr(*cond).span.slice(src), "for");
                 assert_eq!(then_body[0].span.slice(src), "let i = 0");
                 assert!(matches!(then_body[1].kind, StmtKind::While { .. }));
             }

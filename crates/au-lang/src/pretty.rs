@@ -6,13 +6,13 @@
 //! associativity need, so `aulang fmt` output stays within the parser's
 //! nesting limit whenever its input did.
 
-use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, StmtKind, UnOp};
+use crate::ast::{BinOp, ExprId, ExprKind, Function, Program, Stmt, StmtKind, UnOp};
 use std::fmt::Write;
 
 /// Renders a whole program as canonical AuLang source.
 pub fn print_program(program: &Program) -> String {
     let mut out = String::new();
-    for (i, func) in program.functions.iter().enumerate() {
+    for (i, func) in program.functions().iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
@@ -56,7 +56,7 @@ fn print_block(p: &Program, stmts: &[Stmt], level: usize, out: &mut String) {
 /// Printing that shape back as `for (init; cond; post)` re-parses to the
 /// same AST and keeps the condition and the post-step as shallow as in
 /// the `for` it came from.
-fn as_for(stmt: &Stmt) -> Option<(&Stmt, &Expr, &[Stmt], &Stmt)> {
+fn as_for<'s>(p: &Program, stmt: &'s Stmt) -> Option<(&'s Stmt, ExprId, &'s [Stmt], &'s Stmt)> {
     let StmtKind::If {
         cond,
         then_body,
@@ -65,9 +65,11 @@ fn as_for(stmt: &Stmt) -> Option<(&Stmt, &Expr, &[Stmt], &Stmt)> {
     else {
         return None;
     };
-    let ([init, looped], ExprKind::Bool(true), true) =
-        (then_body.as_slice(), &cond.kind, else_body.is_empty())
-    else {
+    let ([init, looped], ExprKind::Bool(true), true) = (
+        then_body.as_slice(),
+        p.expr(*cond).kind,
+        else_body.is_empty(),
+    ) else {
         return None;
     };
     let StmtKind::While { cond, body } = &looped.kind else {
@@ -76,17 +78,17 @@ fn as_for(stmt: &Stmt) -> Option<(&Stmt, &Expr, &[Stmt], &Stmt)> {
     let (post, body) = body.split_last()?;
     let simple = |s: &Stmt| matches!(s.kind, StmtKind::Let { .. } | StmtKind::Assign { .. });
     (simple(init) && matches!(post.kind, StmtKind::Assign { .. }))
-        .then_some((init, cond, body, post))
+        .then_some((init, *cond, body, post))
 }
 
 /// A `let` or `=` without its `;`, as a `for` header writes it.
 fn print_simple(p: &Program, stmt: &Stmt) -> String {
     match &stmt.kind {
         StmtKind::Let { name, init } => {
-            format!("let {} = {}", p.name(*name), print_expr(p, init))
+            format!("let {} = {}", p.name(*name), print_expr(p, *init))
         }
         StmtKind::Assign { name, value } => {
-            format!("{} = {}", p.name(*name), print_expr(p, value))
+            format!("{} = {}", p.name(*name), print_expr(p, *value))
         }
         _ => unreachable!("as_for admits only `let` and `=`"),
     }
@@ -94,7 +96,7 @@ fn print_simple(p: &Program, stmt: &Stmt) -> String {
 
 fn print_stmt(p: &Program, stmt: &Stmt, level: usize, out: &mut String) {
     indent(level, out);
-    if let Some((init, cond, body, post)) = as_for(stmt) {
+    if let Some((init, cond, body, post)) = as_for(p, stmt) {
         let _ = write!(
             out,
             "for ({}; {}; {}) ",
@@ -115,8 +117,8 @@ fn print_stmt(p: &Program, stmt: &Stmt, level: usize, out: &mut String) {
                 out,
                 "{}[{}] = {};",
                 p.name(*name),
-                print_expr(p, index),
-                print_expr(p, value)
+                print_expr(p, *index),
+                print_expr(p, *value)
             );
         }
         StmtKind::If {
@@ -124,13 +126,13 @@ fn print_stmt(p: &Program, stmt: &Stmt, level: usize, out: &mut String) {
             then_body,
             else_body,
         } => {
-            let _ = write!(out, "if ({}) ", print_expr(p, cond));
+            let _ = write!(out, "if ({}) ", print_expr(p, *cond));
             print_block(p, then_body, level, out);
             if !else_body.is_empty() {
                 out.push_str(" else ");
                 // `else if` chains are parsed as a single-statement else
                 // block; print them back flat.
-                if else_body.len() == 1 && as_for(&else_body[0]).is_none() {
+                if else_body.len() == 1 && as_for(p, &else_body[0]).is_none() {
                     if let StmtKind::If { .. } = &else_body[0].kind {
                         let mut nested = String::new();
                         print_stmt(p, &else_body[0], 0, &mut nested);
@@ -143,18 +145,18 @@ fn print_stmt(p: &Program, stmt: &Stmt, level: usize, out: &mut String) {
             out.push('\n');
         }
         StmtKind::While { cond, body } => {
-            let _ = write!(out, "while ({}) ", print_expr(p, cond));
+            let _ = write!(out, "while ({}) ", print_expr(p, *cond));
             print_block(p, body, level, out);
             out.push('\n');
         }
         StmtKind::Return(Some(e)) => {
-            let _ = writeln!(out, "return {};", print_expr(p, e));
+            let _ = writeln!(out, "return {};", print_expr(p, *e));
         }
         StmtKind::Return(None) => out.push_str("return;\n"),
         StmtKind::Break => out.push_str("break;\n"),
         StmtKind::Continue => out.push_str("continue;\n"),
         StmtKind::Expr(e) => {
-            let _ = writeln!(out, "{};", print_expr(p, e));
+            let _ = writeln!(out, "{};", print_expr(p, *e));
         }
     }
 }
@@ -180,8 +182,8 @@ fn bin_op_str(op: BinOp) -> &'static str {
 /// How tightly an expression's outermost operator binds, following the
 /// parser's grammar: `||` < `&&` < comparisons < `+ -` < `* / %` < unary
 /// operators < postfix indexing and atoms.
-fn precedence(expr: &Expr) -> u8 {
-    match &expr.kind {
+fn precedence(kind: ExprKind) -> u8 {
+    match kind {
         ExprKind::Binary { op, .. } => match op {
             BinOp::Or => 1,
             BinOp::And => 2,
@@ -200,16 +202,17 @@ fn precedence(expr: &Expr) -> u8 {
 /// `-(a + b)`, `(-a)[0]`). Parentheses count toward the parser's nesting
 /// limit, so this keeps an expression as shallow as any source it could
 /// have been parsed from. `program` spells its names.
-pub fn print_expr(program: &Program, expr: &Expr) -> String {
+pub fn print_expr(program: &Program, expr: ExprId) -> String {
     print_operand(program, expr, 0)
 }
 
 /// Renders `expr` in a position that needs at least precedence `min`.
-fn print_operand(p: &Program, expr: &Expr, min: u8) -> String {
-    let text = match &expr.kind {
+fn print_operand(p: &Program, expr: ExprId, min: u8) -> String {
+    let kind = p.expr(expr).kind;
+    let text = match kind {
         ExprKind::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
+                format!("{}", n as i64)
             } else {
                 format!("{n}")
             }
@@ -218,6 +221,7 @@ fn print_operand(p: &Program, expr: &Expr, min: u8) -> String {
         ExprKind::Str(s) => {
             // Only the escapes the lexer understands: \n, \t, \", \\.
             // Other characters pass through verbatim.
+            let s = p.str(s);
             let mut out = String::with_capacity(s.len() + 2);
             out.push('"');
             for c in s.chars() {
@@ -232,27 +236,27 @@ fn print_operand(p: &Program, expr: &Expr, min: u8) -> String {
             out.push('"');
             out
         }
-        ExprKind::Var(name) => p.name(*name).to_owned(),
+        ExprKind::Var(name) => p.name(name).to_owned(),
         ExprKind::Array(items) => {
-            let inner: Vec<String> = items.iter().map(|i| print_expr(p, i)).collect();
+            let inner: Vec<String> = p.list(items).iter().map(|&i| print_expr(p, i)).collect();
             format!("[{}]", inner.join(", "))
         }
         ExprKind::Index(target, index) => {
             format!("{}[{}]", print_operand(p, target, 7), print_expr(p, index))
         }
         ExprKind::Call { name, args } => {
-            let inner: Vec<String> = args.iter().map(|a| print_expr(p, a)).collect();
-            format!("{}({})", p.name(*name), inner.join(", "))
+            let inner: Vec<String> = p.list(args).iter().map(|&a| print_expr(p, a)).collect();
+            format!("{}({})", p.name(name), inner.join(", "))
         }
         ExprKind::Binary { op, lhs, rhs } => {
             // Left-associative chains keep their left operand bare; a
             // comparison takes no comparison operand on either side.
-            let own = precedence(expr);
+            let own = precedence(kind);
             let lhs_min = if own == 3 { own + 1 } else { own };
             format!(
                 "{} {} {}",
                 print_operand(p, lhs, lhs_min),
-                bin_op_str(*op),
+                bin_op_str(op),
                 print_operand(p, rhs, own + 1)
             )
         }
@@ -264,7 +268,7 @@ fn print_operand(p: &Program, expr: &Expr, min: u8) -> String {
             format!("{sign}{}", print_operand(p, inner, 6))
         }
     };
-    if precedence(expr) < min {
+    if precedence(kind) < min {
         format!("({text})")
     } else {
         text

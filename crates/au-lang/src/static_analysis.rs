@@ -14,12 +14,13 @@
 //! sites it cannot prove unrelated to every target, and the pre-pruned
 //! Algorithms 1/2 skip candidates it proves disjoint from a target. Both
 //! start from one `StaticFacts` value, built by a single walk over the
-//! program that keeps every may-read set as a bitset of symbol ids:
-//! Selective compiles read it directly, and [`analyze`] turns it into the
+//! program that keeps every may-read set as a bitset of symbol ids. A
+//! program builds it once, on first use: Selective compiles read it
+//! directly, and [`analyze`] copies its edge and use rows into the
 //! `AnalysisDb` that `au_trace::StaticFilter` is built from.
 
-use crate::ast::{Expr, ExprKind, Program, Stmt, StmtKind, Sym};
-use au_trace::{AnalysisDb, BitMatrix};
+use crate::ast::{ExprId, ExprKind, Program, Stmt, StmtKind, Sym};
+use au_trace::{intersects, members, AnalysisDb, BitMatrix, Symbols};
 use std::ops::Range;
 
 /// Builds a static over-approximated dependence graph for `program`.
@@ -32,28 +33,7 @@ use std::ops::Range;
 /// interpreter and the VM, a name starting with `au_` always calls the
 /// builtin, never a user function of that name.
 pub fn analyze(program: &Program) -> AnalysisDb {
-    let facts = StaticFacts::new(program);
-    let mut db = AnalysisDb::with_capacity(facts.vars.len());
-    for &s in &facts.vars {
-        db.var(facts.names.name(s));
-    }
-    for v in 0..facts.vars.len() {
-        for dst in members(facts.dep.row(v)) {
-            db.record_edge(facts.var_name(v as u32), facts.var_name(dst));
-        }
-    }
-    for v in 0..facts.vars.len() {
-        for f in members(facts.used_in(v as u32)) {
-            db.record_use(facts.var_name(v as u32), facts.names.name(f));
-        }
-    }
-    for &v in &facts.inputs {
-        db.mark_input(facts.var_name(v));
-    }
-    for &v in &facts.targets {
-        db.mark_target(facts.var_name(v));
-    }
-    db
+    program.facts().to_db(program)
 }
 
 /// Marks a symbol id that the static graph never interned.
@@ -61,81 +41,82 @@ const NONE: u32 = u32::MAX;
 
 /// The symbol ids of one walk, read through the parser's symbols.
 ///
-/// Ids below `program.functions.len()` are reserved: id `f` stands for
-/// "what function `f`'s return value may depend on" (its return summary),
-/// so a call adds one bit to a may-read set and the summary is resolved
-/// once, after the walk. Id `funcs + s` is the program's symbol `s`, and
+/// Ids below `fns.len()` are reserved, one per function name in order of
+/// its first definition (the one a call runs): id `f` stands for "what
+/// that function's return value may depend on" (its return summary), so a
+/// call adds one bit to a may-read set and the summary is resolved once,
+/// after the walk. Id `fns.len() + s` is the program's symbol `s`, and
 /// the ids after those are the literal `input`, `mark_input` and
 /// `mark_target` names that no identifier of the program spells.
-struct Names<'p> {
-    program: &'p Program,
-    /// Number of reserved summary ids (`program.functions.len()`).
-    funcs: u32,
+#[derive(Debug, Clone)]
+struct Names {
+    /// Per reserved id, the function's name.
+    fns: Vec<Sym>,
+    /// The number of the program's symbols.
+    syms: u32,
     /// The literal names past the program's symbols, in walk order.
-    literals: Vec<&'p str>,
+    literals: Symbols,
 }
 
-impl<'p> Names<'p> {
-    fn new(program: &'p Program) -> Self {
-        Names {
-            program,
-            funcs: program.functions.len() as u32,
-            literals: Vec::new(),
-        }
+impl Names {
+    /// The number of reserved summary ids.
+    fn funcs(&self) -> u32 {
+        self.fns.len() as u32
     }
 
     fn of(&self, sym: Sym) -> u32 {
-        self.funcs + sym.index() as u32
+        self.funcs() + sym.index() as u32
     }
 
     /// One past the largest id.
     fn count(&self) -> usize {
-        self.funcs as usize + self.program.symbols().len() + self.literals.len()
+        self.fns.len() + self.syms as usize + self.literals.len()
     }
 
     /// The name of id `id`: a function's for a summary id.
-    fn name(&self, id: u32) -> &'p str {
-        let program = self.program;
-        match id.checked_sub(self.funcs) {
-            None => program.name(program.functions[id as usize].name),
-            Some(s) => match (s as usize).checked_sub(program.symbols().len()) {
+    fn name<'a>(&'a self, program: &'a Program, id: u32) -> &'a str {
+        match id.checked_sub(self.funcs()) {
+            None => program.name(self.fns[id as usize]),
+            Some(s) => match s.checked_sub(self.syms) {
                 None => program.name(Sym::from_index(s as usize)),
-                Some(l) => self.literals[l],
+                Some(l) => self.literals.name(Sym::from_index(l as usize)),
             },
         }
     }
 
-    /// The id of a literal name; a program has few that no identifier
-    /// spells, so a scan finds those.
-    fn literal(&mut self, name: &'p str) -> u32 {
-        self.find(name).unwrap_or_else(|| {
-            self.literals.push(name);
-            (self.count() - 1) as u32
-        })
+    /// The id of a literal name, added if no identifier spells it.
+    fn literal(&mut self, program: &Program, name: &str) -> u32 {
+        match program.sym(name) {
+            Some(sym) => self.of(sym),
+            None => self.funcs() + self.syms + self.literals.intern(name).index() as u32,
+        }
     }
 
     /// The id of a name the walk may have met, if it has one.
-    fn find(&self, name: &str) -> Option<u32> {
-        match self.program.sym(name) {
+    fn find(&self, program: &Program, name: &str) -> Option<u32> {
+        match program.sym(name) {
             Some(sym) => Some(self.of(sym)),
             None => self
                 .literals
-                .iter()
-                .position(|&l| l == name)
-                .map(|l| (self.funcs as usize + self.program.symbols().len() + l) as u32),
+                .get(name)
+                .map(|l| self.funcs() + self.syms + l.index() as u32),
         }
     }
 }
 
-/// Everything one walk over a program proves statically.
+/// Everything one walk over a program proves statically. A [`Program`]
+/// builds its facts once, on first use, and both a Selective compile and
+/// [`analyze`] read them.
 ///
 /// Every may-read set is a bitset of [`Names`] ids. The graph's variables
 /// are the ids the dependence records name, in the order [`analyze`]
-/// interns them: these are its `VarId`s.
-pub(crate) struct StaticFacts<'p> {
-    names: Names<'p>,
-    /// Per function (first definition of its name), the variables its
-    /// returned value may depend on, through nested calls.
+/// interns them: these are its `VarId`s, and the rows of `dep` and `uses`
+/// are the database's rows.
+#[derive(Debug, Clone)]
+pub(crate) struct StaticFacts {
+    names: Names,
+    /// Per function name, the variables its returned value may depend
+    /// on, through nested calls.
     summaries: Vec<Bits>,
     /// `VarId` → symbol.
     vars: Vec<u32>,
@@ -143,9 +124,8 @@ pub(crate) struct StaticFacts<'p> {
     var_of: Vec<u32>,
     /// Direct dependence edges between `VarId`s: row `src` holds `dst`.
     dep: BitMatrix,
-    /// Per `VarId`, a row of [`Self::words`] words: the functions it is
-    /// used in.
-    uses: Vec<u64>,
+    /// Per `VarId`, the functions it is used in, by reserved id.
+    uses: BitMatrix,
     inputs: Vec<u32>,
     targets: Vec<u32>,
     /// Every trace site in walk order, and where each function's start.
@@ -159,14 +139,14 @@ pub(crate) struct StaticFacts<'p> {
 }
 
 /// A may-read set stored in [`StaticFacts::arena`].
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct SetRef {
     start: u32,
     len: u32,
 }
 
 /// A trace site: an assignment (with its destination) or a condition.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct SiteSet {
     dst: Option<u32>,
     reads: SetRef,
@@ -200,73 +180,93 @@ pub(crate) struct Site {
 
 /// What a Selective compile reads from the static facts.
 pub(crate) struct TracePlan<'p> {
-    names: Names<'p>,
+    program: &'p Program,
+    facts: &'p StaticFacts,
     relevant: Bits,
     /// The answer for a name the static graph never interned.
     unknown_relevant: bool,
-    sites: Vec<Site>,
-    fn_sites: Vec<u32>,
 }
 
-impl<'p> TracePlan<'p> {
+impl TracePlan<'_> {
     /// A name is relevant unless the static graph proves it unrelated to
     /// *every* prediction target; a name the graph does not know is
     /// relevant whenever there is a target.
     pub(crate) fn is_relevant(&self, name: &str) -> bool {
-        match self.names.find(name) {
+        match self.facts.names.find(self.program, name) {
             Some(s) => self.relevant.contains(s),
             None => self.unknown_relevant,
         }
     }
 
-    /// The indices of `program.functions[func]`'s trace sites: its
+    /// The indices of `program.functions()[func]`'s trace sites: its
     /// assignments and conditions in source order, which is the order the
     /// compiler meets them.
     pub(crate) fn function_sites(&self, func: usize) -> Range<usize> {
-        let start = self.fn_sites[func] as usize;
-        let end = self
-            .fn_sites
+        let fn_sites = &self.facts.fn_sites;
+        let start = fn_sites[func] as usize;
+        let end = fn_sites
             .get(func + 1)
-            .map_or(self.sites.len(), |&e| e as usize);
+            .map_or(self.facts.sites.len(), |&e| e as usize);
         start..end
     }
 
     pub(crate) fn site(&self, i: usize) -> Site {
-        self.sites[i]
+        let site = self.facts.sites[i];
+        Site {
+            writes_relevant: site.dst.is_some_and(|d| self.relevant.contains(d)),
+            reads_relevant: intersects(self.facts.set(site.reads), &self.relevant.0),
+        }
     }
 }
 
-impl<'p> StaticFacts<'p> {
+impl StaticFacts {
     /// Walks `program` once and resolves what the walk recorded.
-    pub(crate) fn new(program: &'p Program) -> Self {
-        let funcs = program.functions.len() as u32;
+    pub(crate) fn new(program: &Program) -> Self {
+        let syms = program.symbols().len();
+        // Per symbol, the reserved id of the first function of that name.
+        let mut first_def = vec![None; syms];
+        let n = program.functions().len();
+        let (mut fns, mut defs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, f) in program.functions().iter().enumerate() {
+            if first_def[f.name.index()].is_none() {
+                first_def[f.name.index()] = Some(fns.len() as u32);
+                fns.push(f.name);
+                defs.push(i as u32);
+            }
+        }
+        let funcs = fns.len();
         // About one site per statement, sized from the source text.
         let sites = program.source_len() / 16;
         let mut w = Walk {
             program,
-            names: Names::new(program),
-            first_def: program.first_defs(),
-            returns: vec![Bits::default(); funcs as usize],
+            names: Names {
+                fns,
+                syms: syms as u32,
+                literals: Symbols::default(),
+            },
+            first_def,
+            defs,
+            returns: vec![Bits::default(); funcs],
             events: Vec::with_capacity(sites),
             sites: Vec::with_capacity(sites),
-            fn_sites: Vec::with_capacity(funcs as usize),
+            fn_sites: Vec::with_capacity(program.functions().len()),
             arena: Vec::with_capacity(sites),
-            arg_sets: Vec::new(),
-            pool: Vec::new(),
+            arg_sets: Vec::with_capacity(8),
+            pool: Vec::with_capacity(8),
             computed_names: false,
         };
-        for func in &program.functions {
+        for func in program.functions() {
             w.fn_sites.push(w.sites.len() as u32);
             let f = w.first_def[func.name.index()].expect("defined");
             w.block(&func.body, f);
         }
         let mut facts = StaticFacts {
-            summaries: summaries(&w.returns, funcs),
+            summaries: summaries(&w.returns, funcs as u32),
             names: w.names,
             vars: Vec::new(),
             var_of: Vec::new(),
             dep: BitMatrix::new(0),
-            uses: Vec::new(),
+            uses: BitMatrix::new(0),
             inputs: Vec::new(),
             targets: Vec::new(),
             sites: w.sites,
@@ -274,7 +274,7 @@ impl<'p> StaticFacts<'p> {
             arena: w.arena,
             computed_names: w.computed_names,
         };
-        facts.record(&w.events);
+        facts.record(program, &w.events);
         facts
     }
 
@@ -285,19 +285,30 @@ impl<'p> StaticFacts<'p> {
         self.computed_names
     }
 
-    fn var_name(&self, v: u32) -> &'p str {
-        self.names.name(self.vars[v as usize])
-    }
-
-    /// The words of one row of function bits.
-    fn words(&self) -> usize {
-        (self.names.funcs as usize).div_ceil(64)
-    }
-
-    /// The functions variable `v` is used in, as bits.
-    fn used_in(&self, v: u32) -> &[u64] {
-        let w = self.words();
-        &self.uses[v as usize * w..(v as usize + 1) * w]
+    /// The static dependence database: the variables and functions named
+    /// in walk order, and the edge and use rows copied as they are.
+    pub(crate) fn to_db(&self, program: &Program) -> AnalysisDb {
+        let bytes = |ids: &mut dyn Iterator<Item = u32>| {
+            ids.map(|id| self.names.name(program, id).len()).sum()
+        };
+        let mut vars =
+            Symbols::with_capacity(self.vars.len(), bytes(&mut self.vars.iter().copied()));
+        for &v in &self.vars {
+            vars.intern(self.names.name(program, v));
+        }
+        let funcs = self.names.funcs();
+        let mut fns = Symbols::with_capacity(funcs as usize, bytes(&mut (0..funcs)));
+        for f in 0..funcs {
+            fns.intern(self.names.name(program, f));
+        }
+        AnalysisDb::from_rows(
+            vars,
+            fns,
+            self.dep.clone(),
+            self.uses.clone(),
+            self.inputs.iter().map(|&v| v as usize),
+            self.targets.iter().map(|&v| v as usize),
+        )
     }
 
     fn set(&self, r: SetRef) -> &[u64] {
@@ -309,9 +320,9 @@ impl<'p> StaticFacts<'p> {
         out.clear();
         let words = self.set(reads);
         out.union_words(words);
-        for f in members(words).take_while(|&s| s < self.names.funcs) {
-            out.remove(f);
-            out.union_words(&self.summaries[f as usize].0);
+        for f in members(words).take_while(|&s| s < self.names.fns.len()) {
+            out.remove(f as u32);
+            out.union_words(&self.summaries[f].0);
         }
     }
 
@@ -329,11 +340,11 @@ impl<'p> StaticFacts<'p> {
     /// destination first, then its sources in name order, exactly as
     /// `AnalysisDb::record_assign` does with a sorted source list. Edges
     /// and uses land in bit rows, which keep them sorted and unique.
-    fn record(&mut self, events: &[Event]) {
+    fn record(&mut self, program: &Program, events: &[Event]) {
         self.var_of = vec![NONE; self.names.count()];
-        self.vars
-            .reserve(self.names.count() - self.names.funcs as usize);
-        let (mut reads, mut order) = (Bits::default(), Vec::new());
+        self.vars.reserve(self.names.count() - self.names.fns.len());
+        let words = self.names.count().div_ceil(64);
+        let (mut reads, mut order) = (Bits(Vec::with_capacity(words)), Vec::with_capacity(64));
         let mut edges = Vec::with_capacity(2 * events.len());
         let mut uses = Vec::with_capacity(3 * events.len());
         for event in events {
@@ -344,7 +355,7 @@ impl<'p> StaticFacts<'p> {
                     func,
                 } => {
                     let d = self.var(dst);
-                    self.sources(r, &mut reads, &mut order);
+                    self.sources(program, r, &mut reads, &mut order);
                     for &s in &order {
                         let v = self.var(s);
                         if v != d {
@@ -355,7 +366,7 @@ impl<'p> StaticFacts<'p> {
                     uses.push((d, func));
                 }
                 Event::Use { reads: r, func } => {
-                    self.sources(r, &mut reads, &mut order);
+                    self.sources(program, r, &mut reads, &mut order);
                     for &s in &order {
                         let v = self.var(s);
                         uses.push((v, func));
@@ -379,47 +390,47 @@ impl<'p> StaticFacts<'p> {
         for (src, dst) in edges {
             self.dep.insert(src as usize, dst as usize);
         }
-        let w = self.words();
-        self.uses = vec![0; self.vars.len() * w];
+        self.uses = BitMatrix::with_size(self.vars.len(), self.names.fns.len());
         for (v, f) in uses {
-            self.uses[v as usize * w + f as usize / 64] |= 1 << (f % 64);
+            self.uses.insert(v as usize, f as usize);
         }
     }
 
     /// The expanded members of `r`, in an order that interns them as a
     /// name-sorted list would: by name when two or more are not `VarId`s
     /// yet (the order of the others decides nothing).
-    fn sources(&self, r: SetRef, scratch: &mut Bits, order: &mut Vec<u32>) {
+    fn sources(&self, program: &Program, r: SetRef, scratch: &mut Bits, order: &mut Vec<u32>) {
         self.expand(r, scratch);
         order.clear();
-        order.extend(members(&scratch.0));
+        order.extend(members(&scratch.0).map(|s| s as u32));
         let new = order
             .iter()
             .filter(|&&s| self.var_of[s as usize] == NONE)
             .count();
         if new > 1 {
-            order.sort_unstable_by_key(|&s| self.names.name(s));
+            order.sort_unstable_by_key(|&s| self.names.name(program, s));
         }
     }
 
-    /// The relevance of every symbol and the instrumentation of every
-    /// site, for a Selective compile.
+    /// The relevance of every symbol, for a Selective compile, which
+    /// reads each site's instrumentation from it.
     ///
     /// `w` is relevant when some target `t` is related to it: `w == t`,
     /// one reaches the other, or they share a dependent. With `R` the
     /// targets plus everything they reach, that is `({w} ∪ dep(w)) ∩ R ≠
     /// ∅`, one row test per variable.
-    pub(crate) fn trace_plan(mut self) -> TracePlan<'p> {
-        let mut dep = std::mem::replace(&mut self.dep, BitMatrix::new(0));
+    pub(crate) fn trace_plan<'p>(&'p self, program: &'p Program) -> TracePlan<'p> {
+        let mut dep = self.dep.clone();
         dep.close();
-        let mut reach = Bits::default();
+        let words = self.names.count().div_ceil(64);
+        let mut reach = Bits(vec![0; words]);
         for &t in &self.targets {
             reach.insert(t);
             reach.union_words(dep.row(t as usize));
         }
         let unknown_relevant = !self.targets.is_empty();
-        let funcs = self.names.funcs;
-        let mut relevant = Bits::default();
+        let funcs = self.names.funcs();
+        let mut relevant = Bits(vec![0; words]);
         for (sym, &v) in self.var_of.iter().enumerate().skip(funcs as usize) {
             let yes = if v == NONE {
                 unknown_relevant
@@ -436,20 +447,11 @@ impl<'p> StaticFacts<'p> {
                 relevant.insert(f);
             }
         }
-        let sites = self
-            .sites
-            .iter()
-            .map(|site| Site {
-                writes_relevant: site.dst.is_some_and(|d| relevant.contains(d)),
-                reads_relevant: intersects(self.set(site.reads), &relevant.0),
-            })
-            .collect();
         TracePlan {
-            names: self.names,
+            program,
+            facts: self,
             relevant,
             unknown_relevant,
-            sites,
-            fn_sites: self.fn_sites,
         }
     }
 }
@@ -460,8 +462,8 @@ impl<'p> StaticFacts<'p> {
 fn summaries(returns: &[Bits], funcs: u32) -> Vec<Bits> {
     let mut calls = BitMatrix::new(funcs as usize);
     for (f, ret) in returns.iter().enumerate() {
-        for g in members(&ret.0).take_while(|&g| g < funcs) {
-            calls.insert(f, g as usize);
+        for g in members(&ret.0).take_while(|&g| g < funcs as usize) {
+            calls.insert(f, g);
         }
     }
     calls.close();
@@ -469,7 +471,7 @@ fn summaries(returns: &[Bits], funcs: u32) -> Vec<Bits> {
         .map(|f| {
             let mut summary = returns[f].clone();
             for g in members(calls.row(f)) {
-                summary.union_words(&returns[g as usize].0);
+                summary.union_words(&returns[g].0);
             }
             for g in 0..funcs {
                 summary.remove(g);
@@ -483,9 +485,12 @@ fn summaries(returns: &[Bits], funcs: u32) -> Vec<Bits> {
 /// dependence records and trace sites, and resolves nothing.
 struct Walk<'p> {
     program: &'p Program,
-    names: Names<'p>,
-    /// Per symbol, the first function of that name: the one a call runs.
+    names: Names,
+    /// Per symbol, the reserved id of the first function of that name:
+    /// the one a call runs.
     first_def: Vec<Option<u32>>,
+    /// Per reserved id, the index of that function in the program.
+    defs: Vec<u32>,
     /// Per function, what its `return` expressions read (summary ids
     /// included).
     returns: Vec<Bits>,
@@ -535,14 +540,14 @@ impl<'p> Walk<'p> {
             match &stmt.kind {
                 StmtKind::Let { name, init } | StmtKind::Assign { name, value: init } => {
                     let mut reads = self.take();
-                    self.expr(init, &mut reads);
+                    self.expr(*init, &mut reads);
                     let dst = self.names.of(*name);
                     self.site(Some(dst), &reads, func);
                     // `x = au_write_back("N")` marks x as a target, same
                     // as the dynamic tracer.
-                    if let ExprKind::Call { name, .. } = &init.kind {
+                    if let ExprKind::Call { name, .. } = self.program.expr(*init).kind {
                         if matches!(
-                            self.program.name(*name),
+                            self.program.name(name),
                             "au_write_back" | "au_write_back_n" | "au_nn_rl"
                         ) {
                             self.events.push(Event::Target(dst));
@@ -554,8 +559,8 @@ impl<'p> Walk<'p> {
                     // All elements alias statically: the whole array
                     // depends on the index and value plus itself.
                     let mut reads = self.take();
-                    self.expr(index, &mut reads);
-                    self.expr(value, &mut reads);
+                    self.expr(*index, &mut reads);
+                    self.expr(*value, &mut reads);
                     let dst = self.names.of(*name);
                     reads.insert(dst);
                     self.site(Some(dst), &reads, func);
@@ -566,23 +571,23 @@ impl<'p> Walk<'p> {
                     then_body,
                     else_body,
                 } => {
-                    self.condition(cond, func);
+                    self.condition(*cond, func);
                     // Both branches conservatively execute.
                     self.block(then_body, func);
                     self.block(else_body, func);
                 }
                 StmtKind::While { cond, body } => {
-                    self.condition(cond, func);
+                    self.condition(*cond, func);
                     self.block(body, func);
                 }
                 StmtKind::Return(Some(e)) => {
                     let mut reads = std::mem::take(&mut self.returns[func as usize]);
-                    self.expr(e, &mut reads);
+                    self.expr(*e, &mut reads);
                     self.returns[func as usize] = reads;
                 }
                 StmtKind::Expr(e) => {
                     let mut reads = self.take();
-                    self.expr(e, &mut reads);
+                    self.expr(*e, &mut reads);
                     self.give(reads);
                 }
                 StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
@@ -590,7 +595,7 @@ impl<'p> Walk<'p> {
         }
     }
 
-    fn condition(&mut self, cond: &'p Expr, func: u32) {
+    fn condition(&mut self, cond: ExprId, func: u32) {
         let mut reads = self.take();
         self.expr(cond, &mut reads);
         self.site(None, &reads, func);
@@ -600,30 +605,19 @@ impl<'p> Walk<'p> {
     /// Adds to `out` every symbol `expr`'s value may depend on: the
     /// variables it reads, literal `input` keys, every call argument
     /// (conservatively), and a summary id per user function it calls.
-    fn expr(&mut self, expr: &'p Expr, out: &mut Bits) {
-        match &expr.kind {
+    fn expr(&mut self, expr: ExprId, out: &mut Bits) {
+        let program = self.program;
+        match program.expr(expr).kind {
             ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Str(_) => {}
-            ExprKind::Var(name) => out.insert(self.names.of(*name)),
-            ExprKind::Array(items) => {
-                for item in items {
-                    self.expr(item, out);
-                }
-            }
-            ExprKind::Index(target, index) => {
-                self.expr(target, out);
-                self.expr(index, out);
-            }
-            ExprKind::Unary { expr, .. } => self.expr(expr, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.expr(lhs, out);
-                self.expr(rhs, out);
-            }
-            ExprKind::Call { name, args } => self.call(*name, args, out),
+            ExprKind::Var(name) => out.insert(self.names.of(name)),
+            ExprKind::Call { name, args } => self.call(name, program.list(args), out),
+            kind => kind.for_each_operand(program, |e| self.expr(e, out)),
         }
     }
 
-    fn call(&mut self, sym: Sym, args: &'p [Expr], out: &mut Bits) {
-        let name = self.program.name(sym);
+    fn call(&mut self, sym: Sym, args: &'p [ExprId], out: &mut Bits) {
+        let program = self.program;
+        let name = program.name(sym);
         let callee = if name.starts_with("au_") {
             None
         } else {
@@ -632,7 +626,7 @@ impl<'p> Walk<'p> {
         // A user call keeps each argument's set apart until the argument
         // → parameter records below.
         let base = self.arg_sets.len();
-        for arg in args {
+        for &arg in args {
             if callee.is_some() {
                 let mut reads = self.take();
                 self.expr(arg, &mut reads);
@@ -644,32 +638,32 @@ impl<'p> Walk<'p> {
                 self.expr(arg, out);
             }
         }
-        let literal = match args.first().map(|a| &a.kind) {
-            Some(ExprKind::Str(s)) => Some(s.as_str()),
+        let literal = match args.first().map(|&a| program.expr(a).kind) {
+            Some(ExprKind::Str(s)) => Some(program.str(s)),
             _ => None,
         };
         // The dynamic tracer marks these at runtime; literal names are
         // mirrored so the static input and target sets contain theirs.
         match (name, literal) {
             ("input", Some(key)) => {
-                let s = self.names.literal(key);
+                let s = self.names.literal(self.program, key);
                 self.events.push(Event::Input(s));
                 out.insert(s);
             }
             ("mark_input", Some(var)) => {
-                let s = self.names.literal(var);
+                let s = self.names.literal(self.program, var);
                 self.events.push(Event::Input(s));
             }
             ("mark_target", Some(var)) => {
-                let s = self.names.literal(var);
+                let s = self.names.literal(self.program, var);
                 self.events.push(Event::Target(s));
             }
             ("input" | "mark_input" | "mark_target", None) => self.computed_names = true,
             _ => {}
         }
         if let Some(f) = callee {
-            let program = self.program;
-            for (i, &param) in program.functions[f as usize].params.iter().enumerate() {
+            let def = self.defs[f as usize] as usize;
+            for (i, &param) in program.functions()[def].params.iter().enumerate() {
                 let Some(&reads) = self.arg_sets.get(base + i) else {
                     break;
                 };
@@ -725,24 +719,6 @@ impl Bits {
     fn clear(&mut self) {
         self.0.clear();
     }
-}
-
-/// The set bits of `words`, ascending.
-fn members(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(i, &w)| {
-        let mut w = w;
-        std::iter::from_fn(move || {
-            (w != 0).then(|| {
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                i as u32 * 64 + bit
-            })
-        })
-    })
-}
-
-fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
 #[cfg(test)]
@@ -842,15 +818,16 @@ mod tests {
     }
 
     /// The names in the return summary of function `name`.
-    fn summary<'p>(facts: &StaticFacts<'p>, name: &str) -> Vec<&'p str> {
-        let program = facts.names.program;
-        let f = program
-            .functions
+    fn summary<'p>(program: &'p Program, name: &str) -> Vec<&'p str> {
+        let facts = program.facts();
+        let f = facts
+            .names
+            .fns
             .iter()
-            .position(|f| program.name(f.name) == name)
+            .position(|&f| program.name(f) == name)
             .unwrap();
         members(&facts.summaries[f].0)
-            .map(|s| facts.names.name(s))
+            .map(|s| facts.names.name(program, s as u32))
             .collect()
     }
 
@@ -876,14 +853,13 @@ mod tests {
             "q flows through f's return-of-g into y"
         );
 
-        let facts = StaticFacts::new(&program);
-        assert_eq!(summary(&facts, "g"), ["q"]);
+        assert_eq!(summary(&program, "g"), ["q"]);
         assert!(
-            summary(&facts, "f").contains(&"q"),
+            summary(&program, "f").contains(&"q"),
             "f inherits g's summary"
         );
         assert!(
-            summary(&facts, "f").contains(&"x"),
+            summary(&program, "f").contains(&"x"),
             "args stay conservative"
         );
     }
@@ -928,10 +904,9 @@ mod tests {
             fn main() { let r = even(3); return r; }
         "#;
         let program = parse(src).unwrap();
-        let facts = StaticFacts::new(&program);
-        assert_eq!(summary(&facts, "even"), summary(&facts, "odd"));
+        assert_eq!(summary(&program, "even"), summary(&program, "odd"));
         // `k` reaches the result only through `j`: it is never returned.
-        assert_eq!(summary(&facts, "even"), ["n", "m", "j"]);
+        assert_eq!(summary(&program, "even"), ["n", "m", "j"]);
         let db = analyze(&program);
         let r = db.id("r").unwrap();
         assert!(db.dependents(db.id("k").unwrap()).contains(&r));
@@ -982,7 +957,7 @@ mod tests {
         let db = analyze(&program);
         let filter = au_trace::StaticFilter::new(&db);
         let targets: Vec<&str> = db.targets().iter().map(|&t| db.name(t)).collect();
-        let plan = StaticFacts::new(&program).trace_plan();
+        let plan = program.facts().trace_plan(&program);
         for name in db.all_vars().map(|v| db.name(v)).chain(["main", "ghost"]) {
             let expected = targets.iter().any(|t| !filter.proves_unrelated(name, t));
             assert_eq!(plan.is_relevant(name), expected, "{name}");

@@ -21,7 +21,7 @@ use crate::parser::parse;
 use crate::value::{count_arg, Value};
 use crate::{LangError, Program, RunStats};
 use au_core::{Checkpoint, Engine, Mode, ModelConfig};
-use au_trace::AnalysisDb;
+use au_trace::{AnalysisDb, Sym, Symbols};
 use std::collections::{BTreeMap, HashMap};
 
 /// Checkpointed program state: per frame, the live `(name id, value)`
@@ -100,7 +100,7 @@ fn bin_value(bin: BinOp, l: Value, r: Value) -> Result<Value, LangError> {
 /// interned first (via `record_assign`), numeric value captured.
 fn assign_event(
     analysis: &mut AnalysisDb,
-    names: &[String],
+    names: &Symbols,
     stats: &mut RunStats,
     dst: u32,
     deps: &[u32],
@@ -108,14 +108,14 @@ fn assign_event(
     func: u32,
 ) {
     stats.assignments += 1;
-    let mut dep_names: Vec<&str> = deps.iter().map(|&id| names[id as usize].as_str()).collect();
+    let mut dep_names: Vec<&str> = deps.iter().map(|&id| pooled(names, id)).collect();
     dep_names.sort_unstable();
     dep_names.dedup();
     analysis.record_assign(
-        &names[dst as usize],
+        pooled(names, dst),
         &dep_names,
         value.as_num(),
-        &names[func as usize],
+        pooled(names, func),
     );
 }
 
@@ -124,7 +124,7 @@ fn assign_event(
 /// skipped — pruned extraction never consults them.
 fn uses_event(
     analysis: &mut AnalysisDb,
-    names: &[String],
+    names: &Symbols,
     relevant: &[bool],
     selective: bool,
     deps: &[u32],
@@ -133,34 +133,19 @@ fn uses_event(
     let mut dep_names: Vec<&str> = deps
         .iter()
         .filter(|&&id| !selective || relevant[id as usize])
-        .map(|&id| names[id as usize].as_str())
+        .map(|&id| pooled(names, id))
         .collect();
     dep_names.sort_unstable();
     dep_names.dedup();
-    let func = names[func as usize].as_str();
+    let func = pooled(names, func);
     for var in dep_names {
         analysis.record_use(var, func);
     }
 }
 
-/// Interns a runtime-produced name (e.g. a computed `input` key under
-/// Full tracing) into the VM's extendable pool.
-fn intern(
-    names: &mut Vec<String>,
-    name_ids: &mut HashMap<String, u32>,
-    relevant: &mut Vec<bool>,
-    s: &str,
-) -> u32 {
-    if let Some(&id) = name_ids.get(s) {
-        return id;
-    }
-    let id = names.len() as u32;
-    names.push(s.to_owned());
-    name_ids.insert(s.to_owned(), id);
-    // Runtime names only appear under Full tracing, where everything is
-    // relevant.
-    relevant.push(true);
-    id
+/// The name of pool id `id`.
+fn pooled(names: &Symbols, id: u32) -> &str {
+    names.name(Sym::from_index(id as usize))
 }
 
 /// Snapshots the live variables of every frame for `au_checkpoint`.
@@ -177,7 +162,8 @@ fn build_snapshot(
         } else {
             top_live
         };
-        let entries: Vec<(u32, Value)> = prog.live_sets[live as usize]
+        let entries: Vec<(u32, Value)> = prog
+            .live_set(live)
             .iter()
             .map(|&(slot, name)| (name, locals[fr.base + slot as usize].clone()))
             .collect();
@@ -205,8 +191,7 @@ pub struct Vm {
     rng_state: u64,
     /// Runtime name pool: the compiled pool plus names interned during
     /// execution (computed `input` keys under Full tracing).
-    names: Vec<String>,
-    name_ids: HashMap<String, u32>,
+    names: Symbols,
     relevant: Vec<bool>,
 }
 
@@ -228,11 +213,6 @@ impl Vm {
     /// Wraps an already compiled program.
     pub fn from_compiled(prog: CompiledProgram) -> Self {
         let names = prog.names.clone();
-        let name_ids = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
         let relevant = prog.relevant.clone();
         Vm {
             prog,
@@ -245,7 +225,6 @@ impl Vm {
             step_limit: 10_000_000,
             rng_state: 0x853c_49e6_748f_ea9b,
             names,
-            name_ids,
             relevant,
         }
     }
@@ -369,7 +348,7 @@ impl Vm {
                     let base = frames.last().expect("frame").base;
                     stack.push(locals[base + slot as usize].clone());
                     if TRACED {
-                        deps.push(vec![self.prog.funcs[cur].slot_names[slot as usize]]);
+                        deps.push(vec![self.prog.slot_names(cur)[slot as usize]]);
                     }
                 }
                 Op::Store(slot) => {
@@ -455,7 +434,7 @@ impl Vm {
                             if idx >= items.len() {
                                 return Err(rt(format!(
                                     "index {idx} out of bounds for `{}` of length {}",
-                                    self.names[name as usize],
+                                    pooled(&self.names, name),
                                     items.len()
                                 )));
                             }
@@ -464,7 +443,7 @@ impl Vm {
                         other => {
                             return Err(rt(format!(
                                 "cannot index `{}`: {}",
-                                self.names[name as usize],
+                                pooled(&self.names, name),
                                 other.type_name()
                             )))
                         }
@@ -507,7 +486,7 @@ impl Vm {
                     }
                     return Err(rt(format!(
                         "assignment to undefined variable `{}`",
-                        self.names[name as usize]
+                        pooled(&self.names, name)
                     )));
                 }
                 Op::Bin(bin) => {
@@ -524,7 +503,7 @@ impl Vm {
                     let l = locals[base + a as usize].clone();
                     let r = locals[base + b as usize].clone();
                     if TRACED {
-                        let sn = &self.prog.funcs[cur].slot_names;
+                        let sn = self.prog.slot_names(cur);
                         deps.push(vec![sn[a as usize], sn[b as usize]]);
                     }
                     stack.push(bin_value(op, l, r)?);
@@ -534,7 +513,7 @@ impl Vm {
                     let l = locals[base + slot as usize].clone();
                     let r = self.prog.consts[cidx as usize].clone();
                     if TRACED {
-                        deps.push(vec![self.prog.funcs[cur].slot_names[slot as usize]]);
+                        deps.push(vec![self.prog.slot_names(cur)[slot as usize]]);
                     }
                     stack.push(bin_value(op, l, r)?);
                 }
@@ -587,9 +566,7 @@ impl Vm {
                     if TRACED {
                         dpop(&mut deps);
                     }
-                    let b = v
-                        .as_bool()
-                        .ok_or_else(|| rt(self.prog.msgs[msg as usize].clone()))?;
+                    let b = v.as_bool().ok_or_else(|| rt(self.prog.msg(msg)))?;
                     if !b {
                         ip = target as usize;
                     }
@@ -599,10 +576,10 @@ impl Vm {
                     if frames.len() >= 64 {
                         return Err(rt(format!(
                             "call depth limit (64) exceeded in `{}` — runaway recursion?",
-                            self.names[fi.name as usize]
+                            pooled(&self.names, fi.name)
                         )));
                     }
-                    let argc = fi.params.len();
+                    let argc = fi.nparams as usize;
                     let base = locals.len();
                     locals.resize(base + fi.nlocals as usize, Value::Unit);
                     for i in (0..argc).rev() {
@@ -630,7 +607,7 @@ impl Vm {
                                 &mut self.analysis,
                                 &self.names,
                                 &mut self.stats,
-                                self.prog.funcs[cur].params[i],
+                                self.prog.params(cur)[i],
                                 d,
                                 &locals[base + i],
                                 fname,
@@ -661,16 +638,16 @@ impl Vm {
                     cur = frames.last().expect("frame").func as usize;
                 }
                 Op::Fail(m) => {
-                    return Err(rt(self.prog.msgs[m as usize].clone()));
+                    return Err(rt(self.prog.msg(m)));
                 }
                 Op::EnsureStr(m) => {
                     if !matches!(stack.last(), Some(Value::Str(_))) {
-                        return Err(rt(self.prog.msgs[m as usize].clone()));
+                        return Err(rt(self.prog.msg(m)));
                     }
                 }
                 Op::EnsureNum(m) => {
                     if stack.last().and_then(Value::as_num).is_none() {
-                        return Err(rt(self.prog.msgs[m as usize].clone()));
+                        return Err(rt(self.prog.msg(m)));
                     }
                 }
                 Op::NoteUses => {
@@ -702,7 +679,7 @@ impl Vm {
                     }
                 }
                 Op::MarkTargetName(name) => {
-                    self.analysis.mark_target(&self.names[name as usize]);
+                    self.analysis.mark_target(pooled(&self.names, name));
                 }
                 Op::MarkInput => {
                     let v = vpop(&mut stack);
@@ -746,13 +723,13 @@ impl Vm {
                     }
                     stack.push(value);
                     if TRACED {
-                        let id = intern(
-                            &mut self.names,
-                            &mut self.name_ids,
-                            &mut self.relevant,
-                            &key,
-                        );
-                        deps.push(vec![id]);
+                        let id = self.names.intern(&key).index();
+                        if id == self.relevant.len() {
+                            // Runtime names only appear under Full
+                            // tracing, where everything is relevant.
+                            self.relevant.push(true);
+                        }
+                        deps.push(vec![id as u32]);
                     }
                 }
                 Op::Print(n) => {
@@ -1046,7 +1023,7 @@ impl Vm {
                         } else {
                             live
                         };
-                        for &(slot, name) in &self.prog.live_sets[lv as usize] {
+                        for &(slot, name) in self.prog.live_set(lv) {
                             if let Some(saved) = by_name.get(&name) {
                                 locals[fr.base + slot as usize] = saved.clone();
                             }
@@ -1066,6 +1043,35 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::Interpreter;
+
+    /// A program without exactly one `main` cannot be built, so neither
+    /// engine can be handed one; what the builder accepts, both run.
+    #[test]
+    fn only_programs_with_one_main_reach_the_engines() {
+        use crate::{ExprKind, Function, ProgramBuilder, Span, StmtKind};
+        assert!(matches!(
+            ProgramBuilder::new().build(),
+            Err(LangError::Parse { line: 0, .. })
+        ));
+        let mut b = ProgramBuilder::new();
+        let main = b.intern("main");
+        let seven = b.expr(ExprKind::Num(7.0), Span::DUMMY);
+        let program = b
+            .function(Function {
+                name: main,
+                params: Vec::new(),
+                body: vec![StmtKind::Return(Some(seven)).into()],
+                span: Span::DUMMY,
+            })
+            .build()
+            .expect("one main");
+        for mode in [TraceMode::Off, TraceMode::Full, TraceMode::Selective] {
+            let mut vm = Vm::from_compiled(compile_program(&program, mode));
+            assert_eq!(vm.run().unwrap(), Value::Num(7.0), "{mode:?}");
+        }
+        let mut interp = Interpreter::with_program(program);
+        assert_eq!(interp.run().unwrap(), Value::Num(7.0));
+    }
 
     /// Runs `src` through the interpreter and the VM (in `mode`) and
     /// asserts identical results, output, and step/depth stats.

@@ -4,7 +4,10 @@
 //! back to exactly the source text of its node.
 
 use au_lang::pretty::print_program;
-use au_lang::{parse, BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, Sym, UnOp};
+use au_lang::{
+    parse, BinOp, ExprId, ExprKind, Function, Program, ProgramBuilder, Span, Stmt, StmtKind, Sym,
+    UnOp,
+};
 use proptest::prelude::*;
 
 /// A fixed vocabulary of identifiers that cannot collide with keywords
@@ -33,67 +36,161 @@ fn vocabulary() -> Vec<String> {
     names
 }
 
-/// An empty program whose table holds `main` and the vocabulary; the
-/// generated ASTs name things through it.
-fn names_program() -> Program {
-    let mut program = Program::default();
-    program.intern("main");
+/// A builder whose table holds `main` and the vocabulary, in that order;
+/// the generated trees name things by its symbols.
+fn names_builder() -> ProgramBuilder {
+    let mut b = ProgramBuilder::new();
+    b.intern("main");
     for name in vocabulary() {
-        program.intern(&name);
+        b.intern(&name);
     }
-    program
+    b
 }
 
-/// An identifier of [`names_program`]'s vocabulary.
+/// An identifier of [`names_builder`]'s vocabulary.
 fn ident_strategy() -> impl Strategy<Value = Sym> {
-    let program = names_program();
+    let b = names_builder();
     let vocabulary: Vec<Sym> = vocabulary()
         .iter()
-        .map(|n| program.sym(n).expect("interned"))
+        .map(|n| b.sym(n).expect("interned"))
         .collect();
     (0..vocabulary.len()).prop_map(move |i| vocabulary[i])
 }
 
-fn leaf_expr() -> impl Strategy<Value = Expr> {
+/// A generated expression, before it is laid out in a program's arena.
+#[derive(Debug, Clone)]
+enum E {
+    Num(f64),
+    Bool(bool),
+    Str(String),
+    Var(Sym),
+    Array(Vec<E>),
+    Index(Box<E>, Box<E>),
+    Call(Sym, Vec<E>),
+    Binary(BinOp, Box<E>, Box<E>),
+    Unary(UnOp, Box<E>),
+}
+
+/// A generated statement.
+#[derive(Debug, Clone)]
+enum S {
+    Let(Sym, E),
+    Assign(Sym, E),
+    AssignIndex(Sym, E, E),
+    If(E, Vec<S>, Vec<S>),
+    While(E, Vec<S>),
+    Return(Option<E>),
+    Break,
+    Continue,
+    Expr(E),
+}
+
+/// Adds `e` and its operands to `b`.
+fn lay_expr(b: &mut ProgramBuilder, e: &E) -> ExprId {
+    let kind = match e {
+        E::Num(n) => ExprKind::Num(*n),
+        E::Bool(v) => ExprKind::Bool(*v),
+        E::Str(s) => ExprKind::Str(b.str(s)),
+        E::Var(v) => ExprKind::Var(*v),
+        E::Array(items) => {
+            let ids: Vec<ExprId> = items.iter().map(|i| lay_expr(b, i)).collect();
+            ExprKind::Array(b.list(&ids))
+        }
+        E::Index(target, index) => {
+            let target = lay_expr(b, target);
+            ExprKind::Index(target, lay_expr(b, index))
+        }
+        E::Call(name, args) => {
+            let ids: Vec<ExprId> = args.iter().map(|a| lay_expr(b, a)).collect();
+            ExprKind::Call {
+                name: *name,
+                args: b.list(&ids),
+            }
+        }
+        E::Binary(op, lhs, rhs) => {
+            let lhs = lay_expr(b, lhs);
+            ExprKind::Binary {
+                op: *op,
+                lhs,
+                rhs: lay_expr(b, rhs),
+            }
+        }
+        E::Unary(op, expr) => ExprKind::Unary {
+            op: *op,
+            expr: lay_expr(b, expr),
+        },
+    };
+    b.expr(kind, Span::DUMMY)
+}
+
+fn lay_block(b: &mut ProgramBuilder, stmts: &[S]) -> Vec<Stmt> {
+    stmts.iter().map(|s| lay_stmt(b, s)).collect()
+}
+
+fn lay_stmt(b: &mut ProgramBuilder, s: &S) -> Stmt {
+    match s {
+        S::Let(name, init) => StmtKind::Let {
+            name: *name,
+            init: lay_expr(b, init),
+        },
+        S::Assign(name, value) => StmtKind::Assign {
+            name: *name,
+            value: lay_expr(b, value),
+        },
+        S::AssignIndex(name, index, value) => {
+            let index = lay_expr(b, index);
+            StmtKind::AssignIndex {
+                name: *name,
+                index,
+                value: lay_expr(b, value),
+            }
+        }
+        S::If(cond, then_body, else_body) => StmtKind::If {
+            cond: lay_expr(b, cond),
+            then_body: lay_block(b, then_body),
+            else_body: lay_block(b, else_body),
+        },
+        S::While(cond, body) => StmtKind::While {
+            cond: lay_expr(b, cond),
+            body: lay_block(b, body),
+        },
+        S::Return(e) => StmtKind::Return(e.as_ref().map(|e| lay_expr(b, e))),
+        S::Break => StmtKind::Break,
+        S::Continue => StmtKind::Continue,
+        S::Expr(e) => StmtKind::Expr(lay_expr(b, e)),
+    }
+    .into()
+}
+
+fn leaf_expr() -> impl Strategy<Value = E> {
     prop_oneof![
         // Integers and simple fractions print/parse exactly.
-        (0i64..1000).prop_map(|n| ExprKind::Num(n as f64).into()),
-        (0i64..1000).prop_map(|n| ExprKind::Num(n as f64 / 4.0).into()),
-        any::<bool>().prop_map(|b| ExprKind::Bool(b).into()),
+        (0i64..1000).prop_map(|n| E::Num(n as f64)),
+        (0i64..1000).prop_map(|n| E::Num(n as f64 / 4.0)),
+        any::<bool>().prop_map(E::Bool),
         // Printable ASCII (quotes and backslashes included), the escaped
         // controls, and two- to four-byte UTF-8.
-        "[ -~\n\tà-ÿα-ω✓×😀-😏]{0,8}".prop_map(|s| ExprKind::Str(s).into()),
-        ident_strategy().prop_map(|v| ExprKind::Var(v).into()),
+        "[ -~\n\tà-ÿα-ω✓×😀-😏]{0,8}".prop_map(E::Str),
+        ident_strategy().prop_map(E::Var),
     ]
 }
 
-fn expr_strategy() -> impl Strategy<Value = Expr> {
+fn expr_strategy() -> impl Strategy<Value = E> {
     leaf_expr().prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), bin_op()).prop_map(|(lhs, rhs, op)| {
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                }
-                .into()
-            }),
-            (inner.clone(), un_op()).prop_map(|(expr, op)| {
-                ExprKind::Unary {
-                    op,
-                    expr: Box::new(expr),
-                }
-                .into()
-            }),
-            prop::collection::vec(inner.clone(), 0..3)
-                .prop_map(|items| ExprKind::Array(items).into()),
+            (inner.clone(), inner.clone(), bin_op()).prop_map(|(lhs, rhs, op)| E::Binary(
+                op,
+                Box::new(lhs),
+                Box::new(rhs)
+            )),
+            (inner.clone(), un_op()).prop_map(|(expr, op)| E::Unary(op, Box::new(expr))),
+            prop::collection::vec(inner.clone(), 0..3).prop_map(E::Array),
             (ident_strategy(), prop::collection::vec(inner.clone(), 0..3))
-                .prop_map(|(name, args)| ExprKind::Call { name, args }.into()),
-            (inner.clone(), inner).prop_map(|(target, index)| ExprKind::Index(
-                Box::new(ExprKind::Array(vec![target]).into()),
+                .prop_map(|(name, args)| E::Call(name, args)),
+            (inner.clone(), inner).prop_map(|(target, index)| E::Index(
+                Box::new(E::Array(vec![target])),
                 Box::new(index)
-            )
-            .into()),
+            )),
         ]
     })
 }
@@ -120,22 +217,17 @@ fn un_op() -> impl Strategy<Value = UnOp> {
     prop_oneof![Just(UnOp::Neg), Just(UnOp::Not)]
 }
 
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
+fn stmt_strategy() -> impl Strategy<Value = S> {
     let leaf = prop_oneof![
-        (ident_strategy(), expr_strategy())
-            .prop_map(|(name, init)| StmtKind::Let { name, init }.into()),
-        (ident_strategy(), expr_strategy()).prop_map(|(name, value)| StmtKind::Assign {
-            name,
-            value
-        }
-        .into()),
+        (ident_strategy(), expr_strategy()).prop_map(|(name, init)| S::Let(name, init)),
+        (ident_strategy(), expr_strategy()).prop_map(|(name, value)| S::Assign(name, value)),
         (ident_strategy(), expr_strategy(), expr_strategy())
-            .prop_map(|(name, index, value)| StmtKind::AssignIndex { name, index, value }.into()),
-        expr_strategy().prop_map(|e| StmtKind::Return(Some(e)).into()),
-        Just(StmtKind::Return(None).into()),
-        Just(StmtKind::Break.into()),
-        Just(StmtKind::Continue.into()),
-        expr_strategy().prop_map(|e| StmtKind::Expr(e).into()),
+            .prop_map(|(name, index, value)| S::AssignIndex(name, index, value)),
+        expr_strategy().prop_map(|e| S::Return(Some(e))),
+        Just(S::Return(None)),
+        Just(S::Break),
+        Just(S::Continue),
+        expr_strategy().prop_map(S::Expr),
     ];
     leaf.prop_recursive(2, 16, 3, |inner| {
         prop_oneof![
@@ -144,16 +236,9 @@ fn stmt_strategy() -> impl Strategy<Value = Stmt> {
                 prop::collection::vec(inner.clone(), 0..3),
                 prop::collection::vec(inner.clone(), 0..3)
             )
-                .prop_map(|(cond, then_body, else_body)| {
-                    StmtKind::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    }
-                    .into()
-                }),
+                .prop_map(|(cond, then_body, else_body)| S::If(cond, then_body, else_body)),
             (expr_strategy(), prop::collection::vec(inner, 0..3))
-                .prop_map(|(cond, body)| StmtKind::While { cond, body }.into()),
+                .prop_map(|(cond, body)| S::While(cond, body)),
         ]
     })
 }
@@ -170,30 +255,30 @@ fn program_strategy() -> impl Strategy<Value = Program> {
             0..2,
         ),
     )
-        .prop_map(|(main_body, helpers)| {
-            let mut program = names_program();
-            let mut functions: Vec<Function> = helpers
-                .into_iter()
-                .map(|(name, mut params, body)| {
-                    params.dedup();
-                    Function {
-                        name,
-                        params,
-                        body,
-                        span: Span::DUMMY,
-                    }
-                })
-                .collect();
+        .prop_map(|(main_body, mut helpers)| {
+            let mut b = names_builder();
             // Helper names must be unique and differ from main.
-            functions.dedup_by(|a, b| a.name == b.name);
-            functions.push(Function {
-                name: program.sym("main").expect("interned"),
+            helpers.dedup_by(|a, b| a.0 == b.0);
+            for (name, mut params, body) in helpers {
+                params.dedup();
+                let body = lay_block(&mut b, &body);
+                b.push_function(Function {
+                    name,
+                    params,
+                    body,
+                    span: Span::DUMMY,
+                });
+            }
+            let body = lay_block(&mut b, &main_body);
+            let main = b.sym("main").expect("interned");
+            b.function(Function {
+                name: main,
                 params: Vec::new(),
-                body: main_body,
+                body,
                 span: Span::DUMMY,
-            });
-            program.functions = functions;
-            program
+            })
+            .build()
+            .expect("one main, shallow nesting")
         })
 }
 
@@ -202,11 +287,12 @@ fn program_strategy() -> impl Strategy<Value = Program> {
 // slices back to text representing exactly that node.
 // ---------------------------------------------------------------------
 
-fn check_expr_spans(p: &Program, expr: &Expr, src: &str) -> Result<(), String> {
+fn check_expr_spans(p: &Program, expr: ExprId, src: &str) -> Result<(), String> {
+    let expr = p.expr(expr);
     let text = expr.span.slice(src);
-    match &expr.kind {
+    match expr.kind {
         ExprKind::Var(name) => {
-            let name = p.name(*name);
+            let name = p.name(name);
             if text != name {
                 return Err(format!("Var `{name}` span sliced `{text}`"));
             }
@@ -215,46 +301,32 @@ fn check_expr_spans(p: &Program, expr: &Expr, src: &str) -> Result<(), String> {
             let parsed: f64 = text
                 .parse()
                 .map_err(|e| format!("Num span sliced non-number `{text}`: {e}"))?;
-            if parsed != *n {
+            if parsed != n {
                 return Err(format!("Num {n} span sliced `{text}`"));
             }
         }
-        ExprKind::Str(_) => {
-            if !(text.starts_with('"') && text.ends_with('"') && text.len() >= 2) {
-                return Err(format!("Str span sliced unquoted `{text}`"));
-            }
+        ExprKind::Str(_) if !(text.starts_with('"') && text.ends_with('"') && text.len() >= 2) => {
+            return Err(format!("Str span sliced unquoted `{text}`"));
         }
         // `true` from a desugared `for` carries the `for` keyword's span.
-        ExprKind::Bool(b) => {
-            if text != b.to_string() && text != "for" {
-                return Err(format!("Bool {b} span sliced `{text}`"));
-            }
+        ExprKind::Bool(b) if text != b.to_string() && text != "for" => {
+            return Err(format!("Bool {b} span sliced `{text}`"));
         }
-        ExprKind::Array(items) => {
-            for item in items {
-                check_expr_spans(p, item, src)?;
-            }
-        }
-        ExprKind::Index(target, index) => {
-            check_expr_spans(p, target, src)?;
-            check_expr_spans(p, index, src)?;
-        }
-        ExprKind::Call { name, args } => {
-            let name = p.name(*name);
+        ExprKind::Call { name, .. } => {
+            let name = p.name(name);
             if !text.starts_with(name) {
                 return Err(format!("Call `{name}` span sliced `{text}`"));
             }
-            for arg in args {
-                check_expr_spans(p, arg, src)?;
-            }
         }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            check_expr_spans(p, lhs, src)?;
-            check_expr_spans(p, rhs, src)?;
-        }
-        ExprKind::Unary { expr, .. } => check_expr_spans(p, expr, src)?,
+        _ => {}
     }
-    Ok(())
+    let mut result = Ok(());
+    expr.kind.for_each_operand(p, |e| {
+        if result.is_ok() {
+            result = check_expr_spans(p, e, src);
+        }
+    });
+    result
 }
 
 fn check_stmt_spans(p: &Program, stmt: &Stmt, src: &str) -> Result<(), String> {
@@ -276,24 +348,24 @@ fn check_stmt_spans(p: &Program, stmt: &Stmt, src: &str) -> Result<(), String> {
         StmtKind::Let { init: e, .. }
         | StmtKind::Assign { value: e, .. }
         | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => check_expr_spans(p, e, src),
+        | StmtKind::Return(Some(e)) => check_expr_spans(p, *e, src),
         StmtKind::AssignIndex { index, value, .. } => {
-            check_expr_spans(p, index, src)?;
-            check_expr_spans(p, value, src)
+            check_expr_spans(p, *index, src)?;
+            check_expr_spans(p, *value, src)
         }
         StmtKind::If {
             cond,
             then_body,
             else_body,
         } => {
-            check_expr_spans(p, cond, src)?;
+            check_expr_spans(p, *cond, src)?;
             then_body
                 .iter()
                 .chain(else_body)
                 .try_for_each(|s| check_stmt_spans(p, s, src))
         }
         StmtKind::While { cond, body } => {
-            check_expr_spans(p, cond, src)?;
+            check_expr_spans(p, *cond, src)?;
             body.iter().try_for_each(|s| check_stmt_spans(p, s, src))
         }
         StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => Ok(()),
@@ -301,7 +373,7 @@ fn check_stmt_spans(p: &Program, stmt: &Stmt, src: &str) -> Result<(), String> {
 }
 
 fn check_program_spans(program: &Program, src: &str) -> Result<(), String> {
-    for func in &program.functions {
+    for func in program.functions() {
         let text = func.span.slice(src);
         if !text.starts_with("fn") {
             let name = program.name(func.name);

@@ -15,7 +15,7 @@
 //! relation" implies "no dynamic relation": these warnings are conservative
 //! in the sound direction.
 
-use crate::sites::{str_arg, Sites};
+use crate::sites::Sites;
 use crate::{RawDiag, Severity};
 use au_lang::{static_analysis, Span};
 use au_trace::AnalysisDb;
@@ -120,18 +120,18 @@ fn add_pi_edges<'p>(sites: &Sites<'p>, db: &mut AnalysisDb) -> BTreeSet<&'p str>
     for c in &sites.calls {
         match c.name {
             "au_extract" => {
-                if let Some(list) = str_arg(c.args, 0) {
+                if let Some(list) = c.str_arg(0) {
                     produced.insert(list);
                     let srcs = extract_srcs.entry(list).or_default();
                     srcs.extend(c.features.iter().map(|&(var, _)| var));
                 }
             }
             "au_nn" | "au_nn_rl" => {
-                if let Some(ext) = str_arg(c.args, 1) {
+                if let Some(ext) = c.str_arg(1) {
                     let wbs: Vec<&str> = if c.name == "au_nn" {
                         c.str_args_from(2).collect()
                     } else {
-                        str_arg(c.args, 4).into_iter().collect()
+                        c.str_arg(4).into_iter().collect()
                     };
                     produced.extend(&wbs);
                     pred_edges.push((ext, wbs));

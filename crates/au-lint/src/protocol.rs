@@ -28,7 +28,7 @@
 
 use crate::sites::{str_arg, Sites};
 use crate::{RawDiag, Severity};
-use au_lang::{Expr, ExprKind, Program, Span, Stmt, StmtKind};
+use au_lang::{ExprId, ExprKind, Program, Span, Stmt, StmtKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs the flow-sensitive protocol lints from `main`.
@@ -65,17 +65,17 @@ pub(crate) fn site_lints(sites: &Sites) -> Vec<RawDiag> {
     for c in &sites.calls {
         match c.name {
             "au_extract" => {
-                if let Some(list) = str_arg(c.args, 0) {
+                if let Some(list) = c.str_arg(0) {
                     extracts.entry(list).or_insert(c.span);
                 }
             }
             "au_nn" | "au_nn_rl" => {
-                models_used.extend(str_arg(c.args, 0));
-                consumed.extend(str_arg(c.args, 1));
+                models_used.extend(c.str_arg(0));
+                consumed.extend(c.str_arg(1));
                 let wbs: Vec<&str> = if c.name == "au_nn" {
                     c.str_args_from(2).collect()
                 } else {
-                    str_arg(c.args, 4).into_iter().collect()
+                    c.str_arg(4).into_iter().collect()
                 };
                 // Training reads the wb list as labels, so naming a list
                 // as wb also consumes an extraction of it.
@@ -83,7 +83,7 @@ pub(crate) fn site_lints(sites: &Sites) -> Vec<RawDiag> {
                 consumed.extend(&wbs);
             }
             "au_serialize" => consumed.extend(c.str_args_from(0)),
-            "au_write_back" | "au_write_back_n" => consumed.extend(str_arg(c.args, 0)),
+            "au_write_back" | "au_write_back_n" => consumed.extend(c.str_arg(0)),
             _ => {}
         }
     }
@@ -93,7 +93,7 @@ pub(crate) fn site_lints(sites: &Sites) -> Vec<RawDiag> {
         .iter()
         .filter(|c| matches!(c.name, "au_write_back" | "au_write_back_n"));
     for wb in write_backs {
-        let Some(key) = str_arg(wb.args, 0) else {
+        let Some(key) = wb.str_arg(0) else {
             continue;
         };
         if !wb_names.contains(key) && !extracts.contains_key(key) {
@@ -122,7 +122,7 @@ pub(crate) fn site_lints(sites: &Sites) -> Vec<RawDiag> {
         }
     }
     for config in sites.calls_to("au_config") {
-        let Some(model) = str_arg(config.args, 0) else {
+        let Some(model) = config.str_arg(0) else {
             continue;
         };
         if !models_used.contains(model) {
@@ -207,17 +207,17 @@ impl<'a> Walker<'a> {
             StmtKind::Let { init: e, .. }
             | StmtKind::Assign { value: e, .. }
             | StmtKind::Expr(e) => {
-                self.walk_expr(e, st, reachable);
+                self.walk_expr(*e, st, reachable);
                 false
             }
             StmtKind::AssignIndex { index, value, .. } => {
-                self.walk_expr(index, st, reachable);
-                self.walk_expr(value, st, reachable);
+                self.walk_expr(*index, st, reachable);
+                self.walk_expr(*value, st, reachable);
                 false
             }
             StmtKind::Return(e) => {
                 if let Some(e) = e {
-                    self.walk_expr(e, st, reachable);
+                    self.walk_expr(*e, st, reachable);
                 }
                 true
             }
@@ -227,8 +227,8 @@ impl<'a> Walker<'a> {
                 then_body,
                 else_body,
             } => {
-                self.walk_expr(cond, st, reachable);
-                match &cond.kind {
+                self.walk_expr(*cond, st, reachable);
+                match self.program.expr(*cond).kind {
                     // Literal conditions decide reachability exactly — the
                     // desugared `for` wrapper (`if (true)`) falls out here
                     // with no loss of precision.
@@ -265,8 +265,8 @@ impl<'a> Walker<'a> {
                 }
             }
             StmtKind::While { cond, body } => {
-                self.walk_expr(cond, st, reachable);
-                if matches!(cond.kind, ExprKind::Bool(false)) {
+                self.walk_expr(*cond, st, reachable);
+                if matches!(self.program.expr(*cond).kind, ExprKind::Bool(false)) {
                     let mut dead = st.clone();
                     self.walk_block(body, &mut dead, false);
                     return false;
@@ -296,45 +296,35 @@ impl<'a> Walker<'a> {
         }
     }
 
-    fn walk_expr(&mut self, expr: &Expr, st: &mut State, reachable: bool) {
-        match &expr.kind {
-            ExprKind::Call { name, args } => {
-                // Arguments first (nested calls take effect before the
-                // outer call, matching evaluation order).
-                for arg in args {
-                    self.walk_expr(arg, st, reachable);
-                }
-                self.handle_call(self.program.name(*name), args, expr.span, st, reachable);
-            }
-            ExprKind::Array(items) => {
-                for item in items {
-                    self.walk_expr(item, st, reachable);
-                }
-            }
-            ExprKind::Index(a, b) => {
-                self.walk_expr(a, st, reachable);
-                self.walk_expr(b, st, reachable);
-            }
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs, st, reachable);
-                self.walk_expr(rhs, st, reachable);
-            }
-            ExprKind::Unary { expr, .. } => self.walk_expr(expr, st, reachable),
-            _ => {}
+    fn walk_expr(&mut self, expr: ExprId, st: &mut State, reachable: bool) {
+        let program = self.program;
+        let e = program.expr(expr);
+        // Operands first (nested calls take effect before the outer call,
+        // matching evaluation order).
+        e.kind
+            .for_each_operand(program, |o| self.walk_expr(o, st, reachable));
+        if let ExprKind::Call { name, args } = e.kind {
+            self.handle_call(
+                program.name(name),
+                program.list(args),
+                e.span,
+                st,
+                reachable,
+            );
         }
     }
 
     fn handle_call(
         &mut self,
         name: &str,
-        args: &[Expr],
+        args: &[ExprId],
         span: Span,
         st: &mut State,
         reachable: bool,
     ) {
         match name {
             "au_config" => {
-                if let Some(model) = str_arg(args, 0) {
+                if let Some(model) = str_arg(self.program, args, 0) {
                     if reachable && st.configured.contains(model) {
                         self.report(
                             "AU010",
@@ -350,13 +340,13 @@ impl<'a> Walker<'a> {
                 }
             }
             "au_extract" => {
-                if let Some(list) = str_arg(args, 0) {
+                if let Some(list) = str_arg(self.program, args, 0) {
                     st.extracted.insert(list.to_owned());
                 }
             }
             "au_nn" | "au_nn_rl" => {
                 if reachable {
-                    if let Some(model) = str_arg(args, 0) {
+                    if let Some(model) = str_arg(self.program, args, 0) {
                         if !st.configured.contains(model) {
                             self.report(
                                 "AU001",
@@ -369,7 +359,7 @@ impl<'a> Walker<'a> {
                             );
                         }
                     }
-                    if let Some(ext) = str_arg(args, 1) {
+                    if let Some(ext) = str_arg(self.program, args, 1) {
                         if !st.extracted.contains(ext) {
                             self.report(
                                 "AU002",
@@ -387,11 +377,11 @@ impl<'a> Walker<'a> {
                 // Predictions put their write-back lists into π.
                 if name == "au_nn" {
                     for i in 2..args.len() {
-                        if let Some(wb) = str_arg(args, i) {
+                        if let Some(wb) = str_arg(self.program, args, i) {
                             st.extracted.insert(wb.to_owned());
                         }
                     }
-                } else if let Some(wb) = str_arg(args, 4) {
+                } else if let Some(wb) = str_arg(self.program, args, 4) {
                     st.extracted.insert(wb.to_owned());
                 }
             }

@@ -8,21 +8,22 @@
 //! own. The flow-sensitive protocol walk (`protocol.rs`) follows control
 //! flow instead, and the value facts come from `au_lang::absint`.
 
-use au_lang::{for_each_stmt, for_each_subexpr, Expr, ExprKind, Program, Span, StmtKind};
+use au_lang::{for_each_stmt, for_each_subexpr, ExprId, ExprKind, Program, Span, StmtKind};
 use std::collections::BTreeMap;
 
 /// The string literal at `args[i]`, if it is one.
-pub(crate) fn str_arg(args: &[Expr], i: usize) -> Option<&str> {
-    match args.get(i).map(|a| &a.kind) {
-        Some(ExprKind::Str(s)) => Some(s),
+pub(crate) fn str_arg<'p>(program: &'p Program, args: &[ExprId], i: usize) -> Option<&'p str> {
+    match args.get(i).map(|&a| program.expr(a).kind) {
+        Some(ExprKind::Str(s)) => Some(program.str(s)),
         _ => None,
     }
 }
 
 /// One call to an `au_*` primitive.
 pub(crate) struct Call<'p> {
+    program: &'p Program,
     pub name: &'p str,
-    pub args: &'p [Expr],
+    pub args: &'p [ExprId],
     pub span: Span,
     /// For `au_extract`: each variable its values read, with the span of
     /// its first occurrence in this call.
@@ -30,13 +31,13 @@ pub(crate) struct Call<'p> {
 }
 
 impl<'p> Call<'p> {
-    fn new(program: &'p Program, name: &'p str, args: &'p [Expr], span: Span) -> Self {
+    fn new(program: &'p Program, name: &'p str, args: &'p [ExprId], span: Span) -> Self {
         let mut features: Vec<(&str, Span)> = Vec::new();
         if name == "au_extract" {
-            for arg in args.iter().skip(1) {
-                for_each_subexpr(arg, &mut |e| {
-                    if let ExprKind::Var(var) = &e.kind {
-                        let var = program.name(*var);
+            for &arg in args.iter().skip(1) {
+                for_each_subexpr(program, arg, &mut |e| {
+                    if let ExprKind::Var(var) = e.kind {
+                        let var = program.name(var);
                         if features.iter().all(|&(seen, _)| seen != var) {
                             features.push((var, e.span));
                         }
@@ -45,6 +46,7 @@ impl<'p> Call<'p> {
             }
         }
         Call {
+            program,
             name,
             args,
             span,
@@ -52,16 +54,21 @@ impl<'p> Call<'p> {
         }
     }
 
+    /// The string literal at argument `i`, if it is one.
+    pub fn str_arg(&self, i: usize) -> Option<&'p str> {
+        str_arg(self.program, self.args, i)
+    }
+
     /// The string literals from argument `from` on.
     pub fn str_args_from(&self, from: usize) -> impl Iterator<Item = &'p str> + '_ {
-        (from..self.args.len()).filter_map(|i| str_arg(self.args, i))
+        (from..self.args.len()).filter_map(|i| self.str_arg(i))
     }
 
     /// The engine-store lists whose contents this call's value carries.
     fn store_reads(&self) -> Vec<&'p str> {
         match self.name {
-            "au_write_back" | "au_write_back_n" => str_arg(self.args, 0).into_iter().collect(),
-            "au_nn_rl" => str_arg(self.args, 4).into_iter().collect(),
+            "au_write_back" | "au_write_back_n" => self.str_arg(0).into_iter().collect(),
+            "au_nn_rl" => self.str_arg(4).into_iter().collect(),
             "au_serialize" => self.str_args_from(0).collect(),
             _ => Vec::new(),
         }
@@ -92,14 +99,15 @@ impl<'p> Sites<'p> {
     pub fn scan(program: &'p Program) -> Self {
         let mut calls = Vec::new();
         let mut stores = Vec::new();
-        for func in &program.functions {
+        for func in program.functions() {
             for_each_stmt(&func.body, &mut |stmt| {
                 let first = calls.len();
                 for e in stmt.exprs() {
-                    for_each_subexpr(e, &mut |e| {
-                        if let ExprKind::Call { name, args } = &e.kind {
-                            let name = program.name(*name);
+                    for_each_subexpr(program, e, &mut |e| {
+                        if let ExprKind::Call { name, args } = e.kind {
+                            let name = program.name(name);
                             if name.starts_with("au_") {
+                                let args = program.list(args);
                                 calls.push(Call::new(program, name, args, e.span));
                             }
                         }
@@ -136,7 +144,7 @@ impl<'p> Sites<'p> {
     pub fn features(&self, named_only: bool) -> BTreeMap<&'p str, Span> {
         let mut out = BTreeMap::new();
         for c in self.calls_to("au_extract") {
-            if named_only && str_arg(c.args, 0).is_none() {
+            if named_only && c.str_arg(0).is_none() {
                 continue;
             }
             for &(var, span) in &c.features {

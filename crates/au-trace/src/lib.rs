@@ -6,9 +6,10 @@
 //! stand-in for that infrastructure:
 //!
 //! - [`AnalysisDb`]: the recording substrate — a dependence graph over
-//!   interned variables, per-variable runtime value traces, a
-//!   variable→functions usage map (`UseFunc` in the paper), and the
-//!   input/target variable sets. Instrumented programs (the `au-lang`
+//!   variables interned in a [`Symbols`] table, per-variable runtime value
+//!   traces, a variable→functions usage map (`UseFunc` in the paper), and
+//!   the input/target variable sets, the graph and the map as
+//!   [`BitMatrix`] rows. Instrumented programs (the `au-lang`
 //!   interpreter, or Rust apps via the explicit API) emit events into it.
 //! - [`extract_sl`]: **Algorithm 1** — supervised-learning feature extraction
 //!   with BFS distance ranking, from which the paper's `Min`/`Med`/`Raw`
@@ -47,14 +48,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bits;
 mod db;
 mod preprune;
 mod rl;
 mod sl;
 mod stats;
+mod symbols;
 
+pub use bits::{intersects, members, BitMatrix};
 pub use db::{AnalysisDb, VarId};
-pub use preprune::{extract_rl_pruned, extract_sl_pruned, BitMatrix, PrepruneStats, StaticFilter};
+pub use preprune::{extract_rl_pruned, extract_sl_pruned, PrepruneStats, StaticFilter};
 pub use rl::{extract_rl, extract_rl_detailed, RlExtraction, RlParams};
 pub use sl::{extract_sl, select_band, DistanceBand, RankedFeature};
 pub use stats::{euclidean_distance, min_max_scale, summarize, variance, TraceSummary};
+pub use symbols::{Sym, Symbols};

@@ -23,9 +23,11 @@
 //! filter as one extra test; the repo's end-to-end tests assert result
 //! equality on all nine benchmarks.
 
+use crate::bits::BitMatrix;
 use crate::db::{AnalysisDb, VarId};
 use crate::rl::{RlExtraction, RlParams};
 use crate::sl::RankedFeature;
+use crate::symbols::Symbols;
 use std::collections::BTreeMap;
 
 /// How much work the static pre-pass saved.
@@ -49,73 +51,16 @@ impl PrepruneStats {
     }
 }
 
-/// A square matrix of bits over `0..n`, one row of `u64` words per index.
-///
-/// Static dependence graphs are small and dense enough that a row of bits
-/// beats a `BTreeSet` per variable: [`StaticFilter`] and AuLang's static
-/// analysis keep their edges and transitive closures in one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMatrix {
-    n: usize,
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl BitMatrix {
-    /// An `n × n` matrix with no bit set.
-    pub fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        BitMatrix {
-            n,
-            words,
-            bits: vec![0; n * words],
-        }
-    }
-
-    /// Sets bit `(row, col)`.
-    pub fn insert(&mut self, row: usize, col: usize) {
-        self.bits[row * self.words + col / 64] |= 1 << (col % 64);
-    }
-
-    /// Whether bit `(row, col)` is set.
-    pub fn contains(&self, row: usize, col: usize) -> bool {
-        self.bits[row * self.words + col / 64] >> (col % 64) & 1 == 1
-    }
-
-    /// Row `row` as words: column `c` is bit `c % 64` of word `c / 64`.
-    pub fn row(&self, row: usize) -> &[u64] {
-        &self.bits[row * self.words..(row + 1) * self.words]
-    }
-
-    /// Replaces the relation with its transitive closure (Warshall's
-    /// algorithm, 64 columns per word operation): afterwards `(i, j)` is
-    /// set exactly when a path of one or more steps leads from `i` to
-    /// `j`, so `(i, i)` is set only for an `i` on a cycle. Over
-    /// dependence edges, row `v` becomes [`AnalysisDb::dependents`]`(v)`.
-    pub fn close(&mut self) {
-        let w = self.words;
-        for k in 0..self.n {
-            for i in 0..self.n {
-                if i != k && self.contains(i, k) {
-                    for x in 0..w {
-                        self.bits[i * w + x] |= self.bits[k * w + x];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Precomputed reachability over a static dependence graph (from
 /// `au_lang::static_analysis::analyze`, or any [`AnalysisDb`] built from
 /// program text rather than a run).
 ///
-/// The filter keeps only a sorted name index and the graph's transitive
-/// closure as a [`BitMatrix`].
+/// The filter keeps a copy of the graph's variable names and its
+/// transitive closure as a [`BitMatrix`].
 #[derive(Clone)]
 pub struct StaticFilter {
-    /// Every variable name, sorted, with its row in `deps`.
-    index: Vec<(Box<str>, usize)>,
+    /// The graph's variable names; a symbol's index is its row in `deps`.
+    names: Symbols,
     /// Row `v`: the transitive dependents of `v`.
     deps: BitMatrix,
 }
@@ -125,22 +70,16 @@ impl StaticFilter {
     /// once, so each candidate test is two name lookups and a few word
     /// operations.
     pub fn new(static_db: &AnalysisDb) -> Self {
-        let mut index = Vec::with_capacity(static_db.var_count());
-        let mut deps = BitMatrix::new(static_db.var_count());
-        for v in static_db.all_vars() {
-            index.push((Box::from(static_db.name(v)), v.0));
-            for &d in static_db.direct_dependents(v) {
-                deps.insert(v.0, d.0);
-            }
-        }
-        index.sort_unstable();
+        let mut deps = static_db.edges().clone();
         deps.close();
-        StaticFilter { index, deps }
+        StaticFilter {
+            names: static_db.symbols().clone(),
+            deps,
+        }
     }
 
     fn id(&self, name: &str) -> Option<usize> {
-        let at = self.index.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
-        Some(self.index[at].1)
+        self.names.get(name).map(|s| s.index())
     }
 
     /// True when the static graph *proves* `w` and `v` share no dependent.
@@ -348,7 +287,7 @@ mod tests {
         for graph in [canny_db(), db] {
             let mut m = BitMatrix::new(graph.var_count());
             for v in graph.all_vars() {
-                for &d in graph.direct_dependents(v) {
+                for d in graph.direct_dependents(v) {
                     m.insert(v.0, d.0);
                 }
             }

@@ -1,5 +1,6 @@
 //! Algorithm 2: automatic reinforcement-learning feature extraction.
 
+use crate::bits::intersects;
 use crate::db::{AnalysisDb, VarId};
 use crate::preprune::{PrepruneStats, StaticFilter};
 use crate::stats::{euclidean_distance, min_max_scale, variance};
@@ -88,9 +89,11 @@ pub(crate) fn algorithm2(
     for &v in db.targets() {
         let dep_v = db.dependents(v);
         // UseFunc[dep(v)]: union of usage functions over v's dependents.
-        let mut dep_funcs: BTreeSet<&str> = BTreeSet::new();
+        let mut dep_funcs = vec![0u64; db.use_words()];
         for &d in &dep_v {
-            dep_funcs.extend(db.use_funcs(d).iter().map(|s| s.as_str()));
+            for (a, b) in dep_funcs.iter_mut().zip(db.use_row(d)) {
+                *a |= b;
+            }
         }
 
         // Candidate map: VarId -> scaled trace (BTreeMap keeps a stable,
@@ -100,11 +103,7 @@ pub(crate) fn algorithm2(
             if w == v || db.targets().contains(&w) {
                 continue;
             }
-            let shares_func = db
-                .use_funcs(w)
-                .iter()
-                .any(|f| dep_funcs.contains(f.as_str()));
-            if !shares_func {
+            if !intersects(db.use_row(w), &dep_funcs) {
                 continue;
             }
             stats.considered += 1;

@@ -18,7 +18,9 @@
 
 mod common;
 
-use autonomizer::lang::{corpus, parse, Expr, ExprKind, Program, Span, Stmt, StmtKind};
+use autonomizer::lang::{
+    corpus, for_each_subexpr, parse, ExprId, ExprKind, Program, Span, Stmt, StmtKind,
+};
 use autonomizer::lint::{lint_program, Diagnostic};
 use std::fmt::Write as _;
 
@@ -26,15 +28,17 @@ const GOLDEN: &str = "tests/golden/lint_diagnostics.txt";
 
 /// Whether `e` or any expression inside it calls an `au_*` primitive;
 /// `p` spells the names.
-fn calls_primitive(p: &Program, e: &Expr) -> bool {
-    let calls = |e: &Expr| calls_primitive(p, e);
-    match &e.kind {
-        ExprKind::Call { name, args } => p.name(*name).starts_with("au_") || args.iter().any(calls),
-        ExprKind::Array(items) => items.iter().any(calls),
-        ExprKind::Index(a, b) | ExprKind::Binary { lhs: a, rhs: b, .. } => calls(a) || calls(b),
-        ExprKind::Unary { expr, .. } => calls(expr),
-        _ => false,
-    }
+fn calls_primitive(p: &Program, e: ExprId) -> bool {
+    let mut calls = false;
+    for_each_subexpr(
+        p,
+        e,
+        &mut |e| {
+            calls |=
+                matches!(e.kind, ExprKind::Call { name, .. } if p.name(name).starts_with("au_"))
+        },
+    );
+    calls
 }
 
 /// Whether `stmt` itself (not a nested block) calls an `au_*` primitive.
@@ -43,9 +47,9 @@ fn is_primitive_stmt(p: &Program, stmt: &Stmt) -> bool {
         StmtKind::Let { init: e, .. }
         | StmtKind::Assign { value: e, .. }
         | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => calls_primitive(p, e),
+        | StmtKind::Return(Some(e)) => calls_primitive(p, *e),
         StmtKind::AssignIndex { index, value, .. } => {
-            calls_primitive(p, index) || calls_primitive(p, value)
+            calls_primitive(p, *index) || calls_primitive(p, *value)
         }
         _ => false,
     }
@@ -82,14 +86,14 @@ fn remove_nth(p: &Program, stmts: &mut Vec<Stmt>, k: &mut usize) -> Option<Span>
 fn mutants(program: &Program) -> Vec<(Span, Program)> {
     let mut out = Vec::new();
     for n in 0.. {
-        let mut mutant = program.clone();
+        let mut mutant = program.to_builder();
         let mut k = n;
         let removed = mutant
-            .functions
+            .functions_mut()
             .iter_mut()
             .find_map(|f| remove_nth(program, &mut f.body, &mut k));
         match removed {
-            Some(span) => out.push((span, mutant)),
+            Some(span) => out.push((span, mutant.build().expect("a mutant keeps its main"))),
             None => break,
         }
     }

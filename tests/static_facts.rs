@@ -30,15 +30,15 @@ use std::fmt::Write as _;
 const GOLDEN: &str = "tests/golden/static_facts.txt";
 
 /// `[a, b, c]` from variable ids, by name.
-fn name_list<'a>(db: &AnalysisDb, vars: impl IntoIterator<Item = &'a VarId>) -> String {
-    let names: Vec<&str> = vars.into_iter().map(|&v| db.name(v)).collect();
+fn name_list(db: &AnalysisDb, vars: impl IntoIterator<Item = VarId>) -> String {
+    let names: Vec<&str> = vars.into_iter().map(|v| db.name(v)).collect();
     format!("[{}]", names.join(", "))
 }
 
 fn dump_analysis(s: &mut String, db: &AnalysisDb) {
     writeln!(s, "analysis {} vars", db.var_count()).unwrap();
     for v in db.all_vars() {
-        let uses: Vec<&str> = db.use_funcs(v).iter().map(String::as_str).collect();
+        let uses = db.use_funcs(v);
         writeln!(
             s,
             "  {} -> {} uses [{}]",
@@ -48,8 +48,8 @@ fn dump_analysis(s: &mut String, db: &AnalysisDb) {
         )
         .unwrap();
     }
-    writeln!(s, "inputs {}", name_list(db, db.inputs())).unwrap();
-    writeln!(s, "targets {}", name_list(db, db.targets())).unwrap();
+    writeln!(s, "inputs {}", name_list(db, db.inputs().iter().copied())).unwrap();
+    writeln!(s, "targets {}", name_list(db, db.targets().iter().copied())).unwrap();
 }
 
 /// One row per variable `w`: column `v` reads `u` when the filter proves
